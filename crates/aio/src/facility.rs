@@ -19,7 +19,7 @@ use mpf::{LnvcId, Mpf, MpfError, ProcessId, Protocol, Result};
 use mpf_ipc::{IpcLnvcId, IpcMpf};
 use mpf_shm::waitq::{WaitQueue, WaitStrategy};
 
-use crate::reactor::{Backend, Reactor};
+use crate::reactor::{Backend, Interest, Reactor};
 
 // ----------------------------------------------------------------------
 // Backends
@@ -198,7 +198,7 @@ impl<B: Backend> Drop for Driver<B> {
 
 /// Resolves to the next message on one conversation.
 pub struct RecvFuture<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     id: B::Id,
 }
 
@@ -206,16 +206,19 @@ impl<B: Backend> Future for RecvFuture<B> {
     type Output = Result<Vec<u8>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        this.interest.retire();
+        let backend = &this.interest.reactor.backend;
         // Ticket before the try: traffic landing in between has already
         // moved the sequence, so the reactor fires us on its next scan.
-        let ticket = match self.reactor.backend.recv_ticket(self.id) {
+        let ticket = match backend.recv_ticket(this.id) {
             Ok(t) => t,
             Err(e) => return Poll::Ready(Err(e)),
         };
-        match self.reactor.backend.try_recv(self.id) {
+        match backend.try_recv(this.id) {
             Ok(Some(msg)) => Poll::Ready(Ok(msg)),
             Ok(None) => {
-                self.reactor.register_recv(self.id, ticket, cx.waker());
+                this.interest.recv(&[(this.id, ticket)], cx.waker());
                 Poll::Pending
             }
             Err(e) => Poll::Ready(Err(e)),
@@ -227,7 +230,7 @@ impl<B: Backend> Future for RecvFuture<B> {
 /// conversation; pends (with flow control) while the region's message
 /// or block pool is exhausted.
 pub struct SendFuture<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     id: B::Id,
     payload: Vec<u8>,
 }
@@ -236,11 +239,14 @@ impl<B: Backend> Future for SendFuture<B> {
     type Output = Result<()>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let ticket = self.reactor.backend.mem_ticket();
-        match self.reactor.backend.try_send(self.id, &self.payload) {
+        let this = self.get_mut();
+        this.interest.retire();
+        let backend = &this.interest.reactor.backend;
+        let ticket = backend.mem_ticket();
+        match backend.try_send(this.id, &this.payload) {
             Ok(true) => Poll::Ready(Ok(())),
             Ok(false) => {
-                self.reactor.register_send(ticket, cx.waker());
+                this.interest.send(ticket, cx.waker());
                 Poll::Pending
             }
             Err(e) => Poll::Ready(Err(e)),
@@ -258,7 +264,7 @@ impl<B: Backend> Future for SendFuture<B> {
 /// The inner future is polled *before* the clock check, so a completion
 /// racing the deadline resolves, not times out.
 pub struct Deadline<B: Backend, F> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     inner: F,
     at: Instant,
 }
@@ -271,13 +277,14 @@ where
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
+        this.interest.retire();
         match Pin::new(&mut this.inner).poll(cx) {
             Poll::Ready(r) => Poll::Ready(r),
             Poll::Pending => {
                 if Instant::now() >= this.at {
                     return Poll::Ready(Err(MpfError::TimedOut));
                 }
-                this.reactor.register_timer(this.at, cx.waker());
+                this.interest.timer(this.at, cx.waker());
                 Poll::Pending
             }
         }
@@ -291,7 +298,7 @@ macro_rules! deadline_combinator {
             /// ([`MpfError::TimedOut`] once it passes).
             pub fn deadline(self, at: Instant) -> Deadline<B, Self> {
                 Deadline {
-                    reactor: Arc::clone(&self.reactor),
+                    interest: Interest::new(Arc::clone(&self.interest.reactor)),
                     inner: self,
                     at,
                 }
@@ -312,7 +319,7 @@ deadline_combinator!(SelectAny);
 /// Resolves to `(conversation, message)` for whichever registered
 /// conversation delivers first.
 pub struct SelectAny<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     ids: Vec<B::Id>,
 }
 
@@ -320,25 +327,26 @@ impl<B: Backend> Future for SelectAny<B> {
     type Output = Result<(B::Id, Vec<u8>)>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        this.interest.retire();
+        let backend = &this.interest.reactor.backend;
         // All tickets first, then all tries: a message arriving at any
         // conversation after its ticket was sampled re-wakes us.
-        let mut tickets = Vec::with_capacity(self.ids.len());
-        for &id in &self.ids {
-            match self.reactor.backend.recv_ticket(id) {
-                Ok(t) => tickets.push(t),
+        let mut signals = Vec::with_capacity(this.ids.len());
+        for &id in &this.ids {
+            match backend.recv_ticket(id) {
+                Ok(t) => signals.push((id, t)),
                 Err(e) => return Poll::Ready(Err(e)),
             }
         }
-        for &id in &self.ids {
-            match self.reactor.backend.try_recv(id) {
+        for &id in &this.ids {
+            match backend.try_recv(id) {
                 Ok(Some(msg)) => return Poll::Ready(Ok((id, msg))),
                 Ok(None) => {}
                 Err(e) => return Poll::Ready(Err(e)),
             }
         }
-        for (&id, &ticket) in self.ids.iter().zip(&tickets) {
-            self.reactor.register_recv(id, ticket, cx.waker());
-        }
+        this.interest.recv(&signals, cx.waker());
         Poll::Pending
     }
 }
@@ -352,7 +360,7 @@ macro_rules! future_ctors {
         /// Receives the next message on `id`.
         pub fn recv(&self, id: $id) -> RecvFuture<$backend> {
             RecvFuture {
-                reactor: Arc::clone(&self.driver.reactor),
+                interest: Interest::new(Arc::clone(&self.driver.reactor)),
                 id,
             }
         }
@@ -360,7 +368,7 @@ macro_rules! future_ctors {
         /// Sends `payload` on `id`, pending while the region is full.
         pub fn send(&self, id: $id, payload: Vec<u8>) -> SendFuture<$backend> {
             SendFuture {
-                reactor: Arc::clone(&self.driver.reactor),
+                interest: Interest::new(Arc::clone(&self.driver.reactor)),
                 id,
                 payload,
             }
@@ -373,7 +381,7 @@ macro_rules! future_ctors {
                 "select_any needs at least one conversation"
             );
             SelectAny {
-                reactor: Arc::clone(&self.driver.reactor),
+                interest: Interest::new(Arc::clone(&self.driver.reactor)),
                 ids: ids.to_vec(),
             }
         }
@@ -474,4 +482,40 @@ impl AsyncIpc {
     }
 
     future_ctors!(IpcBackend, IpcLnvcId);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block_on;
+    use mpf::MpfConfig;
+
+    /// A long-lived service's shape: every round a `select_any` over a
+    /// busy and a quiet conversation pends once, then completes on the
+    /// busy one.  The quiet conversation's registration and the unexpired
+    /// timer must go with the future, not pile up in the reactor.
+    #[test]
+    fn completed_futures_leave_no_registrations_behind() {
+        let m = Arc::new(Mpf::init(MpfConfig::new(8, 4)).unwrap());
+        let pid = ProcessId::from_index(0);
+        let a = AsyncMpf::new(Arc::clone(&m), pid);
+        let tx = a.open_send("busy").unwrap();
+        let busy = a.open_receive("busy", Protocol::Fcfs).unwrap();
+        let quiet = a.open_receive("quiet", Protocol::Fcfs).unwrap();
+        for round in 0..10_000u32 {
+            let mut fut = a
+                .select_any(&[busy, quiet])
+                .timeout(Duration::from_secs(60));
+            block_on(std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut fut).poll(cx).is_pending());
+                Poll::Ready(())
+            }));
+            let (recv, _, timers) = a.driver.reactor.registrations();
+            assert_eq!((recv, timers), (2, 1), "round {round}: one future pending");
+            m.message_send(pid, tx, &round.to_le_bytes()).unwrap();
+            let (id, msg) = block_on(fut).unwrap();
+            assert_eq!((id, msg), (busy, round.to_le_bytes().to_vec()));
+        }
+        assert_eq!(a.driver.reactor.registrations(), (0, 0, 0));
+    }
 }

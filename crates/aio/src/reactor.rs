@@ -16,9 +16,19 @@
 //!
 //! Wakes are allowed to be spurious (futures re-poll and re-register);
 //! they are never allowed to be lost.
+//!
+//! ## Registration lifetime
+//!
+//! Every registration is filed under its future's [`Interest`] key.  A
+//! future retires whatever it filed at the start of its next poll — the
+//! one that completes it included — and when it is dropped; otherwise
+//! each `Pending` poll of a `select_any` would leave the quiet
+//! conversations' entries (and an unexpired timer) behind for the
+//! reactor to scan forever.  Retiring before re-filing loses no wake:
+//! the poll doing it takes fresh tickets before it tries again.
 
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::thread::JoinHandle;
@@ -32,7 +42,7 @@ use mpf_shm::waitq::WaitQueue;
 /// (`mpf_ipc::IpcMpf`).
 pub trait Backend: Send + Sync + 'static {
     /// Conversation handle (`LnvcId` or `IpcLnvcId`).
-    type Id: Copy + PartialEq + Send + Sync + Debug + 'static;
+    type Id: Copy + PartialEq + Send + Sync + Unpin + Debug + 'static;
 
     /// Non-blocking receive; `Ok(None)` when nothing is deliverable.
     fn try_recv(&self, id: Self::Id) -> Result<Option<Vec<u8>>>;
@@ -62,12 +72,14 @@ pub trait Backend: Send + Sync + 'static {
     );
 }
 
+/// Registrations, each tagged with the key of the [`Interest`] that
+/// filed it.
 struct State<Id> {
-    recv: Vec<(Id, u32, Waker)>,
-    send: Vec<(u32, Waker)>,
+    recv: Vec<(u64, Id, u32, Waker)>,
+    send: Vec<(u64, u32, Waker)>,
     /// Deadline registrations from `Deadline`-wrapped futures: fired (and
     /// dropped) once `Instant::now()` passes the stored instant.
-    timers: Vec<(Instant, Waker)>,
+    timers: Vec<(u64, Instant, Waker)>,
 }
 
 pub(crate) struct Reactor<B: Backend> {
@@ -75,6 +87,77 @@ pub(crate) struct Reactor<B: Backend> {
     state: Mutex<State<B::Id>>,
     wake: WaitQueue,
     shutdown: AtomicBool,
+    next_key: AtomicU64,
+}
+
+/// One future's claim on its reactor (see the module docs).
+pub(crate) struct Interest<B: Backend> {
+    pub(crate) reactor: Arc<Reactor<B>>,
+    key: u64,
+    /// Whether anything may still be filed under `key`.
+    filed: bool,
+}
+
+impl<B: Backend> Interest<B> {
+    pub(crate) fn new(reactor: Arc<Reactor<B>>) -> Self {
+        let key = reactor.next_key.fetch_add(1, Ordering::Relaxed);
+        Interest {
+            reactor,
+            key,
+            filed: false,
+        }
+    }
+
+    /// Files interest in each listed receive signal moving past its
+    /// ticket.
+    pub(crate) fn recv(&mut self, signals: &[(B::Id, u32)], waker: &Waker) {
+        let key = self.key;
+        self.file(|st| {
+            st.recv
+                .extend(signals.iter().map(|&(id, t)| (key, id, t, waker.clone())))
+        });
+    }
+
+    /// Files interest in the memory signal moving past `ticket`.
+    pub(crate) fn send(&mut self, ticket: u32, waker: &Waker) {
+        let key = self.key;
+        self.file(|st| st.send.push((key, ticket, waker.clone())));
+    }
+
+    /// Files a wake at `at` (a `Deadline` future's expiry).  The wake is
+    /// allowed to be late by one scheduler quantum and, like every
+    /// reactor wake, allowed to be spurious — the wrapped future
+    /// re-checks the clock on poll.
+    pub(crate) fn timer(&mut self, at: Instant, waker: &Waker) {
+        let key = self.key;
+        self.file(|st| st.timers.push((key, at, waker.clone())));
+    }
+
+    /// Applies one registration and makes the reactor rescan.
+    fn file(&mut self, add: impl FnOnce(&mut State<B::Id>)) {
+        self.filed = true;
+        let mut st = self.reactor.state.lock().unwrap_or_else(|e| e.into_inner());
+        add(&mut st);
+        drop(st);
+        self.reactor.wake.notify_all();
+    }
+
+    /// Withdraws everything filed under this interest.
+    pub(crate) fn retire(&mut self) {
+        if std::mem::take(&mut self.filed) {
+            let key = self.key;
+            let mut st = self.reactor.state.lock().unwrap_or_else(|e| e.into_inner());
+            st.recv.retain(|r| r.0 != key);
+            st.send.retain(|r| r.0 != key);
+            st.timers.retain(|r| r.0 != key);
+        }
+    }
+}
+
+impl<B: Backend> Drop for Interest<B> {
+    fn drop(&mut self) {
+        self.retire();
+    }
 }
 
 impl<B: Backend> Reactor<B> {
@@ -88,6 +171,7 @@ impl<B: Backend> Reactor<B> {
             }),
             wake: WaitQueue::new(),
             shutdown: AtomicBool::new(false),
+            next_key: AtomicU64::new(0),
         });
         let r = Arc::clone(&reactor);
         let thread = std::thread::Builder::new()
@@ -97,31 +181,11 @@ impl<B: Backend> Reactor<B> {
         (reactor, thread)
     }
 
-    /// Registers interest in `id`'s receive signal moving past `ticket`.
-    pub(crate) fn register_recv(&self, id: B::Id, ticket: u32, waker: &Waker) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.recv.push((id, ticket, waker.clone()));
-        drop(st);
-        self.wake.notify_all();
-    }
-
-    /// Registers interest in the memory signal moving past `ticket`.
-    pub(crate) fn register_send(&self, ticket: u32, waker: &Waker) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.send.push((ticket, waker.clone()));
-        drop(st);
-        self.wake.notify_all();
-    }
-
-    /// Registers a wake at `at` (a `Deadline` future's expiry).  The
-    /// wake is allowed to be late by one scheduler quantum and, like
-    /// every reactor wake, allowed to be spurious — the wrapped future
-    /// re-checks the clock on poll.
-    pub(crate) fn register_timer(&self, at: Instant, waker: &Waker) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.timers.push((at, waker.clone()));
-        drop(st);
-        self.wake.notify_all();
+    /// Registrations currently held: `(recv, send, timers)`.
+    #[cfg(test)]
+    pub(crate) fn registrations(&self) -> (usize, usize, usize) {
+        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        (st.recv.len(), st.send.len(), st.timers.len())
     }
 
     pub(crate) fn stop(&self) {
@@ -138,7 +202,7 @@ impl<B: Backend> Reactor<B> {
             let mut fired: Vec<Waker> = Vec::new();
             let (recv_wait, mem_wait, next_timer) = {
                 let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-                st.recv.retain(|(id, ticket, waker)| {
+                st.recv.retain(|(_, id, ticket, waker)| {
                     match self.backend.recv_ticket(*id) {
                         Ok(cur) if cur == *ticket => true,
                         // Moved — or the conversation is gone, in which
@@ -151,7 +215,7 @@ impl<B: Backend> Reactor<B> {
                 });
                 if !poll_sends {
                     let mem_now = self.backend.mem_ticket();
-                    st.send.retain(|(ticket, waker)| {
+                    st.send.retain(|(_, ticket, waker)| {
                         if mem_now == *ticket {
                             true
                         } else {
@@ -163,7 +227,7 @@ impl<B: Backend> Reactor<B> {
                 // Fire expired timers; the earliest survivor bounds the
                 // wait below.
                 let now = Instant::now();
-                st.timers.retain(|(at, waker)| {
+                st.timers.retain(|(_, at, waker)| {
                     if now >= *at {
                         fired.push(waker.clone());
                         false
@@ -174,10 +238,10 @@ impl<B: Backend> Reactor<B> {
                 (
                     st.recv
                         .iter()
-                        .map(|&(id, ticket, _)| (id, ticket))
+                        .map(|&(_, id, ticket, _)| (id, ticket))
                         .collect::<Vec<_>>(),
-                    st.send.first().map(|&(ticket, _)| ticket),
-                    st.timers.iter().map(|&(at, _)| at).min(),
+                    st.send.first().map(|&(_, ticket, _)| ticket),
+                    st.timers.iter().map(|&(_, at, _)| at).min(),
                 )
             };
             let woke_any = !fired.is_empty();
@@ -196,7 +260,7 @@ impl<B: Backend> Reactor<B> {
                 let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
                 let pending = std::mem::take(&mut st.send);
                 drop(st);
-                for (_, w) in pending {
+                for (_, _, w) in pending {
                     w.wake();
                 }
             }

@@ -57,7 +57,7 @@ fn main() {
                 label: "base loop-back".into(),
                 points: lengths
                     .iter()
-                    .map(|&len| (len as f64, native::base_throughput(len, 1_000)))
+                    .map(|&len| (len as f64, native::base_throughput(len, 1_000, true)))
                     .collect(),
             }],
         );

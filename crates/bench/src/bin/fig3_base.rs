@@ -32,7 +32,7 @@ fn main() {
             label: "base loop-back".to_string(),
             points: lengths
                 .iter()
-                .map(|&len| (len as f64, native::base_throughput(len, 2_000)))
+                .map(|&len| (len as f64, native::base_throughput(len, 2_000, true)))
                 .collect(),
         };
         let title = "Figure 3 (base): throughput (bytes/s) vs message length [native host]";

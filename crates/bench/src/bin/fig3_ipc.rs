@@ -12,8 +12,8 @@
 //!   the configuration the paper actually measured.
 //!
 //! Usage: `fig3_ipc [--msgs N] [--no-telemetry] [--json <path>]`
-//! (default 2000 messages per point). `--no-telemetry` creates the
-//! region with recording off, for measuring the telemetry overhead;
+//! (default 2000 messages per point). `--no-telemetry` runs all three
+//! series with telemetry and tracing off, for measuring their overhead;
 //! `--json` additionally writes the series plus loop-back latency
 //! percentiles (from the in-region histogram) machine-readably.
 
@@ -178,7 +178,7 @@ fn main() {
         label: "threads".to_string(),
         points: LENGTHS
             .iter()
-            .map(|&len| (len as f64, native::base_throughput(len, msgs)))
+            .map(|&len| (len as f64, native::base_throughput(len, msgs, telemetry)))
             .collect(),
     };
     let mut latencies = Vec::new();
@@ -200,6 +200,13 @@ fn main() {
     );
     let series = [threads, ipc_loop, ipc_xp];
     print_series(&title, &series);
+    for s in &series {
+        println!(
+            "# {}: telemetry + tracing {}",
+            s.label,
+            if telemetry { "on" } else { "off" }
+        );
+    }
     if telemetry {
         println!("# loop-back send-to-receive latency (ns, in-region histogram)");
         for (len, lat) in &latencies {

@@ -1,9 +1,10 @@
-//! Cross-architecture cost estimation from a measured schedule: records a
-//! native MPF run with the event tracer, then replays it on the Balance
-//! 21000 model — the paper's §1 "performance penalties when moving from
-//! one type architecture to another", answered with data.
+//! Cross-architecture cost estimation from a measured schedule: captures
+//! the trace rings of a native MPF run, then replays the capture on the
+//! Balance 21000 model — the paper's §1 "performance penalties when moving
+//! from one type architecture to another", answered with data.
 //!
-//! Usage: `replay_trace [senders] [msgs] [len]`
+//! Usage: `replay_trace [senders] [msgs] [len]` — the run must fit the
+//! 512-slot trace rings (`senders * msgs` up to about 120).
 
 use mpf_bench::replay::{trace_to_schedule, traced_fanin};
 use mpf_sim::{replay, CostModel, MachineConfig};
@@ -11,12 +12,18 @@ use mpf_sim::{replay, CostModel, MachineConfig};
 fn main() {
     let mut args = std::env::args().skip(1);
     let senders: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let msgs: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
+    let msgs: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
     let len: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(256);
 
     println!("recording: {senders} senders x {msgs} messages x {len} B -> 1 FCFS receiver\n");
-    let log = traced_fanin(senders, msgs, len);
-    let native = log.summary();
+    let run = match traced_fanin(senders, msgs, len) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("replay_trace: {e}");
+            std::process::exit(2);
+        }
+    };
+    let native = run.summary();
     println!("native host:");
     println!("  span            {:>12.3} ms", native.span_ns as f64 / 1e6);
     println!("  send throughput {:>12.0} B/s", native.send_throughput);
@@ -30,7 +37,7 @@ fn main() {
 
     let machine = MachineConfig::balance21000();
     let costs = CostModel::calibrated(&machine);
-    let schedule = trace_to_schedule(&log, &[], 0.0);
+    let schedule = trace_to_schedule(&run, 0.0);
     let sim = replay::replay(&machine, &costs, &schedule);
     println!("\nreplayed on the Balance 21000 model (communication only):");
     println!("  span            {:>12.3} ms", sim.elapsed_secs * 1e3);

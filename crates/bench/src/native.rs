@@ -27,8 +27,13 @@ fn config(processes: u32) -> MpfConfig {
 
 /// `base`: loop-back send/receive of `iters` messages of `len` bytes on a
 /// single process.  Returns bytes/second (Figure 3's metric).
-pub fn base_throughput(len: usize, iters: u64) -> f64 {
-    let mpf = Mpf::init(config(1)).expect("init");
+/// `observed` switches telemetry and tracing on or off together, the
+/// same pair `fig3_ipc --no-telemetry` switches on the ipc series.
+pub fn base_throughput(len: usize, iters: u64, observed: bool) -> f64 {
+    let cfg = config(1)
+        .with_telemetry(observed)
+        .trace_sample_rate(u32::from(observed));
+    let mpf = Mpf::init(cfg).expect("init");
     let p = ProcessId::from_index(0);
     let tx = mpf.sender(p, "bench:base").expect("tx");
     let rx = mpf.receiver(p, "bench:base", Protocol::Fcfs).expect("rx");
@@ -191,8 +196,8 @@ mod tests {
 
     #[test]
     fn base_produces_positive_throughput() {
-        let t = base_throughput(128, 50);
-        assert!(t > 0.0);
+        assert!(base_throughput(128, 50, true) > 0.0);
+        assert!(base_throughput(128, 50, false) > 0.0);
     }
 
     #[test]

@@ -1,61 +1,158 @@
-//! Bridges `mpf::trace::TraceLog` (what a native run did) to
+//! Bridges a native run's trace-ring records (what it did) to
 //! `mpf_sim::replay::ReplaySchedule` (what it would cost on the Balance
 //! 21000).
 
-use mpf::trace::{EventKind, TraceLog};
-use mpf::Protocol;
+use std::collections::HashMap;
+
+use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
+use mpf_shm::tracering::{
+    TraceEvent, TRACE_RING_SLOTS, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND,
+};
 use mpf_sim::replay::{ReplayOp, ReplaySchedule};
 
-/// Converts a trace into a replay schedule.
-///
-/// Receive protocol per `(pid, lnvc)` is taken from the `OpenRecv` events
-/// when `protocols` does not override it; since the trace does not carry
-/// the protocol, callers that mixed protocols should pass an explicit
-/// mapping via `broadcast_lnvcs` (conversation indices whose receivers
-/// were BROADCAST).  `cycles_per_ns` scales host gaps to Balance cycles —
-/// `0.0` drops think-time entirely (pure communication replay).
-pub fn trace_to_schedule(
-    log: &TraceLog,
-    broadcast_lnvcs: &[u32],
-    cycles_per_ns: f64,
-) -> ReplaySchedule {
-    let timed: Vec<(u32, u64, ReplayOp)> = log
+/// A complete capture of every process's trace ring: `(pid, record)`
+/// pairs, ring by ring, each ring in its own record order.
+#[derive(Debug, Clone)]
+pub struct TracedRun {
+    /// The records.
+    pub events: Vec<(u32, TraceEvent)>,
+}
+
+/// Paper-style reduction of a [`TracedRun`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct NativeSummary {
+    /// Wall-clock span of the capture in nanoseconds.
+    pub span_ns: u64,
+    /// `message_send` count.
+    pub sends: u64,
+    /// Delivery count (each broadcast delivery counts).
+    pub receives: u64,
+    /// Bytes through `message_send`.
+    pub bytes_sent: u64,
+    /// Times any receiver blocked.
+    pub recv_blocks: u64,
+    /// Sent-side throughput over the span, bytes/second.
+    pub send_throughput: f64,
+    /// Mean send→receive latency over deliveries matched to their send
+    /// by message stamp, ns.
+    pub mean_latency_ns: f64,
+    /// Maximum matched latency, ns.
+    pub max_latency_ns: u64,
+    /// Deliveries matched to a send.
+    pub matched: u64,
+}
+
+impl TracedRun {
+    /// Snapshots every trace ring of `mpf`.  Fails unless the capture is
+    /// complete: a ring that wrapped or a chain that sampling skipped
+    /// would silently thin the schedule being replayed.
+    pub fn capture(mpf: &Mpf) -> Result<Self, String> {
+        let mut events = Vec::new();
+        for idx in 0..mpf.config().max_processes as usize {
+            let pid = ProcessId::from_index(idx);
+            let (recorded, skipped) = mpf.trace_ring_stats(pid).map_err(|e| e.to_string())?;
+            if recorded > TRACE_RING_SLOTS as u64 || skipped > 0 {
+                return Err(format!(
+                    "process {idx} wrote {recorded} trace records into a \
+                     {TRACE_RING_SLOTS}-slot ring ({skipped} chains sampled out): \
+                     shrink the run"
+                ));
+            }
+            let ring = mpf.trace_events(pid).map_err(|e| e.to_string())?;
+            events.extend(ring.into_iter().map(|e| (idx as u32, e)));
+        }
+        Ok(Self { events })
+    }
+
+    /// Reduces the capture to summary statistics.
+    pub fn summary(&self) -> NativeSummary {
+        let sent_at: HashMap<u64, u64> = self
+            .events
+            .iter()
+            .filter(|(_, e)| e.kind == TR_SEND)
+            .map(|(_, e)| (e.stamp, e.tstamp))
+            .collect();
+        let (mut sends, mut receives, mut bytes_sent, mut recv_blocks) = (0u64, 0u64, 0u64, 0u64);
+        let (mut latency_sum, mut max_latency_ns, mut matched) = (0u128, 0u64, 0u64);
+        for (_, e) in &self.events {
+            match e.kind {
+                TR_SEND => {
+                    sends += 1;
+                    bytes_sent += u64::from(e.arg);
+                }
+                TR_RECV | TR_RECV_B => {
+                    receives += 1;
+                    if let Some(&t0) = sent_at.get(&e.stamp) {
+                        let lat = e.tstamp.saturating_sub(t0);
+                        latency_sum += u128::from(lat);
+                        max_latency_ns = max_latency_ns.max(lat);
+                        matched += 1;
+                    }
+                }
+                TR_RECV_BLOCK => recv_blocks += 1,
+                _ => {}
+            }
+        }
+        let stamps = self.events.iter().map(|(_, e)| e.tstamp);
+        let span_ns = match (stamps.clone().min(), stamps.max()) {
+            (Some(first), Some(last)) => last - first,
+            _ => 0,
+        };
+        NativeSummary {
+            span_ns,
+            sends,
+            receives,
+            bytes_sent,
+            recv_blocks,
+            send_throughput: if span_ns == 0 {
+                0.0
+            } else {
+                bytes_sent as f64 / (span_ns as f64 / 1e9)
+            },
+            mean_latency_ns: if matched == 0 {
+                0.0
+            } else {
+                latency_sum as f64 / matched as f64
+            },
+            max_latency_ns,
+            matched,
+        }
+    }
+}
+
+/// Converts a capture into a replay schedule: every `TR_SEND`, `TR_RECV`
+/// and `TR_RECV_B` record becomes the matching replay op of its process.
+/// `cycles_per_ns` scales host gaps to Balance cycles — `0.0` drops
+/// think-time entirely (pure communication replay).
+pub fn trace_to_schedule(run: &TracedRun, cycles_per_ns: f64) -> ReplaySchedule {
+    let timed: Vec<(u32, u64, ReplayOp)> = run
         .events
         .iter()
-        .filter_map(|e| {
+        .filter_map(|&(pid, e)| {
+            let lnvc = e.lnvc as usize;
             let op = match e.kind {
-                EventKind::Send => Some(ReplayOp::Send {
-                    lnvc: e.lnvc as usize,
-                    len: e.len as usize,
-                }),
-                EventKind::Recv => Some(if broadcast_lnvcs.contains(&e.lnvc) {
-                    ReplayOp::RecvBroadcast {
-                        lnvc: e.lnvc as usize,
-                    }
-                } else {
-                    ReplayOp::RecvFcfs {
-                        lnvc: e.lnvc as usize,
-                    }
-                }),
-                _ => None,
+                TR_SEND => ReplayOp::Send {
+                    lnvc,
+                    len: e.arg as usize,
+                },
+                TR_RECV => ReplayOp::RecvFcfs { lnvc },
+                TR_RECV_B => ReplayOp::RecvBroadcast { lnvc },
+                _ => return None,
             };
-            op.map(|op| (e.pid, e.at_ns, op))
+            Some((pid, e.tstamp, op))
         })
         .collect();
     ReplaySchedule::from_timed_ops(&timed, cycles_per_ns)
 }
 
-/// Runs a small traced native workload (`senders` → one FCFS receiver,
-/// `msgs` × `len` bytes) and returns its trace.  Used by the
-/// `replay_trace` binary and tests.
-pub fn traced_fanin(senders: usize, msgs: u64, len: usize) -> TraceLog {
-    use mpf::{Mpf, MpfConfig, ProcessId};
-    let mpf = Mpf::init(
-        MpfConfig::new(8, senders as u32 + 1)
-            .with_total_blocks(8192)
-            .with_tracing(1 << 20),
-    )
-    .expect("init");
+/// Runs a small native workload (`senders` → one FCFS receiver, `msgs` ×
+/// `len` bytes each) and returns the capture of its trace rings.  The
+/// receiver writes up to four records per message (receive, reclaim,
+/// block marker, wakeup), so `senders * msgs` must stay near a quarter
+/// of [`TRACE_RING_SLOTS`] for the capture to be complete.
+pub fn traced_fanin(senders: usize, msgs: u64, len: usize) -> Result<TracedRun, String> {
+    let mpf =
+        Mpf::init(MpfConfig::new(8, senders as u32 + 1).with_total_blocks(8192)).expect("init");
     // Open the receive connection before any sender thread exists: if the
     // senders ran to completion (send + close) first, the conversation
     // would be deleted and the stream discarded (paper §3.2).
@@ -88,7 +185,7 @@ pub fn traced_fanin(senders: usize, msgs: u64, len: usize) -> TraceLog {
         });
     });
     drop(rx);
-    mpf.take_trace().expect("tracing enabled")
+    TracedRun::capture(&mpf)
 }
 
 #[cfg(test)]
@@ -98,12 +195,14 @@ mod tests {
 
     #[test]
     fn native_trace_replays_on_the_model() {
-        let log = traced_fanin(2, 15, 64);
-        let summary = log.summary();
+        let run = traced_fanin(2, 15, 64).expect("zero-loss capture");
+        let summary = run.summary();
         assert_eq!(summary.sends, 30);
         assert_eq!(summary.receives, 30);
+        assert_eq!(summary.bytes_sent, 30 * 64);
+        assert_eq!(summary.matched, 30, "every delivery matched by stamp");
 
-        let schedule = trace_to_schedule(&log, &[], 0.0);
+        let schedule = trace_to_schedule(&run, 0.0);
         assert_eq!(schedule.total_sends(), 30);
         let machine = MachineConfig::balance21000();
         let costs = CostModel::calibrated(&machine);
@@ -115,11 +214,18 @@ mod tests {
 
     #[test]
     fn think_time_scaling_lengthens_the_replay() {
-        let log = traced_fanin(1, 10, 32);
+        let run = traced_fanin(1, 10, 32).expect("zero-loss capture");
         let machine = MachineConfig::balance21000();
         let costs = CostModel::calibrated(&machine);
-        let no_think = replay::replay(&machine, &costs, &trace_to_schedule(&log, &[], 0.0));
-        let with_think = replay::replay(&machine, &costs, &trace_to_schedule(&log, &[], 0.05));
+        let no_think = replay::replay(&machine, &costs, &trace_to_schedule(&run, 0.0));
+        let with_think = replay::replay(&machine, &costs, &trace_to_schedule(&run, 0.05));
         assert!(with_think.elapsed_cycles >= no_think.elapsed_cycles);
+    }
+
+    #[test]
+    fn capture_refuses_a_wrapped_ring() {
+        // 400 messages put at least 800 records in the receiver's ring.
+        let err = traced_fanin(1, 400, 8).expect_err("ring wrapped");
+        assert!(err.contains("shrink the run"), "{err}");
     }
 }

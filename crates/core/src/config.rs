@@ -49,10 +49,8 @@ pub struct MpfConfig {
     pub wait_strategy: WaitStrategy,
     /// Behaviour when the region is full.
     pub exhaust_policy: ExhaustPolicy,
-    /// Event-trace capacity; 0 disables tracing (see [`crate::trace`]).
-    pub trace_capacity: usize,
-    /// Whether the facility records in-region telemetry (counters,
-    /// histograms, flight rings).  On by default — the cost is one relaxed
+    /// Whether the facility records in-region telemetry (counters and
+    /// histograms).  On by default — the cost is one relaxed
     /// atomic per counter; the off switch exists so benchmarks can measure
     /// exactly that cost.  The telemetry segments are always carved (the
     /// layout does not depend on this flag); disabling only stops writes.
@@ -96,7 +94,6 @@ impl MpfConfig {
             lock_kind: LockKind::Spin,
             wait_strategy: WaitStrategy::Yield,
             exhaust_policy: ExhaustPolicy::Wait,
-            trace_capacity: 0,
             telemetry: true,
             latency_sample_every: 1,
             trace_sample_every: 1,
@@ -150,13 +147,6 @@ impl MpfConfig {
     /// Sets the pool-exhaustion policy.
     pub fn with_exhaust_policy(mut self, policy: ExhaustPolicy) -> Self {
         self.exhaust_policy = policy;
-        self
-    }
-
-    /// Enables event tracing with the given buffer capacity (events past
-    /// the bound are dropped and counted).
-    pub fn with_tracing(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 

@@ -30,8 +30,8 @@ use mpf_shm::telemetry::{
     now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
 };
 use mpf_shm::tracering::{
-    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV, TR_RECV, TR_RECV_B,
-    TR_SEND, TR_WAKEUP,
+    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV,
+    TR_OPEN_SEND, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK, TR_WAKEUP,
 };
 use mpf_shm::waitq::WaitQueue;
 
@@ -43,8 +43,7 @@ use crate::error::{MpfError, Result};
 use crate::lnvc::{Ctx, LnvcSlot};
 use crate::message::MsgSlot;
 use crate::registry::Registry;
-use crate::stats::{MpfStats, Reclaimable};
-use crate::trace::{EventKind, TraceLog, Tracer, NO_STAMP};
+use crate::stats::Reclaimable;
 use crate::types::{LnvcId, LnvcName, Protocol, MAX_LNVC_INDEX};
 
 /// The message passing facility.  One instance is one shared region;
@@ -60,7 +59,6 @@ pub struct Mpf {
     registry: Registry,
     /// Senders blocked on region exhaustion wait here (flow control).
     mem_waitq: WaitQueue,
-    stats: MpfStats,
     /// Region-global telemetry block.  This backend keeps it on the heap;
     /// [`crate::layout`] carves the identical `#[repr(C)]` struct into the
     /// shared region for the IPC backend, so the recording code paths are
@@ -68,7 +66,6 @@ pub struct Mpf {
     tel: FacilityTelemetry,
     /// Per-conversation telemetry, indexed like the LNVC pool.
     lnvc_tel: Box<[LnvcTelemetry]>,
-    tracer: Option<Tracer>,
     /// Batched-submission rings, one SQ per process slot (layout segment
     /// "aio sq rings"; heap-held here like every other pool).
     aio_sq: Box<[AioRing]>,
@@ -121,12 +118,10 @@ impl Mpf {
             recvs: Pool::new(cfg.max_recv_conns),
             registry: Registry::new(cfg.max_lnvcs as usize),
             mem_waitq: WaitQueue::new(),
-            stats: MpfStats::default(),
             tel: FacilityTelemetry::default(),
             lnvc_tel: (0..cfg.max_lnvcs)
                 .map(|_| LnvcTelemetry::default())
                 .collect(),
-            tracer: (cfg.trace_capacity > 0).then(|| Tracer::new(cfg.trace_capacity)),
             aio_sq: (0..cfg.max_processes).map(|_| AioRing::new()).collect(),
             aio_cq: (0..cfg.max_processes).map(|_| AioRing::new()).collect(),
             latency_tick: AtomicU64::new(0),
@@ -151,11 +146,6 @@ impl Mpf {
     /// literal one-`mmap` port would carve; see [`crate::layout`]).
     pub fn region_layout(&self) -> crate::layout::RegionLayout {
         crate::layout::RegionLayout::for_config(&self.cfg)
-    }
-
-    /// Live instrumentation counters.
-    pub fn stats(&self) -> &MpfStats {
-        &self.stats
     }
 
     /// Point-in-time copy of the region telemetry block (stays zero when
@@ -240,31 +230,40 @@ impl Mpf {
         }
     }
 
-    /// Telemetry for one blocked receive wait (mirrors `stats.recv_waits`).
-    fn note_recv_wait(&self, idx: u32) {
+    /// Books one blocked receive wait by `pid` on conversation `idx`.
+    fn note_recv_wait(&self, pid: ProcessId, idx: u32) {
         if let Some(t) = self.tel() {
             t.recv_waits.inc();
             self.lnvc_tel[idx as usize]
                 .recv_waits
                 .fetch_add(1, Ordering::Relaxed);
         }
+        self.trace_pop(pid, TR_RECV_BLOCK, idx, 0);
     }
 
-    /// Drains the event trace, if tracing was enabled at `init`.
-    pub fn take_trace(&self) -> Option<TraceLog> {
-        self.tracer.as_ref().map(Tracer::take_log)
-    }
-
-    /// Trace events dropped by the capacity bound so far.
-    pub fn trace_dropped(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, Tracer::dropped)
-    }
-
-    #[inline]
-    fn trace(&self, pid: ProcessId, kind: EventKind, lnvc: u32, len: usize, stamp: u64) {
-        if let Some(t) = &self.tracer {
-            t.record(pid.raw(), kind, lnvc, len, stamp);
+    /// Books one send by `pid` that found the pools exhausted and is about
+    /// to wait on conversation `idx`'s behalf.
+    fn note_send_wait(&self, pid: ProcessId, idx: u32) {
+        if let Some(t) = self.tel() {
+            t.send_waits.inc();
         }
+        self.trace_pop(pid, TR_SEND_BLOCK, idx, 0);
+    }
+
+    /// Books `freed` messages reclaimed from conversation `idx` by a sweep
+    /// (deliveries book their own through [`Self::note_delivery`]) and
+    /// wakes senders waiting for the memory.
+    fn note_reclaim(&self, idx: u32, freed: u32) {
+        if freed == 0 {
+            return;
+        }
+        if let Some(t) = self.tel() {
+            t.reclaims.add(freed as u64);
+            self.lnvc_tel[idx as usize]
+                .reclaims
+                .fetch_add(freed as u64, Ordering::Relaxed);
+        }
+        self.mem_waitq.notify_all();
     }
 
     /// Number of currently existing conversations.
@@ -385,9 +384,6 @@ impl Mpf {
         }
     }
 
-    /// Records a receiver-population change marker (`TR_OPEN_RECV` /
-    /// `TR_CLOSE_RECV`).  Not sampled: the conformance checker needs the
-    /// population timeline even across untraced gaps.
     /// Records an injected fault this process acted on (`TR_FAULT`):
     /// `arg` names the site, `arg2` the magnitude of the typed error it
     /// surfaced as — the pairing the offline conformance checker audits.
@@ -406,13 +402,13 @@ impl Mpf {
         }
     }
 
-    fn trace_pop(&self, pid: ProcessId, kind: u32, lnvc: u32, protocol: Protocol) {
+    /// Records a marker event (connection open/close, blocking).  Not
+    /// sampled: the conformance checker needs the receiver-population
+    /// timeline, and a post-mortem reader the last things a process did,
+    /// even across untraced gaps.
+    fn trace_pop(&self, pid: ProcessId, kind: u32, lnvc: u32, arg: u32) {
         if self.tracing() {
-            let code = match protocol {
-                Protocol::Fcfs => 1,
-                Protocol::Broadcast => 2,
-            };
-            self.trace_rings[pid.index()].record_at(now_nanos(), 0, 0, kind, 0, lnvc, code, 0);
+            self.trace_rings[pid.index()].record_at(now_nanos(), 0, 0, kind, 0, lnvc, arg, 0);
         }
     }
 
@@ -477,7 +473,6 @@ impl Mpf {
         };
         self.lnvcs.get(idx).activate();
         reg.insert(name, idx);
-        self.stats.lnvcs_created.inc();
         if let Some(t) = self.tel() {
             t.lnvcs_created.inc();
             // A recycled slot must not inherit its predecessor's numbers.
@@ -497,7 +492,6 @@ impl Mpf {
         let slot = self.lnvcs.get(idx);
         slot.deactivate();
         self.lnvcs.free(idx);
-        self.stats.lnvcs_deleted.inc();
         if let Some(t) = self.tel() {
             t.lnvcs_deleted.inc();
         }
@@ -529,7 +523,7 @@ impl Mpf {
             self.rollback_create(&mut reg, name, idx);
         }
         if result.is_ok() {
-            self.trace(pid, EventKind::OpenSend, idx, 0, NO_STAMP);
+            self.trace_pop(pid, TR_OPEN_SEND, idx, 0);
         }
         result
     }
@@ -581,19 +575,9 @@ impl Mpf {
             self.rollback_create(&mut reg, name, idx);
         }
         drop(reg);
-        if freed > 0 {
-            self.stats.reclaims.add(freed as u64);
-            if let Some(t) = self.tel() {
-                t.reclaims.add(freed as u64);
-                self.lnvc_tel[idx as usize]
-                    .reclaims
-                    .fetch_add(freed as u64, Ordering::Relaxed);
-            }
-            self.mem_waitq.notify_all();
-        }
+        self.note_reclaim(idx, freed);
         if result.is_ok() {
-            self.trace(pid, EventKind::OpenRecv, idx, 0, NO_STAMP);
-            self.trace_pop(pid, TR_OPEN_RECV, idx, protocol);
+            self.trace_pop(pid, TR_OPEN_RECV, idx, protocol.code());
         }
         result
     }
@@ -615,7 +599,6 @@ impl Mpf {
         reg.retain(|_, &mut v| v != idx);
         slot.deactivate();
         self.lnvcs.free(idx);
-        self.stats.lnvcs_deleted.inc();
         if let Some(t) = self.tel() {
             t.lnvcs_deleted.inc();
         }
@@ -641,7 +624,7 @@ impl Mpf {
         // observe UnknownLnvc; wake memory waiters (messages may be freed).
         slot.waitq.notify_all();
         self.mem_waitq.notify_all();
-        self.trace(pid, EventKind::CloseSend, id.index(), 0, NO_STAMP);
+        self.trace_pop(pid, TR_CLOSE_SEND, id.index(), 0);
         Ok(())
     }
 
@@ -684,62 +667,41 @@ impl Mpf {
             self.maybe_delete(&mut reg, id.index(), slot);
         }
         drop(reg);
-        if reclaimed > 0 {
-            self.stats.reclaims.add(reclaimed as u64);
-            if let Some(t) = self.tel() {
-                t.reclaims.add(reclaimed as u64);
-                self.lnvc_tel[id.index() as usize]
-                    .reclaims
-                    .fetch_add(reclaimed as u64, Ordering::Relaxed);
-            }
-        }
+        self.note_reclaim(id.index(), reclaimed);
         slot.waitq.notify_all();
         self.mem_waitq.notify_all();
-        self.trace(pid, EventKind::CloseRecv, id.index(), 0, NO_STAMP);
-        self.trace_pop(pid, TR_CLOSE_RECV, id.index(), closed_protocol);
+        self.trace_pop(pid, TR_CLOSE_RECV, id.index(), closed_protocol.code());
         Ok(())
     }
 
-    /// Under memory pressure, sweeps `slot`'s whole queue for consumed
-    /// interior messages the prefix reclaimer could not reach (e.g. behind
-    /// a message still owed a delivery).  Returns messages freed.
-    fn sweep_consumed(&self, slot: &LnvcSlot) -> u32 {
+    /// Under memory pressure, sweeps conversation `idx`'s whole queue for
+    /// consumed interior messages the prefix reclaimer could not reach
+    /// (e.g. behind a message still owed a delivery).  Returns messages
+    /// freed.
+    fn sweep_consumed(&self, idx: u32) -> u32 {
+        let slot = self.lnvcs.get(idx);
         let _guard = slot.lock.lock();
         let freed = self.ctx(slot).reclaim_consumed();
         drop(_guard);
-        if freed > 0 {
-            self.stats.reclaims.add(freed as u64);
-            if let Some(t) = self.tel() {
-                t.reclaims.add(freed as u64);
-            }
-            self.mem_waitq.notify_all();
-        }
+        self.note_reclaim(idx, freed);
         freed
     }
 
     /// Allocates a header and a populated block chain, honouring the
     /// exhaustion policy.  Before waiting (or erroring), tries a full-queue
     /// sweep of the destination conversation — the sender-side slow path of
-    /// non-prefix reclamation.  Returns `(msg_idx, chain)`.
+    /// non-prefix reclamation.  Returns `(msg_idx, chain)`.  Under
+    /// [`ExhaustPolicy::Wait`] the exhaustion wait is bounded by
+    /// `deadline` and times out with [`MpfError::TimedOut`] and nothing
+    /// allocated.  `idx` is an in-range conversation index (callers
+    /// resolved the id).
     fn alloc_message(
         &self,
         pid: ProcessId,
-        slot: &LnvcSlot,
-        buf: &[u8],
-    ) -> Result<(u32, crate::block::Chain)> {
-        self.alloc_message_deadline(pid, slot, buf, None)
-    }
-
-    /// [`Self::alloc_message`] bounded by `deadline`: under
-    /// [`ExhaustPolicy::Wait`] the exhaustion wait times out with
-    /// [`MpfError::TimedOut`] and nothing allocated.
-    fn alloc_message_deadline(
-        &self,
-        pid: ProcessId,
-        slot: &LnvcSlot,
+        idx: u32,
         buf: &[u8],
         deadline: Option<Instant>,
-    ) -> Result<(u32, crate::block::Chain)> {
+    ) -> Result<(u32, Chain)> {
         // An injected pool-exhaustion fault behaves exactly like a real
         // one-shot exhaustion: typed error under `ExhaustPolicy::Error`,
         // one bounded wait round under `Wait`.
@@ -759,16 +721,13 @@ impl Mpf {
                         // while blocked on headers could deadlock the
                         // region.
                         self.blocks.free_chain(chain);
-                        if self.sweep_consumed(slot) > 0 {
+                        if self.sweep_consumed(idx) > 0 {
                             continue;
                         }
                         if self.cfg.exhaust_policy == ExhaustPolicy::Error {
                             return Err(MpfError::MessagesExhausted);
                         }
-                        self.stats.send_waits.inc();
-                        if let Some(t) = self.tel() {
-                            t.send_waits.inc();
-                        }
+                        self.note_send_wait(pid, idx);
                         if !self
                             .mem_waitq
                             .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
@@ -792,7 +751,7 @@ impl Mpf {
                         // (nothing will notify — memory was never truly
                         // exhausted), then allocation proceeds normally
                         // unless the caller's real deadline expired.
-                        self.stats.send_waits.inc();
+                        self.note_send_wait(pid, idx);
                         let nap = Instant::now() + std::time::Duration::from_millis(2);
                         self.mem_waitq.wait_deadline(
                             ticket,
@@ -805,16 +764,13 @@ impl Mpf {
                         }
                         continue;
                     }
-                    if self.sweep_consumed(slot) > 0 {
+                    if self.sweep_consumed(idx) > 0 {
                         continue;
                     }
                     if self.cfg.exhaust_policy == ExhaustPolicy::Error {
                         return Err(MpfError::BlocksExhausted);
                     }
-                    self.stats.send_waits.inc();
-                    if let Some(t) = self.tel() {
-                        t.send_waits.inc();
-                    }
+                    self.note_send_wait(pid, idx);
                     if !self
                         .mem_waitq
                         .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
@@ -837,7 +793,7 @@ impl Mpf {
         // Cheap stale-id rejection before paying for allocation; the
         // authoritative check repeats under the lock.
         Self::validate(slot, id)?;
-        let (msg_idx, chain) = self.alloc_message(pid, slot, buf)?;
+        let (msg_idx, chain) = self.alloc_message(pid, id.index(), buf, None)?;
         self.publish_message(pid, id, msg_idx, chain, buf)
     }
 
@@ -856,7 +812,7 @@ impl Mpf {
         self.check_pid(pid)?;
         let slot = self.slot(id)?;
         Self::validate(slot, id)?;
-        let (msg_idx, chain) = self.alloc_message_deadline(pid, slot, buf, deadline)?;
+        let (msg_idx, chain) = self.alloc_message(pid, id.index(), buf, deadline)?;
         self.publish_message(pid, id, msg_idx, chain, buf)
     }
 
@@ -867,7 +823,7 @@ impl Mpf {
         self.check_pid(pid)?;
         let slot = self.slot(id)?;
         Self::validate(slot, id)?;
-        match self.try_alloc_message(slot, buf)? {
+        match self.try_alloc_message(id.index(), buf)? {
             Some((msg_idx, chain)) => {
                 self.publish_message(pid, id, msg_idx, chain, buf)?;
                 Ok(true)
@@ -879,7 +835,7 @@ impl Mpf {
     /// One non-blocking pass of [`Self::alloc_message`]: tries the pools,
     /// sweeps the destination queue once on exhaustion, and reports
     /// `Ok(None)` instead of waiting.
-    fn try_alloc_message(&self, slot: &LnvcSlot, buf: &[u8]) -> Result<Option<(u32, Chain)>> {
+    fn try_alloc_message(&self, idx: u32, buf: &[u8]) -> Result<Option<(u32, Chain)>> {
         let mut swept = false;
         loop {
             match self.blocks.alloc_chain(buf) {
@@ -887,7 +843,7 @@ impl Mpf {
                     Some(msg) => return Ok(Some((msg, chain))),
                     None => {
                         self.blocks.free_chain(chain);
-                        if !swept && self.sweep_consumed(slot) > 0 {
+                        if !swept && self.sweep_consumed(idx) > 0 {
                             swept = true;
                             continue;
                         }
@@ -895,7 +851,7 @@ impl Mpf {
                     }
                 },
                 Err(MpfError::BlocksExhausted) => {
-                    if !swept && self.sweep_consumed(slot) > 0 {
+                    if !swept && self.sweep_consumed(idx) > 0 {
                         swept = true;
                         continue;
                     }
@@ -959,7 +915,6 @@ impl Mpf {
                 lt.note_depth(u64::from(slot.msg_count()));
             }
             drop(_guard);
-            self.trace(pid, EventKind::Send, id.index(), buf.len(), stamp);
             self.trace_rec(
                 pid,
                 TR_SEND,
@@ -972,8 +927,6 @@ impl Mpf {
             );
         }
         slot.waitq.notify_all();
-        self.stats.sends.inc();
-        self.stats.bytes_in.add(buf.len() as u64);
         if let Some(t) = self.tel() {
             t.sends.inc();
             t.bytes_in.add(buf.len() as u64);
@@ -1043,13 +996,9 @@ impl Mpf {
         let freed = ctx.reclaim_prefix();
         drop(_guard);
         if freed > 0 {
-            self.stats.reclaims.add(freed as u64);
             self.mem_waitq.notify_all();
         }
-        self.stats.receives.inc();
-        self.stats.bytes_out.add(len as u64);
         self.note_delivery(id.index(), len, sent_at, freed);
-        self.trace(pid, EventKind::Recv, id.index(), len, stamp);
         Ok(Some(len))
     }
 
@@ -1084,9 +1033,7 @@ impl Mpf {
                 return Ok(len);
             }
             waited = true;
-            self.stats.recv_waits.inc();
-            self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
+            self.note_recv_wait(pid, id.index());
             slot.waitq.wait(ticket, self.cfg.wait_strategy);
         }
     }
@@ -1110,9 +1057,7 @@ impl Mpf {
             if let Some(len) = self.recv_once(pid, id, buf)? {
                 return Ok(len);
             }
-            self.stats.recv_waits.inc();
-            self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
+            self.note_recv_wait(pid, id.index());
             if !slot
                 .waitq
                 .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
@@ -1175,9 +1120,7 @@ impl Mpf {
             };
             let Some(msg_idx) = found else {
                 drop(guard);
-                self.stats.recv_waits.inc();
-                self.note_recv_wait(id.index());
-                self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
+                self.note_recv_wait(pid, id.index());
                 slot.waitq.wait(ticket, self.cfg.wait_strategy);
                 continue;
             };
@@ -1215,13 +1158,9 @@ impl Mpf {
             let freed = ctx.reclaim_prefix();
             drop(_guard);
             if freed > 0 {
-                self.stats.reclaims.add(freed as u64);
                 self.mem_waitq.notify_all();
             }
-            self.stats.receives.inc();
-            self.stats.bytes_out.add(len as u64);
             self.note_delivery(id.index(), len, sent_at, freed);
-            self.trace(pid, EventKind::Recv, id.index(), len, stamp);
             return Ok(len);
         }
     }
@@ -1249,8 +1188,7 @@ impl Mpf {
                     }
                 }
                 None => {
-                    self.stats.recv_waits.inc();
-                    self.note_recv_wait(id.index());
+                    self.note_recv_wait(pid, id.index());
                     slot.waitq.wait(ticket, self.cfg.wait_strategy);
                 }
             }
@@ -1283,9 +1221,7 @@ impl Mpf {
     /// may still take it first (the paper's §2 caution).
     pub fn check_receive(&self, pid: ProcessId, id: LnvcId) -> Result<bool> {
         self.check_pid(pid)?;
-        let present = self.pending_len(pid, id)?.is_some();
-        self.trace(pid, EventKind::Check, id.index(), 0, NO_STAMP);
-        Ok(present)
+        Ok(self.pending_len(pid, id)?.is_some())
     }
 
     /// Polls several conversations; returns the first (in argument order)
@@ -1325,7 +1261,6 @@ impl Mpf {
             if let Some(id) = self.check_any(pid, ids)? {
                 return Ok(id);
             }
-            self.stats.recv_waits.inc();
             if let Some(t) = self.tel() {
                 t.recv_waits.inc();
             }
@@ -1356,7 +1291,6 @@ impl Mpf {
             if let Some(id) = self.check_any(pid, ids)? {
                 return Ok(id);
             }
-            self.stats.recv_waits.inc();
             if let Some(t) = self.tel() {
                 t.recv_waits.inc();
             }
@@ -1409,7 +1343,7 @@ impl Mpf {
             if sq.is_full() {
                 break;
             }
-            let (msg_idx, chain) = match self.alloc_message_deadline(pid, slot, buf, deadline) {
+            let (msg_idx, chain) = match self.alloc_message(pid, id.index(), buf, deadline) {
                 Ok(alloc) => alloc,
                 // Keep what was already staged; surface the error only
                 // when nothing was (callers see partial progress first).
@@ -1576,7 +1510,6 @@ impl Mpf {
                     lt.sends.fetch_add(1, Ordering::Relaxed);
                     lt.bytes_in.fetch_add(len as u64, Ordering::Relaxed);
                 }
-                self.trace(pid, EventKind::Send, id.index(), len, stamp);
                 sent += 1;
                 bytes += len as u64;
             }
@@ -1586,8 +1519,6 @@ impl Mpf {
         }
         // One wake for the whole run — the amortisation the rings buy.
         slot.waitq.notify_all();
-        self.stats.sends.add(sent as u64);
-        self.stats.bytes_in.add(bytes);
         if let Some(t) = self.tel() {
             t.sends.add(sent as u64);
             t.bytes_in.add(bytes);
@@ -1746,11 +1677,8 @@ impl Mpf {
         let received = picked.len() as u64;
         let bytes: u64 = picked.iter().map(|&(_, len, ..)| len as u64).sum();
         if freed > 0 {
-            self.stats.reclaims.add(freed as u64);
             self.mem_waitq.notify_all();
         }
-        self.stats.receives.add(received);
-        self.stats.bytes_out.add(bytes);
         if let Some(t) = self.tel() {
             t.receives.add(received);
             t.bytes_out.add(bytes);
@@ -1775,9 +1703,6 @@ impl Mpf {
                 }
             }
         }
-        for &(_, len, _, stamp, ..) in &picked {
-            self.trace(pid, EventKind::Recv, id.index(), len, stamp);
-        }
         Ok(picked.len())
     }
 
@@ -1796,9 +1721,7 @@ impl Mpf {
             if self.recv_many(pid, id, max, &mut out)? > 0 {
                 return Ok(out);
             }
-            self.stats.recv_waits.inc();
-            self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
+            self.note_recv_wait(pid, id.index());
             slot.waitq.wait(ticket, self.cfg.wait_strategy);
         }
     }
@@ -1824,9 +1747,7 @@ impl Mpf {
             if self.recv_many(pid, id, max, &mut out)? > 0 {
                 return Ok(out);
             }
-            self.stats.recv_waits.inc();
-            self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
+            self.note_recv_wait(pid, id.index());
             if !slot
                 .waitq
                 .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
@@ -1947,9 +1868,9 @@ impl Mpf {
     }
 
     /// Audits every structural invariant of the facility.  Intended for
-    /// **quiescent points** — moments when no operation is mid-flight (test
+    /// **quiescent points** — moments when no operation is under way (test
     /// boundaries, scheduler-serialized checks in `mpf-check`) — because
-    /// in-flight receives legitimately hold partial state (e.g. a broadcast
+    /// unfinished receives legitimately hold partial state (e.g. a broadcast
     /// head advanced before `bcast_pending` is decremented).
     ///
     /// Checks, per live conversation (registry lock, then descriptor lock —
@@ -2356,21 +2277,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_traffic() {
-        let mpf = facility();
-        let tx = mpf.open_send(p(0), "s").unwrap();
-        let rx = mpf.open_receive(p(1), "s", Protocol::Fcfs).unwrap();
-        mpf.message_send(p(0), tx, &[0u8; 50]).unwrap();
-        mpf.message_receive_vec(p(1), rx).unwrap();
-        let snap = mpf.stats().snapshot();
-        assert_eq!(snap.sends, 1);
-        assert_eq!(snap.receives, 1);
-        assert_eq!(snap.bytes_in, 50);
-        assert_eq!(snap.bytes_out, 50);
-        assert_eq!(snap.lnvcs_created, 1);
-    }
-
-    #[test]
     fn telemetry_tracks_traffic_and_latency() {
         let mpf = facility();
         let tx = mpf.open_send(p(0), "tel").unwrap();
@@ -2408,15 +2314,15 @@ mod tests {
         .unwrap();
         let tx = mpf.open_send(p(0), "quiet").unwrap();
         let rx = mpf.open_receive(p(1), "quiet", Protocol::Fcfs).unwrap();
-        mpf.message_send(p(0), tx, &[0u8; 50]).unwrap();
-        mpf.message_receive_vec(p(1), rx).unwrap();
+        mpf.message_send(p(0), tx, &[7u8; 50]).unwrap();
+        // The message is delivered all the same; only the books stay shut.
+        assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap(), vec![7u8; 50]);
         let t = mpf.telemetry_snapshot();
         assert_eq!(t.sends, 0);
         assert_eq!(t.receives, 0);
         assert_eq!(t.lnvcs_created, 0);
         assert_eq!(t.latency_hist.count, 0);
-        // The classic stats stay on regardless.
-        assert_eq!(mpf.stats().snapshot().sends, 1);
+        assert_eq!(mpf.lnvc_telemetry(rx).unwrap().sends, 0);
     }
 
     #[test]
@@ -2549,49 +2455,6 @@ mod tests {
             assert_eq!(got, b"to everyone");
         }
         assert_eq!(mpf.free_blocks(), 256);
-    }
-
-    #[test]
-    fn tracing_records_the_full_lifecycle() {
-        use crate::trace::EventKind;
-        let mpf = Mpf::init(MpfConfig::new(4, 4).with_tracing(1024)).unwrap();
-        let tx = mpf.open_send(p(0), "traced").unwrap();
-        let rx = mpf.open_receive(p(1), "traced", Protocol::Fcfs).unwrap();
-        mpf.message_send(p(0), tx, &[1u8; 40]).unwrap();
-        mpf.check_receive(p(1), rx).unwrap();
-        let mut buf = [0u8; 64];
-        mpf.message_receive(p(1), rx, &mut buf).unwrap();
-        mpf.close_send(p(0), tx).unwrap();
-        mpf.close_receive(p(1), rx).unwrap();
-
-        let log = mpf.take_trace().expect("tracing enabled");
-        let kinds: Vec<EventKind> = log.events.iter().map(|e| e.kind).collect();
-        for expected in [
-            EventKind::OpenSend,
-            EventKind::OpenRecv,
-            EventKind::Send,
-            EventKind::Check,
-            EventKind::Recv,
-            EventKind::CloseSend,
-            EventKind::CloseRecv,
-        ] {
-            assert!(
-                kinds.contains(&expected),
-                "missing {expected:?} in {kinds:?}"
-            );
-        }
-        let summary = log.summary();
-        assert_eq!(summary.sends, 1);
-        assert_eq!(summary.receives, 1);
-        assert_eq!(summary.bytes_sent, 40);
-        assert_eq!(summary.matched, 1, "send matched to its receive by stamp");
-        assert_eq!(mpf.trace_dropped(), 0);
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let mpf = facility();
-        assert!(mpf.take_trace().is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::config::MpfConfig;
 /// Version of the region byte layout.  Bump on ANY change to the segment
 /// order, the constants below, or the in-region struct layouts; attach
 /// refuses regions with a different version ([`crate::MpfError::LayoutMismatch`]).
-pub const LAYOUT_VERSION: u32 = 5;
+pub const LAYOUT_VERSION: u32 = 6;
 
 /// Magic at byte 0 of every MPF region ("MPFREGN1" little-endian).
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"MPFREGN1");
@@ -72,8 +72,6 @@ pub const PROCESS_SLOT_BYTES: usize = 128;
 pub const FACILITY_TELEMETRY_BYTES: usize = mpf_shm::telemetry::FACILITY_TELEMETRY_BYTES;
 /// Bytes per LNVC telemetry slot (counters + latency histogram).
 pub const LNVC_TELEMETRY_BYTES: usize = mpf_shm::telemetry::LNVC_TELEMETRY_BYTES;
-/// Bytes per process flight-recorder ring (single-writer event log).
-pub const FLIGHT_RING_BYTES: usize = mpf_shm::telemetry::FLIGHT_RING_BYTES;
 /// Bytes per aio submission/completion ring (header + descriptor slots);
 /// see `mpf_shm::ring::AioRing`.  Each process slot owns one SQ and one CQ.
 pub const AIO_RING_BYTES: usize = mpf_shm::ring::AIO_RING_BYTES;
@@ -228,17 +226,10 @@ impl RegionLayout {
             cfg.max_lnvcs as usize * LNVC_TELEMETRY_BYTES,
             cfg.max_lnvcs as usize,
         );
-        // One single-writer flight-recorder ring per process slot, so a
-        // crashed process's last events survive in the region (the thread
-        // backend has no per-OS-process identity, hence ipc-only).
-        push(
-            "flight rings",
-            cfg.max_processes as usize * FLIGHT_RING_BYTES,
-            cfg.max_processes as usize,
-        );
-        // One single-writer causal trace ring per process slot, next to
-        // the flight rings: deeper (KB-sized) and message-centric, the
-        // substrate of `mpf-trace`'s post-mortem reconstruction.
+        // One single-writer trace ring per process slot, so a crashed
+        // process's last events survive in the region: the substrate of
+        // `mpfstat`'s last-events view and `mpf-trace`'s post-mortem
+        // reconstruction.
         push(
             "trace rings",
             cfg.max_processes as usize * TRACE_RING_BYTES,

@@ -89,7 +89,6 @@ pub mod one2one;
 pub mod registry;
 pub mod stats;
 pub mod sync_channel;
-pub mod trace;
 pub mod types;
 
 pub use aio::{AioCompletion, AioStats};
@@ -97,7 +96,7 @@ pub use config::{ExhaustPolicy, MpfConfig};
 pub use error::{MpfError, Result};
 pub use facility::Mpf;
 pub use handle::{Receiver, Sender};
-pub use stats::{MpfStats, Reclaimable};
+pub use stats::Reclaimable;
 pub use types::{LnvcId, LnvcName, Protocol, MAX_NAME_LEN};
 
 pub use mpf_shm::process::ProcessId;

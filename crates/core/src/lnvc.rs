@@ -489,7 +489,7 @@ impl<'a> Ctx<'a> {
         let mut idx = lnvc.q_head.load(Ordering::Relaxed);
         while idx != NIL {
             let m = self.msgs.get(idx);
-            debug_assert!(!m.is_pinned(), "deleting an LNVC with an in-flight copy");
+            debug_assert!(!m.is_pinned(), "deleting an LNVC with a copy in progress");
             let next = m.next();
             self.note_reclaim(m, idx);
             self.blocks.free_chain(Chain {

@@ -1,58 +1,5 @@
-//! Facility-wide instrumentation.
-//!
-//! Supports the paper's style of analysis ("message copying costs dominate;
-//! memory bandwidth is the performance limiting factor") by separating
-//! traffic (bytes copied in/out) from bookkeeping (messages, blocks, waits).
-
-use mpf_shm::stats::Counter;
-
-/// Live counters; read with [`MpfStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct MpfStats {
-    /// `message_send` calls that completed.
-    pub sends: Counter,
-    /// `message_receive` calls that completed.
-    pub receives: Counter,
-    /// Payload bytes copied from send buffers into blocks.
-    pub bytes_in: Counter,
-    /// Payload bytes copied from blocks into receive buffers (broadcast
-    /// counts each delivery, which is why Figure 5's "effective
-    /// throughput" can exceed the send rate).
-    pub bytes_out: Counter,
-    /// Times a receiver blocked waiting for a message.
-    pub recv_waits: Counter,
-    /// Times a sender blocked on region exhaustion (flow control).
-    pub send_waits: Counter,
-    /// Messages reclaimed to the free lists.
-    pub reclaims: Counter,
-    /// Conversations created.
-    pub lnvcs_created: Counter,
-    /// Conversations deleted (last connection closed).
-    pub lnvcs_deleted: Counter,
-}
-
-/// Point-in-time copy of every counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// See [`MpfStats::sends`].
-    pub sends: u64,
-    /// See [`MpfStats::receives`].
-    pub receives: u64,
-    /// See [`MpfStats::bytes_in`].
-    pub bytes_in: u64,
-    /// See [`MpfStats::bytes_out`].
-    pub bytes_out: u64,
-    /// See [`MpfStats::recv_waits`].
-    pub recv_waits: u64,
-    /// See [`MpfStats::send_waits`].
-    pub send_waits: u64,
-    /// See [`MpfStats::reclaims`].
-    pub reclaims: u64,
-    /// See [`MpfStats::lnvcs_created`].
-    pub lnvcs_created: u64,
-    /// See [`MpfStats::lnvcs_deleted`].
-    pub lnvcs_deleted: u64,
-}
+//! Facility-wide instrumentation types that are not counters (the
+//! counters themselves are `mpf_shm::telemetry`).
 
 /// Pool occupancy held by **corpses**: queued messages that are fully
 /// consumed and unpinned, awaiting a reclamation sweep.  Flow control uses
@@ -64,60 +11,4 @@ pub struct Reclaimable {
     pub messages: u32,
     /// Payload blocks a sweep would free.
     pub blocks: u64,
-}
-
-impl MpfStats {
-    /// Copies every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            sends: self.sends.get(),
-            receives: self.receives.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            recv_waits: self.recv_waits.get(),
-            send_waits: self.send_waits.get(),
-            reclaims: self.reclaims.get(),
-            lnvcs_created: self.lnvcs_created.get(),
-            lnvcs_deleted: self.lnvcs_deleted.get(),
-        }
-    }
-
-    /// Zeroes every counter (between benchmark phases).
-    pub fn reset(&self) {
-        self.sends.reset();
-        self.receives.reset();
-        self.bytes_in.reset();
-        self.bytes_out.reset();
-        self.recv_waits.reset();
-        self.send_waits.reset();
-        self.reclaims.reset();
-        self.lnvcs_created.reset();
-        self.lnvcs_deleted.reset();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reflects_counters() {
-        let s = MpfStats::default();
-        s.sends.add(3);
-        s.bytes_in.add(300);
-        let snap = s.snapshot();
-        assert_eq!(snap.sends, 3);
-        assert_eq!(snap.bytes_in, 300);
-        assert_eq!(snap.receives, 0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = MpfStats::default();
-        s.sends.inc();
-        s.receives.inc();
-        s.bytes_out.add(10);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
 }

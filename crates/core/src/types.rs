@@ -25,6 +25,16 @@ impl Protocol {
         }
     }
 
+    /// Encoding used in the ipc backend's receive descriptors and in both
+    /// backends' `TR_OPEN_RECV`/`TR_CLOSE_RECV` trace markers (0 is left
+    /// to mean "no protocol" in a zeroed region).
+    pub fn code(self) -> u32 {
+        match self {
+            Protocol::Fcfs => 1,
+            Protocol::Broadcast => 2,
+        }
+    }
+
     /// Decodes a raw protocol value.
     pub fn from_raw(raw: u8) -> Option<Self> {
         match raw {

@@ -9,20 +9,21 @@
 //! region whose writers are running — or crashed.  Prints the process
 //! table (with liveness), the LNVC table (queue depths, protocols,
 //! poison state), facility counters, latency/size percentiles, and the
-//! tail of each attached-or-dead process's flight ring.
+//! last events of each process that ever wrote a trace ring.
 //!
 //! `--json` emits one machine-readable document instead (hand-rolled —
 //! the workspace is dependency-free by design).  `--watch` re-samples
 //! every `seconds` (default 1), printing counter deltas per interval
-//! with sparkline rate history.  `--trace` switches to the causal
-//! trace-ring subview: per-process ring occupancy/drops plus the raw
-//! record tail `mpf-trace` reconstructs chains from.
+//! with sparkline rate history.  `--trace` switches to the trace-ring
+//! subview: per-process ring occupancy/drops plus the same record tails
+//! (`--ring N` sets their length), the raw material `mpf-trace`
+//! reconstructs chains from.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use mpf_ipc::inspect::RegionInspector;
-use mpf_shm::telemetry::{event_name, HistSnapshot, TelSnapshot};
+use mpf_ipc::inspect::{RegionInspector, TraceRingInfo};
+use mpf_shm::telemetry::{HistSnapshot, TelSnapshot};
 use mpf_shm::tracering::trace_event_name;
 
 const USAGE: &str =
@@ -331,37 +332,7 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
         }
     }
 
-    for p in insp.processes() {
-        if p.state == "free" {
-            continue;
-        }
-        let ev = insp.flight_events(p.pid);
-        if ev.is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "\nflight ring, mpf pid {} (os pid {}, {}):",
-            p.pid,
-            insp.ring_writer(p.pid),
-            p.state
-        );
-        for e in ev.iter().rev().take(ring_tail).rev() {
-            let _ = writeln!(
-                s,
-                "  #{:<6} t={} {:<12} lnvc={} arg={}",
-                e.seq,
-                e.tstamp,
-                event_name(e.kind),
-                if e.lnvc == u32::MAX {
-                    "-".into()
-                } else {
-                    e.lnvc.to_string()
-                },
-                e.arg,
-            );
-        }
-    }
+    trace_tails(&mut s, insp, &active_trace_rings(insp), ring_tail);
     s
 }
 
@@ -474,42 +445,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         .collect::<Vec<_>>()
         .join(",");
 
-    let rings = insp
-        .processes()
-        .iter()
-        .filter(|p| p.state != "free")
-        .map(|p| {
-            let ev = insp.flight_events(p.pid);
-            let tail = ev
-                .iter()
-                .rev()
-                .take(ring_tail)
-                .rev()
-                .map(|e| {
-                    format!(
-                        "{{\"seq\":{},\"tstamp\":{},\"kind\":{},\"lnvc\":{},\"arg\":{}}}",
-                        e.seq,
-                        e.tstamp,
-                        jstr(event_name(e.kind)),
-                        if e.lnvc == u32::MAX {
-                            "null".into()
-                        } else {
-                            e.lnvc.to_string()
-                        },
-                        e.arg,
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"pid\":{},\"os_pid\":{},\"state\":{},\"events\":[{tail}]}}",
-                p.pid,
-                insp.ring_writer(p.pid),
-                jstr(p.state),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
+    let rings = trace_rings_json(insp, ring_tail);
 
     let aio = insp
         .aio_rings()
@@ -539,7 +475,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
          \"recv_waits\":{},\"send_waits\":{},\"reclaims\":{},\"lnvcs_created\":{},\"lnvcs_deleted\":{},\
          \"lock_contended\":{},\"sweeps\":{},\"peers_died\":{}}},\
          \"size_hist\":{},\"latency_hist\":{},\"aio_rings\":[{aio}],\
-         \"processes\":[{procs}],\"lnvcs\":[{lnvcs}],\"flight_rings\":[{rings}]}}",
+         \"processes\":[{procs}],\"lnvcs\":[{lnvcs}],\"trace_rings\":[{rings}]}}",
         jstr(insp.name()),
         insp.region_bytes(),
         insp.telemetry_enabled(),
@@ -568,8 +504,52 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Trace subview (`--trace`)
+// Trace rings: last-events tails (every view) and the `--trace` subview
 // ---------------------------------------------------------------------------
+
+/// Rings that were ever written to (or sampled around).
+fn active_trace_rings(insp: &RegionInspector) -> Vec<TraceRingInfo> {
+    insp.trace_rings()
+        .into_iter()
+        .filter(|r| r.recorded > 0 || r.sampled_out > 0)
+        .collect()
+}
+
+/// The last `ring_tail` records of each ring, oldest first: what each
+/// process — attached, detached or dead — did last.
+fn trace_tails(s: &mut String, insp: &RegionInspector, rings: &[TraceRingInfo], ring_tail: usize) {
+    let procs = insp.processes();
+    for r in rings {
+        let ev = insp.trace_events(r.pid);
+        if ev.is_empty() {
+            continue;
+        }
+        let _ = writeln!(
+            s,
+            "\nlast events, mpf pid {} (os pid {}, {}):",
+            r.pid, r.writer_pid, procs[r.pid as usize].state
+        );
+        for e in ev.iter().rev().take(ring_tail).rev() {
+            let _ = writeln!(
+                s,
+                "  #{:<6} t={} {:<12} trace={:#x} hop={} stamp={} lnvc={} arg={} arg2={}",
+                e.seq,
+                e.tstamp,
+                trace_event_name(e.kind),
+                e.trace,
+                e.hop,
+                e.stamp,
+                if e.lnvc == u32::MAX {
+                    "-".into()
+                } else {
+                    e.lnvc.to_string()
+                },
+                e.arg,
+                e.arg2,
+            );
+        }
+    }
+}
 
 fn render_trace_text(insp: &RegionInspector, ring_tail: usize) -> String {
     let mut s = String::new();
@@ -585,11 +565,7 @@ fn render_trace_text(insp: &RegionInspector, ring_tail: usize) -> String {
         },
     );
 
-    let rings: Vec<_> = insp
-        .trace_rings()
-        .into_iter()
-        .filter(|r| r.recorded > 0 || r.sampled_out > 0)
-        .collect();
+    let rings = active_trace_rings(insp);
     let _ = writeln!(s, "\ntrace rings ({} active):", rings.len());
     let _ = writeln!(
         s,
@@ -608,37 +584,7 @@ fn render_trace_text(insp: &RegionInspector, ring_tail: usize) -> String {
             r.sampled_out,
         );
     }
-
-    for r in &rings {
-        let ev = insp.trace_events(r.pid);
-        if ev.is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "\ntrace tail, mpf pid {} (os pid {}):",
-            r.pid, r.writer_pid
-        );
-        for e in ev.iter().rev().take(ring_tail).rev() {
-            let _ = writeln!(
-                s,
-                "  #{:<6} t={} {:<10} trace={:#x} hop={} stamp={} lnvc={} arg={} arg2={}",
-                e.seq,
-                e.tstamp,
-                trace_event_name(e.kind),
-                e.trace,
-                e.hop,
-                e.stamp,
-                if e.lnvc == u32::MAX {
-                    "-".into()
-                } else {
-                    e.lnvc.to_string()
-                },
-                e.arg,
-                e.arg2,
-            );
-        }
-    }
+    trace_tails(&mut s, insp, &rings, ring_tail);
     if rings.is_empty() {
         let _ = writeln!(
             s,
@@ -648,11 +594,10 @@ fn render_trace_text(insp: &RegionInspector, ring_tail: usize) -> String {
     s
 }
 
-fn render_trace_json(insp: &RegionInspector, ring_tail: usize) -> String {
-    let rings = insp
-        .trace_rings()
+/// One JSON object per active ring: occupancy plus its record tail.
+fn trace_rings_json(insp: &RegionInspector, ring_tail: usize) -> String {
+    active_trace_rings(insp)
         .iter()
-        .filter(|r| r.recorded > 0 || r.sampled_out > 0)
         .map(|r| {
             let ev = insp.trace_events(r.pid);
             let tail = ev
@@ -688,11 +633,15 @@ fn render_trace_json(insp: &RegionInspector, ring_tail: usize) -> String {
             )
         })
         .collect::<Vec<_>>()
-        .join(",");
+        .join(",")
+}
+
+fn render_trace_json(insp: &RegionInspector, ring_tail: usize) -> String {
     format!(
-        "{{\"region\":{},\"trace_enabled\":{},\"sample_every\":{},\"trace_rings\":[{rings}]}}",
+        "{{\"region\":{},\"trace_enabled\":{},\"sample_every\":{},\"trace_rings\":[{}]}}",
         jstr(insp.name()),
         insp.trace_enabled(),
         insp.config().trace_sample_every,
+        trace_rings_json(insp, ring_tail),
     )
 }

@@ -26,13 +26,12 @@ use mpf::{LnvcName, MpfConfig, MpfError, Protocol, Reclaimable, Result};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::ring::{AioRing, RingEntry};
 use mpf_shm::telemetry::{
-    bump, now_nanos, FacilityTelemetry, FlightEvent, FlightRing, LnvcTelSnapshot, LnvcTelemetry,
-    TelSnapshot, EV_CLOSE_RECV, EV_CLOSE_SEND, EV_LOCK_CONTEND, EV_OPEN_RECV, EV_OPEN_SEND,
-    EV_POISONED, EV_RECLAIM, EV_RECV, EV_RECV_BLOCK, EV_SEND, EV_SEND_BLOCK, EV_SWEEP_DEAD,
+    bump, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
 };
 use mpf_shm::tracering::{
-    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV, TR_POISON,
-    TR_RECLAIM, TR_RECV, TR_RECV_B, TR_SEND, TR_WAKEUP,
+    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_LOCK_CONTEND,
+    TR_OPEN_RECV, TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND,
+    TR_SEND_BLOCK, TR_SWEEP_DEAD, TR_WAKEUP,
 };
 use mpf_shm::ShmRegion;
 
@@ -132,7 +131,6 @@ pub(crate) struct Offsets {
     pub(crate) payloads: usize,
     pub(crate) fac_tel: usize,
     pub(crate) lnvc_tel: usize,
-    pub(crate) rings: usize,
     pub(crate) trace_rings: usize,
     pub(crate) aio_sq: usize,
     pub(crate) aio_cq: usize,
@@ -163,7 +161,6 @@ pub(crate) fn offsets_for(cfg: &MpfConfig) -> Offsets {
         payloads: seg("block payloads"),
         fac_tel: seg("facility telemetry"),
         lnvc_tel: seg("lnvc telemetry"),
-        rings: seg("flight rings"),
         trace_rings: seg("trace rings"),
         aio_sq: seg("aio sq rings"),
         aio_cq: seg("aio cq rings"),
@@ -442,10 +439,9 @@ impl IpcMpf {
                     s.os_pid.store(std::process::id(), Ordering::Release);
                     s.generation.fetch_add(1, Ordering::AcqRel);
                     s.heartbeat.store(1, Ordering::Release);
-                    // Tag the slot's flight ring with the new writer; on a
+                    // Tag the slot's trace ring with the new writer; on a
                     // recycled slot the predecessor's (timestamped) events
                     // remain readable until overwritten.
-                    self.ring(i).set_writer_pid(std::process::id());
                     self.trace_ring(i).set_writer_pid(std::process::id());
                     return Ok(i);
                 }
@@ -537,15 +533,7 @@ impl IpcMpf {
         }
     }
 
-    fn ring(&self, p: u32) -> &FlightRing {
-        debug_assert!(p < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.rings + p as usize * std::mem::size_of::<FlightRing>())
-        }
-    }
-
-    /// Process `p`'s causal trace ring.
+    /// Process `p`'s trace ring.
     fn trace_ring(&self, p: u32) -> &TraceRing {
         debug_assert!(p < self.counts.max_processes);
         unsafe {
@@ -596,22 +584,25 @@ impl IpcMpf {
         self.tel_on.then(|| self.fac_tel(self.me))
     }
 
-    /// Appends to this process's flight ring (single-writer: only `me`'s
-    /// slot owner writes `me`'s ring).
-    #[inline]
-    fn fly(&self, kind: u32, lnvc: u32, arg: u64) {
-        if self.tel_on {
-            self.ring(self.me).record(kind, lnvc, arg);
+    /// Books the first wait of one blocking receive on conversation `idx`
+    /// (once per call, however many naps it takes).
+    fn note_recv_wait(&self, idx: u32) {
+        if let Some(t) = self.tel() {
+            t.recv_waits.inc();
+            self.lnvc_tel(idx)
+                .recv_waits
+                .fetch_add(1, Ordering::Relaxed);
         }
+        self.trace_pop(TR_RECV_BLOCK, idx, 0);
     }
 
-    /// [`fly`](Self::fly) with a timestamp the caller already has, saving
-    /// a clock read on the send/receive hot paths.
-    #[inline]
-    fn fly_at(&self, tstamp: u64, kind: u32, lnvc: u32, arg: u64) {
-        if self.tel_on {
-            self.ring(self.me).record_at(tstamp, kind, lnvc, arg);
+    /// Books one send to conversation `idx` that found a pool exhausted
+    /// and is about to sweep for room.
+    fn note_send_wait(&self, idx: u32) {
+        if let Some(t) = self.tel() {
+            t.send_waits.inc();
         }
+        self.trace_pop(TR_SEND_BLOCK, idx, 0);
     }
 
     /// Books `freed` reclaimed messages against the facility and LNVC
@@ -625,7 +616,6 @@ impl IpcMpf {
         self.lnvc_tel(idx)
             .reclaims
             .fetch_add(freed as u64, Ordering::Relaxed);
-        self.fly(EV_RECLAIM, idx, freed as u64);
     }
 
     /// Liveness oracle for [`mpf_shm::IpcLock`] holders.  Lock owner ids
@@ -650,8 +640,8 @@ impl IpcMpf {
         if contended {
             if let Some(t) = self.tel() {
                 t.lock_contended.inc();
-                self.fly(EV_LOCK_CONTEND, NIL, 0);
             }
+            self.trace_pop(TR_LOCK_CONTEND, NIL, 0);
         }
         if matches!(acq, mpf_shm::IpcAcquire::Poisoned) {
             // The structure may be torn; survivors must not trust it.
@@ -661,11 +651,9 @@ impl IpcMpf {
                 d.dead_pid.store(owner - 1, Ordering::Release);
             }
             // Poison is sticky, so every later acquire lands here too —
-            // log the flight event only on the 0→1 transition.
+            // log the marker only on the 0→1 transition.
             if d.poisoned.swap(1, Ordering::AcqRel) == 0 {
-                let dead = d.dead_pid.load(Ordering::Acquire);
-                self.fly(EV_POISONED, NIL, dead as u64);
-                self.trace_pop(TR_POISON, NIL, dead);
+                self.trace_pop(TR_POISON, NIL, d.dead_pid.load(Ordering::Acquire));
             }
             d.waitq.notify_all();
         }
@@ -738,7 +726,7 @@ impl IpcMpf {
 
     /// [`trace_rec`](Self::trace_rec) with a timestamp the caller already
     /// has (0 = read the clock here), sharing one clock read across the
-    /// trace records, latency sample, and flight records of an operation.
+    /// trace records and latency sample of an operation.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn trace_rec_at(
@@ -759,9 +747,10 @@ impl IpcMpf {
         }
     }
 
-    /// Records a marker event (`TR_OPEN_RECV` / `TR_CLOSE_RECV` /
-    /// `TR_POISON`).  Not sampled: the conformance checker needs the
-    /// receiver-population timeline even across untraced gaps.
+    /// Records a marker event (connection open/close, blocking, lock
+    /// contention, sweep, poison).  Not sampled: the conformance checker
+    /// needs the receiver-population timeline, and a post-mortem reader
+    /// the last things a process did, even across untraced gaps.
     fn trace_pop(&self, kind: u32, lnvc: u32, arg: u32) {
         if self.tracing() {
             self.trace_ring(self.me)
@@ -863,7 +852,7 @@ impl IpcMpf {
             }
             d.lock.unlock();
             if result.is_ok() {
-                self.fly(EV_OPEN_SEND, idx, 0);
+                self.trace_pop(TR_OPEN_SEND, idx, 0);
             }
             result
         })
@@ -888,7 +877,7 @@ impl IpcMpf {
                     self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
                 {
                     let have = self.recv(existing).protocol.load(Ordering::Acquire);
-                    return Err(if have == proto_code(protocol) {
+                    return Err(if have == protocol.code() {
                         MpfError::AlreadyConnected
                     } else {
                         MpfError::ProtocolConflict
@@ -903,7 +892,7 @@ impl IpcMpf {
                     .ok_or(MpfError::ConnectionsExhausted)?;
                 let r = self.recv(conn);
                 r.pid.store(self.me, Ordering::Release);
-                r.protocol.store(proto_code(protocol), Ordering::Release);
+                r.protocol.store(protocol.code(), Ordering::Release);
                 // BROADCAST receivers see only messages sent after they
                 // join (paper §3.2).
                 r.cursor
@@ -933,8 +922,7 @@ impl IpcMpf {
             }
             d.lock.unlock();
             if result.is_ok() {
-                self.fly(EV_OPEN_RECV, idx, proto_code(protocol) as u64);
-                self.trace_pop(TR_OPEN_RECV, idx, proto_code(protocol));
+                self.trace_pop(TR_OPEN_RECV, idx, protocol.code());
             }
             result
         })
@@ -962,7 +950,7 @@ impl IpcMpf {
             })();
             d.lock.unlock();
             if result.is_ok() {
-                self.fly(EV_CLOSE_SEND, idx, 0);
+                self.trace_pop(TR_CLOSE_SEND, idx, 0);
             }
             result
         })
@@ -986,7 +974,7 @@ impl IpcMpf {
                 self.header()
                     .recv_free
                     .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
-                if protocol == proto_code(Protocol::Broadcast) {
+                if protocol == Protocol::Broadcast.code() {
                     d.n_bcast.fetch_sub(1, Ordering::AcqRel);
                     self.release_bcast_claims(d, cursor);
                 } else {
@@ -1015,7 +1003,6 @@ impl IpcMpf {
             })();
             d.lock.unlock();
             if let Ok(protocol) = result {
-                self.fly(EV_CLOSE_RECV, idx, 0);
                 self.trace_pop(TR_CLOSE_RECV, idx, protocol);
             }
             result.map(|_| ())
@@ -1127,11 +1114,6 @@ impl IpcMpf {
         d.lock.unlock();
         match result {
             Ok((stamp, trace, hop, obligations)) => {
-                if sent_at != 0 {
-                    self.fly_at(sent_at, EV_SEND, idx, payload.len() as u64);
-                } else {
-                    self.fly(EV_SEND, idx, payload.len() as u64);
-                }
                 self.trace_rec_at(
                     sent_at,
                     TR_SEND,
@@ -1250,13 +1232,7 @@ impl IpcMpf {
                     }
                     if !waited {
                         waited = true;
-                        if let Some(t) = self.tel() {
-                            t.recv_waits.inc();
-                            self.lnvc_tel(idx)
-                                .recv_waits
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.fly(EV_RECV_BLOCK, idx, 0);
-                        }
+                        self.note_recv_wait(idx);
                     }
                     // Nap to the sweep cadence, clamped so a near
                     // deadline is missed by microseconds, not 50 ms.
@@ -1403,10 +1379,7 @@ impl IpcMpf {
             // Memory pressure: reclaim fully-delivered messages stuck
             // behind a still-claimed queue head, then retry once.
             None => {
-                if let Some(t) = self.tel() {
-                    t.send_waits.inc();
-                    self.fly(EV_SEND_BLOCK, idx, 0);
-                }
+                self.note_send_wait(idx);
                 let freed = self.sweep_consumed(d);
                 self.note_reclaim(idx, freed);
                 pop_msg().ok_or(MpfError::MessagesExhausted)?
@@ -1416,10 +1389,7 @@ impl IpcMpf {
             Ok(b) => b,
             Err(first_err) => {
                 let retried = if matches!(first_err, MpfError::BlocksExhausted) {
-                    if let Some(t) = self.tel() {
-                        t.send_waits.inc();
-                        self.fly(EV_SEND_BLOCK, idx, 0);
-                    }
+                    self.note_send_wait(idx);
                     let freed = self.sweep_consumed(d);
                     self.note_reclaim(idx, freed);
                     if freed > 0 {
@@ -1653,19 +1623,14 @@ impl IpcMpf {
                 bump(&lt.bytes_in, bytes);
                 lt.note_depth(u64::from(d.msg_count.load(Ordering::Acquire)));
             }
-            Ok((now, obligations))
+            Ok(obligations)
         })();
         d.lock.unlock();
         match result {
-            Ok((now, obligations)) => {
+            Ok(obligations) => {
                 // One wake for the whole run — the amortisation the
                 // rings buy.
                 d.waitq.notify_all();
-                if now != 0 {
-                    for e in run {
-                        self.fly_at(now, EV_SEND, idx, u64::from(e.arg1));
-                    }
-                }
                 for (e, &stamp) in run.iter().zip(&stamps) {
                     self.trace_rec(
                         TR_SEND,
@@ -1805,13 +1770,7 @@ impl IpcMpf {
             }
             if !waited {
                 waited = true;
-                if let Some(t) = self.tel() {
-                    t.recv_waits.inc();
-                    self.lnvc_tel(idx)
-                        .recv_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.fly(EV_RECV_BLOCK, idx, 0);
-                }
+                self.note_recv_wait(idx);
             }
             d.waitq.wait(ticket, Some(RECV_SWEEP_INTERVAL));
             self.sweep_dead_peers();
@@ -1852,13 +1811,7 @@ impl IpcMpf {
             }
             if !waited {
                 waited = true;
-                if let Some(t) = self.tel() {
-                    t.recv_waits.inc();
-                    self.lnvc_tel(idx)
-                        .recv_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.fly(EV_RECV_BLOCK, idx, 0);
-                }
+                self.note_recv_wait(idx);
             }
             let nap = deadline.map_or(RECV_SWEEP_INTERVAL, |dl| {
                 RECV_SWEEP_INTERVAL.min(dl.saturating_duration_since(now))
@@ -1899,9 +1852,9 @@ impl IpcMpf {
             .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
             .ok_or(MpfError::NotConnected)?;
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == proto_code(Protocol::Broadcast);
-        // One clock read covers every trace record, latency sample, and
-        // flight record this batch produces.
+        let bcast = r.protocol.load(Ordering::Acquire) == Protocol::Broadcast.code();
+        // One clock read covers every trace record and latency sample
+        // this batch produces.
         let now = if self.tel_on || self.tracing() {
             now_nanos()
         } else {
@@ -1961,7 +1914,6 @@ impl IpcMpf {
             if freed > 0 {
                 t.reclaims.add(freed as u64);
                 bump(&lt.reclaims, freed as u64);
-                self.fly_at(now, EV_RECLAIM, idx, freed as u64);
             }
             t.receives.add(received as u64);
             t.bytes_out.add(bytes);
@@ -1972,7 +1924,6 @@ impl IpcMpf {
                 t.latency_hist.record(lat);
                 lt.latency.record_locked(lat);
             }
-            self.fly_at(now, EV_RECV, idx, bytes);
         }
         Ok(received)
     }
@@ -2060,7 +2011,7 @@ impl IpcMpf {
         let hop = m.hop.load(Ordering::Acquire);
         self.gather(m, &mut buf[..len]);
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == proto_code(Protocol::Broadcast);
+        let bcast = r.protocol.load(Ordering::Acquire) == Protocol::Broadcast.code();
         if bcast {
             r.cursor
                 .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
@@ -2068,9 +2019,9 @@ impl IpcMpf {
         } else {
             m.flags.fetch_or(msg_flags::FCFS_TAKEN, Ordering::AcqRel);
         }
-        // One clock read covers the trace records (delivery + reclaim),
-        // the latency sample, and both flight records of this receive.
-        let now = if self.tel_on || trace != 0 {
+        // One clock read covers the trace records (delivery + reclaim) and
+        // the latency sample of this receive.
+        let now = if sent_at != 0 || trace != 0 {
             now_nanos()
         } else {
             0
@@ -2094,7 +2045,6 @@ impl IpcMpf {
             if freed > 0 {
                 t.reclaims.add(freed as u64);
                 bump(&lt.reclaims, freed as u64);
-                self.fly_at(now, EV_RECLAIM, idx, freed as u64);
             }
             t.receives.inc();
             t.bytes_out.add(len as u64);
@@ -2105,7 +2055,6 @@ impl IpcMpf {
                 t.latency_hist.record(lat);
                 lt.latency.record_locked(lat);
             }
-            self.fly_at(now, EV_RECV, idx, len as u64);
         }
         Ok(Some(len))
     }
@@ -2113,7 +2062,7 @@ impl IpcMpf {
     /// First queued message deliverable to connection `conn`.
     fn next_deliverable(&self, d: &LnvcDesc, conn: u32) -> Option<u32> {
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == proto_code(Protocol::Broadcast);
+        let bcast = r.protocol.load(Ordering::Acquire) == Protocol::Broadcast.code();
         let cursor = r.cursor.load(Ordering::Acquire);
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
@@ -2554,8 +2503,8 @@ impl IpcMpf {
                 found += 1;
                 if let Some(t) = self.tel() {
                     t.peers_died.inc();
-                    self.fly(EV_SWEEP_DEAD, NIL, os_pid as u64);
                 }
+                self.trace_pop(TR_SWEEP_DEAD, NIL, os_pid);
                 // The corpse may have died between submit and drain:
                 // its staged messages are pool allocations linked to no
                 // queue, visible only through its submission ring.  The
@@ -2613,7 +2562,7 @@ impl IpcMpf {
                 self.header()
                     .recv_free
                     .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
-                if protocol == proto_code(Protocol::Broadcast) {
+                if protocol == Protocol::Broadcast.code() {
                     d.n_bcast.fetch_sub(1, Ordering::AcqRel);
                     self.release_bcast_claims(d, cursor);
                 } else {
@@ -2639,7 +2588,6 @@ impl IpcMpf {
             } else if touched {
                 d.dead_pid.store(dead, Ordering::Release);
                 if d.poisoned.swap(1, Ordering::AcqRel) == 0 {
-                    self.fly(EV_POISONED, idx, dead as u64);
                     self.trace_pop(TR_POISON, idx, dead);
                 }
                 // Nobody can drain a poisoned conversation (every
@@ -2721,23 +2669,14 @@ impl IpcMpf {
         out
     }
 
-    /// The tail of a process's flight ring, oldest first.  Readable for
-    /// any pid — including a dead one, which is the point.
-    pub fn flight_events(&self, pid: u32) -> Vec<FlightEvent> {
-        if pid >= self.counts.max_processes {
-            return Vec::new();
-        }
-        self.ring(pid).snapshot()
-    }
-
     /// Whether causal tracing is enabled for this region (the creator's
     /// choice, echoed in the header so every attacher agrees).
     pub fn trace_enabled(&self) -> bool {
         self.tracing()
     }
 
-    /// The surviving contents of a process's causal trace ring, oldest
-    /// first (the `mpf-trace` crate reconstructs chains from these).
+    /// The surviving contents of a process's trace ring, oldest first (the
+    /// `mpf-trace` crate reconstructs chains from these).
     /// Readable for any pid — including a dead one, which is the point.
     pub fn trace_events(&self, pid: u32) -> Vec<TraceEvent> {
         if pid >= self.counts.max_processes {
@@ -2855,12 +2794,5 @@ impl Drop for IpcMpf {
         let s = self.slot(self.me);
         s.os_pid.store(0, Ordering::Release);
         s.state.store(slot_state::FREE, Ordering::Release);
-    }
-}
-
-fn proto_code(p: Protocol) -> u32 {
-    match p {
-        Protocol::Fcfs => 1,
-        Protocol::Broadcast => 2,
     }
 }

@@ -8,10 +8,10 @@
 //! reports is assembled from lock-free reads:
 //!
 //! * fixed-size tables (process slots, LNVC descriptors, telemetry,
-//!   flight rings) are scanned by index — no links followed;
+//!   trace rings) are scanned by index — no links followed;
 //! * queue walks are bounded by the message-pool capacity, so a cycle
 //!   torn by a mid-update crash terminates instead of hanging;
-//! * flight rings use their seqlock protocol ([`FlightRing::snapshot`]),
+//! * trace rings use their seqlock protocol ([`TraceRing::snapshot`]),
 //!   dropping records a live writer is mid-overwrite on.
 //!
 //! Numbers read while the session is running are each individually
@@ -25,8 +25,9 @@ use mpf::aio::AioStats;
 use mpf::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
 use mpf::{MpfConfig, MpfError};
 use mpf_shm::ring::AioRing;
-use mpf_shm::telemetry::{FacilityTelemetry, HISTOGRAM_BUCKETS};
-use mpf_shm::telemetry::{FlightEvent, FlightRing, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot};
+use mpf_shm::telemetry::{
+    FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot, HISTOGRAM_BUCKETS,
+};
 use mpf_shm::tracering::{TraceEvent, TraceRing, TRACE_RING_SLOTS};
 use mpf_shm::ShmRegion;
 
@@ -225,13 +226,6 @@ impl RegionInspector {
         }
     }
 
-    fn ring(&self, p: u32) -> &FlightRing {
-        unsafe {
-            self.region
-                .at(self.off.rings + p as usize * std::mem::size_of::<FlightRing>())
-        }
-    }
-
     fn trace_ring(&self, p: u32) -> &TraceRing {
         unsafe {
             self.region
@@ -388,32 +382,15 @@ impl RegionInspector {
             .collect()
     }
 
-    /// The OS pid that owns (or owned) process `pid`'s flight ring.
-    pub fn ring_writer(&self, pid: u32) -> u32 {
-        if pid >= self.cfg.max_processes {
-            return 0;
-        }
-        self.ring(pid).writer_pid()
-    }
-
-    /// Tail of process `pid`'s flight ring, oldest first — the last
-    /// things that process did, even if it is now a corpse.
-    pub fn flight_events(&self, pid: u32) -> Vec<FlightEvent> {
-        if pid >= self.cfg.max_processes {
-            return Vec::new();
-        }
-        self.ring(pid).snapshot()
-    }
-
     /// Whether participants are recording causal traces (the creator's
     /// sampling knob, echoed in the header; 0 = off).
     pub fn trace_enabled(&self) -> bool {
         self.cfg.trace_sample_every != 0
     }
 
-    /// Tail of process `pid`'s causal trace ring, oldest first — the raw
-    /// material `mpf-trace` reconstructs chains from, readable for live
-    /// and dead processes alike.
+    /// Tail of process `pid`'s trace ring, oldest first — the last things
+    /// that process did, even if it is now a corpse, and the raw material
+    /// `mpf-trace` reconstructs chains from.
     pub fn trace_events(&self, pid: u32) -> Vec<TraceEvent> {
         if pid >= self.cfg.max_processes {
             return Vec::new();
@@ -448,6 +425,7 @@ mod tests {
     use super::*;
     use crate::IpcMpf;
     use mpf::Protocol;
+    use mpf_shm::tracering::{TR_OPEN_RECV, TR_OPEN_SEND, TR_SEND};
     use std::sync::atomic::AtomicU64;
 
     fn unique_name(tag: &str) -> String {
@@ -502,10 +480,17 @@ mod tests {
         assert_eq!(t.bytes_in, 15);
         assert_eq!(t.size_hist.count, 1);
 
-        // Our own flight ring shows the open/send history.
-        let ev = insp.flight_events(mpf.pid());
-        assert!(ev.len() >= 3, "expected open/open/send, got {ev:?}");
-        assert_eq!(insp.ring_writer(mpf.pid()), std::process::id());
+        // Our own trace ring shows the open/send history.
+        let kinds: Vec<u32> = insp
+            .trace_events(mpf.pid())
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(kinds, [TR_OPEN_SEND, TR_OPEN_RECV, TR_SEND]);
+        assert_eq!(
+            insp.trace_rings()[mpf.pid() as usize].writer_pid,
+            std::process::id()
+        );
         drop(mpf);
     }
 
@@ -611,7 +596,6 @@ mod tests {
                 let _ = insp.aio_rings();
                 let _ = insp.trace_rings();
                 for pid in 0..insp.config().max_processes {
-                    let _ = insp.flight_events(pid);
                     let _ = insp.trace_events(pid);
                 }
             }

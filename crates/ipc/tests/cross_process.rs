@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use mpf::{MpfConfig, MpfError, Protocol, Reclaimable};
 use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_shm::tracering::{TR_RECV_BLOCK, TR_SEND};
 
 const REGION_ENV: &str = "MPF_IPC_REGION";
 
@@ -336,12 +337,16 @@ fn helper_doomed_sender() {
         m.message_send(tx, &[i; 24]).expect("send stream");
     }
     m.message_send(ctl, b"sent").expect("report in");
-    std::thread::sleep(Duration::from_secs(60));
+    // Die blocked: nobody ever sends here.
+    let idle = m.open_receive("idle", Protocol::Fcfs).expect("open idle");
+    let mut buf = [0u8; 8];
+    let _ = m.message_receive_timeout(idle, &mut buf, Duration::from_secs(60));
 }
 
-/// The flight recorder's reason to exist: a writer is SIGKILLed
-/// mid-session and `mpfstat --json` — attaching read-only, after the
-/// fact — still reports its last flight-ring events, the non-zero
+/// The trace ring's post-mortem reason to exist: a writer is SIGKILLed
+/// while blocked in a receive and `mpfstat --json` — attaching
+/// read-only, after the fact — still reports its last events (its final
+/// sends, then the `recv_block` marker it died on), the non-zero
 /// counters it contributed, and the poisoned conversation it left
 /// behind.
 #[test]
@@ -363,6 +368,19 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
             .expect("drain stream");
     }
 
+    // Let the victim reach its blocking receive before it dies.
+    let insp = RegionInspector::attach(&region).expect("inspector attach");
+    let blocked = || {
+        (0..8)
+            .filter(|&p| p != m.pid())
+            .any(|p| insp.trace_events(p).last().map(|e| e.kind) == Some(TR_RECV_BLOCK))
+    };
+    let patience = std::time::Instant::now() + Duration::from_secs(30);
+    while !blocked() {
+        assert!(std::time::Instant::now() < patience, "victim never blocked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     let victim_os_pid = victim.id();
     victim.kill().expect("SIGKILL victim");
     victim.wait().expect("reap victim");
@@ -374,7 +392,6 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
     }
 
     // The library-level post-mortem view first.
-    let insp = RegionInspector::attach(&region).expect("inspector attach");
     let dead: Vec<_> = insp
         .processes()
         .into_iter()
@@ -382,16 +399,21 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
         .collect();
     assert_eq!(dead.len(), 1, "exactly one swept corpse");
     assert_eq!(dead[0].os_pid, victim_os_pid);
-    let events = insp.flight_events(dead[0].pid);
-    assert!(
-        events
-            .iter()
-            .filter(|e| e.kind == mpf_shm::telemetry::EV_SEND)
-            .count()
-            >= 5,
-        "victim's sends must survive in its flight ring: {events:?}"
+    let events = insp.trace_events(dead[0].pid);
+    assert_eq!(
+        events.iter().filter(|e| e.kind == TR_SEND).count(),
+        6,
+        "victim's sends must survive in its trace ring: {events:?}"
     );
-    assert_eq!(insp.ring_writer(dead[0].pid), victim_os_pid);
+    assert_eq!(
+        events.last().map(|e| e.kind),
+        Some(TR_RECV_BLOCK),
+        "the marker it died on is its last event: {events:?}"
+    );
+    assert_eq!(
+        insp.trace_rings()[dead[0].pid as usize].writer_pid,
+        victim_os_pid
+    );
     assert!(insp.lnvcs().iter().any(|l| l.poisoned));
     let t = insp.telemetry_snapshot();
     assert!(t.sends >= 6 && t.receives >= 2 && t.peers_died == 1);
@@ -406,14 +428,19 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     assert!(json.contains("\"state\":\"dead\""), "dead slot in {json}");
     assert!(json.contains("\"poisoned\":true"), "poison in {json}");
+    assert!(json.contains("\"trace_rings\":["), "event tails in {json}");
     assert!(json.contains("\"kind\":\"send\""), "ring events in {json}");
+    assert!(
+        json.contains("\"kind\":\"recv_block\""),
+        "blocked reader in {json}"
+    );
     assert!(
         json.contains(&format!("\"os_pid\":{victim_os_pid}")),
         "victim os pid in {json}"
     );
     assert!(json.contains("\"peers_died\":1"), "sweep count in {json}");
 
-    // The trace subview reads the corpse's causal ring the same way.
+    // The trace subview reads the same rings.
     let out = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
         .args([region.as_str(), "--trace", "--json"])
         .output()

@@ -20,8 +20,7 @@ fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(4, 4)
         .with_block_payload(64)
         .with_total_blocks(32)
-        .with_max_messages(16)
-        .with_tracing(256);
+        .with_max_messages(16);
     IpcMpf::create(name, &cfg).expect("create region")
 }
 

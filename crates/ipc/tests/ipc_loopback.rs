@@ -236,3 +236,34 @@ fn attach_by_name_sees_existing_conversations() {
     assert_eq!(other.message_receive(rx, &mut buf).unwrap(), 14);
     assert_eq!(&buf[..14], b"hello attacher");
 }
+
+/// A region carved by the previous layout (version 5 had one more
+/// segment, so every offset past it differs) is refused outright,
+/// by the participant attach and the read-only inspector alike.
+#[test]
+fn previous_layout_version_is_rejected() {
+    use mpf::layout::LAYOUT_VERSION;
+    use mpf_ipc::{shmem::RegionHeader, AttachError, RegionInspector};
+    use std::sync::atomic::Ordering;
+
+    assert_eq!(LAYOUT_VERSION, 6);
+    let _creator = region("loop-stale-layout");
+    let raw = mpf_shm::ShmRegion::attach("loop-stale-layout").unwrap();
+    // SAFETY: the header sits at offset 0 of every carved region and
+    // `raw` maps all of it.
+    let header: &RegionHeader = unsafe { raw.at(0) };
+    header.layout_version.store(5, Ordering::Release);
+
+    let stale = MpfError::LayoutMismatch {
+        expected: 6,
+        found: 5,
+    };
+    match IpcMpf::attach("loop-stale-layout") {
+        Err(AttachError::Mpf(e)) => assert_eq!(e, stale),
+        other => panic!("stale region attached: {other:?}"),
+    }
+    match RegionInspector::attach("loop-stale-layout") {
+        Err(AttachError::Mpf(e)) => assert_eq!(e, stale),
+        other => panic!("stale region inspected: {other:?}"),
+    }
+}

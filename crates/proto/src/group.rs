@@ -34,7 +34,7 @@ impl<'a> CommGroup<'a> {
     /// pairwise conversation has a live receiver connection for the
     /// group's lifetime — a member that races ahead and drops its group
     /// can never trigger the paper's §3.2 discard (which would silently
-    /// lose in-flight messages) for the others.
+    /// lose undelivered messages) for the others.
     pub fn create(
         mpf: &'a Mpf,
         pid: ProcessId,

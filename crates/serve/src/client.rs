@@ -18,7 +18,7 @@
 //!   Rediscover (floor = failed epoch + 1), reopen, resend.
 //! * Reply queue `PeerDied` → some worker that had our queue open was
 //!   killed; poison is sticky, so bump `gen` and open a **fresh** queue
-//!   name.  In-flight replies addressed to the old `gen` are lost —
+//!   name.  Pending replies addressed to the old `gen` are lost —
 //!   the normal retry path re-serves them.
 
 use std::time::{Duration, Instant};

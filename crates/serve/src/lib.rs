@@ -57,7 +57,7 @@ pub enum ServeError {
     TimedOut,
     /// The call's total wall-clock budget ([`ClientCfg::call_budget`])
     /// expired — across however many retries, failovers, and epoch
-    /// rediscoveries were in flight.  Distinct from
+    /// rediscoveries were under way.  Distinct from
     /// [`ServeError::TimedOut`] (attempt *count* exhausted): this is the
     /// bound that holds even when every attempt keeps finding new ways
     /// to fail over.

@@ -64,7 +64,6 @@ pub mod process;
 pub mod region;
 pub mod ring;
 pub mod rng;
-pub mod stats;
 pub mod sys;
 pub mod telemetry;
 pub mod tracering;
@@ -83,10 +82,8 @@ pub use process::{run_processes, run_processes_collect, ProcessId};
 pub use region::ShmRegion;
 pub use ring::{AioRing, RingEntry, AIO_RING_BYTES, AIO_RING_ENTRY_BYTES, AIO_RING_SLOTS};
 pub use rng::SmallRng;
-pub use stats::Counter;
 pub use telemetry::{
-    FacilityTelemetry, FlightEvent, FlightRing, HistSnapshot, Histogram, LnvcTelSnapshot,
-    LnvcTelemetry, TelSnapshot,
+    FacilityTelemetry, HistSnapshot, Histogram, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
 };
 pub use tracering::{TraceEvent, TraceRing, TRACE_RING_BYTES, TRACE_RING_SLOTS};
 pub use waitq::{FutexSeq, WaitQueue, WaitStrategy};

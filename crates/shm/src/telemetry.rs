@@ -1,5 +1,4 @@
-//! In-region telemetry: shared counters, log2-bucket histograms, and
-//! per-process single-writer flight-recorder rings.
+//! In-region telemetry: shared counters and log2-bucket histograms.
 //!
 //! Everything here is `#[repr(C)]`, offset-addressed, and built from plain
 //! atomics so it can live *inside* the shared region carved by
@@ -14,20 +13,13 @@
 //!   lands in bucket `64 - v.leading_zeros()` (capped), so recording is a
 //!   couple of ALU ops plus one relaxed add.  Percentiles are computed from
 //!   a snapshot, never in-region.
-//! * **Flight rings** ([`FlightRing`]) are strictly single-writer: each
-//!   process owns the ring in its own process-slot position and is the only
-//!   writer, following the wait-free SPSC discipline (Torquati; see
-//!   PAPERS.md).  Readers — concurrent or post-mortem — validate each
-//!   record with a seqlock-style before/after sequence check and simply
-//!   skip torn slots.  A record's `seq` is zero while it is being written,
-//!   so a reader can never mistake a half-written record for a valid one,
-//!   even if the writer was SIGKILLed mid-store.
 //!
-//! None of this module knows about LNVCs or facilities; it is the raw
+//! Events (as opposed to counts) live in [`crate::tracering`].  None of
+//! this module knows about LNVCs or facilities; it is the raw
 //! instrumentation substrate that `mpf-core` and `mpf-ipc` place via their
 //! region layouts.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two histogram buckets.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -41,61 +33,7 @@ pub const FACILITY_TELEMETRY_BYTES: usize = 1344;
 /// Bytes of one [`LnvcTelemetry`].
 pub const LNVC_TELEMETRY_BYTES: usize = 384;
 
-/// Records kept per process flight ring (power of two).
-pub const FLIGHT_RING_SLOTS: usize = 64;
-
-/// Bytes of one [`FlightRing`]: 64-byte header + fixed-slot records.
-pub const FLIGHT_RING_BYTES: usize = 64 + FLIGHT_RING_SLOTS * 32;
-
-// ---------------------------------------------------------------------------
-// Flight-recorder event kinds
-// ---------------------------------------------------------------------------
-
-/// `open_send` completed; `arg` = 0.
-pub const EV_OPEN_SEND: u32 = 1;
-/// `open_receive` completed; `arg` = protocol code.
-pub const EV_OPEN_RECV: u32 = 2;
-/// `close_send` completed.
-pub const EV_CLOSE_SEND: u32 = 3;
-/// `close_receive` completed.
-pub const EV_CLOSE_RECV: u32 = 4;
-/// `message_send` completed; `arg` = payload length.
-pub const EV_SEND: u32 = 5;
-/// `message_receive` delivered; `arg` = payload length.
-pub const EV_RECV: u32 = 6;
-/// A receive found nothing and is about to block.
-pub const EV_RECV_BLOCK: u32 = 7;
-/// A send hit pool exhaustion and is about to wait.
-pub const EV_SEND_BLOCK: u32 = 8;
-/// Reclamation freed messages; `arg` = messages freed.
-pub const EV_RECLAIM: u32 = 9;
-/// An LNVC descriptor lock was contended.
-pub const EV_LOCK_CONTEND: u32 = 10;
-/// A dead peer's connections were swept; `arg` = the dead mpf pid.
-pub const EV_SWEEP_DEAD: u32 = 11;
-/// An LNVC was poisoned by a peer death; `arg` = the culprit mpf pid.
-pub const EV_POISONED: u32 = 12;
-
-/// Human-readable name for a flight-recorder event kind.
-pub fn event_name(kind: u32) -> &'static str {
-    match kind {
-        EV_OPEN_SEND => "open_send",
-        EV_OPEN_RECV => "open_recv",
-        EV_CLOSE_SEND => "close_send",
-        EV_CLOSE_RECV => "close_recv",
-        EV_SEND => "send",
-        EV_RECV => "recv",
-        EV_RECV_BLOCK => "recv_block",
-        EV_SEND_BLOCK => "send_block",
-        EV_RECLAIM => "reclaim",
-        EV_LOCK_CONTEND => "lock_contend",
-        EV_SWEEP_DEAD => "sweep_dead",
-        EV_POISONED => "poisoned",
-        _ => "unknown",
-    }
-}
-
-/// Wall-clock nanoseconds since the Unix epoch.  Used for flight-recorder
+/// Wall-clock nanoseconds since the Unix epoch.  Used for trace-record
 /// timestamps and send→receive latency because it is the one clock every
 /// process attached to the region shares.  Delegates to the calibrated
 /// cycle-counter clock ([`crate::clock`]), which falls back to
@@ -568,147 +506,6 @@ pub struct LnvcTelSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-/// One fixed-size flight-recorder record.
-///
-/// `seq` doubles as the validity word: zero means "invalid / mid-write".
-/// The writer zeroes it (Release), stores the payload fields (Relaxed),
-/// then publishes `seq = logical_position + 1` (Release).  A reader that
-/// observes the same nonzero `seq` before and after reading the payload
-/// has a consistent record; anything else is torn and skipped.
-#[repr(C)]
-#[derive(Debug)]
-pub struct FlightRecord {
-    seq: AtomicU64,
-    tstamp: AtomicU64,
-    arg: AtomicU64,
-    kind: AtomicU32,
-    lnvc: AtomicU32,
-}
-
-impl Default for FlightRecord {
-    fn default() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            tstamp: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-            kind: AtomicU32::new(0),
-            lnvc: AtomicU32::new(0),
-        }
-    }
-}
-
-/// A validated record read out of a ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// 1-based logical position in the writer's event stream.
-    pub seq: u64,
-    /// Wall-clock nanoseconds at record time ([`now_nanos`]).
-    pub tstamp: u64,
-    /// Event argument (length, count, pid — see the `EV_*` docs).
-    pub arg: u64,
-    /// Event kind (`EV_*`).
-    pub kind: u32,
-    /// LNVC index the event concerns (`u32::MAX` when none).
-    pub lnvc: u32,
-}
-
-/// Per-process single-writer event ring.  The owning process appends with
-/// [`FlightRing::record`]; anyone may read with [`FlightRing::snapshot`],
-/// concurrently or after the writer died.
-#[repr(C)]
-#[derive(Debug)]
-pub struct FlightRing {
-    head: AtomicU64,
-    writer_pid: AtomicU32,
-    _pad: [u8; 52],
-    slots: [FlightRecord; FLIGHT_RING_SLOTS],
-}
-
-impl Default for FlightRing {
-    fn default() -> Self {
-        Self {
-            head: AtomicU64::new(0),
-            writer_pid: AtomicU32::new(0),
-            _pad: [0; 52],
-            slots: std::array::from_fn(|_| FlightRecord::default()),
-        }
-    }
-}
-
-impl FlightRing {
-    /// Tags the ring with its writer's OS pid (for the inspector).
-    pub fn set_writer_pid(&self, pid: u32) {
-        self.writer_pid.store(pid, Ordering::Relaxed);
-    }
-
-    /// OS pid of the process that owned this ring (0 = never used).
-    pub fn writer_pid(&self) -> u32 {
-        self.writer_pid.load(Ordering::Relaxed)
-    }
-
-    /// Total records ever written.
-    pub fn head(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Appends one record, stamping it with [`now_nanos`].  **Single-
-    /// writer**: only the owning process may call this; it is wait-free
-    /// and lock-free.
-    #[inline]
-    pub fn record(&self, kind: u32, lnvc: u32, arg: u64) {
-        self.record_at(now_nanos(), kind, lnvc, arg);
-    }
-
-    /// [`record`](Self::record) with a caller-supplied timestamp, so a hot
-    /// path that already read the clock (e.g. to stamp a message) does not
-    /// pay a second `clock_gettime` for its flight record.
-    #[inline]
-    pub fn record_at(&self, tstamp: u64, kind: u32, lnvc: u32, arg: u64) {
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h as usize) % FLIGHT_RING_SLOTS];
-        slot.seq.store(0, Ordering::Release);
-        slot.tstamp.store(tstamp, Ordering::Relaxed);
-        slot.arg.store(arg, Ordering::Relaxed);
-        slot.kind.store(kind, Ordering::Relaxed);
-        slot.lnvc.store(lnvc, Ordering::Relaxed);
-        slot.seq.store(h + 1, Ordering::Release);
-        self.head.store(h + 1, Ordering::Release);
-    }
-
-    /// Reads the surviving tail of the ring, oldest first, skipping torn
-    /// or never-written slots.  Safe against a live writer (seqlock check)
-    /// and against a writer that died mid-append (the half-written slot
-    /// still has `seq == 0`).
-    pub fn snapshot(&self) -> Vec<FlightEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let start = head.saturating_sub(FLIGHT_RING_SLOTS as u64);
-        let mut out = Vec::new();
-        for pos in start..head {
-            let slot = &self.slots[(pos as usize) % FLIGHT_RING_SLOTS];
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 != pos + 1 {
-                continue; // torn, mid-write, or already overwritten
-            }
-            let ev = FlightEvent {
-                seq: seq1,
-                tstamp: slot.tstamp.load(Ordering::Relaxed),
-                arg: slot.arg.load(Ordering::Relaxed),
-                kind: slot.kind.load(Ordering::Relaxed),
-                lnvc: slot.lnvc.load(Ordering::Relaxed),
-            };
-            let seq2 = slot.seq.load(Ordering::Acquire);
-            if seq2 == seq1 {
-                out.push(ev);
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Layout checks
 // ---------------------------------------------------------------------------
 
@@ -720,12 +517,8 @@ const _: () = {
     assert!(FACILITY_TELEMETRY_BYTES.is_multiple_of(64));
     assert!(std::mem::size_of::<LnvcTelemetry>() == LNVC_TELEMETRY_BYTES);
     assert!(LNVC_TELEMETRY_BYTES.is_multiple_of(64));
-    assert!(std::mem::size_of::<FlightRecord>() == 32);
-    assert!(std::mem::size_of::<FlightRing>() == FLIGHT_RING_BYTES);
-    assert!(FLIGHT_RING_BYTES.is_multiple_of(64));
     assert!(std::mem::align_of::<FacilityTelemetry>() == 8);
     assert!(std::mem::align_of::<LnvcTelemetry>() == 8);
-    assert!(std::mem::align_of::<FlightRing>() == 8);
 };
 
 #[cfg(test)]
@@ -804,39 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_ring_keeps_last_slots_worth() {
-        let ring = FlightRing::default();
-        let total = FLIGHT_RING_SLOTS as u64 + 10;
-        for i in 0..total {
-            ring.record(EV_SEND, 3, i);
-        }
-        let evs = ring.snapshot();
-        assert_eq!(evs.len(), FLIGHT_RING_SLOTS);
-        assert_eq!(evs.first().unwrap().seq, 11, "oldest surviving record");
-        assert_eq!(evs.last().unwrap().seq, total);
-        assert_eq!(evs.last().unwrap().arg, total - 1);
-        assert!(evs.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
-        assert!(evs.iter().all(|e| e.kind == EV_SEND && e.lnvc == 3));
-    }
-
-    #[test]
-    fn flight_ring_skips_torn_slot() {
-        let ring = FlightRing::default();
-        for i in 0..5u64 {
-            ring.record(EV_RECV, 0, i);
-        }
-        // Simulate a writer killed mid-append of record 6: slot zeroed,
-        // fields half-written, seq never published.
-        let h = ring.head.load(Ordering::Relaxed);
-        let slot = &ring.slots[(h as usize) % FLIGHT_RING_SLOTS];
-        slot.seq.store(0, Ordering::Release);
-        slot.arg.store(999, Ordering::Relaxed);
-        let evs = ring.snapshot();
-        assert_eq!(evs.len(), 5, "unpublished record is invisible");
-        assert_eq!(evs.last().unwrap().arg, 4);
-    }
-
-    #[test]
     fn facility_snapshot_diff() {
         let t = FacilityTelemetry::default();
         t.sends.inc();
@@ -863,26 +623,5 @@ mod tests {
         assert_eq!(s.sends, 0);
         assert_eq!(s.depth_hwm, 0);
         assert_eq!(s.latency.count, 0);
-    }
-
-    #[test]
-    fn event_names_are_distinct() {
-        let kinds = [
-            EV_OPEN_SEND,
-            EV_OPEN_RECV,
-            EV_CLOSE_SEND,
-            EV_CLOSE_RECV,
-            EV_SEND,
-            EV_RECV,
-            EV_RECV_BLOCK,
-            EV_SEND_BLOCK,
-            EV_RECLAIM,
-            EV_LOCK_CONTEND,
-            EV_SWEEP_DEAD,
-            EV_POISONED,
-        ];
-        let names: std::collections::HashSet<_> = kinds.iter().map(|&k| event_name(k)).collect();
-        assert_eq!(names.len(), kinds.len());
-        assert_eq!(event_name(0), "unknown");
     }
 }

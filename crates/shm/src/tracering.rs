@@ -1,23 +1,26 @@
-//! Per-process crash-persistent causal trace rings.
+//! Per-process crash-persistent trace rings: the facility's one event
+//! stream.
 //!
-//! The flight recorder ([`crate::telemetry::FlightRing`]) answers "what
-//! were the last 64 things this process did"; the trace ring answers
-//! "what happened to *this message*".  Each record carries the message's
-//! 64-bit **trace id** (root id assigned at the first send of a causal
-//! chain, inherited with an incremented hop count by every send that
-//! follows a receive) and its global **stamp** (the region-wide send
+//! A ring answers both "what were the last things this process did" and
+//! "what happened to *this message*".  Message records carry the
+//! message's 64-bit **trace id** (root id assigned at the first send of a
+//! causal chain, inherited with an incremented hop count by every send
+//! that follows a receive) and its global **stamp** (the region-wide send
 //! serial, the message's logical identity), so an offline reader can
 //! stitch per-process streams back into causal chains and check the
 //! paper's §3 delivery semantics without any cooperation from the —
-//! possibly dead — writers.
+//! possibly dead — writers.  Marker records (`trace == 0`: connection
+//! opens and closes, blocking, lock contention, dead-peer sweeps,
+//! poisonings, injected faults) are never sampled out.
 //!
-//! Publication discipline is the flight ring's seqlock: the single writer
-//! zeroes `seq`, fills the payload, then publishes `seq = pos + 1`.  A
-//! reader (live `mpfstat --trace`, post-mortem `mpf-trace`) validates
-//! `seq` before and after copying the payload and skips torn slots; a
-//! writer SIGKILLed mid-append leaves `seq == 0` and loses exactly that
-//! slot.  Rings are KB-sized (512 records × 48 B) because causal
-//! reconstruction needs depth the 64-slot flight ring cannot give.
+//! Each ring is strictly single-writer: the owning process appends,
+//! wait-free (Torquati's SPSC discipline; see PAPERS.md).  Publication is
+//! a seqlock: the writer zeroes `seq`, fills the payload, then publishes
+//! `seq = pos + 1`.  A reader (live `mpfstat`, post-mortem `mpf-trace`)
+//! validates `seq` before and after copying the payload and skips torn
+//! slots; a writer SIGKILLed mid-append leaves `seq == 0` and loses
+//! exactly that slot.  Rings are KB-sized (512 records × 48 B) because
+//! causal reconstruction needs depth.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -62,6 +65,19 @@ pub const TR_POISON: u32 = 9;
 /// typed error status the fault surfaced as — nonzero for error-class
 /// faults, which is the pairing `mpf-trace --check` audits).
 pub const TR_FAULT: u32 = 10;
+/// Sender joined.
+pub const TR_OPEN_SEND: u32 = 11;
+/// Sender left.
+pub const TR_CLOSE_SEND: u32 = 12;
+/// A receive found nothing and is about to block (once per blocking
+/// call, not per nap).
+pub const TR_RECV_BLOCK: u32 = 13;
+/// A send hit pool exhaustion and is about to sweep or wait.
+pub const TR_SEND_BLOCK: u32 = 14;
+/// An LNVC descriptor lock was found held.
+pub const TR_LOCK_CONTEND: u32 = 15;
+/// A dead peer's connections were swept (`arg` = the dead OS pid).
+pub const TR_SWEEP_DEAD: u32 = 16;
 
 /// Human-readable name of a `TR_*` kind.
 pub fn trace_event_name(kind: u32) -> &'static str {
@@ -76,6 +92,12 @@ pub fn trace_event_name(kind: u32) -> &'static str {
         TR_CLOSE_RECV => "close_recv",
         TR_POISON => "poison",
         TR_FAULT => "fault",
+        TR_OPEN_SEND => "open_send",
+        TR_CLOSE_SEND => "close_send",
+        TR_RECV_BLOCK => "recv_block",
+        TR_SEND_BLOCK => "send_block",
+        TR_LOCK_CONTEND => "lock_contend",
+        TR_SWEEP_DEAD => "sweep_dead",
         _ => "unknown",
     }
 }
@@ -312,6 +334,15 @@ mod tests {
         let evs = ring.snapshot();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].stamp, 1);
+    }
+
+    #[test]
+    fn every_kind_has_its_own_name() {
+        let names: std::collections::HashSet<_> =
+            (TR_SEND..=TR_SWEEP_DEAD).map(trace_event_name).collect();
+        assert_eq!(names.len(), (TR_SEND..=TR_SWEEP_DEAD).count());
+        assert!(!names.contains("unknown"));
+        assert_eq!(trace_event_name(0), "unknown");
     }
 
     #[test]

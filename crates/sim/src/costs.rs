@@ -138,7 +138,7 @@ impl CostModel {
         (len as u64).div_ceil(self.page_bytes).max(1)
     }
 
-    /// Page-window footprint of one in-flight message: with tiny linked
+    /// Page-window footprint of one outstanding message: with tiny linked
     /// blocks recycled LIFO from a shared free list, each block of a
     /// message can land on a different page, so a 1 KB message claims up
     /// to ~103 pages of residency — the amplification behind Figure 6's

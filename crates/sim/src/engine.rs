@@ -67,7 +67,7 @@ impl PartialOrd for Event {
 /// What a processor is doing between events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
-    /// No operation in flight (next event will be `Advance`).
+    /// No operation under way (next event will be `Advance`).
     Idle,
     /// Send: waiting for / holding the LNVC lock.
     SendCrit { lnvc: usize, len: usize },

@@ -18,7 +18,7 @@
 //! 2. queued message bytes × an allocator amplification factor;
 //! 3. **page windows**: with 10-byte blocks recycled LIFO from a shared
 //!    free list, each block of a message can land on a different page, so
-//!    every in-flight message pins `blocks × page_size` of residency.  A
+//!    every outstanding message pins `blocks × page_size` of residency.  A
 //!    *sending* process streaming 1 KB messages cycles through ≈ 103
 //!    pages per message; we charge a depth-`WINDOW_DEPTH` pipeline of the
 //!    running average window per **active sender** (receivers allocate
@@ -36,7 +36,7 @@
 use crate::costs::CostModel;
 use crate::machine::MachineConfig;
 
-/// In-flight message windows charged per process (send pipeline depth).
+/// Outstanding message windows charged per process (send pipeline depth).
 const WINDOW_DEPTH: f64 = 8.0;
 /// Allocator amplification on queued payload bytes.
 const QUEUE_AMPLIFICATION: u64 = 8;

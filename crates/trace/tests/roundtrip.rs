@@ -10,7 +10,10 @@ use std::time::Duration;
 
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_ipc::{IpcMpf, RegionInspector};
-use mpf_shm::tracering::{TR_RECLAIM, TR_RECV, TR_SEND};
+use mpf_shm::tracering::{
+    TR_CLOSE_RECV, TR_CLOSE_SEND, TR_LOCK_CONTEND, TR_OPEN_RECV, TR_OPEN_SEND, TR_RECLAIM, TR_RECV,
+    TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK, TR_SWEEP_DEAD,
+};
 use mpf_trace::TraceLog;
 
 const REGION_ENV: &str = "MPF_TRACE_REGION";
@@ -117,8 +120,8 @@ fn sampling_thins_chains_not_events() {
     assert!(report.is_clean(), "violations: {:?}", report.violations);
 }
 
-/// `trace_sample_rate(0)` turns recording off entirely — population
-/// markers included — while traffic flows normally.
+/// `trace_sample_rate(0)` turns recording off entirely — open, close and
+/// population markers included — while traffic flows normally.
 #[test]
 fn rate_zero_disables_tracing() {
     let mpf = Mpf::init(small_cfg().trace_sample_rate(0)).unwrap();
@@ -126,9 +129,126 @@ fn rate_zero_disables_tracing() {
     let rx = mpf.open_receive(p(1), "silent", Protocol::Fcfs).unwrap();
     let mut buf = [0u8; 64];
     mpf.message_send(p(0), tx, b"unseen").unwrap();
-    mpf.message_receive(p(1), rx, &mut buf).unwrap();
+    assert_eq!(mpf.message_receive(p(1), rx, &mut buf).unwrap(), 6);
+    mpf.close_send(p(0), tx).unwrap();
+    mpf.close_receive(p(1), rx).unwrap();
     let log = TraceLog::from_mpf(&mpf);
     assert!(log.is_empty(), "rate 0 must record nothing: {log:?}");
+}
+
+/// One event vocabulary: the same scripted lifecycle leaves the same
+/// kind sequence in a thread-backend ring and an ipc-backend ring.
+#[test]
+fn both_backends_record_the_same_kind_sequence() {
+    let lifecycle = [
+        TR_OPEN_SEND,
+        TR_OPEN_RECV,
+        TR_SEND,
+        TR_RECV,
+        TR_RECLAIM,
+        TR_CLOSE_SEND,
+        TR_CLOSE_RECV,
+    ];
+    let mut buf = [0u8; 64];
+
+    let mpf = Mpf::init(small_cfg()).unwrap();
+    let tx = mpf.open_send(p(0), "script").unwrap();
+    let rx = mpf.open_receive(p(0), "script", Protocol::Fcfs).unwrap();
+    mpf.message_send(p(0), tx, &[1u8; 40]).unwrap();
+    assert!(mpf.check_receive(p(0), rx).unwrap());
+    assert_eq!(mpf.message_receive(p(0), rx, &mut buf).unwrap(), 40);
+    mpf.close_send(p(0), tx).unwrap();
+    mpf.close_receive(p(0), rx).unwrap();
+    let thread_kinds: Vec<u32> = mpf
+        .trace_events(p(0))
+        .unwrap()
+        .iter()
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(thread_kinds, lifecycle);
+
+    if !mpf_shm::sys::HAVE_SYSCALLS {
+        return;
+    }
+    let region = format!("trace-script-{}", std::process::id());
+    let m = IpcMpf::create(&region, &small_cfg()).unwrap();
+    let tx = m.open_send("script").unwrap();
+    let rx = m.open_receive("script", Protocol::Fcfs).unwrap();
+    m.message_send(tx, &[1u8; 40]).unwrap();
+    assert!(m.check_receive(rx).unwrap());
+    assert_eq!(m.message_receive(rx, &mut buf).unwrap(), 40);
+    m.close_send(tx).unwrap();
+    m.close_receive(rx).unwrap();
+    let ipc_kinds: Vec<u32> = m.trace_events(m.pid()).iter().map(|e| e.kind).collect();
+    assert_eq!(ipc_kinds, thread_kinds);
+}
+
+/// The marker kinds that carry no message are invisible to the
+/// conformance rules: a region holding every one of them — a
+/// sender that came and went, a blocked receive, an exhausted pool, a
+/// contended lock, a swept corpse — checks clean, through the library
+/// and through the `mpf-trace` binary.
+#[test]
+fn every_marker_kind_checks_clean() {
+    if !mpf_shm::sys::HAVE_SYSCALLS {
+        return;
+    }
+    let region = format!("trace-markers-{}", std::process::id());
+    let cfg = small_cfg().with_max_messages(4);
+    let m = IpcMpf::create(&region, &cfg).unwrap();
+    let peer = m.attach_view().unwrap();
+    let mut buf = [0u8; 64];
+
+    // open_send / close_send, and a receive that blocks until it times out.
+    let gone = m.open_send("quiet").unwrap();
+    let quiet = m.open_receive("quiet", Protocol::Fcfs).unwrap();
+    m.close_send(gone).unwrap();
+    let _ = m.message_receive_timeout(quiet, &mut buf, Duration::from_millis(5));
+
+    // send_block: four headers, nobody draining.
+    let tx = m.open_send("full").unwrap();
+    let _rx = peer.open_receive("full", Protocol::Fcfs).unwrap();
+    while m.message_send(tx, b"fill").is_ok() {}
+
+    // lock_contend: the peer finds `quiet`'s lock held by us.  The
+    // holder cannot see the waiter arrive, so it holds the lock a little
+    // past the waiter's go-ahead and retries until the marker shows up.
+    let has = |ipc: &IpcMpf, kind: u32| ipc.trace_events(ipc.pid()).iter().any(|e| e.kind == kind);
+    let peer_quiet = peer.open_receive("quiet", Protocol::Fcfs).unwrap();
+    for _ in 0..200 {
+        m.debug_seize_lnvc_lock(quiet).unwrap();
+        let (go_tx, go_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                go_tx.send(()).unwrap();
+                peer.check_receive(peer_quiet).unwrap();
+            });
+            go_rx.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            m.debug_release_lnvc_lock(quiet).unwrap();
+        });
+        if has(&peer, TR_LOCK_CONTEND) {
+            break;
+        }
+    }
+
+    // sweep_dead: the peer vanishes; we find the corpse.
+    peer.debug_abandon_slot();
+    assert_eq!(m.sweep_dead_peers(), 1);
+
+    assert!(has(&m, TR_OPEN_SEND) && has(&m, TR_CLOSE_SEND));
+    assert!(has(&m, TR_RECV_BLOCK) && has(&m, TR_SEND_BLOCK));
+    assert!(has(&peer, TR_LOCK_CONTEND) && has(&m, TR_SWEEP_DEAD));
+
+    let report = TraceLog::from_ipc(&m).check();
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    let out = Command::new(env!("CARGO_BIN_EXE_mpf-trace"))
+        .args([region.as_str(), "--check", "--json"])
+        .output()
+        .expect("run mpf-trace");
+    assert!(out.status.success(), "mpf-trace --check failed: {out:?}");
+    let json = String::from_utf8(out.stdout).unwrap();
+    assert!(json.contains("\"violations\":[]"), "dirty report: {json}");
 }
 
 /// Broadcast delivery on the thread backend: one send, two `TR_RECV_B`

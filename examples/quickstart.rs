@@ -42,7 +42,7 @@ fn main() {
     });
     drop(rx);
 
-    let stats = mpf.stats().snapshot();
+    let stats = mpf.telemetry_snapshot();
     println!(
         "sends={} receives={} bytes_in={} bytes_out={}",
         stats.sends, stats.receives, stats.bytes_in, stats.bytes_out

@@ -132,7 +132,7 @@ fn concurrent_traffic_conserves_after_join() {
     });
     assert_eq!(mpf.free_blocks(), total, "blocks leaked under concurrency");
     assert_eq!(mpf.live_lnvcs(), 0);
-    let snap = mpf.stats().snapshot();
+    let snap = mpf.telemetry_snapshot();
     assert_eq!(snap.sends, 800);
     assert_eq!(snap.receives, 800);
     assert_eq!(snap.bytes_in, snap.bytes_out, "loop traffic is symmetric");
