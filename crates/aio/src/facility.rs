@@ -3,13 +3,12 @@
 //! [`AsyncMpf`] wraps the in-process facility (`mpf::Mpf`), [`AsyncIpc`]
 //! the multi-process one (`mpf_ipc::IpcMpf`).  Both hand out the same
 //! three futures — [`RecvFuture`], [`SendFuture`], [`SelectAny`] — and
-//! own one [`Reactor`] thread that multiplexes every pending future over
-//! the backend's futex/waitq layer (see the reactor module for the
-//! lost-wakeup-free ticket protocol).
+//! own one [`Reactor`] thread that multiplexes every pending future in
+//! one notified wait (see the reactor module for the lost-wakeup-free
+//! ticket protocol).
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
@@ -17,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use mpf::{LnvcId, Mpf, MpfError, ProcessId, Protocol, Result};
 use mpf_ipc::{IpcLnvcId, IpcMpf};
-use mpf_shm::waitq::{WaitQueue, WaitStrategy};
+use mpf_shm::waitq::WaitQueue;
 
 use crate::reactor::{Backend, Interest, Reactor};
 
@@ -52,10 +51,6 @@ impl Backend for ThreadBackend {
         self.mpf.mem_signal_ticket()
     }
 
-    fn has_mem_signal(&self) -> bool {
-        true
-    }
-
     fn wait(
         &self,
         recv: &[(LnvcId, u32)],
@@ -67,35 +62,15 @@ impl Backend for ThreadBackend {
     }
 }
 
-/// Multi-process backend: receive signals live in the shared region
-/// (`FutexSeq`), which can only park on one address at a time, so the
-/// reactor naps on the first registered conversation's futex with a
-/// bounded timeout and re-scans.  There is no region-wide free signal —
-/// pending senders are re-polled at nap cadence instead, with the
-/// send-only nap backing off exponentially under sustained pool
-/// pressure (`send_nap_us`).
+/// Multi-process backend: every signal the reactor waits for arrives on
+/// one in-region word, this process's doorbell.  `IpcMpf::wait_signals`
+/// watches the registered conversations, so an enqueue or poison on any
+/// of them rings it; a reclaim rings it while a send future is registered
+/// for the pool signal; the reactor's own wake queue is followed by a
+/// [`Backend::kick`].  The only timer is the dead-peer sweep cadence.
 pub struct IpcBackend {
     ipc: Arc<IpcMpf>,
-    /// Current send-retry nap in microseconds for waits where only
-    /// pending senders are outstanding.  Starts at [`SEND_NAP_MIN_US`],
-    /// doubles after each fruitless send-only nap up to
-    /// [`SEND_NAP_MAX_US`], and resets on any successful `try_send` —
-    /// bounded backoff instead of a tight fixed-cadence retry loop
-    /// burning a core while the pools stay exhausted.
-    send_nap_us: AtomicU64,
 }
-
-/// Upper bound on how long the ipc reactor sleeps between scans while
-/// receive interests it cannot park on directly (other conversations)
-/// are outstanding.
-const IPC_NAP: Duration = Duration::from_millis(2);
-
-/// First send-only retry nap: quick enough that a transient pool blip
-/// costs well under a millisecond of extra latency.
-const SEND_NAP_MIN_US: u64 = 200;
-
-/// Send-only retry nap ceiling under sustained pool pressure.
-const SEND_NAP_MAX_US: u64 = 20_000;
 
 impl Backend for IpcBackend {
     type Id = IpcLnvcId;
@@ -105,12 +80,7 @@ impl Backend for IpcBackend {
     }
 
     fn try_send(&self, id: IpcLnvcId, payload: &[u8]) -> Result<bool> {
-        let r = self.ipc.try_message_send(id, payload);
-        if matches!(r, Ok(true)) {
-            // Capacity exists again; retry promptly next time.
-            self.send_nap_us.store(SEND_NAP_MIN_US, Ordering::Relaxed);
-        }
-        r
+        self.ipc.try_message_send(id, payload)
     }
 
     fn recv_ticket(&self, id: IpcLnvcId) -> Result<u32> {
@@ -118,11 +88,15 @@ impl Backend for IpcBackend {
     }
 
     fn mem_ticket(&self) -> u32 {
-        0
+        self.ipc.mem_signal_ticket()
     }
 
-    fn has_mem_signal(&self) -> bool {
-        false
+    fn mem_wait(&self, begin: bool) {
+        if begin {
+            self.ipc.pool_wait_begin();
+        } else {
+            self.ipc.pool_wait_end();
+        }
     }
 
     fn wait(
@@ -132,33 +106,12 @@ impl Backend for IpcBackend {
         wake: (&WaitQueue, u32),
         until: Option<Instant>,
     ) {
-        // Every nap below is already bounded; the earliest registered
-        // timer just tightens the bound so expiry fires on time.
-        let clamp = |nap: Duration| {
-            until.map_or(nap, |at| {
-                nap.min(at.saturating_duration_since(Instant::now()))
-            })
-        };
-        if let Some(&(id, ticket)) = recv.first() {
-            // Park on the first conversation's in-region futex; the
-            // bounded timeout keeps the other interests live.  Receive
-            // traffic implies the pools are moving, so pending senders
-            // riding on this wait keep the fast fixed cadence.
-            self.ipc.wait_recv_signal(id, ticket, clamp(IPC_NAP));
-        } else if mem.is_some() {
-            // Only senders are blocked and nothing in the region can
-            // signal a free: poll with exponential backoff so sustained
-            // pool pressure costs naps, not a spinning core.
-            let nap = self.send_nap_us.load(Ordering::Relaxed);
-            std::thread::sleep(clamp(Duration::from_micros(nap)));
-            self.send_nap_us
-                .store((nap * 2).min(SEND_NAP_MAX_US), Ordering::Relaxed);
-        } else {
-            // Only the reactor's own (process-local) wake channel or a
-            // timer can fire: park until a registration or shutdown
-            // bumps the queue, or the earliest timer expires.
-            wake.0.wait_deadline(wake.1, WaitStrategy::Park, until);
-        }
+        self.ipc
+            .wait_signals(recv, mem, &|| wake.0.ticket() != wake.1, until);
+    }
+
+    fn kick(&self) {
+        self.ipc.ring_doorbell();
     }
 }
 
@@ -233,6 +186,8 @@ pub struct SendFuture<B: Backend> {
     interest: Interest<B>,
     id: B::Id,
     payload: Vec<u8>,
+    /// Whether this future holds a [`Backend::mem_wait`] registration.
+    mem_waiting: bool,
 }
 
 impl<B: Backend> Future for SendFuture<B> {
@@ -242,14 +197,32 @@ impl<B: Backend> Future for SendFuture<B> {
         let this = self.get_mut();
         this.interest.retire();
         let backend = &this.interest.reactor.backend;
-        let ticket = backend.mem_ticket();
-        match backend.try_send(this.id, &this.payload) {
-            Ok(true) => Poll::Ready(Ok(())),
-            Ok(false) => {
-                this.interest.send(ticket, cx.waker());
-                Poll::Pending
+        loop {
+            let ticket = backend.mem_ticket();
+            match backend.try_send(this.id, &this.payload) {
+                Ok(false) if !this.mem_waiting => {
+                    // First exhaustion: register for the memory signal,
+                    // then go round again — capacity freed before the
+                    // registration is found by the retry, capacity freed
+                    // after it moves the ticket taken on the way in.
+                    backend.mem_wait(true);
+                    this.mem_waiting = true;
+                }
+                Ok(false) => {
+                    this.interest.send(ticket, cx.waker());
+                    return Poll::Pending;
+                }
+                // Sent or failed; the registration goes with the future.
+                done => return Poll::Ready(done.map(|_| ())),
             }
-            Err(e) => Poll::Ready(Err(e)),
+        }
+    }
+}
+
+impl<B: Backend> Drop for SendFuture<B> {
+    fn drop(&mut self) {
+        if self.mem_waiting {
+            self.interest.reactor.backend.mem_wait(false);
         }
     }
 }
@@ -371,6 +344,7 @@ macro_rules! future_ctors {
                 interest: Interest::new(Arc::clone(&self.driver.reactor)),
                 id,
                 payload,
+                mem_waiting: false,
             }
         }
 
@@ -452,7 +426,6 @@ impl AsyncIpc {
     pub fn new(ipc: Arc<IpcMpf>) -> Self {
         let backend = Arc::new(IpcBackend {
             ipc: Arc::clone(&ipc),
-            send_nap_us: AtomicU64::new(SEND_NAP_MIN_US),
         });
         AsyncIpc {
             ipc,

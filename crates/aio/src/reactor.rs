@@ -1,6 +1,8 @@
 //! The reactor: one thread per async facility whose single waiter
-//! multiplexes every registered interest over the existing futex/waitq
-//! layer.
+//! multiplexes every registered interest in one notified wait
+//! ([`Backend::wait`]: parked on every queue on the thread backend,
+//! asleep on the process doorbell on ipc).  The loop is the same for
+//! both.
 //!
 //! ## Lost-wakeup-free protocol
 //!
@@ -10,9 +12,10 @@
 //! and the registration has already moved the sequence past the stored
 //! ticket, so the reactor's next scan fires the waker immediately
 //! instead of sleeping on it.  Registration bumps the reactor's own wake
-//! queue, and the reactor samples that queue's ticket before each scan —
-//! the same protocol one level up — so a registration landing mid-scan
-//! cuts the following wait short.
+//! queue (and [`Backend::kick`]s a backend that sleeps elsewhere), and
+//! the reactor samples that queue's ticket before each scan — the same
+//! protocol one level up — so a registration landing mid-scan cuts the
+//! following wait short.
 //!
 //! Wakes are allowed to be spurious (futures re-poll and re-register);
 //! they are never allowed to be lost.
@@ -53,10 +56,10 @@ pub trait Backend: Send + Sync + 'static {
     fn recv_ticket(&self, id: Self::Id) -> Result<u32>;
     /// Current sequence of the sender flow-control (memory) signal.
     fn mem_ticket(&self) -> u32;
-    /// Whether [`Backend::mem_ticket`] is a real signal.  When `false`
-    /// the reactor re-fires pending senders after every bounded wait
-    /// instead of watching the ticket.
-    fn has_mem_signal(&self) -> bool;
+    /// Brackets the time a send future spends pending on exhaustion, for
+    /// a backend whose memory signal fires only while somebody is
+    /// registered for it.  Strictly paired.
+    fn mem_wait(&self, _begin: bool) {}
     /// Blocks until any of the signals may have fired: a listed receive
     /// queue moves past its ticket, the memory signal moves past `mem`,
     /// or the reactor's `wake` queue moves past its ticket.  Bounded
@@ -70,6 +73,10 @@ pub trait Backend: Send + Sync + 'static {
         wake: (&WaitQueue, u32),
         until: Option<Instant>,
     );
+    /// Called after every bump of the reactor's `wake` queue, for a
+    /// backend whose [`Backend::wait`] sleeps on a word of its own and
+    /// only reads `wake` as a predicate.
+    fn kick(&self) {}
 }
 
 /// Registrations, each tagged with the key of the [`Interest`] that
@@ -140,6 +147,7 @@ impl<B: Backend> Interest<B> {
         add(&mut st);
         drop(st);
         self.reactor.wake.notify_all();
+        self.reactor.backend.kick();
     }
 
     /// Withdraws everything filed under this interest.
@@ -191,10 +199,10 @@ impl<B: Backend> Reactor<B> {
     pub(crate) fn stop(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.wake.notify_all();
+        self.backend.kick();
     }
 
     fn run(&self) {
-        let poll_sends = !self.backend.has_mem_signal();
         while !self.shutdown.load(Ordering::Acquire) {
             // Sampled before the scan so a registration landing mid-scan
             // makes the wait below return immediately.
@@ -213,17 +221,15 @@ impl<B: Backend> Reactor<B> {
                         }
                     }
                 });
-                if !poll_sends {
-                    let mem_now = self.backend.mem_ticket();
-                    st.send.retain(|(_, ticket, waker)| {
-                        if mem_now == *ticket {
-                            true
-                        } else {
-                            fired.push(waker.clone());
-                            false
-                        }
-                    });
-                }
+                let mem_now = self.backend.mem_ticket();
+                st.send.retain(|(_, ticket, waker)| {
+                    if mem_now == *ticket {
+                        true
+                    } else {
+                        fired.push(waker.clone());
+                        false
+                    }
+                });
                 // Fire expired timers; the earliest survivor bounds the
                 // wait below.
                 let now = Instant::now();
@@ -253,17 +259,6 @@ impl<B: Backend> Reactor<B> {
             }
             self.backend
                 .wait(&recv_wait, mem_wait, (&self.wake, wake_ticket), next_timer);
-            if poll_sends && mem_wait.is_some() {
-                // No region-wide free signal: re-fire pending senders
-                // after each bounded wait so they retry at nap cadence
-                // rather than spinning.
-                let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-                let pending = std::mem::take(&mut st.send);
-                drop(st);
-                for (_, _, w) in pending {
-                    w.wake();
-                }
-            }
         }
     }
 }

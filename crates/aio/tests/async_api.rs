@@ -2,10 +2,13 @@
 //! backends: futures pend without burning CPU, wake on real traffic,
 //! exercise flow control, and interoperate with the sync primitives.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_aio::{block_on, AsyncIpc, AsyncMpf, Executor};
@@ -187,8 +190,7 @@ fn ipc_send_pends_until_capacity_frees() {
         return;
     }
     // One block, one message: the second async send must wait until the
-    // receiver drains the first (covers the ipc reactor's poll-driven
-    // sender retry, since the region has no free signal).
+    // receiver drains the first and the reclaim fires the pool signal.
     let cfg = MpfConfig::new(4, 4)
         .with_block_payload(32)
         .with_total_blocks(1)
@@ -296,4 +298,139 @@ fn send_future_times_out_under_exhaustion_then_recovers() {
     m.message_receive(ProcessId::from_index(1), rx, &mut buf)
         .unwrap();
     block_on(a.send(tx, vec![9; 64]).timeout(Duration::from_secs(30))).unwrap();
+}
+
+/// Counts the polls of `inner` that returned `Pending`, so another thread
+/// can act only once the future has really gone back to sleep.
+struct NotePending<F> {
+    inner: F,
+    pending: Arc<AtomicU64>,
+}
+
+impl<F: Future + Unpin> Future for NotePending<F> {
+    type Output = F::Output;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+        let out = Pin::new(&mut self.inner).poll(cx);
+        if out.is_pending() {
+            self.pending.fetch_add(1, Ordering::SeqCst);
+        }
+        out
+    }
+}
+
+fn spin_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let patience = Instant::now() + Duration::from_secs(30);
+    while !ready() {
+        assert!(Instant::now() < patience, "{what}");
+        thread::yield_now();
+    }
+}
+
+/// The service-loop stall: a `select_any` over a busy and a quiet
+/// conversation, re-issued every round, each message sent only after the
+/// receiver has gone `Pending` again.  The reactor is then parked with
+/// the quiet conversation's stale registration still on file and must
+/// hear both the re-registration and the send — on whatever it sleeps on.
+/// Napping on the wrong conversation's futex cost 2 ms a round.
+#[test]
+fn ipc_select_any_rounds_are_notified_not_napped() {
+    if !mpf_shm::sys::HAVE_SYSCALLS {
+        return;
+    }
+    const ROUNDS: u64 = 200;
+    let cfg = MpfConfig::new(8, 4)
+        .with_block_payload(64)
+        .with_total_blocks(64)
+        .with_max_messages(32)
+        .with_max_connections(16);
+    let creator = Arc::new(IpcMpf::create(&unique_name("rounds"), &cfg).unwrap());
+    let peer = creator.attach_view().unwrap();
+    let busy = creator.open_receive("busy", Protocol::Fcfs).unwrap();
+    let quiet = creator.open_receive("quiet", Protocol::Fcfs).unwrap();
+    let tx = peer.open_send("busy").unwrap();
+    let _quiet_tx = peer.open_send("quiet").unwrap();
+
+    let pending = Arc::new(AtomicU64::new(0));
+    let receiver = {
+        let pending = Arc::clone(&pending);
+        let facility = AsyncIpc::new(Arc::clone(&creator));
+        thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let (id, msg) = block_on(NotePending {
+                    inner: facility.select_any(&[busy, quiet]),
+                    pending: Arc::clone(&pending),
+                })
+                .unwrap();
+                assert_eq!((id, msg), (busy, round.to_le_bytes().to_vec()));
+            }
+        })
+    };
+    let start = Instant::now();
+    for round in 0..ROUNDS {
+        spin_until("receiver never went pending", || {
+            pending.load(Ordering::SeqCst) > round
+        });
+        peer.message_send(tx, &round.to_le_bytes()).unwrap();
+    }
+    receiver.join().unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "{ROUNDS} notified rounds took {took:?}"
+    );
+}
+
+/// A send pending on an exhausted pool is completed by the receive that
+/// frees a block, not by the next tick of a retry timer.
+#[test]
+fn ipc_pending_send_completes_with_the_freeing_receive() {
+    if !mpf_shm::sys::HAVE_SYSCALLS {
+        return;
+    }
+    const TRIALS: usize = 15;
+    let cfg = MpfConfig::new(4, 4)
+        .with_block_payload(32)
+        .with_total_blocks(1)
+        .with_max_messages(8)
+        .with_max_connections(16);
+    let creator = Arc::new(IpcMpf::create(&unique_name("freed"), &cfg).unwrap());
+    let peer = creator.attach_view().unwrap();
+    let tx = creator.open_send("strait").unwrap();
+    let rx = peer.open_receive("strait", Protocol::Fcfs).unwrap();
+    let facility = AsyncIpc::new(Arc::clone(&creator));
+    let mut buf = [0u8; 32];
+
+    let mut lags = Vec::with_capacity(TRIALS);
+    for _ in 0..TRIALS {
+        creator.message_send(tx, b"holds the only block").unwrap();
+        let pending = Arc::new(AtomicU64::new(0));
+        let sender = {
+            let (facility, pending) = (facility.clone(), Arc::clone(&pending));
+            thread::spawn(move || {
+                block_on(NotePending {
+                    inner: facility.send(tx, b"waits for it".to_vec()),
+                    pending,
+                })
+                .unwrap();
+                Instant::now()
+            })
+        };
+        spin_until("send never went pending", || {
+            pending.load(Ordering::SeqCst) > 0
+        });
+        // Long enough for the reactor to be asleep, and for a retry
+        // back-off to have grown well past the bound below.
+        thread::sleep(Duration::from_millis(20));
+        let freed_at = Instant::now();
+        peer.message_receive(rx, &mut buf).unwrap();
+        lags.push(sender.join().unwrap().duration_since(freed_at));
+        peer.message_receive(rx, &mut buf).unwrap();
+    }
+    lags.sort();
+    let median = lags[TRIALS / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "pending send completed {median:?} after the freeing receive (all: {lags:?})"
+    );
 }

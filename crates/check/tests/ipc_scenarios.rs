@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_check::{explore_dfs, explore_random, Case, DeathPlan, ExploreOpts};
-use mpf_ipc::IpcMpf;
+use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_shm::waitq::FutexSeq;
 
 type Proc = Box<dyn FnOnce() + Send>;
 
@@ -21,6 +22,12 @@ type Proc = Box<dyn FnOnce() + Send>;
 /// region is unlinked when its last view drops, but a monotonic counter
 /// keeps any straggler from colliding.
 fn region(tag: &str) -> IpcMpf {
+    named_region(tag).1
+}
+
+/// [`region`] plus its name, for scenarios whose final check reads the
+/// region back through a [`RegionInspector`].
+fn named_region(tag: &str) -> (String, IpcMpf) {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let cfg = MpfConfig::new(4, 4)
@@ -28,7 +35,28 @@ fn region(tag: &str) -> IpcMpf {
         .with_total_blocks(16)
         .with_max_messages(8)
         .with_max_connections(8);
-    IpcMpf::create(&format!("chk-{tag}-{}-{n}", std::process::id()), &cfg).expect("create region")
+    let name = format!("chk-{tag}-{}-{n}", std::process::id());
+    let region = IpcMpf::create(&name, &cfg).expect("create region");
+    (name, region)
+}
+
+/// What every doorbell scenario must leave behind once its survivors
+/// have returned and the corpses are swept: no armed watch, no pool-wait
+/// registration, nobody counted asleep on a live doorbell.
+fn doorbell_state_is_clean(name: &str) -> Result<(), String> {
+    let insp = RegionInspector::attach(name).map_err(|e| format!("inspect: {e}"))?;
+    if insp.pool_waiters() != 0 {
+        return Err(format!("{} pool waiters left behind", insp.pool_waiters()));
+    }
+    for p in insp.processes() {
+        if p.watching != 0 || p.mem_wait {
+            return Err(format!("slot {} still registered: {p:?}", p.pid));
+        }
+        if p.state == "attached" && p.asleep {
+            return Err(format!("live slot {} still counted asleep", p.pid));
+        }
+    }
+    Ok(())
 }
 
 /// The FCFS-obligation leak, ipc edition: the last FCFS receiver's view
@@ -403,4 +431,293 @@ fn ipc_dead_sender_conservation_dfs() {
 fn ipc_dead_sender_conservation_random() {
     let opts = ExploreOpts::new("ipc-dead-sender-pct").max_schedules(150);
     explore_random(&opts, 0xC0FFE, ipc_dead_sender_case).assert_ok();
+}
+
+// ---------------------------------------------------------------------
+// The process doorbell: one sleep word per process, rung by everything
+// that can unblock it.  A lost wake shows up here as a deadlock — hooked
+// waits have no timeout to fall back on.
+// ---------------------------------------------------------------------
+
+/// {arm, enqueue on the non-first member, sleep}: a two-member wait set
+/// whose *second* member receives the only message.  Under the old
+/// first-member futex wait this was not even explorable (the hooked wait
+/// could never be woken by another member); now every interleaving of the
+/// watcher's arm / check / sleep with the sender's enqueue / bump / ring
+/// must end with the watcher reporting the second member.
+fn doorbell_second_member_case() -> Case {
+    let (name, a) = named_region("bell");
+    let b = a.attach_view().expect("sender view");
+    let total = a.free_blocks();
+    let _t1 = b.open_send("m1").expect("open m1");
+    let r1 = a.open_receive("m1", Protocol::Fcfs).expect("recv m1");
+    let t2 = b.open_send("m2").expect("open m2");
+    let r2 = a.open_receive("m2", Protocol::Fcfs).expect("recv m2");
+    let a = Arc::new(a);
+    let checker = Arc::clone(&a);
+    let watcher = {
+        let a = Arc::clone(&a);
+        Box::new(move || {
+            let ready = a.wait_any_deadline(&[r1, r2], None).expect("wait_any");
+            assert_eq!(ready, r2, "only the second member has traffic");
+            let mut buf = [0u8; 32];
+            assert!(a.try_message_receive(r2, &mut buf).expect("recv").is_some());
+        }) as Proc
+    };
+    let sender = Box::new(move || {
+        b.message_send(t2, b"second").expect("send");
+    }) as Proc;
+    Case {
+        procs: vec![watcher, sender],
+        death: None,
+        check: Box::new(move || {
+            if checker.free_blocks() != total {
+                return Err("blocks leaked".into());
+            }
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+#[test]
+fn ipc_doorbell_wakes_on_non_first_member_dfs() {
+    let opts = ExploreOpts::new("ipc-doorbell-second-member").max_schedules(300);
+    explore_dfs(&opts, doorbell_second_member_case).assert_ok();
+}
+
+#[test]
+fn ipc_doorbell_wakes_on_non_first_member_random() {
+    let opts = ExploreOpts::new("ipc-doorbell-second-member-pct").max_schedules(200);
+    explore_random(&opts, 0xBE11, doorbell_second_member_case).assert_ok();
+}
+
+/// A watcher's peer is killed mid-registration: the victim watches the
+/// same conversation as the survivor and may die at any decision point —
+/// holding the conversation's lock inside its arm, armed and asleep on its
+/// own doorbell, or not at all.  The sender's one message (or the poison
+/// its lock-break leaves) must still reach the survivor, whose wait has
+/// no timeout here; afterwards the sweep must have retired the corpse's
+/// watch with its connection.
+fn doorbell_peer_killed_case() -> Case {
+    let (name, s) = named_region("bell-kill");
+    let v = s.attach_view().expect("victim view");
+    let p = s.attach_view().expect("sender view");
+    let total = s.free_blocks();
+    let tx = p.open_send("x").expect("open x");
+    let _ty = p.open_send("y").expect("open y");
+    // Different protocols, so one message is deliverable to both.
+    let rs_x = s.open_receive("x", Protocol::Fcfs).expect("survivor x");
+    let rs_y = s.open_receive("y", Protocol::Fcfs).expect("survivor y");
+    let rv_x = v.open_receive("x", Protocol::Broadcast).expect("victim x");
+    let s = Arc::new(s);
+    let v = Arc::new(v);
+    let checker = Arc::clone(&s);
+    let victim = {
+        let v = Arc::clone(&v);
+        Box::new(move || match v.wait_any_deadline(&[rv_x], None) {
+            Ok(_) | Err(MpfError::PeerDied { .. }) => {}
+            Err(e) => panic!("victim wait: {e:?}"),
+        }) as Proc
+    };
+    let survivor = {
+        let s = Arc::clone(&s);
+        Box::new(move || {
+            // The quiet member first: the wake must come from the second.
+            match s.wait_any_deadline(&[rs_y, rs_x], None) {
+                Ok(id) => assert_eq!(id, rs_x),
+                Err(MpfError::PeerDied { .. }) => {}
+                Err(e) => panic!("survivor wait: {e:?}"),
+            }
+            s.close_receive(rs_x).expect("close x");
+            s.close_receive(rs_y).expect("close y");
+        }) as Proc
+    };
+    let sender = Box::new(move || {
+        match p.message_send(tx, b"for both") {
+            Ok(()) | Err(MpfError::PeerDied { .. }) => {}
+            Err(e) => panic!("send: {e:?}"),
+        }
+        p.close_send(tx).expect("close send x");
+        p.close_send(_ty).expect("close send y");
+    }) as Proc;
+    let on_death = {
+        let v = Arc::clone(&v);
+        Box::new(move |_tid: usize| v.debug_abandon_slot())
+    };
+    Case {
+        procs: vec![victim, survivor, sender],
+        death: Some(DeathPlan {
+            victims: vec![0],
+            on_death,
+        }),
+        check: Box::new(move || {
+            // Reap a victim that died after the survivor's last sweep; a
+            // victim that outlived the schedule closes like anyone else.
+            if checker.sweep_dead_peers() == 0 && v.peer_alive(v.pid()) {
+                let _ = v.close_receive(rv_x);
+            }
+            if checker.free_blocks() != total {
+                return Err(format!(
+                    "blocks leaked: {} free of {total}",
+                    checker.free_blocks()
+                ));
+            }
+            if checker.live_lnvcs() != 0 {
+                return Err("conversations must be gone".into());
+            }
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+#[test]
+fn ipc_doorbell_survives_dead_watcher_dfs() {
+    let opts = ExploreOpts::new("ipc-doorbell-dead-watcher").max_schedules(400);
+    explore_dfs(&opts, doorbell_peer_killed_case).assert_ok();
+}
+
+#[test]
+fn ipc_doorbell_survives_dead_watcher_random() {
+    let opts = ExploreOpts::new("ipc-doorbell-dead-watcher-pct").max_schedules(200);
+    explore_random(&opts, 0xDEADBE11, doorbell_peer_killed_case).assert_ok();
+}
+
+/// The sleeper-count gate of the in-region wait queue: `notify_all` only
+/// wakes (and, under hooks, only reports a notify) when somebody is
+/// counted asleep.  With the window between a waiter's count and its
+/// sequence re-check opened as a preemption — and kill — point, no
+/// interleaving may leave the immortal waiter parked; a victim killed
+/// inside the wait leaves the count high, which must stay harmless.
+fn sleeper_gate_case() -> Case {
+    let q = Arc::new(FutexSeq::new());
+    let flag = Arc::new(AtomicBool::new(false));
+    let waiter = |q: Arc<FutexSeq>, flag: Arc<AtomicBool>| {
+        Box::new(move || loop {
+            let t = q.ticket();
+            if flag.load(Ordering::SeqCst) {
+                return;
+            }
+            q.wait(t, None);
+        }) as Proc
+    };
+    let notifier = {
+        let (q, flag) = (Arc::clone(&q), Arc::clone(&flag));
+        Box::new(move || {
+            flag.store(true, Ordering::SeqCst);
+            q.notify_all();
+        }) as Proc
+    };
+    let died = Arc::new(AtomicBool::new(false));
+    let on_death = {
+        let died = Arc::clone(&died);
+        Box::new(move |_tid: usize| died.store(true, Ordering::Relaxed))
+    };
+    Case {
+        procs: vec![
+            waiter(Arc::clone(&q), Arc::clone(&flag)),
+            waiter(Arc::clone(&q), Arc::clone(&flag)),
+            notifier,
+        ],
+        death: Some(DeathPlan {
+            victims: vec![0],
+            on_death,
+        }),
+        check: Box::new(move || {
+            if !died.load(Ordering::Relaxed) && q.sleepers() != 0 {
+                return Err(format!("{} sleepers counted, none exist", q.sleepers()));
+            }
+            Ok(())
+        }),
+    }
+}
+
+#[test]
+fn ipc_sleeper_gate_loses_no_wake() {
+    let opts = ExploreOpts::new("ipc-sleeper-gate")
+        .max_schedules(300)
+        .preempt_events(true);
+    explore_dfs(&opts, sleeper_gate_case).assert_ok();
+    explore_random(&opts, 0x6A7E, sleeper_gate_case).assert_ok();
+}
+
+/// {pool-wait registration, reclaim, sleep}: a sender blocked on an
+/// exhausted message pool and the one receive that frees a header.  The
+/// reclaim either precedes the sender's registration (its retry finds the
+/// header) or follows it (the pool signal rings the sender's doorbell) —
+/// in no interleaving may the send stay parked.  With `mortal`, the
+/// sender may be killed anywhere, registered and asleep included: the
+/// reclaim then rings a dead doorbell, and the sweep must retire the
+/// registration.
+fn pool_signal_case(mortal: bool) -> Case {
+    let (name, a) = named_region("pool");
+    let b = a.attach_view().expect("receiver view");
+    let total = a.free_blocks();
+    let tx = a.open_send("full").expect("open send");
+    let rx = b.open_receive("full", Protocol::Fcfs).expect("open recv");
+    for i in 0..8u8 {
+        a.message_send(tx, &[i]).expect("fill the header pool");
+    }
+    let a = Arc::new(a);
+    let b = Arc::new(b);
+    let checker = Arc::clone(&b);
+    let sender = {
+        let a = Arc::clone(&a);
+        Box::new(move || {
+            a.send_deadline(tx, b"ninth", None).expect("blocked send");
+        }) as Proc
+    };
+    let receiver = {
+        let b = Arc::clone(&b);
+        Box::new(move || {
+            let mut buf = [0u8; 32];
+            assert!(b.try_message_receive(rx, &mut buf).expect("recv").is_some());
+        }) as Proc
+    };
+    let on_death = {
+        let a = Arc::clone(&a);
+        Box::new(move |_tid: usize| a.debug_abandon_slot())
+    };
+    Case {
+        procs: vec![sender, receiver],
+        death: mortal.then(|| DeathPlan {
+            victims: vec![0],
+            on_death,
+        }),
+        check: Box::new(move || {
+            if checker.sweep_dead_peers() == 0 {
+                // The sender lived: its ninth message took the freed slot.
+                if checker.queue_depth(rx) != Ok(8) {
+                    return Err(format!("queue holds {:?}, want 8", checker.queue_depth(rx)));
+                }
+                a.close_send(tx).map_err(|e| format!("close send: {e}"))?;
+            }
+            checker
+                .close_receive(rx)
+                .map_err(|e| format!("close recv: {e}"))?;
+            // A sender killed between staging its message and linking it
+            // leaks that one block (the pools' documented worst case).
+            let floor = total - u32::from(mortal);
+            if checker.free_blocks() < floor {
+                return Err(format!(
+                    "blocks leaked: {} free of {total}",
+                    checker.free_blocks()
+                ));
+            }
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+#[test]
+fn ipc_pool_signal_loses_no_wake() {
+    let opts = ExploreOpts::new("ipc-pool-signal").max_schedules(300);
+    explore_dfs(&opts, || pool_signal_case(false)).assert_ok();
+    explore_random(&opts, 0x9001, || pool_signal_case(false)).assert_ok();
+}
+
+#[test]
+fn ipc_pool_signal_survives_dead_waiter() {
+    let opts = ExploreOpts::new("ipc-pool-signal-dead-waiter").max_schedules(300);
+    explore_dfs(&opts, || pool_signal_case(true)).assert_ok();
+    explore_random(&opts, 0xDEAD9001, || pool_signal_case(true)).assert_ok();
 }

@@ -21,7 +21,7 @@ use crate::config::MpfConfig;
 /// Version of the region byte layout.  Bump on ANY change to the segment
 /// order, the constants below, or the in-region struct layouts; attach
 /// refuses regions with a different version ([`crate::MpfError::LayoutMismatch`]).
-pub const LAYOUT_VERSION: u32 = 6;
+pub const LAYOUT_VERSION: u32 = 7;
 
 /// Magic at byte 0 of every MPF region ("MPFREGN1" little-endian).
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"MPFREGN1");
@@ -46,26 +46,29 @@ pub struct RegionLayout {
     pub segments: Vec<Segment>,
 }
 
-/// Bytes per LNVC descriptor: lock, waitq, queue head/tail, connection
-/// lists, counts, stamp.  `mpf-ipc` const-asserts its `#[repr(C)]` struct
-/// against this.
+/// Bytes per LNVC descriptor: lock, waitq (sequence + sleeper count),
+/// queue head/tail, connection lists, counts, stamp, watcher count.
+/// `mpf-ipc` const-asserts its `#[repr(C)]` struct against this.
 pub const LNVC_DESC_BYTES: usize = 192;
 /// Bytes per message header: len, chain, next, pending, flags, hop,
 /// stamp, send timestamp (latency histogram), causal trace id.
 pub const MSG_HEADER_BYTES: usize = 56;
 /// Bytes per send-connection descriptor: pid, next.
 pub const SEND_DESC_BYTES: usize = 8;
-/// Bytes per receive-connection descriptor: pid, next, protocol, head.
+/// Bytes per receive-connection descriptor: pid, next, protocol (with the
+/// holder's watch count in its spare bits), head.
 pub const RECV_DESC_BYTES: usize = 16;
 /// Bytes per block link: next index.
 pub const BLOCK_LINK_BYTES: usize = 4;
 /// Bytes per registry entry: 32-byte name + index + state.
 pub const REGISTRY_ENTRY_BYTES: usize = 40;
 /// Bytes reserved for the region header (magic, version, config echo,
-/// init barrier, registry lock, pool free lists) in an ipc carve.
+/// init barrier, registry lock, pool free lists, pool signal) in an ipc
+/// carve.
 pub const REGION_HEADER_BYTES: usize = 512;
-/// Bytes per process heartbeat slot in an ipc carve (one cache-padded
-/// cell per process: os pid, attach generation, liveness, heartbeat).
+/// Bytes per process slot in an ipc carve: one cache line of identity
+/// and heartbeat (os pid, attach generation, liveness), one for the
+/// doorbell the process sleeps on.
 pub const PROCESS_SLOT_BYTES: usize = 128;
 /// Bytes of the facility-wide telemetry block (cache-line counters +
 /// size/latency histograms); see `mpf_shm::telemetry::FacilityTelemetry`.

@@ -7,9 +7,11 @@
 //! Attaches **read-only** ([`RegionInspector`]): no process slot is
 //! claimed, no lock taken, no byte written, so it is safe to point at a
 //! region whose writers are running — or crashed.  Prints the process
-//! table (with liveness), the LNVC table (queue depths, protocols,
-//! poison state), facility counters, latency/size percentiles, and the
-//! last events of each process that ever wrote a trace ring.
+//! table (liveness, and who is stuck on what: asleep on its doorbell,
+//! watching how many conversations, waiting for pool memory), the LNVC
+//! table (queue depths, protocols, poison state), facility counters,
+//! latency/size percentiles, and the last events of each process that
+//! ever wrote a trace ring.
 //!
 //! `--json` emits one machine-readable document instead (hand-rolled —
 //! the workspace is dependency-free by design).  `--watch` re-samples
@@ -172,7 +174,7 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
     );
     let _ = writeln!(
         s,
-        "config: {} lnvcs, {} processes, {} messages, {} blocks × {} B; {} total sends, sweep epoch {}",
+        "config: {} lnvcs, {} processes, {} messages, {} blocks × {} B; {} total sends, sweep epoch {}, {} waiting for pool memory",
         cfg.max_lnvcs,
         cfg.max_processes,
         cfg.max_messages,
@@ -180,21 +182,32 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
         cfg.block_payload,
         insp.next_stamp(),
         insp.sweep_epoch(),
+        insp.pool_waiters(),
     );
 
     let _ = writeln!(s, "\nprocesses:");
     let _ = writeln!(
         s,
-        "  {:>4} {:>9} {:>8} {:>6} {:>10} {:>4}",
-        "pid", "state", "os-pid", "alive", "heartbeat", "gen"
+        "  {:>4} {:>9} {:>8} {:>6} {:>10} {:>4} {:>9} {:>6} {:>8} {:>8}",
+        "pid",
+        "state",
+        "os-pid",
+        "alive",
+        "heartbeat",
+        "gen",
+        "doorbell",
+        "asleep",
+        "watching",
+        "mem-wait"
     );
     for p in insp.processes() {
         if p.state == "free" && p.heartbeat == 0 {
             continue; // never used
         }
+        let yes_no = |b: bool| if b { "yes" } else { "-" };
         let _ = writeln!(
             s,
-            "  {:>4} {:>9} {:>8} {:>6} {:>10} {:>4}",
+            "  {:>4} {:>9} {:>8} {:>6} {:>10} {:>4} {:>9} {:>6} {:>8} {:>8}",
             p.pid,
             p.state,
             p.os_pid,
@@ -209,6 +222,10 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
             },
             p.heartbeat,
             p.generation,
+            p.doorbell,
+            yes_no(p.asleep),
+            p.watching,
+            yes_no(p.mem_wait),
         );
     }
 
@@ -400,13 +417,18 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         .iter()
         .map(|p| {
             format!(
-                "{{\"pid\":{},\"state\":{},\"os_pid\":{},\"alive\":{},\"heartbeat\":{},\"generation\":{}}}",
+                "{{\"pid\":{},\"state\":{},\"os_pid\":{},\"alive\":{},\"heartbeat\":{},\"generation\":{},\
+                 \"doorbell\":{},\"asleep\":{},\"watching\":{},\"mem_wait\":{}}}",
                 p.pid,
                 jstr(p.state),
                 p.os_pid,
                 p.alive,
                 p.heartbeat,
-                p.generation
+                p.generation,
+                p.doorbell,
+                p.asleep,
+                p.watching,
+                p.mem_wait
             )
         })
         .collect::<Vec<_>>()
@@ -469,7 +491,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         .join(",");
 
     format!(
-        "{{\"region\":{},\"region_bytes\":{},\"telemetry\":{},\"next_stamp\":{},\"sweep_epoch\":{},\
+        "{{\"region\":{},\"region_bytes\":{},\"telemetry\":{},\"next_stamp\":{},\"sweep_epoch\":{},\"pool_waiters\":{},\
          \"config\":{{\"max_lnvcs\":{},\"max_processes\":{},\"max_messages\":{},\"total_blocks\":{},\"block_payload\":{}}},\
          \"counters\":{{\"sends\":{},\"receives\":{},\"bytes_in\":{},\"bytes_out\":{},\
          \"recv_waits\":{},\"send_waits\":{},\"reclaims\":{},\"lnvcs_created\":{},\"lnvcs_deleted\":{},\
@@ -481,6 +503,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         insp.telemetry_enabled(),
         insp.next_stamp(),
         insp.sweep_epoch(),
+        insp.pool_waiters(),
         cfg.max_lnvcs,
         cfg.max_processes,
         cfg.max_messages,

@@ -17,7 +17,7 @@
 //! connections, and **poisons** the conversations they touched so
 //! survivors unblock with [`MpfError::PeerDied`] instead of deadlocking.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mpf::aio::{AioCompletion, AioStats};
@@ -33,6 +33,7 @@ use mpf_shm::tracering::{
     TR_OPEN_RECV, TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND,
     TR_SEND_BLOCK, TR_SWEEP_DEAD, TR_WAKEUP,
 };
+use mpf_shm::waitq::FutexSeq;
 use mpf_shm::ShmRegion;
 
 use crate::shmem::{
@@ -40,7 +41,9 @@ use crate::shmem::{
     RegistryEntry, SendDesc, NIL,
 };
 
-/// How long a blocked receive sleeps between liveness sweeps.
+/// How long any blocked call sleeps between liveness sweeps: the bound
+/// within which a dead peer is noticed, and the only timer on a wait
+/// path that is not the caller's own deadline.
 const RECV_SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 /// How long `attach` waits for the creator to finish carving.
 const ATTACH_BARRIER_TIMEOUT: Duration = Duration::from_secs(10);
@@ -196,6 +199,42 @@ pub struct IpcMpf {
     /// into sampled ones.
     ctx_trace: AtomicU64,
     ctx_hop: AtomicU32,
+    /// When this handle last ran the liveness sweep from a doorbell wait
+    /// (`now_nanos`), so prompt wakes do not probe every peer each time.
+    last_sweep: AtomicU64,
+}
+
+/// Watches armed by one doorbell wait; disarmed on drop.
+///
+/// Like the in-region locks, in-region registrations are not released by
+/// unwinding: no wait panics on its own, so an unwind through one is the
+/// schedule explorer's modeled kill, which must leave the region exactly
+/// as SIGKILL would — for the sweep to clean up.
+struct Watch<'a> {
+    ipc: &'a IpcMpf,
+    armed: Vec<IpcLnvcId>,
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            for &id in &self.armed {
+                self.ipc.set_watch(id, false);
+            }
+        }
+    }
+}
+
+/// One registration for the pool signal; withdrawn on drop (but, as for
+/// [`Watch`], not by an unwind).
+struct PoolWait<'a>(&'a IpcMpf);
+
+impl Drop for PoolWait<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.0.pool_wait_end();
+        }
+    }
 }
 
 impl IpcMpf {
@@ -229,6 +268,7 @@ impl IpcMpf {
             trace_tick: AtomicU64::new(0),
             ctx_trace: AtomicU64::new(0),
             ctx_hop: AtomicU32::new(0),
+            last_sweep: AtomicU64::new(0),
         };
         this.carve(cfg, total);
         this.me = this.claim_slot().map_err(AttachError::Mpf)?;
@@ -341,6 +381,7 @@ impl IpcMpf {
             trace_tick: AtomicU64::new(0),
             ctx_trace: AtomicU64::new(0),
             ctx_hop: AtomicU32::new(0),
+            last_sweep: AtomicU64::new(0),
         };
         this.me = this.claim_slot().map_err(AttachError::Mpf)?;
         Ok(this)
@@ -436,6 +477,8 @@ impl IpcMpf {
                     // submissions would leak its pool allocations into the
                     // new owner's ring; reclaim before reuse.
                     self.reclaim_aio_of(i);
+                    // Nobody of the predecessor can still be asleep here.
+                    s.doorbell.reset_sleepers();
                     s.os_pid.store(std::process::id(), Ordering::Release);
                     s.generation.fetch_add(1, Ordering::AcqRel);
                     s.heartbeat.store(1, Ordering::Release);
@@ -656,6 +699,7 @@ impl IpcMpf {
                 self.trace_pop(TR_POISON, NIL, d.dead_pid.load(Ordering::Acquire));
             }
             d.waitq.notify_all();
+            self.ring_watchers(d);
         }
     }
 
@@ -876,7 +920,7 @@ impl IpcMpf {
                 if let Some(existing) =
                     self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
                 {
-                    let have = self.recv(existing).protocol.load(Ordering::Acquire);
+                    let have = self.recv(existing).protocol_code();
                     return Err(if have == protocol.code() {
                         MpfError::AlreadyConnected
                     } else {
@@ -969,8 +1013,12 @@ impl IpcMpf {
                     .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
                     .ok_or(MpfError::NotConnected)?;
                 let r = self.recv(conn);
-                let protocol = r.protocol.load(Ordering::Acquire);
+                let protocol = r.protocol_code();
                 let cursor = r.cursor.load(Ordering::Acquire);
+                // Waits of ours still watching through this connection
+                // lose their watch with it; wake them to notice.
+                let watches = r.watches();
+                d.watchers.fetch_sub(watches, Ordering::SeqCst);
                 self.header()
                     .recv_free
                     .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
@@ -999,11 +1047,14 @@ impl IpcMpf {
                 if d.total_connections() == 0 {
                     self.delete_conversation(idx, d);
                 }
-                Ok(protocol)
+                Ok((protocol, watches))
             })();
             d.lock.unlock();
-            if let Ok(protocol) = result {
+            if let Ok((protocol, watches)) = result {
                 self.trace_pop(TR_CLOSE_RECV, idx, protocol);
+                if watches != 0 {
+                    self.ring_doorbell();
+                }
             }
             result.map(|_| ())
         })
@@ -1124,7 +1175,7 @@ impl IpcMpf {
                     payload.len() as u32,
                     obligations,
                 );
-                d.waitq.notify_all();
+                self.notify_lnvc(d);
                 Ok(())
             }
             Err(e) => {
@@ -1224,21 +1275,11 @@ impl IpcMpf {
                     return Ok(n);
                 }
                 None => {
-                    let now = Instant::now();
-                    if let Some(dl) = deadline {
-                        if now >= dl {
-                            return Err(MpfError::WouldBlock);
-                        }
-                    }
+                    let nap = Self::nap_until(deadline).ok_or(MpfError::WouldBlock)?;
                     if !waited {
                         waited = true;
                         self.note_recv_wait(idx);
                     }
-                    // Nap to the sweep cadence, clamped so a near
-                    // deadline is missed by microseconds, not 50 ms.
-                    let nap = deadline.map_or(RECV_SWEEP_INTERVAL, |dl| {
-                        RECV_SWEEP_INTERVAL.min(dl.saturating_duration_since(now))
-                    });
                     d.waitq.wait(ticket, Some(nap));
                     // Between naps, look for dead peers so a vanished
                     // sender poisons the conversation instead of leaving
@@ -1272,37 +1313,33 @@ impl IpcMpf {
     }
 
     /// Deadline-bounded blocking send: where [`Self::message_send`]
-    /// surfaces pool exhaustion immediately, this retries (sweeping dead
-    /// peers between bounded naps so a vanished consumer poisons the
-    /// conversation rather than starving us) until the message is
-    /// enqueued or `deadline` passes ([`MpfError::TimedOut`]).  `None`
-    /// retries until the send succeeds or fails for a non-exhaustion
-    /// reason.
+    /// surfaces pool exhaustion immediately, this registers for the pool
+    /// signal and sleeps on the process doorbell — any reclaim in the
+    /// region rings it — until the message is enqueued or `deadline`
+    /// passes ([`MpfError::TimedOut`]).  `None` retries until the send
+    /// succeeds or fails for a non-exhaustion reason.  A vanished
+    /// consumer poisons the conversation within the sweep cadence rather
+    /// than starving us.
     pub fn send_deadline(
         &self,
         id: IpcLnvcId,
         payload: &[u8],
         deadline: Option<Instant>,
     ) -> Result<()> {
-        // Short naps: exhaustion clears when a receiver drains, which the
-        // sender cannot be notified about (there is no per-pool waitq in
-        // the region), so we poll with a bounded sleep.
-        const SEND_RETRY_NAP: Duration = Duration::from_millis(2);
+        let mut waiting = None;
         loop {
+            let ticket = self.doorbell().ticket();
             match self.message_send(id, payload) {
-                Err(MpfError::MessagesExhausted) | Err(MpfError::BlocksExhausted) => {
-                    let now = Instant::now();
-                    if let Some(dl) = deadline {
-                        if now >= dl {
-                            return Err(MpfError::TimedOut);
-                        }
-                        std::thread::sleep(SEND_RETRY_NAP.min(dl - now));
-                    } else {
-                        std::thread::sleep(SEND_RETRY_NAP);
-                    }
-                    self.sweep_dead_peers();
-                }
+                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
                 other => return other,
+            }
+            // Register, then the ticket, then the retry — in that order, so
+            // a reclaim either is seen by the retry or rings past the
+            // ticket; the first failure, unregistered, proves nothing.
+            if waiting.is_none() {
+                waiting = Some(self.pool_wait());
+            } else if !self.doorbell_nap(ticket, deadline) {
+                return Err(MpfError::TimedOut);
             }
         }
     }
@@ -1310,50 +1347,31 @@ impl IpcMpf {
     /// Blocks until one of `ids` has a deliverable message and returns
     /// that conversation's id, or [`MpfError::TimedOut`] once `deadline`
     /// passes.  The wait-set analogue of `mpf-core`'s
-    /// `wait_any_deadline`; polls each conversation and naps on the
-    /// first one's futex between rounds (any send to any member bumps
-    /// its own sequence, so the nap is bounded, not notified — 2 ms
-    /// keeps cross-member wake latency tight).  An empty set is
-    /// [`MpfError::EmptyWaitSet`]; poisoning of any member surfaces as
-    /// its error.
+    /// `wait_any_deadline`: watches every member, so an enqueue, poison
+    /// or close on any of them rings this process's doorbell, and sleeps
+    /// on that one word.  An empty set is [`MpfError::EmptyWaitSet`];
+    /// poisoning of any member surfaces as its error.
     pub fn wait_any_deadline(
         &self,
         ids: &[IpcLnvcId],
         deadline: Option<Instant>,
     ) -> Result<IpcLnvcId> {
-        const MULTI_NAP: Duration = Duration::from_millis(2);
         if ids.is_empty() {
             return Err(MpfError::EmptyWaitSet);
         }
         self.heartbeat();
-        let mut last_sweep = Instant::now();
+        let _watch = self.watch(ids.iter().copied());
         loop {
-            // Tickets for every member before any predicate check, so a
-            // send racing the poll bumps a sequence we already hold.
-            let ticket = {
-                let (_, d0) = self.resolve(ids[0])?;
-                d0.waitq.ticket()
-            };
+            // Ticket before the predicate checks: a send racing the poll
+            // rings a sequence we already hold.
+            let ticket = self.doorbell().ticket();
             for &id in ids {
                 if self.check_receive(id)? {
                     return Ok(id);
                 }
             }
-            let now = Instant::now();
-            if let Some(dl) = deadline {
-                if now >= dl {
-                    return Err(MpfError::TimedOut);
-                }
-            }
-            let nap = deadline.map_or(MULTI_NAP, |dl| MULTI_NAP.min(dl - now));
-            let (_, d0) = self.resolve(ids[0])?;
-            d0.waitq.wait(ticket, Some(nap));
-            // The liveness sweep is rate-limited to the usual receive
-            // cadence — 2 ms naps would otherwise probe heartbeats 25×
-            // too often.
-            if last_sweep.elapsed() >= RECV_SWEEP_INTERVAL {
-                self.sweep_dead_peers();
-                last_sweep = Instant::now();
+            if !self.doorbell_nap(ticket, deadline) {
+                return Err(MpfError::TimedOut);
             }
         }
     }
@@ -1630,7 +1648,7 @@ impl IpcMpf {
             Ok(obligations) => {
                 // One wake for the whole run — the amortisation the
                 // rings buy.
-                d.waitq.notify_all();
+                self.notify_lnvc(d);
                 for (e, &stamp) in run.iter().zip(&stamps) {
                     self.trace_rec(
                         TR_SEND,
@@ -1698,31 +1716,34 @@ impl IpcMpf {
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<Vec<AioCompletion>> {
-        const BATCH_RETRY_NAP: Duration = Duration::from_millis(2);
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
         let mut out = Vec::with_capacity(payloads.len());
         let mut submitted = 0usize;
+        let mut waiting = None;
         loop {
+            let ticket = self.doorbell().ticket();
             // Tokens from `submit_sends` index the *slice* we hand it;
             // re-base them to the original batch after each reap.
             let base = submitted as u64;
-            match self.submit_sends(id, &payloads[submitted..]) {
-                Ok(n) => submitted += n,
-                // Ring full or pools dry: drain/reap below frees both,
-                // then retry until the deadline says otherwise.
+            let progressed = match self.submit_sends(id, &payloads[submitted..]) {
+                Ok(n) => {
+                    submitted += n;
+                    true
+                }
+                // Ring full or pools dry: drain/reap below frees both.
                 Err(
                     MpfError::WouldBlock | MpfError::MessagesExhausted | MpfError::BlocksExhausted,
-                ) => {}
+                ) => false,
                 Err(e) => {
                     if submitted == 0 {
                         return Err(e);
                     }
                     break;
                 }
-            }
-            self.drain_sends();
+            };
+            let drained = self.drain_sends();
             let start = out.len();
             self.reap_completions(&mut out);
             for c in &mut out[start..] {
@@ -1731,19 +1752,21 @@ impl IpcMpf {
             if submitted >= payloads.len() {
                 break;
             }
-            let now = Instant::now();
-            if let Some(dl) = deadline {
-                if now >= dl {
-                    if submitted == 0 {
-                        return Err(MpfError::TimedOut);
-                    }
-                    break;
-                }
-                std::thread::sleep(BATCH_RETRY_NAP.min(dl - now));
-            } else {
-                std::thread::sleep(BATCH_RETRY_NAP);
+            if progressed || drained > 0 {
+                // Ring slots just came back; go again before sleeping.
+                continue;
             }
-            self.sweep_dead_peers();
+            // Only a peer's reclaim can help now.  Register for the pool
+            // signal, then retry once before the first sleep, so a
+            // reclaim that preceded the registration is not waited for.
+            if waiting.is_none() {
+                waiting = Some(self.pool_wait());
+            } else if !self.doorbell_nap(ticket, deadline) {
+                if submitted == 0 {
+                    return Err(MpfError::TimedOut);
+                }
+                break;
+            }
         }
         Ok(out)
     }
@@ -1753,28 +1776,7 @@ impl IpcMpf {
     /// up to `max` messages under one lock hold with one reclamation
     /// pass.  `max == 0` returns an empty batch immediately.
     pub fn recv_batch(&self, id: IpcLnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.heartbeat();
-        let mut out = Vec::new();
-        if max == 0 {
-            return Ok(out);
-        }
-        let mut waited = false;
-        loop {
-            let (idx, d) = self.resolve(id)?;
-            let ticket = d.waitq.ticket();
-            self.lock_lnvc(d);
-            let result = self.recv_many_locked(idx, d, max, &mut out);
-            d.lock.unlock();
-            if result? > 0 {
-                return Ok(out);
-            }
-            if !waited {
-                waited = true;
-                self.note_recv_wait(idx);
-            }
-            d.waitq.wait(ticket, Some(RECV_SWEEP_INTERVAL));
-            self.sweep_dead_peers();
-        }
+        self.recv_batch_deadline(id, max, None)
     }
 
     /// Deadline-bounded [`Self::recv_batch`]: waits until at least one
@@ -1803,19 +1805,11 @@ impl IpcMpf {
             if result? > 0 {
                 return Ok(out);
             }
-            let now = Instant::now();
-            if let Some(dl) = deadline {
-                if now >= dl {
-                    return Err(MpfError::TimedOut);
-                }
-            }
+            let nap = Self::nap_until(deadline).ok_or(MpfError::TimedOut)?;
             if !waited {
                 waited = true;
                 self.note_recv_wait(idx);
             }
-            let nap = deadline.map_or(RECV_SWEEP_INTERVAL, |dl| {
-                RECV_SWEEP_INTERVAL.min(dl.saturating_duration_since(now))
-            });
             d.waitq.wait(ticket, Some(nap));
             self.sweep_dead_peers();
         }
@@ -1852,7 +1846,7 @@ impl IpcMpf {
             .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
             .ok_or(MpfError::NotConnected)?;
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == Protocol::Broadcast.code();
+        let bcast = r.protocol_code() == Protocol::Broadcast.code();
         // One clock read covers every trace record and latency sample
         // this batch produces.
         let now = if self.tel_on || self.tracing() {
@@ -1966,14 +1960,216 @@ impl IpcMpf {
         Ok(self.resolve(id)?.1.waitq.ticket())
     }
 
-    /// Waits (bounded by `timeout`) for `id`'s wait queue to move past
-    /// `ticket`.  Returns `true` when the signal fired — or when the
-    /// conversation no longer resolves, so the caller re-polls and
-    /// surfaces the error instead of sleeping on a corpse.
-    pub fn wait_recv_signal(&self, id: IpcLnvcId, ticket: u32, timeout: Duration) -> bool {
-        match self.resolve(id) {
-            Ok((_, d)) => d.waitq.wait(ticket, Some(timeout)),
-            Err(_) => true,
+    /// Current ticket of the pool signal (senders' flow-control signal).
+    /// It moves on a reclaim only while some process is registered as
+    /// waiting for memory ([`Self::pool_wait_begin`]), so take it after
+    /// registering and before the try it guards.
+    pub fn mem_signal_ticket(&self) -> u32 {
+        self.header().pool_seq.load(Ordering::SeqCst)
+    }
+
+    /// Registers this process as waiting for pool memory: from here until
+    /// the matching [`Self::pool_wait_end`], every reclaim in the region
+    /// bumps the pool signal and rings this process's doorbell.
+    pub fn pool_wait_begin(&self) {
+        // Region count first, slot share second (and the reverse on the
+        // way out): a kill in between leaves the count high — the gate
+        // stuck open, every reclaim signalling — never a share the sweep
+        // would subtract without it having been added.
+        self.header().pool_waiters.fetch_add(1, Ordering::SeqCst);
+        self.slot(self.me).mem_wait.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Withdraws one [`Self::pool_wait_begin`] registration.
+    pub fn pool_wait_end(&self) {
+        self.slot(self.me).mem_wait.fetch_sub(1, Ordering::SeqCst);
+        self.header().pool_waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Rings this process's own doorbell: wakes its threads parked in
+    /// [`Self::wait_signals`] or [`Self::wait_any_deadline`] to re-check
+    /// process-local state (the reactor's registrations and shutdown).
+    pub fn ring_doorbell(&self) {
+        self.doorbell().notify_all();
+    }
+
+    /// The reactor's one wait.  Returns once any of the given signals may
+    /// have fired — a conversation's sequence moved past its ticket (or it
+    /// no longer resolves), the pool signal moved past `mem`, `woken`
+    /// holds — or `until` passes; at the latest after the sweep cadence.
+    /// Every listed conversation is watched for the duration, so all of
+    /// it arrives on this process's doorbell; process-local changes behind
+    /// `woken` must be followed by [`Self::ring_doorbell`].
+    pub fn wait_signals(
+        &self,
+        recv: &[(IpcLnvcId, u32)],
+        mem: Option<u32>,
+        woken: &dyn Fn() -> bool,
+        until: Option<Instant>,
+    ) {
+        let ticket = self.doorbell().ticket();
+        let _watch = self.watch(recv.iter().map(|&(id, _)| id));
+        let fired = woken()
+            || mem.is_some_and(|t| self.mem_signal_ticket() != t)
+            || recv
+                .iter()
+                .any(|&(id, t)| self.recv_signal_ticket(id) != Ok(t));
+        if !fired {
+            self.doorbell_nap(ticket, until);
+        }
+    }
+
+    /// This process's doorbell: the one word its multi-source and memory
+    /// waits sleep on.
+    fn doorbell(&self) -> &FutexSeq {
+        &self.slot(self.me).doorbell
+    }
+
+    /// One sleep on the doorbell, at most to `deadline` or the sweep
+    /// cadence, then the sweep if it is due.  `false`, without sleeping,
+    /// once `deadline` has passed.  Callers loop: ticket, check, nap.
+    fn doorbell_nap(&self, ticket: u32, deadline: Option<Instant>) -> bool {
+        let Some(nap) = Self::nap_until(deadline) else {
+            return false;
+        };
+        self.doorbell().wait(ticket, Some(nap));
+        self.sweep_if_due();
+        true
+    }
+
+    /// How long a wait may sleep before its next liveness sweep: the
+    /// sweep cadence, clamped so a near deadline is missed by
+    /// microseconds, not 50 ms.  `None` once `deadline` has passed.
+    fn nap_until(deadline: Option<Instant>) -> Option<Duration> {
+        match deadline {
+            None => Some(RECV_SWEEP_INTERVAL),
+            Some(dl) => {
+                let left = dl.saturating_duration_since(Instant::now());
+                (!left.is_zero()).then(|| left.min(RECV_SWEEP_INTERVAL))
+            }
+        }
+    }
+
+    /// Runs the dead-peer sweep if this handle has not done so within the
+    /// sweep cadence: doorbell waits that are woken promptly and often
+    /// must not probe every peer's liveness each time round.
+    fn sweep_if_due(&self) {
+        let now = now_nanos();
+        let last = self.last_sweep.load(Ordering::Relaxed);
+        // A schedule explorer runs no clock: there, sweep after every
+        // wait, as blocking receive does, so schedules replay exactly.
+        if mpf_shm::hooks::enabled()
+            || now.saturating_sub(last) >= RECV_SWEEP_INTERVAL.as_nanos() as u64
+        {
+            self.last_sweep.store(now, Ordering::Relaxed);
+            self.sweep_dead_peers();
+        }
+    }
+
+    /// Adds (`on`) or removes one watch of this process on `id`: while a
+    /// conversation's watch count is non-zero, whoever changes it rings
+    /// the doorbell of each watching process.  Watch state lives with the
+    /// receive connection, under the LNVC lock, so it dies with the
+    /// connection — closed, or swept after its holder's death.  Returns
+    /// whether a watch was added; a conversation that does not resolve or
+    /// that we do not receive on is left to the caller's own check.
+    fn set_watch(&self, id: IpcLnvcId, on: bool) -> bool {
+        let Ok((_, d)) = self.resolve(id) else {
+            return false;
+        };
+        self.lock_lnvc(d);
+        let conn = self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me);
+        let changed = match conn.map(|c| self.recv(c)) {
+            Some(r) if on => {
+                r.protocol.fetch_add(RecvDesc::WATCH_ONE, Ordering::AcqRel);
+                d.watchers.fetch_add(1, Ordering::SeqCst);
+                true
+            }
+            // The connection may have been closed and reopened under the
+            // wait; its watches went with it.
+            Some(r) if r.watches() != 0 => {
+                r.protocol.fetch_sub(RecvDesc::WATCH_ONE, Ordering::AcqRel);
+                d.watchers.fetch_sub(1, Ordering::SeqCst);
+                true
+            }
+            _ => false,
+        };
+        d.lock.unlock();
+        changed
+    }
+
+    /// Arms a watch on each of `ids` for the life of the returned guard.
+    /// Arm, *then* check: see [`Self::notify_lnvc`] for the pairing.
+    fn watch(&self, ids: impl Iterator<Item = IpcLnvcId>) -> Watch<'_> {
+        let armed = ids.filter(|&id| self.set_watch(id, true)).collect();
+        // Orders the arming increments before the predicate loads that
+        // follow, whatever their own ordering (tickets are `Acquire`).
+        fence(Ordering::SeqCst);
+        Watch { ipc: self, armed }
+    }
+
+    /// Registers for the pool signal for the life of the returned guard.
+    fn pool_wait(&self) -> PoolWait<'_> {
+        self.pool_wait_begin();
+        PoolWait(self)
+    }
+
+    /// Publishes a change to `d` (enqueue, poison): bumps its sequence,
+    /// wakes receivers asleep on it, and rings every process watching it.
+    /// Caller must not hold `d`'s lock.
+    ///
+    /// The watcher check comes after the bump and pairs with a watcher's
+    /// arm-then-check: `watchers += 1 ; load seq` against `seq += 1 ;
+    /// load watchers`, all ordered `SeqCst` — either we see the watch and
+    /// ring, or the watcher sees the moved sequence and does not sleep.
+    fn notify_lnvc(&self, d: &LnvcDesc) {
+        d.waitq.notify_all();
+        if d.watchers.load(Ordering::SeqCst) != 0 {
+            self.lock_lnvc(d);
+            let watching = self.watching_pids(d);
+            d.lock.unlock();
+            // Rung after the unlock: a woken watcher's first act is to
+            // take this lock (to disarm, to receive), and on a busy CPU
+            // it preempts us the instant the wake lands.
+            for pid in watching {
+                self.slot(pid).doorbell.notify_all();
+            }
+        }
+    }
+
+    /// Rings the doorbell of every process with a watch on `d`, for a
+    /// caller that holds `d`'s lock and cannot drop it first.
+    fn ring_watchers(&self, d: &LnvcDesc) {
+        for pid in self.watching_pids(d) {
+            self.slot(pid).doorbell.notify_all();
+        }
+    }
+
+    /// The processes with a watch on `d`.  Caller holds `d`'s lock (the
+    /// connection list is walked).
+    fn watching_pids(&self, d: &LnvcDesc) -> Vec<u32> {
+        let mut pids = Vec::new();
+        let mut cur = d.recv_head.load(Ordering::Acquire);
+        while cur != NIL {
+            let r = self.recv(cur);
+            if r.watches() != 0 {
+                pids.push(r.pid.load(Ordering::Acquire));
+            }
+            cur = r.next.load(Ordering::Acquire);
+        }
+        pids
+    }
+
+    /// Fires the pool signal: bumps its sequence and rings every process
+    /// registered as waiting for memory.
+    #[cold]
+    fn signal_pool(&self) {
+        self.header().pool_seq.fetch_add(1, Ordering::SeqCst);
+        for p in 0..self.counts.max_processes {
+            let s = self.slot(p);
+            if s.mem_wait.load(Ordering::SeqCst) != 0 {
+                s.doorbell.notify_all();
+            }
         }
     }
 
@@ -2011,7 +2207,7 @@ impl IpcMpf {
         let hop = m.hop.load(Ordering::Acquire);
         self.gather(m, &mut buf[..len]);
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == Protocol::Broadcast.code();
+        let bcast = r.protocol_code() == Protocol::Broadcast.code();
         if bcast {
             r.cursor
                 .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
@@ -2062,7 +2258,7 @@ impl IpcMpf {
     /// First queued message deliverable to connection `conn`.
     fn next_deliverable(&self, d: &LnvcDesc, conn: u32) -> Option<u32> {
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == Protocol::Broadcast.code();
+        let bcast = r.protocol_code() == Protocol::Broadcast.code();
         let cursor = r.cursor.load(Ordering::Acquire);
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
@@ -2290,9 +2486,16 @@ impl IpcMpf {
         }
         self.free_block_chain(m.head_block.load(Ordering::Acquire));
         m.head_block.store(NIL, Ordering::Release);
-        self.header()
-            .msg_free
+        let h = self.header();
+        h.msg_free
             .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
+        // The pool signal's gate: one load of the line the push above
+        // just wrote, zero unless a sender is waiting out an exhaustion.
+        // (A failed allocation's rollback pushes without passing here, so
+        // a waiter cannot ring itself awake in a loop.)
+        if h.pool_waiters.load(Ordering::SeqCst) != 0 {
+            self.signal_pool();
+        }
     }
 
     // -- conversation lifecycle (registry lock held) --------------------
@@ -2355,6 +2558,8 @@ impl IpcMpf {
                 d.next_seq.store(0, Ordering::Release);
                 d.poisoned.store(0, Ordering::Release);
                 d.dead_pid.store(0, Ordering::Release);
+                d.watchers.store(0, Ordering::Release);
+                d.waitq.reset_sleepers();
                 d.active.store(1, Ordering::Release);
                 let e = self.reg_entry(free_entry);
                 e.set_name(bytes);
@@ -2505,6 +2710,12 @@ impl IpcMpf {
                     t.peers_died.inc();
                 }
                 self.trace_pop(TR_SWEEP_DEAD, NIL, os_pid);
+                // A corpse that died waiting for memory would hold the
+                // pool signal's gate open for good.
+                let waits = s.mem_wait.swap(0, Ordering::SeqCst);
+                self.header()
+                    .pool_waiters
+                    .fetch_sub(waits, Ordering::SeqCst);
                 // The corpse may have died between submit and drain:
                 // its staged messages are pool allocations linked to no
                 // queue, visible only through its submission ring.  The
@@ -2557,8 +2768,10 @@ impl IpcMpf {
             }
             if let Some(conn) = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead) {
                 let r = self.recv(conn);
-                let protocol = r.protocol.load(Ordering::Acquire);
+                let protocol = r.protocol_code();
                 let cursor = r.cursor.load(Ordering::Acquire);
+                // The corpse's watches die with its connection.
+                d.watchers.fetch_sub(r.watches(), Ordering::SeqCst);
                 self.header()
                     .recv_free
                     .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
@@ -2607,7 +2820,7 @@ impl IpcMpf {
             d.lock.unlock();
             if touched && !orphaned {
                 // Unblock survivors; they will observe the poison.
-                d.waitq.notify_all();
+                self.notify_lnvc(d);
             }
         }
     }

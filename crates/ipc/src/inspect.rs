@@ -33,7 +33,7 @@ use mpf_shm::ShmRegion;
 
 use crate::facility::{offsets_for, AttachError, Offsets};
 use crate::shmem::{
-    msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RegionHeader,
+    msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
     RegistryEntry, NIL,
 };
 
@@ -53,6 +53,16 @@ pub struct ProcessInfo {
     pub heartbeat: u64,
     /// Slot reuse count.
     pub generation: u32,
+    /// Sequence of the process's doorbell (rings it has received).
+    pub doorbell: u32,
+    /// Whether a thread of the process is asleep on the doorbell — in a
+    /// multi-conversation or pool-memory wait.  Stays set on a corpse
+    /// that died there.
+    pub asleep: bool,
+    /// Conversations the process is watching (armed by those waits).
+    pub watching: u32,
+    /// Whether the process is registered as waiting for pool memory.
+    pub mem_wait: bool,
 }
 
 /// One active conversation, decoded.
@@ -204,6 +214,17 @@ impl RegionInspector {
         }
     }
 
+    fn recv(&self, i: u32) -> &RecvDesc {
+        // SAFETY: callers bound `i` by `max_recv_conns`, the slot count
+        // of the segment at `off.recvs` in the layout `attach` verified
+        // against the mapped length; `RecvDesc` is all atomics, valid
+        // for any bit pattern.
+        unsafe {
+            self.region
+                .at(self.off.recvs + i as usize * std::mem::size_of::<RecvDesc>())
+        }
+    }
+
     fn msg(&self, i: u32) -> &MsgDesc {
         unsafe {
             self.region
@@ -280,8 +301,39 @@ impl RegionInspector {
         u64::from(self.header().sweep_epoch.load(Ordering::Acquire))
     }
 
+    /// Registrations waiting for pool memory, region-wide: non-zero means
+    /// every reclaim currently fires the pool signal.
+    pub fn pool_waiters(&self) -> u32 {
+        self.header().pool_waiters.load(Ordering::Acquire)
+    }
+
+    /// Watched conversations per process slot.  Connection-list walks are
+    /// bounded by the pool capacity so a torn region cannot hang us.
+    fn watch_census(&self) -> Vec<u32> {
+        let mut watching = vec![0u32; self.cfg.max_processes as usize];
+        for idx in 0..self.cfg.max_lnvcs {
+            let d = self.lnvc(idx);
+            if d.active.load(Ordering::Acquire) != 1 {
+                continue;
+            }
+            let mut cur = d.recv_head.load(Ordering::Acquire);
+            let mut steps = 0;
+            while cur != NIL && cur < self.cfg.max_recv_conns && steps < self.cfg.max_recv_conns {
+                let r = self.recv(cur);
+                let pid = r.pid.load(Ordering::Acquire) as usize;
+                if r.watches() != 0 && pid < watching.len() {
+                    watching[pid] += 1;
+                }
+                cur = r.next.load(Ordering::Acquire);
+                steps += 1;
+            }
+        }
+        watching
+    }
+
     /// Every process slot, decoded, with an up-to-date liveness probe.
     pub fn processes(&self) -> Vec<ProcessInfo> {
+        let watching = self.watch_census();
         (0..self.cfg.max_processes)
             .map(|i| {
                 let s = self.slot(i);
@@ -300,6 +352,10 @@ impl RegionInspector {
                         && mpf_shm::futex::process_alive(os_pid),
                     heartbeat: s.heartbeat.load(Ordering::Acquire),
                     generation: s.generation.load(Ordering::Acquire),
+                    doorbell: s.doorbell.ticket(),
+                    asleep: s.doorbell.sleepers() != 0,
+                    watching: watching[i as usize],
+                    mem_wait: s.mem_wait.load(Ordering::Acquire) != 0,
                 }
             })
             .collect()

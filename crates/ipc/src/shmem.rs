@@ -104,6 +104,11 @@ impl ConfigEcho {
 /// Lock-free, so a process dying mid-allocation can never strand the
 /// list in a locked state (at worst it leaks the one slot it had just
 /// popped).
+///
+/// The head word is read and swapped `SeqCst`: a push pairs with the
+/// freer's following load of [`RegionHeader::pool_waiters`], a pop that
+/// finds the list empty with the waiter's preceding increment of it (the
+/// pool signal's store-buffering pair, DESIGN.md "wait/notify map").
 #[repr(C)]
 #[derive(Debug)]
 pub struct FreeHead {
@@ -129,7 +134,7 @@ impl FreeHead {
             match self.word.compare_exchange_weak(
                 cur,
                 Self::pack(tag.wrapping_add(1), idx),
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Acquire,
             ) {
                 Ok(_) => return,
@@ -145,7 +150,7 @@ impl FreeHead {
 
     /// Pops a slot index; `next_of` reads the link field of a slot.
     pub fn pop(&self, next_of: impl Fn(u32) -> u32) -> Option<u32> {
-        let mut cur = self.word.load(Ordering::Acquire);
+        let mut cur = self.word.load(Ordering::SeqCst);
         loop {
             let (tag, head) = ((cur >> 32) as u32, cur as u32);
             if head == NIL {
@@ -155,8 +160,8 @@ impl FreeHead {
             match self.word.compare_exchange_weak(
                 cur,
                 Self::pack(tag.wrapping_add(1), next),
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             ) {
                 Ok(_) => return Some(head),
                 Err(seen) => cur = seen,
@@ -174,7 +179,7 @@ pub mod region_state {
 }
 
 /// First bytes of the region: identification, config echo, init barrier,
-/// the registry lock, and the four pool free lists.
+/// the registry lock, the four pool free lists, and the pool signal.
 #[repr(C)]
 #[derive(Debug)]
 pub struct RegionHeader {
@@ -205,7 +210,16 @@ pub struct RegionHeader {
     pub next_stamp: AtomicU64,
     /// Liveness-sweep epoch (diagnostic; bumped per completed sweep).
     pub sweep_epoch: AtomicU32,
-    _pad: [u8; REGION_HEADER_BYTES - 124],
+    /// Registrations waiting for pool memory, region-wide (the sum of
+    /// every [`ProcessSlot::mem_wait`]).  Shares the free lists' cache
+    /// line on purpose: the reclaim that just pushed onto one of them
+    /// reads this from a line it already owns.
+    pub pool_waiters: AtomicU32,
+    /// The pool signal: bumped by a reclaim only while `pool_waiters` is
+    /// non-zero.  On its own line — waiters poll it, reclaims with nobody
+    /// waiting never touch it.
+    pub pool_seq: AtomicU32,
+    _pad: [u8; REGION_HEADER_BYTES - 132],
 }
 
 /// Process-slot state values.
@@ -218,8 +232,10 @@ pub mod slot_state {
     pub const DEAD: u32 = 2;
 }
 
-/// One per-process heartbeat slot; the slot index *is* the MPF process
-/// id.  Cache-padded so heartbeats never false-share.
+/// One per-process slot; the slot index *is* the MPF process id.  Two
+/// cache lines: the first is written by its owner on every primitive
+/// (heartbeat), the second holds the one word the owner sleeps on and
+/// its peers write, so neither side's hot state shares a line with it.
 #[repr(C)]
 #[derive(Debug)]
 pub struct ProcessSlot {
@@ -233,7 +249,16 @@ pub struct ProcessSlot {
     _pad0: u32,
     /// Bumped on every primitive the owner executes.
     pub heartbeat: AtomicU64,
-    _pad: [u8; PROCESS_SLOT_BYTES - 24],
+    _pad_line0: [u8; 64 - 24],
+    /// The word every multi-source or memory wait of this process sleeps
+    /// on.  Rung by an enqueue, poison or close on a conversation the
+    /// process watches, by a reclaim while it waits for pool memory, and
+    /// by its own reactor registrations.
+    pub doorbell: FutexSeq,
+    /// Registrations of this process in [`RegionHeader::pool_waiters`]
+    /// (per slot, so the sweep can retire a dead waiter's share).
+    pub mem_wait: AtomicU32,
+    _pad: [u8; PROCESS_SLOT_BYTES - 64 - 12],
 }
 
 impl ProcessSlot {
@@ -336,12 +361,30 @@ pub struct RecvDesc {
     pub pid: AtomicU32,
     /// Next receive descriptor on the LNVC (or free-list link).
     pub next: AtomicU32,
-    /// `Protocol::as_u32() + 1` (0 would be ambiguous with zeroed slots).
+    /// Low byte: `Protocol::code()` (1/2; 0 would be ambiguous with zeroed
+    /// slots).  Upper 24 bits: how many waits of the holder are watching
+    /// the conversation right now — the stride has no spare word.  Both
+    /// halves change only under the LNVC lock.
     pub protocol: AtomicU32,
     /// Broadcast cursor: the smallest [`MsgDesc::seq`] this receiver is
     /// owed (set to the LNVC's `next_seq` at open, per the paper's
     /// "new messages only" BROADCAST join rule).
     pub cursor: AtomicU32,
+}
+
+impl RecvDesc {
+    /// One watch, in `protocol`'s units.
+    pub const WATCH_ONE: u32 = 1 << 8;
+
+    /// The connection's `Protocol::code()`.
+    pub fn protocol_code(&self) -> u32 {
+        self.protocol.load(Ordering::Acquire) & (Self::WATCH_ONE - 1)
+    }
+
+    /// Waits of the holder currently watching the conversation.
+    pub fn watches(&self) -> u32 {
+        self.protocol.load(Ordering::Acquire) >> 8
+    }
 }
 
 /// One LNVC descriptor: the paper's per-conversation structure.
@@ -381,10 +424,13 @@ pub struct LnvcDesc {
     pub poisoned: AtomicU32,
     /// MPF pid of the peer whose death poisoned the conversation.
     pub dead_pid: AtomicU32,
-    _pad0: u32,
     /// Stamp of the most recent send (diagnostic).
     pub last_stamp: AtomicU64,
-    _pad: [u8; LNVC_DESC_BYTES - 88],
+    /// Watches armed on this conversation (the sum of its receive
+    /// connections' [`RecvDesc::watches`]).  A sender that reads zero —
+    /// one load of a line it just wrote — rings no doorbell.
+    pub watchers: AtomicU32,
+    _pad: [u8; LNVC_DESC_BYTES - 92],
 }
 
 impl LnvcDesc {

@@ -8,7 +8,7 @@
 
 use std::io::Read as _;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use mpf::{MpfConfig, MpfError, Protocol, Reclaimable};
 use mpf_ipc::{IpcMpf, RegionInspector};
@@ -456,4 +456,234 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
         "victim's trace records in {json}"
     );
     assert_eq!(json.matches('{').count(), json.matches('}').count());
+}
+
+/// Spins until some slot other than `me` satisfies `parked`; returns it.
+fn await_peer(
+    insp: &RegionInspector,
+    me: u32,
+    parked: impl Fn(&mpf_ipc::ProcessInfo) -> bool,
+) -> mpf_ipc::ProcessInfo {
+    let patience = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(p) = insp
+            .processes()
+            .into_iter()
+            .find(|p| p.pid != me && p.state == "attached" && parked(p))
+        {
+            return p;
+        }
+        assert!(Instant::now() < patience, "peer never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn unix_nanos() -> u128 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .expect("clock after 1970")
+        .as_nanos()
+}
+
+const WAKE_TRIALS: usize = 50;
+
+/// Child role for [`wait_any_is_woken_promptly_from_another_process`]:
+/// on each go-ahead (which names the parent's MPF pid), wait until the
+/// parent is asleep on its doorbell watching both members, then send the
+/// current time to the wait set's second member.
+#[test]
+#[ignore = "helper: only meaningful when spawned by a parent test"]
+fn helper_second_member_sender() {
+    let Ok(region) = std::env::var(REGION_ENV) else {
+        return;
+    };
+    let m = IpcMpf::attach(&region).expect("attach");
+    let insp = RegionInspector::attach(&region).expect("inspect");
+    let go = m.open_receive("go", Protocol::Fcfs).expect("open go");
+    let m2 = m.open_send("m2").expect("open m2");
+    let mut buf = [0u8; 8];
+    for _ in 0..WAKE_TRIALS {
+        let n = m
+            .message_receive_timeout(go, &mut buf, Duration::from_secs(30))
+            .expect("go-ahead");
+        let parent = u32::from_le_bytes(buf[..n].try_into().expect("pid"));
+        let patience = Instant::now() + Duration::from_secs(30);
+        loop {
+            let p = &insp.processes()[parent as usize];
+            if p.asleep && p.watching == 2 {
+                break;
+            }
+            assert!(Instant::now() < patience, "parent never parked");
+            std::thread::yield_now();
+        }
+        m.message_send(m2, &unix_nanos().to_le_bytes())
+            .expect("send to second member");
+    }
+}
+
+/// The doorbell across real address spaces: a `wait_any_deadline` in this
+/// process is woken by a forked process's send to its **second** member
+/// within microseconds (median of 50; the old first-member nap made it a
+/// millisecond).
+#[test]
+fn wait_any_is_woken_promptly_from_another_process() {
+    let region = unique_region("bell");
+    let m = create_region(&region);
+    let _t1 = m.open_send("m1").unwrap();
+    let r1 = m.open_receive("m1", Protocol::Fcfs).unwrap();
+    let r2 = m.open_receive("m2", Protocol::Fcfs).unwrap();
+    let go = m.open_send("go").unwrap();
+    let child = spawn_helper("helper_second_member_sender", &region);
+    let mut lags = Vec::with_capacity(WAKE_TRIALS);
+    let mut buf = [0u8; 16];
+    for _ in 0..WAKE_TRIALS {
+        m.message_send(go, &m.pid().to_le_bytes()).unwrap();
+        let ready = m
+            .wait_any_deadline(&[r1, r2], Some(Instant::now() + Duration::from_secs(30)))
+            .expect("woken by the child");
+        let woke = unix_nanos();
+        assert_eq!(ready, r2);
+        let n = m.message_receive(r2, &mut buf).unwrap();
+        let sent = u128::from_le_bytes(buf[..n].try_into().unwrap());
+        lags.push(woke.saturating_sub(sent));
+    }
+    finish(child, "second-member sender");
+    lags.sort_unstable();
+    let median = lags[WAKE_TRIALS / 2];
+    assert!(
+        median < 500_000,
+        "median cross-process wake took {median} ns"
+    );
+}
+
+/// Child role for [`mpfstat_post_mortem_shows_who_was_parked_on_what`]:
+/// park in a two-member `wait_any_deadline` nobody will ever satisfy.
+#[test]
+#[ignore = "helper: only meaningful when spawned by a parent test"]
+fn helper_doomed_watcher() {
+    let Ok(region) = std::env::var(REGION_ENV) else {
+        return;
+    };
+    let m = IpcMpf::attach(&region).expect("attach");
+    let wa = m.open_receive("wa", Protocol::Fcfs).expect("open wa");
+    let wb = m.open_receive("wb", Protocol::Fcfs).expect("open wb");
+    let _ = m.wait_any_deadline(&[wa, wb], Some(Instant::now() + Duration::from_secs(60)));
+}
+
+/// "Who is stuck on what", post-mortem: a process is SIGKILLed while
+/// asleep on its doorbell in `wait_any_deadline`.  Before any survivor
+/// sweeps, `mpfstat` shows the corpse asleep and watching two
+/// conversations; senders to those conversations keep succeeding (they
+/// ring a doorbell nobody hears); the sweep then retires the watches with
+/// the corpse's connections, conservation holds, and whoever recycles
+/// the slot starts with a doorbell nobody is counted asleep on.
+#[test]
+fn mpfstat_post_mortem_shows_who_was_parked_on_what() {
+    let region = unique_region("parked");
+    let m = create_region(&region);
+    let total = m.free_blocks();
+    let ta = m.open_send("wa").unwrap();
+    let insp = RegionInspector::attach(&region).expect("inspector attach");
+
+    let mut victim = spawn_helper("helper_doomed_watcher", &region);
+    let parked = await_peer(&insp, m.pid(), |p| p.asleep && p.watching == 2);
+    victim.kill().expect("SIGKILL victim");
+    victim.wait().expect("reap victim");
+
+    // Unswept: the slot is still ATTACHED, its owner gone, and the region
+    // remembers what it was waiting for.
+    let out = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
+        .args([region.as_str(), "--json"])
+        .output()
+        .expect("run mpfstat");
+    assert!(out.status.success(), "mpfstat failed: {out:?}");
+    let json = String::from_utf8(out.stdout).expect("utf8 json");
+    let row = format!("\"os_pid\":{},\"alive\":false", parked.os_pid);
+    assert!(json.contains(&row), "corpse row in {json}");
+    assert!(
+        json.contains("\"asleep\":true,\"watching\":2,\"mem_wait\":false"),
+        "parked watcher in {json}"
+    );
+    assert!(json.contains("\"pool_waiters\":0"), "header in {json}");
+    let text = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
+        .arg(region.as_str())
+        .output()
+        .expect("run mpfstat");
+    let text = String::from_utf8(text.stdout).expect("utf8");
+    assert!(
+        text.contains("asleep") && text.contains("watching"),
+        "{text}"
+    );
+
+    // A watched conversation whose watcher is dead still takes sends.
+    m.message_send(ta, b"into the void")
+        .expect("send to a dead watcher");
+
+    assert_eq!(m.sweep_dead_peers(), 1);
+    let swept = &insp.processes()[parked.pid as usize];
+    assert_eq!((swept.state, swept.watching), ("dead", 0), "{swept:?}");
+    m.close_send(ta).expect("close poisoned conversation");
+    assert_eq!(m.live_lnvcs(), 0, "wb was the corpse's alone: deleted");
+    assert_eq!(m.free_blocks(), total, "conservation after the sweep");
+
+    // The recycled slot: nobody counted asleep, and its doorbell works.
+    let heir = m.attach_view().expect("recycle the slot");
+    assert_eq!(heir.pid(), parked.pid);
+    assert!(!insp.processes()[heir.pid() as usize].asleep);
+    let again = heir.open_receive("again", Protocol::Fcfs).unwrap();
+    let quiet = heir.open_receive("quiet", Protocol::Fcfs).unwrap();
+    let tx = m.open_send("again").unwrap();
+    m.message_send(tx, b"hello heir").unwrap();
+    assert_eq!(
+        heir.wait_any_deadline(
+            &[quiet, again],
+            Some(Instant::now() + Duration::from_secs(30))
+        ),
+        Ok(again)
+    );
+}
+
+/// Child role for [`dead_pool_waiter_is_retired_by_the_sweep`]: exhaust
+/// the block pool, then block in `send_deadline` waiting for memory.
+#[test]
+#[ignore = "helper: only meaningful when spawned by a parent test"]
+fn helper_doomed_pool_waiter() {
+    let Ok(region) = std::env::var(REGION_ENV) else {
+        return;
+    };
+    let m = IpcMpf::attach(&region).expect("attach");
+    let tx = m.open_send("pw").expect("open pw");
+    while m.message_send(tx, &[7; 64]).is_ok() {}
+    let _ = m.send_deadline(tx, &[7; 64], Some(Instant::now() + Duration::from_secs(60)));
+}
+
+/// A process SIGKILLed while registered for the pool signal and asleep on
+/// its doorbell: reclaims keep working (they ring the dead doorbell), and
+/// the sweep retires its registration so the pool signal's gate closes
+/// again.
+#[test]
+fn dead_pool_waiter_is_retired_by_the_sweep() {
+    let region = unique_region("poolwait");
+    let m = create_region(&region);
+    let total = m.free_blocks();
+    let rx = m.open_receive("pw", Protocol::Fcfs).unwrap();
+    let insp = RegionInspector::attach(&region).expect("inspector attach");
+
+    let mut victim = spawn_helper("helper_doomed_pool_waiter", &region);
+    let parked = await_peer(&insp, m.pid(), |p| p.asleep && p.mem_wait);
+    assert_eq!(insp.pool_waiters(), 1);
+    victim.kill().expect("SIGKILL victim");
+    victim.wait().expect("reap victim");
+
+    // This reclaim fires the pool signal at a corpse.
+    let mut buf = [0u8; 64];
+    m.message_receive(rx, &mut buf)
+        .expect("receive frees a block");
+    assert_eq!(m.sweep_dead_peers(), 1);
+    let swept = &insp.processes()[parked.pid as usize];
+    assert!(!swept.mem_wait, "{swept:?}");
+    assert_eq!(insp.pool_waiters(), 0);
+    m.close_receive(rx).expect("close poisoned conversation");
+    assert_eq!(m.live_lnvcs(), 0);
+    assert_eq!(m.free_blocks(), total, "conservation after the sweep");
 }

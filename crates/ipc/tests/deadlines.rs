@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_ipc::IpcMpf;
+use mpf_ipc::{IpcMpf, RegionInspector};
 
 fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(8, 4)
@@ -188,4 +188,106 @@ fn send_batch_deadline_times_out_when_nothing_submits() {
         )
         .unwrap_err();
     assert_eq!(err, MpfError::TimedOut);
+}
+
+/// Spins until `pid`'s slot in the named region satisfies `parked` — the
+/// forced interleaving for the wake-latency tests: the peer acts only
+/// once the waiter is really asleep on its doorbell.
+fn await_parked(region: &str, pid: u32, parked: impl Fn(&mpf_ipc::ProcessInfo) -> bool) {
+    let insp = RegionInspector::attach(region).expect("inspect");
+    let patience = Instant::now() + Duration::from_secs(30);
+    while !parked(&insp.processes()[pid as usize]) {
+        assert!(Instant::now() < patience, "pid {pid} never parked");
+        std::thread::yield_now();
+    }
+}
+
+fn median(mut lags: Vec<Duration>) -> Duration {
+    lags.sort();
+    lags[lags.len() / 2]
+}
+
+/// A wait set is woken by a send to its **second** member as promptly as
+/// by one to its first: every member rings the waiter's doorbell.  (It
+/// used to nap 2 ms at a time on the first member's futex.)
+#[test]
+fn wait_any_deadline_wake_latency_on_second_member() {
+    const TRIALS: usize = 50;
+    let name = "dl-any-prompt";
+    let a = Arc::new(region(name));
+    let b = a.attach_view().unwrap();
+    let _t1 = b.open_send("m1").unwrap();
+    let r1 = a.open_receive("m1", Protocol::Fcfs).unwrap();
+    let t2 = b.open_send("m2").unwrap();
+    let r2 = a.open_receive("m2", Protocol::Fcfs).unwrap();
+    let mut lags = Vec::with_capacity(TRIALS);
+    for _ in 0..TRIALS {
+        let waiter = {
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || {
+                let ready = a
+                    .wait_any_deadline(&[r1, r2], Some(Instant::now() + Duration::from_secs(30)))
+                    .unwrap();
+                let woke = Instant::now();
+                assert_eq!(ready, r2);
+                let mut buf = [0u8; 8];
+                a.message_receive(r2, &mut buf).unwrap();
+                woke
+            })
+        };
+        await_parked(name, a.pid(), |p| p.asleep && p.watching == 2);
+        let sent = Instant::now();
+        b.message_send(t2, b"now").unwrap();
+        lags.push(waiter.join().unwrap().duration_since(sent));
+    }
+    let m = median(lags);
+    assert!(m < Duration::from_micros(500), "median wake took {m:?}");
+}
+
+/// Senders blocked on an exhausted pool are woken by the receive that
+/// frees memory — the pool signal — not by a retry timer.
+#[test]
+fn blocked_senders_return_promptly_when_a_peer_receives() {
+    const TRIALS: usize = 30;
+    let name = "dl-pool-prompt";
+    let a = Arc::new(region(name));
+    let b = a.attach_view().unwrap();
+    let tx = a.open_send("full").unwrap();
+    let rx = b.open_receive("full", Protocol::Fcfs).unwrap();
+    let mut buf = [0u8; 64];
+    for batched in [false, true] {
+        let mut lags = Vec::with_capacity(TRIALS);
+        for _ in 0..TRIALS {
+            // 8 one-block messages exhaust the 8-block pool.
+            for i in 0..8 {
+                a.message_send(tx, &[i; 64]).unwrap();
+            }
+            let sender = {
+                let a = Arc::clone(&a);
+                std::thread::spawn(move || {
+                    let deadline = Some(Instant::now() + Duration::from_secs(30));
+                    if batched {
+                        let done = a.send_batch_deadline(tx, &[&[9; 64]], deadline).unwrap();
+                        assert_eq!(done.len(), 1);
+                    } else {
+                        a.send_deadline(tx, &[9; 64], deadline).unwrap();
+                    }
+                    Instant::now()
+                })
+            };
+            await_parked(name, a.pid(), |p| p.asleep && p.mem_wait);
+            let freed = Instant::now();
+            b.message_receive(rx, &mut buf).unwrap();
+            lags.push(sender.join().unwrap().duration_since(freed));
+            for _ in 0..8 {
+                b.message_receive(rx, &mut buf).unwrap();
+            }
+        }
+        let m = median(lags);
+        assert!(
+            m < Duration::from_micros(500),
+            "batched={batched}: median unblock took {m:?}"
+        );
+    }
+    assert_eq!(RegionInspector::attach(name).unwrap().pool_waiters(), 0);
 }

@@ -39,6 +39,11 @@ pub enum SyncEvent {
     StackPush(usize),
     /// A lock-free index-stack pop.
     StackPop(usize),
+    /// A waiter counted itself as a sleeper on an in-region wait queue
+    /// and has not yet re-checked the sequence: the window the sleeper
+    /// gate's ordering argument is about (and where a kill leaves the
+    /// count high).
+    Sleeper(usize),
 }
 
 impl SyncEvent {
@@ -48,7 +53,8 @@ impl SyncEvent {
             SyncEvent::Alloc(r)
             | SyncEvent::Free(r)
             | SyncEvent::StackPush(r)
-            | SyncEvent::StackPop(r) => r,
+            | SyncEvent::StackPop(r)
+            | SyncEvent::Sleeper(r) => r,
         }
     }
 
@@ -59,6 +65,7 @@ impl SyncEvent {
             SyncEvent::Free(r) => SyncEvent::Free(canon(r)),
             SyncEvent::StackPush(r) => SyncEvent::StackPush(canon(r)),
             SyncEvent::StackPop(r) => SyncEvent::StackPop(canon(r)),
+            SyncEvent::Sleeper(r) => SyncEvent::Sleeper(canon(r)),
         }
     }
 }

@@ -95,7 +95,6 @@ pub struct AioRing {
     _pad_head: [u32; 15],
     /// The doorbell a drainer sleeps on; rung once per batch.
     doorbell: FutexSeq,
-    _pad_db: u32,
     /// Times the doorbell was rung (batches, not descriptors).
     doorbells: AtomicU64,
     /// Descriptors ever pushed (monotonic; `tail` mirrors it).
@@ -121,7 +120,6 @@ impl AioRing {
             head: AtomicU32::new(0),
             _pad_head: [0; 15],
             doorbell: FutexSeq::new(),
-            _pad_db: 0,
             doorbells: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
             dequeued: AtomicU64::new(0),

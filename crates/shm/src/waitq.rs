@@ -140,8 +140,8 @@ impl WaitQueue {
                         // handle will at worst receive a harmless unpark.
                         return true;
                     }
-                    // The timeout is a belt-and-braces bound, not the wake
-                    // mechanism; notify_all unparks promptly.
+                    // A liveness bound no wake depends on: notify_all
+                    // unparks every registered thread.
                     thread::park_timeout(nap(Duration::from_millis(2)).unwrap());
                 }
             }
@@ -243,7 +243,10 @@ impl WaitQueue {
                     backoff.snooze();
                 }
             }
-            WaitStrategy::Park => {
+            // A futex sleeps on one address, so a multi-queue wait parks
+            // instead, whatever the strategy: heap queues keep a parked
+            // list and every `notify_all` drains it.
+            WaitStrategy::Park | WaitStrategy::Futex => {
                 loop {
                     if moved() {
                         return true;
@@ -263,22 +266,8 @@ impl WaitQueue {
                     if moved() {
                         return true;
                     }
+                    // A liveness bound no wake depends on.
                     thread::park_timeout(nap(Duration::from_millis(2)));
-                }
-            }
-            WaitStrategy::Futex => {
-                // A futex word can only sleep on one address; sleep on the
-                // first queue with a short bound so notifications on the
-                // others are observed within the timeout.  Queue-0 wakes
-                // are immediate, like the single-queue path.
-                let (q0, t0) = entries[0];
-                while !moved() {
-                    if expired() {
-                        return false;
-                    }
-                    q0.futex_waiters.fetch_add(1, Ordering::SeqCst);
-                    futex::futex_wait(&q0.seq, t0, Some(nap(Duration::from_millis(2))));
-                    q0.futex_waiters.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
@@ -287,21 +276,47 @@ impl WaitQueue {
 }
 
 /// The in-region counterpart of [`WaitQueue`]: the same sequence-count
-/// protocol, reduced to a single shared `u32` that waiters futex-sleep
-/// on.  `#[repr(C)]`, position-independent, valid for any bit pattern —
-/// safe to place at a fixed offset inside a mapped region and use from
-/// any number of processes.
+/// protocol, reduced to a shared sequence word that waiters futex-sleep
+/// on plus a count of the threads asleep on it.  `#[repr(C)]`,
+/// position-independent, valid for any bit pattern — safe to place at a
+/// fixed offset inside a mapped region and use from any number of
+/// processes.
+///
+/// # The sleeper gate
+///
+/// `notify_all` enters the kernel only when `sleepers` is non-zero.  The
+/// two sides form a store-buffering pair, all `SeqCst`:
+///
+/// ```text
+/// waiter:   sleepers += 1 ; compare seq   (FUTEX_WAIT's own, in-kernel)
+/// notifier: seq += 1      ; load sleepers (wake if non-zero)
+/// ```
+///
+/// In the single total order of those four operations either the
+/// waiter's increment precedes the notifier's load (the notifier wakes)
+/// or the notifier's bump precedes the compare (`FUTEX_WAIT` refuses to
+/// sleep).
+///
+/// SAFETY (liveness, not memory): a sleeper killed inside the wait never
+/// decrements, which leaves the count high and only degrades this word
+/// to waking on every notify.  Owners of a recycled word call
+/// [`FutexSeq::reset_sleepers`]; a straggler that decrements after such a
+/// reset can at worst hide one later sleeper from one notify, and every
+/// in-region wait is bounded (the dead-peer sweep cadence), so that costs
+/// one bound, never a hang.
 #[derive(Debug, Default)]
 #[repr(C)]
 pub struct FutexSeq {
     seq: AtomicU32,
+    sleepers: AtomicU32,
 }
 
 impl FutexSeq {
-    /// New queue with sequence 0.
+    /// New queue with sequence 0 and nobody asleep.
     pub const fn new() -> Self {
         Self {
             seq: AtomicU32::new(0),
+            sleepers: AtomicU32::new(0),
         }
     }
 
@@ -310,6 +325,18 @@ impl FutexSeq {
     #[inline]
     pub fn ticket(&self) -> u32 {
         self.seq.load(Ordering::Acquire)
+    }
+
+    /// Threads currently inside [`FutexSeq::wait`] (diagnostic; see the
+    /// type docs for why it can read high after a kill).
+    pub fn sleepers(&self) -> u32 {
+        self.sleepers.load(Ordering::Relaxed)
+    }
+
+    /// Forgets sleepers a dead predecessor left behind.  For the owner of
+    /// a word being recycled (LNVC activation, process-slot claim).
+    pub fn reset_sleepers(&self) {
+        self.sleepers.store(0, Ordering::SeqCst);
     }
 
     /// Blocks until the sequence moves past `ticket`, the timeout
@@ -321,34 +348,45 @@ impl FutexSeq {
         if self.seq.load(Ordering::Acquire) != ticket {
             return true;
         }
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        crate::hooks::yield_point(crate::hooks::SyncEvent::Sleeper(
+            self as *const Self as usize,
+        ));
         // A hooked wait blocks until the sequence moves (the harness runs
         // every peer in-process, so timeout-driven dead-peer sweeps are
-        // moot there).
-        if crate::hooks::wait(self as *const Self as usize, &mut || {
-            self.seq.load(Ordering::Acquire) != ticket
-        }) {
-            return true;
+        // moot there).  Its ready-check stands in for the futex compare.
+        let hooked = crate::hooks::wait(self as *const Self as usize, &mut || {
+            self.seq.load(Ordering::SeqCst) != ticket
+        });
+        if !hooked {
+            futex::futex_wait(&self.seq, ticket, timeout);
         }
-        futex::futex_wait(&self.seq, ticket, timeout);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
         self.seq.load(Ordering::Acquire) != ticket
     }
 
     /// Bumps the sequence and wakes every sleeping waiter, in every
-    /// attached process.
+    /// attached process.  With nobody asleep this is two atomics and no
+    /// syscall.
     pub fn notify_all(&self) {
-        self.seq.fetch_add(1, Ordering::Release);
+        self.seq.fetch_add(1, Ordering::SeqCst);
         // See `WaitQueue::notify_all`: a dropped wake is recovered by
         // the bounded futex naps every in-region waiter already uses.
-        if !crate::faultplane::inject(crate::faultplane::FaultSite::NotifyDrop) {
-            futex::futex_wake_all(&self.seq);
+        let dropped = crate::faultplane::inject(crate::faultplane::FaultSite::NotifyDrop);
+        if self.sleepers.load(Ordering::SeqCst) != 0 {
+            if !dropped {
+                futex::futex_wake_all(&self.seq);
+            }
+            // Gated like the syscall, so a schedule explorer that parks
+            // hooked waiters sees a broken gate as a lost wake.
+            crate::hooks::notify(self as *const Self as usize);
         }
-        crate::hooks::notify(self as *const Self as usize);
     }
 }
 
 // Compile-time layout contract: `FutexSeq` sits inside in-region structs
 // whose byte layout is fixed by `mpf-core`'s layout module.
-const _: () = assert!(std::mem::size_of::<FutexSeq>() == 4);
+const _: () = assert!(std::mem::size_of::<FutexSeq>() == 8);
 const _: () = assert!(std::mem::align_of::<FutexSeq>() == 4);
 
 #[cfg(test)]
@@ -419,6 +457,31 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(hits.load(Ordering::SeqCst), 4);
+    }
+
+    /// The sleeper gate: a waiter is counted while (and only while) it is
+    /// inside `wait`, so `notify_all` knows whether a wake is needed.
+    #[test]
+    fn futex_seq_counts_its_sleepers() {
+        let q = Arc::new(FutexSeq::new());
+        assert_eq!(q.sleepers(), 0);
+        let waiter = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let t = q.ticket();
+                while !q.wait(t, Some(Duration::from_secs(5))) {}
+            })
+        };
+        while q.sleepers() == 0 {
+            thread::yield_now();
+        }
+        q.notify_all();
+        waiter.join().unwrap();
+        assert_eq!(q.sleepers(), 0);
+        // A count a dead sleeper left behind is forgotten on recycling.
+        q.sleepers.store(3, Ordering::SeqCst);
+        q.reset_sleepers();
+        assert_eq!(q.sleepers(), 0);
     }
 
     #[test]
