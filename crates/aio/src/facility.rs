@@ -1,11 +1,11 @@
-//! Async wrappers over the two MPF backends.
+//! The async wrapper over an engine view.
 //!
-//! [`AsyncMpf`] wraps the in-process facility (`mpf::Mpf`), [`AsyncIpc`]
-//! the multi-process one (`mpf_ipc::IpcMpf`).  Both hand out the same
-//! three futures — [`RecvFuture`], [`SendFuture`], [`SelectAny`] — and
-//! own one [`Reactor`] thread that multiplexes every pending future in
-//! one notified wait (see the reactor module for the lost-wakeup-free
-//! ticket protocol).
+//! [`AsyncIpc`] wraps one `IpcMpf` — a process's handle on a named region,
+//! or one logical process's view of an `mpf::Mpf` ([`AsyncMpf::new`]) —
+//! and hands out three futures, [`RecvFuture`], [`SendFuture`] and
+//! [`SelectAny`].  It owns one [`Reactor`] thread that multiplexes every
+//! pending future in one notified wait (see the reactor module for the
+//! lost-wakeup-free ticket protocol).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -14,106 +14,9 @@ use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mpf::{LnvcId, Mpf, MpfError, ProcessId, Protocol, Result};
-use mpf_ipc::{IpcLnvcId, IpcMpf};
-use mpf_shm::waitq::WaitQueue;
+use mpf::{IpcLnvcId, IpcMpf, Mpf, MpfError, ProcessId, Protocol, Result};
 
-use crate::reactor::{Backend, Interest, Reactor};
-
-// ----------------------------------------------------------------------
-// Backends
-// ----------------------------------------------------------------------
-
-/// In-process (thread) backend: signals are heap wait queues, so the
-/// reactor's wait is a single `wait_many` over every registered
-/// conversation plus the memory queue plus its own wake channel.
-pub struct ThreadBackend {
-    mpf: Arc<Mpf>,
-    pid: ProcessId,
-}
-
-impl Backend for ThreadBackend {
-    type Id = LnvcId;
-
-    fn try_recv(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
-        self.mpf.try_message_receive_vec(self.pid, id)
-    }
-
-    fn try_send(&self, id: LnvcId, payload: &[u8]) -> Result<bool> {
-        self.mpf.try_message_send(self.pid, id, payload)
-    }
-
-    fn recv_ticket(&self, id: LnvcId) -> Result<u32> {
-        self.mpf.recv_signal_ticket(id)
-    }
-
-    fn mem_ticket(&self) -> u32 {
-        self.mpf.mem_signal_ticket()
-    }
-
-    fn wait(
-        &self,
-        recv: &[(LnvcId, u32)],
-        mem: Option<u32>,
-        wake: (&WaitQueue, u32),
-        until: Option<Instant>,
-    ) {
-        self.mpf.wait_signals_deadline(recv, mem, Some(wake), until);
-    }
-}
-
-/// Multi-process backend: every signal the reactor waits for arrives on
-/// one in-region word, this process's doorbell.  `IpcMpf::wait_signals`
-/// watches the registered conversations, so an enqueue or poison on any
-/// of them rings it; a reclaim rings it while a send future is registered
-/// for the pool signal; the reactor's own wake queue is followed by a
-/// [`Backend::kick`].  The only timer is the dead-peer sweep cadence.
-pub struct IpcBackend {
-    ipc: Arc<IpcMpf>,
-}
-
-impl Backend for IpcBackend {
-    type Id = IpcLnvcId;
-
-    fn try_recv(&self, id: IpcLnvcId) -> Result<Option<Vec<u8>>> {
-        self.ipc.try_message_receive_vec(id)
-    }
-
-    fn try_send(&self, id: IpcLnvcId, payload: &[u8]) -> Result<bool> {
-        self.ipc.try_message_send(id, payload)
-    }
-
-    fn recv_ticket(&self, id: IpcLnvcId) -> Result<u32> {
-        self.ipc.recv_signal_ticket(id)
-    }
-
-    fn mem_ticket(&self) -> u32 {
-        self.ipc.mem_signal_ticket()
-    }
-
-    fn mem_wait(&self, begin: bool) {
-        if begin {
-            self.ipc.pool_wait_begin();
-        } else {
-            self.ipc.pool_wait_end();
-        }
-    }
-
-    fn wait(
-        &self,
-        recv: &[(IpcLnvcId, u32)],
-        mem: Option<u32>,
-        wake: (&WaitQueue, u32),
-        until: Option<Instant>,
-    ) {
-        self.ipc
-            .wait_signals(recv, mem, &|| wake.0.ticket() != wake.1, until);
-    }
-
-    fn kick(&self) {
-        self.ipc.ring_doorbell();
-    }
-}
+use crate::reactor::{Interest, Reactor};
 
 // ----------------------------------------------------------------------
 // Reactor lifetime
@@ -121,22 +24,12 @@ impl Backend for IpcBackend {
 
 /// Owns the reactor thread; dropping the last clone of a facility stops
 /// and joins it.
-struct Driver<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+struct Driver {
+    reactor: Arc<Reactor>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl<B: Backend> Driver<B> {
-    fn start(backend: Arc<B>) -> Self {
-        let (reactor, thread) = Reactor::start(backend);
-        Driver {
-            reactor,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl<B: Backend> Drop for Driver<B> {
+impl Drop for Driver {
     fn drop(&mut self) {
         self.reactor.stop();
         if let Some(h) = self.thread.take() {
@@ -150,25 +43,25 @@ impl<B: Backend> Drop for Driver<B> {
 // ----------------------------------------------------------------------
 
 /// Resolves to the next message on one conversation.
-pub struct RecvFuture<B: Backend> {
-    interest: Interest<B>,
-    id: B::Id,
+pub struct RecvFuture {
+    interest: Interest,
+    id: IpcLnvcId,
 }
 
-impl<B: Backend> Future for RecvFuture<B> {
+impl Future for RecvFuture {
     type Output = Result<Vec<u8>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         this.interest.retire();
-        let backend = &this.interest.reactor.backend;
+        let ipc = &this.interest.reactor.ipc;
         // Ticket before the try: traffic landing in between has already
         // moved the sequence, so the reactor fires us on its next scan.
-        let ticket = match backend.recv_ticket(this.id) {
+        let ticket = match ipc.recv_signal_ticket(this.id) {
             Ok(t) => t,
             Err(e) => return Poll::Ready(Err(e)),
         };
-        match backend.try_recv(this.id) {
+        match ipc.try_message_receive_vec(this.id) {
             Ok(Some(msg)) => Poll::Ready(Ok(msg)),
             Ok(None) => {
                 this.interest.recv(&[(this.id, ticket)], cx.waker());
@@ -182,30 +75,31 @@ impl<B: Backend> Future for RecvFuture<B> {
 /// Resolves when the owned payload has been enqueued on the
 /// conversation; pends (with flow control) while the region's message
 /// or block pool is exhausted.
-pub struct SendFuture<B: Backend> {
-    interest: Interest<B>,
-    id: B::Id,
+pub struct SendFuture {
+    interest: Interest,
+    id: IpcLnvcId,
     payload: Vec<u8>,
-    /// Whether this future holds a [`Backend::mem_wait`] registration.
+    /// Whether this future is registered for the pool signal
+    /// (`IpcMpf::pool_wait_begin`), which fires only while somebody is.
     mem_waiting: bool,
 }
 
-impl<B: Backend> Future for SendFuture<B> {
+impl Future for SendFuture {
     type Output = Result<()>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         this.interest.retire();
-        let backend = &this.interest.reactor.backend;
+        let ipc = &this.interest.reactor.ipc;
         loop {
-            let ticket = backend.mem_ticket();
-            match backend.try_send(this.id, &this.payload) {
+            let ticket = ipc.mem_signal_ticket();
+            match ipc.try_message_send(this.id, &this.payload) {
                 Ok(false) if !this.mem_waiting => {
                     // First exhaustion: register for the memory signal,
                     // then go round again — capacity freed before the
                     // registration is found by the retry, capacity freed
                     // after it moves the ticket taken on the way in.
-                    backend.mem_wait(true);
+                    ipc.pool_wait_begin();
                     this.mem_waiting = true;
                 }
                 Ok(false) => {
@@ -219,10 +113,10 @@ impl<B: Backend> Future for SendFuture<B> {
     }
 }
 
-impl<B: Backend> Drop for SendFuture<B> {
+impl Drop for SendFuture {
     fn drop(&mut self) {
         if self.mem_waiting {
-            self.interest.reactor.backend.mem_wait(false);
+            self.interest.reactor.ipc.pool_wait_end();
         }
     }
 }
@@ -236,13 +130,13 @@ impl<B: Backend> Drop for SendFuture<B> {
 ///
 /// The inner future is polled *before* the clock check, so a completion
 /// racing the deadline resolves, not times out.
-pub struct Deadline<B: Backend, F> {
-    interest: Interest<B>,
+pub struct Deadline<F> {
+    interest: Interest,
     inner: F,
     at: Instant,
 }
 
-impl<B: Backend, T, F> Future for Deadline<B, F>
+impl<T, F> Future for Deadline<F>
 where
     F: Future<Output = Result<T>> + Unpin,
 {
@@ -266,10 +160,10 @@ where
 
 macro_rules! deadline_combinator {
     ($future:ident) => {
-        impl<B: Backend> $future<B> {
+        impl $future {
             /// Bounds this future by a wall-clock deadline
             /// ([`MpfError::TimedOut`] once it passes).
-            pub fn deadline(self, at: Instant) -> Deadline<B, Self> {
+            pub fn deadline(self, at: Instant) -> Deadline<Self> {
                 Deadline {
                     interest: Interest::new(Arc::clone(&self.interest.reactor)),
                     inner: self,
@@ -278,7 +172,7 @@ macro_rules! deadline_combinator {
             }
 
             /// [`deadline`](Self::deadline) with a relative timeout.
-            pub fn timeout(self, after: Duration) -> Deadline<B, Self> {
+            pub fn timeout(self, after: Duration) -> Deadline<Self> {
                 self.deadline(Instant::now() + after)
             }
         }
@@ -291,29 +185,29 @@ deadline_combinator!(SelectAny);
 
 /// Resolves to `(conversation, message)` for whichever registered
 /// conversation delivers first.
-pub struct SelectAny<B: Backend> {
-    interest: Interest<B>,
-    ids: Vec<B::Id>,
+pub struct SelectAny {
+    interest: Interest,
+    ids: Vec<IpcLnvcId>,
 }
 
-impl<B: Backend> Future for SelectAny<B> {
-    type Output = Result<(B::Id, Vec<u8>)>;
+impl Future for SelectAny {
+    type Output = Result<(IpcLnvcId, Vec<u8>)>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         this.interest.retire();
-        let backend = &this.interest.reactor.backend;
+        let ipc = &this.interest.reactor.ipc;
         // All tickets first, then all tries: a message arriving at any
         // conversation after its ticket was sampled re-wakes us.
         let mut signals = Vec::with_capacity(this.ids.len());
         for &id in &this.ids {
-            match backend.recv_ticket(id) {
+            match ipc.recv_signal_ticket(id) {
                 Ok(t) => signals.push((id, t)),
                 Err(e) => return Poll::Ready(Err(e)),
             }
         }
         for &id in &this.ids {
-            match backend.try_recv(id) {
+            match ipc.try_message_receive_vec(id) {
                 Ok(Some(msg)) => return Poll::Ready(Ok((id, msg))),
                 Ok(None) => {}
                 Err(e) => return Poll::Ready(Err(e)),
@@ -325,111 +219,26 @@ impl<B: Backend> Future for SelectAny<B> {
 }
 
 // ----------------------------------------------------------------------
-// Public facades
+// Public facade
 // ----------------------------------------------------------------------
 
-macro_rules! future_ctors {
-    ($backend:ty, $id:ty) => {
-        /// Receives the next message on `id`.
-        pub fn recv(&self, id: $id) -> RecvFuture<$backend> {
-            RecvFuture {
-                interest: Interest::new(Arc::clone(&self.driver.reactor)),
-                id,
-            }
-        }
-
-        /// Sends `payload` on `id`, pending while the region is full.
-        pub fn send(&self, id: $id, payload: Vec<u8>) -> SendFuture<$backend> {
-            SendFuture {
-                interest: Interest::new(Arc::clone(&self.driver.reactor)),
-                id,
-                payload,
-                mem_waiting: false,
-            }
-        }
-
-        /// Receives from whichever of `ids` delivers first.
-        pub fn select_any(&self, ids: &[$id]) -> SelectAny<$backend> {
-            assert!(
-                !ids.is_empty(),
-                "select_any needs at least one conversation"
-            );
-            SelectAny {
-                interest: Interest::new(Arc::clone(&self.driver.reactor)),
-                ids: ids.to_vec(),
-            }
-        }
-    };
-}
-
-/// Async facade over the in-process facility, bound to one logical
-/// process.  Clones share the reactor thread.
-#[derive(Clone)]
-pub struct AsyncMpf {
-    mpf: Arc<Mpf>,
-    pid: ProcessId,
-    driver: Arc<Driver<ThreadBackend>>,
-}
-
-impl AsyncMpf {
-    /// Wraps `mpf` for logical process `pid`, starting the reactor.
-    pub fn new(mpf: Arc<Mpf>, pid: ProcessId) -> Self {
-        let backend = Arc::new(ThreadBackend {
-            mpf: Arc::clone(&mpf),
-            pid,
-        });
-        AsyncMpf {
-            mpf,
-            pid,
-            driver: Arc::new(Driver::start(backend)),
-        }
-    }
-
-    /// The wrapped facility, for the sync primitives.
-    pub fn facility(&self) -> &Arc<Mpf> {
-        &self.mpf
-    }
-
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    pub fn open_send(&self, name: &str) -> Result<LnvcId> {
-        self.mpf.open_send(self.pid, name)
-    }
-
-    pub fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
-        self.mpf.open_receive(self.pid, name, protocol)
-    }
-
-    pub fn close_send(&self, id: LnvcId) -> Result<()> {
-        self.mpf.close_send(self.pid, id)
-    }
-
-    pub fn close_receive(&self, id: LnvcId) -> Result<()> {
-        self.mpf.close_receive(self.pid, id)
-    }
-
-    future_ctors!(ThreadBackend, LnvcId);
-}
-
-/// Async facade over the multi-process facility.  Clones share the
-/// reactor thread.
+/// Async facade over one engine view.  Clones share the reactor thread.
 #[derive(Clone)]
 pub struct AsyncIpc {
     ipc: Arc<IpcMpf>,
-    driver: Arc<Driver<IpcBackend>>,
+    driver: Arc<Driver>,
 }
 
 impl AsyncIpc {
-    /// Wraps an attached region view, starting the reactor.
+    /// Wraps a region view, starting the reactor.
     pub fn new(ipc: Arc<IpcMpf>) -> Self {
-        let backend = Arc::new(IpcBackend {
-            ipc: Arc::clone(&ipc),
-        });
+        let (reactor, thread) = Reactor::start(Arc::clone(&ipc));
         AsyncIpc {
             ipc,
-            driver: Arc::new(Driver::start(backend)),
+            driver: Arc::new(Driver {
+                reactor,
+                thread: Some(thread),
+            }),
         }
     }
 
@@ -454,7 +263,53 @@ impl AsyncIpc {
         self.ipc.close_receive(id)
     }
 
-    future_ctors!(IpcBackend, IpcLnvcId);
+    /// Receives the next message on `id`.
+    pub fn recv(&self, id: IpcLnvcId) -> RecvFuture {
+        RecvFuture {
+            interest: Interest::new(Arc::clone(&self.driver.reactor)),
+            id,
+        }
+    }
+
+    /// Sends `payload` on `id`, pending while the region is full.
+    pub fn send(&self, id: IpcLnvcId, payload: Vec<u8>) -> SendFuture {
+        SendFuture {
+            interest: Interest::new(Arc::clone(&self.driver.reactor)),
+            id,
+            payload,
+            mem_waiting: false,
+        }
+    }
+
+    /// Receives from whichever of `ids` delivers first.
+    pub fn select_any(&self, ids: &[IpcLnvcId]) -> SelectAny {
+        assert!(
+            !ids.is_empty(),
+            "select_any needs at least one conversation"
+        );
+        SelectAny {
+            interest: Interest::new(Arc::clone(&self.driver.reactor)),
+            ids: ids.to_vec(),
+        }
+    }
+}
+
+/// The in-process spelling of [`AsyncIpc::new`]: a logical process of an
+/// [`Mpf`] *is* an engine view, so its async facade is an [`AsyncIpc`].
+pub struct AsyncMpf;
+
+impl AsyncMpf {
+    /// [`AsyncIpc`] over `mpf`'s view of logical process `pid`.
+    ///
+    /// # Panics
+    /// If `pid` is not one of `mpf`'s `max_processes` processes.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(mpf: Arc<Mpf>, pid: ProcessId) -> AsyncIpc {
+        let view = mpf
+            .view(pid)
+            .expect("pid within the facility's max_processes");
+        AsyncIpc::new(Arc::clone(view))
+    }
 }
 
 #[cfg(test)]
@@ -470,8 +325,7 @@ mod tests {
     #[test]
     fn completed_futures_leave_no_registrations_behind() {
         let m = Arc::new(Mpf::init(MpfConfig::new(8, 4)).unwrap());
-        let pid = ProcessId::from_index(0);
-        let a = AsyncMpf::new(Arc::clone(&m), pid);
+        let a = AsyncMpf::new(m, ProcessId::from_index(0));
         let tx = a.open_send("busy").unwrap();
         let busy = a.open_receive("busy", Protocol::Fcfs).unwrap();
         let quiet = a.open_receive("quiet", Protocol::Fcfs).unwrap();
@@ -485,7 +339,7 @@ mod tests {
             }));
             let (recv, _, timers) = a.driver.reactor.registrations();
             assert_eq!((recv, timers), (2, 1), "round {round}: one future pending");
-            m.message_send(pid, tx, &round.to_le_bytes()).unwrap();
+            a.facility().message_send(tx, &round.to_le_bytes()).unwrap();
             let (id, msg) = block_on(fut).unwrap();
             assert_eq!((id, msg), (busy, round.to_le_bytes().to_vec()));
         }

@@ -4,9 +4,10 @@
 //! wants to `await` them.  This crate adds that surface without touching
 //! the facilities' internals and without any external dependency:
 //!
-//! * [`AsyncMpf`] / [`AsyncIpc`] wrap the thread and multi-process
-//!   backends with [`AsyncMpf::recv`], [`AsyncMpf::send`], and
-//!   [`AsyncMpf::select_any`] futures;
+//! * [`AsyncIpc`] wraps an engine view — a process's `IpcMpf`, or one
+//!   logical process of an `mpf::Mpf` ([`AsyncMpf::new`]) — with
+//!   [`AsyncIpc::recv`], [`AsyncIpc::send`], and [`AsyncIpc::select_any`]
+//!   futures;
 //! * each facade owns one **reactor** thread whose single waiter
 //!   multiplexes every registered conversation over the existing
 //!   futex/waitq layer — futures take a signal ticket *before* their
@@ -42,7 +43,4 @@ pub mod facility;
 pub mod reactor;
 
 pub use exec::{block_on, block_on_deadline, block_on_timeout, Executor, JoinHandle};
-pub use facility::{
-    AsyncIpc, AsyncMpf, Deadline, IpcBackend, RecvFuture, SelectAny, SendFuture, ThreadBackend,
-};
-pub use reactor::Backend;
+pub use facility::{AsyncIpc, AsyncMpf, Deadline, RecvFuture, SelectAny, SendFuture};

@@ -1,8 +1,9 @@
 //! The reactor: one thread per async facility whose single waiter
 //! multiplexes every registered interest in one notified wait
-//! ([`Backend::wait`]: parked on every queue on the thread backend,
-//! asleep on the process doorbell on ipc).  The loop is the same for
-//! both.
+//! (`IpcMpf::wait_signals`, asleep on the process doorbell: it watches
+//! the registered conversations, so an enqueue or poison on any of them
+//! rings it; a reclaim rings it while a send future is registered for the
+//! pool signal; the only timer is the dead-peer sweep cadence).
 //!
 //! ## Lost-wakeup-free protocol
 //!
@@ -12,10 +13,10 @@
 //! and the registration has already moved the sequence past the stored
 //! ticket, so the reactor's next scan fires the waker immediately
 //! instead of sleeping on it.  Registration bumps the reactor's own wake
-//! queue (and [`Backend::kick`]s a backend that sleeps elsewhere), and
-//! the reactor samples that queue's ticket before each scan — the same
-//! protocol one level up — so a registration landing mid-scan cuts the
-//! following wait short.
+//! queue and rings the doorbell the reactor sleeps on, and the reactor
+//! samples that queue's ticket before each scan — the same protocol one
+//! level up — so a registration landing mid-scan cuts the following wait
+//! short.
 //!
 //! Wakes are allowed to be spurious (futures re-poll and re-register);
 //! they are never allowed to be lost.
@@ -30,83 +31,44 @@
 //! reactor to scan forever.  Retiring before re-filing loses no wake:
 //! the poll doing it takes fresh tickets before it tries again.
 
-use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mpf::Result;
+use mpf::{IpcLnvcId, IpcMpf};
 use mpf_shm::waitq::WaitQueue;
-
-/// What the reactor needs from a facility.  Implemented for the thread
-/// backend (`mpf::Mpf`) and the multi-process backend
-/// (`mpf_ipc::IpcMpf`).
-pub trait Backend: Send + Sync + 'static {
-    /// Conversation handle (`LnvcId` or `IpcLnvcId`).
-    type Id: Copy + PartialEq + Send + Sync + Unpin + Debug + 'static;
-
-    /// Non-blocking receive; `Ok(None)` when nothing is deliverable.
-    fn try_recv(&self, id: Self::Id) -> Result<Option<Vec<u8>>>;
-    /// Non-blocking send; `Ok(false)` when the region is exhausted and
-    /// the caller should retry after capacity frees.
-    fn try_send(&self, id: Self::Id, payload: &[u8]) -> Result<bool>;
-    /// Current sequence of `id`'s receive signal.
-    fn recv_ticket(&self, id: Self::Id) -> Result<u32>;
-    /// Current sequence of the sender flow-control (memory) signal.
-    fn mem_ticket(&self) -> u32;
-    /// Brackets the time a send future spends pending on exhaustion, for
-    /// a backend whose memory signal fires only while somebody is
-    /// registered for it.  Strictly paired.
-    fn mem_wait(&self, _begin: bool) {}
-    /// Blocks until any of the signals may have fired: a listed receive
-    /// queue moves past its ticket, the memory signal moves past `mem`,
-    /// or the reactor's `wake` queue moves past its ticket.  Bounded
-    /// waits (returning early with nothing fired) are fine.  `until` is
-    /// the earliest registered timer deadline: the wait must return by
-    /// then (give or take scheduler latency) so the reactor can fire it.
-    fn wait(
-        &self,
-        recv: &[(Self::Id, u32)],
-        mem: Option<u32>,
-        wake: (&WaitQueue, u32),
-        until: Option<Instant>,
-    );
-    /// Called after every bump of the reactor's `wake` queue, for a
-    /// backend whose [`Backend::wait`] sleeps on a word of its own and
-    /// only reads `wake` as a predicate.
-    fn kick(&self) {}
-}
 
 /// Registrations, each tagged with the key of the [`Interest`] that
 /// filed it.
-struct State<Id> {
-    recv: Vec<(u64, Id, u32, Waker)>,
+struct State {
+    recv: Vec<(u64, IpcLnvcId, u32, Waker)>,
     send: Vec<(u64, u32, Waker)>,
     /// Deadline registrations from `Deadline`-wrapped futures: fired (and
     /// dropped) once `Instant::now()` passes the stored instant.
     timers: Vec<(u64, Instant, Waker)>,
 }
 
-pub(crate) struct Reactor<B: Backend> {
-    pub(crate) backend: Arc<B>,
-    state: Mutex<State<B::Id>>,
+pub(crate) struct Reactor {
+    /// The view whose doorbell the reactor sleeps on.
+    pub(crate) ipc: Arc<IpcMpf>,
+    state: Mutex<State>,
     wake: WaitQueue,
     shutdown: AtomicBool,
     next_key: AtomicU64,
 }
 
 /// One future's claim on its reactor (see the module docs).
-pub(crate) struct Interest<B: Backend> {
-    pub(crate) reactor: Arc<Reactor<B>>,
+pub(crate) struct Interest {
+    pub(crate) reactor: Arc<Reactor>,
     key: u64,
     /// Whether anything may still be filed under `key`.
     filed: bool,
 }
 
-impl<B: Backend> Interest<B> {
-    pub(crate) fn new(reactor: Arc<Reactor<B>>) -> Self {
+impl Interest {
+    pub(crate) fn new(reactor: Arc<Reactor>) -> Self {
         let key = reactor.next_key.fetch_add(1, Ordering::Relaxed);
         Interest {
             reactor,
@@ -117,7 +79,7 @@ impl<B: Backend> Interest<B> {
 
     /// Files interest in each listed receive signal moving past its
     /// ticket.
-    pub(crate) fn recv(&mut self, signals: &[(B::Id, u32)], waker: &Waker) {
+    pub(crate) fn recv(&mut self, signals: &[(IpcLnvcId, u32)], waker: &Waker) {
         let key = self.key;
         self.file(|st| {
             st.recv
@@ -141,13 +103,13 @@ impl<B: Backend> Interest<B> {
     }
 
     /// Applies one registration and makes the reactor rescan.
-    fn file(&mut self, add: impl FnOnce(&mut State<B::Id>)) {
+    fn file(&mut self, add: impl FnOnce(&mut State)) {
         self.filed = true;
         let mut st = self.reactor.state.lock().unwrap_or_else(|e| e.into_inner());
         add(&mut st);
         drop(st);
         self.reactor.wake.notify_all();
-        self.reactor.backend.kick();
+        self.reactor.ipc.ring_doorbell();
     }
 
     /// Withdraws everything filed under this interest.
@@ -162,16 +124,16 @@ impl<B: Backend> Interest<B> {
     }
 }
 
-impl<B: Backend> Drop for Interest<B> {
+impl Drop for Interest {
     fn drop(&mut self) {
         self.retire();
     }
 }
 
-impl<B: Backend> Reactor<B> {
-    pub(crate) fn start(backend: Arc<B>) -> (Arc<Self>, JoinHandle<()>) {
+impl Reactor {
+    pub(crate) fn start(ipc: Arc<IpcMpf>) -> (Arc<Self>, JoinHandle<()>) {
         let reactor = Arc::new(Reactor {
-            backend,
+            ipc,
             state: Mutex::new(State {
                 recv: Vec::new(),
                 send: Vec::new(),
@@ -199,7 +161,7 @@ impl<B: Backend> Reactor<B> {
     pub(crate) fn stop(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.wake.notify_all();
-        self.backend.kick();
+        self.ipc.ring_doorbell();
     }
 
     fn run(&self) {
@@ -211,7 +173,7 @@ impl<B: Backend> Reactor<B> {
             let (recv_wait, mem_wait, next_timer) = {
                 let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
                 st.recv.retain(|(_, id, ticket, waker)| {
-                    match self.backend.recv_ticket(*id) {
+                    match self.ipc.recv_signal_ticket(*id) {
                         Ok(cur) if cur == *ticket => true,
                         // Moved — or the conversation is gone, in which
                         // case the future surfaces the error on re-poll.
@@ -221,7 +183,7 @@ impl<B: Backend> Reactor<B> {
                         }
                     }
                 });
-                let mem_now = self.backend.mem_ticket();
+                let mem_now = self.ipc.mem_signal_ticket();
                 st.send.retain(|(_, ticket, waker)| {
                     if mem_now == *ticket {
                         true
@@ -257,8 +219,12 @@ impl<B: Backend> Reactor<B> {
             if woke_any {
                 continue;
             }
-            self.backend
-                .wait(&recv_wait, mem_wait, (&self.wake, wake_ticket), next_timer);
+            self.ipc.wait_signals(
+                &recv_wait,
+                mem_wait,
+                &|| self.wake.ticket() != wake_ticket,
+                next_timer,
+            );
         }
     }
 }

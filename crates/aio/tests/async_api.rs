@@ -10,9 +10,9 @@ use std::task::{Context, Poll};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use mpf::IpcMpf;
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_aio::{block_on, AsyncIpc, AsyncMpf, Executor};
-use mpf_ipc::IpcMpf;
 
 fn unique_name(tag: &str) -> String {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -259,7 +259,7 @@ fn deadline_recv_delivers_when_send_races_expiry() {
         let m = Arc::clone(&m);
         thread::spawn(move || {
             thread::sleep(Duration::from_millis(40));
-            m.message_send(ProcessId::from_index(0), tx, b"in time")
+            m.message_send(ProcessId::from_index(0), tx.into(), b"in time")
                 .unwrap();
         })
     };
@@ -285,7 +285,7 @@ fn send_future_times_out_under_exhaustion_then_recovers() {
         .open_receive(ProcessId::from_index(1), "dl-full", Protocol::Fcfs)
         .unwrap();
     for i in 0..4 {
-        m.message_send(ProcessId::from_index(0), tx, &[i; 64])
+        m.message_send(ProcessId::from_index(0), tx.into(), &[i; 64])
             .unwrap();
     }
 

@@ -1,35 +1,37 @@
-//! Ablation A2 — LNVC lock implementation (spin vs ticket vs OS mutex).
+//! Ablation A2 — lock implementation (spin vs ticket vs OS mutex), at the
+//! primitive: one uncontended `ShmLock` lock/unlock pair per kind.
 //!
 //! The paper's substrate was a busy-wait lock; §5 observes that restricted
-//! protocols could drop locking altogether.  This bench isolates the lock
-//! choice on the loop-back path (uncontended) — the contended case is what
+//! protocols could drop locking altogether.  The facility itself has no
+//! lock knob — its conversations use `IpcLock`, the one lock that can
+//! outlive a dead holder, measured here beside the others — so the
+//! ablation drives the primitives directly.  The contended case is what
 //! `fig4_fcfs --sim` models.
 
-use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_bench::crit::{BenchmarkId, Criterion};
 use mpf_bench::{criterion_group, criterion_main};
-use mpf_shm::lock::LockKind;
+use mpf_shm::lock::{LockKind, ShmLock};
+use mpf_shm::IpcLock;
 
 fn bench_locks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lock_kind_128B_roundtrip");
+    let mut group = c.benchmark_group("lock_kind_pair");
     for (name, kind) in [
         ("spin", LockKind::Spin),
         ("ticket", LockKind::Ticket),
         ("os", LockKind::Os),
     ] {
-        let mpf = Mpf::init(MpfConfig::new(4, 2).with_lock_kind(kind)).expect("init");
-        let p = ProcessId::from_index(0);
-        let tx = mpf.sender(p, "a2").expect("tx");
-        let rx = mpf.receiver(p, "a2", Protocol::Fcfs).expect("rx");
-        let payload = [2u8; 128];
-        let mut buf = [0u8; 128];
+        let lock = ShmLock::new(kind);
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            b.iter(|| {
-                tx.send(&payload).expect("send");
-                rx.recv(&mut buf).expect("recv")
-            });
+            b.iter(|| drop(lock.lock()));
         });
     }
+    let lock = IpcLock::new();
+    group.bench_with_input(BenchmarkId::from_parameter("ipc"), &"ipc", |b, _| {
+        b.iter(|| {
+            lock.lock(1, |_| true);
+            lock.unlock();
+        });
+    });
     group.finish();
 }
 

@@ -1,36 +1,58 @@
-//! Ablation A3 — blocking-wait strategy (spin vs yield vs park).
+//! Ablation A3 — blocking-wait strategy (spin vs yield vs park), at the
+//! primitive: a cross-thread ping-pong over two `WaitQueue`s, so every
+//! round trip includes one `WaitQueue::wait(_, strategy)` wakeup each way.
 //!
-//! `message_receive` blocks; how it waits decides the wakeup latency and
-//! the CPU burned while idle.  Cross-thread ping-pong exposes the
-//! difference: every round trip includes one receiver wakeup.
+//! How a blocked receiver waits decides the wakeup latency and the CPU
+//! burned while idle.  The facility itself has no strategy knob — it
+//! sleeps on in-region futex words (`FutexSeq`) — so the ablation drives
+//! the primitive directly.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_bench::crit::{BenchmarkId, Criterion};
 use mpf_bench::{criterion_group, criterion_main};
-use mpf_shm::waitq::WaitStrategy;
+use mpf_shm::waitq::{WaitQueue, WaitStrategy};
 
-fn ping_pong_rounds(mpf: &Mpf, rounds: u64) -> Duration {
-    let p0 = ProcessId::from_index(0);
-    let p1 = ProcessId::from_index(1);
+/// One direction of the ping-pong: a counter and the queue its reader
+/// waits on.
+#[derive(Default)]
+struct Lane {
+    count: AtomicU64,
+    q: WaitQueue,
+}
+
+impl Lane {
+    fn post(&self) {
+        self.count.fetch_add(1, Ordering::Release);
+        self.q.notify_all();
+    }
+
+    /// Ticket before the check, as every waiter in the workspace does.
+    fn await_count(&self, want: u64, strategy: WaitStrategy) {
+        loop {
+            let ticket = self.q.ticket();
+            if self.count.load(Ordering::Acquire) >= want {
+                return;
+            }
+            self.q.wait(ticket, strategy);
+        }
+    }
+}
+
+fn ping_pong_rounds(strategy: WaitStrategy, rounds: u64) -> Duration {
+    let (ping, pong) = (Lane::default(), Lane::default());
     let start = Instant::now();
     std::thread::scope(|s| {
         s.spawn(|| {
-            let rx = mpf.receiver(p1, "a3:ping", Protocol::Fcfs).expect("rx");
-            let tx = mpf.sender(p1, "a3:pong").expect("tx");
-            let mut buf = [0u8; 8];
-            for _ in 0..rounds {
-                rx.recv(&mut buf).expect("recv");
-                tx.send(&buf).expect("send");
+            for i in 1..=rounds {
+                ping.await_count(i, strategy);
+                pong.post();
             }
         });
-        let tx = mpf.sender(p0, "a3:ping").expect("tx");
-        let rx = mpf.receiver(p0, "a3:pong", Protocol::Fcfs).expect("rx");
-        let mut buf = [0u8; 8];
-        for i in 0..rounds {
-            tx.send(&i.to_le_bytes()).expect("send");
-            rx.recv(&mut buf).expect("recv");
+        for i in 1..=rounds {
+            ping.post();
+            pong.await_count(i, strategy);
         }
     });
     start.elapsed()
@@ -44,9 +66,8 @@ fn bench_wait_strategies(c: &mut Criterion) {
         ("yield", WaitStrategy::Yield),
         ("park", WaitStrategy::Park),
     ] {
-        let mpf = Mpf::init(MpfConfig::new(8, 2).with_wait_strategy(strategy)).expect("init");
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            b.iter_custom(|iters| ping_pong_rounds(&mpf, iters));
+            b.iter_custom(|iters| ping_pong_rounds(strategy, iters));
         });
     }
     group.finish();

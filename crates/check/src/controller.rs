@@ -600,16 +600,6 @@ impl SyncHook for Binding {
         }
     }
 
-    fn wait_multi(&self, resources: &[usize], ready: &mut dyn FnMut() -> bool) {
-        if std::thread::panicking() {
-            return;
-        }
-        while !ready() {
-            self.ctrl
-                .deschedule(self.tid, Status::BlockedWait(resources.to_vec()));
-        }
-    }
-
     fn notify(&self, resource: usize) {
         if std::thread::panicking() {
             return;

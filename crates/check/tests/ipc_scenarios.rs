@@ -1,8 +1,11 @@
-//! Schedule-exploration scenarios for the multi-process backend
-//! (`mpf-ipc`), run same-process via [`IpcMpf::attach_view`]: each logical
-//! process drives its own mapping of the shared region (own process slot,
-//! own base address), so the explored interleavings exercise the real
-//! in-region locks, futex sequence words, and lock-free pools.
+//! Schedule-exploration scenarios for what only a *named* region can
+//! show: peer death and the process doorbell.  Each logical process drives
+//! its own [`IpcMpf::attach_view`] — its own mapping of the shared region
+//! (own process slot, own base address) — so a kill abandons a real slot
+//! and the hook layer must recognise one in-region word behind two
+//! addresses.  The immortal protocol races (obligation leak, exactly-once
+//! FCFS, churn, conservation) run the same engine through `Mpf` in
+//! `scenarios.rs`.
 //!
 //! The genuinely cross-address-space variants of these scenarios live in
 //! `crates/ipc/tests/cross_process.rs`; here the scheduler can permute the
@@ -57,117 +60,6 @@ fn doorbell_state_is_clean(name: &str) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// The FCFS-obligation leak, ipc edition: the last FCFS receiver's view
-/// closes while a broadcast view keeps the conversation alive, racing the
-/// sends.  Every schedule must end with the queue drained and all 16
-/// blocks free (before the fix, schedules that enqueued before the close
-/// left the messages owed to an empty receiver class forever).
-fn ipc_leak_case() -> Case {
-    let a = region("leak");
-    let b = a.attach_view().expect("view b");
-    let c = a.attach_view().expect("view c");
-    let total = a.free_blocks();
-    let tx = a.open_send("leak").expect("open send");
-    let rf = b.open_receive("leak", Protocol::Fcfs).expect("open fcfs");
-    let rb = c
-        .open_receive("leak", Protocol::Broadcast)
-        .expect("open bcast");
-    let a = Arc::new(a);
-    let checker = Arc::clone(&a);
-    let sender = Box::new(move || {
-        a.message_send(tx, b"first").expect("send 1");
-        a.message_send(tx, b"second").expect("send 2");
-    }) as Proc;
-    let fcfs_closer = Box::new(move || {
-        b.close_receive(rf).expect("close fcfs");
-    }) as Proc;
-    let bcast_reader = Box::new(move || {
-        let mut buf = [0u8; 32];
-        for _ in 0..2 {
-            c.message_receive(rb, &mut buf).expect("bcast recv");
-        }
-    }) as Proc;
-    Case {
-        procs: vec![sender, fcfs_closer, bcast_reader],
-        death: None,
-        check: Box::new(move || {
-            if checker.free_blocks() != total {
-                return Err(format!(
-                    "ipc obligation leak: {} free of {total}",
-                    checker.free_blocks()
-                ));
-            }
-            if checker.live_lnvcs() != 1 {
-                return Err("conversation should still be alive".into());
-            }
-            Ok(())
-        }),
-    }
-}
-
-#[test]
-fn ipc_fcfs_obligation_leak_dfs() {
-    let opts = ExploreOpts::new("ipc-fcfs-obligation-leak").max_schedules(150);
-    explore_dfs(&opts, ipc_leak_case).assert_ok();
-}
-
-#[test]
-fn ipc_fcfs_obligation_leak_random() {
-    let opts = ExploreOpts::new("ipc-fcfs-obligation-leak-pct").max_schedules(150);
-    explore_random(&opts, 0x1BC, ipc_leak_case).assert_ok();
-}
-
-/// Two FCFS views race one message through the real in-region claim path:
-/// exactly one may get it, under every explored interleaving.
-#[test]
-fn ipc_fcfs_exactly_once_across_views() {
-    let make = || {
-        let a = region("once");
-        let b = a.attach_view().expect("view b");
-        let c = a.attach_view().expect("view c");
-        let total = a.free_blocks();
-        let tx = a.open_send("once").expect("open send");
-        let r1 = b.open_receive("once", Protocol::Fcfs).expect("open r1");
-        let r2 = c.open_receive("once", Protocol::Fcfs).expect("open r2");
-        a.message_send(tx, b"only").expect("seed send");
-        let got = Arc::new(AtomicUsize::new(0));
-        let a = Arc::new(a);
-        let checker = Arc::clone(&a);
-        let racer = |view: IpcMpf, id| {
-            let got = Arc::clone(&got);
-            Box::new(move || {
-                let mut buf = [0u8; 32];
-                if view
-                    .try_message_receive(id, &mut buf)
-                    .expect("try recv")
-                    .is_some()
-                {
-                    got.fetch_add(1, Ordering::Relaxed);
-                }
-            }) as Proc
-        };
-        let procs = vec![racer(b, r1), racer(c, r2)];
-        let got = Arc::clone(&got);
-        Case {
-            procs,
-            death: None,
-            check: Box::new(move || {
-                let n = got.load(Ordering::Relaxed);
-                if n != 1 {
-                    return Err(format!("FCFS message delivered {n} times, want exactly 1"));
-                }
-                if checker.free_blocks() != total {
-                    return Err("blocks leaked after exactly-once delivery".into());
-                }
-                Ok(())
-            }),
-        }
-    };
-    let opts = ExploreOpts::new("ipc-fcfs-exactly-once").max_schedules(200);
-    explore_dfs(&opts, make).assert_ok();
-    explore_random(&opts, 0x10CE, make).assert_ok();
 }
 
 /// Death mid-critical-section: the victim seizes the conversation's

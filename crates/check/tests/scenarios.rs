@@ -1,4 +1,6 @@
-//! Schedule-exploration scenarios for the in-process facility (`Mpf`).
+//! Schedule-exploration scenarios for the protocol engine, driven through
+//! the in-process facade (`Mpf`: one view per `ProcessId` of an anonymous
+//! region, `pid` passed per call).
 //!
 //! Each scenario builds a fresh facility per schedule, races a small set of
 //! logical processes through a known-racy path, and checks the final state

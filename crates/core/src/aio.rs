@@ -1,4 +1,4 @@
-//! Batched-submission vocabulary shared by both backends.
+//! Batched-submission vocabulary.
 //!
 //! The batch layer (DESIGN.md "aio") reuses the primitives' data path but
 //! moves the per-message lock/notify traffic off it: a submitter stages
@@ -7,9 +7,8 @@
 //! completes the whole run under a single descriptor-lock hold and a
 //! single receiver wake, pushing one [`AioCompletion`] per descriptor into
 //! the completion ring.  These are the plain-value types callers see;
-//! the rings themselves live in `mpf-shm` (and, for the multi-process
-//! backend, in the shared region segments `"aio sq rings"` /
-//! `"aio cq rings"`).
+//! the rings themselves live in `mpf-shm`, carved into the shared region
+//! segments `"aio sq rings"` / `"aio cq rings"`.
 
 /// One reaped completion-queue entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,9 +19,7 @@ pub struct AioCompletion {
     /// Causal trace id the send carried (0 = untraced), so async callers
     /// can continue the chain without touching the descriptor again.
     pub trace: u64,
-    /// The conversation, as the raw id (`LnvcId::as_i32` encoding for the
-    /// thread backend, the LNVC descriptor index for the multi-process
-    /// backend).
+    /// The conversation, as its LNVC descriptor index.
     pub lnvc: u32,
     /// Payload length of the completed send.
     pub len: u32,

@@ -1,12 +1,15 @@
-//! The multi-process MPF facility: the paper's eight primitives executed
-//! directly against a named, mmap'd shared-memory region.
+//! The protocol engine: the paper's eight primitives (§3) executed
+//! directly against one carved shared-memory region.
 //!
-//! Where `mpf-core`'s thread backend keeps descriptors in typed Rust
-//! pools, this backend performs the literal carve of
-//! [`RegionLayout::for_ipc`]: every descriptor is a `#[repr(C)]` struct
-//! overlaid on region bytes, every link a `u32` index, every blocking
-//! wait a cross-process futex.  Any process on the machine can
-//! [`IpcMpf::attach`] the region by name and converse with the creator.
+//! This is the only implementation of the LNVC protocol in the workspace.
+//! Every descriptor is a `#[repr(C)]` struct ([`crate::shmem`]) overlaid
+//! on region bytes at the offsets of [`RegionLayout::for_config`], every
+//! link a `u32` index, every blocking wait a futex on an in-region word.
+//! The region is either a named `/dev/shm` mapping that any process on the
+//! machine can [`IpcMpf::attach`] ([`IpcMpf::create`]), or a process-private
+//! anonymous one ([`IpcMpf::anon`]) whose participants are threads — the
+//! shape [`crate::Mpf`] wraps, one [`IpcMpf::attach_view`] per
+//! `ProcessId`.
 //!
 //! Dead-peer robustness (the part the 1987 paper never needed, because a
 //! hung Balance process took the whole job down with it): every attached
@@ -20,9 +23,12 @@
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use mpf::aio::{AioCompletion, AioStats};
-use mpf::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
-use mpf::{LnvcName, MpfConfig, MpfError, Protocol, Reclaimable, Result};
+use crate::aio::{AioCompletion, AioStats};
+use crate::config::MpfConfig;
+use crate::error::{MpfError, Result};
+use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
+use crate::stats::Reclaimable;
+use crate::types::{LnvcName, Protocol};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::ring::{AioRing, RingEntry};
 use mpf_shm::telemetry::{
@@ -58,11 +64,13 @@ impl IpcLnvcId {
         Self(((generation as u64) << 32) | index as u64)
     }
 
-    fn index(self) -> u32 {
+    /// The LNVC descriptor index.
+    pub fn index(self) -> u32 {
         self.0 as u32
     }
 
-    fn generation(self) -> u32 {
+    /// The descriptor generation this handle was minted under.
+    pub fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
 
@@ -121,37 +129,43 @@ enum ConnKind {
 /// Resolved byte offsets of every segment (computed once at map time from
 /// the config echo — identical in every process because the layout is a
 /// pure function of the config).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Offsets {
-    pub(crate) header: usize,
-    pub(crate) slots: usize,
-    pub(crate) lnvcs: usize,
-    pub(crate) registry: usize,
-    pub(crate) msgs: usize,
-    pub(crate) sends: usize,
-    pub(crate) recvs: usize,
-    pub(crate) links: usize,
-    pub(crate) payloads: usize,
-    pub(crate) fac_tel: usize,
-    pub(crate) lnvc_tel: usize,
-    pub(crate) trace_rings: usize,
-    pub(crate) aio_sq: usize,
-    pub(crate) aio_cq: usize,
+pub struct Offsets {
+    pub header: usize,
+    pub slots: usize,
+    pub lnvcs: usize,
+    pub registry: usize,
+    pub msgs: usize,
+    pub sends: usize,
+    pub recvs: usize,
+    pub links: usize,
+    pub payloads: usize,
+    pub fac_tel: usize,
+    pub lnvc_tel: usize,
+    pub trace_rings: usize,
+    pub aio_sq: usize,
+    pub aio_cq: usize,
 }
 
 /// Pool sizes (config echo, denormalized for hot-path use).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Counts {
-    pub(crate) max_lnvcs: u32,
-    pub(crate) max_processes: u32,
-    pub(crate) block_payload: usize,
-    pub(crate) total_blocks: u32,
-    pub(crate) max_messages: u32,
+struct Counts {
+    max_lnvcs: u32,
+    max_processes: u32,
+    block_payload: usize,
+    total_blocks: u32,
+    max_messages: u32,
+    max_send_conns: u32,
+    max_recv_conns: u32,
 }
 
-pub(crate) fn offsets_for(cfg: &MpfConfig) -> Offsets {
-    let l = RegionLayout::for_ipc(cfg);
-    let seg = |name: &str| l.segment(name).expect("for_ipc segment").offset;
+/// The segment offsets of `cfg`'s carve (for the read-only inspector in
+/// `mpf-ipc`, which overlays the same structs without joining).
+#[doc(hidden)]
+pub fn offsets_for(cfg: &MpfConfig) -> Offsets {
+    let l = RegionLayout::for_config(cfg);
+    let seg = |name: &str| l.segment(name).expect("carved segment").offset;
     Offsets {
         header: seg("region header"),
         slots: seg("process slots"),
@@ -170,8 +184,9 @@ pub(crate) fn offsets_for(cfg: &MpfConfig) -> Offsets {
     }
 }
 
-/// The multi-process facility handle: one per process (or per
-/// [`IpcMpf::attach_view`] for in-process tests of position independence).
+/// One participant's handle on the facility: one per process of a named
+/// region, one per logical process ([`IpcMpf::attach_view`]) of an
+/// anonymous one.
 #[derive(Debug)]
 pub struct IpcMpf {
     region: ShmRegion,
@@ -199,9 +214,11 @@ pub struct IpcMpf {
     /// into sampled ones.
     ctx_trace: AtomicU64,
     ctx_hop: AtomicU32,
-    /// When this handle last ran the liveness sweep from a doorbell wait
+    /// When this handle last ran the liveness sweep from a wait
     /// (`now_nanos`), so prompt wakes do not probe every peer each time.
     last_sweep: AtomicU64,
+    /// Sweeps this handle has run, found anything or not (test hook).
+    sweeps_run: AtomicU64,
 }
 
 /// Watches armed by one doorbell wait; disarmed on drop.
@@ -242,37 +259,75 @@ impl IpcMpf {
 
     /// Creates the named region, carves it, and claims process slot 0.
     pub fn create(name: &str, cfg: &MpfConfig) -> std::result::Result<Self, AttachError> {
+        let total = RegionLayout::for_config(cfg).total_bytes();
+        Self::found(ShmRegion::create(name, total)?, cfg, total)
+    }
+
+    /// [`Self::create`] on an anonymous, process-private region: nothing
+    /// in the file system names it, so its only other participants are
+    /// this handle's [`Self::attach_view`]s.
+    pub fn anon(cfg: &MpfConfig) -> std::result::Result<Self, AttachError> {
+        let total = RegionLayout::for_config(cfg).total_bytes();
+        Self::found(ShmRegion::anon(total), cfg, total)
+    }
+
+    /// Carves the fresh, zeroed `region` and claims process slot 0.
+    fn found(
+        region: ShmRegion,
+        cfg: &MpfConfig,
+        total: usize,
+    ) -> std::result::Result<Self, AttachError> {
         // Calibrate the cycle-counter clock before any event can need a
         // timestamp (one-time cost, shared by telemetry and tracing).
         mpf_shm::clock::calibrate();
-        let layout = RegionLayout::for_ipc(cfg);
-        let total = layout.total_bytes();
-        let region = ShmRegion::create(name, total)?;
-        let off = offsets_for(cfg);
+        let mut this = Self::handle(region, cfg);
+        this.carve(cfg, total);
+        this.me = this.claim_slot()?;
+        Ok(this)
+    }
+
+    /// A handle on `region`, carved for `cfg`, that owns no slot yet.
+    fn handle(region: ShmRegion, cfg: &MpfConfig) -> Self {
         let counts = Counts {
             max_lnvcs: cfg.max_lnvcs,
             max_processes: cfg.max_processes,
             block_payload: cfg.block_payload,
             total_blocks: cfg.total_blocks,
             max_messages: cfg.max_messages,
+            max_send_conns: cfg.max_send_conns,
+            max_recv_conns: cfg.max_recv_conns,
         };
-        let mut this = Self {
+        let sampling = (
+            cfg.telemetry,
+            cfg.latency_sample_every.max(1),
+            cfg.trace_sample_every,
+        );
+        Self::slotless(region, offsets_for(cfg), counts, sampling)
+    }
+
+    /// A handle with fresh per-process state that owns no slot yet;
+    /// `sampling` is `(tel_on, latency_every, trace_every)`.
+    fn slotless(
+        region: ShmRegion,
+        off: Offsets,
+        counts: Counts,
+        sampling: (bool, u32, u32),
+    ) -> Self {
+        Self {
             region,
             off,
             counts,
             me: 0,
-            tel_on: cfg.telemetry,
-            latency_every: cfg.latency_sample_every.max(1),
+            tel_on: sampling.0,
+            latency_every: sampling.1,
             latency_tick: AtomicU64::new(0),
-            trace_every: cfg.trace_sample_every,
+            trace_every: sampling.2,
             trace_tick: AtomicU64::new(0),
             ctx_trace: AtomicU64::new(0),
             ctx_hop: AtomicU32::new(0),
             last_sweep: AtomicU64::new(0),
-        };
-        this.carve(cfg, total);
-        this.me = this.claim_slot().map_err(AttachError::Mpf)?;
-        Ok(this)
+            sweeps_run: AtomicU64::new(0),
+        }
     }
 
     /// Attaches an existing region by name, verifying its header, and
@@ -282,12 +337,17 @@ impl IpcMpf {
         Self::adopt(region)
     }
 
-    /// Maps the same region a second time (at a different base address)
-    /// and claims a fresh process slot — an in-process stand-in for
-    /// another OS process, used by position-independence tests.
+    /// A second participant inside this process: a further handle on the
+    /// same region with a fresh process slot.  Of a named region it is a
+    /// second mapping at a different base address — an in-process stand-in
+    /// for another OS process, used by position-independence tests; of an
+    /// anonymous region it shares the one mapping.
     pub fn attach_view(&self) -> std::result::Result<Self, AttachError> {
-        let region = self.region.attach_again()?;
-        Self::adopt(region)
+        // This handle already verified the header the view would read.
+        let sampling = (self.tel_on, self.latency_every, self.trace_every);
+        let mut view = Self::slotless(self.region.attach_again()?, self.off, self.counts, sampling);
+        view.me = view.claim_slot()?;
+        Ok(view)
     }
 
     fn attach_region_with_barrier(name: &str) -> std::result::Result<ShmRegion, AttachError> {
@@ -354,7 +414,7 @@ impl IpcMpf {
         // disagrees, this binary and the creator carve different segment
         // maps and every offset past the header would be garbage.
         let expected_bytes = header.total_bytes.load(Ordering::Acquire) as usize;
-        let computed_bytes = RegionLayout::for_ipc(&cfg).total_bytes();
+        let computed_bytes = RegionLayout::for_config(&cfg).total_bytes();
         if region.len() < expected_bytes || computed_bytes != expected_bytes {
             return Err(MpfError::LayoutMismatch {
                 expected: LAYOUT_VERSION,
@@ -362,28 +422,8 @@ impl IpcMpf {
             }
             .into());
         }
-        let counts = Counts {
-            max_lnvcs: cfg.max_lnvcs,
-            max_processes: cfg.max_processes,
-            block_payload: cfg.block_payload,
-            total_blocks: cfg.total_blocks,
-            max_messages: cfg.max_messages,
-        };
-        let mut this = Self {
-            region,
-            off: offsets_for(&cfg),
-            counts,
-            me: 0,
-            tel_on: cfg.telemetry,
-            latency_every: cfg.latency_sample_every,
-            latency_tick: AtomicU64::new(0),
-            trace_every: cfg.trace_sample_every,
-            trace_tick: AtomicU64::new(0),
-            ctx_trace: AtomicU64::new(0),
-            ctx_hop: AtomicU32::new(0),
-            last_sweep: AtomicU64::new(0),
-        };
-        this.me = this.claim_slot().map_err(AttachError::Mpf)?;
+        let mut this = Self::handle(region, &cfg);
+        this.me = this.claim_slot()?;
         Ok(this)
     }
 
@@ -422,28 +462,19 @@ impl IpcMpf {
         h.cfg
             .trace_sample_every
             .store(cfg.trace_sample_every, Ordering::Relaxed);
-        // Thread the four free lists (region bytes start zeroed; push in
-        // reverse so pops hand out low indices first).
-        h.msg_free.reset();
-        for i in (0..cfg.max_messages).rev() {
-            h.msg_free
-                .push(i, |s, n| self.msg(s).next.store(n, Ordering::Relaxed));
-        }
-        h.block_free.reset();
-        for i in (0..cfg.total_blocks).rev() {
-            h.block_free
-                .push(i, |s, n| self.block_link(s).store(n, Ordering::Relaxed));
-        }
-        h.send_free.reset();
-        for i in (0..cfg.max_send_conns).rev() {
-            h.send_free
-                .push(i, |s, n| self.send(s).next.store(n, Ordering::Relaxed));
-        }
-        h.recv_free.reset();
-        for i in (0..cfg.max_recv_conns).rev() {
-            h.recv_free
-                .push(i, |s, n| self.recv(s).next.store(n, Ordering::Relaxed));
-        }
+        // Thread the four free lists, low indices first out.
+        h.msg_free.thread(cfg.max_messages, |s, n| {
+            self.msg(s).next.store(n, Ordering::Relaxed)
+        });
+        h.block_free.thread(cfg.total_blocks, |s, n| {
+            self.block_link(s).store(n, Ordering::Relaxed)
+        });
+        h.send_free.thread(cfg.max_send_conns, |s, n| {
+            self.send(s).next.store(n, Ordering::Relaxed)
+        });
+        h.recv_free.thread(cfg.max_recv_conns, |s, n| {
+            self.recv(s).next.store(n, Ordering::Relaxed)
+        });
         for i in 0..cfg.max_lnvcs {
             self.lnvc(i).q_head.store(NIL, Ordering::Relaxed);
             self.lnvc(i).q_tail.store(NIL, Ordering::Relaxed);
@@ -1208,17 +1239,17 @@ impl IpcMpf {
         self.heartbeat();
         let (idx, d) = self.resolve(id)?;
         self.lock_lnvc(d);
-        let result = self.receive_locked(idx, d, buf);
+        let result = self.receive_locked(idx, d, |m, len| self.copy_out(m, len, buf));
         d.lock.unlock();
         result
     }
 
     /// Blocking `message_receive`: the paper's default.  Waits on the
-    /// in-region futex sequence, waking to run a liveness sweep every
-    /// [`RECV_SWEEP_INTERVAL`], so a dead sender converts a would-be
-    /// deadlock into [`MpfError::PeerDied`].
+    /// in-region futex sequence, waking at least every
+    /// [`RECV_SWEEP_INTERVAL`] for a liveness sweep, so a dead sender
+    /// converts a would-be deadlock into [`MpfError::PeerDied`].
     pub fn message_receive(&self, id: IpcLnvcId, buf: &mut [u8]) -> Result<usize> {
-        self.message_receive_deadline(id, buf, None)
+        self.receive_blocking(id, None, |m, len| self.copy_out(m, len, buf))
     }
 
     /// Blocking receive with an optional timeout ([`MpfError::WouldBlock`]
@@ -1229,14 +1260,38 @@ impl IpcMpf {
         buf: &mut [u8],
         timeout: Duration,
     ) -> Result<usize> {
-        self.message_receive_deadline(id, buf, Some(Instant::now() + timeout))
+        let deadline = Some(Instant::now() + timeout);
+        self.receive_blocking(id, deadline, |m, len| self.copy_out(m, len, buf))
     }
 
-    fn message_receive_deadline(
+    /// Zero-copy blocking receive: the next message's payload is visited
+    /// as a sequence of block-sized slices borrowed straight from the
+    /// region, with no intermediate copy into a user buffer — the paper's
+    /// §5 "direct data transfer" idea applied to the receive side.
+    /// Returns the message length; the message is consumed exactly as by
+    /// [`Self::message_receive`].
+    ///
+    /// `visit` runs under the conversation's lock, like the copy it
+    /// replaces: it must not call back into the facility.
+    pub fn message_receive_scan(
         &self,
         id: IpcLnvcId,
-        buf: &mut [u8],
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<usize> {
+        self.receive_blocking(id, None, |m, len| {
+            self.scan_chain(m, len, &mut visit);
+            Ok(())
+        })
+    }
+
+    /// The blocking-receive loop: delivers the next message through `take`
+    /// (see [`Self::receive_locked`]) or reports [`MpfError::WouldBlock`]
+    /// once `deadline` passes with nothing deliverable.
+    fn receive_blocking(
+        &self,
+        id: IpcLnvcId,
         deadline: Option<Instant>,
+        mut take: impl FnMut(&MsgDesc, usize) -> Result<()>,
     ) -> Result<usize> {
         // One blocked call is one wait, however many 50 ms naps it takes —
         // counting per nap would turn an idle receiver into a counter storm.
@@ -1255,7 +1310,7 @@ impl IpcMpf {
             // sequence and the wait returns immediately.
             let ticket = d.waitq.ticket();
             self.lock_lnvc(d);
-            let result = self.receive_locked(idx, d, buf);
+            let result = self.receive_locked(idx, d, &mut take);
             d.lock.unlock();
             match result? {
                 Some(n) => {
@@ -1284,7 +1339,7 @@ impl IpcMpf {
                     // Between naps, look for dead peers so a vanished
                     // sender poisons the conversation instead of leaving
                     // us blocked forever.
-                    self.sweep_dead_peers();
+                    self.sweep_if_due();
                 }
             }
         }
@@ -1304,7 +1359,7 @@ impl IpcMpf {
         buf: &mut [u8],
         deadline: Option<Instant>,
     ) -> Result<usize> {
-        match self.message_receive_deadline(id, buf, deadline) {
+        match self.receive_blocking(id, deadline, |m, len| self.copy_out(m, len, buf)) {
             // The internal loop only reports WouldBlock at expiry, and
             // only when a deadline was supplied.
             Err(MpfError::WouldBlock) => Err(MpfError::TimedOut),
@@ -1346,8 +1401,7 @@ impl IpcMpf {
 
     /// Blocks until one of `ids` has a deliverable message and returns
     /// that conversation's id, or [`MpfError::TimedOut`] once `deadline`
-    /// passes.  The wait-set analogue of `mpf-core`'s
-    /// `wait_any_deadline`: watches every member, so an enqueue, poison
+    /// passes.  Watches every member, so an enqueue, poison
     /// or close on any of them rings this process's doorbell, and sleeps
     /// on that one word.  An empty set is [`MpfError::EmptyWaitSet`];
     /// poisoning of any member surfaces as its error.
@@ -1509,6 +1563,33 @@ impl IpcMpf {
         }
         sq.ring_doorbell();
         Ok(submitted)
+    }
+
+    /// [`Self::submit_sends`] that waits out pool exhaustion: when nothing
+    /// at all can be staged for want of pool memory it sleeps on the pool
+    /// signal, like [`Self::send_deadline`], until a first descriptor is
+    /// staged or `deadline` passes ([`MpfError::TimedOut`]).  A partial
+    /// submit still returns at once, and a full ring is still
+    /// [`MpfError::WouldBlock`] — only the submitter's own drain frees it.
+    pub fn submit_sends_deadline(
+        &self,
+        id: IpcLnvcId,
+        payloads: &[&[u8]],
+        deadline: Option<Instant>,
+    ) -> Result<usize> {
+        let mut waiting = None;
+        loop {
+            let ticket = self.doorbell().ticket();
+            match self.submit_sends(id, payloads) {
+                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
+                other => return other,
+            }
+            if waiting.is_none() {
+                waiting = Some(self.pool_wait());
+            } else if !self.doorbell_nap(ticket, deadline) {
+                return Err(MpfError::TimedOut);
+            }
+        }
     }
 
     /// Drains this process's submission ring: links every staged message
@@ -1811,7 +1892,7 @@ impl IpcMpf {
                 self.note_recv_wait(idx);
             }
             d.waitq.wait(ticket, Some(nap));
-            self.sweep_dead_peers();
+            self.sweep_if_due();
         }
     }
 
@@ -2051,13 +2132,13 @@ impl IpcMpf {
     }
 
     /// Runs the dead-peer sweep if this handle has not done so within the
-    /// sweep cadence: doorbell waits that are woken promptly and often
-    /// must not probe every peer's liveness each time round.
+    /// sweep cadence: waits that are woken promptly and often must not
+    /// probe every peer's liveness each time round.
     fn sweep_if_due(&self) {
         let now = now_nanos();
         let last = self.last_sweep.load(Ordering::Relaxed);
         // A schedule explorer runs no clock: there, sweep after every
-        // wait, as blocking receive does, so schedules replay exactly.
+        // wait, so schedules replay exactly.
         if mpf_shm::hooks::enabled()
             || now.saturating_sub(last) >= RECV_SWEEP_INTERVAL.as_nanos() as u64
         {
@@ -2184,8 +2265,17 @@ impl IpcMpf {
         Ok(())
     }
 
-    /// The scan both receive flavours share; caller holds the LNVC lock.
-    fn receive_locked(&self, idx: u32, d: &LnvcDesc, buf: &mut [u8]) -> Result<Option<usize>> {
+    /// Delivers the next message deliverable to this process: `take` is
+    /// handed the descriptor and its payload length to move the bytes out
+    /// (an error from it leaves the message queued), then the delivery is
+    /// booked and the queue head reclaimed.  `Ok(None)` when nothing is
+    /// deliverable.  Caller holds the LNVC lock.
+    fn receive_locked(
+        &self,
+        idx: u32,
+        d: &LnvcDesc,
+        take: impl FnOnce(&MsgDesc, usize) -> Result<()>,
+    ) -> Result<Option<usize>> {
         self.poison_check(d)?;
         let conn = self
             .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
@@ -2195,17 +2285,12 @@ impl IpcMpf {
         };
         let m = self.msg(m_idx);
         let len = m.len.load(Ordering::Acquire) as usize;
-        if buf.len() < len {
-            // Message stays queued — the caller may retry with a bigger
-            // buffer (paper: the receiver learns the needed size).
-            return Err(MpfError::BufferTooSmall { needed: len });
-        }
+        take(m, len)?;
         // Read before reclaim may free the descriptor back to the pool.
         let sent_at = m.sent_at.load(Ordering::Acquire);
         let stamp = m.stamp.load(Ordering::Acquire);
         let trace = m.trace.load(Ordering::Acquire);
         let hop = m.hop.load(Ordering::Acquire);
-        self.gather(m, &mut buf[..len]);
         let r = self.recv(conn);
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
         if bcast {
@@ -2433,6 +2518,35 @@ impl IpcMpf {
         Ok((head, n_needed))
     }
 
+    /// [`Self::receive_locked`]'s `take` for a caller-supplied buffer.
+    fn copy_out(&self, m: &MsgDesc, len: usize, buf: &mut [u8]) -> Result<()> {
+        if buf.len() < len {
+            // Message stays queued — the caller may retry with a bigger
+            // buffer (paper: the receiver learns the needed size).
+            return Err(MpfError::BufferTooSmall { needed: len });
+        }
+        self.gather(m, &mut buf[..len]);
+        Ok(())
+    }
+
+    /// Visits a message's `len` payload bytes in place, one block-sized
+    /// slice at a time.  Caller holds the LNVC lock of the queue `m` is on.
+    fn scan_chain(&self, m: &MsgDesc, len: usize, visit: &mut impl FnMut(&[u8])) {
+        let bp = self.counts.block_payload;
+        let mut cur = m.head_block.load(Ordering::Acquire);
+        let mut left = len;
+        while left > 0 {
+            debug_assert_ne!(cur, NIL);
+            let n = left.min(bp);
+            // SAFETY: `cur` is a block of a queued message: in range, `n`
+            // bytes within its payload, and written only before the
+            // message was published; the lock we hold keeps it queued.
+            visit(unsafe { std::slice::from_raw_parts(self.payload_ptr(cur), n) });
+            left -= n;
+            cur = self.block_link(cur).load(Ordering::Acquire);
+        }
+    }
+
     /// Gathers a message's block chain into `out` (`out.len()` = msg len).
     fn gather(&self, m: &MsgDesc, out: &mut [u8]) {
         let bp = self.counts.block_payload;
@@ -2501,7 +2615,7 @@ impl IpcMpf {
     // -- conversation lifecycle (registry lock held) --------------------
 
     /// Runs `f` holding the registry lock (lock order: registry → LNVC).
-    fn with_registry<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    fn with_registry<T>(&self, f: impl FnOnce() -> T) -> T {
         let h = self.header();
         let (_, contended) = h
             .registry_lock
@@ -2607,6 +2721,20 @@ impl IpcMpf {
         d.waitq.notify_all();
     }
 
+    /// The handle of the conversation currently living in descriptor
+    /// `index`, if any: how a caller holding only part of a handle (the
+    /// `Mpf` facade's 31-bit `LnvcId`) recovers the whole of it.
+    pub fn id_at(&self, index: u32) -> Option<IpcLnvcId> {
+        if index >= self.counts.max_lnvcs {
+            return None;
+        }
+        let d = self.lnvc(index);
+        // Generation first: a recycle between the two loads then yields a
+        // handle that is already stale, never a fresh one for a dead slot.
+        let generation = d.generation.load(Ordering::Acquire);
+        (d.active.load(Ordering::Acquire) == 1).then(|| IpcLnvcId::new(generation, index))
+    }
+
     fn resolve(&self, id: IpcLnvcId) -> Result<(u32, &LnvcDesc)> {
         let idx = id.index();
         if idx >= self.counts.max_lnvcs {
@@ -2682,6 +2810,7 @@ impl IpcMpf {
     /// newly-found dead peers.  Every blocked receive runs this
     /// periodically; it is also safe to call at any time.
     pub fn sweep_dead_peers(&self) -> u32 {
+        self.sweeps_run.fetch_add(1, Ordering::Relaxed);
         let mut found = 0;
         for p in 0..self.counts.max_processes {
             if p == self.me {
@@ -2726,10 +2855,7 @@ impl IpcMpf {
                 // name registry — so it runs under the registry lock,
                 // registry → LNVC order, same as open/close.  Corpses
                 // are rare; the lock hold is not on any fast path.
-                let _ = self.with_registry(|| {
-                    self.sweep_connections_of(p);
-                    Ok(())
-                });
+                self.with_registry(|| self.sweep_connections_of(p));
             }
         }
         if found > 0 {
@@ -2918,13 +3044,9 @@ impl IpcMpf {
 
     /// Free payload blocks (walks the free list; quiescent diagnostic).
     pub fn free_blocks(&self) -> u32 {
-        let mut n = 0;
-        let mut cur = self.header().block_free.head();
-        while cur != NIL && n < self.counts.total_blocks {
-            n += 1;
-            cur = self.block_link(cur).load(Ordering::Acquire);
-        }
-        n
+        self.header().block_free.len(self.counts.total_blocks, |i| {
+            self.block_link(i).load(Ordering::Acquire)
+        })
     }
 
     /// Whether a given MPF pid's slot is currently attached and alive.
@@ -2963,6 +3085,219 @@ impl IpcMpf {
     pub fn lnvc_poisoned(&self, id: IpcLnvcId) -> Result<bool> {
         let (_, d) = self.resolve(id)?;
         Ok(d.poisoned.load(Ordering::Acquire) != 0)
+    }
+
+    /// Audits every structural invariant of the region.  Intended for
+    /// **quiescent points** — moments when no operation is under way and
+    /// no submission is staged undrained (test boundaries, scheduler-
+    /// serialized checks in `mpf-check`, a soak's final gate) — and takes
+    /// the registry lock, then each descriptor lock, in the open/close
+    /// order.
+    ///
+    /// Per live conversation: the queue is acyclic and agrees with
+    /// `msg_count`, `q_tail` and increasing stamps; the connection lists
+    /// match `n_senders`/`n_fcfs`/`n_bcast`, and every connection's holder
+    /// is an attached, living process; every `bcast_pending` equals the
+    /// number of broadcast cursors that have not passed the message; no
+    /// queued message waits on an FCFS delivery the current connection set
+    /// can never produce (the obligation-leak class of bug); the queue
+    /// head is not a fully-delivered message (prefix reclamation keeps
+    /// up).  Globally: the name registry and the active descriptors agree,
+    /// and pool occupancy (messages, blocks, connections) is exactly
+    /// accounted for by the walks.
+    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+        self.with_registry(|| self.audit_region())
+    }
+
+    /// [`Self::check_invariants`] under the registry lock.
+    fn audit_region(&self) -> std::result::Result<(), String> {
+        let c = &self.counts;
+        let mut live = 0;
+        // Messages, blocks, send and receive connections held by queues
+        // and connection lists.
+        let mut held = [0u64; 4];
+        for idx in 0..c.max_lnvcs {
+            let d = self.lnvc(idx);
+            if d.active.load(Ordering::Acquire) != 1 {
+                continue;
+            }
+            live += 1;
+            let entry = d.registry_idx.load(Ordering::Acquire);
+            let named = entry < c.max_lnvcs && {
+                let e = self.reg_entry(entry);
+                e.used.load(Ordering::Acquire) == 1 && e.lnvc.load(Ordering::Acquire) == idx
+            };
+            if !named {
+                return Err(format!("LNVC slot {idx} has no registry entry naming it"));
+            }
+            self.lock_lnvc(d);
+            let audit = self.audit_lnvc(d);
+            d.lock.unlock();
+            let audit = audit.map_err(|e| format!("LNVC slot {idx}: {e}"))?;
+            for (total, n) in held.iter_mut().zip(audit) {
+                *total += n;
+            }
+        }
+        let names = (0..c.max_lnvcs)
+            .filter(|&i| self.reg_entry(i).used.load(Ordering::Acquire) == 1)
+            .count();
+        if names != live {
+            return Err(format!(
+                "registry has {names} names but {live} LNVC slots are active"
+            ));
+        }
+        let h = self.header();
+        let allocated = [
+            c.max_messages
+                - h.msg_free
+                    .len(c.max_messages, |i| self.msg(i).next.load(Ordering::Acquire)),
+            c.total_blocks - self.free_blocks(),
+            c.max_send_conns
+                - h.send_free.len(c.max_send_conns, |i| {
+                    self.send(i).next.load(Ordering::Acquire)
+                }),
+            c.max_recv_conns
+                - h.recv_free.len(c.max_recv_conns, |i| {
+                    self.recv(i).next.load(Ordering::Acquire)
+                }),
+        ];
+        let pools = [
+            "message headers",
+            "blocks",
+            "send connections",
+            "receive connections",
+        ];
+        for ((what, held), allocated) in pools.iter().zip(held).zip(allocated) {
+            if held != u64::from(allocated) {
+                return Err(format!(
+                    "{what} leaked: conversations hold {held}, pool has {allocated} allocated"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Audits one conversation (lock held); returns the messages, blocks,
+    /// send connections and receive connections it holds.
+    fn audit_lnvc(&self, d: &LnvcDesc) -> std::result::Result<[u64; 4], String> {
+        let count = |a: &AtomicU32| a.load(Ordering::Acquire);
+        let holder_gone =
+            |pid: u32| pid >= self.counts.max_processes || !self.slot(pid).owner_alive();
+        let mut senders = 0u32;
+        let mut cur = count(&d.send_head);
+        while cur != NIL {
+            senders += 1;
+            if senders > self.counts.max_send_conns {
+                return Err("send list is cyclic".into());
+            }
+            let pid = count(&self.send(cur).pid);
+            if holder_gone(pid) {
+                return Err(format!(
+                    "send connection of process {pid} outlives its holder"
+                ));
+            }
+            cur = count(&self.send(cur).next);
+        }
+        if senders != count(&d.n_senders) {
+            return Err(format!(
+                "n_senders {} but send list holds {senders}",
+                count(&d.n_senders)
+            ));
+        }
+        let mut fcfs = 0u32;
+        let mut cursors = Vec::new();
+        let mut cur = count(&d.recv_head);
+        while cur != NIL {
+            if fcfs + cursors.len() as u32 >= self.counts.max_recv_conns {
+                return Err("receive list is cyclic".into());
+            }
+            let r = self.recv(cur);
+            let pid = count(&r.pid);
+            if holder_gone(pid) {
+                return Err(format!(
+                    "receive connection of process {pid} outlives its holder"
+                ));
+            }
+            if r.protocol_code() == Protocol::Broadcast.code() {
+                cursors.push(count(&r.cursor));
+            } else {
+                fcfs += 1;
+            }
+            cur = count(&r.next);
+        }
+        let (n_fcfs, n_bcast) = (count(&d.n_fcfs), count(&d.n_bcast));
+        if fcfs != n_fcfs || cursors.len() as u32 != n_bcast {
+            return Err(format!(
+                "counters say {n_fcfs} FCFS / {n_bcast} BROADCAST but list holds {fcfs} / {}",
+                cursors.len()
+            ));
+        }
+
+        let (mut queued, mut blocks, mut last, mut prev) = (0u32, 0u64, None, NIL);
+        let mut cur = count(&d.q_head);
+        while cur != NIL {
+            queued += 1;
+            if queued > self.counts.max_messages {
+                return Err("FIFO is cyclic".into());
+            }
+            let m = self.msg(cur);
+            let (seq, stamp) = (count(&m.seq), m.stamp.load(Ordering::Acquire));
+            if last.is_some_and(|(s, t)| seq <= s || stamp <= t) {
+                return Err(format!(
+                    "message {cur} (stamp {stamp}) is out of FIFO order"
+                ));
+            }
+            last = Some((seq, stamp));
+            blocks += u64::from(count(&m.n_blocks));
+            let claims = cursors.iter().filter(|&&c| c <= seq).count() as u32;
+            if count(&m.bcast_pending) != claims {
+                return Err(format!(
+                    "message {cur} (stamp {stamp}) has bcast_pending {} but {claims} \
+                     broadcast cursors have not passed it",
+                    count(&m.bcast_pending)
+                ));
+            }
+            let flags = count(&m.flags);
+            let owed = flags & msg_flags::NEEDS_FCFS != 0 && flags & msg_flags::FCFS_TAKEN == 0;
+            if owed && n_fcfs == 0 && n_bcast > 0 {
+                return Err(format!(
+                    "message {cur} (stamp {stamp}) awaits an FCFS delivery but no FCFS \
+                     receiver is connected and broadcast receivers keep the LNVC alive"
+                ));
+            }
+            if prev == NIL && !owed && claims == 0 {
+                return Err(format!(
+                    "FIFO head {cur} (stamp {stamp}) is fully delivered but was not reclaimed"
+                ));
+            }
+            prev = cur;
+            cur = count(&m.next);
+        }
+        if queued != count(&d.msg_count) {
+            return Err(format!(
+                "msg_count {} but FIFO holds {queued}",
+                count(&d.msg_count)
+            ));
+        }
+        if count(&d.q_tail) != prev {
+            return Err(format!(
+                "q_tail {} is not the last queued message",
+                count(&d.q_tail)
+            ));
+        }
+        Ok([
+            u64::from(queued),
+            blocks,
+            u64::from(senders),
+            u64::from(fcfs) + cursors.len() as u64,
+        ])
+    }
+
+    /// Liveness sweeps this handle has run, whether or not they found a
+    /// corpse — lets a test bound how often waits probe their peers.
+    #[doc(hidden)]
+    pub fn debug_sweeps_run(&self) -> u64 {
+        self.sweeps_run.load(Ordering::Relaxed)
     }
 
     /// Seizes the LNVC's in-region lock and never releases it — a test
@@ -3007,5 +3342,60 @@ impl Drop for IpcMpf {
         let s = self.slot(self.me);
         s.os_pid.store(0, Ordering::Release);
         s.state.store(slot_state::FREE, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fully-delivered message *behind* a still-owed head — what a
+    /// cleared obligation or a take behind a claimed head leaves — is out
+    /// of the prefix reclaimer's reach: `reclaimable` must count it, and
+    /// the full-queue sweep a sender runs under memory pressure must free
+    /// it and relink around it, the tail included.
+    #[test]
+    fn interior_corpses_are_counted_then_swept_under_pressure() {
+        let cfg = MpfConfig::new(2, 2)
+            .with_block_payload(16)
+            .with_total_blocks(8)
+            .with_max_messages(3);
+        let m = IpcMpf::anon(&cfg).unwrap();
+        let tx = m.open_send("q").unwrap();
+        let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
+        for payload in [b"a", b"b", b"c"] {
+            m.message_send(tx, payload).unwrap();
+        }
+        // Mark the second and the last delivered, as the receive path would.
+        let d = m.lnvc(tx.index());
+        let second = m
+            .msg(d.q_head.load(Ordering::Acquire))
+            .next
+            .load(Ordering::Acquire);
+        for corpse in [second, d.q_tail.load(Ordering::Acquire)] {
+            m.msg(corpse)
+                .flags
+                .fetch_or(msg_flags::FCFS_TAKEN, Ordering::AcqRel);
+        }
+        assert_eq!(
+            m.reclaimable(),
+            Reclaimable {
+                messages: 2,
+                blocks: 2
+            }
+        );
+        m.check_invariants().expect("the head is still owed");
+
+        // The header pool is dry: this send sweeps the queue for room.
+        m.message_send(tx, b"d").unwrap();
+        assert_eq!(m.reclaimable(), Reclaimable::default());
+        assert_eq!(m.queue_depth(tx), Ok(2));
+        m.check_invariants().expect("relinked around the corpses");
+        let mut buf = [0u8; 16];
+        for want in [b"a", b"d"] {
+            let n = m.message_receive(rx, &mut buf).unwrap();
+            assert_eq!(&buf[..n], want);
+        }
+        assert_eq!(m.free_blocks(), 8);
     }
 }

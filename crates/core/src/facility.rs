@@ -1,139 +1,59 @@
-//! The MPF facility: the paper's eight programming primitives.
+//! `Mpf`: the paper's eight primitives for a group of *threads*.
 //!
-//! Locking discipline (deadlock freedom):
-//!
-//! 1. `open_*`/`close_*` take the **registry lock first**, then the LNVC
-//!    descriptor lock, so name resolution and conversation lifetime can
-//!    never disagree.
-//! 2. `message_send`/`message_receive`/`check_receive` take only the
-//!    descriptor lock (identified by index from the [`LnvcId`]), keeping
-//!    the global lock off the data path.
-//! 3. Pool free lists are lock-free; wait-queue tickets are taken while
-//!    the descriptor lock is held, so wakeups are never lost.
-//!
-//! Payload copies happen **outside** the descriptor lock: a sender fills
-//! its block chain before linking it; a receiver pins the message
-//! ([`crate::message::MsgSlot::begin_copy`]), drops the lock, copies, then
-//! re-locks to finish delivery bookkeeping.  This is what lets multiple
-//! BROADCAST receivers copy one message concurrently — the effect behind
-//! the paper's Figure 5.
+//! The protocol lives in [`crate::engine`] and runs on a carved region.
+//! `Mpf` is the engine on an anonymous, process-private region
+//! ([`IpcMpf::anon`]) with every process slot claimed up front: one view
+//! per [`ProcessId`], so `mpf.message_send(pid, id, buf)` is
+//! `views[pid].message_send(id, buf)`.  Nothing here queues, pools or
+//! locks; the facade only picks the view, maps [`LnvcId`] to the engine's
+//! handle and back, and applies the [`ExhaustPolicy`].
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use mpf_shm::faultplane::{self, FaultSite};
-use mpf_shm::idxstack::NIL;
-use mpf_shm::pool::Pool;
 use mpf_shm::process::ProcessId;
-use mpf_shm::ring::{AioRing, RingEntry};
-use mpf_shm::telemetry::{
-    now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
-};
-use mpf_shm::tracering::{
-    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV,
-    TR_OPEN_SEND, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK, TR_WAKEUP,
-};
-use mpf_shm::waitq::WaitQueue;
+use mpf_shm::telemetry::{LnvcTelSnapshot, TelSnapshot};
+use mpf_shm::tracering::TraceEvent;
 
 use crate::aio::{AioCompletion, AioStats};
-use crate::block::{BlockPool, Chain};
 use crate::config::{ExhaustPolicy, MpfConfig};
-use crate::conn::{RecvConn, SendConn};
+use crate::engine::{AttachError, IpcLnvcId, IpcMpf};
 use crate::error::{MpfError, Result};
-use crate::lnvc::{Ctx, LnvcSlot};
-use crate::message::MsgSlot;
-use crate::registry::Registry;
+use crate::layout::RegionLayout;
 use crate::stats::Reclaimable;
-use crate::types::{LnvcId, LnvcName, Protocol, MAX_LNVC_INDEX};
+use crate::types::{LnvcId, Protocol, MAX_LNVC_INDEX};
 
 /// The message passing facility.  One instance is one shared region;
 /// share it among "processes" with `Arc` or scoped borrows.
 #[derive(Debug)]
 pub struct Mpf {
     cfg: MpfConfig,
-    lnvcs: Pool<LnvcSlot>,
-    msgs: Pool<MsgSlot>,
-    blocks: BlockPool,
-    sends: Pool<SendConn>,
-    recvs: Pool<RecvConn>,
-    registry: Registry,
-    /// Senders blocked on region exhaustion wait here (flow control).
-    mem_waitq: WaitQueue,
-    /// Region-global telemetry block.  This backend keeps it on the heap;
-    /// [`crate::layout`] carves the identical `#[repr(C)]` struct into the
-    /// shared region for the IPC backend, so the recording code paths are
-    /// the same shape in both.
-    tel: FacilityTelemetry,
-    /// Per-conversation telemetry, indexed like the LNVC pool.
-    lnvc_tel: Box<[LnvcTelemetry]>,
-    /// Batched-submission rings, one SQ per process slot (layout segment
-    /// "aio sq rings"; heap-held here like every other pool).
-    aio_sq: Box<[AioRing]>,
-    /// Completion rings, one CQ per process slot ("aio cq rings").
-    aio_cq: Box<[AioRing]>,
-    /// Monotonic send tick driving 1-in-N latency sampling
-    /// ([`MpfConfig::latency_sample_rate`]).
-    latency_tick: AtomicU64,
-    /// Facility-global send stamp: one serial per published message,
-    /// region-wide (mirrors the IPC header's `next_stamp`).  The stamp is
-    /// a message's logical identity in telemetry and causal traces.
-    next_stamp: AtomicU64,
-    /// Per-process causal trace rings (layout segment "trace rings";
-    /// heap-held here like the aio rings, carved into the region by the
-    /// IPC backend).
-    trace_rings: Box<[TraceRing]>,
-    /// Per-process causal context: the chain of the process's last
-    /// delivery, which its next send continues.
-    trace_ctx: Box<[TraceCtx]>,
-    /// Monotonic root-chain counter: drives 1-in-N chain sampling
-    /// ([`MpfConfig::trace_sample_rate`]) and makes root ids unique.
-    trace_tick: AtomicU64,
-}
-
-/// One process's causal context: set by every delivery, consumed (with an
-/// incremented hop) by the process's next send.  An untraced delivery
-/// clears it, so unsampled chains never splice into sampled ones.
-#[derive(Debug, Default)]
-struct TraceCtx {
-    trace: AtomicU64,
-    hop: AtomicU32,
+    /// `views[i]` holds process slot `i` of the region.
+    views: Box<[Arc<IpcMpf>]>,
 }
 
 impl Mpf {
-    /// The paper's `init()`: allocates the shared region — every pool and
-    /// free list — and returns the facility.
+    /// The paper's `init()`: allocates and carves the shared region —
+    /// every pool and free list — and returns the facility.
     pub fn init(cfg: MpfConfig) -> Result<Self> {
         if cfg.max_lnvcs == 0 || cfg.max_lnvcs > MAX_LNVC_INDEX + 1 || cfg.max_processes == 0 {
             return Err(MpfError::BadInit);
         }
-        // Pay the cycle-counter calibration cost once, up front, instead of
-        // on the first timestamped event (see mpf_shm::clock).
-        mpf_shm::clock::calibrate();
-        let lock_kind = cfg.lock_kind;
+        let attached = |r: std::result::Result<IpcMpf, AttachError>| match r {
+            Ok(view) => Ok(Arc::new(view)),
+            Err(AttachError::Mpf(e)) => Err(e),
+            Err(AttachError::Io(_)) => Err(MpfError::BadInit),
+        };
+        let mut views = Vec::with_capacity(cfg.max_processes as usize);
+        views.push(attached(IpcMpf::anon(&cfg))?);
+        for _ in 1..cfg.max_processes {
+            let next = attached(views[0].attach_view())?;
+            views.push(next);
+        }
+        debug_assert!(views.iter().enumerate().all(|(i, v)| v.pid() as usize == i));
         Ok(Self {
-            lnvcs: Pool::new_with(cfg.max_lnvcs, |_| LnvcSlot::new(lock_kind)),
-            msgs: Pool::new(cfg.max_messages),
-            blocks: BlockPool::new(cfg.total_blocks, cfg.block_payload),
-            sends: Pool::new(cfg.max_send_conns),
-            recvs: Pool::new(cfg.max_recv_conns),
-            registry: Registry::new(cfg.max_lnvcs as usize),
-            mem_waitq: WaitQueue::new(),
-            tel: FacilityTelemetry::default(),
-            lnvc_tel: (0..cfg.max_lnvcs)
-                .map(|_| LnvcTelemetry::default())
-                .collect(),
-            aio_sq: (0..cfg.max_processes).map(|_| AioRing::new()).collect(),
-            aio_cq: (0..cfg.max_processes).map(|_| AioRing::new()).collect(),
-            latency_tick: AtomicU64::new(0),
-            next_stamp: AtomicU64::new(0),
-            trace_rings: (0..cfg.max_processes)
-                .map(|_| TraceRing::default())
-                .collect(),
-            trace_ctx: (0..cfg.max_processes)
-                .map(|_| TraceCtx::default())
-                .collect(),
-            trace_tick: AtomicU64::new(0),
             cfg,
+            views: views.into(),
         })
     }
 
@@ -142,390 +62,107 @@ impl Mpf {
         &self.cfg
     }
 
-    /// The shared-region memory map implied by the configuration (what a
-    /// literal one-`mmap` port would carve; see [`crate::layout`]).
-    pub fn region_layout(&self) -> crate::layout::RegionLayout {
-        crate::layout::RegionLayout::for_config(&self.cfg)
+    /// The engine's handle for logical process `pid`: everything `Mpf`
+    /// does on `pid`'s behalf goes through it, and layers that want the
+    /// engine's own surface (the async reactor, dead-peer probes) take it
+    /// from here.
+    pub fn view(&self, pid: ProcessId) -> Result<&Arc<IpcMpf>> {
+        self.views.get(pid.index()).ok_or(MpfError::InvalidProcess)
     }
 
-    /// Point-in-time copy of the region telemetry block (stays zero when
+    /// The view for calls that name no process.
+    fn any(&self) -> &IpcMpf {
+        &self.views[0]
+    }
+
+    /// The engine handle behind `id`.  An [`LnvcId`] carries the slot index
+    /// and 15 bits of the slot's generation; the rest is read back from the
+    /// slot, and an id minted under another generation is stale.
+    pub fn ipc_id(&self, id: LnvcId) -> Result<IpcLnvcId> {
+        match self.any().id_at(id.index()) {
+            Some(full) if id.matches_generation(full.generation()) => Ok(full),
+            _ => Err(MpfError::UnknownLnvc),
+        }
+    }
+
+    /// The view of `pid` and the engine handle behind `id`.
+    fn on(&self, pid: ProcessId, id: LnvcId) -> Result<(&IpcMpf, IpcLnvcId)> {
+        Ok((self.view(pid)?, self.ipc_id(id)?))
+    }
+
+    /// The shared-region memory map the configuration carves (see
+    /// [`crate::layout`]).
+    pub fn region_layout(&self) -> RegionLayout {
+        RegionLayout::for_config(&self.cfg)
+    }
+
+    /// Point-in-time copy of the region telemetry (stays zero when
     /// [`MpfConfig::with_telemetry`] turned recording off).
     pub fn telemetry_snapshot(&self) -> TelSnapshot {
-        self.tel.snapshot()
+        self.any().telemetry_snapshot()
     }
 
     /// Point-in-time copy of one conversation's telemetry.
     pub fn lnvc_telemetry(&self, id: LnvcId) -> Result<LnvcTelSnapshot> {
-        let slot = self.slot(id)?;
-        let _guard = slot.lock.lock();
-        Self::validate(slot, id)?;
-        Ok(self.lnvc_tel[id.index() as usize].snapshot())
+        self.any().lnvc_telemetry(self.ipc_id(id)?)
     }
 
     /// Pool occupancy held by corpses: queued messages that are fully
-    /// consumed and unpinned, awaiting a reclamation sweep.  Distinguishes
-    /// "pool full of live messages" from "pool full of garbage a sweep
-    /// would free".  Locks registry then each descriptor, like
-    /// [`Self::check_invariants`], so call it at quiescent points.
+    /// consumed, awaiting a reclamation sweep.  Distinguishes "pool full of
+    /// live messages" from "pool full of garbage a sweep would free".
+    /// Locks each descriptor, like [`Self::check_invariants`], so call it
+    /// at quiescent points.
     pub fn reclaimable(&self) -> Reclaimable {
-        let reg = self.registry.lock();
-        let mut out = Reclaimable::default();
-        for &idx in reg.values() {
-            let slot = self.lnvcs.get(idx);
-            let _guard = slot.lock.lock();
-            if !slot.is_active() {
-                continue;
-            }
-            let (messages, blocks) = self.ctx(slot).count_reclaimable();
-            out.messages += messages;
-            out.blocks += blocks;
-        }
-        out
-    }
-
-    /// The facility telemetry block, when recording is enabled.
-    #[inline]
-    fn tel(&self) -> Option<&FacilityTelemetry> {
-        self.cfg.telemetry.then_some(&self.tel)
-    }
-
-    /// One conversation's telemetry block, when recording is enabled.
-    #[inline]
-    fn ltel(&self, idx: u32) -> Option<&LnvcTelemetry> {
-        self.cfg.telemetry.then(|| &self.lnvc_tel[idx as usize])
-    }
-
-    /// Whether this send's latency is sampled.  With the default period of
-    /// 1 no counter is touched; otherwise one relaxed increment replaces
-    /// the two per-message `clock_gettime` calls on unsampled sends.
-    #[inline]
-    fn sample_latency(&self) -> bool {
-        let every = self.cfg.latency_sample_every;
-        every <= 1
-            || self
-                .latency_tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(u64::from(every))
-    }
-
-    /// Telemetry for one completed delivery: receive counters, bytes, the
-    /// send→receive latency sample, and any piggybacked reclamation.
-    fn note_delivery(&self, idx: u32, len: usize, sent_at: u64, freed: u32) {
-        let Some(t) = self.tel() else { return };
-        t.receives.inc();
-        t.bytes_out.add(len as u64);
-        if freed > 0 {
-            t.reclaims.add(freed as u64);
-        }
-        let lt = &self.lnvc_tel[idx as usize];
-        lt.receives.fetch_add(1, Ordering::Relaxed);
-        lt.bytes_out.fetch_add(len as u64, Ordering::Relaxed);
-        if freed > 0 {
-            lt.reclaims.fetch_add(freed as u64, Ordering::Relaxed);
-        }
-        if sent_at != 0 {
-            let lat = now_nanos().saturating_sub(sent_at);
-            t.latency_hist.record(lat);
-            lt.latency.record(lat);
-        }
-    }
-
-    /// Books one blocked receive wait by `pid` on conversation `idx`.
-    fn note_recv_wait(&self, pid: ProcessId, idx: u32) {
-        if let Some(t) = self.tel() {
-            t.recv_waits.inc();
-            self.lnvc_tel[idx as usize]
-                .recv_waits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace_pop(pid, TR_RECV_BLOCK, idx, 0);
-    }
-
-    /// Books one send by `pid` that found the pools exhausted and is about
-    /// to wait on conversation `idx`'s behalf.
-    fn note_send_wait(&self, pid: ProcessId, idx: u32) {
-        if let Some(t) = self.tel() {
-            t.send_waits.inc();
-        }
-        self.trace_pop(pid, TR_SEND_BLOCK, idx, 0);
-    }
-
-    /// Books `freed` messages reclaimed from conversation `idx` by a sweep
-    /// (deliveries book their own through [`Self::note_delivery`]) and
-    /// wakes senders waiting for the memory.
-    fn note_reclaim(&self, idx: u32, freed: u32) {
-        if freed == 0 {
-            return;
-        }
-        if let Some(t) = self.tel() {
-            t.reclaims.add(freed as u64);
-            self.lnvc_tel[idx as usize]
-                .reclaims
-                .fetch_add(freed as u64, Ordering::Relaxed);
-        }
-        self.mem_waitq.notify_all();
+        self.any().reclaimable()
     }
 
     /// Number of currently existing conversations.
     pub fn live_lnvcs(&self) -> usize {
-        self.registry.len()
+        self.any().live_lnvcs()
     }
 
-    /// Approximate free message blocks (diagnostic / flow-control hints).
+    /// Free message blocks (walks the free list: a diagnostic, not a
+    /// hot-path flow-control hint).
     pub fn free_blocks(&self) -> u32 {
-        self.blocks.available()
+        self.any().free_blocks()
     }
 
     /// Whether a conversation named `name` exists right now.  A hint only:
-    /// the answer can be stale the moment the registry lock is released.
+    /// the answer can be stale by the time the caller acts on it.
     /// Service layers poll this to discover rendezvous points (e.g. an
     /// epoch-suffixed request queue) without creating them as a side
     /// effect the way `open_*` would.
     pub fn lnvc_exists(&self, name: &str) -> bool {
-        match LnvcName::new(name) {
-            Ok(n) => self.registry.lock().contains_key(&n),
-            Err(_) => false,
-        }
+        self.any().lnvc_exists(name)
     }
 
     /// Queued (undelivered or partially-delivered) message count of a
     /// conversation.  Racy diagnostic: drain protocols use it to decide
     /// whether a queue has quiesced after pausing intake.
     pub fn queue_depth(&self, id: LnvcId) -> Result<u32> {
-        let slot = self.slot(id)?;
-        Self::validate(slot, id)?;
-        Ok(slot.msg_count())
-    }
-
-    fn check_pid(&self, pid: ProcessId) -> Result<()> {
-        if pid.index() < self.cfg.max_processes as usize {
-            Ok(())
-        } else {
-            Err(MpfError::InvalidProcess)
-        }
-    }
-
-    fn ctx<'a>(&'a self, lnvc: &'a LnvcSlot) -> Ctx<'a> {
-        Ctx {
-            lnvc,
-            msgs: &self.msgs,
-            blocks: &self.blocks,
-            sends: &self.sends,
-            recvs: &self.recvs,
-            tring: None,
-            stamps: &self.next_stamp,
-        }
-    }
-
-    /// [`Self::ctx`] with `pid`'s trace ring attached, so reclaims of
-    /// traced messages performed under this borrow are recorded.
-    fn ctx_t<'a>(&'a self, lnvc: &'a LnvcSlot, pid: ProcessId) -> Ctx<'a> {
-        Ctx {
-            tring: self.tracing().then(|| &self.trace_rings[pid.index()]),
-            ..self.ctx(lnvc)
-        }
-    }
-
-    /// Whether causal tracing is enabled at all
-    /// ([`MpfConfig::trace_sample_rate`]`(0)` turns it off).
-    #[inline]
-    fn tracing(&self) -> bool {
-        self.cfg.trace_sample_every != 0
-    }
-
-    /// Decides the (trace id, hop) of a send by `pid`: continues the chain
-    /// of the process's last delivery when there is one, else mints a root
-    /// id — sampled 1-in-N, with the owner in bits 40..63, a serial in the
-    /// low 40 bits, and the sampled flag in bit 63.  `(0, 0)` = untraced.
-    fn trace_for_send(&self, pid: ProcessId) -> (u64, u32) {
-        if !self.tracing() {
-            return (0, 0);
-        }
-        let ctx = &self.trace_ctx[pid.index()];
-        let inherited = ctx.trace.load(Ordering::Relaxed);
-        if inherited != 0 {
-            return (inherited, ctx.hop.load(Ordering::Relaxed) + 1);
-        }
-        let n = self.trace_tick.fetch_add(1, Ordering::Relaxed);
-        if !n.is_multiple_of(u64::from(self.cfg.trace_sample_every)) {
-            self.trace_rings[pid.index()].note_skipped();
-            return (0, 0);
-        }
-        let root = (1u64 << 63) | ((pid.index() as u64 + 1) << 40) | (n & ((1u64 << 40) - 1));
-        (root, 0)
-    }
-
-    /// Appends one record to `pid`'s trace ring; a no-op for untraced
-    /// chains, so callers thread the gate through `trace == 0`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn trace_rec(
-        &self,
-        pid: ProcessId,
-        kind: u32,
-        hop: u32,
-        trace: u64,
-        lnvc: u32,
-        stamp: u64,
-        arg: u32,
-        arg2: u32,
-    ) {
-        if trace != 0 {
-            self.trace_rings[pid.index()].record_at(
-                now_nanos(),
-                trace,
-                stamp,
-                kind,
-                hop,
-                lnvc,
-                arg,
-                arg2,
-            );
-        }
-    }
-
-    /// Records an injected fault this process acted on (`TR_FAULT`):
-    /// `arg` names the site, `arg2` the magnitude of the typed error it
-    /// surfaced as — the pairing the offline conformance checker audits.
-    fn trace_fault(&self, pid: ProcessId, site: FaultSite, err: MpfError) {
-        if self.tracing() {
-            self.trace_rings[pid.index()].record_at(
-                now_nanos(),
-                0,
-                0,
-                TR_FAULT,
-                0,
-                u32::MAX,
-                site.code(),
-                err.status_code().unsigned_abs(),
-            );
-        }
-    }
-
-    /// Records a marker event (connection open/close, blocking).  Not
-    /// sampled: the conformance checker needs the receiver-population
-    /// timeline, and a post-mortem reader the last things a process did,
-    /// even across untraced gaps.
-    fn trace_pop(&self, pid: ProcessId, kind: u32, lnvc: u32, arg: u32) {
-        if self.tracing() {
-            self.trace_rings[pid.index()].record_at(now_nanos(), 0, 0, kind, 0, lnvc, arg, 0);
-        }
-    }
-
-    /// Adopts a delivered message's chain as `pid`'s causal context; an
-    /// untraced delivery clears it.
-    #[inline]
-    fn adopt_trace(&self, pid: ProcessId, trace: u64, hop: u32) {
-        if self.tracing() {
-            let ctx = &self.trace_ctx[pid.index()];
-            ctx.trace.store(trace, Ordering::Relaxed);
-            ctx.hop.store(hop, Ordering::Relaxed);
-        }
+        self.any().queue_depth(self.ipc_id(id)?)
     }
 
     /// The surviving contents of `pid`'s causal trace ring, oldest first
     /// (the `mpf-trace` crate reconstructs chains from these).
     pub fn trace_events(&self, pid: ProcessId) -> Result<Vec<TraceEvent>> {
-        self.check_pid(pid)?;
-        Ok(self.trace_rings[pid.index()].snapshot())
+        let view = self.view(pid)?;
+        Ok(view.trace_events(view.pid()))
     }
 
     /// Occupancy of `pid`'s trace ring: `(records ever written, chains
     /// skipped by sampling)`.
     pub fn trace_ring_stats(&self, pid: ProcessId) -> Result<(u64, u64)> {
-        self.check_pid(pid)?;
-        let ring = &self.trace_rings[pid.index()];
-        Ok((ring.head(), ring.skipped()))
-    }
-
-    /// Resolves an id to its slot, without liveness validation (that
-    /// happens under the descriptor lock via [`Self::validate`]).
-    fn slot(&self, id: LnvcId) -> Result<&LnvcSlot> {
-        if id.index() < self.lnvcs.capacity() {
-            Ok(self.lnvcs.get(id.index()))
-        } else {
-            Err(MpfError::UnknownLnvc)
-        }
-    }
-
-    /// Liveness + generation check; call with the descriptor lock held.
-    fn validate(slot: &LnvcSlot, id: LnvcId) -> Result<()> {
-        if slot.is_active() && id.matches_generation(slot.generation()) {
-            Ok(())
-        } else {
-            Err(MpfError::UnknownLnvc)
-        }
-    }
-
-    /// Looks up `name`, creating the conversation if absent (both
-    /// `open_send` and `open_receive` create on first use, §2).  Returns
-    /// `(index, created)`.  Caller holds the registry lock.
-    fn find_or_create(
-        &self,
-        reg: &mut std::collections::HashMap<LnvcName, u32>,
-        name: LnvcName,
-    ) -> Result<(u32, bool)> {
-        if let Some(&idx) = reg.get(&name) {
-            return Ok((idx, false));
-        }
-        let Some(idx) = self.lnvcs.alloc() else {
-            return Err(MpfError::LnvcsExhausted);
-        };
-        self.lnvcs.get(idx).activate();
-        reg.insert(name, idx);
-        if let Some(t) = self.tel() {
-            t.lnvcs_created.inc();
-            // A recycled slot must not inherit its predecessor's numbers.
-            self.lnvc_tel[idx as usize].reset();
-        }
-        Ok((idx, true))
-    }
-
-    /// Rolls back a just-created conversation after a failed open.
-    fn rollback_create(
-        &self,
-        reg: &mut std::collections::HashMap<LnvcName, u32>,
-        name: LnvcName,
-        idx: u32,
-    ) {
-        reg.remove(&name);
-        let slot = self.lnvcs.get(idx);
-        slot.deactivate();
-        self.lnvcs.free(idx);
-        if let Some(t) = self.tel() {
-            t.lnvcs_deleted.inc();
-        }
+        let view = self.view(pid)?;
+        view.trace_ring_stats(view.pid())
+            .ok_or(MpfError::InvalidProcess)
     }
 
     /// `open_send(process_id, lnvc_name)`: establishes a send connection,
     /// creating the conversation if needed.  Returns MPF's internal LNVC
     /// identifier for use in `message_send` and `close_send`.
     pub fn open_send(&self, pid: ProcessId, name: &str) -> Result<LnvcId> {
-        self.check_pid(pid)?;
-        let name = LnvcName::new(name)?;
-        let mut reg = self.registry.lock();
-        let (idx, created) = self.find_or_create(&mut reg, name)?;
-        let slot = self.lnvcs.get(idx);
-        let result = (|| {
-            let _guard = slot.lock.lock();
-            let ctx = self.ctx(slot);
-            if ctx.find_send(pid).is_some() {
-                return Err(MpfError::AlreadyConnected);
-            }
-            let Some(conn) = self.sends.alloc() else {
-                return Err(MpfError::ConnectionsExhausted);
-            };
-            self.sends.get(conn).reset(pid.raw(), NIL);
-            ctx.link_send(conn);
-            Ok(LnvcId::from_parts(idx, slot.generation()))
-        })();
-        if result.is_err() && created {
-            self.rollback_create(&mut reg, name, idx);
-        }
-        if result.is_ok() {
-            self.trace_pop(pid, TR_OPEN_SEND, idx, 0);
-        }
-        result
+        self.view(pid)?.open_send(name).map(LnvcId::from)
     }
 
     /// `open_receive(process_id, lnvc_name, protocol)`: establishes a
@@ -537,264 +174,34 @@ impl Mpf {
     /// by the same process fails (with [`MpfError::ProtocolConflict`] if
     /// the protocols differ, [`MpfError::AlreadyConnected`] otherwise).
     pub fn open_receive(&self, pid: ProcessId, name: &str, protocol: Protocol) -> Result<LnvcId> {
-        self.check_pid(pid)?;
-        let name = LnvcName::new(name)?;
-        let mut reg = self.registry.lock();
-        let (idx, created) = self.find_or_create(&mut reg, name)?;
-        let slot = self.lnvcs.get(idx);
-        let mut freed = 0;
-        let result = (|| {
-            let _guard = slot.lock.lock();
-            let ctx = self.ctx_t(slot, pid);
-            if let Some(existing) = ctx.find_recv(pid) {
-                return Err(if self.recvs.get(existing).protocol() != protocol {
-                    MpfError::ProtocolConflict
-                } else {
-                    MpfError::AlreadyConnected
-                });
-            }
-            let Some(conn) = self.recvs.alloc() else {
-                return Err(MpfError::ConnectionsExhausted);
-            };
-            let first_receiver = slot.n_fcfs() + slot.n_bcast() == 0;
-            self.recvs.get(conn).reset(pid.raw(), protocol, NIL);
-            ctx.link_recv(conn, protocol);
-            // Obligation re-evaluation (DESIGN.md): backlog sent before any
-            // receiver joined is owed to a *future FCFS receiver*.  If the
-            // first receiver ever to join is BROADCAST, it starts at the
-            // tail and never sees the backlog; the only receiver that could
-            // have taken it chose a protocol that will not.  Drop the
-            // obligations so the backlog does not pin pool memory forever.
-            if first_receiver && protocol == Protocol::Broadcast {
-                ctx.clear_fcfs_obligations();
-                freed = ctx.reclaim_consumed();
-            }
-            Ok(LnvcId::from_parts(idx, slot.generation()))
-        })();
-        if result.is_err() && created {
-            self.rollback_create(&mut reg, name, idx);
-        }
-        drop(reg);
-        self.note_reclaim(idx, freed);
-        if result.is_ok() {
-            self.trace_pop(pid, TR_OPEN_RECV, idx, protocol.code());
-        }
-        result
-    }
-
-    /// Deletes the conversation once its last connection closes: "the LNVC
-    /// is deleted and all unread messages are discarded" (§2).  Caller
-    /// holds the registry lock and the descriptor lock.
-    fn maybe_delete(
-        &self,
-        reg: &mut std::collections::HashMap<LnvcName, u32>,
-        idx: u32,
-        slot: &LnvcSlot,
-    ) -> bool {
-        if slot.total_connections() > 0 {
-            return false;
-        }
-        let ctx = self.ctx(slot);
-        ctx.discard_all_messages();
-        reg.retain(|_, &mut v| v != idx);
-        slot.deactivate();
-        self.lnvcs.free(idx);
-        if let Some(t) = self.tel() {
-            t.lnvcs_deleted.inc();
-        }
-        true
+        self.view(pid)?
+            .open_receive(name, protocol)
+            .map(LnvcId::from)
     }
 
     /// `close_send(process_id, lnvc_id)`: removes the process's send
-    /// connection.
+    /// connection.  The last connection out deletes the conversation:
+    /// "the LNVC is deleted and all unread messages are discarded" (§2).
     pub fn close_send(&self, pid: ProcessId, id: LnvcId) -> Result<()> {
-        self.check_pid(pid)?;
-        let mut reg = self.registry.lock();
-        let slot = self.slot(id)?;
-        {
-            let _guard = slot.lock.lock();
-            Self::validate(slot, id)?;
-            let ctx = self.ctx(slot);
-            let conn = ctx.unlink_send(pid).ok_or(MpfError::NotConnected)?;
-            self.sends.free(conn);
-            self.maybe_delete(&mut reg, id.index(), slot);
-        }
-        drop(reg);
-        // Wake receivers so any blocked on a now-deleted conversation can
-        // observe UnknownLnvc; wake memory waiters (messages may be freed).
-        slot.waitq.notify_all();
-        self.mem_waitq.notify_all();
-        self.trace_pop(pid, TR_CLOSE_SEND, id.index(), 0);
-        Ok(())
+        let (view, id) = self.on(pid, id)?;
+        view.close_send(id)
     }
 
     /// `close_receive(process_id, lnvc_id)`: removes the process's receive
     /// connection.  For a BROADCAST receiver with unread messages this
     /// performs the paper's §3.2 sweep, releasing the receiver's claim on
-    /// every message from its head pointer to the tail.
+    /// every message from its cursor to the tail.
     pub fn close_receive(&self, pid: ProcessId, id: LnvcId) -> Result<()> {
-        self.check_pid(pid)?;
-        let mut reg = self.registry.lock();
-        let slot = self.slot(id)?;
-        let mut reclaimed = 0;
-        let closed_protocol;
-        {
-            let _guard = slot.lock.lock();
-            Self::validate(slot, id)?;
-            let ctx = self.ctx_t(slot, pid);
-            let (conn, protocol, head) = ctx.unlink_recv(pid).ok_or(MpfError::NotConnected)?;
-            closed_protocol = protocol;
-            self.recvs.free(conn);
-            if protocol == Protocol::Broadcast && head != NIL {
-                reclaimed = ctx.release_bcast_claims(head);
-            }
-            // Obligation re-evaluation (DESIGN.md): when the last FCFS
-            // receiver leaves while BROADCAST receivers keep the
-            // conversation alive, the queued FCFS deliveries are dropped —
-            // the close discards the departing receiver's undelivered
-            // backlog exactly as the paper's §3.2 close-time sweep discards
-            // a broadcast receiver's unread claims.  Without this the
-            // messages are unreclaimable (no one in the current connection
-            // set will ever take them, and broadcast joiners never see
-            // backlog) and senders eventually wedge on exhaustion.
-            if protocol == Protocol::Fcfs && slot.n_fcfs() == 0 && slot.n_bcast() > 0 {
-                ctx.clear_fcfs_obligations();
-            }
-            // Close is the slow path: sweep the whole queue, not just the
-            // prefix, so interior messages freed by the sweeps above (or
-            // consumed behind a still-owed head) are returned too.
-            reclaimed += ctx.reclaim_consumed();
-            self.maybe_delete(&mut reg, id.index(), slot);
-        }
-        drop(reg);
-        self.note_reclaim(id.index(), reclaimed);
-        slot.waitq.notify_all();
-        self.mem_waitq.notify_all();
-        self.trace_pop(pid, TR_CLOSE_RECV, id.index(), closed_protocol.code());
-        Ok(())
-    }
-
-    /// Under memory pressure, sweeps conversation `idx`'s whole queue for
-    /// consumed interior messages the prefix reclaimer could not reach
-    /// (e.g. behind a message still owed a delivery).  Returns messages
-    /// freed.
-    fn sweep_consumed(&self, idx: u32) -> u32 {
-        let slot = self.lnvcs.get(idx);
-        let _guard = slot.lock.lock();
-        let freed = self.ctx(slot).reclaim_consumed();
-        drop(_guard);
-        self.note_reclaim(idx, freed);
-        freed
-    }
-
-    /// Allocates a header and a populated block chain, honouring the
-    /// exhaustion policy.  Before waiting (or erroring), tries a full-queue
-    /// sweep of the destination conversation — the sender-side slow path of
-    /// non-prefix reclamation.  Returns `(msg_idx, chain)`.  Under
-    /// [`ExhaustPolicy::Wait`] the exhaustion wait is bounded by
-    /// `deadline` and times out with [`MpfError::TimedOut`] and nothing
-    /// allocated.  `idx` is an in-range conversation index (callers
-    /// resolved the id).
-    fn alloc_message(
-        &self,
-        pid: ProcessId,
-        idx: u32,
-        buf: &[u8],
-        deadline: Option<Instant>,
-    ) -> Result<(u32, Chain)> {
-        // An injected pool-exhaustion fault behaves exactly like a real
-        // one-shot exhaustion: typed error under `ExhaustPolicy::Error`,
-        // one bounded wait round under `Wait`.
-        let mut injected = faultplane::inject(FaultSite::PoolExhaust);
-        loop {
-            let ticket = self.mem_waitq.ticket();
-            let attempt = if injected {
-                Err(MpfError::BlocksExhausted)
-            } else {
-                self.blocks.alloc_chain(buf)
-            };
-            match attempt {
-                Ok(chain) => match self.msgs.alloc() {
-                    Some(msg) => return Ok((msg, chain)),
-                    None => {
-                        // Release the chain before waiting: holding blocks
-                        // while blocked on headers could deadlock the
-                        // region.
-                        self.blocks.free_chain(chain);
-                        if self.sweep_consumed(idx) > 0 {
-                            continue;
-                        }
-                        if self.cfg.exhaust_policy == ExhaustPolicy::Error {
-                            return Err(MpfError::MessagesExhausted);
-                        }
-                        self.note_send_wait(pid, idx);
-                        if !self
-                            .mem_waitq
-                            .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
-                        {
-                            return Err(MpfError::TimedOut);
-                        }
-                    }
-                },
-                Err(MpfError::BlocksExhausted) => {
-                    if injected {
-                        injected = false;
-                        if self.cfg.exhaust_policy == ExhaustPolicy::Error {
-                            self.trace_fault(
-                                pid,
-                                FaultSite::PoolExhaust,
-                                MpfError::BlocksExhausted,
-                            );
-                            return Err(MpfError::BlocksExhausted);
-                        }
-                        // Wait policy: the fault costs one bounded nap
-                        // (nothing will notify — memory was never truly
-                        // exhausted), then allocation proceeds normally
-                        // unless the caller's real deadline expired.
-                        self.note_send_wait(pid, idx);
-                        let nap = Instant::now() + std::time::Duration::from_millis(2);
-                        self.mem_waitq.wait_deadline(
-                            ticket,
-                            self.cfg.wait_strategy,
-                            Some(deadline.map_or(nap, |d| d.min(nap))),
-                        );
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            self.trace_fault(pid, FaultSite::PoolExhaust, MpfError::TimedOut);
-                            return Err(MpfError::TimedOut);
-                        }
-                        continue;
-                    }
-                    if self.sweep_consumed(idx) > 0 {
-                        continue;
-                    }
-                    if self.cfg.exhaust_policy == ExhaustPolicy::Error {
-                        return Err(MpfError::BlocksExhausted);
-                    }
-                    self.note_send_wait(pid, idx);
-                    if !self
-                        .mem_waitq
-                        .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
-                    {
-                        return Err(MpfError::TimedOut);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let (view, id) = self.on(pid, id)?;
+        view.close_receive(id)
     }
 
     /// `message_send(process_id, lnvc_id, send_buffer, buffer_length)`:
-    /// asynchronous send.  The payload is copied into linked message
-    /// blocks *before* the descriptor lock is taken, then the message is
-    /// linked at the FIFO tail and waiting receivers are woken.
+    /// asynchronous send.  When the region is full the
+    /// [`ExhaustPolicy`] decides: wait for a consumer to free room (the
+    /// default), or fail with `MessagesExhausted`/`BlocksExhausted`.
     pub fn message_send(&self, pid: ProcessId, id: LnvcId, buf: &[u8]) -> Result<()> {
-        self.check_pid(pid)?;
-        let slot = self.slot(id)?;
-        // Cheap stale-id rejection before paying for allocation; the
-        // authoritative check repeats under the lock.
-        Self::validate(slot, id)?;
-        let (msg_idx, chain) = self.alloc_message(pid, id.index(), buf, None)?;
-        self.publish_message(pid, id, msg_idx, chain, buf)
+        self.send_deadline(pid, id, buf, None)
     }
 
     /// [`Self::message_send`] bounded by `deadline`: under region
@@ -809,197 +216,19 @@ impl Mpf {
         buf: &[u8],
         deadline: Option<Instant>,
     ) -> Result<()> {
-        self.check_pid(pid)?;
-        let slot = self.slot(id)?;
-        Self::validate(slot, id)?;
-        let (msg_idx, chain) = self.alloc_message(pid, id.index(), buf, deadline)?;
-        self.publish_message(pid, id, msg_idx, chain, buf)
+        let (view, id) = self.on(pid, id)?;
+        match self.cfg.exhaust_policy {
+            ExhaustPolicy::Wait => view.send_deadline(id, buf, deadline),
+            ExhaustPolicy::Error => view.message_send(id, buf),
+        }
     }
 
     /// Non-blocking send: `Ok(false)` when the region is exhausted right
     /// now (the async layer retries after a memory wakeup instead of
     /// parking the thread).  Connection/validity errors still fail.
     pub fn try_message_send(&self, pid: ProcessId, id: LnvcId, buf: &[u8]) -> Result<bool> {
-        self.check_pid(pid)?;
-        let slot = self.slot(id)?;
-        Self::validate(slot, id)?;
-        match self.try_alloc_message(id.index(), buf)? {
-            Some((msg_idx, chain)) => {
-                self.publish_message(pid, id, msg_idx, chain, buf)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// One non-blocking pass of [`Self::alloc_message`]: tries the pools,
-    /// sweeps the destination queue once on exhaustion, and reports
-    /// `Ok(None)` instead of waiting.
-    fn try_alloc_message(&self, idx: u32, buf: &[u8]) -> Result<Option<(u32, Chain)>> {
-        let mut swept = false;
-        loop {
-            match self.blocks.alloc_chain(buf) {
-                Ok(chain) => match self.msgs.alloc() {
-                    Some(msg) => return Ok(Some((msg, chain))),
-                    None => {
-                        self.blocks.free_chain(chain);
-                        if !swept && self.sweep_consumed(idx) > 0 {
-                            swept = true;
-                            continue;
-                        }
-                        return Ok(None);
-                    }
-                },
-                Err(MpfError::BlocksExhausted) => {
-                    if !swept && self.sweep_consumed(idx) > 0 {
-                        swept = true;
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Publishes an allocated message: links it at the FIFO tail under the
-    /// descriptor lock, wakes receivers, and records send bookkeeping.
-    /// Frees the allocation if the conversation vanished in between.
-    fn publish_message(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        msg_idx: u32,
-        chain: Chain,
-        buf: &[u8],
-    ) -> Result<()> {
-        let slot = self.slot(id)?;
-        {
-            let _guard = slot.lock.lock();
-            let ctx = self.ctx(slot);
-            let valid = Self::validate(slot, id)
-                .and_then(|()| ctx.find_send(pid).map(|_| ()).ok_or(MpfError::NotConnected));
-            if let Err(e) = valid {
-                drop(_guard);
-                self.blocks.free_chain(chain);
-                self.msgs.free(msg_idx);
-                self.mem_waitq.notify_all();
-                return Err(e);
-            }
-            let stamp = ctx.enqueue(msg_idx, buf.len(), chain);
-            // Causal id stamped under the lock, before receivers can see
-            // the message; obligations are fixed at this instant, so the
-            // packed arg2 is what the conformance checker audits against.
-            let (trace, hop) = self.trace_for_send(pid);
-            let obligations = {
-                let n_bcast = slot.n_bcast();
-                let needs_fcfs = slot.n_fcfs() > 0 || n_bcast == 0;
-                (u32::from(needs_fcfs) << 16) | n_bcast
-            };
-            if trace != 0 {
-                self.msgs.get(msg_idx).set_trace(trace, hop);
-            }
-            if let Some(lt) = self.ltel(id.index()) {
-                // Stamped under the lock, before receivers can see the
-                // message, so `sent_at` is final once the lock drops.  An
-                // unsampled message is stamped 0 (the pooled header may
-                // carry a stale timestamp) and skips latency recording.
-                let sent_at = if self.sample_latency() {
-                    now_nanos()
-                } else {
-                    0
-                };
-                self.msgs.get(msg_idx).set_sent_at(sent_at);
-                lt.sends.fetch_add(1, Ordering::Relaxed);
-                lt.bytes_in.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                lt.note_depth(u64::from(slot.msg_count()));
-            }
-            drop(_guard);
-            self.trace_rec(
-                pid,
-                TR_SEND,
-                hop,
-                trace,
-                id.index(),
-                stamp,
-                buf.len() as u32,
-                obligations,
-            );
-        }
-        slot.waitq.notify_all();
-        if let Some(t) = self.tel() {
-            t.sends.inc();
-            t.bytes_in.add(buf.len() as u64);
-            t.size_hist.record(buf.len() as u64);
-        }
-        Ok(())
-    }
-
-    /// Core receive step.  With the descriptor locked, finds the next
-    /// message for `pid` (per its protocol), copies it out with the lock
-    /// *dropped*, completes delivery bookkeeping, and reclaims.  Returns
-    /// `Ok(Some(len))`, `Ok(None)` for "nothing available", or an error.
-    fn recv_once(&self, pid: ProcessId, id: LnvcId, buf: &mut [u8]) -> Result<Option<usize>> {
-        let slot = self.slot(id)?;
-        let guard = slot.lock.lock();
-        Self::validate(slot, id)?;
-        let ctx = self.ctx(slot);
-        let Some(conn_idx) = ctx.find_recv(pid) else {
-            return Err(MpfError::NotConnected);
-        };
-        let conn = self.recvs.get(conn_idx);
-        let protocol = conn.protocol();
-        let found = match protocol {
-            Protocol::Fcfs => ctx.fcfs_peek(),
-            Protocol::Broadcast => {
-                let h = conn.head();
-                (h != NIL).then_some(h)
-            }
-        };
-        let Some(msg_idx) = found else {
-            return Ok(None);
-        };
-        let msg = self.msgs.get(msg_idx);
-        let len = msg.len();
-        if buf.len() < len {
-            // Message is left queued (not consumed).
-            return Err(MpfError::BufferTooSmall { needed: len });
-        }
-        match protocol {
-            Protocol::Fcfs => msg.set_fcfs_taken(),
-            Protocol::Broadcast => conn.set_head(msg.next()),
-        }
-        msg.begin_copy();
-        let head_block = msg.head_block();
-        let stamp = msg.stamp();
-        let sent_at = msg.sent_at();
-        let (trace, hop) = (msg.trace(), msg.hop());
-        drop(guard);
-
-        self.blocks.read_chain(head_block, len, &mut buf[..len]);
-        msg.end_copy();
-
-        // Delivery is claimed; record it before the reclamation sweep can
-        // append this message's TR_RECLAIM, so ring order matches logic.
-        self.adopt_trace(pid, trace, hop);
-        let kind = match protocol {
-            Protocol::Fcfs => TR_RECV,
-            Protocol::Broadcast => TR_RECV_B,
-        };
-        self.trace_rec(pid, kind, hop, trace, id.index(), stamp, len as u32, 0);
-
-        let _guard = slot.lock.lock();
-        if protocol == Protocol::Broadcast {
-            msg.dec_bcast_pending();
-        }
-        let ctx = self.ctx_t(slot, pid);
-        let freed = ctx.reclaim_prefix();
-        drop(_guard);
-        if freed > 0 {
-            self.mem_waitq.notify_all();
-        }
-        self.note_delivery(id.index(), len, sent_at, freed);
-        Ok(Some(len))
+        let (view, id) = self.on(pid, id)?;
+        view.try_message_send(id, buf)
     }
 
     /// `message_receive(process_id, lnvc_id, receive_buffer,
@@ -1007,35 +236,8 @@ impl Mpf {
     /// transferred ("buffer_length is set to the number of bytes
     /// transferred").
     pub fn message_receive(&self, pid: ProcessId, id: LnvcId, buf: &mut [u8]) -> Result<usize> {
-        self.check_pid(pid)?;
-        let mut waited = false;
-        loop {
-            // Ticket before the check: a send between our check and our
-            // wait bumps the sequence and the wait returns immediately.
-            let slot = self.slot(id)?;
-            let ticket = slot.waitq.ticket();
-            if let Some(len) = self.recv_once(pid, id, buf)? {
-                if waited && self.tracing() {
-                    // The delivery that ended the block; its chain is the
-                    // context recv_once just adopted.
-                    let ctx = &self.trace_ctx[pid.index()];
-                    self.trace_rec(
-                        pid,
-                        TR_WAKEUP,
-                        ctx.hop.load(Ordering::Relaxed),
-                        ctx.trace.load(Ordering::Relaxed),
-                        id.index(),
-                        0,
-                        len as u32,
-                        0,
-                    );
-                }
-                return Ok(len);
-            }
-            waited = true;
-            self.note_recv_wait(pid, id.index());
-            slot.waitq.wait(ticket, self.cfg.wait_strategy);
-        }
+        let (view, id) = self.on(pid, id)?;
+        view.message_receive(id, buf)
     }
 
     /// [`Self::message_receive`] bounded by `deadline`: blocks until a
@@ -1050,26 +252,8 @@ impl Mpf {
         buf: &mut [u8],
         deadline: Option<Instant>,
     ) -> Result<usize> {
-        self.check_pid(pid)?;
-        loop {
-            let slot = self.slot(id)?;
-            let ticket = slot.waitq.ticket();
-            if let Some(len) = self.recv_once(pid, id, buf)? {
-                return Ok(len);
-            }
-            self.note_recv_wait(pid, id.index());
-            if !slot
-                .waitq
-                .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
-            {
-                // Deadline: one final non-blocking look so a delivery
-                // that raced the expiry is delivered, not timed out.
-                if let Some(len) = self.recv_once(pid, id, buf)? {
-                    return Ok(len);
-                }
-                return Err(MpfError::TimedOut);
-            }
-        }
+        let (view, id) = self.on(pid, id)?;
+        view.recv_deadline(id, buf, deadline)
     }
 
     /// Non-blocking variant of [`Self::message_receive`]; `Ok(None)` when
@@ -1080,8 +264,8 @@ impl Mpf {
         id: LnvcId,
         buf: &mut [u8],
     ) -> Result<Option<usize>> {
-        self.check_pid(pid)?;
-        self.recv_once(pid, id, buf)
+        let (view, id) = self.on(pid, id)?;
+        view.try_message_receive(id, buf)
     }
 
     /// Zero-copy blocking receive: the next message's payload is visited
@@ -1091,128 +275,31 @@ impl Mpf {
     /// side.  Returns the message length.
     ///
     /// The message is consumed exactly as by [`Self::message_receive`];
-    /// the visitor runs outside the descriptor lock (the message is
-    /// pinned), so other receivers proceed concurrently.
+    /// the visitor runs under the conversation's lock, like the copy it
+    /// replaces, so it must not call back into the facility.
     pub fn message_receive_scan(
         &self,
         pid: ProcessId,
         id: LnvcId,
-        mut visit: impl FnMut(&[u8]),
+        visit: impl FnMut(&[u8]),
     ) -> Result<usize> {
-        self.check_pid(pid)?;
-        loop {
-            let slot = self.slot(id)?;
-            let ticket = slot.waitq.ticket();
-            let guard = slot.lock.lock();
-            Self::validate(slot, id)?;
-            let ctx = self.ctx(slot);
-            let Some(conn_idx) = ctx.find_recv(pid) else {
-                return Err(MpfError::NotConnected);
-            };
-            let conn = self.recvs.get(conn_idx);
-            let protocol = conn.protocol();
-            let found = match protocol {
-                Protocol::Fcfs => ctx.fcfs_peek(),
-                Protocol::Broadcast => {
-                    let h = conn.head();
-                    (h != NIL).then_some(h)
-                }
-            };
-            let Some(msg_idx) = found else {
-                drop(guard);
-                self.note_recv_wait(pid, id.index());
-                slot.waitq.wait(ticket, self.cfg.wait_strategy);
-                continue;
-            };
-            let msg = self.msgs.get(msg_idx);
-            let len = msg.len();
-            match protocol {
-                Protocol::Fcfs => msg.set_fcfs_taken(),
-                Protocol::Broadcast => conn.set_head(msg.next()),
-            }
-            msg.begin_copy();
-            let head_block = msg.head_block();
-            let stamp = msg.stamp();
-            let sent_at = msg.sent_at();
-            let (trace, hop) = (msg.trace(), msg.hop());
-            drop(guard);
-
-            // SAFETY: the message is published and pinned; blocks of a
-            // published message are never written, and reclamation skips
-            // pinned messages.
-            unsafe { self.blocks.scan_chain(head_block, len, &mut visit) };
-            msg.end_copy();
-
-            self.adopt_trace(pid, trace, hop);
-            let kind = match protocol {
-                Protocol::Fcfs => TR_RECV,
-                Protocol::Broadcast => TR_RECV_B,
-            };
-            self.trace_rec(pid, kind, hop, trace, id.index(), stamp, len as u32, 0);
-
-            let _guard = slot.lock.lock();
-            if protocol == Protocol::Broadcast {
-                msg.dec_bcast_pending();
-            }
-            let ctx = self.ctx_t(slot, pid);
-            let freed = ctx.reclaim_prefix();
-            drop(_guard);
-            if freed > 0 {
-                self.mem_waitq.notify_all();
-            }
-            self.note_delivery(id.index(), len, sent_at, freed);
-            return Ok(len);
-        }
+        let (view, id) = self.on(pid, id)?;
+        view.message_receive_scan(id, visit)
     }
 
     /// Blocking receive into a freshly sized `Vec` (convenience; not in
     /// the paper's C interface).
     pub fn message_receive_vec(&self, pid: ProcessId, id: LnvcId) -> Result<Vec<u8>> {
-        self.check_pid(pid)?;
-        let mut buf = Vec::new();
-        loop {
-            let slot = self.slot(id)?;
-            let ticket = slot.waitq.ticket();
-            match self.pending_len(pid, id)? {
-                Some(len) => {
-                    buf.resize(len.max(1), 0);
-                    match self.recv_once(pid, id, &mut buf) {
-                        Ok(Some(n)) => {
-                            buf.truncate(n);
-                            return Ok(buf);
-                        }
-                        // Another FCFS receiver raced us to it, or a
-                        // longer message is now at the head; retry.
-                        Ok(None) | Err(MpfError::BufferTooSmall { .. }) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => {
-                    self.note_recv_wait(pid, id.index());
-                    slot.waitq.wait(ticket, self.cfg.wait_strategy);
-                }
-            }
-        }
+        let (view, id) = self.on(pid, id)?;
+        let mut one = view.recv_batch(id, 1)?;
+        Ok(one.pop().expect("a blocking batch of one delivers one"))
     }
 
-    /// Length of the next message `pid` would receive, if any.
-    fn pending_len(&self, pid: ProcessId, id: LnvcId) -> Result<Option<usize>> {
-        let slot = self.slot(id)?;
-        let _guard = slot.lock.lock();
-        Self::validate(slot, id)?;
-        let ctx = self.ctx(slot);
-        let Some(conn_idx) = ctx.find_recv(pid) else {
-            return Err(MpfError::NotConnected);
-        };
-        let conn = self.recvs.get(conn_idx);
-        let found = match conn.protocol() {
-            Protocol::Fcfs => ctx.fcfs_peek(),
-            Protocol::Broadcast => {
-                let h = conn.head();
-                (h != NIL).then_some(h)
-            }
-        };
-        Ok(found.map(|m| self.msgs.get(m).len()))
+    /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing is
+    /// deliverable.
+    pub fn try_message_receive_vec(&self, pid: ProcessId, id: LnvcId) -> Result<Option<Vec<u8>>> {
+        let (view, id) = self.on(pid, id)?;
+        view.try_message_receive_vec(id)
     }
 
     /// `check_receive(process_id, lnvc_id)`: true if a message is waiting
@@ -1220,17 +307,16 @@ impl Mpf {
     /// be present at the next `message_receive`; for FCFS another receiver
     /// may still take it first (the paper's §2 caution).
     pub fn check_receive(&self, pid: ProcessId, id: LnvcId) -> Result<bool> {
-        self.check_pid(pid)?;
-        Ok(self.pending_len(pid, id)?.is_some())
+        let (view, id) = self.on(pid, id)?;
+        view.check_receive(id)
     }
 
     /// Polls several conversations; returns the first (in argument order)
     /// with a message waiting for `pid`.  The FCFS caveat of
     /// [`Self::check_receive`] applies per conversation.
     pub fn check_any(&self, pid: ProcessId, ids: &[LnvcId]) -> Result<Option<LnvcId>> {
-        self.check_pid(pid)?;
         for &id in ids {
-            if self.pending_len(pid, id)?.is_some() {
+            if self.check_receive(pid, id)? {
                 return Ok(Some(id));
             }
         }
@@ -1240,32 +326,14 @@ impl Mpf {
     /// Blocks until one of the conversations has a message for `pid`;
     /// returns which.  Not a paper primitive — 1987 programs built this
     /// select loop out of `check_receive` (the SOR solver's monitor is the
-    /// use case) — but ours parks properly: tickets are taken on every
-    /// conversation's wait queue *before* the scan, so a send (or close)
-    /// landing after the scan bumps a sequence and the multi-queue wait
-    /// returns immediately instead of being lost.
+    /// use case) — but ours sleeps properly: every member is watched
+    /// *before* the scan, so a send (or close) landing after it rings the
+    /// process's doorbell instead of being lost.
     ///
     /// An empty `ids` slice is rejected with [`MpfError::EmptyWaitSet`]:
     /// waiting on no conversations could never wake.
     pub fn wait_any(&self, pid: ProcessId, ids: &[LnvcId]) -> Result<LnvcId> {
-        self.check_pid(pid)?;
-        if ids.is_empty() {
-            return Err(MpfError::EmptyWaitSet);
-        }
-        loop {
-            let mut entries = Vec::with_capacity(ids.len());
-            for &id in ids {
-                let slot = self.slot(id)?;
-                entries.push((&slot.waitq, slot.waitq.ticket()));
-            }
-            if let Some(id) = self.check_any(pid, ids)? {
-                return Ok(id);
-            }
-            if let Some(t) = self.tel() {
-                t.recv_waits.inc();
-            }
-            WaitQueue::wait_many(&entries, self.cfg.wait_strategy);
-        }
+        self.wait_any_deadline(pid, ids, None)
     }
 
     /// [`Self::wait_any`] bounded by `deadline`: [`MpfError::TimedOut`]
@@ -1278,29 +346,12 @@ impl Mpf {
         ids: &[LnvcId],
         deadline: Option<Instant>,
     ) -> Result<LnvcId> {
-        self.check_pid(pid)?;
-        if ids.is_empty() {
-            return Err(MpfError::EmptyWaitSet);
-        }
-        loop {
-            let mut entries = Vec::with_capacity(ids.len());
-            for &id in ids {
-                let slot = self.slot(id)?;
-                entries.push((&slot.waitq, slot.waitq.ticket()));
-            }
-            if let Some(id) = self.check_any(pid, ids)? {
-                return Ok(id);
-            }
-            if let Some(t) = self.tel() {
-                t.recv_waits.inc();
-            }
-            if !WaitQueue::wait_many_deadline(&entries, self.cfg.wait_strategy, deadline) {
-                if let Some(id) = self.check_any(pid, ids)? {
-                    return Ok(id);
-                }
-                return Err(MpfError::TimedOut);
-            }
-        }
+        let view = self.view(pid)?;
+        let full = ids
+            .iter()
+            .map(|&id| self.ipc_id(id))
+            .collect::<Result<Vec<_>>>()?;
+        view.wait_any_deadline(&full, deadline).map(LnvcId::from)
     }
 
     // ------------------------------------------------------------------
@@ -1312,9 +363,10 @@ impl Mpf {
     /// `user_data` token is its index within `payloads`.
     ///
     /// Returns the number staged: allocation follows the exhaustion policy
-    /// (it may block under [`ExhaustPolicy::Wait`]), and a full ring stops
-    /// the batch early — a partial submit.  An empty batch is `Ok(0)` with
-    /// no doorbell; a ring with no room for even the first descriptor is
+    /// (it may block under [`ExhaustPolicy::Wait`] while nothing at all
+    /// can be staged), and a full ring or a dry pool stops the batch early
+    /// — a partial submit.  An empty batch is `Ok(0)` with no doorbell; a
+    /// ring with no room for even the first descriptor is
     /// [`MpfError::WouldBlock`] (drain, then resubmit the rest).
     pub fn submit_sends(&self, pid: ProcessId, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
         self.submit_sends_deadline(pid, id, payloads, None)
@@ -1331,59 +383,11 @@ impl Mpf {
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<usize> {
-        self.check_pid(pid)?;
-        let slot = self.slot(id)?;
-        Self::validate(slot, id)?;
-        if payloads.is_empty() {
-            return Ok(0);
+        let (view, id) = self.on(pid, id)?;
+        match self.cfg.exhaust_policy {
+            ExhaustPolicy::Wait => view.submit_sends_deadline(id, payloads, deadline),
+            ExhaustPolicy::Error => view.submit_sends(id, payloads),
         }
-        let sq = &self.aio_sq[pid.index()];
-        let mut submitted = 0usize;
-        for (i, buf) in payloads.iter().enumerate() {
-            if sq.is_full() {
-                break;
-            }
-            let (msg_idx, chain) = match self.alloc_message(pid, id.index(), buf, deadline) {
-                Ok(alloc) => alloc,
-                // Keep what was already staged; surface the error only
-                // when nothing was (callers see partial progress first).
-                Err(e) if submitted == 0 => return Err(e),
-                Err(_) => break,
-            };
-            // The payload chain is filled but unpublished; the descriptor
-            // carries everything the drain needs to link it: the chain
-            // head rides the low half of user_data, the batch token the
-            // high half.  The causal id is decided here — staging is the
-            // send's causal point — and the hop count rides the status
-            // field, which carries no meaning until completion.
-            let (trace, hop) = self.trace_for_send(pid);
-            let pushed = sq.try_push(RingEntry {
-                user_data: (u64::from(u32::try_from(i).unwrap_or(u32::MAX)) << 32)
-                    | u64::from(chain.head),
-                trace,
-                lnvc: id.as_i32() as u32,
-                arg0: msg_idx,
-                arg1: buf.len() as u32,
-                status: hop as i32,
-            });
-            debug_assert!(pushed, "single-submitter ring had room");
-            self.trace_rec(
-                pid,
-                TR_ENQUEUE,
-                hop,
-                trace,
-                id.index(),
-                0,
-                buf.len() as u32,
-                i as u32,
-            );
-            submitted += 1;
-        }
-        if submitted == 0 {
-            return Err(MpfError::WouldBlock);
-        }
-        sq.ring_doorbell();
-        Ok(submitted)
     }
 
     /// Drains `pid`'s submission ring: links every staged message under
@@ -1393,181 +397,28 @@ impl Mpf {
     /// CQ lacks space, so no completion is ever dropped.  Returns the
     /// number completed.
     pub fn drain_sends(&self, pid: ProcessId) -> Result<usize> {
-        self.check_pid(pid)?;
-        let sq = &self.aio_sq[pid.index()];
-        let cq = &self.aio_cq[pid.index()];
-        // Reap-side space only grows (we are the only CQ producer), so
-        // this bound is conservative and conservation holds.
-        let budget = cq.capacity() - cq.depth();
-        let mut entries = Vec::with_capacity(budget.min(sq.depth()));
-        while entries.len() < budget {
-            let Some(e) = sq.try_pop() else { break };
-            entries.push(e);
-        }
-        if entries.is_empty() {
-            return Ok(0);
-        }
-        let mut done = 0usize;
-        while done < entries.len() {
-            let lnvc_raw = entries[done].lnvc;
-            let run_end = entries[done..]
-                .iter()
-                .position(|e| e.lnvc != lnvc_raw)
-                .map_or(entries.len(), |p| done + p);
-            self.drain_run(pid, &entries[done..run_end], cq);
-            done = run_end;
-        }
-        cq.ring_doorbell();
-        Ok(entries.len())
-    }
-
-    /// Completes one run of same-conversation submission descriptors:
-    /// a single lock hold, a single receiver wake, one CQ push each.
-    fn drain_run(&self, pid: ProcessId, run: &[RingEntry], cq: &AioRing) {
-        let id = LnvcId::from_i32(run[0].lnvc as i32).expect("submit staged a valid id");
-        let complete = |e: &RingEntry, status: i32| {
-            let pushed = cq.try_push(RingEntry {
-                user_data: e.user_data >> 32,
-                trace: e.trace,
-                lnvc: e.lnvc,
-                arg0: 0,
-                arg1: e.arg1,
-                status,
-            });
-            debug_assert!(pushed, "drain reserved CQ space");
-        };
-        let release = |e: &RingEntry| {
-            let len = e.arg1 as usize;
-            self.blocks.free_chain(Chain {
-                head: (e.user_data & u64::from(u32::MAX)) as u32,
-                blocks: self.blocks.blocks_needed(len),
-            });
-            self.msgs.free(e.arg0);
-        };
-        let slot = match self.slot(id) {
-            Ok(slot) => slot,
-            Err(e) => {
-                for entry in run {
-                    release(entry);
-                    complete(entry, e.status_code());
-                }
-                self.mem_waitq.notify_all();
-                return;
-            }
-        };
-        let mut sent = 0usize;
-        let mut bytes = 0u64;
-        {
-            let guard = slot.lock.lock();
-            let ctx = self.ctx(slot);
-            let valid = Self::validate(slot, id)
-                .and_then(|()| ctx.find_send(pid).map(|_| ()).ok_or(MpfError::NotConnected));
-            if let Err(e) = valid {
-                drop(guard);
-                for entry in run {
-                    release(entry);
-                    complete(entry, e.status_code());
-                }
-                self.mem_waitq.notify_all();
-                return;
-            }
-            // Obligations are fixed per-send, but the connection set cannot
-            // change while we hold the lock — one computation covers the run.
-            let obligations = {
-                let n_bcast = slot.n_bcast();
-                let needs_fcfs = slot.n_fcfs() > 0 || n_bcast == 0;
-                (u32::from(needs_fcfs) << 16) | n_bcast
-            };
-            for entry in run {
-                let len = entry.arg1 as usize;
-                let chain = Chain {
-                    head: (entry.user_data & u64::from(u32::MAX)) as u32,
-                    blocks: self.blocks.blocks_needed(len),
-                };
-                let stamp = ctx.enqueue(entry.arg0, len, chain);
-                // The staged hop rode the (pre-completion) status field.
-                let hop = entry.status as u32;
-                if entry.trace != 0 {
-                    self.msgs.get(entry.arg0).set_trace(entry.trace, hop);
-                }
-                self.trace_rec(
-                    pid,
-                    TR_SEND,
-                    hop,
-                    entry.trace,
-                    id.index(),
-                    stamp,
-                    len as u32,
-                    obligations,
-                );
-                if let Some(lt) = self.ltel(id.index()) {
-                    let sent_at = if self.sample_latency() {
-                        now_nanos()
-                    } else {
-                        0
-                    };
-                    self.msgs.get(entry.arg0).set_sent_at(sent_at);
-                    lt.sends.fetch_add(1, Ordering::Relaxed);
-                    lt.bytes_in.fetch_add(len as u64, Ordering::Relaxed);
-                }
-                sent += 1;
-                bytes += len as u64;
-            }
-            if let Some(lt) = self.ltel(id.index()) {
-                lt.note_depth(u64::from(slot.msg_count()));
-            }
-        }
-        // One wake for the whole run — the amortisation the rings buy.
-        slot.waitq.notify_all();
-        if let Some(t) = self.tel() {
-            t.sends.add(sent as u64);
-            t.bytes_in.add(bytes);
-            for entry in run {
-                t.size_hist.record(u64::from(entry.arg1));
-            }
-        }
-        for entry in run {
-            complete(entry, 0);
-        }
+        Ok(self.view(pid)?.drain_sends())
     }
 
     /// Reaps every pending completion from `pid`'s CQ into `out`; returns
     /// how many were appended.
     pub fn reap_completions(&self, pid: ProcessId, out: &mut Vec<AioCompletion>) -> Result<usize> {
-        self.check_pid(pid)?;
-        let cq = &self.aio_cq[pid.index()];
-        let mut n = 0usize;
-        while let Some(e) = cq.try_pop() {
-            out.push(AioCompletion {
-                user_data: e.user_data,
-                trace: e.trace,
-                lnvc: e.lnvc,
-                len: e.arg1,
-                status: e.status,
-            });
-            n += 1;
-        }
-        Ok(n)
+        Ok(self.view(pid)?.reap_completions(out))
     }
 
     /// Submit + drain + reap in one call: sends the whole batch with one
     /// doorbell, one lock hold, and one receiver wake, returning the
     /// completions (tokens are indices into `payloads`).  May also return
     /// completions left over from earlier partial cycles on this ring.
+    /// Under [`ExhaustPolicy::Wait`] it keeps going until the whole batch
+    /// is sent; under [`ExhaustPolicy::Error`] one cycle is all it does.
     pub fn send_batch(
         &self,
         pid: ProcessId,
         id: LnvcId,
         payloads: &[&[u8]],
     ) -> Result<Vec<AioCompletion>> {
-        if payloads.is_empty() {
-            return Ok(Vec::new());
-        }
-        let submitted = self.submit_sends(pid, id, payloads)?;
-        self.drain_sends(pid)?;
-        let mut out = Vec::with_capacity(submitted);
-        self.reap_completions(pid, &mut out)?;
-        Ok(out)
+        self.send_batch_deadline(pid, id, payloads, None)
     }
 
     /// [`Self::send_batch`] bounded by `deadline`: allocation waits time
@@ -1580,150 +431,18 @@ impl Mpf {
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<Vec<AioCompletion>> {
-        if payloads.is_empty() {
-            return Ok(Vec::new());
+        let (view, id) = self.on(pid, id)?;
+        match self.cfg.exhaust_policy {
+            ExhaustPolicy::Wait => view.send_batch_deadline(id, payloads, deadline),
+            ExhaustPolicy::Error => view.send_batch(id, payloads),
         }
-        let submitted = self.submit_sends_deadline(pid, id, payloads, deadline)?;
-        self.drain_sends(pid)?;
-        let mut out = Vec::with_capacity(submitted);
-        self.reap_completions(pid, &mut out)?;
-        Ok(out)
-    }
-
-    /// Collects up to `max` deliverable messages under one lock hold,
-    /// copies them outside the lock, then finishes delivery bookkeeping
-    /// and prefix reclamation under a second single hold.  Appends to
-    /// `out`; returns the number received.
-    fn recv_many(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        max: usize,
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<usize> {
-        let slot = self.slot(id)?;
-        let guard = slot.lock.lock();
-        Self::validate(slot, id)?;
-        let ctx = self.ctx(slot);
-        let Some(conn_idx) = ctx.find_recv(pid) else {
-            return Err(MpfError::NotConnected);
-        };
-        let conn = self.recvs.get(conn_idx);
-        let protocol = conn.protocol();
-        // (msg_idx, len, head_block, stamp, sent_at, trace, hop) per
-        // claimed message.
-        #[allow(clippy::type_complexity)]
-        let mut picked: Vec<(u32, usize, u32, u64, u64, u64, u32)> = Vec::new();
-        while picked.len() < max {
-            let found = match protocol {
-                Protocol::Fcfs => ctx.fcfs_peek(),
-                Protocol::Broadcast => {
-                    let h = conn.head();
-                    (h != NIL).then_some(h)
-                }
-            };
-            let Some(msg_idx) = found else { break };
-            let msg = self.msgs.get(msg_idx);
-            match protocol {
-                Protocol::Fcfs => msg.set_fcfs_taken(),
-                Protocol::Broadcast => conn.set_head(msg.next()),
-            }
-            msg.begin_copy();
-            picked.push((
-                msg_idx,
-                msg.len(),
-                msg.head_block(),
-                msg.stamp(),
-                msg.sent_at(),
-                msg.trace(),
-                msg.hop(),
-            ));
-        }
-        drop(guard);
-        if picked.is_empty() {
-            return Ok(0);
-        }
-
-        for &(_, len, head_block, ..) in &picked {
-            let mut buf = vec![0u8; len];
-            self.blocks.read_chain(head_block, len, &mut buf);
-            out.push(buf);
-        }
-
-        // Deliveries are claimed; record them (and adopt the last chain as
-        // this process's context) before reclamation can log TR_RECLAIMs.
-        let recv_kind = match protocol {
-            Protocol::Fcfs => TR_RECV,
-            Protocol::Broadcast => TR_RECV_B,
-        };
-        for &(_, len, _, stamp, _, trace, hop) in &picked {
-            self.trace_rec(pid, recv_kind, hop, trace, id.index(), stamp, len as u32, 0);
-        }
-        if let Some(&(.., trace, hop)) = picked.last() {
-            self.adopt_trace(pid, trace, hop);
-        }
-
-        let guard = slot.lock.lock();
-        for &(msg_idx, ..) in &picked {
-            let msg = self.msgs.get(msg_idx);
-            msg.end_copy();
-            if protocol == Protocol::Broadcast {
-                msg.dec_bcast_pending();
-            }
-        }
-        let freed = self.ctx_t(slot, pid).reclaim_prefix();
-        drop(guard);
-
-        let received = picked.len() as u64;
-        let bytes: u64 = picked.iter().map(|&(_, len, ..)| len as u64).sum();
-        if freed > 0 {
-            self.mem_waitq.notify_all();
-        }
-        if let Some(t) = self.tel() {
-            t.receives.add(received);
-            t.bytes_out.add(bytes);
-            if freed > 0 {
-                t.reclaims.add(freed as u64);
-            }
-            let lt = &self.lnvc_tel[id.index() as usize];
-            lt.receives.fetch_add(received, Ordering::Relaxed);
-            lt.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-            if freed > 0 {
-                lt.reclaims.fetch_add(freed as u64, Ordering::Relaxed);
-            }
-            // One clock read covers every sampled message in the batch.
-            if picked.iter().any(|&(_, _, _, _, sent_at, ..)| sent_at != 0) {
-                let now = now_nanos();
-                for &(_, _, _, _, sent_at, ..) in &picked {
-                    if sent_at != 0 {
-                        let lat = now.saturating_sub(sent_at);
-                        t.latency_hist.record(lat);
-                        lt.latency.record(lat);
-                    }
-                }
-            }
-        }
-        Ok(picked.len())
     }
 
     /// Batched blocking receive: waits for traffic, then drains up to
-    /// `max` messages with two lock holds and one reclamation pass total.
+    /// `max` messages under one lock hold with one reclamation pass.
     /// `max == 0` returns an empty batch immediately.
     pub fn recv_batch(&self, pid: ProcessId, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.check_pid(pid)?;
-        let mut out = Vec::new();
-        if max == 0 {
-            return Ok(out);
-        }
-        loop {
-            let slot = self.slot(id)?;
-            let ticket = slot.waitq.ticket();
-            if self.recv_many(pid, id, max, &mut out)? > 0 {
-                return Ok(out);
-            }
-            self.note_recv_wait(pid, id.index());
-            slot.waitq.wait(ticket, self.cfg.wait_strategy);
-        }
+        self.recv_batch_deadline(pid, id, max, None)
     }
 
     /// [`Self::recv_batch`] bounded by `deadline`: [`MpfError::TimedOut`]
@@ -1736,216 +455,28 @@ impl Mpf {
         max: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<Vec<u8>>> {
-        self.check_pid(pid)?;
-        let mut out = Vec::new();
-        if max == 0 {
-            return Ok(out);
-        }
-        loop {
-            let slot = self.slot(id)?;
-            let ticket = slot.waitq.ticket();
-            if self.recv_many(pid, id, max, &mut out)? > 0 {
-                return Ok(out);
-            }
-            self.note_recv_wait(pid, id.index());
-            if !slot
-                .waitq
-                .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
-            {
-                if self.recv_many(pid, id, max, &mut out)? > 0 {
-                    return Ok(out);
-                }
-                return Err(MpfError::TimedOut);
-            }
-        }
+        let (view, id) = self.on(pid, id)?;
+        view.recv_batch_deadline(id, max, deadline)
     }
 
     /// Non-blocking [`Self::recv_batch`]: drains whatever is deliverable
     /// right now (possibly nothing).
     pub fn try_recv_batch(&self, pid: ProcessId, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.check_pid(pid)?;
-        let mut out = Vec::new();
-        if max > 0 {
-            self.recv_many(pid, id, max, &mut out)?;
-        }
-        Ok(out)
+        let (view, id) = self.on(pid, id)?;
+        view.try_recv_batch(id, max)
     }
 
     /// Counters of `pid`'s submission/completion ring pair.
     pub fn aio_stats(&self, pid: ProcessId) -> Result<AioStats> {
-        self.check_pid(pid)?;
-        Ok(AioStats::from_rings(
-            &self.aio_sq[pid.index()],
-            &self.aio_cq[pid.index()],
-        ))
+        Ok(self.view(pid)?.aio_stats())
     }
 
-    // ------------------------------------------------------------------
-    // Reactor support: registered-waker multiplexing over the waitq layer.
-    // ------------------------------------------------------------------
-
-    /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing is
-    /// deliverable.
-    pub fn try_message_receive_vec(&self, pid: ProcessId, id: LnvcId) -> Result<Option<Vec<u8>>> {
-        self.check_pid(pid)?;
-        let mut buf = Vec::new();
-        loop {
-            match self.pending_len(pid, id)? {
-                Some(len) => {
-                    buf.resize(len.max(1), 0);
-                    match self.recv_once(pid, id, &mut buf) {
-                        Ok(Some(n)) => {
-                            buf.truncate(n);
-                            return Ok(Some(buf));
-                        }
-                        // Raced by another FCFS receiver or a longer head;
-                        // re-examine.
-                        Ok(None) | Err(MpfError::BufferTooSmall { .. }) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => return Ok(None),
-            }
-        }
-    }
-
-    /// Current wait-queue ticket for `id`'s conversation.  Take it
-    /// *before* a failed try-operation: if the sequence has moved past it
-    /// by the time a waiter checks again, traffic arrived in between (the
-    /// lost-wakeup guard the blocking primitives use, exposed for the
-    /// async reactor).
-    pub fn recv_signal_ticket(&self, id: LnvcId) -> Result<u32> {
-        Ok(self.slot(id)?.waitq.ticket())
-    }
-
-    /// Current ticket of the region-exhaustion wait queue (senders'
-    /// flow-control signal).
-    pub fn mem_signal_ticket(&self) -> u32 {
-        self.mem_waitq.ticket()
-    }
-
-    /// Blocks until any of the given signals fires: a conversation's wait
-    /// queue moves past its ticket, the memory queue moves past `mem`, or
-    /// the caller-owned `extra` queue moves past its ticket (the reactor's
-    /// own wake channel).  Conversations that no longer resolve are
-    /// skipped (their futures will surface the error on the next poll).
-    /// Returns immediately when no signal could ever fire.
-    pub fn wait_signals(
-        &self,
-        recv: &[(LnvcId, u32)],
-        mem: Option<u32>,
-        extra: Option<(&WaitQueue, u32)>,
-    ) {
-        self.wait_signals_deadline(recv, mem, extra, None);
-    }
-
-    /// [`wait_signals`](Self::wait_signals) bounded by a deadline: also
-    /// returns (with nothing fired) once `deadline` passes, the seam the
-    /// async reactor uses to fire expired timer registrations.
-    pub fn wait_signals_deadline(
-        &self,
-        recv: &[(LnvcId, u32)],
-        mem: Option<u32>,
-        extra: Option<(&WaitQueue, u32)>,
-        deadline: Option<Instant>,
-    ) {
-        let mut entries: Vec<(&WaitQueue, u32)> = Vec::with_capacity(recv.len() + 2);
-        for &(id, ticket) in recv {
-            if let Ok(slot) = self.slot(id) {
-                entries.push((&slot.waitq, ticket));
-            }
-        }
-        if let Some(ticket) = mem {
-            entries.push((&self.mem_waitq, ticket));
-        }
-        if let Some(entry) = extra {
-            entries.push(entry);
-        }
-        if entries.is_empty() {
-            return;
-        }
-        WaitQueue::wait_many_deadline(&entries, self.cfg.wait_strategy, deadline);
-    }
-
-    /// Audits every structural invariant of the facility.  Intended for
-    /// **quiescent points** — moments when no operation is under way (test
-    /// boundaries, scheduler-serialized checks in `mpf-check`) — because
-    /// unfinished receives legitimately hold partial state (e.g. a broadcast
-    /// head advanced before `bcast_pending` is decremented).
-    ///
-    /// Checks, per live conversation (registry lock, then descriptor lock —
-    /// the open/close order):
-    ///
-    /// * queue is acyclic; `msg_count`, `q_tail`, FIFO stamps agree with a
-    ///   full walk;
-    /// * connection lists match `n_senders`/`n_fcfs`/`n_bcast`;
-    /// * every `bcast_pending` equals the number of broadcast receivers
-    ///   whose cursor has not passed the message;
-    /// * the shared FCFS cursor has not skipped an owed message;
-    /// * no queued message waits on an FCFS delivery the current connection
-    ///   set can never produce (the obligation-leak class of bug);
-    /// * the queue head is not a fully-consumed, unpinned message (prefix
-    ///   reclamation keeps up);
-    ///
-    /// and globally that pool occupancy (messages, blocks, connections,
-    /// LNVC slots) is exactly accounted for by the walks.
+    /// Audits every structural invariant of the facility
+    /// ([`IpcMpf::check_invariants`]): registry ↔ descriptors, queued
+    /// messages, blocks and connections ↔ pool occupancy, per-message
+    /// delivery bookkeeping.  For **quiescent points** only.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let reg = self.registry.lock();
-        if reg.len() != self.lnvcs.in_use() as usize {
-            return Err(format!(
-                "registry has {} names but {} LNVC slots are allocated",
-                reg.len(),
-                self.lnvcs.in_use()
-            ));
-        }
-        let mut messages = 0u32;
-        let mut blocks = 0u64;
-        let mut senders = 0u32;
-        let mut receivers = 0u32;
-        for (name, &idx) in reg.iter() {
-            if idx >= self.lnvcs.capacity() {
-                return Err(format!("registry entry '{name}' points at bad slot {idx}"));
-            }
-            let slot = self.lnvcs.get(idx);
-            let _guard = slot.lock.lock();
-            if !slot.is_active() {
-                return Err(format!("registry entry '{name}' points at dead slot {idx}"));
-            }
-            let audit = self
-                .ctx(slot)
-                .audit()
-                .map_err(|e| format!("LNVC '{name}' (slot {idx}): {e}"))?;
-            messages += audit.messages;
-            blocks += audit.blocks;
-            senders += audit.senders;
-            receivers += audit.receivers;
-        }
-        let msgs_in_use = self.msgs.in_use();
-        if messages != msgs_in_use {
-            return Err(format!(
-                "message headers leaked: queues hold {messages}, pool has {msgs_in_use} allocated"
-            ));
-        }
-        let blocks_in_use = (self.blocks.capacity() - self.blocks.available()) as u64;
-        if blocks != blocks_in_use {
-            return Err(format!(
-                "blocks leaked: queues hold {blocks}, pool has {blocks_in_use} allocated"
-            ));
-        }
-        let sends_in_use = self.sends.in_use();
-        if senders != sends_in_use {
-            return Err(format!(
-                "send connections leaked: lists hold {senders}, pool has {sends_in_use} allocated"
-            ));
-        }
-        let recvs_in_use = self.recvs.in_use();
-        if receivers != recvs_in_use {
-            return Err(format!(
-                "receive connections leaked: lists hold {receivers}, \
-                 pool has {recvs_in_use} allocated"
-            ));
-        }
-        Ok(())
+        self.any().check_invariants()
     }
 
     /// Panics with the violation description if [`Self::check_invariants`]
@@ -1954,6 +485,14 @@ impl Mpf {
         if let Err(e) = self.check_invariants() {
             panic!("MPF invariant violated: {e}");
         }
+    }
+}
+
+impl From<IpcLnvcId> for LnvcId {
+    /// The facade's short form of an engine handle: the slot index and the
+    /// low 15 bits of its generation ([`Mpf::ipc_id`] maps it back).
+    fn from(full: IpcLnvcId) -> Self {
+        LnvcId::from_parts(full.index(), full.generation())
     }
 }
 
@@ -2809,27 +1348,106 @@ mod tests {
     }
 
     #[test]
-    fn wait_signals_wakes_on_any_registered_source() {
+    fn stale_id_rejected_after_slot_recycled_through_the_facade() {
+        // One slot, so the second conversation reuses the first one's
+        // descriptor under the next generation.
+        let mpf = Mpf::init(MpfConfig::new(1, 2)).unwrap();
+        let old = mpf.open_send(p(0), "first").unwrap();
+        mpf.close_send(p(0), old).unwrap();
+        let new = mpf.open_send(p(0), "second").unwrap();
+        let _rx = mpf.open_receive(p(1), "second", Protocol::Fcfs).unwrap();
+        assert_eq!(old.index(), new.index(), "same descriptor slot");
+        assert_ne!(old, new, "another generation");
+        assert_eq!(mpf.ipc_id(old).unwrap_err(), MpfError::UnknownLnvc);
+        assert_eq!(
+            mpf.message_send(p(0), old, b"to a stranger").unwrap_err(),
+            MpfError::UnknownLnvc
+        );
+        assert_eq!(
+            mpf.close_send(p(0), old).unwrap_err(),
+            MpfError::UnknownLnvc
+        );
+        assert_eq!(mpf.queue_depth(old).unwrap_err(), MpfError::UnknownLnvc);
+        assert_eq!(
+            mpf.wait_any(p(1), &[old]).unwrap_err(),
+            MpfError::UnknownLnvc
+        );
+        // The live id still round-trips through the engine handle.
+        assert_eq!(LnvcId::from(mpf.ipc_id(new).unwrap()), new);
+        mpf.message_send(p(0), new, b"x").unwrap();
+        assert_eq!(mpf.queue_depth(new).unwrap(), 1, "nothing went astray");
+    }
+
+    #[test]
+    fn init_names_nothing_in_the_file_system() {
+        let regions = || {
+            let mut names = Vec::new();
+            for dir in ["/dev/shm".into(), std::env::temp_dir()] {
+                for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    if name.starts_with("mpf-region-") {
+                        names.push(name);
+                    }
+                }
+            }
+            names.sort();
+            names
+        };
+        let before = regions();
         let mpf = facility();
-        let tx = mpf.open_send(p(0), "sig").unwrap();
-        let rx = mpf.open_receive(p(1), "sig", Protocol::Fcfs).unwrap();
-        let ticket = mpf.recv_signal_ticket(rx).unwrap();
+        let tx = mpf.open_send(p(0), "private").unwrap();
+        mpf.message_send(p(0), tx, b"still works").unwrap();
+        assert_eq!(regions(), before, "an anonymous region has no file");
+    }
+
+    #[test]
+    fn two_threads_sharing_a_pid_keep_conservation() {
+        // The async layer's shape: a process's main thread and its reactor
+        // both act as the same `pid`.  Here one thread of process 0 sends
+        // while another receives the echoes, process 1 echoing in between.
+        const ROUNDS: u32 = 2000;
+        let mpf = facility();
+        let out = mpf.open_send(p(0), "out").unwrap();
+        let back = mpf.open_receive(p(0), "back", Protocol::Fcfs).unwrap();
+        let out_rx = mpf.open_receive(p(1), "out", Protocol::Fcfs).unwrap();
+        let back_tx = mpf.open_send(p(1), "back").unwrap();
+        // The sender stays within a window of the echoes received, so the
+        // one header pool all three share cannot fill with unechoed sends.
+        let echoed = std::sync::atomic::AtomicU32::new(0);
         std::thread::scope(|s| {
-            let h = s.spawn(|| mpf.wait_signals(&[(rx, ticket)], None, None));
-            std::thread::sleep(std::time::Duration::from_millis(15));
-            mpf.message_send(p(0), tx, b"wake").unwrap();
-            h.join().unwrap();
+            s.spawn(|| {
+                for i in 0..ROUNDS {
+                    while i - echoed.load(std::sync::atomic::Ordering::Acquire) >= 16 {
+                        std::thread::yield_now();
+                    }
+                    mpf.message_send(p(0), out, &i.to_le_bytes()).unwrap();
+                }
+            });
+            s.spawn(|| {
+                for _ in 0..ROUNDS {
+                    let m = mpf.message_receive_vec(p(1), out_rx).unwrap();
+                    mpf.message_send(p(1), back_tx, &m).unwrap();
+                }
+            });
+            for i in 0..ROUNDS {
+                let m = mpf.message_receive_vec(p(0), back).unwrap();
+                assert_eq!(m, i.to_le_bytes(), "one sender, one echo: FIFO");
+                echoed.store(i + 1, std::sync::atomic::Ordering::Release);
+            }
         });
-        // The extra (caller-owned) queue alone also wakes it.
-        let wake = WaitQueue::new();
-        let ticket = mpf.recv_signal_ticket(rx).unwrap();
-        std::thread::scope(|s| {
-            let h =
-                s.spawn(|| mpf.wait_signals(&[(rx, ticket)], None, Some((&wake, wake.ticket()))));
-            std::thread::sleep(std::time::Duration::from_millis(15));
-            wake.notify_all();
-            h.join().unwrap();
-        });
+        let t = mpf.telemetry_snapshot();
+        assert_eq!(
+            (t.sends, t.receives),
+            (2 * ROUNDS as u64, 2 * ROUNDS as u64)
+        );
+        mpf.assert_invariants();
+        mpf.close_send(p(0), out).unwrap();
+        mpf.close_receive(p(0), back).unwrap();
+        mpf.close_receive(p(1), out_rx).unwrap();
+        mpf.close_send(p(1), back_tx).unwrap();
+        assert_eq!(mpf.live_lnvcs(), 0);
+        assert_eq!(mpf.free_blocks(), 256);
+        assert_eq!(mpf.reclaimable(), Reclaimable::default());
         mpf.assert_invariants();
     }
 }

@@ -4,17 +4,16 @@
 //! parameters "are used to estimate the amount of shared memory
 //! necessary" (§2).  [`RegionLayout`] is that estimate made exact: the
 //! byte offset and size of every segment a given [`MpfConfig`] implies,
-//! in allocation order.  (The thread backend's pools allocate
-//! independently for Rust hygiene, but the layout is the single source of
-//! truth for sizing and reporting.)
+//! in allocation order.
 //!
-//! The multi-process backend (`mpf-ipc`) performs the literal one-mmap
-//! carve: [`RegionLayout::for_ipc`] prepends a region header and
-//! per-process heartbeat slots, aligns every segment to a cache line, and
-//! the `#[repr(C)]` in-region structs over there are compile-time
-//! asserted to match the byte constants here.  [`LAYOUT_VERSION`] is the
-//! cross-binary contract: a process may only attach a region whose header
-//! echoes the version (and configuration) it was carved with.
+//! The engine ([`crate::engine`]) performs this carve literally, on a
+//! named `/dev/shm` mapping or on the anonymous one behind [`crate::Mpf`]:
+//! a region header and per-process heartbeat slots first, every segment
+//! aligned to a cache line, and the `#[repr(C)]` in-region structs of
+//! [`crate::shmem`] compile-time asserted to match the byte constants
+//! here.  [`LAYOUT_VERSION`] is the cross-binary contract: a process may
+//! only attach a region whose header echoes the version (and
+//! configuration) it was carved with.
 
 use crate::config::MpfConfig;
 
@@ -48,7 +47,7 @@ pub struct RegionLayout {
 
 /// Bytes per LNVC descriptor: lock, waitq (sequence + sleeper count),
 /// queue head/tail, connection lists, counts, stamp, watcher count.
-/// `mpf-ipc` const-asserts its `#[repr(C)]` struct against this.
+/// `crate::shmem` const-asserts its `#[repr(C)]` struct against this.
 pub const LNVC_DESC_BYTES: usize = 192;
 /// Bytes per message header: len, chain, next, pending, flags, hop,
 /// stamp, send timestamp (latency histogram), causal trace id.
@@ -63,10 +62,9 @@ pub const BLOCK_LINK_BYTES: usize = 4;
 /// Bytes per registry entry: 32-byte name + index + state.
 pub const REGISTRY_ENTRY_BYTES: usize = 40;
 /// Bytes reserved for the region header (magic, version, config echo,
-/// init barrier, registry lock, pool free lists, pool signal) in an ipc
-/// carve.
+/// init barrier, registry lock, pool free lists, pool signal).
 pub const REGION_HEADER_BYTES: usize = 512;
-/// Bytes per process slot in an ipc carve: one cache line of identity
+/// Bytes per process slot: one cache line of identity
 /// and heartbeat (os pid, attach generation, liveness), one for the
 /// doorbell the process sleeps on.
 pub const PROCESS_SLOT_BYTES: usize = 128;
@@ -83,86 +81,12 @@ pub const AIO_RING_BYTES: usize = mpf_shm::ring::AIO_RING_BYTES;
 pub const TRACE_RING_BYTES: usize = mpf_shm::tracering::TRACE_RING_BYTES;
 
 impl RegionLayout {
-    /// Computes the layout for `cfg`.
+    /// Computes the layout for `cfg`: the region header and per-process
+    /// heartbeat slots, then the pools, every segment aligned to a 64-byte
+    /// cache line (descriptor pools in a live region are written by
+    /// different processes; ragged segment starts would let the last slot
+    /// of one pool share a line with the first slot of the next).
     pub fn for_config(cfg: &MpfConfig) -> Self {
-        let mut segments = Vec::new();
-        let mut cursor = 0usize;
-        let mut push = |name, bytes: usize, slots: usize| {
-            // Keep every segment 8-byte aligned, as a real region would.
-            let aligned = bytes.div_ceil(8) * 8;
-            segments.push(Segment {
-                name,
-                offset: cursor,
-                bytes: aligned,
-                slots,
-            });
-            cursor += aligned;
-        };
-        push(
-            "lnvc descriptors",
-            cfg.max_lnvcs as usize * LNVC_DESC_BYTES,
-            cfg.max_lnvcs as usize,
-        );
-        push(
-            "name registry",
-            cfg.max_lnvcs as usize * REGISTRY_ENTRY_BYTES,
-            cfg.max_lnvcs as usize,
-        );
-        push(
-            "message headers",
-            cfg.max_messages as usize * MSG_HEADER_BYTES,
-            cfg.max_messages as usize,
-        );
-        push(
-            "send descriptors",
-            cfg.max_send_conns as usize * SEND_DESC_BYTES,
-            cfg.max_send_conns as usize,
-        );
-        push(
-            "receive descriptors",
-            cfg.max_recv_conns as usize * RECV_DESC_BYTES,
-            cfg.max_recv_conns as usize,
-        );
-        push(
-            "block links",
-            cfg.total_blocks as usize * BLOCK_LINK_BYTES,
-            cfg.total_blocks as usize,
-        );
-        push(
-            "block payloads",
-            cfg.total_blocks as usize * cfg.block_payload,
-            cfg.total_blocks as usize,
-        );
-        push("facility telemetry", FACILITY_TELEMETRY_BYTES, 1);
-        push(
-            "lnvc telemetry",
-            cfg.max_lnvcs as usize * LNVC_TELEMETRY_BYTES,
-            cfg.max_lnvcs as usize,
-        );
-        // One submission ring and one completion ring per process slot
-        // (single-producer/single-consumer by construction).
-        push(
-            "aio sq rings",
-            cfg.max_processes as usize * AIO_RING_BYTES,
-            cfg.max_processes as usize,
-        );
-        push(
-            "aio cq rings",
-            cfg.max_processes as usize * AIO_RING_BYTES,
-            cfg.max_processes as usize,
-        );
-        Self { segments }
-    }
-
-    /// Computes the layout for a genuine one-mmap multi-process region.
-    ///
-    /// Same pools as [`Self::for_config`], but prefixed with the region
-    /// header and per-process heartbeat slots, and with every segment
-    /// aligned to a 64-byte cache line (descriptor pools in a live region
-    /// are written by different processes; ragged segment starts would
-    /// let the last slot of one pool share a line with the first slot of
-    /// the next).
-    pub fn for_ipc(cfg: &MpfConfig) -> Self {
         let mut segments = Vec::new();
         let mut cursor = 0usize;
         let mut push = |name, bytes: usize, slots: usize| {
@@ -289,16 +213,24 @@ mod tests {
     }
 
     #[test]
-    fn segments_are_contiguous_and_aligned() {
-        let l = layout();
+    fn segments_are_contiguous_and_cache_line_aligned() {
+        let cfg = MpfConfig::paper_faithful(16, 20);
+        let l = RegionLayout::for_config(&cfg);
         let mut cursor = 0;
         for s in &l.segments {
             assert_eq!(s.offset, cursor, "{} not contiguous", s.name);
-            assert_eq!(s.offset % 8, 0, "{} misaligned", s.name);
-            assert_eq!(s.bytes % 8, 0, "{} ragged", s.name);
+            assert_eq!(s.offset % 64, 0, "{} not line-aligned", s.name);
             cursor += s.bytes;
         }
         assert_eq!(l.total_bytes(), cursor);
+        let header = l.segment("region header").unwrap();
+        assert_eq!(header.offset, 0);
+        assert!(header.bytes >= REGION_HEADER_BYTES);
+        let slots = l.segment("process slots").unwrap();
+        assert_eq!(slots.slots, cfg.max_processes as usize);
+        let traces = l.segment("trace rings").unwrap();
+        assert_eq!(traces.slots, cfg.max_processes as usize);
+        assert_eq!(traces.bytes, cfg.max_processes as usize * TRACE_RING_BYTES);
     }
 
     #[test]
@@ -321,6 +253,8 @@ mod tests {
     fn render_names_every_segment() {
         let text = layout().render();
         for name in [
+            "region header",
+            "process slots",
             "lnvc descriptors",
             "name registry",
             "message headers",
@@ -330,52 +264,12 @@ mod tests {
             "block payloads",
             "facility telemetry",
             "lnvc telemetry",
+            "trace rings",
             "aio sq rings",
             "aio cq rings",
             "total:",
         ] {
             assert!(text.contains(name), "missing {name}");
         }
-    }
-
-    #[test]
-    fn ipc_layout_is_cache_line_aligned_and_superset() {
-        let cfg = MpfConfig::paper_faithful(16, 20);
-        let ipc = RegionLayout::for_ipc(&cfg);
-        let mut cursor = 0;
-        for s in &ipc.segments {
-            assert_eq!(s.offset, cursor, "{} not contiguous", s.name);
-            assert_eq!(s.offset % 64, 0, "{} not line-aligned", s.name);
-            cursor += s.bytes;
-        }
-        let header = ipc.segment("region header").unwrap();
-        assert_eq!(header.offset, 0);
-        assert!(header.bytes >= REGION_HEADER_BYTES);
-        let slots = ipc.segment("process slots").unwrap();
-        assert_eq!(slots.slots, cfg.max_processes as usize);
-        let traces = ipc.segment("trace rings").unwrap();
-        assert_eq!(traces.slots, cfg.max_processes as usize);
-        assert_eq!(traces.bytes, cfg.max_processes as usize * TRACE_RING_BYTES);
-        // Every thread-backend segment exists in the ipc carve too.
-        for s in &RegionLayout::for_config(&cfg).segments {
-            assert!(
-                ipc.segment(s.name).is_some(),
-                "ipc carve missing {}",
-                s.name
-            );
-        }
-        assert!(ipc.total_bytes() > RegionLayout::for_config(&cfg).total_bytes());
-    }
-
-    #[test]
-    fn estimate_agrees_with_config_method() {
-        let cfg = MpfConfig::new(16, 20);
-        let layout_total = RegionLayout::for_config(&cfg).total_bytes();
-        let estimate = cfg.estimated_shared_bytes();
-        let ratio = layout_total as f64 / estimate as f64;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "estimate {estimate} vs layout {layout_total}"
-        );
     }
 }

@@ -74,25 +74,23 @@
 //! ```
 
 pub mod aio;
-pub mod block;
 pub mod capi;
 pub mod capi_ffi;
 pub mod config;
-pub mod conn;
+pub mod engine;
 pub mod error;
 pub mod facility;
 pub mod handle;
 pub mod layout;
-pub mod lnvc;
-pub mod message;
 pub mod one2one;
-pub mod registry;
+pub mod shmem;
 pub mod stats;
 pub mod sync_channel;
 pub mod types;
 
 pub use aio::{AioCompletion, AioStats};
 pub use config::{ExhaustPolicy, MpfConfig};
+pub use engine::{AttachError, IpcLnvcId, IpcMpf};
 pub use error::{MpfError, Result};
 pub use facility::Mpf;
 pub use handle::{Receiver, Sender};

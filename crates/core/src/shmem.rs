@@ -1,10 +1,10 @@
 //! The `#[repr(C)]` structures that live *inside* the shared region.
 //!
 //! Every struct here is overlaid directly onto the mmap'd bytes at the
-//! offsets [`mpf::layout::RegionLayout::for_ipc`] computes, so three
+//! offsets [`crate::layout::RegionLayout::for_config`] computes, so three
 //! invariants are compile-time enforced at the bottom of this file:
 //!
-//! 1. sizes match the byte constants in `mpf::layout` (the carve's
+//! 1. sizes match the byte constants in [`crate::layout`] (the carve's
 //!    slot strides);
 //! 2. every field shared between processes is an atomic (the region is
 //!    mapped writable in many address spaces at once — plain fields are
@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use mpf_shm::waitq::FutexSeq;
 use mpf_shm::IpcLock;
 
-use mpf::layout::{
+use crate::config::MpfConfig;
+use crate::layout::{
     LNVC_DESC_BYTES, MSG_HEADER_BYTES, PROCESS_SLOT_BYTES, RECV_DESC_BYTES, REGION_HEADER_BYTES,
     REGISTRY_ENTRY_BYTES, SEND_DESC_BYTES,
 };
@@ -59,14 +60,14 @@ pub struct ConfigEcho {
 }
 
 impl ConfigEcho {
-    /// Rebuilds the creator's [`mpf::MpfConfig`] from the echo,
+    /// Rebuilds the creator's [`MpfConfig`] from the echo,
     /// range-checking every field first: a corrupt or truncated region can
     /// present a READY header whose echo holds garbage, and
     /// `MpfConfig::new` asserts (panics) on zeros while huge values would
     /// overflow the layout arithmetic.  `None` means "this echo cannot
     /// have come from a real carve" — attachers and inspectors surface it
     /// as a layout mismatch instead of crashing.
-    pub fn decode(&self) -> Option<mpf::MpfConfig> {
+    pub fn decode(&self) -> Option<MpfConfig> {
         let max_lnvcs = self.max_lnvcs.load(Ordering::Acquire);
         let max_processes = self.max_processes.load(Ordering::Acquire);
         let block_payload = self.block_payload.load(Ordering::Acquire);
@@ -75,7 +76,7 @@ impl ConfigEcho {
         let max_send_conns = self.max_send_conns.load(Ordering::Acquire);
         let max_recv_conns = self.max_recv_conns.load(Ordering::Acquire);
         let in_range = |v: u32, hi: u32| (1..=hi).contains(&v);
-        if !in_range(max_lnvcs, mpf::types::MAX_LNVC_INDEX + 1)
+        if !in_range(max_lnvcs, crate::types::MAX_LNVC_INDEX + 1)
             || !in_range(max_processes, 1 << 16)
             || !in_range(block_payload, 1 << 24)
             || !in_range(total_blocks, 1 << 28)
@@ -85,7 +86,7 @@ impl ConfigEcho {
         {
             return None;
         }
-        let mut cfg = mpf::MpfConfig::new(max_lnvcs, max_processes)
+        let mut cfg = MpfConfig::new(max_lnvcs, max_processes)
             .with_block_payload(block_payload as usize)
             .with_total_blocks(total_blocks)
             .with_max_messages(max_messages);
@@ -120,9 +121,16 @@ impl FreeHead {
         ((tag as u64) << 32) | idx as u64
     }
 
-    /// Empties the list (init-time only).
-    pub fn reset(&self) {
-        self.word.store(Self::pack(0, NIL), Ordering::Release);
+    /// Makes the list hold slots `0..n`, slot 0 on top: plain stores and
+    /// one head store, no CAS per element.  Init-time only — the carver is
+    /// alone in the region until it releases the init barrier, which also
+    /// publishes these stores.
+    pub fn thread(&self, n: u32, set_next: impl Fn(u32, u32)) {
+        for i in 0..n {
+            set_next(i, if i + 1 < n { i + 1 } else { NIL });
+        }
+        let top = if n == 0 { NIL } else { 0 };
+        self.word.store(Self::pack(0, top), Ordering::Release);
     }
 
     /// Pushes `idx`; `set_next` stores the link field of slot `idx`.
@@ -143,9 +151,16 @@ impl FreeHead {
         }
     }
 
-    /// Current head index ([`NIL`] when empty) — diagnostic walks only.
-    pub fn head(&self) -> u32 {
-        self.word.load(Ordering::Acquire) as u32
+    /// Slots on the list, by walking it (at most `capacity` steps, so a
+    /// torn list cannot loop).  A quiescent diagnostic, not a counter.
+    pub fn len(&self, capacity: u32, next_of: impl Fn(u32) -> u32) -> u32 {
+        let mut n = 0;
+        let mut cur = self.word.load(Ordering::Acquire) as u32;
+        while cur != NIL && n < capacity {
+            n += 1;
+            cur = next_of(cur);
+        }
+        n
     }
 
     /// Pops a slot index; `next_of` reads the link field of a slot.
@@ -183,10 +198,10 @@ pub mod region_state {
 #[repr(C)]
 #[derive(Debug)]
 pub struct RegionHeader {
-    /// [`mpf::layout::REGION_MAGIC`]; written before `state` flips
+    /// [`crate::layout::REGION_MAGIC`]; written before `state` flips
     /// to `READY`.
     pub magic: AtomicU64,
-    /// [`mpf::layout::LAYOUT_VERSION`] of the creator.
+    /// [`crate::layout::LAYOUT_VERSION`] of the creator.
     pub layout_version: AtomicU32,
     /// Init barrier: [`region_state::BUILDING`] → [`region_state::READY`].
     pub state: AtomicU32,
@@ -444,7 +459,7 @@ impl LnvcDesc {
 
 // ---------------------------------------------------------------------
 // The carve contract: struct sizes must equal the layout's slot strides,
-// and alignments must divide the 64-byte segment alignment `for_ipc`
+// and alignments must divide the 64-byte segment alignment `for_config`
 // guarantees.  A drifting field breaks the build, not a live region.
 // ---------------------------------------------------------------------
 const _: () = assert!(std::mem::size_of::<RegionHeader>() == REGION_HEADER_BYTES);
@@ -475,7 +490,7 @@ mod tests {
         let head = FreeHead {
             word: AtomicU64::new(0),
         };
-        head.reset();
+        head.thread(0, |_, _| unreachable!("no slots to link"));
         assert!(head
             .pop(|i| links[i as usize].load(Ordering::Acquire))
             .is_none());
@@ -489,6 +504,24 @@ mod tests {
                 .pop(|i| links[i as usize].load(Ordering::Acquire))
                 .unwrap();
             assert_eq!(got, want);
+        }
+        assert!(head
+            .pop(|i| links[i as usize].load(Ordering::Acquire))
+            .is_none());
+    }
+
+    #[test]
+    fn free_head_thread_hands_out_low_indices_first() {
+        let links: Vec<AtomicU32> = (0..5).map(|_| AtomicU32::new(7)).collect();
+        let head = FreeHead {
+            word: AtomicU64::new(0),
+        };
+        head.thread(5, |slot, next| {
+            links[slot as usize].store(next, Ordering::Relaxed)
+        });
+        for want in 0..5u32 {
+            let got = head.pop(|i| links[i as usize].load(Ordering::Acquire));
+            assert_eq!(got, Some(want));
         }
         assert!(head
             .pop(|i| links[i as usize].load(Ordering::Acquire))

@@ -22,7 +22,7 @@ use std::os::raw::{c_char, c_int, c_long, c_longlong, c_void};
 
 use mpf::{MpfConfig, MpfError, Protocol};
 
-use crate::facility::{IpcLnvcId, IpcMpf};
+use mpf::engine::{IpcLnvcId, IpcMpf};
 
 /// Status returned when a handle or required pointer is NULL.
 fn bad_handle() -> c_int {

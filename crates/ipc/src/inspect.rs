@@ -31,8 +31,8 @@ use mpf_shm::telemetry::{
 use mpf_shm::tracering::{TraceEvent, TraceRing, TRACE_RING_SLOTS};
 use mpf_shm::ShmRegion;
 
-use crate::facility::{offsets_for, AttachError, Offsets};
-use crate::shmem::{
+use mpf::engine::{offsets_for, AttachError, Offsets};
+use mpf::shmem::{
     msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
     RegistryEntry, NIL,
 };
@@ -171,7 +171,7 @@ impl RegionInspector {
         // total THIS binary computes for the echoed config, else reader and
         // writer disagree on the segment map and every decoded offset lies.
         let expected_bytes = header.total_bytes.load(Ordering::Acquire) as usize;
-        let computed_bytes = RegionLayout::for_ipc(&cfg).total_bytes();
+        let computed_bytes = RegionLayout::for_config(&cfg).total_bytes();
         if region.len() < expected_bytes || computed_bytes != expected_bytes {
             return Err(MpfError::LayoutMismatch {
                 expected: LAYOUT_VERSION,

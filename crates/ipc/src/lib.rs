@@ -1,12 +1,13 @@
 //! # mpf-ipc — MPF over a genuine OS shared-memory region
 //!
 //! The paper ran MPF as "a group of Unix processes" sharing one region of
-//! physical memory on the Sequent Balance 21000.  The workspace's thread
-//! backend (`mpf-core`) keeps the algorithms but fakes the processes;
-//! this crate removes the fake:
+//! physical memory on the Sequent Balance 21000.  The protocol engine
+//! lives in `mpf-core` ([`mpf::engine`]; `mpf::Mpf` runs it for threads on
+//! an anonymous region); this crate is its multi-process face — the named
+//! create/attach surface re-exported, a C ABI, and a read-only inspector:
 //!
 //! * [`IpcMpf::create`] mmaps a named region (`/dev/shm/mpf-region-<name>`)
-//!   and carves it per [`mpf::layout::RegionLayout::for_ipc`] — a
+//!   and carves it per [`mpf::layout::RegionLayout::for_config`] — a
 //!   header with magic/layout-version/config echo, per-process heartbeat
 //!   slots, then the descriptor pools and block store, all addressed by
 //!   `u32` index so the region works at any base address;
@@ -21,12 +22,13 @@
 //!   survivors get [`mpf::MpfError::PeerDied`], never a deadlock.
 //!
 //! [`ffi`] exports the same surface with a C ABI so separately compiled
-//! binaries can join a conversation knowing only the region name.
+//! binaries can join a conversation knowing only the region name;
+//! [`RegionInspector`] (and the `mpfstat` binary over it) reads a live or
+//! post-mortem region without joining it.
 
-pub mod facility;
 pub mod ffi;
 pub mod inspect;
-pub mod shmem;
 
-pub use facility::{AttachError, IpcLnvcId, IpcMpf};
 pub use inspect::{AioRingInfo, LnvcInfo, ProcessInfo, RegionInspector};
+pub use mpf::engine::{AttachError, IpcLnvcId, IpcMpf};
+pub use mpf::shmem;

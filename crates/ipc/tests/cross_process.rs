@@ -203,6 +203,10 @@ fn killing_a_peer_unblocks_blocked_receivers() {
         MpfError::PeerDied { pid } => assert_ne!(pid, m.pid(), "culprit is the victim"),
         other => panic!("expected PeerDied, got {other:?}"),
     }
+    // Once the corpse's connections are swept the region is structurally
+    // sound again, broken lock and all.
+    m.sweep_dead_peers();
+    m.check_invariants().expect("audit after the sweep");
 
     // The rest of the region stays usable: new conversations work.
     let tx2 = m.open_send("aftermath").unwrap();
@@ -390,6 +394,7 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
     while m.sweep_dead_peers() == 0 {
         std::thread::sleep(Duration::from_millis(10));
     }
+    m.check_invariants().expect("audit after the sweep");
 
     // The library-level post-mortem view first.
     let dead: Vec<_> = insp
@@ -456,6 +461,46 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
         "victim's trace records in {json}"
     );
     assert_eq!(json.matches('{').count(), json.matches('}').count());
+}
+
+/// A receiver blocked on one conversation — no lock contended, no
+/// doorbell — still notices that the only sender was SIGKILLed: its naps
+/// end at the sweep cadence, and the sweep it then runs poisons the
+/// conversation.  The kill lands only after the receive has booked its
+/// block, and the bound is a generous multiple of the 50 ms cadence.
+#[test]
+fn blocked_receiver_notices_a_sigkilled_sender_within_the_cadence() {
+    let region = unique_region("cadence");
+    let m = create_region(&region);
+    let rx = m.open_receive("blackbox", Protocol::Fcfs).unwrap();
+    let ctl = m.open_receive("ctl", Protocol::Fcfs).unwrap();
+    let mut victim = spawn_helper("helper_doomed_sender", &region);
+    let mut buf = [0u8; 64];
+    m.message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+        .expect("victim reports in");
+    for _ in 0..5 {
+        m.message_receive_timeout(rx, &mut buf, Duration::from_secs(30))
+            .expect("drain the stream");
+    }
+    let waits_before = m.telemetry_snapshot().recv_waits;
+    let (killed_at, err) = std::thread::scope(|s| {
+        let killer = s.spawn(|| {
+            while m.telemetry_snapshot().recv_waits == waits_before {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            victim.kill().expect("SIGKILL victim");
+            victim.wait().expect("reap victim");
+            Instant::now()
+        });
+        let err = m
+            .message_receive(rx, &mut buf)
+            .expect_err("nobody is left to send");
+        (killer.join().expect("killer thread"), err)
+    });
+    assert!(matches!(err, MpfError::PeerDied { .. }), "{err:?}");
+    let lag = killed_at.elapsed();
+    assert!(lag < Duration::from_millis(500), "noticed after {lag:?}");
+    m.check_invariants().expect("audit after the sweep");
 }
 
 /// Spins until some slot other than `me` satisfies `parked`; returns it.
@@ -620,6 +665,7 @@ fn mpfstat_post_mortem_shows_who_was_parked_on_what() {
         .expect("send to a dead watcher");
 
     assert_eq!(m.sweep_dead_peers(), 1);
+    m.check_invariants().expect("audit after the sweep");
     let swept = &insp.processes()[parked.pid as usize];
     assert_eq!((swept.state, swept.watching), ("dead", 0), "{swept:?}");
     m.close_send(ta).expect("close poisoned conversation");
@@ -680,6 +726,7 @@ fn dead_pool_waiter_is_retired_by_the_sweep() {
     m.message_receive(rx, &mut buf)
         .expect("receive frees a block");
     assert_eq!(m.sweep_dead_peers(), 1);
+    m.check_invariants().expect("audit after the sweep");
     let swept = &insp.processes()[parked.pid as usize];
     assert!(!swept.mem_wait, "{swept:?}");
     assert_eq!(insp.pool_waiters(), 0);

@@ -291,3 +291,44 @@ fn blocked_senders_return_promptly_when_a_peer_receives() {
     }
     assert_eq!(RegionInspector::attach(name).unwrap().pool_waiters(), 0);
 }
+
+/// A receive that blocked and was woken must not probe every peer's
+/// liveness on its way out: the sweep runs at its cadence, however many
+/// wakes there are in between.  The sender waits for each receive to book
+/// its block (`recv_waits`) before sending, so all 1,000 receives pass
+/// through the wait and the after-wake sweep point.
+#[test]
+fn blocking_receives_sweep_at_the_cadence_not_per_wake() {
+    const ROUNDS: u64 = 1000;
+    let a = region("dl-sweep-cadence");
+    let b = a.attach_view().expect("sender view");
+    let tx = b.open_send("busy").unwrap();
+    let rx = a.open_receive("busy", Protocol::Fcfs).unwrap();
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..ROUNDS {
+                while b.telemetry_snapshot().recv_waits <= i {
+                    std::thread::yield_now();
+                }
+                b.message_send(tx, &i.to_le_bytes()).unwrap();
+            }
+        });
+        let mut buf = [0u8; 8];
+        for i in 0..ROUNDS {
+            assert_eq!(a.message_receive(rx, &mut buf).unwrap(), 8);
+            assert_eq!(buf, i.to_le_bytes());
+        }
+    });
+    let cadences = start.elapsed().as_millis() as u64 / 50;
+    let sweeps = a.debug_sweeps_run();
+    assert_eq!(
+        a.telemetry_snapshot().recv_waits,
+        ROUNDS,
+        "every receive blocked"
+    );
+    assert!(
+        sweeps <= cadences + 2,
+        "{sweeps} sweeps for {ROUNDS} wakes in {cadences} cadences of 50 ms"
+    );
+}

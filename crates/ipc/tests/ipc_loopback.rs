@@ -268,3 +268,50 @@ fn previous_layout_version_is_rejected() {
         other => panic!("stale region inspected: {other:?}"),
     }
 }
+
+/// `check_invariants` sees what a corpse leaves behind — staged messages
+/// linked to no queue, connections nobody will close — and is satisfied
+/// again once a survivor's sweep has cleaned up.
+#[test]
+fn check_invariants_reports_a_corpse_and_passes_after_the_sweep() {
+    let a = region("loop-audit");
+    let b = a.attach_view().expect("victim view");
+    let total = a.free_blocks();
+    let rx = a.open_receive("audited", Protocol::Fcfs).unwrap();
+    let tx = b.open_send("audited").unwrap();
+    b.message_send(tx, b"delivered before the end").unwrap();
+    a.check_invariants()
+        .expect("a live, quiescent region is clean");
+
+    // Staged but never drained: pool memory no queue accounts for.
+    assert_eq!(
+        b.submit_sends(tx, &[&[1u8; 100][..], &[2u8; 10][..]])
+            .unwrap(),
+        2
+    );
+    let leak = a
+        .check_invariants()
+        .expect_err("staged messages are in nobody's queue");
+    assert!(leak.contains("message headers leaked"), "{leak}");
+
+    // The victim dies as SIGKILL would have it: no detach, no Drop.
+    b.debug_abandon_slot();
+    std::mem::forget(b);
+    let orphan = a
+        .check_invariants()
+        .expect_err("a corpse still holds its connection");
+    assert!(orphan.contains("outlives its holder"), "{orphan}");
+
+    assert_eq!(a.sweep_dead_peers(), 1);
+    a.check_invariants()
+        .expect("the sweep reclaimed everything the corpse held");
+    assert!(a.lnvc_poisoned(rx).unwrap());
+    assert_eq!(
+        a.free_blocks(),
+        total,
+        "queued and staged blocks are all back"
+    );
+    a.close_receive(rx).unwrap();
+    assert_eq!(a.live_lnvcs(), 0);
+    a.check_invariants().unwrap();
+}

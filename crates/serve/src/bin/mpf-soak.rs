@@ -760,7 +760,7 @@ fn driver_ipc(args: &Args) -> i32 {
     }
 
     // -- conservation ---------------------------------------------------
-    let conservation = check_conservation_ipc(&ipc, cfg.total_blocks);
+    let conservation = check_conservation(&ipc, cfg.total_blocks);
     if let Err(why) = &conservation {
         d.fail(2, format!("conservation: {why}"));
     }
@@ -823,22 +823,28 @@ fn spawn_follower(exe: &std::path::Path, region: &str) -> Option<Child> {
 }
 
 /// Region accounting after everything detached: no conversations, every
-/// block free, nothing reclaimable.  Re-sweeps and retries briefly —
-/// children were reaped only a moment ago.
-fn check_conservation_ipc(ipc: &IpcMpf, total_blocks: u32) -> Result<(usize, u32), String> {
+/// block free, nothing reclaimable, every structural invariant intact.
+/// Re-sweeps and retries briefly — children were reaped only a moment ago.
+fn check_conservation(ipc: &IpcMpf, total_blocks: u32) -> Result<(usize, u32), String> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         ipc.sweep_dead_peers();
         let live = ipc.live_lnvcs();
         let free = ipc.free_blocks();
         let rec = ipc.reclaimable();
-        if live == 0 && free == total_blocks && rec.messages == 0 && rec.blocks == 0 {
+        let audit = ipc.check_invariants();
+        if live == 0
+            && free == total_blocks
+            && rec.messages == 0
+            && rec.blocks == 0
+            && audit.is_ok()
+        {
             return Ok((live, free));
         }
         if Instant::now() >= deadline {
             return Err(format!(
                 "live_lnvcs={live} free_blocks={free}/{total_blocks} \
-                 reclaimable={{messages:{},blocks:{}}}",
+                 reclaimable={{messages:{},blocks:{}}} invariants={audit:?}",
                 rec.messages, rec.blocks
             ));
         }
@@ -948,15 +954,8 @@ fn driver_threads(args: &Args) -> i32 {
         }
     }
     drop(server_t);
-    let live = m.live_lnvcs();
-    let free = m.free_blocks();
-    let conservation = if live == 0 && free == total_blocks && m.check_invariants().is_ok() {
-        Ok((live, free))
-    } else {
-        Err(format!(
-            "live_lnvcs={live} free_blocks={free}/{total_blocks}"
-        ))
-    };
+    let view = m.view(ProcessId::from_index(0)).expect("process 0");
+    let conservation = check_conservation(view, total_blocks);
     if let Err(why) = &conservation {
         failure.get_or_insert((2, format!("conservation: {why}")));
     }

@@ -13,10 +13,10 @@
 //!   `PeerDied`-aware failover.
 //!
 //! Everything is written against the [`Transport`] seam, so the same
-//! server/worker/client code runs over the multi-process mmap backend
-//! ([`IpcTransport`]), the in-process thread backend
-//! ([`ThreadTransport`]), and the deterministic `mpf-check` harness
-//! ([`SyncTransport`]).
+//! server/worker/client code runs over an engine view — a process's
+//! handle on a named region ([`IpcTransport`]) or a logical process of an
+//! in-process `Mpf` ([`ThreadTransport`]; the same type, two names) — and
+//! over the deterministic `mpf-check` fake ([`SyncTransport`]).
 //!
 //! ## Delivery contract
 //!
@@ -41,7 +41,9 @@ pub use client::{Client, ClientCfg, ClientStats};
 pub use server::{
     discover_epoch, scan_epoch, DrainReport, Server, ServerStats, ShutdownReport, WorkerEntry,
 };
-pub use transport::{is_failover, IpcTransport, SyncTransport, ThreadTransport, Transport};
+pub use transport::ViewTransport as IpcTransport;
+pub use transport::ViewTransport as ThreadTransport;
+pub use transport::{is_failover, SyncTransport, Transport};
 pub use worker::{run_worker, WorkerCfg, WorkerStats};
 
 use mpf::MpfError;

@@ -1,12 +1,14 @@
-//! The backend seam: one trait the server, workers, and clients speak,
-//! with three implementations.
+//! The transport seam: one trait the server, workers, and clients speak,
+//! with the production implementation and a deterministic fake.
 //!
-//! * [`IpcTransport`] — the production shape: wraps
+//! * [`ViewTransport`] — the production shape: wraps
 //!   [`mpf_aio::AsyncIpc`], driving its futures with
 //!   [`mpf_aio::block_on_deadline`] so every blocking operation is
-//!   timeout-capable (the reactor multiplexes the actual waiting).
-//! * [`ThreadTransport`] — same, over [`mpf_aio::AsyncMpf`] for the
-//!   in-process backend: unit tests and the threads soak variant.
+//!   timeout-capable (the reactor multiplexes the actual waiting).  The
+//!   crate exports it under two names: `IpcTransport` for a process's
+//!   handle on a named region, `ThreadTransport` for a logical process of
+//!   an in-process `Mpf` (`AsyncMpf::new`) — unit tests and the threads
+//!   soak variant.
 //! * [`SyncTransport`] — a deliberately timeout-free synchronous shape
 //!   over `mpf::Mpf`'s blocking primitives, for `mpf-check` schedule
 //!   exploration: every block goes through the hooked waitqs the
@@ -21,9 +23,8 @@ use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpf::{LnvcId, Mpf, MpfError, ProcessId, Protocol, Result};
-use mpf_aio::{block_on, block_on_deadline, AsyncIpc, AsyncMpf};
-use mpf_ipc::IpcLnvcId;
+use mpf::{IpcLnvcId, LnvcId, Mpf, MpfError, ProcessId, Protocol, Result};
+use mpf_aio::{block_on, block_on_deadline, AsyncIpc};
 
 /// What the service layer needs from a backend.
 pub trait Transport: Send + Sync + 'static {
@@ -72,24 +73,23 @@ pub trait Transport: Send + Sync + 'static {
     fn queue_depth(&self, id: Self::Id) -> Result<u32>;
 
     /// Whether the conversation is poisoned by a dead peer — or gone
-    /// entirely, which calls for the same re-anchor reaction.  Always
-    /// `false` where peers cannot die.
+    /// entirely, which calls for the same re-anchor reaction.
     fn is_poisoned(&self, id: Self::Id) -> bool;
 
     /// Looks for dead peers, poisoning what they touched; returns how
-    /// many corpses were found.  No-op where peers cannot die.
+    /// many corpses were found.
     fn sweep_dead(&self) -> u32;
 }
 
 // ----------------------------------------------------------------------
-// IPC (multi-process) transport
+// The production transport
 // ----------------------------------------------------------------------
 
 /// Production transport: [`AsyncIpc`] futures driven to completion (or
 /// deadline) on the calling thread.
-pub struct IpcTransport(pub AsyncIpc);
+pub struct ViewTransport(pub AsyncIpc);
 
-impl Transport for IpcTransport {
+impl Transport for ViewTransport {
     type Id = IpcLnvcId;
 
     fn open_send(&self, name: &str) -> Result<IpcLnvcId> {
@@ -169,92 +169,14 @@ impl Transport for IpcTransport {
 }
 
 // ----------------------------------------------------------------------
-// Thread (in-process) transport
-// ----------------------------------------------------------------------
-
-/// In-process transport: [`AsyncMpf`] bound to one logical process.
-pub struct ThreadTransport(pub AsyncMpf);
-
-impl Transport for ThreadTransport {
-    type Id = LnvcId;
-
-    fn open_send(&self, name: &str) -> Result<LnvcId> {
-        self.0.open_send(name)
-    }
-
-    fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
-        self.0.open_receive(name, protocol)
-    }
-
-    fn close_send(&self, id: LnvcId) -> Result<()> {
-        self.0.close_send(id)
-    }
-
-    fn close_receive(&self, id: LnvcId) -> Result<()> {
-        self.0.close_receive(id)
-    }
-
-    fn send_deadline(&self, id: LnvcId, payload: &[u8], deadline: Option<Instant>) -> Result<bool> {
-        match deadline {
-            None => block_on(self.0.send(id, payload.to_vec())).map(|()| true),
-            Some(dl) => match block_on_deadline(self.0.send(id, payload.to_vec()), dl) {
-                Some(r) => r.map(|()| true),
-                None => Ok(false),
-            },
-        }
-    }
-
-    fn recv_deadline(&self, id: LnvcId, deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
-        match deadline {
-            None => block_on(self.0.recv(id)).map(Some),
-            Some(dl) => block_on_deadline(self.0.recv(id), dl).transpose(),
-        }
-    }
-
-    fn recv_any_deadline(
-        &self,
-        ids: &[LnvcId],
-        deadline: Option<Instant>,
-    ) -> Result<Option<(LnvcId, Vec<u8>)>> {
-        match deadline {
-            None => block_on(self.0.select_any(ids)).map(Some),
-            Some(dl) => block_on_deadline(self.0.select_any(ids), dl).transpose(),
-        }
-    }
-
-    fn try_recv(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
-        self.0.facility().try_message_receive_vec(self.0.pid(), id)
-    }
-
-    fn try_recv_batch(&self, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.0.facility().try_recv_batch(self.0.pid(), id, max)
-    }
-
-    fn lnvc_exists(&self, name: &str) -> bool {
-        self.0.facility().lnvc_exists(name)
-    }
-
-    fn queue_depth(&self, id: LnvcId) -> Result<u32> {
-        self.0.facility().queue_depth(id)
-    }
-
-    fn is_poisoned(&self, _id: LnvcId) -> bool {
-        false
-    }
-
-    fn sweep_dead(&self) -> u32 {
-        0
-    }
-}
-
-// ----------------------------------------------------------------------
 // Synchronous (deterministic) transport
 // ----------------------------------------------------------------------
 
-/// Timeout-free synchronous transport over the thread backend's blocking
-/// primitives, for `mpf-check` scenarios.  Deadlines are ignored — every
-/// wait parks on the hooked waitqs the cooperative scheduler controls,
-/// and nothing here reads the clock or spawns a thread.
+/// Timeout-free synchronous transport over `Mpf`'s blocking primitives,
+/// for `mpf-check` scenarios.  Deadlines are ignored — every wait parks on
+/// the hooked futex words the cooperative scheduler controls, and nothing
+/// here spawns a thread.  Nobody dies in those scenarios, so the dead-peer
+/// probes answer "no".
 pub struct SyncTransport {
     pub mpf: Arc<Mpf>,
     pub pid: ProcessId,

@@ -201,7 +201,12 @@ fn serve_epoch<T: Transport>(
             Ok(Some((_, msg))) => {
                 serve_one(t, cfg, &msg, stats, handler);
                 // Amortize the wakeup: drain a batch under one lock hold.
-                let extra = t.try_recv_batch(q_rx, cfg.batch)?;
+                // A queue poisoned since the wake is left to the next
+                // wait, which reports it on the failover path below.
+                let extra = match t.try_recv_batch(q_rx, cfg.batch) {
+                    Err(e) if is_failover(&e) => Vec::new(),
+                    other => other?,
+                };
                 if !extra.is_empty() {
                     stats.batches += 1;
                     for m in &extra {

@@ -2,7 +2,7 @@
 //!
 //! The soak harness samples chaos with SIGKILL; this module makes the
 //! *same fault classes* first-class, seeded, and injectable at the sync
-//! seams both backends already route through, so a CI matrix can replay
+//! seams the facility already routes through, so a CI matrix can replay
 //! an exact fault sequence and `mpf-trace --check` can audit that every
 //! injected fault surfaced as a typed error — never as corruption.
 //!

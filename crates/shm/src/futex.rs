@@ -49,13 +49,17 @@ pub fn futex_wake_one(word: &AtomicU32) -> u32 {
 
 /// Wakes every waiter sleeping on `word`.  Returns how many woke.
 pub fn futex_wake_all(word: &AtomicU32) -> u32 {
-    sys::futex_wake_raw(word.as_ptr(), u32::MAX)
+    // The kernel takes the count as a signed int: `u32::MAX` would read as
+    // -1 and stop after the first waiter.
+    sys::futex_wake_raw(word.as_ptr(), i32::MAX as u32)
 }
 
 /// `true` unless the kernel positively reports the process gone
-/// (`ESRCH`).  The liveness primitive behind dead-peer detection.
+/// (`ESRCH`).  The liveness primitive behind dead-peer detection.  Our own
+/// pid needs no probe — whoever asks is running — which is every peer of
+/// a facility whose processes are threads of this one.
 pub fn process_alive(os_pid: u32) -> bool {
-    sys::process_alive(os_pid)
+    os_pid == std::process::id() || sys::process_alive(os_pid)
 }
 
 #[cfg(test)]
@@ -99,5 +103,31 @@ mod tests {
         word.store(1, Ordering::Release);
         futex_wake_all(&word);
         waiter.join().unwrap();
+    }
+
+    /// Several sleepers on one word — broadcast receivers of one
+    /// conversation — must all leave on one wake: anyone left behind would
+    /// sit out its whole timeout.
+    #[test]
+    fn wake_all_releases_every_waiter() {
+        let word = Arc::new(AtomicU32::new(0));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let word = Arc::clone(&word);
+                std::thread::spawn(move || {
+                    while word.load(Ordering::Acquire) == 0 {
+                        futex_wait(&word, 0, Some(Duration::from_secs(20)));
+                    }
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let start = std::time::Instant::now();
+        word.store(1, Ordering::Release);
+        futex_wake_all(&word);
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 }

@@ -142,9 +142,8 @@ fn canon(resource: usize) -> usize {
 /// * `lock_acquire` must call `try_lock` until it returns `true` and only
 ///   then return; between failed attempts it should deschedule the calling
 ///   logical process until `lock_release` fires for the same resource.
-/// * `wait`/`wait_multi` must return only once `ready` returns `true`,
-///   descheduling the caller between checks until `notify` fires for one
-///   of the resources.  `ready` is re-checked after every wake, so the
+/// * `wait` must return only once `ready` returns `true`, descheduling
+///   the caller between checks until `notify` fires for the resource.  `ready` is re-checked after every wake, so the
 ///   sequence-count protocol's "no lost wakeups" property is preserved.
 /// * `yield_point`, `lock_release` and `notify` are preemption
 ///   opportunities; the hook may switch to another logical process before
@@ -158,8 +157,6 @@ pub trait SyncHook {
     fn lock_release(&self, resource: usize);
     /// Block until `ready` holds for the wait queue at `resource`.
     fn wait(&self, resource: usize, ready: &mut dyn FnMut() -> bool);
-    /// Block until `ready` holds for any of the wait queues in `resources`.
-    fn wait_multi(&self, resources: &[usize], ready: &mut dyn FnMut() -> bool);
     /// The wait queue at `resource` was notified.
     fn notify(&self, resource: usize);
 }
@@ -253,19 +250,6 @@ pub fn wait(resource: usize, ready: &mut dyn FnMut() -> bool) -> bool {
     if enabled() {
         if let Some(h) = current() {
             h.wait(canon(resource), ready);
-            return true;
-        }
-    }
-    false
-}
-
-/// Multi-queue variant of [`wait`].
-#[inline]
-pub fn wait_multi(resources: &[usize], ready: &mut dyn FnMut() -> bool) -> bool {
-    if enabled() {
-        if let Some(h) = current() {
-            let canonical: Vec<usize> = resources.iter().map(|&r| canon(r)).collect();
-            h.wait_multi(&canonical, ready);
             return true;
         }
     }
@@ -394,12 +378,6 @@ mod tests {
                 std::thread::yield_now();
             }
         }
-        fn wait_multi(&self, _resources: &[usize], ready: &mut dyn FnMut() -> bool) {
-            self.events.borrow_mut().push("wait_multi".into());
-            while !ready() {
-                std::thread::yield_now();
-            }
-        }
         fn notify(&self, _resource: usize) {
             self.events.borrow_mut().push("notify".into());
         }
@@ -455,9 +433,6 @@ mod tests {
             }
             fn lock_release(&self, _r: usize) {}
             fn wait(&self, _r: usize, ready: &mut dyn FnMut() -> bool) {
-                while !ready() {}
-            }
-            fn wait_multi(&self, _rs: &[usize], ready: &mut dyn FnMut() -> bool) {
                 while !ready() {}
             }
             fn notify(&self, resource: usize) {

@@ -5,25 +5,26 @@
 //! between concurrently executing processes."  This crate is that substrate,
 //! built from scratch in safe-by-construction Rust:
 //!
-//! * [`arena::StridedArena`] — a fixed shared byte region carved into
-//!   equal-size slots, addressed by **index, not pointer**.  On the Sequent
-//!   Balance 21000 the MPF shared region was a range of physical memory
-//!   mapped into each Unix process at a potentially different virtual
-//!   address, so every internal link had to be position independent.  We
-//!   keep that discipline: all cross-"process" references in this workspace
-//!   are `u32` slot indices.
-//! * [`pool::Pool`] — typed slot pools with a lock-free free list, the
-//!   "free list of linked message blocks … created in shared memory" of the
-//!   paper's §3.1.
-//! * [`idxstack::IndexStack`] — the free list itself: a Treiber stack over
-//!   slot indices with an ABA tag.
-//! * [`lock::ShmLock`] — the synchronization primitive: test-and-test-and-set
-//!   spin lock with exponential backoff (the Balance's ALM atomic-lock-memory
-//!   equivalent), a FIFO ticket lock, and an OS mutex, selectable at run time
-//!   (ablation A2 in DESIGN.md).
-//! * [`waitq::WaitQueue`] — wait/notify used by the blocking
-//!   `message_receive()`; spin, yield, park and futex strategies
-//!   (ablation A3).
+//! * [`region::ShmRegion`] — the shared region itself: a named, `mmap`ed
+//!   OS shared-memory file any process can attach, or anonymous pages for
+//!   the threads of one process.  On the Sequent Balance 21000 the MPF
+//!   shared region was a range of physical memory mapped into each Unix
+//!   process at a potentially different virtual address, so every internal
+//!   link had to be position independent.  We keep that discipline: all
+//!   cross-"process" references in this workspace are `u32` slot indices.
+//! * [`lock::IpcLock`] / [`waitq::FutexSeq`] — the `#[repr(C)]` in-region
+//!   lock (holder identity, dead-holder recovery) and wait queue the
+//!   protocol engine runs on; [`futex`] is the cross-process wait/notify
+//!   beneath them.
+//! * [`lock::ShmLock`] — the 1987 substrate's choices side by side:
+//!   test-and-test-and-set spin lock with exponential backoff (the
+//!   Balance's ALM atomic-lock-memory equivalent), a FIFO ticket lock, and
+//!   an OS mutex, selectable at run time (ablation A2).
+//! * [`waitq::WaitQueue`] — heap wait/notify with spin, yield and park
+//!   strategies (ablation A3); the restricted §5 channels and the async
+//!   reactor's wake channel use it.
+//! * [`pool::Pool`] / [`idxstack::IndexStack`] — typed slot pools over a
+//!   Treiber free list with an ABA tag.
 //! * [`hooks`] — the sync-event hook layer: every lock, wait queue, pool
 //!   and free list reports to an optional thread-local [`hooks::SyncHook`],
 //!   the seam the `mpf-check` schedule-exploration harness drives.
@@ -32,16 +33,8 @@
 //! * [`barrier::SpinBarrier`] — sense-reversing barrier used by the
 //!   shared-memory baseline applications and the benchmark harness.
 //!
-//! The genuine multi-process substrate lives here too:
-//!
 //! * [`sys`] — a four-syscall layer (`mmap`/`munmap`/`futex`/`kill`) with
 //!   portable fallbacks; the workspace builds with no external crates.
-//! * [`region::ShmRegion`] — a named, `mmap`ed OS shared-memory region
-//!   any process can attach.
-//! * [`futex`] — cross-process wait/notify on shared words.
-//! * [`lock::FutexLock`] / [`lock::IpcLock`] — `#[repr(C)]` in-region
-//!   locks; `IpcLock` adds holder identity and dead-peer recovery.
-//! * [`waitq::FutexSeq`] — the in-region wait queue.
 //! * [`ring::AioRing`] — io_uring-style SPSC descriptor ring with a futex
 //!   doorbell, the substrate of the batched/async `mpf-aio` layer.
 //!
@@ -49,7 +42,6 @@
 //! "shared memory allocation and synchronization", the two facilities the
 //! paper names as its portability boundary.
 
-pub mod arena;
 pub mod backoff;
 pub mod barrier;
 pub mod clock;
@@ -69,7 +61,6 @@ pub mod telemetry;
 pub mod tracering;
 pub mod waitq;
 
-pub use arena::StridedArena;
 pub use backoff::Backoff;
 pub use barrier::SpinBarrier;
 pub use faultplane::{FaultConfig, FaultGuard, FaultSite, FaultStats};

@@ -16,6 +16,7 @@
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use crate::sys;
 
@@ -39,15 +40,41 @@ enum Backing {
         file: File,
         unlink: Option<PathBuf>,
     },
-    /// Heap fallback; the allocation owns the bytes `base` points into.
-    Heap(#[allow(dead_code)] Box<[u8]>),
+    /// Process-private pages with no name; every handle
+    /// [`ShmRegion::attach_again`] makes of them shares the one mapping.
+    Anon(#[allow(dead_code)] Arc<AnonPages>),
+}
+
+/// The zeroed bytes behind an anonymous region, released when the last
+/// handle drops.
+#[derive(Debug)]
+enum AnonPages {
+    /// `mmap`ed: page-aligned, and untouched pages are never paid for.
+    Mapped { base: *mut u8, len: usize },
+    /// Heap fallback for hosts without the syscall layer; the words keep
+    /// the 8-byte alignment in-region structs need.
+    Heap(#[allow(dead_code)] Box<[u64]>),
+}
+
+impl Drop for AnonPages {
+    fn drop(&mut self) {
+        if let AnonPages::Mapped { base, len } = *self {
+            // SAFETY: `(base, len)` is the mapping made in `anon`, and the
+            // last handle holding references into it is being dropped.
+            unsafe { sys::munmap(base, len) };
+        }
+    }
 }
 
 // SAFETY: the region is raw shared memory; every access goes through
 // unsafe accessors whose contracts delegate synchronization to the
-// caller (the MPF protocol), exactly as with `StridedArena`.
+// caller (the MPF protocol).
 unsafe impl Send for ShmRegion {}
 unsafe impl Sync for ShmRegion {}
+// SAFETY: `AnonPages` only owns the mapping (or heap words) the handles
+// above point into; it is never read or written through, only dropped.
+unsafe impl Send for AnonPages {}
+unsafe impl Sync for AnonPages {}
 
 fn region_dir() -> PathBuf {
     let shm = PathBuf::from("/dev/shm");
@@ -157,9 +184,11 @@ impl ShmRegion {
         })
     }
 
-    /// A second, independent mapping of the same named region *within
-    /// this process* — lands at a different base address, which is how
-    /// the position-independence tests exercise offset addressing.
+    /// A second handle on the same region *within this process*.  Of a
+    /// named region it is an independent mapping — it lands at a different
+    /// base address, which is how the position-independence tests exercise
+    /// offset addressing.  An anonymous region has no name to map twice:
+    /// the handle shares the one mapping.
     pub fn attach_again(&self) -> io::Result<Self> {
         match &self.backing {
             Backing::Mmap {
@@ -168,22 +197,39 @@ impl ShmRegion {
                 let file = OpenOptions::new().read(true).write(true).open(p)?;
                 Self::map(file, self.len, None)
             }
-            _ => Err(io::Error::new(
+            Backing::Anon(pages) => Ok(Self {
+                base: self.base,
+                len: self.len,
+                backing: Backing::Anon(Arc::clone(pages)),
+            }),
+            Backing::Mmap { unlink: None, .. } => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "only a named, creator-owned mapping can be re-attached",
+                "only a creator-owned or anonymous mapping can be re-attached",
             )),
         }
     }
 
-    /// Anonymous single-process region (heap-backed, zeroed).  The
-    /// portable fallback, also handy for unit tests.
+    /// Anonymous single-process region of `len` zeroed bytes: nothing in
+    /// the file system names it, so only this process's threads can share
+    /// it.  Also the portable fallback where regions cannot be mapped.
     pub fn anon(len: usize) -> Self {
-        let mut heap = vec![0u8; len.max(1)].into_boxed_slice();
-        let base = heap.as_mut_ptr();
+        let (base, pages) = match sys::mmap_anon(len.max(1)) {
+            Ok(base) => (
+                base,
+                AnonPages::Mapped {
+                    base,
+                    len: len.max(1),
+                },
+            ),
+            Err(_) => {
+                let mut heap = vec![0u64; len.div_ceil(8).max(1)].into_boxed_slice();
+                (heap.as_mut_ptr().cast(), AnonPages::Heap(heap))
+            }
+        };
         Self {
             base,
             len,
-            backing: Backing::Heap(heap),
+            backing: Backing::Anon(Arc::new(pages)),
         }
     }
 
@@ -401,14 +447,21 @@ mod tests {
     }
 
     #[test]
-    fn heap_fallback_works() {
+    fn anon_is_zeroed_aligned_and_shared_by_attach_again() {
         let r = ShmRegion::anon(1024);
         assert_eq!(r.len(), 1024);
         assert!(!r.is_owner());
+        assert_eq!(r.base() as usize % 8, 0);
+        let again = r.attach_again().unwrap();
+        assert_eq!(again.base(), r.base(), "one mapping, two handles");
         unsafe {
+            assert_eq!(r.bytes_at(1023, 1).read(), 0);
             r.bytes_at(0, 1).write(1);
-            assert_eq!(r.bytes_at(0, 1).read(), 1);
+            assert_eq!(again.bytes_at(0, 1).read(), 1);
         }
+        // The pages outlive the first handle.
+        drop(r);
+        unsafe { assert_eq!(again.bytes_at(0, 1).read(), 1) };
     }
 
     #[test]

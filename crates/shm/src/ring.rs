@@ -10,10 +10,9 @@
 //! completion ring under a single lock hold.
 //!
 //! The ring is `#[repr(C)]`, offset-addressed and valid for any zeroed
-//! bit pattern, so the multi-process backend carves one submission ring
-//! and one completion ring per process slot directly into the shared
-//! region (`RegionLayout` segments "aio sq rings" / "aio cq rings"); the
-//! thread backend keeps heap instances of the identical struct.
+//! bit pattern, so the facility carves one submission ring and one
+//! completion ring per process slot directly into the shared region
+//! (`RegionLayout` segments "aio sq rings" / "aio cq rings").
 //!
 //! # Discipline
 //!
@@ -21,7 +20,7 @@
 //! other owns `head` (pop); the only synchronization is one
 //! release/acquire pair per side, exactly like
 //! [`crate::waitq::WaitQueue`]'s sequence protocol and the one-to-one
-//! channel.  In both backends a ring belongs to one process slot: that
+//! channel.  A ring belongs to one process slot: that
 //! process pushes submissions and pops completions; whoever drains
 //! (usually the same process, inline) pops submissions and pushes
 //! completions.  Observers ([`AioRing::depth`], the region inspector) may

@@ -124,6 +124,8 @@ mod real {
     const PROT_READ: usize = 1;
     const PROT_WRITE: usize = 2;
     const MAP_SHARED: usize = 0x01;
+    const MAP_PRIVATE: usize = 0x02;
+    const MAP_ANONYMOUS: usize = 0x20;
 
     const FUTEX_WAIT: usize = 0;
     const FUTEX_WAKE: usize = 1;
@@ -166,7 +168,30 @@ mod real {
         }
     }
 
-    /// Unmaps a region previously returned by [`mmap_shared`].
+    /// Maps `len` bytes of zeroed, process-private memory backed by no
+    /// file: page-aligned, and a page costs nothing until it is touched.
+    pub fn mmap_anon(len: usize) -> Result<*mut u8, i32> {
+        // SAFETY: an anonymous private mapping at a kernel-chosen address
+        // aliases nothing the program already owns.
+        let ret = unsafe {
+            syscall6(
+                nr::MMAP,
+                0,
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                usize::MAX,
+                0,
+            )
+        };
+        if (-4095..0).contains(&ret) {
+            Err(-ret as i32)
+        } else {
+            Ok(ret as *mut u8)
+        }
+    }
+
+    /// Unmaps a region previously returned by one of the `mmap_*` calls.
     ///
     /// # Safety
     /// `(ptr, len)` must be exactly a live mapping; no references into it
@@ -260,6 +285,11 @@ mod real {
         Err(super::EAGAIN)
     }
 
+    /// Portable stub: no mapping support; callers use heap regions.
+    pub fn mmap_anon(_len: usize) -> Result<*mut u8, i32> {
+        Err(super::EAGAIN)
+    }
+
     /// Portable stub; nothing to unmap.
     ///
     /// # Safety
@@ -288,7 +318,7 @@ mod real {
 }
 
 pub use real::{
-    futex_wait_raw, futex_wake_raw, mmap_shared, mmap_shared_ro, munmap, process_alive,
+    futex_wait_raw, futex_wake_raw, mmap_anon, mmap_shared, mmap_shared_ro, munmap, process_alive,
 };
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! The paper's `message_receive()` "is blocking; it returns only after a
 //! message has been received."  On the Balance the natural realization was
 //! busy-waiting; a modern port parks the thread.  [`WaitQueue`] offers both
-//! (plus a yield middle ground) behind one sequence-count protocol, selected
-//! at facility-init time (DESIGN.md ablation A3).
+//! (plus a yield middle ground) behind one sequence-count protocol
+//! (DESIGN.md ablation A3); [`FutexSeq`] is the same protocol reduced to
+//! the in-region word the facility's own waits sleep on.
 //!
 //! # Protocol
 //!
@@ -19,7 +20,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::backoff::Backoff;
 use crate::futex;
@@ -35,20 +36,12 @@ pub enum WaitStrategy {
     Yield,
     /// Park the OS thread until notified.
     Park,
-    /// Sleep in the kernel on the sequence word itself.  The only
-    /// strategy that can block across address spaces; the multi-process
-    /// backend always uses it (with a spin/yield fallback on hosts
-    /// without futexes).
-    Futex,
 }
 
 /// A notify-all wait queue with a monotonically increasing sequence.
 #[derive(Debug)]
 pub struct WaitQueue {
     seq: AtomicU32,
-    /// Number of waiters currently inside a futex sleep; lets
-    /// `notify_all` skip the wake syscall when nobody kernel-sleeps.
-    futex_waiters: AtomicU32,
     parked: Mutex<Vec<Thread>>,
 }
 
@@ -63,7 +56,6 @@ impl WaitQueue {
     pub fn new() -> Self {
         Self {
             seq: AtomicU32::new(0),
-            futex_waiters: AtomicU32::new(0),
             parked: Mutex::new(Vec::new()),
         }
     }
@@ -77,92 +69,40 @@ impl WaitQueue {
 
     /// Blocks until the sequence moves past `ticket` (or spuriously).
     pub fn wait(&self, ticket: u32, strategy: WaitStrategy) {
-        self.wait_deadline(ticket, strategy, None);
-    }
-
-    /// Blocks until the sequence moves past `ticket`, the deadline
-    /// passes, or spuriously.  Returns `true` if the sequence moved,
-    /// `false` on deadline expiry with the sequence unmoved.  A hooked
-    /// wait (schedule exploration) ignores the deadline — the harness
-    /// runs no wall clock, and scenarios built for determinism pass
-    /// `None`.
-    pub fn wait_deadline(
-        &self,
-        ticket: u32,
-        strategy: WaitStrategy,
-        deadline: Option<Instant>,
-    ) -> bool {
         if crate::hooks::wait(self as *const Self as usize, &mut || {
             self.seq.load(Ordering::Acquire) != ticket
         }) {
-            return true;
+            return;
         }
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-        // Remaining time, clamped to `cap` — the recurring bound for the
-        // strategies that sleep in bounded naps.
-        let nap = |cap: Duration| match deadline {
-            None => Some(cap),
-            Some(d) => Some(d.saturating_duration_since(Instant::now()).min(cap)),
-        };
         match strategy {
             WaitStrategy::Spin => {
                 let mut backoff = Backoff::new();
                 while self.seq.load(Ordering::Acquire) == ticket {
-                    if expired() {
-                        return false;
-                    }
                     backoff.spin();
                 }
             }
             WaitStrategy::Yield => {
                 let mut backoff = Backoff::new();
                 while self.seq.load(Ordering::Acquire) == ticket {
-                    if expired() {
-                        return false;
-                    }
                     backoff.snooze();
                 }
             }
             WaitStrategy::Park => {
-                loop {
-                    if self.seq.load(Ordering::Acquire) != ticket {
-                        return true;
-                    }
-                    if expired() {
-                        return false;
-                    }
+                while self.seq.load(Ordering::Acquire) == ticket {
                     self.parked
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .push(thread::current());
-                    if self.seq.load(Ordering::Acquire) != ticket {
-                        // Notification raced with registration; our stale
-                        // handle will at worst receive a harmless unpark.
-                        return true;
+                    // A notification that raced the registration leaves a
+                    // stale handle behind: at worst a harmless unpark.
+                    if self.seq.load(Ordering::Acquire) == ticket {
+                        // A liveness bound no wake depends on: notify_all
+                        // unparks every registered thread.
+                        thread::park_timeout(Duration::from_millis(2));
                     }
-                    // A liveness bound no wake depends on: notify_all
-                    // unparks every registered thread.
-                    thread::park_timeout(nap(Duration::from_millis(2)).unwrap());
                 }
-            }
-            WaitStrategy::Futex => {
-                self.futex_waiters.fetch_add(1, Ordering::SeqCst);
-                while self.seq.load(Ordering::Acquire) == ticket {
-                    if expired() {
-                        self.futex_waiters.fetch_sub(1, Ordering::SeqCst);
-                        return false;
-                    }
-                    // The futex atomically re-checks `seq == ticket` at
-                    // sleep time, so a notify between our check and the
-                    // syscall is never lost; the timeout is only a
-                    // liveness bound on fallback hosts (and the deadline
-                    // clamp).
-                    futex::futex_wait(&self.seq, ticket, nap(Duration::from_millis(50)));
-                }
-                self.futex_waiters.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        true
     }
 
     /// Bumps the sequence and wakes every parked waiter.  Call after the
@@ -173,105 +113,12 @@ impl WaitQueue {
         // the sequence bump: waiters recover via their bounded naps, so
         // the fault delays delivery without ever losing it.
         if !crate::faultplane::inject(crate::faultplane::FaultSite::NotifyDrop) {
-            if self.futex_waiters.load(Ordering::SeqCst) != 0 {
-                futex::futex_wake_all(&self.seq);
-            }
             let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
             for t in parked.drain(..) {
                 t.unpark();
             }
         }
         crate::hooks::notify(self as *const Self as usize);
-    }
-
-    /// Blocks until *any* of `entries`' sequences moves past its ticket
-    /// (or spuriously) — the multiplexed wait behind
-    /// `Mpf::wait_any`.  Each `(queue, ticket)` pair must have had its
-    /// ticket taken before the caller last checked its predicate, exactly
-    /// as for [`WaitQueue::wait`].  Returns immediately for an empty
-    /// slice (there is nothing to wait on; callers reject that case
-    /// before blocking forever).
-    pub fn wait_many(entries: &[(&WaitQueue, u32)], strategy: WaitStrategy) {
-        Self::wait_many_deadline(entries, strategy, None);
-    }
-
-    /// [`WaitQueue::wait_many`] with a deadline.  Returns `true` if some
-    /// sequence moved (or spuriously), `false` on expiry with every
-    /// sequence unmoved.  Hooked waits ignore the deadline, as for
-    /// [`WaitQueue::wait_deadline`].
-    pub fn wait_many_deadline(
-        entries: &[(&WaitQueue, u32)],
-        strategy: WaitStrategy,
-        deadline: Option<Instant>,
-    ) -> bool {
-        if entries.is_empty() {
-            return true;
-        }
-        let moved = || {
-            entries
-                .iter()
-                .any(|&(q, t)| q.seq.load(Ordering::Acquire) != t)
-        };
-        let resources: Vec<usize> = entries
-            .iter()
-            .map(|&(q, _)| q as *const WaitQueue as usize)
-            .collect();
-        if crate::hooks::wait_multi(&resources, &mut || moved()) {
-            return true;
-        }
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-        let nap = |cap: Duration| match deadline {
-            None => cap,
-            Some(d) => d.saturating_duration_since(Instant::now()).min(cap),
-        };
-        match strategy {
-            WaitStrategy::Spin => {
-                let mut backoff = Backoff::new();
-                while !moved() {
-                    if expired() {
-                        return false;
-                    }
-                    backoff.spin();
-                }
-            }
-            WaitStrategy::Yield => {
-                let mut backoff = Backoff::new();
-                while !moved() {
-                    if expired() {
-                        return false;
-                    }
-                    backoff.snooze();
-                }
-            }
-            // A futex sleeps on one address, so a multi-queue wait parks
-            // instead, whatever the strategy: heap queues keep a parked
-            // list and every `notify_all` drains it.
-            WaitStrategy::Park | WaitStrategy::Futex => {
-                loop {
-                    if moved() {
-                        return true;
-                    }
-                    if expired() {
-                        return false;
-                    }
-                    // Register with every queue; whichever notifies first
-                    // unparks us, and the stale registrations at worst
-                    // deliver a harmless extra unpark later.
-                    for &(q, _) in entries {
-                        q.parked
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(thread::current());
-                    }
-                    if moved() {
-                        return true;
-                    }
-                    // A liveness bound no wake depends on.
-                    thread::park_timeout(nap(Duration::from_millis(2)));
-                }
-            }
-        }
-        true
     }
 }
 
@@ -433,11 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn futex_wakeup() {
-        wakeup_smoke(WaitStrategy::Futex);
-    }
-
-    #[test]
     fn futex_seq_roundtrip() {
         let q = Arc::new(FutexSeq::new());
         let hits = Arc::new(AtomicUsize::new(0));
@@ -492,52 +334,6 @@ mod tests {
         assert!(q.wait(t, None), "sequence already moved");
     }
 
-    fn wait_many_smoke(strategy: WaitStrategy) {
-        let a = Arc::new(WaitQueue::new());
-        let b = Arc::new(WaitQueue::new());
-        let woken_by = {
-            let a = Arc::clone(&a);
-            let b = Arc::clone(&b);
-            thread::spawn(move || {
-                let entries = [(&*a, a.ticket()), (&*b, b.ticket())];
-                WaitQueue::wait_many(&entries, strategy);
-                // Exactly one queue was notified; report which moved.
-                usize::from(entries[0].0.ticket() == entries[0].1)
-            })
-        };
-        thread::sleep(Duration::from_millis(20));
-        b.notify_all();
-        assert_eq!(woken_by.join().unwrap(), 1, "queue b moved, not a");
-    }
-
-    #[test]
-    fn wait_many_wakes_on_second_queue_park() {
-        wait_many_smoke(WaitStrategy::Park);
-    }
-
-    #[test]
-    fn wait_many_wakes_on_second_queue_futex() {
-        wait_many_smoke(WaitStrategy::Futex);
-    }
-
-    #[test]
-    fn wait_many_wakes_on_second_queue_yield() {
-        wait_many_smoke(WaitStrategy::Yield);
-    }
-
-    #[test]
-    fn wait_many_empty_returns_immediately() {
-        WaitQueue::wait_many(&[], WaitStrategy::Park);
-    }
-
-    #[test]
-    fn wait_many_returns_immediately_if_already_notified() {
-        let q = WaitQueue::new();
-        let t = q.ticket();
-        q.notify_all();
-        WaitQueue::wait_many(&[(&q, t)], WaitStrategy::Park);
-    }
-
     #[test]
     fn notify_before_wait_is_not_lost() {
         let q = WaitQueue::new();
@@ -554,52 +350,6 @@ mod tests {
         q.notify_all();
         q.notify_all();
         assert_ne!(q.ticket(), t0);
-    }
-
-    #[test]
-    fn wait_deadline_expires_without_notify() {
-        for strategy in [
-            WaitStrategy::Spin,
-            WaitStrategy::Yield,
-            WaitStrategy::Park,
-            WaitStrategy::Futex,
-        ] {
-            let q = WaitQueue::new();
-            let t = q.ticket();
-            let dl = Instant::now() + Duration::from_millis(15);
-            assert!(!q.wait_deadline(t, strategy, Some(dl)), "{strategy:?}");
-            assert!(Instant::now() >= dl, "{strategy:?} returned early");
-        }
-    }
-
-    #[test]
-    fn wait_deadline_notified_returns_true() {
-        let q = Arc::new(WaitQueue::new());
-        let t = q.ticket();
-        let notifier = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                thread::sleep(Duration::from_millis(10));
-                q.notify_all();
-            })
-        };
-        let dl = Instant::now() + Duration::from_secs(5);
-        assert!(q.wait_deadline(t, WaitStrategy::Futex, Some(dl)));
-        notifier.join().unwrap();
-    }
-
-    #[test]
-    fn wait_many_deadline_expires() {
-        let a = WaitQueue::new();
-        let b = WaitQueue::new();
-        let entries = [(&a, a.ticket()), (&b, b.ticket())];
-        let dl = Instant::now() + Duration::from_millis(15);
-        assert!(!WaitQueue::wait_many_deadline(
-            &entries,
-            WaitStrategy::Park,
-            Some(dl)
-        ));
-        assert!(Instant::now() >= dl);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Offline causal-trace reconstruction for MPF trace rings.
 //!
-//! Both backends (`mpf::Mpf` and `mpf_ipc::IpcMpf`) stamp a 64-bit trace id
-//! into every message descriptor at send time and append fixed-size records
-//! to per-process crash-persistent trace rings (`mpf_shm::tracering`).  This
-//! crate consumes those records — live or post-mortem, via
-//! [`mpf_ipc::RegionInspector`] or directly from a backend handle — and
-//! rebuilds three views:
+//! The protocol engine (behind `mpf::Mpf` and `mpf_ipc::IpcMpf` alike)
+//! stamps a 64-bit trace id into every message descriptor at send time and
+//! appends fixed-size records to per-process crash-persistent trace rings
+//! (`mpf_shm::tracering`).  This crate consumes those records — live or
+//! post-mortem, via [`mpf_ipc::RegionInspector`] or directly from a
+//! facility handle — and rebuilds three views:
 //!
 //! - **causal chains**: all events sharing a trace id, ordered by hop, so a
 //!   request that bounced through three processes reads as one story;
@@ -207,25 +207,13 @@ impl TraceLog {
         TraceLog { rings }
     }
 
-    /// Snapshots every trace ring of a thread-backend facility.
+    /// Snapshots every trace ring of an in-process facility.
     pub fn from_mpf(mpf: &mpf::Mpf) -> Self {
-        let n = mpf.config().max_processes;
-        let mut rings = Vec::with_capacity(n as usize);
-        for idx in 0..n as usize {
-            let pid = mpf_shm::process::ProcessId::from_index(idx);
-            let events = mpf.trace_events(pid).unwrap_or_default();
-            let (head, skipped) = mpf.trace_ring_stats(pid).unwrap_or((0, 0));
-            rings.push(PidEvents {
-                pid: idx as u32,
-                truncated: head > mpf_shm::tracering::TRACE_RING_SLOTS as u64,
-                sampled_out: skipped,
-                events,
-            });
-        }
-        TraceLog { rings }
+        let any = mpf_shm::process::ProcessId::from_index(0);
+        Self::from_ipc(mpf.view(any).expect("a facility has a process 0"))
     }
 
-    /// Snapshots every trace ring of a multi-process facility handle.
+    /// Snapshots every trace ring of the region behind an engine handle.
     pub fn from_ipc(ipc: &mpf_ipc::IpcMpf) -> Self {
         let n = ipc.max_processes();
         let mut rings = Vec::with_capacity(n as usize);

@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
+use mpf::{Mpf, MpfConfig, ProcessId, Protocol, Receiver};
 
 const JOBS: usize = 12;
 const WORKERS: usize = 3;
@@ -47,8 +47,12 @@ fn main() {
         });
 
         // Workers 0 and 1: FCFS — each job goes to exactly one of them.
+        // Like the auditor they join before their threads start: a job
+        // posted while only BROADCAST receivers are connected is owed to
+        // no FCFS receiver at all.
         for w in 0..2 {
-            s.spawn(move || worker(mpf, w, done));
+            let rx = join(mpf, w);
+            s.spawn(move || worker(rx, w, done));
         }
 
         // Dispatcher.
@@ -57,8 +61,11 @@ fn main() {
             let tx = mpf.sender(me, "jobs").expect("dispatcher joins");
             for job in 0..JOBS {
                 if job == JOBS / 2 {
-                    // Mid-stream, a late worker joins the conversation.
-                    s.spawn(move || worker(mpf, 2, done));
+                    // Mid-stream, a late worker joins the conversation —
+                    // before its poison can be posted, or the departure
+                    // of the others would leave that poison owed to nobody.
+                    let rx = join(mpf, 2);
+                    s.spawn(move || worker(rx, 2, done));
                 }
                 tx.send(format!("job #{job}").as_bytes()).expect("post");
             }
@@ -74,11 +81,12 @@ fn main() {
     println!("all {JOBS} jobs done exactly once");
 }
 
-fn worker(mpf: &Mpf, idx: usize, done: &AtomicUsize) {
-    let me = ProcessId::from_index(idx);
-    let rx = mpf
-        .receiver(me, "jobs", Protocol::Fcfs)
-        .expect("worker joins");
+fn join(mpf: &Mpf, idx: usize) -> Receiver<'_> {
+    mpf.receiver(ProcessId::from_index(idx), "jobs", Protocol::Fcfs)
+        .expect("worker joins")
+}
+
+fn worker(rx: Receiver<'_>, idx: usize, done: &AtomicUsize) {
     let mut handled = 0;
     loop {
         let msg = rx.recv_vec().expect("take job");
