@@ -1,9 +1,10 @@
 //! Ablation A1 — message block size.
 //!
 //! The paper ran everything with 10-byte blocks (§3.1 footnote 4).  Small
-//! blocks amortize poorly: a 1024-byte message costs 103 free-list pops
-//! and link stores.  This bench sweeps the block payload to quantify that
-//! design choice.
+//! blocks amortize poorly: a 1024-byte message is a 103-block chain, and
+//! every walk of it (allocate, copy, free) reads 103 links — though the
+//! pool is touched once per chain, not once per block.  This bench sweeps
+//! the block payload to quantify that design choice.
 
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_bench::crit::{BenchmarkId, Criterion, Throughput};

@@ -434,34 +434,21 @@ impl IpcMpf {
         let h = self.header();
         h.layout_version.store(LAYOUT_VERSION, Ordering::Relaxed);
         h.total_bytes.store(total as u64, Ordering::Relaxed);
-        h.cfg.max_lnvcs.store(cfg.max_lnvcs, Ordering::Relaxed);
-        h.cfg
-            .max_processes
-            .store(cfg.max_processes, Ordering::Relaxed);
-        h.cfg
-            .block_payload
-            .store(cfg.block_payload as u32, Ordering::Relaxed);
-        h.cfg
-            .total_blocks
-            .store(cfg.total_blocks, Ordering::Relaxed);
-        h.cfg
-            .max_messages
-            .store(cfg.max_messages, Ordering::Relaxed);
-        h.cfg
-            .max_send_conns
-            .store(cfg.max_send_conns, Ordering::Relaxed);
-        h.cfg
-            .max_recv_conns
-            .store(cfg.max_recv_conns, Ordering::Relaxed);
-        h.cfg
-            .telemetry
-            .store(cfg.telemetry as u32, Ordering::Relaxed);
-        h.cfg
-            .latency_sample_every
-            .store(cfg.latency_sample_every.max(1), Ordering::Relaxed);
-        h.cfg
-            .trace_sample_every
-            .store(cfg.trace_sample_every, Ordering::Relaxed);
+        let echo = &h.cfg;
+        for (field, value) in [
+            (&echo.max_lnvcs, cfg.max_lnvcs),
+            (&echo.max_processes, cfg.max_processes),
+            (&echo.block_payload, cfg.block_payload as u32),
+            (&echo.total_blocks, cfg.total_blocks),
+            (&echo.max_messages, cfg.max_messages),
+            (&echo.max_send_conns, cfg.max_send_conns),
+            (&echo.max_recv_conns, cfg.max_recv_conns),
+            (&echo.telemetry, cfg.telemetry as u32),
+            (&echo.latency_sample_every, cfg.latency_sample_every.max(1)),
+            (&echo.trace_sample_every, cfg.trace_sample_every),
+        ] {
+            field.store(value, Ordering::Relaxed);
+        }
         // Thread the four free lists, low indices first out.
         h.msg_free.thread(cfg.max_messages, |s, n| {
             self.msg(s).next.store(n, Ordering::Relaxed)
@@ -578,15 +565,6 @@ impl IpcMpf {
     fn block_link(&self, i: u32) -> &AtomicU32 {
         debug_assert!(i < self.counts.total_blocks);
         unsafe { self.region.at(self.off.links + i as usize * 4) }
-    }
-
-    fn payload_ptr(&self, block: u32) -> *mut u8 {
-        unsafe {
-            self.region.bytes_at(
-                self.off.payloads + block as usize * self.counts.block_payload,
-                self.counts.block_payload,
-            )
-        }
     }
 
     /// Process `slot`'s facility-telemetry shard.  Sharding keeps hot
@@ -784,24 +762,8 @@ impl IpcMpf {
 
     /// Appends one record to this process's trace ring; a no-op for
     /// untraced chains, so callers thread the gate through `trace == 0`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn trace_rec(
-        &self,
-        kind: u32,
-        hop: u32,
-        trace: u64,
-        lnvc: u32,
-        stamp: u64,
-        arg: u32,
-        arg2: u32,
-    ) {
-        self.trace_rec_at(0, kind, hop, trace, lnvc, stamp, arg, arg2);
-    }
-
-    /// [`trace_rec`](Self::trace_rec) with a timestamp the caller already
-    /// has (0 = read the clock here), sharing one clock read across the
-    /// trace records and latency sample of an operation.
+    /// `tstamp` is a clock read the caller already has (0 = read it here),
+    /// shared by the trace records and latency sample of an operation.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn trace_rec_at(
@@ -833,23 +795,30 @@ impl IpcMpf {
         }
     }
 
-    /// Records an injected fault and the typed error it surfaced as.
-    /// Not sampled, like [`trace_pop`](Self::trace_pop): the `mpf-trace`
-    /// conformance checker audits that every error-class injection
-    /// produced a typed error (`arg2 != 0`), never silent corruption.
-    fn trace_fault(&self, site: FaultSite, err: &MpfError) {
+    /// One fault-plane decision at `site`: when it fires, the injection is
+    /// recorded with the typed error it surfaces as, and `err` returned.
+    /// The record is not sampled, like [`trace_pop`](Self::trace_pop): the
+    /// `mpf-trace` conformance checker audits that every error-class
+    /// injection produced a typed error (`arg2 != 0`), never silent
+    /// corruption.
+    fn inject_fault(&self, site: FaultSite, err: MpfError) -> Result<()> {
+        if !faultplane::inject(site) {
+            return Ok(());
+        }
         if self.tracing() {
+            let code = err.status_code().unsigned_abs();
             self.trace_ring(self.me).record_at(
                 now_nanos(),
                 0,
                 0,
                 TR_FAULT,
                 0,
-                u32::MAX,
+                NIL,
                 site.code(),
-                err.status_code().unsigned_abs(),
+                code,
             );
         }
+        Err(err)
     }
 
     /// Adopts a delivered message's chain as this process's causal
@@ -898,11 +867,7 @@ impl IpcMpf {
             let d = self.lnvc(idx);
             self.lock_lnvc(d);
             let result = (|| {
-                if d.poisoned.load(Ordering::Acquire) != 0 {
-                    return Err(MpfError::PeerDied {
-                        pid: d.dead_pid.load(Ordering::Acquire),
-                    });
-                }
+                self.poison_check(d)?;
                 if self
                     .find_conn(ConnKind::Send, d.send_head.load(Ordering::Acquire), self.me)
                     .is_some()
@@ -943,11 +908,7 @@ impl IpcMpf {
             let d = self.lnvc(idx);
             self.lock_lnvc(d);
             let result = (|| {
-                if d.poisoned.load(Ordering::Acquire) != 0 {
-                    return Err(MpfError::PeerDied {
-                        pid: d.dead_pid.load(Ordering::Acquire),
-                    });
-                }
+                self.poison_check(d)?;
                 if let Some(existing) =
                     self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
                 {
@@ -1043,38 +1004,9 @@ impl IpcMpf {
                 let conn = self
                     .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
                     .ok_or(MpfError::NotConnected)?;
-                let r = self.recv(conn);
-                let protocol = r.protocol_code();
-                let cursor = r.cursor.load(Ordering::Acquire);
                 // Waits of ours still watching through this connection
-                // lose their watch with it; wake them to notice.
-                let watches = r.watches();
-                d.watchers.fetch_sub(watches, Ordering::SeqCst);
-                self.header()
-                    .recv_free
-                    .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
-                if protocol == Protocol::Broadcast.code() {
-                    d.n_bcast.fetch_sub(1, Ordering::AcqRel);
-                    self.release_bcast_claims(d, cursor);
-                } else {
-                    d.n_fcfs.fetch_sub(1, Ordering::AcqRel);
-                    // Obligation re-evaluation (DESIGN.md): if the last
-                    // FCFS receiver just left while BROADCAST receivers
-                    // keep the conversation alive, nobody in the current
-                    // connection set can ever take the owed messages —
-                    // drop the obligation so they become reclaimable
-                    // instead of pinning blocks until the LNVC dies.
-                    if d.n_fcfs.load(Ordering::Acquire) == 0
-                        && d.n_bcast.load(Ordering::Acquire) > 0
-                    {
-                        self.clear_fcfs_obligations(d);
-                    }
-                }
-                // Close is the slow path: sweep the whole queue, not just
-                // the head, so interior messages unpinned above (or
-                // consumed behind a still-claimed head) are returned too.
-                let freed = self.reclaim_consumed(d);
-                self.note_reclaim(idx, freed);
+                // lose their watch with it; woken below to notice.
+                let (protocol, watches) = self.retire_recv(idx, d, conn);
                 if d.total_connections() == 0 {
                     self.delete_conversation(idx, d);
                 }
@@ -1105,21 +1037,13 @@ impl IpcMpf {
         let (idx, d) = self.resolve(id)?;
         // Injected peer death: surface the same typed error a real
         // poisoned conversation produces, without touching the region.
-        if faultplane::inject(FaultSite::PeerDied) {
-            let err = MpfError::PeerDied { pid: 0 };
-            self.trace_fault(FaultSite::PeerDied, &err);
-            return Err(err);
-        }
+        self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
         // Poison is sticky for this descriptor generation, so an
         // unlocked pre-check is sound — and it must precede pool
         // allocation: a poisoned conversation whose corpse's messages
         // exhausted the pools would otherwise report `MessagesExhausted`
         // forever instead of `PeerDied`.
-        if d.poisoned.load(Ordering::Acquire) != 0 {
-            return Err(MpfError::PeerDied {
-                pid: d.dead_pid.load(Ordering::Acquire),
-            });
-        }
+        self.poison_check(d)?;
         // Allocate from the lock-free pools *before* taking the LNVC
         // lock: exhaustion then never happens inside the critical
         // section, and a death mid-allocation cannot corrupt the queue.
@@ -1135,51 +1059,16 @@ impl IpcMpf {
         };
         m.sent_at.store(sent_at, Ordering::Release);
 
-        let h = self.header();
         self.lock_lnvc(d);
         let result = (|| {
-            if d.poisoned.load(Ordering::Acquire) != 0 {
-                return Err(MpfError::PeerDied {
-                    pid: d.dead_pid.load(Ordering::Acquire),
-                });
-            }
-            if self
-                .find_conn(ConnKind::Send, d.send_head.load(Ordering::Acquire), self.me)
-                .is_none()
-            {
-                return Err(MpfError::NotConnected);
-            }
-            let n_fcfs = d.n_fcfs.load(Ordering::Acquire);
-            let n_bcast = d.n_bcast.load(Ordering::Acquire);
-            // Delivery obligations fix at send time (DESIGN.md): one FCFS
-            // delivery iff FCFS receivers exist or nobody listens yet;
-            // one broadcast delivery per connected BROADCAST receiver.
-            let needs_fcfs = n_fcfs > 0 || (n_fcfs + n_bcast) == 0;
-            let seq = d.next_seq.fetch_add(1, Ordering::AcqRel);
-            let stamp = h.next_stamp.fetch_add(1, Ordering::AcqRel);
+            let (needs_fcfs, n_bcast) = self.send_obligations(d)?;
             // Causal id stamped under the lock, before receivers can see
             // the message; obligations are fixed at this instant, so the
             // packed arg2 is what the conformance checker audits against.
             let (trace, hop) = self.trace_for_send();
             m.trace.store(trace, Ordering::Release);
             m.hop.store(hop, Ordering::Release);
-            m.seq.store(seq, Ordering::Release);
-            m.stamp.store(stamp, Ordering::Release);
-            m.bcast_pending.store(n_bcast, Ordering::Release);
-            m.flags.store(
-                if needs_fcfs { msg_flags::NEEDS_FCFS } else { 0 },
-                Ordering::Release,
-            );
-            // Tail-enqueue.
-            let tail = d.q_tail.load(Ordering::Acquire);
-            if tail == NIL {
-                d.q_head.store(m_idx, Ordering::Release);
-            } else {
-                self.msg(tail).next.store(m_idx, Ordering::Release);
-            }
-            d.q_tail.store(m_idx, Ordering::Release);
-            let depth = d.msg_count.fetch_add(1, Ordering::AcqRel) + 1;
-            d.last_stamp.store(stamp, Ordering::Release);
+            let (stamp, depth) = self.publish(d, m_idx, needs_fcfs, n_bcast);
             if let Some(t) = self.tel() {
                 t.sends.inc();
                 t.bytes_in.add(payload.len() as u64);
@@ -1265,11 +1154,13 @@ impl IpcMpf {
     }
 
     /// Zero-copy blocking receive: the next message's payload is visited
-    /// as a sequence of block-sized slices borrowed straight from the
-    /// region, with no intermediate copy into a user buffer — the paper's
-    /// §5 "direct data transfer" idea applied to the receive side.
-    /// Returns the message length; the message is consumed exactly as by
-    /// [`Self::message_receive`].
+    /// in order as slices borrowed straight from the region, with no
+    /// intermediate copy into a user buffer — the paper's §5 "direct data
+    /// transfer" idea applied to the receive side.  Each slice is a
+    /// maximal contiguous run of the message's blocks: the whole payload
+    /// at once when its chain came off an unfragmented pool, at most one
+    /// slice per block otherwise.  Returns the message length; the message
+    /// is consumed exactly as by [`Self::message_receive`].
     ///
     /// `visit` runs under the conversation's lock, like the copy it
     /// replaces: it must not call back into the facility.
@@ -1300,11 +1191,7 @@ impl IpcMpf {
             let (idx, d) = self.resolve(id)?;
             // Injected peer death on the receive path: identical shape to
             // a sweep-detected poisoning, minus the region mutation.
-            if faultplane::inject(FaultSite::PeerDied) {
-                let err = MpfError::PeerDied { pid: 0 };
-                self.trace_fault(FaultSite::PeerDied, &err);
-                return Err(err);
-            }
+            self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
             // Ticket before the predicate check (the sequence-count
             // protocol): a send between our check and our wait bumps the
             // sequence and the wait returns immediately.
@@ -1317,7 +1204,8 @@ impl IpcMpf {
                     if waited && self.tracing() {
                         // The delivery that ended the block; its chain is
                         // the context receive_locked just adopted.
-                        self.trace_rec(
+                        self.trace_rec_at(
+                            0,
                             TR_WAKEUP,
                             self.ctx_hop.load(Ordering::Relaxed),
                             self.ctx_trace.load(Ordering::Relaxed),
@@ -1381,10 +1269,21 @@ impl IpcMpf {
         payload: &[u8],
         deadline: Option<Instant>,
     ) -> Result<()> {
+        self.retry_when_pool_frees(deadline, || self.message_send(id, payload))
+    }
+
+    /// Runs `attempt` until it stops failing for want of pool memory or
+    /// `deadline` passes ([`MpfError::TimedOut`]), sleeping on the pool
+    /// signal in between.
+    fn retry_when_pool_frees<T>(
+        &self,
+        deadline: Option<Instant>,
+        attempt: impl Fn() -> Result<T>,
+    ) -> Result<T> {
         let mut waiting = None;
         loop {
             let ticket = self.doorbell().ticket();
-            match self.message_send(id, payload) {
+            match attempt() {
                 Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
                 other => return other,
             }
@@ -1430,6 +1329,45 @@ impl IpcMpf {
         }
     }
 
+    /// What a send checks and fixes under `d`'s lock before it publishes:
+    /// the conversation is not poisoned, we are connected as a sender, and
+    /// — since delivery obligations fix at send time (DESIGN.md) — whether
+    /// an FCFS delivery is owed (FCFS receivers exist, or nobody listens
+    /// yet) and how many BROADCAST deliveries (one per such receiver).
+    fn send_obligations(&self, d: &LnvcDesc) -> Result<(bool, u32)> {
+        self.poison_check(d)?;
+        self.find_conn(ConnKind::Send, d.send_head.load(Ordering::Acquire), self.me)
+            .ok_or(MpfError::NotConnected)?;
+        let n_fcfs = d.n_fcfs.load(Ordering::Acquire);
+        let n_bcast = d.n_bcast.load(Ordering::Acquire);
+        Ok((n_fcfs > 0 || n_fcfs + n_bcast == 0, n_bcast))
+    }
+
+    /// Stamps staged message `m_idx` with its sequence number, global
+    /// stamp and obligations and links it at the queue's tail; returns the
+    /// stamp and the new queue depth.  Caller holds `d`'s lock.
+    fn publish(&self, d: &LnvcDesc, m_idx: u32, needs_fcfs: bool, n_bcast: u32) -> (u64, u32) {
+        let m = self.msg(m_idx);
+        let seq = d.next_seq.fetch_add(1, Ordering::AcqRel);
+        let stamp = self.header().next_stamp.fetch_add(1, Ordering::AcqRel);
+        m.seq.store(seq, Ordering::Release);
+        m.stamp.store(stamp, Ordering::Release);
+        m.bcast_pending.store(n_bcast, Ordering::Release);
+        m.flags.store(
+            if needs_fcfs { msg_flags::NEEDS_FCFS } else { 0 },
+            Ordering::Release,
+        );
+        let tail = d.q_tail.load(Ordering::Acquire);
+        if tail == NIL {
+            d.q_head.store(m_idx, Ordering::Release);
+        } else {
+            self.msg(tail).next.store(m_idx, Ordering::Release);
+        }
+        d.q_tail.store(m_idx, Ordering::Release);
+        d.last_stamp.store(stamp, Ordering::Release);
+        (stamp, d.msg_count.fetch_add(1, Ordering::AcqRel) + 1)
+    }
+
     /// Allocates a message header and a filled block chain for `payload`
     /// from the lock-free pools (sweeping conversation `idx` once for
     /// reclaimable corpses under memory pressure) and preps the
@@ -1439,47 +1377,32 @@ impl IpcMpf {
         // Injected pool exhaustion: the pools are fine, but the caller
         // must cope as if they were not.  Nothing was allocated, so the
         // typed error carries no cleanup obligation.
-        if faultplane::inject(FaultSite::PoolExhaust) {
-            let err = MpfError::MessagesExhausted;
-            self.trace_fault(FaultSite::PoolExhaust, &err);
-            return Err(err);
-        }
+        self.inject_fault(FaultSite::PoolExhaust, MpfError::MessagesExhausted)?;
         let h = self.header();
         let pop_msg = || h.msg_free.pop(|i| self.msg(i).next.load(Ordering::Acquire));
-        let m_idx = match pop_msg() {
-            Some(i) => i,
-            // Memory pressure: reclaim fully-delivered messages stuck
-            // behind a still-claimed queue head, then retry once.
-            None => {
-                self.note_send_wait(idx);
-                let freed = self.sweep_consumed(d);
-                self.note_reclaim(idx, freed);
-                pop_msg().ok_or(MpfError::MessagesExhausted)?
-            }
+        // Memory pressure: reclaim fully-delivered messages stuck behind
+        // a still-claimed queue head, then retry once.
+        let relieve = || {
+            self.note_send_wait(idx);
+            let freed = self.sweep_consumed(d);
+            self.note_reclaim(idx, freed);
         };
-        let blocks = match self.alloc_blocks(payload) {
+        let m_idx = pop_msg()
+            .or_else(|| {
+                relieve();
+                pop_msg()
+            })
+            .ok_or(MpfError::MessagesExhausted)?;
+        let blocks = self.alloc_blocks(payload).or_else(|_| {
+            relieve();
+            self.alloc_blocks(payload)
+        });
+        let blocks = match blocks {
             Ok(b) => b,
-            Err(first_err) => {
-                let retried = if matches!(first_err, MpfError::BlocksExhausted) {
-                    self.note_send_wait(idx);
-                    let freed = self.sweep_consumed(d);
-                    self.note_reclaim(idx, freed);
-                    if freed > 0 {
-                        self.alloc_blocks(payload)
-                    } else {
-                        Err(first_err)
-                    }
-                } else {
-                    Err(first_err)
-                };
-                match retried {
-                    Ok(b) => b,
-                    Err(e) => {
-                        h.msg_free
-                            .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
-                        return Err(e);
-                    }
-                }
+            Err(e) => {
+                h.msg_free
+                    .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
+                return Err(e);
             }
         };
         let m = self.msg(m_idx);
@@ -1507,11 +1430,7 @@ impl IpcMpf {
         self.heartbeat();
         let max = self.counts.block_payload * self.counts.total_blocks as usize;
         let (idx, d) = self.resolve(id)?;
-        if d.poisoned.load(Ordering::Acquire) != 0 {
-            return Err(MpfError::PeerDied {
-                pid: d.dead_pid.load(Ordering::Acquire),
-            });
-        }
+        self.poison_check(d)?;
         if payloads.is_empty() {
             return Ok(0);
         }
@@ -1555,7 +1474,16 @@ impl IpcMpf {
                 status: hop as i32,
             });
             debug_assert!(pushed, "single-submitter ring had room");
-            self.trace_rec(TR_ENQUEUE, hop, trace, idx, 0, buf.len() as u32, i as u32);
+            self.trace_rec_at(
+                0,
+                TR_ENQUEUE,
+                hop,
+                trace,
+                idx,
+                0,
+                buf.len() as u32,
+                i as u32,
+            );
             submitted += 1;
         }
         if submitted == 0 {
@@ -1577,19 +1505,7 @@ impl IpcMpf {
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<usize> {
-        let mut waiting = None;
-        loop {
-            let ticket = self.doorbell().ticket();
-            match self.submit_sends(id, payloads) {
-                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
-                other => return other,
-            }
-            if waiting.is_none() {
-                waiting = Some(self.pool_wait());
-            } else if !self.doorbell_nap(ticket, deadline) {
-                return Err(MpfError::TimedOut);
-            }
-        }
+        self.retry_when_pool_frees(deadline, || self.submit_sends(id, payloads))
     }
 
     /// Drains this process's submission ring: links every staged message
@@ -1656,59 +1572,27 @@ impl IpcMpf {
         self.lock_lnvc(d);
         let mut stamps: Vec<u64> = Vec::with_capacity(run.len());
         let result = (|| {
-            if d.poisoned.load(Ordering::Acquire) != 0 {
-                return Err(MpfError::PeerDied {
-                    pid: d.dead_pid.load(Ordering::Acquire),
-                });
-            }
-            if self
-                .find_conn(ConnKind::Send, d.send_head.load(Ordering::Acquire), self.me)
-                .is_none()
-            {
-                return Err(MpfError::NotConnected);
-            }
-            let h = self.header();
-            let n_fcfs = d.n_fcfs.load(Ordering::Acquire);
-            let n_bcast = d.n_bcast.load(Ordering::Acquire);
-            let needs_fcfs = n_fcfs > 0 || (n_fcfs + n_bcast) == 0;
             // Obligations are shared by the whole run — one lock hold,
             // one receiver population.
+            let (needs_fcfs, n_bcast) = self.send_obligations(d)?;
             let obligations = (u32::from(needs_fcfs) << 16) | n_bcast;
             // One clock read covers every sampled stamp in the run.
             let now = if self.tel_on { now_nanos() } else { 0 };
             let mut bytes = 0u64;
             for e in run {
                 let m = self.msg(e.arg0);
-                let seq = d.next_seq.fetch_add(1, Ordering::AcqRel);
-                let stamp = h.next_stamp.fetch_add(1, Ordering::AcqRel);
-                stamps.push(stamp);
                 // The staged hop rode the (pre-completion) status field.
                 if e.trace != 0 {
                     m.trace.store(e.trace, Ordering::Release);
                     m.hop.store(e.status as u32, Ordering::Release);
                 }
-                m.seq.store(seq, Ordering::Release);
-                m.stamp.store(stamp, Ordering::Release);
-                m.bcast_pending.store(n_bcast, Ordering::Release);
-                m.flags.store(
-                    if needs_fcfs { msg_flags::NEEDS_FCFS } else { 0 },
-                    Ordering::Release,
-                );
                 let sent_at = if self.tel_on && self.sample_latency() {
                     now
                 } else {
                     0
                 };
                 m.sent_at.store(sent_at, Ordering::Release);
-                let tail = d.q_tail.load(Ordering::Acquire);
-                if tail == NIL {
-                    d.q_head.store(e.arg0, Ordering::Release);
-                } else {
-                    self.msg(tail).next.store(e.arg0, Ordering::Release);
-                }
-                d.q_tail.store(e.arg0, Ordering::Release);
-                d.msg_count.fetch_add(1, Ordering::AcqRel);
-                d.last_stamp.store(stamp, Ordering::Release);
+                stamps.push(self.publish(d, e.arg0, needs_fcfs, n_bcast).0);
                 bytes += u64::from(e.arg1);
             }
             if let Some(t) = self.tel() {
@@ -1731,7 +1615,8 @@ impl IpcMpf {
                 // rings buy.
                 self.notify_lnvc(d);
                 for (e, &stamp) in run.iter().zip(&stamps) {
-                    self.trace_rec(
+                    self.trace_rec_at(
+                        0,
                         TR_SEND,
                         e.status as u32,
                         e.trace,
@@ -2480,42 +2365,65 @@ impl IpcMpf {
 
     // -- allocation helpers --------------------------------------------
 
-    /// Allocates and fills a block chain; returns (head, count).
+    /// Allocates and fills a block chain; returns (head, count).  The
+    /// whole chain is one pop, so a shortage takes nothing off the list.
     fn alloc_blocks(&self, payload: &[u8]) -> Result<(u32, u32)> {
-        let bp = self.counts.block_payload;
-        let n_needed = payload.len().div_ceil(bp) as u32;
-        let h = self.header();
-        let mut head = NIL;
-        let mut tail = NIL;
-        for _ in 0..n_needed {
-            match h
-                .block_free
-                .pop(|i| self.block_link(i).load(Ordering::Acquire))
-            {
-                Some(b) => {
-                    self.block_link(b).store(NIL, Ordering::Release);
-                    if head == NIL {
-                        head = b;
-                    } else {
-                        self.block_link(tail).store(b, Ordering::Release);
-                    }
-                    tail = b;
-                }
-                None => {
-                    self.free_block_chain(head);
-                    return Err(MpfError::BlocksExhausted);
-                }
-            }
+        let n_needed = payload.len().div_ceil(self.counts.block_payload) as u32;
+        if n_needed == 0 {
+            return Ok((NIL, 0));
         }
+        let (head, tail) = self
+            .header()
+            .block_free
+            .pop_chain(n_needed, |i| self.block_link(i).load(Ordering::Acquire))
+            .ok_or(MpfError::BlocksExhausted)?;
+        self.block_link(tail).store(NIL, Ordering::Release);
         // Scatter the payload.
-        let mut cur = head;
-        for chunk in payload.chunks(bp) {
+        let mut src = payload.as_ptr();
+        self.for_each_run(head, payload.len(), |dst, n| {
+            // SAFETY: the runs add up to `payload.len()` bytes, so `src`
+            // stays inside `payload`; `dst` is `n` bytes of blocks only we
+            // hold until the message is published.
             unsafe {
-                std::ptr::copy_nonoverlapping(chunk.as_ptr(), self.payload_ptr(cur), chunk.len());
+                std::ptr::copy_nonoverlapping(src, dst, n);
+                src = src.add(n);
             }
-            cur = self.block_link(cur).load(Ordering::Acquire);
-        }
+        });
         Ok((head, n_needed))
+    }
+
+    /// Visits the first `len` payload bytes of the chain at `head` as
+    /// maximal contiguous runs.  Payloads are laid out by block index, so
+    /// a run extends for as long as the chain steps to the adjacent block:
+    /// a chain cut from an unfragmented pool is a single run, a scattered
+    /// one degrades to one run per block.  Reads no link past the block
+    /// that holds the last byte.
+    fn for_each_run(&self, head: u32, len: usize, mut f: impl FnMut(*mut u8, usize)) {
+        let bp = self.counts.block_payload;
+        let mut cur = head;
+        let mut left = len;
+        while left > 0 {
+            debug_assert_ne!(cur, NIL);
+            let first = cur;
+            let mut blocks = 1;
+            while blocks * bp < left {
+                cur = self.block_link(cur).load(Ordering::Acquire);
+                if cur != first + blocks as u32 {
+                    break;
+                }
+                blocks += 1;
+            }
+            let n = left.min(blocks * bp);
+            // SAFETY: `bytes_at` bounds-checks the run against the mapping.
+            f(
+                unsafe {
+                    self.region
+                        .bytes_at(self.off.payloads + first as usize * bp, n)
+                },
+                n,
+            );
+            left -= n;
+        }
     }
 
     /// [`Self::receive_locked`]'s `take` for a caller-supplied buffer.
@@ -2529,50 +2437,45 @@ impl IpcMpf {
         Ok(())
     }
 
-    /// Visits a message's `len` payload bytes in place, one block-sized
-    /// slice at a time.  Caller holds the LNVC lock of the queue `m` is on.
+    /// Visits a message's `len` payload bytes in place, one contiguous
+    /// run of blocks at a time.  Caller holds the LNVC lock of the queue
+    /// `m` is on.
     fn scan_chain(&self, m: &MsgDesc, len: usize, visit: &mut impl FnMut(&[u8])) {
-        let bp = self.counts.block_payload;
-        let mut cur = m.head_block.load(Ordering::Acquire);
-        let mut left = len;
-        while left > 0 {
-            debug_assert_ne!(cur, NIL);
-            let n = left.min(bp);
-            // SAFETY: `cur` is a block of a queued message: in range, `n`
-            // bytes within its payload, and written only before the
-            // message was published; the lock we hold keeps it queued.
-            visit(unsafe { std::slice::from_raw_parts(self.payload_ptr(cur), n) });
-            left -= n;
-            cur = self.block_link(cur).load(Ordering::Acquire);
-        }
+        self.for_each_run(m.head_block.load(Ordering::Acquire), len, |run, n| {
+            // SAFETY: the run is `n` payload bytes of a queued message,
+            // written only before the message was published; the lock we
+            // hold keeps it queued.
+            visit(unsafe { std::slice::from_raw_parts(run, n) })
+        });
     }
 
     /// Gathers a message's block chain into `out` (`out.len()` = msg len).
     fn gather(&self, m: &MsgDesc, out: &mut [u8]) {
-        let bp = self.counts.block_payload;
-        let mut cur = m.head_block.load(Ordering::Acquire);
-        for chunk in out.chunks_mut(bp) {
-            debug_assert_ne!(cur, NIL);
+        let mut dst = out.as_mut_ptr();
+        self.for_each_run(m.head_block.load(Ordering::Acquire), out.len(), |src, n| {
+            // SAFETY: the runs add up to `out.len()` bytes, so `dst` stays
+            // inside `out`; `src` is `n` bytes of a queued message's blocks.
             unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.payload_ptr(cur),
-                    chunk.as_mut_ptr(),
-                    chunk.len(),
-                );
+                std::ptr::copy_nonoverlapping(src, dst, n);
+                dst = dst.add(n);
             }
-            cur = self.block_link(cur).load(Ordering::Acquire);
-        }
+        });
     }
 
+    /// Returns the chain at `head` to the pool whole: one walk to its
+    /// tail, one push.
     fn free_block_chain(&self, head: u32) {
-        let h = self.header();
-        let mut cur = head;
-        while cur != NIL {
-            let next = self.block_link(cur).load(Ordering::Acquire);
-            h.block_free
-                .push(cur, |s, n| self.block_link(s).store(n, Ordering::Release));
-            cur = next;
+        let (mut tail, mut next) = (NIL, head);
+        while next != NIL {
+            tail = next;
+            next = self.block_link(tail).load(Ordering::Acquire);
         }
+        if tail == NIL {
+            return;
+        }
+        self.header().block_free.push_chain(head, tail, |s, n| {
+            self.block_link(s).store(n, Ordering::Release)
+        });
     }
 
     fn free_message(&self, m_idx: u32) {
@@ -2605,8 +2508,6 @@ impl IpcMpf {
             .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
         // The pool signal's gate: one load of the line the push above
         // just wrote, zero unless a sender is waiting out an exhaustion.
-        // (A failed allocation's rollback pushes without passing here, so
-        // a waiter cannot ring itself awake in a loop.)
         if h.pool_waiters.load(Ordering::SeqCst) != 0 {
             self.signal_pool();
         }
@@ -2703,18 +2604,23 @@ impl IpcMpf {
         }
     }
 
-    /// Deletes a conversation whose last connection just closed: frees
-    /// queued messages, releases the name.  Caller holds both locks.
-    fn delete_conversation(&self, idx: u32, d: &LnvcDesc) {
-        let mut cur = d.q_head.load(Ordering::Acquire);
+    /// Frees every queued message, delivered or not.  Caller holds `d`'s
+    /// lock.
+    fn drop_queue(&self, d: &LnvcDesc) {
+        let mut cur = d.q_head.swap(NIL, Ordering::AcqRel);
         while cur != NIL {
             let next = self.msg(cur).next.load(Ordering::Acquire);
             self.free_message(cur);
             cur = next;
         }
-        d.q_head.store(NIL, Ordering::Release);
         d.q_tail.store(NIL, Ordering::Release);
         d.msg_count.store(0, Ordering::Release);
+    }
+
+    /// Deletes a conversation whose last connection just closed: frees
+    /// queued messages, releases the name.  Caller holds both locks.
+    fn delete_conversation(&self, idx: u32, d: &LnvcDesc) {
+        self.drop_queue(d);
         self.deactivate(idx);
         // Wake anything parked on the dead conversation; their next
         // resolve() fails with UnknownLnvc.
@@ -2768,6 +2674,38 @@ impl IpcMpf {
             ConnKind::Send => self.send(i).next.store(v, Ordering::Release),
             ConnKind::Recv => self.recv(i).next.store(v, Ordering::Release),
         }
+    }
+
+    /// Retires receive connection `conn`, already unlinked from `d`: its
+    /// watches go with it, its descriptor returns to the pool, its
+    /// delivery claims are released, and what that left fully delivered
+    /// is reclaimed from the whole queue (a close or a sweep is the slow
+    /// path), not just the head.  Returns the connection's protocol code
+    /// and the watches it took along.  Caller holds `d`'s lock.
+    fn retire_recv(&self, idx: u32, d: &LnvcDesc, conn: u32) -> (u32, u32) {
+        let r = self.recv(conn);
+        let (protocol, watches) = (r.protocol_code(), r.watches());
+        let cursor = r.cursor.load(Ordering::Acquire);
+        d.watchers.fetch_sub(watches, Ordering::SeqCst);
+        self.header()
+            .recv_free
+            .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
+        if protocol == Protocol::Broadcast.code() {
+            d.n_bcast.fetch_sub(1, Ordering::AcqRel);
+            self.release_bcast_claims(d, cursor);
+        } else if d.n_fcfs.fetch_sub(1, Ordering::AcqRel) == 1
+            && d.n_bcast.load(Ordering::Acquire) > 0
+        {
+            // Obligation re-evaluation (DESIGN.md): the last FCFS receiver
+            // is gone while BROADCAST receivers keep the conversation
+            // alive, so nobody in the current connection set can ever take
+            // the owed messages — drop the obligation so they become
+            // reclaimable instead of pinning blocks until the LNVC dies.
+            self.clear_fcfs_obligations(d);
+        }
+        let freed = self.reclaim_consumed(d);
+        self.note_reclaim(idx, freed);
+        (protocol, watches)
     }
 
     /// Finds `pid`'s connection in an index-linked list.
@@ -2893,29 +2831,7 @@ impl IpcMpf {
                 touched = true;
             }
             if let Some(conn) = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead) {
-                let r = self.recv(conn);
-                let protocol = r.protocol_code();
-                let cursor = r.cursor.load(Ordering::Acquire);
-                // The corpse's watches die with its connection.
-                d.watchers.fetch_sub(r.watches(), Ordering::SeqCst);
-                self.header()
-                    .recv_free
-                    .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
-                if protocol == Protocol::Broadcast.code() {
-                    d.n_bcast.fetch_sub(1, Ordering::AcqRel);
-                    self.release_bcast_claims(d, cursor);
-                } else {
-                    d.n_fcfs.fetch_sub(1, Ordering::AcqRel);
-                    // Same re-evaluation as close_receive: sweeping a dead
-                    // FCFS receiver must not strand its obligations.
-                    if d.n_fcfs.load(Ordering::Acquire) == 0
-                        && d.n_bcast.load(Ordering::Acquire) > 0
-                    {
-                        self.clear_fcfs_obligations(d);
-                    }
-                }
-                let freed = self.reclaim_consumed(d);
-                self.note_reclaim(idx, freed);
+                self.retire_recv(idx, d, conn);
                 touched = true;
             }
             let orphaned = touched && d.total_connections() == 0;
@@ -2933,15 +2849,7 @@ impl IpcMpf {
                 // receive now reports `PeerDied`), so its queued
                 // messages would leak pool slots for the region's
                 // lifetime: free the whole queue.
-                let mut cur = d.q_head.load(Ordering::Acquire);
-                while cur != NIL {
-                    let next = self.msg(cur).next.load(Ordering::Acquire);
-                    self.free_message(cur);
-                    cur = next;
-                }
-                d.q_head.store(NIL, Ordering::Release);
-                d.q_tail.store(NIL, Ordering::Release);
-                d.msg_count.store(0, Ordering::Release);
+                self.drop_queue(d);
             }
             d.lock.unlock();
             if touched && !orphaned {
@@ -3102,9 +3010,11 @@ impl IpcMpf {
     /// queued message waits on an FCFS delivery the current connection set
     /// can never produce (the obligation-leak class of bug); the queue
     /// head is not a fully-delivered message (prefix reclamation keeps
-    /// up).  Globally: the name registry and the active descriptors agree,
-    /// and pool occupancy (messages, blocks, connections) is exactly
-    /// accounted for by the walks.
+    /// up); every queued message's block chain is `n_blocks` long, in
+    /// range and `NIL`-terminated.  Globally: the name registry and the
+    /// active descriptors agree, no block is reached twice by the queued
+    /// chains and the free list together, and pool occupancy (messages,
+    /// blocks, connections) is exactly accounted for by the walks.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         self.with_registry(|| self.audit_region())
     }
@@ -3116,6 +3026,9 @@ impl IpcMpf {
         // Messages, blocks, send and receive connections held by queues
         // and connection lists.
         let mut held = [0u64; 4];
+        // One bit per block, set when a queued chain or the free list
+        // reaches it: a second visit is a torn splice.
+        let mut reached = vec![0u64; (c.total_blocks as usize).div_ceil(64)];
         for idx in 0..c.max_lnvcs {
             let d = self.lnvc(idx);
             if d.active.load(Ordering::Acquire) != 1 {
@@ -3131,7 +3044,7 @@ impl IpcMpf {
                 return Err(format!("LNVC slot {idx} has no registry entry naming it"));
             }
             self.lock_lnvc(d);
-            let audit = self.audit_lnvc(d);
+            let audit = self.audit_lnvc(d, &mut reached);
             d.lock.unlock();
             let audit = audit.map_err(|e| format!("LNVC slot {idx}: {e}"))?;
             for (total, n) in held.iter_mut().zip(audit) {
@@ -3147,11 +3060,19 @@ impl IpcMpf {
             ));
         }
         let h = self.header();
+        let mut free_blocks = 0;
+        let mut b = h.block_free.peek().1;
+        while b != NIL {
+            self.audit_reach(&mut reached, b)
+                .map_err(|e| format!("block free list: {e}"))?;
+            free_blocks += 1;
+            b = self.block_link(b).load(Ordering::Acquire);
+        }
         let allocated = [
             c.max_messages
                 - h.msg_free
                     .len(c.max_messages, |i| self.msg(i).next.load(Ordering::Acquire)),
-            c.total_blocks - self.free_blocks(),
+            c.total_blocks - free_blocks,
             c.max_send_conns
                 - h.send_free.len(c.max_send_conns, |i| {
                     self.send(i).next.load(Ordering::Acquire)
@@ -3177,9 +3098,33 @@ impl IpcMpf {
         Ok(())
     }
 
+    /// Marks `block` reached by the audit's walk of a chain; `NIL`, an
+    /// index outside the pool, or one some chain (or the free list)
+    /// already reached, is an error.  Every block being reached at most
+    /// once also bounds the walks: a cycle revisits.
+    fn audit_reach(&self, reached: &mut [u64], block: u32) -> std::result::Result<(), String> {
+        if block == NIL {
+            return Err("block chain ends short".into());
+        }
+        if block >= self.counts.total_blocks {
+            return Err(format!("link to block {block}, outside the pool"));
+        }
+        let (word, bit) = (block as usize / 64, 1u64 << (block % 64));
+        if reached[word] & bit != 0 {
+            return Err(format!("block {block} is reached twice"));
+        }
+        reached[word] |= bit;
+        Ok(())
+    }
+
     /// Audits one conversation (lock held); returns the messages, blocks,
-    /// send connections and receive connections it holds.
-    fn audit_lnvc(&self, d: &LnvcDesc) -> std::result::Result<[u64; 4], String> {
+    /// send connections and receive connections it holds.  `reached` is
+    /// the region-wide block bitmap of [`Self::audit_reach`].
+    fn audit_lnvc(
+        &self,
+        d: &LnvcDesc,
+        reached: &mut [u64],
+    ) -> std::result::Result<[u64; 4], String> {
         let count = |a: &AtomicU32| a.load(Ordering::Acquire);
         let holder_gone =
             |pid: u32| pid >= self.counts.max_processes || !self.slot(pid).owner_alive();
@@ -3248,7 +3193,21 @@ impl IpcMpf {
                 ));
             }
             last = Some((seq, stamp));
-            blocks += u64::from(count(&m.n_blocks));
+            let n_blocks = count(&m.n_blocks);
+            blocks += u64::from(n_blocks);
+            let mut b = count(&m.head_block);
+            for _ in 0..n_blocks {
+                self.audit_reach(reached, b).map_err(|e| {
+                    format!("message {cur} (stamp {stamp}) of {n_blocks} blocks: {e}")
+                })?;
+                b = count(self.block_link(b));
+            }
+            if b != NIL {
+                return Err(format!(
+                    "message {cur} (stamp {stamp}): block chain runs on to block {b} past \
+                     its {n_blocks} blocks"
+                ));
+            }
             let claims = cursors.iter().filter(|&&c| c <= seq).count() as u32;
             if count(&m.bcast_pending) != claims {
                 return Err(format!(
@@ -3335,9 +3294,18 @@ impl IpcMpf {
 
 impl Drop for IpcMpf {
     fn drop(&mut self) {
-        // Clean detach: return any staged-but-undrained submissions to
-        // the pools, then release the heartbeat slot so the pid can be
-        // reused and sweeps don't flag us.
+        // Clean detach — a departure, not a death: close the connections
+        // we still hold (the sweep visits only ATTACHED slots, so nothing
+        // would ever retire them under a FREE one), return staged
+        // submissions, then release the slot.  An unwind skips the closes:
+        // it may be passing through a hold of the locks they take.
+        if !std::thread::panicking() {
+            for id in (0..self.counts.max_lnvcs).filter_map(|i| self.id_at(i)) {
+                // `NotConnected` is the common case, not a failure.
+                let _ = self.close_send(id);
+                let _ = self.close_receive(id);
+            }
+        }
         self.reclaim_aio_of(self.me);
         let s = self.slot(self.me);
         s.os_pid.store(0, Ordering::Release);

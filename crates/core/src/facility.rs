@@ -19,7 +19,6 @@ use crate::aio::{AioCompletion, AioStats};
 use crate::config::{ExhaustPolicy, MpfConfig};
 use crate::engine::{AttachError, IpcLnvcId, IpcMpf};
 use crate::error::{MpfError, Result};
-use crate::layout::RegionLayout;
 use crate::stats::Reclaimable;
 use crate::types::{LnvcId, Protocol, MAX_LNVC_INDEX};
 
@@ -88,12 +87,6 @@ impl Mpf {
     /// The view of `pid` and the engine handle behind `id`.
     fn on(&self, pid: ProcessId, id: LnvcId) -> Result<(&IpcMpf, IpcLnvcId)> {
         Ok((self.view(pid)?, self.ipc_id(id)?))
-    }
-
-    /// The shared-region memory map the configuration carves (see
-    /// [`crate::layout`]).
-    pub fn region_layout(&self) -> RegionLayout {
-        RegionLayout::for_config(&self.cfg)
     }
 
     /// Point-in-time copy of the region telemetry (stays zero when
@@ -269,10 +262,12 @@ impl Mpf {
     }
 
     /// Zero-copy blocking receive: the next message's payload is visited
-    /// as a sequence of block-sized slices, borrowed straight from the
-    /// shared region, with no intermediate copy into a user buffer —
-    /// the paper's §5 "direct data transfer" idea applied to the receive
-    /// side.  Returns the message length.
+    /// in order as slices borrowed straight from the shared region, with
+    /// no intermediate copy into a user buffer — the paper's §5 "direct
+    /// data transfer" idea applied to the receive side.  Each slice is a
+    /// maximal contiguous run of the message's blocks: one slice for the
+    /// whole payload when its chain was cut from an unfragmented pool, at
+    /// most one per block otherwise.  Returns the message length.
     ///
     /// The message is consumed exactly as by [`Self::message_receive`];
     /// the visitor runs under the conversation's lock, like the copy it
@@ -949,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_scan_sees_block_sized_pieces() {
+    fn zero_copy_scan_sees_contiguous_runs() {
         let mpf = Mpf::init(
             MpfConfig::new(4, 4)
                 .with_block_payload(10)
@@ -959,18 +954,26 @@ mod tests {
         let tx = mpf.open_send(p(0), "scan").unwrap();
         let rx = mpf.open_receive(p(1), "scan", Protocol::Fcfs).unwrap();
         let payload: Vec<u8> = (0..35u8).collect();
+        let scan = || {
+            let mut pieces = Vec::new();
+            let n = mpf.message_receive_scan(p(1), rx, |piece| pieces.push(piece.to_vec()));
+            assert_eq!((n, pieces.concat()), (Ok(35), payload.clone()));
+            pieces.len()
+        };
+        // A fresh pool hands out blocks 0, 1, 2, 3: one run.
         mpf.message_send(p(0), tx, &payload).unwrap();
-        let mut gathered = Vec::new();
-        let mut pieces = 0;
-        let n = mpf
-            .message_receive_scan(p(1), rx, |chunk| {
-                pieces += 1;
-                gathered.extend_from_slice(chunk);
-            })
-            .unwrap();
-        assert_eq!(n, 35);
-        assert_eq!(gathered, payload);
-        assert_eq!(pieces, 4, "35 bytes over 10-byte blocks = 4 pieces");
+        assert_eq!(scan(), 1, "adjacent blocks are one piece");
+        // Four one-block messages take blocks 0..4; receiving them in
+        // order stacks the blocks 3, 2, 1, 0 — no step of the next chain
+        // goes to the adjacent block above.
+        for i in 0..4u8 {
+            mpf.message_send(p(0), tx, &[i; 10]).unwrap();
+        }
+        for i in 0..4u8 {
+            assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap(), vec![i; 10]);
+        }
+        mpf.message_send(p(0), tx, &payload).unwrap();
+        assert_eq!(scan(), 4, "35 bytes over 10-byte blocks, no two adjacent");
         // Consumed: nothing left, blocks reclaimed.
         assert!(!mpf.check_receive(p(1), rx).unwrap());
         assert_eq!(mpf.free_blocks(), 64);

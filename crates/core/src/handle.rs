@@ -90,8 +90,8 @@ impl<'a> Receiver<'a> {
         self.mpf.try_message_receive(self.pid, self.id, buf)
     }
 
-    /// Zero-copy blocking receive: visits the payload as borrowed
-    /// block-sized slices (see [`Mpf::message_receive_scan`]).
+    /// Zero-copy blocking receive: visits the payload as borrowed slices,
+    /// one per contiguous run of blocks (see [`Mpf::message_receive_scan`]).
     pub fn recv_scan(&self, visit: impl FnMut(&[u8])) -> Result<usize> {
         self.mpf.message_receive_scan(self.pid, self.id, visit)
     }

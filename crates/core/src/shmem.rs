@@ -102,13 +102,20 @@ impl ConfigEcho {
 
 /// A Treiber free-list head over pool indices: `(aba_tag << 32) | index`.
 ///
-/// Lock-free, so a process dying mid-allocation can never strand the
-/// list in a locked state (at worst it leaks the one slot it had just
-/// popped).
+/// The unit of allocation is a **chain**: [`Self::pop_chain`] takes the
+/// top `n` slots, [`Self::push_chain`] returns an already-linked chain,
+/// each with one successful CAS on this word (DESIGN.md "Free lists" has
+/// the argument).  A chain keeps using the list's own link field while it
+/// is out and comes back in the order it left, so the list is a LIFO
+/// stack of whole chains.  [`Self::pop`]/[`Self::push`] are `n = 1`.
+///
+/// Lock-free, so a process dying mid-allocation or mid-free can never
+/// strand the list in a locked state (at worst it leaks the one chain it
+/// had just popped or was about to push).
 ///
 /// The head word is read and swapped `SeqCst`: a push pairs with the
 /// freer's following load of [`RegionHeader::pool_waiters`], a pop that
-/// finds the list empty with the waiter's preceding increment of it (the
+/// finds the list short with the waiter's preceding increment of it (the
 /// pool signal's store-buffering pair, DESIGN.md "wait/notify map").
 #[repr(C)]
 #[derive(Debug)]
@@ -133,15 +140,17 @@ impl FreeHead {
         self.word.store(Self::pack(0, top), Ordering::Release);
     }
 
-    /// Pushes `idx`; `set_next` stores the link field of slot `idx`.
-    pub fn push(&self, idx: u32, set_next: impl Fn(u32, u32)) {
+    /// Pushes the chain `head ..= tail` — already linked head to tail
+    /// through the list's link field — with one CAS; `set_next` stores the
+    /// link field of a slot (only `tail`'s is written).
+    pub fn push_chain(&self, head: u32, tail: u32, set_next: impl Fn(u32, u32)) {
         let mut cur = self.word.load(Ordering::Acquire);
         loop {
-            let (tag, head) = ((cur >> 32) as u32, cur as u32);
-            set_next(idx, head);
+            let (tag, top) = ((cur >> 32) as u32, cur as u32);
+            set_next(tail, top);
             match self.word.compare_exchange_weak(
                 cur,
-                Self::pack(tag.wrapping_add(1), idx),
+                Self::pack(tag.wrapping_add(1), head),
                 Ordering::SeqCst,
                 Ordering::Acquire,
             ) {
@@ -151,11 +160,16 @@ impl FreeHead {
         }
     }
 
+    /// Pushes the single slot `idx`.
+    pub fn push(&self, idx: u32, set_next: impl Fn(u32, u32)) {
+        self.push_chain(idx, idx, set_next);
+    }
+
     /// Slots on the list, by walking it (at most `capacity` steps, so a
     /// torn list cannot loop).  A quiescent diagnostic, not a counter.
     pub fn len(&self, capacity: u32, next_of: impl Fn(u32) -> u32) -> u32 {
         let mut n = 0;
-        let mut cur = self.word.load(Ordering::Acquire) as u32;
+        let mut cur = self.peek().1;
         while cur != NIL && n < capacity {
             n += 1;
             cur = next_of(cur);
@@ -163,25 +177,57 @@ impl FreeHead {
         n
     }
 
-    /// Pops a slot index; `next_of` reads the link field of a slot.
-    pub fn pop(&self, next_of: impl Fn(u32) -> u32) -> Option<u32> {
+    /// Pops the top `n` (≥ 1) slots as one chain `(head, tail)` with one
+    /// CAS; `next_of` reads the link field of a slot.  The chain stays
+    /// linked head to tail, and `tail`'s link — still pointing into the
+    /// list — is the caller's to overwrite.  All or nothing: with fewer
+    /// than `n` slots free the result is `None` and the list untouched.
+    pub fn pop_chain(&self, n: u32, next_of: impl Fn(u32) -> u32) -> Option<(u32, u32)> {
+        debug_assert!(n >= 1);
         let mut cur = self.word.load(Ordering::SeqCst);
         loop {
             let (tag, head) = ((cur >> 32) as u32, cur as u32);
-            if head == NIL {
-                return None;
+            // At most `n` links: a walk that strays onto slots a racing
+            // pop already took cannot loop, and its CAS below will fail.
+            let (mut tail, mut rest, mut walked) = (NIL, head, 0);
+            while walked < n && rest != NIL {
+                tail = rest;
+                rest = next_of(tail);
+                walked += 1;
             }
-            let next = next_of(head);
+            if walked < n {
+                // The end of the list — or of a chain a racing pop cut
+                // loose.  Only an unchanged head word means a shortage.
+                let seen = self.word.load(Ordering::SeqCst);
+                if seen == cur {
+                    return None;
+                }
+                cur = seen;
+                continue;
+            }
             match self.word.compare_exchange_weak(
                 cur,
-                Self::pack(tag.wrapping_add(1), next),
+                Self::pack(tag.wrapping_add(1), rest),
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => return Some(head),
+                Ok(_) => return Some((head, tail)),
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// Pops a single slot index.
+    pub fn pop(&self, next_of: impl Fn(u32) -> u32) -> Option<u32> {
+        self.pop_chain(1, next_of).map(|(head, _)| head)
+    }
+
+    /// `(tag, top)` right now: the count of successful CASes so far
+    /// (modulo 2³²; a chain of any length is one) and the slot on top of
+    /// the list ([`NIL`] when empty).  For audits and tests.
+    pub fn peek(&self) -> (u32, u32) {
+        let word = self.word.load(Ordering::Acquire);
+        ((word >> 32) as u32, word as u32)
     }
 }
 
@@ -526,6 +572,33 @@ mod tests {
         assert!(head
             .pop(|i| links[i as usize].load(Ordering::Acquire))
             .is_none());
+    }
+
+    /// All or nothing, one CAS per chain, and a stack of chains that keep
+    /// their allocation order.
+    #[test]
+    fn free_head_chains_pop_and_push_whole() {
+        let links: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(NIL)).collect();
+        let head = FreeHead {
+            word: AtomicU64::new(0),
+        };
+        let next = |i: u32| links[i as usize].load(Ordering::Acquire);
+        let set = |i: u32, n: u32| links[i as usize].store(n, Ordering::Release);
+        head.thread(8, set);
+        assert_eq!(head.pop_chain(1, next), Some((0, 0)));
+        assert_eq!(head.pop(next), Some(1));
+        let a = head.pop_chain(3, next).unwrap();
+        let b = head.pop_chain(2, next).unwrap();
+        assert_eq!((a, b, head.peek()), ((2, 4), (5, 6), (4, 7)));
+        assert_eq!(head.pop_chain(2, next), None, "one free, two asked");
+        assert_eq!(head.peek(), (4, 7), "a shortage leaves tag and top alone");
+        head.push_chain(a.0, a.1, set);
+        head.push_chain(b.0, b.1, set);
+        head.push(0, set);
+        assert_eq!(head.peek(), (7, 0), "three pushes, three CASes");
+        // The last chain freed is on top, each in the order it left.
+        let order: Vec<u32> = std::iter::from_fn(|| head.pop(next)).collect();
+        assert_eq!(order, [0, 5, 6, 2, 3, 4, 7]);
     }
 
     #[test]

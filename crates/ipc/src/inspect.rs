@@ -25,9 +25,7 @@ use mpf::aio::AioStats;
 use mpf::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
 use mpf::{MpfConfig, MpfError};
 use mpf_shm::ring::AioRing;
-use mpf_shm::telemetry::{
-    FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot, HISTOGRAM_BUCKETS,
-};
+use mpf_shm::telemetry::{FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot};
 use mpf_shm::tracering::{TraceEvent, TraceRing, TRACE_RING_SLOTS};
 use mpf_shm::ShmRegion;
 
@@ -471,10 +469,6 @@ impl RegionInspector {
             .collect()
     }
 }
-
-/// Re-exported so binary and tests can size bucket tables without
-/// importing `mpf_shm` directly.
-pub const BUCKETS: usize = HISTOGRAM_BUCKETS;
 
 #[cfg(test)]
 mod tests {

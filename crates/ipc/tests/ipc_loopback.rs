@@ -315,3 +315,121 @@ fn check_invariants_reports_a_corpse_and_passes_after_the_sweep() {
     assert_eq!(a.live_lnvcs(), 0);
     a.check_invariants().unwrap();
 }
+
+/// A view dropped with connections open retires them the way its own
+/// closes would — no poison, a conversation only it held deleted — so the
+/// audit finds nothing under the slot it frees; on a named and on an
+/// anonymous region alike.
+#[test]
+fn dropping_a_view_closes_the_connections_it_still_holds() {
+    let cfg = MpfConfig::new(8, 4)
+        .with_block_payload(64)
+        .with_total_blocks(64);
+    let named = IpcMpf::create("loop-clean-detach", &cfg).expect("create region");
+    let anonymous = IpcMpf::anon(&cfg).expect("anonymous region");
+    for a in [named, anonymous] {
+        let b = a.attach_view().expect("departing view");
+        let shared_rx = a.open_receive("shared", Protocol::Fcfs).unwrap();
+        let shared_tx = b.open_send("shared").unwrap();
+        let cast_tx = a.open_send("cast").unwrap();
+        let _cast_rx = b.open_receive("cast", Protocol::Broadcast).unwrap();
+        let own_tx = b.open_send("own").unwrap();
+        let _own_rx = b.open_receive("own", Protocol::Fcfs).unwrap();
+        b.message_send(shared_tx, b"outlives its sender").unwrap();
+        // Owed to the departing BROADCAST receiver alone, and queued on a
+        // conversation only the departing view holds: both must be freed.
+        a.message_send(cast_tx, &[1u8; 200]).unwrap();
+        b.message_send(own_tx, &[2u8; 100]).unwrap();
+        assert_eq!(a.live_lnvcs(), 3);
+
+        drop(b);
+        a.check_invariants()
+            .expect("nothing is left under the freed slot");
+        assert_eq!(a.live_lnvcs(), 2, "the conversation only it held is gone");
+        assert_eq!(a.free_blocks(), 64 - 1, "only the shared message is queued");
+        assert!(
+            !a.lnvc_poisoned(shared_rx).unwrap(),
+            "a departure, not a death"
+        );
+        let mut buf = [0u8; 64];
+        assert_eq!(a.message_receive(shared_rx, &mut buf), Ok(19));
+        assert_eq!(a.sweep_dead_peers(), 0);
+
+        a.close_receive(shared_rx).unwrap();
+        a.close_send(cast_tx).unwrap();
+        assert_eq!(a.live_lnvcs(), 0);
+        assert_eq!(a.free_blocks(), 64);
+        a.check_invariants().unwrap();
+    }
+}
+
+/// The block pool costs a message one CAS to allocate and one to free,
+/// whatever its length: the free list's tag, read through a raw overlay
+/// of the region header, goes up by two per 64-block round trip.
+#[test]
+fn a_64_block_message_is_two_block_pool_cas() {
+    use mpf_ipc::shmem::RegionHeader;
+
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(256)
+        .with_total_blocks(128);
+    let m = IpcMpf::create("loop-chain-cas", &cfg).expect("create region");
+    let raw = mpf_shm::ShmRegion::attach("loop-chain-cas").unwrap();
+    // SAFETY: the header sits at offset 0 of every carved region and
+    // `raw` maps all of it.
+    let header: &RegionHeader = unsafe { raw.at(0) };
+    let tx = m.open_send("bulk").unwrap();
+    let rx = m.open_receive("bulk", Protocol::Fcfs).unwrap();
+    let payload: Vec<u8> = (0..64 * 256).map(|i| (i % 251) as u8).collect();
+    let mut buf = vec![0u8; payload.len()];
+    for round in 1..=3 {
+        m.message_send(tx, &payload).unwrap();
+        assert_eq!(m.free_blocks(), 64);
+        assert_eq!(m.message_receive(rx, &mut buf), Ok(payload.len()));
+        assert_eq!(buf, payload);
+        let (cas, _top) = header.block_free.peek();
+        assert_eq!(cas, 2 * round, "one pop, one push per message");
+    }
+    assert_eq!(m.free_blocks(), 128);
+    m.check_invariants().unwrap();
+}
+
+/// The audit walks block chains: a queued chain that is not `n_blocks`
+/// long, a link outside the pool, or a block reached from two places —
+/// what a torn splice would leave — each fail `check_invariants`.
+#[test]
+fn check_invariants_reports_torn_block_chains() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(16)
+        .with_total_blocks(8);
+    let m = IpcMpf::create("loop-torn-chain", &cfg).expect("create region");
+    let raw = mpf_shm::ShmRegion::attach("loop-torn-chain").unwrap();
+    let links = mpf::engine::offsets_for(&cfg).links;
+    // SAFETY: the carve puts one `AtomicU32` link per block at `links`.
+    let link = |block: usize| -> &AtomicU32 { unsafe { raw.at(links + 4 * block) } };
+    let tx = m.open_send("q").unwrap();
+    let _rx = m.open_receive("q", Protocol::Fcfs).unwrap();
+    m.message_send(tx, &[7u8; 48]).unwrap(); // blocks 0 -> 1 -> 2
+    m.check_invariants().expect("an intact chain");
+    let corrupt = |block: usize, to: u32| {
+        let was = link(block).swap(to, Ordering::AcqRel);
+        let report = m.check_invariants().expect_err("a torn chain");
+        link(block).store(was, Ordering::Release);
+        report
+    };
+    let short = corrupt(1, u32::MAX);
+    assert!(
+        short.contains("of 3 blocks: block chain ends short"),
+        "{short}"
+    );
+    let long = corrupt(2, 3);
+    assert!(long.contains("runs on to block 3"), "{long}");
+    // The free list (3 4 5 6 7) spliced back into the queued chain.
+    let shared = corrupt(7, 1);
+    assert!(shared.contains("block 1 is reached twice"), "{shared}");
+    let wild = corrupt(0, 8);
+    assert!(wild.contains("outside the pool"), "{wild}");
+    m.check_invariants().expect("restored");
+}

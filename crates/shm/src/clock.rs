@@ -114,12 +114,6 @@ pub fn calibrate() -> bool {
     CAL.get_or_init(calibrate_once).is_some()
 }
 
-/// Whether this process is on the calibrated cycle counter (diagnostic;
-/// does not trigger calibration).
-pub fn is_calibrated() -> bool {
-    matches!(CAL.get(), Some(Some(_)))
-}
-
 /// Wall-clock nanoseconds since the Unix epoch, via the calibrated cycle
 /// counter when stable, else `SystemTime`.
 #[inline]

@@ -37,16 +37,6 @@ impl<T: Default> Pool<T> {
 }
 
 impl<T> Pool<T> {
-    /// Creates a pool whose slots are built by `init(index)`, all free.
-    /// Used when slot construction needs configuration (e.g. lock kind).
-    pub fn new_with(capacity: u32, mut init: impl FnMut(u32) -> T) -> Self {
-        let slots: Box<[T]> = (0..capacity).map(&mut init).collect();
-        Self {
-            slots,
-            free: IndexStack::new(capacity, true),
-        }
-    }
-
     /// Total slots.
     pub fn capacity(&self) -> u32 {
         self.slots.len() as u32

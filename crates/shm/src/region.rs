@@ -278,14 +278,6 @@ impl ShmRegion {
         )
     }
 
-    /// Leaves the backing name in place on drop (the region outlives this
-    /// handle for other processes to attach).
-    pub fn persist(&mut self) {
-        if let Backing::Mmap { unlink, .. } = &mut self.backing {
-            *unlink = None;
-        }
-    }
-
     /// A typed reference to the object at byte `offset`.
     ///
     /// # Safety

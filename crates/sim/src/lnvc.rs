@@ -8,16 +8,6 @@
 
 use std::collections::VecDeque;
 
-/// Receiver protocol (mirror of `mpf::Protocol`, kept local so the
-/// simulator does not depend on the library it models).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimProtocol {
-    /// Each message to exactly one receiver.
-    Fcfs,
-    /// Every message to every receiver.
-    Broadcast,
-}
-
 /// A queued message.
 #[derive(Debug, Clone)]
 struct SimMsg {

@@ -45,11 +45,6 @@ impl MachineConfig {
         }
     }
 
-    /// Cycles per second (alias for `cpu_hz`).
-    pub fn cycles_per_sec(&self) -> u64 {
-        self.cpu_hz
-    }
-
     /// Bus occupancy, in CPU cycles, for transferring `bytes` over the
     /// shared bus at peak rate.
     pub fn bus_cycles(&self, bytes: u64) -> u64 {
