@@ -7,6 +7,16 @@
 //! FCFS, churn, conservation) run the same engine through `Mpf` in
 //! `scenarios.rs`.
 //!
+//! A modeled kill lands at a hook — a lock acquire or release, a futex
+//! wait or notify, the sleeper-gate yield, an aio ring push or pop — and
+//! the engine's plain-store words
+//! (`next_seq`, `msg_count`, a message's `flags` and `bcast_pending`, the
+//! heartbeat, the per-LNVC telemetry) are each a load and a store with no
+//! hook between them, inside a lock hold.  So no schedule here can tear
+//! one: a victim dies before the pair or after it, holding the lock either
+//! way, and the sweep poisons what it held — the same states as when the
+//! pairs were single RMWs.
+//!
 //! The genuinely cross-address-space variants of these scenarios live in
 //! `crates/ipc/tests/cross_process.rs`; here the scheduler can permute the
 //! racy regions deterministically instead of hoping the OS happens to.

@@ -8,6 +8,11 @@
 //! assertions.  Failures print a replayable schedule id (a DFS choice list
 //! or a PCT seed).
 //!
+//! The scheduler switches processes at hooks (lock acquire, wait, notify).
+//! The words the engine writes with a plain load + store under the LNVC
+//! lock have no hook between the two, so every interleaving explored here
+//! sees each pair whole; what the scenarios race is lock holds, as before.
+//!
 //! Budgets are sized so that the suite explores well over a thousand
 //! distinct schedules at the default `MPF_CHECK_SCHEDULE_SCALE=1`; the
 //! nightly CI run raises the scale for a deeper sweep.

@@ -32,7 +32,8 @@ use crate::types::{LnvcName, Protocol};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::ring::{AioRing, RingEntry};
 use mpf_shm::telemetry::{
-    bump, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
+    bump, facility_snapshot, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry,
+    TelSnapshot,
 };
 use mpf_shm::tracering::{
     TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_LOCK_CONTEND,
@@ -182,6 +183,64 @@ pub fn offsets_for(cfg: &MpfConfig) -> Offsets {
         aio_sq: seg("aio sq rings"),
         aio_cq: seg("aio cq rings"),
     }
+}
+
+fn layout_mismatch(found: u32) -> MpfError {
+    MpfError::LayoutMismatch {
+        expected: LAYOUT_VERSION,
+        found,
+    }
+}
+
+/// The header at the front of `region`, if it is long enough to hold one.
+fn carved_header(region: &ShmRegion) -> Result<&RegionHeader> {
+    if region.len() < std::mem::size_of::<RegionHeader>() {
+        return Err(layout_mismatch(0));
+    }
+    // SAFETY: long enough, page-aligned, and all atomics.
+    Ok(unsafe { region.at(0) })
+}
+
+/// Checks that `region` is a finished carve of this layout and returns the
+/// creator's configuration: what a participant and the read-only inspector
+/// both verify before trusting a single offset.
+#[doc(hidden)]
+pub fn verify_carve(region: &ShmRegion) -> Result<MpfConfig> {
+    let header = carved_header(region)?;
+    if header.state.load(Ordering::Acquire) != region_state::READY
+        || header.magic.load(Ordering::Acquire) != REGION_MAGIC
+    {
+        return Err(layout_mismatch(0));
+    }
+    let found = header.layout_version.load(Ordering::Acquire);
+    if found != LAYOUT_VERSION {
+        return Err(layout_mismatch(found));
+    }
+    // The echo is range-checked before any layout math: a corrupt region
+    // can present a READY header full of garbage.
+    let cfg = header.cfg.decode().ok_or(layout_mismatch(found))?;
+    // Defense in depth beyond the version word: the creator stored the
+    // total it carved; if OUR layout computation for the echoed config
+    // disagrees, this binary and the creator carve different segment maps
+    // and every offset past the header would be garbage.
+    let expected_bytes = header.total_bytes.load(Ordering::Acquire) as usize;
+    if region.len() < expected_bytes
+        || RegionLayout::for_config(&cfg).total_bytes() != expected_bytes
+    {
+        return Err(layout_mismatch(found));
+    }
+    Ok(cfg)
+}
+
+/// `word = f(word)` for a word whose every writer holds the same lock (the
+/// LNVC's): a load and a store, not an RMW — the lock's acquire ordered
+/// the load, `Release` serves readers that take no lock.  Returns the new
+/// value.
+#[inline]
+fn locked_update(word: &AtomicU32, f: impl FnOnce(u32) -> u32) -> u32 {
+    let new = f(word.load(Ordering::Relaxed));
+    word.store(new, Ordering::Release);
+    new
 }
 
 /// One participant's handle on the facility: one per process of a named
@@ -371,17 +430,9 @@ impl IpcMpf {
 
     fn adopt(region: ShmRegion) -> std::result::Result<Self, AttachError> {
         mpf_shm::clock::calibrate();
-        if region.len() < std::mem::size_of::<RegionHeader>() {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found: 0,
-            }
-            .into());
-        }
-        let header: &RegionHeader = unsafe { region.at(0) };
         // Init barrier: wait for the creator to finish carving.
         let deadline = Instant::now() + ATTACH_BARRIER_TIMEOUT;
-        while header.state.load(Ordering::Acquire) != region_state::READY {
+        while carved_header(&region)?.state.load(Ordering::Acquire) != region_state::READY {
             if Instant::now() >= deadline {
                 return Err(AttachError::Io(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
@@ -390,38 +441,7 @@ impl IpcMpf {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        if header.magic.load(Ordering::Acquire) != REGION_MAGIC {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found: 0,
-            }
-            .into());
-        }
-        let found = header.layout_version.load(Ordering::Acquire);
-        if found != LAYOUT_VERSION {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found,
-            }
-            .into());
-        }
-        let cfg = header.cfg.decode().ok_or(MpfError::LayoutMismatch {
-            expected: LAYOUT_VERSION,
-            found,
-        })?;
-        // Defense in depth beyond the version word: the creator stored the
-        // total it carved; if OUR layout computation for the echoed config
-        // disagrees, this binary and the creator carve different segment
-        // maps and every offset past the header would be garbage.
-        let expected_bytes = header.total_bytes.load(Ordering::Acquire) as usize;
-        let computed_bytes = RegionLayout::for_config(&cfg).total_bytes();
-        if region.len() < expected_bytes || computed_bytes != expected_bytes {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found,
-            }
-            .into());
-        }
+        let cfg = verify_carve(&region)?;
         let mut this = Self::handle(region, &cfg);
         this.me = this.claim_slot()?;
         Ok(this)
@@ -513,103 +533,80 @@ impl IpcMpf {
 
     // -- raw accessors -------------------------------------------------
 
+    /// Slot `i` of the table of `T`s carved at byte offset `base`.
+    fn table<T>(&self, base: usize, i: u32) -> &T {
+        // SAFETY: every in-region struct is `#[repr(C)]` over atomics —
+        // valid for any bit pattern, shared through `&` — and every table
+        // starts 64-byte aligned with a stride that keeps `T`'s alignment
+        // (const-asserted in `shmem`); `at` bounds-checks the slot against
+        // the mapping, whatever `i` a caller passes.
+        unsafe { self.region.at(base + i as usize * std::mem::size_of::<T>()) }
+    }
+
     fn header(&self) -> &RegionHeader {
-        unsafe { self.region.at(self.off.header) }
+        self.table(self.off.header, 0)
     }
 
     fn slot(&self, i: u32) -> &ProcessSlot {
         debug_assert!(i < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.slots + i as usize * std::mem::size_of::<ProcessSlot>())
-        }
+        self.table(self.off.slots, i)
     }
 
     fn lnvc(&self, i: u32) -> &LnvcDesc {
         debug_assert!(i < self.counts.max_lnvcs);
-        unsafe {
-            self.region
-                .at(self.off.lnvcs + i as usize * std::mem::size_of::<LnvcDesc>())
-        }
+        self.table(self.off.lnvcs, i)
     }
 
     fn reg_entry(&self, i: u32) -> &RegistryEntry {
-        unsafe {
-            self.region
-                .at(self.off.registry + i as usize * std::mem::size_of::<RegistryEntry>())
-        }
+        self.table(self.off.registry, i)
     }
 
     fn msg(&self, i: u32) -> &MsgDesc {
         debug_assert!(i < self.counts.max_messages);
-        unsafe {
-            self.region
-                .at(self.off.msgs + i as usize * std::mem::size_of::<MsgDesc>())
-        }
+        self.table(self.off.msgs, i)
     }
 
     fn send(&self, i: u32) -> &SendDesc {
-        unsafe {
-            self.region
-                .at(self.off.sends + i as usize * std::mem::size_of::<SendDesc>())
-        }
+        self.table(self.off.sends, i)
     }
 
     fn recv(&self, i: u32) -> &RecvDesc {
-        unsafe {
-            self.region
-                .at(self.off.recvs + i as usize * std::mem::size_of::<RecvDesc>())
-        }
+        self.table(self.off.recvs, i)
     }
 
     fn block_link(&self, i: u32) -> &AtomicU32 {
         debug_assert!(i < self.counts.total_blocks);
-        unsafe { self.region.at(self.off.links + i as usize * 4) }
+        self.table(self.off.links, i)
     }
 
-    /// Process `slot`'s facility-telemetry shard.  Sharding keeps hot
-    /// counters processor-local; [`Self::telemetry_snapshot`] sums them.
+    /// Process `slot`'s facility-telemetry shard: its cold counters and
+    /// what the conversations it deleted had counted.
     fn fac_tel(&self, slot: u32) -> &FacilityTelemetry {
         debug_assert!(slot < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.fac_tel + slot as usize * std::mem::size_of::<FacilityTelemetry>())
-        }
+        self.table(self.off.fac_tel, slot)
     }
 
     fn lnvc_tel(&self, i: u32) -> &LnvcTelemetry {
         debug_assert!(i < self.counts.max_lnvcs);
-        unsafe {
-            self.region
-                .at(self.off.lnvc_tel + i as usize * std::mem::size_of::<LnvcTelemetry>())
-        }
+        self.table(self.off.lnvc_tel, i)
     }
 
     /// Process `p`'s trace ring.
     fn trace_ring(&self, p: u32) -> &TraceRing {
         debug_assert!(p < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.trace_rings + p as usize * std::mem::size_of::<TraceRing>())
-        }
+        self.table(self.off.trace_rings, p)
     }
 
     /// Process `p`'s aio submission ring.
     fn aio_sq(&self, p: u32) -> &AioRing {
         debug_assert!(p < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.aio_sq + p as usize * std::mem::size_of::<AioRing>())
-        }
+        self.table(self.off.aio_sq, p)
     }
 
     /// Process `p`'s aio completion ring.
     fn aio_cq(&self, p: u32) -> &AioRing {
         debug_assert!(p < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.aio_cq + p as usize * std::mem::size_of::<AioRing>())
-        }
+        self.table(self.off.aio_cq, p)
     }
 
     /// Frees every message still staged in process `p`'s submission ring
@@ -631,6 +628,8 @@ impl IpcMpf {
     // -- telemetry plumbing --------------------------------------------
 
     /// This process's facility-counter shard, gated on the recording flag.
+    /// Off the message path: per-message quantities are counted per
+    /// conversation, under its lock ([`Self::lnvc_tel`]).
     #[inline]
     fn tel(&self) -> Option<&FacilityTelemetry> {
         self.tel_on.then(|| self.fac_tel(self.me))
@@ -657,17 +656,12 @@ impl IpcMpf {
         self.trace_pop(TR_SEND_BLOCK, idx, 0);
     }
 
-    /// Books `freed` reclaimed messages against the facility and LNVC
-    /// counters (no-op when nothing was freed or telemetry is off).
+    /// Books `freed` reclaimed messages against conversation `idx`, whose
+    /// lock the caller holds — the same hold that freed them.
     fn note_reclaim(&self, idx: u32, freed: u32) {
-        if freed == 0 {
-            return;
+        if freed != 0 && self.tel_on {
+            bump(&self.lnvc_tel(idx).reclaims, u64::from(freed));
         }
-        let Some(t) = self.tel() else { return };
-        t.reclaims.add(freed as u64);
-        self.lnvc_tel(idx)
-            .reclaims
-            .fetch_add(freed as u64, Ordering::Relaxed);
     }
 
     /// Liveness oracle for [`mpf_shm::IpcLock`] holders.  Lock owner ids
@@ -712,8 +706,12 @@ impl IpcMpf {
         }
     }
 
+    /// Ticks this process's progress beacon (`mpfstat` displays it; the
+    /// liveness sweep probes the OS pid, not this).  The slot's owner is
+    /// its only writer, so load + store; two threads of one view can lose
+    /// a tick between them, which a beacon does not mind.
     fn heartbeat(&self) {
-        self.slot(self.me).heartbeat.fetch_add(1, Ordering::Relaxed);
+        bump(&self.slot(self.me).heartbeat, 1);
     }
 
     /// Whether this send should carry a latency origin stamp (1-in-N
@@ -1069,15 +1067,13 @@ impl IpcMpf {
             m.trace.store(trace, Ordering::Release);
             m.hop.store(hop, Ordering::Release);
             let (stamp, depth) = self.publish(d, m_idx, needs_fcfs, n_bcast);
-            if let Some(t) = self.tel() {
-                t.sends.inc();
-                t.bytes_in.add(payload.len() as u64);
-                t.size_hist.record(payload.len() as u64);
+            if self.tel_on {
                 // lt.* writes are serialised by the LNVC lock we hold, so
                 // the RMW-free `bump` is sound (see telemetry::bump).
                 let lt = self.lnvc_tel(idx);
                 bump(&lt.sends, 1);
                 bump(&lt.bytes_in, payload.len() as u64);
+                lt.sizes.record_locked(payload.len() as u64);
                 lt.note_depth(depth as u64);
             }
             Ok((stamp, trace, hop, (u32::from(needs_fcfs) << 16) | n_bcast))
@@ -1274,25 +1270,34 @@ impl IpcMpf {
 
     /// Runs `attempt` until it stops failing for want of pool memory or
     /// `deadline` passes ([`MpfError::TimedOut`]), sleeping on the pool
-    /// signal in between.
+    /// signal in between.  An attempt that succeeds first time — the
+    /// message path — pays nothing for the possibility of waiting.
     fn retry_when_pool_frees<T>(
         &self,
         deadline: Option<Instant>,
         attempt: impl Fn() -> Result<T>,
     ) -> Result<T> {
-        let mut waiting = None;
+        let exhausted = |r: &Result<T>| {
+            matches!(
+                r,
+                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted)
+            )
+        };
+        let first = attempt();
+        if !exhausted(&first) {
+            return first;
+        }
+        // Register, then the ticket, then the retry — in that order, so a
+        // reclaim either is seen by the retry or rings past the ticket; the
+        // first failure, unregistered, proved nothing.
+        let _waiting = self.pool_wait();
         loop {
             let ticket = self.doorbell().ticket();
-            match attempt() {
-                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
-                other => return other,
+            let again = attempt();
+            if !exhausted(&again) {
+                return again;
             }
-            // Register, then the ticket, then the retry — in that order, so
-            // a reclaim either is seen by the retry or rings past the
-            // ticket; the first failure, unregistered, proves nothing.
-            if waiting.is_none() {
-                waiting = Some(self.pool_wait());
-            } else if !self.doorbell_nap(ticket, deadline) {
+            if !self.doorbell_nap(ticket, deadline) {
                 return Err(MpfError::TimedOut);
             }
         }
@@ -1348,7 +1353,7 @@ impl IpcMpf {
     /// stamp and the new queue depth.  Caller holds `d`'s lock.
     fn publish(&self, d: &LnvcDesc, m_idx: u32, needs_fcfs: bool, n_bcast: u32) -> (u64, u32) {
         let m = self.msg(m_idx);
-        let seq = d.next_seq.fetch_add(1, Ordering::AcqRel);
+        let seq = locked_update(&d.next_seq, |s| s.wrapping_add(1)).wrapping_sub(1);
         let stamp = self.header().next_stamp.fetch_add(1, Ordering::AcqRel);
         m.seq.store(seq, Ordering::Release);
         m.stamp.store(stamp, Ordering::Release);
@@ -1365,7 +1370,7 @@ impl IpcMpf {
         }
         d.q_tail.store(m_idx, Ordering::Release);
         d.last_stamp.store(stamp, Ordering::Release);
-        (stamp, d.msg_count.fetch_add(1, Ordering::AcqRel) + 1)
+        (stamp, locked_update(&d.msg_count, |n| n + 1))
     }
 
     /// Allocates a message header and a filled block chain for `payload`
@@ -1384,8 +1389,7 @@ impl IpcMpf {
         // a still-claimed queue head, then retry once.
         let relieve = || {
             self.note_send_wait(idx);
-            let freed = self.sweep_consumed(d);
-            self.note_reclaim(idx, freed);
+            self.sweep_consumed(idx, d);
         };
         let m_idx = pop_msg()
             .or_else(|| {
@@ -1595,15 +1599,13 @@ impl IpcMpf {
                 stamps.push(self.publish(d, e.arg0, needs_fcfs, n_bcast).0);
                 bytes += u64::from(e.arg1);
             }
-            if let Some(t) = self.tel() {
-                t.sends.add(run.len() as u64);
-                t.bytes_in.add(bytes);
-                for e in run {
-                    t.size_hist.record(u64::from(e.arg1));
-                }
+            if self.tel_on {
                 let lt = self.lnvc_tel(idx);
                 bump(&lt.sends, run.len() as u64);
                 bump(&lt.bytes_in, bytes);
+                for e in run {
+                    lt.sizes.record_locked(u64::from(e.arg1));
+                }
                 lt.note_depth(u64::from(d.msg_count.load(Ordering::Acquire)));
             }
             Ok(obligations)
@@ -1839,10 +1841,8 @@ impl IpcMpf {
             if bcast {
                 r.cursor
                     .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
-                m.bcast_pending.fetch_sub(1, Ordering::AcqRel);
-            } else {
-                m.flags.fetch_or(msg_flags::FCFS_TAKEN, Ordering::AcqRel);
             }
+            Self::claim_delivery(m, bcast);
             // Delivery is claimed; record it before the batch's
             // reclamation pass can append this message's TR_RECLAIM.
             self.trace_rec_at(
@@ -1869,20 +1869,13 @@ impl IpcMpf {
         // The last delivery of the batch becomes this process's context.
         self.adopt_trace(last_chain.0, last_chain.1);
         let freed = self.reclaim_prefix(d, now);
-        if let Some(t) = self.tel() {
+        self.note_reclaim(idx, freed);
+        if self.tel_on {
             let lt = self.lnvc_tel(idx);
-            if freed > 0 {
-                t.reclaims.add(freed as u64);
-                bump(&lt.reclaims, freed as u64);
-            }
-            t.receives.add(received as u64);
-            t.bytes_out.add(bytes);
             bump(&lt.receives, received as u64);
             bump(&lt.bytes_out, bytes);
             for sent_at in sampled {
-                let lat = now.saturating_sub(sent_at);
-                t.latency_hist.record(lat);
-                lt.latency.record_locked(lat);
+                lt.latency.record_locked(now.saturating_sub(sent_at));
             }
         }
         Ok(received)
@@ -2181,10 +2174,8 @@ impl IpcMpf {
         if bcast {
             r.cursor
                 .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
-            m.bcast_pending.fetch_sub(1, Ordering::AcqRel);
-        } else {
-            m.flags.fetch_or(msg_flags::FCFS_TAKEN, Ordering::AcqRel);
         }
+        Self::claim_delivery(m, bcast);
         // One clock read covers the trace records (delivery + reclaim) and
         // the latency sample of this receive.
         let now = if sent_at != 0 || trace != 0 {
@@ -2206,23 +2197,28 @@ impl IpcMpf {
             0,
         );
         let freed = self.reclaim_prefix(d, now);
-        if let Some(t) = self.tel() {
+        self.note_reclaim(idx, freed);
+        if self.tel_on {
             let lt = self.lnvc_tel(idx);
-            if freed > 0 {
-                t.reclaims.add(freed as u64);
-                bump(&lt.reclaims, freed as u64);
-            }
-            t.receives.inc();
-            t.bytes_out.add(len as u64);
             bump(&lt.receives, 1);
             bump(&lt.bytes_out, len as u64);
             if sent_at != 0 {
-                let lat = now.saturating_sub(sent_at);
-                t.latency_hist.record(lat);
-                lt.latency.record_locked(lat);
+                lt.latency.record_locked(now.saturating_sub(sent_at));
             }
         }
         Ok(Some(len))
+    }
+
+    /// Marks one delivery of `m` as made: a BROADCAST claim released, or
+    /// the FCFS obligation taken.  Caller holds the lock of the queue `m`
+    /// is on.
+    #[inline]
+    fn claim_delivery(m: &MsgDesc, bcast: bool) {
+        if bcast {
+            locked_update(&m.bcast_pending, |owed| owed.wrapping_sub(1));
+        } else {
+            locked_update(&m.flags, |flags| flags | msg_flags::FCFS_TAKEN);
+        }
     }
 
     /// First queued message deliverable to connection `conn`.
@@ -2272,7 +2268,7 @@ impl IpcMpf {
             if next == NIL {
                 d.q_tail.store(NIL, Ordering::Release);
             }
-            d.msg_count.fetch_sub(1, Ordering::AcqRel);
+            locked_update(&d.msg_count, |n| n.wrapping_sub(1));
             self.free_message_at(head, tstamp);
             freed += 1;
         }
@@ -2292,7 +2288,8 @@ impl IpcMpf {
             let m = self.msg(cur);
             let flags = m.flags.load(Ordering::Acquire);
             if flags & msg_flags::NEEDS_FCFS != 0 && flags & msg_flags::FCFS_TAKEN == 0 {
-                m.flags.fetch_and(!msg_flags::NEEDS_FCFS, Ordering::AcqRel);
+                m.flags
+                    .store(flags & !msg_flags::NEEDS_FCFS, Ordering::Release);
             }
             cur = m.next.load(Ordering::Acquire);
         }
@@ -2323,7 +2320,7 @@ impl IpcMpf {
                 if next == NIL {
                     d.q_tail.store(prev, Ordering::Release);
                 }
-                d.msg_count.fetch_sub(1, Ordering::AcqRel);
+                locked_update(&d.msg_count, |n| n.wrapping_sub(1));
                 self.free_message(cur);
                 freed += 1;
             } else {
@@ -2336,16 +2333,15 @@ impl IpcMpf {
 
     /// Best-effort sweep under memory pressure: a sender that finds the
     /// pools exhausted reclaims fully-delivered messages stuck behind a
-    /// still-claimed queue head before giving up.  Takes the LNVC lock.
-    fn sweep_consumed(&self, d: &LnvcDesc) -> u32 {
+    /// still-claimed queue head before giving up.  Takes the LNVC lock,
+    /// and books what it freed before letting go of it.
+    fn sweep_consumed(&self, idx: u32, d: &LnvcDesc) {
         self.lock_lnvc(d);
-        let freed = if d.poisoned.load(Ordering::Acquire) == 0 {
-            self.reclaim_consumed(d)
-        } else {
-            0
-        };
+        if d.poisoned.load(Ordering::Acquire) == 0 {
+            let freed = self.reclaim_consumed(d);
+            self.note_reclaim(idx, freed);
+        }
         d.lock.unlock();
-        freed
     }
 
     /// Releases a departing/dead BROADCAST receiver's claims from
@@ -2354,10 +2350,10 @@ impl IpcMpf {
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
             let m = self.msg(cur);
-            if m.seq.load(Ordering::Acquire) >= cursor
-                && m.bcast_pending.load(Ordering::Acquire) > 0
-            {
-                m.bcast_pending.fetch_sub(1, Ordering::AcqRel);
+            let owed = m.bcast_pending.load(Ordering::Acquire);
+            if m.seq.load(Ordering::Acquire) >= cursor && owed > 0 {
+                m.bcast_pending
+                    .store(owed.wrapping_sub(1), Ordering::Release);
             }
             cur = m.next.load(Ordering::Acquire);
         }
@@ -2582,9 +2578,6 @@ impl IpcMpf {
                 e.used.store(1, Ordering::Release);
                 if let Some(t) = self.tel() {
                     t.lnvcs_created.inc();
-                    // A recycled slot must not inherit its predecessor's
-                    // numbers.
-                    self.lnvc_tel(idx).reset();
                 }
                 return Ok((idx, true));
             }
@@ -2592,8 +2585,11 @@ impl IpcMpf {
         Err(MpfError::LnvcsExhausted)
     }
 
-    /// Rolls back a just-created conversation whose first open failed.
-    /// Caller holds the registry lock and the LNVC lock.
+    /// Releases conversation `idx`'s name and slot — a deletion, or the
+    /// roll-back of a creation whose first open failed — and retires its
+    /// counts into our telemetry shard, so the slot's next tenant starts
+    /// from zero and the facility totals lose nothing.  Caller holds the
+    /// registry lock and the LNVC lock.
     fn deactivate(&self, idx: u32) {
         let d = self.lnvc(idx);
         let e = self.reg_entry(d.registry_idx.load(Ordering::Acquire));
@@ -2601,6 +2597,7 @@ impl IpcMpf {
         d.active.store(0, Ordering::Release);
         if let Some(t) = self.tel() {
             t.lnvcs_deleted.inc();
+            t.retire(self.lnvc_tel(idx), &self.header().tel_fold_seq);
         }
     }
 
@@ -2866,14 +2863,18 @@ impl IpcMpf {
         self.tel_on
     }
 
-    /// Snapshot of the facility-wide in-region counters and histograms
-    /// (sum of every process slot's shard).
+    /// Snapshot of the facility-wide counters and histograms: every
+    /// process shard plus every conversation's block
+    /// ([`facility_snapshot`]).  Takes the registry lock, so no
+    /// conversation is deleted — its counts mid-move — under the read.
     pub fn telemetry_snapshot(&self) -> TelSnapshot {
-        let mut sum = TelSnapshot::default();
-        for p in 0..self.counts.max_processes {
-            sum.absorb(&self.fac_tel(p).snapshot());
-        }
-        sum
+        self.with_registry(|| {
+            facility_snapshot(
+                &self.header().tel_fold_seq,
+                (0..self.counts.max_processes).map(|p| self.fac_tel(p)),
+                (0..self.counts.max_lnvcs).map(|i| self.lnvc_tel(i)),
+            )
+        })
     }
 
     /// Snapshot of one conversation's telemetry.
@@ -3341,9 +3342,7 @@ mod tests {
             .next
             .load(Ordering::Acquire);
         for corpse in [second, d.q_tail.load(Ordering::Acquire)] {
-            m.msg(corpse)
-                .flags
-                .fetch_or(msg_flags::FCFS_TAKEN, Ordering::AcqRel);
+            IpcMpf::claim_delivery(m.msg(corpse), false);
         }
         assert_eq!(
             m.reclaimable(),

@@ -20,7 +20,7 @@ use crate::config::MpfConfig;
 /// Version of the region byte layout.  Bump on ANY change to the segment
 /// order, the constants below, or the in-region struct layouts; attach
 /// refuses regions with a different version ([`crate::MpfError::LayoutMismatch`]).
-pub const LAYOUT_VERSION: u32 = 7;
+pub const LAYOUT_VERSION: u32 = 8;
 
 /// Magic at byte 0 of every MPF region ("MPFREGN1" little-endian).
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"MPFREGN1");
@@ -68,10 +68,10 @@ pub const REGION_HEADER_BYTES: usize = 512;
 /// and heartbeat (os pid, attach generation, liveness), one for the
 /// doorbell the process sleeps on.
 pub const PROCESS_SLOT_BYTES: usize = 128;
-/// Bytes of the facility-wide telemetry block (cache-line counters +
+/// Bytes of one process's facility telemetry shard (cache-line counters +
 /// size/latency histograms); see `mpf_shm::telemetry::FacilityTelemetry`.
 pub const FACILITY_TELEMETRY_BYTES: usize = mpf_shm::telemetry::FACILITY_TELEMETRY_BYTES;
-/// Bytes per LNVC telemetry slot (counters + latency histogram).
+/// Bytes per LNVC telemetry slot (counters + latency and size histograms).
 pub const LNVC_TELEMETRY_BYTES: usize = mpf_shm::telemetry::LNVC_TELEMETRY_BYTES;
 /// Bytes per aio submission/completion ring (header + descriptor slots);
 /// see `mpf_shm::ring::AioRing`.  Each process slot owns one SQ and one CQ.
@@ -141,8 +141,9 @@ impl RegionLayout {
             cfg.total_blocks as usize,
         );
         // Facility telemetry is sharded per process slot: each process
-        // updates only its own shard, so hot counters never bounce a cache
-        // line between processors; snapshots sum the shards.
+        // writes only its own shard (cold counters, and what conversations
+        // it deleted had counted); snapshots sum the shards and the
+        // per-LNVC blocks, where the message path counts.
         push(
             "facility telemetry",
             cfg.max_processes as usize * FACILITY_TELEMETRY_BYTES,

@@ -280,7 +280,11 @@ pub struct RegionHeader {
     /// non-zero.  On its own line — waiters poll it, reclaims with nobody
     /// waiting never touch it.
     pub pool_seq: AtomicU32,
-    _pad: [u8; REGION_HEADER_BYTES - 132],
+    /// Telemetry fold sequence: odd while a deleted conversation's counts
+    /// move into a process shard (`FacilityTelemetry::retire`).  Written
+    /// under the registry lock only; lock-free snapshots retry on it.
+    pub tel_fold_seq: AtomicU32,
+    _pad: [u8; REGION_HEADER_BYTES - 136],
 }
 
 /// Process-slot state values.

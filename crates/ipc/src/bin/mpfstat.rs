@@ -174,7 +174,7 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
     );
     let _ = writeln!(
         s,
-        "config: {} lnvcs, {} processes, {} messages, {} blocks × {} B; {} total sends, sweep epoch {}, {} waiting for pool memory",
+        "config: {} lnvcs, {} processes, {} messages, {} blocks × {} B; {} total sends, sweep epoch {}, {} waiting for pool memory, telemetry fold seq {}",
         cfg.max_lnvcs,
         cfg.max_processes,
         cfg.max_messages,
@@ -183,6 +183,7 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
         insp.next_stamp(),
         insp.sweep_epoch(),
         insp.pool_waiters(),
+        insp.tel_fold_seq(),
     );
 
     let _ = writeln!(s, "\nprocesses:");
@@ -266,6 +267,13 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
                 "-".into()
             },
         );
+        if l.tel.sends > 0 {
+            let (size, lat) = (
+                hist_line(&l.tel.sizes, "B"),
+                hist_line(&l.tel.latency, "ns"),
+            );
+            let _ = writeln!(s, "      size {size}\n      lat  {lat}");
+        }
     }
 
     let t = insp.telemetry_snapshot();
@@ -442,7 +450,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
                 "{{\"index\":{},\"name\":{},\"generation\":{},\"queued\":{},\"reclaimable\":{},\
                  \"n_senders\":{},\"n_fcfs\":{},\"n_bcast\":{},\"next_seq\":{},\"poisoned\":{},\
                  \"dead_pid\":{},\"sends\":{},\"receives\":{},\"bytes_in\":{},\"bytes_out\":{},\
-                 \"recv_waits\":{},\"reclaims\":{},\"depth_hwm\":{},\"latency\":{}}}",
+                 \"recv_waits\":{},\"reclaims\":{},\"depth_hwm\":{},\"latency\":{},\"sizes\":{}}}",
                 l.index,
                 jstr(&l.name),
                 l.generation,
@@ -462,6 +470,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
                 l.tel.reclaims,
                 l.tel.depth_hwm,
                 jhist(&l.tel.latency),
+                jhist(&l.tel.sizes),
             )
         })
         .collect::<Vec<_>>()
@@ -491,7 +500,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         .join(",");
 
     format!(
-        "{{\"region\":{},\"region_bytes\":{},\"telemetry\":{},\"next_stamp\":{},\"sweep_epoch\":{},\"pool_waiters\":{},\
+        "{{\"region\":{},\"region_bytes\":{},\"telemetry\":{},\"next_stamp\":{},\"sweep_epoch\":{},\"pool_waiters\":{},\"tel_fold_seq\":{},\
          \"config\":{{\"max_lnvcs\":{},\"max_processes\":{},\"max_messages\":{},\"total_blocks\":{},\"block_payload\":{}}},\
          \"counters\":{{\"sends\":{},\"receives\":{},\"bytes_in\":{},\"bytes_out\":{},\
          \"recv_waits\":{},\"send_waits\":{},\"reclaims\":{},\"lnvcs_created\":{},\"lnvcs_deleted\":{},\
@@ -504,6 +513,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         insp.next_stamp(),
         insp.sweep_epoch(),
         insp.pool_waiters(),
+        insp.tel_fold_seq(),
         cfg.max_lnvcs,
         cfg.max_processes,
         cfg.max_messages,

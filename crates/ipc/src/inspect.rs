@@ -22,17 +22,18 @@
 use std::sync::atomic::Ordering;
 
 use mpf::aio::AioStats;
-use mpf::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
-use mpf::{MpfConfig, MpfError};
+use mpf::MpfConfig;
 use mpf_shm::ring::AioRing;
-use mpf_shm::telemetry::{FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot};
+use mpf_shm::telemetry::{
+    facility_snapshot, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
+};
 use mpf_shm::tracering::{TraceEvent, TraceRing, TRACE_RING_SLOTS};
 use mpf_shm::ShmRegion;
 
-use mpf::engine::{offsets_for, AttachError, Offsets};
+use mpf::engine::{offsets_for, verify_carve, AttachError, Offsets};
 use mpf::shmem::{
-    msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
-    RegistryEntry, NIL,
+    msg_flags, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader, RegistryEntry,
+    NIL,
 };
 
 /// One process slot, decoded.
@@ -133,50 +134,8 @@ impl RegionInspector {
     /// creator died mid-carve is reported as an error immediately.
     pub fn attach(name: &str) -> Result<Self, AttachError> {
         let region = ShmRegion::attach_readonly(name)?;
-        if region.len() < std::mem::size_of::<RegionHeader>() {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found: 0,
-            }
-            .into());
-        }
-        let header: &RegionHeader = unsafe { region.at(0) };
-        if header.state.load(Ordering::Acquire) != region_state::READY
-            || header.magic.load(Ordering::Acquire) != REGION_MAGIC
-        {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found: 0,
-            }
-            .into());
-        }
-        let found = header.layout_version.load(Ordering::Acquire);
-        if found != LAYOUT_VERSION {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found,
-            }
-            .into());
-        }
-        // The echo is range-checked before any layout math: a corrupt
-        // region can present a READY header full of garbage, and the
-        // inspector's promise is a clean error, never a panic.
-        let cfg = header.cfg.decode().ok_or(MpfError::LayoutMismatch {
-            expected: LAYOUT_VERSION,
-            found,
-        })?;
-        // Same defense as `IpcMpf::attach`: the stored total must match the
-        // total THIS binary computes for the echoed config, else reader and
-        // writer disagree on the segment map and every decoded offset lies.
-        let expected_bytes = header.total_bytes.load(Ordering::Acquire) as usize;
-        let computed_bytes = RegionLayout::for_config(&cfg).total_bytes();
-        if region.len() < expected_bytes || computed_bytes != expected_bytes {
-            return Err(MpfError::LayoutMismatch {
-                expected: LAYOUT_VERSION,
-                found,
-            }
-            .into());
-        }
+        // A clean error for any corrupt header, never a panic.
+        let cfg = verify_carve(&region)?;
         Ok(Self {
             region,
             off: offsets_for(&cfg),
@@ -187,83 +146,58 @@ impl RegionInspector {
 
     // -- raw accessors (all reads) -------------------------------------
 
+    /// Slot `i` of the table of `T`s carved at byte offset `base`.
+    fn table<T>(&self, base: usize, i: u32) -> &T {
+        // SAFETY: in-region structs are all atomics, valid for any bit
+        // pattern; tables start 64-byte aligned at strides that keep `T`'s
+        // alignment, in the layout `attach` verified against the mapped
+        // length — and `at` bounds-checks the slot regardless of `i`.
+        unsafe { self.region.at(base + i as usize * std::mem::size_of::<T>()) }
+    }
+
     fn header(&self) -> &RegionHeader {
-        unsafe { self.region.at(self.off.header) }
+        self.table(self.off.header, 0)
     }
 
     fn slot(&self, i: u32) -> &ProcessSlot {
-        unsafe {
-            self.region
-                .at(self.off.slots + i as usize * std::mem::size_of::<ProcessSlot>())
-        }
+        self.table(self.off.slots, i)
     }
 
     fn lnvc(&self, i: u32) -> &LnvcDesc {
-        unsafe {
-            self.region
-                .at(self.off.lnvcs + i as usize * std::mem::size_of::<LnvcDesc>())
-        }
+        self.table(self.off.lnvcs, i)
     }
 
     fn reg_entry(&self, i: u32) -> &RegistryEntry {
-        unsafe {
-            self.region
-                .at(self.off.registry + i as usize * std::mem::size_of::<RegistryEntry>())
-        }
+        self.table(self.off.registry, i)
     }
 
     fn recv(&self, i: u32) -> &RecvDesc {
-        // SAFETY: callers bound `i` by `max_recv_conns`, the slot count
-        // of the segment at `off.recvs` in the layout `attach` verified
-        // against the mapped length; `RecvDesc` is all atomics, valid
-        // for any bit pattern.
-        unsafe {
-            self.region
-                .at(self.off.recvs + i as usize * std::mem::size_of::<RecvDesc>())
-        }
+        self.table(self.off.recvs, i)
     }
 
     fn msg(&self, i: u32) -> &MsgDesc {
-        unsafe {
-            self.region
-                .at(self.off.msgs + i as usize * std::mem::size_of::<MsgDesc>())
-        }
+        self.table(self.off.msgs, i)
     }
 
     /// Process `slot`'s facility-telemetry shard.
     fn fac_tel(&self, slot: u32) -> &FacilityTelemetry {
-        unsafe {
-            self.region
-                .at(self.off.fac_tel + slot as usize * std::mem::size_of::<FacilityTelemetry>())
-        }
+        self.table(self.off.fac_tel, slot)
     }
 
     fn lnvc_tel(&self, i: u32) -> &LnvcTelemetry {
-        unsafe {
-            self.region
-                .at(self.off.lnvc_tel + i as usize * std::mem::size_of::<LnvcTelemetry>())
-        }
+        self.table(self.off.lnvc_tel, i)
     }
 
     fn trace_ring(&self, p: u32) -> &TraceRing {
-        unsafe {
-            self.region
-                .at(self.off.trace_rings + p as usize * std::mem::size_of::<TraceRing>())
-        }
+        self.table(self.off.trace_rings, p)
     }
 
     fn aio_sq(&self, p: u32) -> &AioRing {
-        unsafe {
-            self.region
-                .at(self.off.aio_sq + p as usize * std::mem::size_of::<AioRing>())
-        }
+        self.table(self.off.aio_sq, p)
     }
 
     fn aio_cq(&self, p: u32) -> &AioRing {
-        unsafe {
-            self.region
-                .at(self.off.aio_cq + p as usize * std::mem::size_of::<AioRing>())
-        }
+        self.table(self.off.aio_cq, p)
     }
 
     // -- decoded views -------------------------------------------------
@@ -414,14 +348,21 @@ impl RegionInspector {
         (queued, reclaimable)
     }
 
-    /// Facility-wide counter/histogram snapshot (sum of every process
-    /// slot's shard).
+    /// Facility-wide counter/histogram snapshot: every process shard plus
+    /// every conversation's block.  Lock-free, so it retries while a
+    /// conversation's delete is moving counts between the two.
     pub fn telemetry_snapshot(&self) -> TelSnapshot {
-        let mut sum = TelSnapshot::default();
-        for p in 0..self.cfg.max_processes {
-            sum.absorb(&self.fac_tel(p).snapshot());
-        }
-        sum
+        facility_snapshot(
+            &self.header().tel_fold_seq,
+            (0..self.cfg.max_processes).map(|p| self.fac_tel(p)),
+            (0..self.cfg.max_lnvcs).map(|i| self.lnvc_tel(i)),
+        )
+    }
+
+    /// The telemetry fold sequence word: odd while a delete is retiring a
+    /// conversation's counts (or its folder died there).
+    pub fn tel_fold_seq(&self) -> u32 {
+        self.header().tel_fold_seq.load(Ordering::Acquire)
     }
 
     /// Every process slot's aio submission/completion ring counters.

@@ -444,6 +444,9 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
         "victim os pid in {json}"
     );
     assert!(json.contains("\"peers_died\":1"), "sweep count in {json}");
+    // Per-conversation size distribution and the fold word of the header.
+    assert!(json.contains("\"sizes\":{\"count\":"), "sizes in {json}");
+    assert!(json.contains("\"tel_fold_seq\":"), "fold word in {json}");
 
     // The trace subview reads the same rings.
     let out = Command::new(env!("CARGO_BIN_EXE_mpfstat"))

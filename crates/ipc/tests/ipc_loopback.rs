@@ -237,27 +237,27 @@ fn attach_by_name_sees_existing_conversations() {
     assert_eq!(&buf[..14], b"hello attacher");
 }
 
-/// A region carved by the previous layout (version 6 had no doorbell,
-/// watch or pool-signal words, and a 4-byte wait queue that shifts every
-/// LNVC-descriptor field after it) is refused outright, by the
-/// participant attach and the read-only inspector alike.
+/// A region carved by the previous layout (version 7 had no size
+/// histogram in its per-LNVC telemetry slots, so every segment after them
+/// sits elsewhere, and no fold word in its header) is refused outright, by
+/// the participant attach and the read-only inspector alike.
 #[test]
 fn previous_layout_version_is_rejected() {
     use mpf::layout::LAYOUT_VERSION;
     use mpf_ipc::{shmem::RegionHeader, AttachError, RegionInspector};
     use std::sync::atomic::Ordering;
 
-    assert_eq!(LAYOUT_VERSION, 7);
+    assert_eq!(LAYOUT_VERSION, 8);
     let _creator = region("loop-stale-layout");
     let raw = mpf_shm::ShmRegion::attach("loop-stale-layout").unwrap();
     // SAFETY: the header sits at offset 0 of every carved region and
     // `raw` maps all of it.
     let header: &RegionHeader = unsafe { raw.at(0) };
-    header.layout_version.store(6, Ordering::Release);
+    header.layout_version.store(7, Ordering::Release);
 
     let stale = MpfError::LayoutMismatch {
-        expected: 7,
-        found: 6,
+        expected: 8,
+        found: 7,
     };
     match IpcMpf::attach("loop-stale-layout") {
         Err(AttachError::Mpf(e)) => assert_eq!(e, stale),

@@ -6,20 +6,27 @@
 //! inspect read-only from a process that never took part in the session
 //! (the `mpfstat` inspector).  Design rules:
 //!
-//! * **Counters** are one relaxed `fetch_add` on the hot path.  Facility
-//!   counters sit in their own 64-byte cells ([`PadCell`]) so two processes
-//!   bumping different counters never share a cache line.
+//! * **Per-message quantities are counted once, per conversation**
+//!   ([`LnvcTelemetry`]: sends, receives, bytes, reclaims, sizes,
+//!   latencies), by whoever holds that conversation's lock — so each
+//!   update is a relaxed load + store ([`bump`],
+//!   [`Histogram::record_locked`]), never a locked RMW.  Facility totals
+//!   are *derived*: [`facility_snapshot`] sums the conversations and adds
+//!   what deleted ones left behind ([`FacilityTelemetry::retire`]).
+//! * **Cold, genuinely multi-writer counters** (waits, lock contention,
+//!   sweeps, conversations created/deleted) are one relaxed `fetch_add` on
+//!   the caller's per-process [`FacilityTelemetry`] shard, each in its own
+//!   64-byte cell ([`PadCell`]).
 //! * **Histograms** ([`Histogram`]) use power-of-two buckets: value `v`
-//!   lands in bucket `64 - v.leading_zeros()` (capped), so recording is a
-//!   couple of ALU ops plus one relaxed add.  Percentiles are computed from
-//!   a snapshot, never in-region.
+//!   lands in bucket `64 - v.leading_zeros()` (capped).  Percentiles are
+//!   computed from a snapshot, never in-region.
 //!
 //! Events (as opposed to counts) live in [`crate::tracering`].  None of
 //! this module knows about LNVCs or facilities; it is the raw
 //! instrumentation substrate that `mpf-core` and `mpf-ipc` place via their
 //! region layouts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
 /// Number of power-of-two histogram buckets.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -31,7 +38,7 @@ pub const HISTOGRAM_BYTES: usize = 8 * 3 + 8 * HISTOGRAM_BUCKETS;
 pub const FACILITY_TELEMETRY_BYTES: usize = 1344;
 
 /// Bytes of one [`LnvcTelemetry`].
-pub const LNVC_TELEMETRY_BYTES: usize = 384;
+pub const LNVC_TELEMETRY_BYTES: usize = 640;
 
 /// Wall-clock nanoseconds since the Unix epoch.  Used for trace-record
 /// timestamps and send→receive latency because it is the one clock every
@@ -54,19 +61,10 @@ pub fn now_nanos() -> u64 {
 /// offset without over-alignment constraints the region carver cannot
 /// honour.
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PadCell {
     value: AtomicU64,
-    _pad: [u8; 56],
-}
-
-impl Default for PadCell {
-    fn default() -> Self {
-        Self {
-            value: AtomicU64::new(0),
-            _pad: [0; 56],
-        }
-    }
+    _pad: [u64; 7],
 }
 
 impl PadCell {
@@ -97,23 +95,12 @@ impl PadCell {
 /// `[2^(b-1), 2^b - 1]`; bucket 0 counts zeros.  Values past the last
 /// bucket are clamped into it (the tracked `max` keeps the true extreme).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 /// Adds `n` to `c` with a plain load+store instead of a locked RMW.
@@ -145,25 +132,10 @@ pub fn bucket_upper_bound(b: usize) -> u64 {
 }
 
 impl Histogram {
-    /// Records one observation.  All stores relaxed; torn cross-field reads
-    /// only make a concurrent snapshot momentarily inconsistent, never
-    /// corrupt.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        // Plain load first: once warmed up a new maximum is rare, and the
-        // load avoids the RMW (a cmpxchg loop) on every observation.
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// [`record`](Self::record) for a histogram whose writes are already
-    /// serialised by an external lock: plain load+store ([`bump`]) instead
-    /// of locked RMWs.  Used for the per-LNVC latency histogram, which is
-    /// only written under the LNVC descriptor lock.
+    /// Records one observation with plain load + store ([`bump`]): sound
+    /// because every in-region histogram is written only under the lock of
+    /// the conversation it belongs to.  A concurrent lock-free snapshot may
+    /// be momentarily inconsistent across fields, never corrupt.
     #[inline]
     pub fn record_locked(&self, v: u64) {
         bump(&self.count, 1);
@@ -172,6 +144,20 @@ impl Histogram {
             self.max.store(v, Ordering::Relaxed);
         }
         bump(&self.buckets[bucket_index(v)], 1);
+    }
+
+    /// Moves everything recorded here into `into`, leaving this histogram
+    /// empty.  Caller serialises writers of both.
+    fn drain_into(&self, into: &Histogram) {
+        bump(&into.count, self.count.swap(0, Ordering::Relaxed));
+        bump(&into.sum, self.sum.swap(0, Ordering::Relaxed));
+        let max = self.max.swap(0, Ordering::Relaxed);
+        if max > into.max.load(Ordering::Relaxed) {
+            into.max.store(max, Ordering::Relaxed);
+        }
+        for (from, to) in self.buckets.iter().zip(&into.buckets) {
+            bump(to, from.swap(0, Ordering::Relaxed));
+        }
     }
 
     /// Copies the current state out of the region.
@@ -186,7 +172,7 @@ impl Histogram {
 }
 
 /// Point-in-time copy of a [`Histogram`], with percentile math.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct HistSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -196,17 +182,6 @@ pub struct HistSnapshot {
     pub max: u64,
     /// Per-bucket counts (see [`bucket_index`]).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for HistSnapshot {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
 }
 
 impl HistSnapshot {
@@ -263,25 +238,35 @@ impl HistSnapshot {
 // Facility + per-LNVC telemetry blocks
 // ---------------------------------------------------------------------------
 
-/// Region-global counters, one cache line each, plus message-size and
-/// send→receive latency histograms.  Written by every attached process;
-/// all operations are single relaxed RMWs.
+/// One process's shard of the region-global counters, one cache line
+/// each.  Two kinds of field share the struct:
+///
+/// * **live** — `recv_waits`, `send_waits`, `lnvcs_created`,
+///   `lnvcs_deleted`, `lock_contended`, `sweeps`, `peers_died`: bumped by
+///   the owning process as things happen (cold paths, relaxed RMWs);
+/// * **retired** — `sends`, `receives`, `bytes_in`, `bytes_out`,
+///   `reclaims`, `size_hist`, `latency_hist`: what conversations this
+///   process deleted had counted by then ([`Self::retire`]).  Nothing on
+///   the message path writes them.
+///
+/// A facility total is `Σ shards (live + retired) + Σ LNVC slots`
+/// ([`facility_snapshot`]).
 #[repr(C)]
 #[derive(Debug, Default)]
 pub struct FacilityTelemetry {
-    /// `message_send` completions.
+    /// Retired `message_send` completions.
     pub sends: PadCell,
-    /// `message_receive` deliveries.
+    /// Retired `message_receive` deliveries.
     pub receives: PadCell,
-    /// Payload bytes accepted from senders.
+    /// Retired payload bytes accepted from senders.
     pub bytes_in: PadCell,
-    /// Payload bytes copied out to receivers.
+    /// Retired payload bytes copied out to receivers.
     pub bytes_out: PadCell,
     /// Times a receive blocked (once per blocking call, not per nap).
     pub recv_waits: PadCell,
     /// Times a send waited on pool exhaustion.
     pub send_waits: PadCell,
-    /// Messages reclaimed (prefix + sweep reclamation).
+    /// Retired reclaimed messages (prefix + sweep reclamation).
     pub reclaims: PadCell,
     /// Conversations created.
     pub lnvcs_created: PadCell,
@@ -293,16 +278,41 @@ pub struct FacilityTelemetry {
     pub sweeps: PadCell,
     /// Peers detected dead and swept.
     pub peers_died: PadCell,
-    /// Payload sizes of accepted sends.
+    /// Retired payload sizes of accepted sends.
     pub size_hist: Histogram,
-    /// Send→receive latency in nanoseconds (stamped at send, observed at
-    /// delivery).
+    /// Retired send→receive latencies in nanoseconds (stamped at send,
+    /// observed at delivery).
     pub latency_hist: Histogram,
     _pad: [u8; 16],
 }
 
 impl FacilityTelemetry {
-    /// Copies every counter and histogram out of the region.
+    /// Folds a deleted conversation's numbers into this shard's retired
+    /// accumulators and zeroes `lnvc` for the slot's next tenant.  `seq`
+    /// is the region's fold sequence: odd while counts are in flight
+    /// between the two blocks, so [`facility_snapshot`] neither misses nor
+    /// doubles them.  Caller holds the registry lock — which serialises
+    /// folds region-wide, so `seq` needs no RMW — and the conversation's.
+    pub fn retire(&self, lnvc: &LnvcTelemetry, seq: &AtomicU32) {
+        // `| 1`: a folder that died mid-fold left the word odd.
+        let odd = seq.load(Ordering::Relaxed) | 1;
+        seq.store(odd, Ordering::Relaxed);
+        fence(Ordering::Release);
+        self.sends.add(lnvc.sends.swap(0, Ordering::Relaxed));
+        self.receives.add(lnvc.receives.swap(0, Ordering::Relaxed));
+        self.bytes_in.add(lnvc.bytes_in.swap(0, Ordering::Relaxed));
+        self.bytes_out
+            .add(lnvc.bytes_out.swap(0, Ordering::Relaxed));
+        self.reclaims.add(lnvc.reclaims.swap(0, Ordering::Relaxed));
+        lnvc.sizes.drain_into(&self.size_hist);
+        lnvc.latency.drain_into(&self.latency_hist);
+        // Not part of any total (the facility's are the live cells above).
+        lnvc.recv_waits.store(0, Ordering::Relaxed);
+        lnvc.depth_hwm.store(0, Ordering::Relaxed);
+        seq.store(odd.wrapping_add(1), Ordering::Release);
+    }
+
+    /// Copies this shard out of the region.
     pub fn snapshot(&self) -> TelSnapshot {
         TelSnapshot {
             sends: self.sends.get(),
@@ -321,6 +331,33 @@ impl FacilityTelemetry {
             latency_hist: self.latency_hist.snapshot(),
         }
     }
+}
+
+/// The facility-wide totals: every process shard plus every LNVC slot
+/// (slots of deleted conversations read zero — [`FacilityTelemetry::retire`]
+/// moved their counts into a shard).  Lock-free; a fold racing the read
+/// shows as a changed or odd `fold_seq` and the read is retried, so totals
+/// never go backwards or double.  The retries are bounded: a reader that
+/// holds the registry lock never needs one, and a read-only inspector of a
+/// region whose folder died mid-fold must still return (best effort).
+pub fn facility_snapshot<'a>(
+    fold_seq: &AtomicU32,
+    shards: impl Iterator<Item = &'a FacilityTelemetry> + Clone,
+    lnvcs: impl Iterator<Item = &'a LnvcTelemetry> + Clone,
+) -> TelSnapshot {
+    let mut sum = TelSnapshot::default();
+    for _ in 0..64 {
+        let before = fold_seq.load(Ordering::Acquire);
+        sum = TelSnapshot::default();
+        shards.clone().for_each(|s| sum.absorb(&s.snapshot()));
+        lnvcs.clone().for_each(|l| sum.absorb_lnvc(&l.snapshot()));
+        fence(Ordering::Acquire);
+        if before & 1 == 0 && fold_seq.load(Ordering::Relaxed) == before {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    sum
 }
 
 /// Point-in-time copy of [`FacilityTelemetry`].
@@ -376,6 +413,17 @@ impl TelSnapshot {
         self.latency_hist.absorb(&other.latency_hist);
     }
 
+    /// Adds one conversation's per-message counts into the totals.
+    pub fn absorb_lnvc(&mut self, lnvc: &LnvcTelSnapshot) {
+        self.sends += lnvc.sends;
+        self.receives += lnvc.receives;
+        self.bytes_in += lnvc.bytes_in;
+        self.bytes_out += lnvc.bytes_out;
+        self.reclaims += lnvc.reclaims;
+        self.size_hist.absorb(&lnvc.sizes);
+        self.latency_hist.absorb(&lnvc.latency);
+    }
+
     /// Activity between `earlier` and `self` (counter-wise saturating
     /// difference; histogram handled by [`HistSnapshot::diff`]).
     pub fn diff(&self, earlier: &TelSnapshot) -> TelSnapshot {
@@ -398,11 +446,14 @@ impl TelSnapshot {
     }
 }
 
-/// Per-conversation counters and latency histogram.  Fields written under
-/// the LNVC descriptor lock in practice, but readers (snapshots, the
-/// inspector) take no lock, so everything stays atomic.
+/// Per-conversation counters and histograms: the only place per-message
+/// quantities are counted.  **Every write except `recv_waits` happens
+/// under this LNVC's lock**, which is what lets them be load + store;
+/// readers (snapshots, the inspector) take no lock, so everything stays
+/// atomic.  Zeroed when the conversation is deleted
+/// ([`FacilityTelemetry::retire`]).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LnvcTelemetry {
     /// Messages enqueued on this conversation.
     pub sends: AtomicU64,
@@ -412,7 +463,8 @@ pub struct LnvcTelemetry {
     pub bytes_in: AtomicU64,
     /// Payload bytes delivered.
     pub bytes_out: AtomicU64,
-    /// Blocking receives on this conversation.
+    /// Blocking receives on this conversation (booked before the wait,
+    /// outside the lock: the one RMW-written field).
     pub recv_waits: AtomicU64,
     /// Messages reclaimed from this conversation's queue.
     pub reclaims: AtomicU64,
@@ -421,24 +473,9 @@ pub struct LnvcTelemetry {
     _pad0: [u8; 8],
     /// Send→receive latency in nanoseconds.
     pub latency: Histogram,
-    _pad1: [u8; 40],
-}
-
-impl Default for LnvcTelemetry {
-    fn default() -> Self {
-        Self {
-            sends: AtomicU64::new(0),
-            receives: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            recv_waits: AtomicU64::new(0),
-            reclaims: AtomicU64::new(0),
-            depth_hwm: AtomicU64::new(0),
-            _pad0: [0; 8],
-            latency: Histogram::default(),
-            _pad1: [0; 40],
-        }
-    }
+    /// Payload sizes of accepted sends.
+    pub sizes: Histogram,
+    _pad1: [u8; 16],
 }
 
 impl LnvcTelemetry {
@@ -448,24 +485,6 @@ impl LnvcTelemetry {
     pub fn note_depth(&self, depth: u64) {
         if depth > self.depth_hwm.load(Ordering::Relaxed) {
             self.depth_hwm.store(depth, Ordering::Relaxed);
-        }
-    }
-
-    /// Resets every counter; called when an LNVC slot is recycled so a new
-    /// conversation does not inherit its predecessor's numbers.
-    pub fn reset(&self) {
-        self.sends.store(0, Ordering::Relaxed);
-        self.receives.store(0, Ordering::Relaxed);
-        self.bytes_in.store(0, Ordering::Relaxed);
-        self.bytes_out.store(0, Ordering::Relaxed);
-        self.recv_waits.store(0, Ordering::Relaxed);
-        self.reclaims.store(0, Ordering::Relaxed);
-        self.depth_hwm.store(0, Ordering::Relaxed);
-        self.latency.count.store(0, Ordering::Relaxed);
-        self.latency.sum.store(0, Ordering::Relaxed);
-        self.latency.max.store(0, Ordering::Relaxed);
-        for b in &self.latency.buckets {
-            b.store(0, Ordering::Relaxed);
         }
     }
 
@@ -480,6 +499,7 @@ impl LnvcTelemetry {
             reclaims: self.reclaims.load(Ordering::Relaxed),
             depth_hwm: self.depth_hwm.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
+            sizes: self.sizes.snapshot(),
         }
     }
 }
@@ -503,6 +523,8 @@ pub struct LnvcTelSnapshot {
     pub depth_hwm: u64,
     /// See [`LnvcTelemetry::latency`].
     pub latency: HistSnapshot,
+    /// See [`LnvcTelemetry::sizes`].
+    pub sizes: HistSnapshot,
 }
 
 // ---------------------------------------------------------------------------
@@ -552,7 +574,7 @@ mod tests {
     fn histogram_counts_and_percentiles() {
         let h = Histogram::default();
         for v in 1..=100u64 {
-            h.record(v);
+            h.record_locked(v);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 100);
@@ -576,7 +598,7 @@ mod tests {
     #[test]
     fn percentile_clamps_to_observed_max() {
         let h = Histogram::default();
-        h.record(1_000_000);
+        h.record_locked(1_000_000);
         let s = h.snapshot();
         assert_eq!(s.percentile(0.99), 1_000_000);
     }
@@ -584,10 +606,10 @@ mod tests {
     #[test]
     fn histogram_diff_subtracts_buckets() {
         let h = Histogram::default();
-        h.record(10);
+        h.record_locked(10);
         let early = h.snapshot();
-        h.record(10);
-        h.record(20);
+        h.record_locked(10);
+        h.record_locked(20);
         let late = h.snapshot();
         let d = late.diff(&early);
         assert_eq!(d.count, 2);
@@ -601,7 +623,7 @@ mod tests {
         let t = FacilityTelemetry::default();
         t.sends.inc();
         t.bytes_in.add(100);
-        t.size_hist.record(100);
+        t.size_hist.record_locked(100);
         let a = t.snapshot();
         t.sends.inc();
         t.receives.inc();
@@ -613,15 +635,36 @@ mod tests {
     }
 
     #[test]
-    fn lnvc_telemetry_reset_clears_everything() {
-        let t = LnvcTelemetry::default();
-        t.sends.fetch_add(4, Ordering::Relaxed);
-        t.note_depth(9);
-        t.latency.record(1234);
-        t.reset();
-        let s = t.snapshot();
-        assert_eq!(s.sends, 0);
-        assert_eq!(s.depth_hwm, 0);
-        assert_eq!(s.latency.count, 0);
+    fn retire_moves_a_conversation_into_the_shard_and_totals_hold() {
+        let (shard, lnvc) = (FacilityTelemetry::default(), LnvcTelemetry::default());
+        // A folder that died mid-fold left the sequence odd.
+        let seq = AtomicU32::new(5);
+        shard.recv_waits.inc();
+        bump(&lnvc.sends, 4);
+        bump(&lnvc.reclaims, 3);
+        lnvc.note_depth(9);
+        lnvc.sizes.record_locked(100);
+        lnvc.latency.record_locked(1234);
+        let total = || facility_snapshot(&seq, [&shard].into_iter(), [&lnvc].into_iter());
+        let before = total();
+        assert_eq!(
+            (before.sends, before.reclaims, before.recv_waits),
+            (4, 3, 1)
+        );
+        assert_eq!((before.size_hist.sum, before.latency_hist.max), (100, 1234));
+        shard.retire(&lnvc, &seq);
+        assert_eq!(seq.load(Ordering::Relaxed), 6, "repaired, and even again");
+        let (after, emptied) = (total(), lnvc.snapshot());
+        assert_eq!((after.sends, after.reclaims, after.recv_waits), (4, 3, 1));
+        assert_eq!(after.size_hist.buckets, before.size_hist.buckets);
+        assert_eq!(
+            (after.latency_hist.count, after.latency_hist.max),
+            (1, 1234)
+        );
+        assert_eq!(
+            (emptied.sends, emptied.depth_hwm, emptied.sizes.count),
+            (0, 0, 0)
+        );
+        assert_eq!(shard.snapshot().sends, 4);
     }
 }
