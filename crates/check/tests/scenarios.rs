@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mpf::{ExhaustPolicy, Mpf, MpfConfig, ProcessId, Protocol};
+use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_check::{explore_dfs, explore_random, Case, ExploreOpts};
 
 fn p(i: usize) -> ProcessId {
@@ -306,8 +306,7 @@ fn flow_control_wakeups_under_pressure() {
         let cfg = MpfConfig::new(2, 2)
             .with_total_blocks(4)
             .with_block_payload(16)
-            .with_max_messages(4)
-            .with_exhaust_policy(ExhaustPolicy::Wait);
+            .with_max_messages(4);
         let total = cfg.total_blocks;
         let mpf = Arc::new(Mpf::init(cfg).expect("init"));
         let tx = mpf.open_send(p(0), "pressure").expect("open_send");

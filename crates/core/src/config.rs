@@ -10,19 +10,6 @@ use mpf_shm::waitq::WaitStrategy;
 
 use crate::types::MAX_LNVC_INDEX;
 
-/// What `message_send` does when the message-header or block pools are
-/// exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExhaustPolicy {
-    /// Block until another process frees capacity (flow control).  This is
-    /// the default: the paper's fixed region simply fills and senders are
-    /// at the mercy of consumers.
-    #[default]
-    Wait,
-    /// Fail immediately with `MessagesExhausted`/`BlocksExhausted`.
-    Error,
-}
-
 /// Configuration for [`crate::Mpf::init`].
 #[derive(Debug, Clone)]
 pub struct MpfConfig {
@@ -41,21 +28,21 @@ pub struct MpfConfig {
     pub max_send_conns: u32,
     /// Number of receive-connection descriptors.
     pub max_recv_conns: u32,
-    /// Behaviour when the region is full.
-    pub exhaust_policy: ExhaustPolicy,
     /// Whether the facility records in-region telemetry (counters and
-    /// histograms).  On by default — the cost is one relaxed
-    /// atomic per counter; the off switch exists so benchmarks can measure
-    /// exactly that cost.  The telemetry segments are always carved (the
+    /// histograms).  On by default — a per-message counter is a plain
+    /// load and store under the conversation lock the operation already
+    /// holds; the off switch exists so benchmarks can measure exactly
+    /// that cost.  The telemetry segments are always carved (the
     /// layout does not depend on this flag); disabling only stops writes.
     pub telemetry: bool,
     /// Latency sampling period: stamp a send timestamp on 1-in-N messages
     /// (1 = every message, the default).  The send→receive latency
-    /// histogram costs two `clock_gettime` calls per message — the last
-    /// per-message syscalls on the hot path; sampling keeps the histogram
-    /// statistically useful while removing both calls from the other
-    /// N−1 messages.  Unsampled deliveries skip latency recording only;
-    /// every other counter still updates.
+    /// histogram costs two reads of the calibrated cycle counter per
+    /// message (~21 ns each; no syscall), the largest observability cost
+    /// left at 16 B; sampling keeps the histogram statistically useful
+    /// while removing both reads from the other N−1 messages.  Unsampled
+    /// deliveries skip latency recording only; every other counter still
+    /// updates.
     pub latency_sample_every: u32,
     /// Causal-trace sampling period: record 1-in-N causal chains in the
     /// per-process trace rings (1 = trace every chain, the default;
@@ -85,7 +72,6 @@ impl MpfConfig {
             max_messages: 2048,
             max_send_conns: conns,
             max_recv_conns: conns,
-            exhaust_policy: ExhaustPolicy::Wait,
             telemetry: true,
             latency_sample_every: 1,
             trace_sample_every: 1,
@@ -132,12 +118,6 @@ impl MpfConfig {
         self
     }
 
-    /// Sets the pool-exhaustion policy.
-    pub fn with_exhaust_policy(mut self, policy: ExhaustPolicy) -> Self {
-        self.exhaust_policy = policy;
-        self
-    }
-
     /// Enables or disables in-region telemetry recording (on by default).
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
@@ -146,7 +126,7 @@ impl MpfConfig {
 
     /// Samples send→receive latency on 1-in-`every` messages (≥ 1).  The
     /// default, 1, stamps every message; larger values drop the two
-    /// remaining per-message clock reads from the hot path.
+    /// per-message clock reads from the hot path.
     pub fn latency_sample_rate(mut self, every: u32) -> Self {
         assert!(every >= 1, "latency sample period must be at least 1");
         self.latency_sample_every = every;
@@ -192,7 +172,6 @@ mod tests {
             .with_max_messages(10)
             .with_max_connections(7)
             .with_wait_strategy(WaitStrategy::Park)
-            .with_exhaust_policy(ExhaustPolicy::Error)
             .with_telemetry(false)
             .latency_sample_rate(16)
             .trace_sample_rate(8);
@@ -204,7 +183,6 @@ mod tests {
         assert_eq!(cfg.max_messages, 10);
         assert_eq!(cfg.max_send_conns, 7);
         assert_eq!(cfg.max_recv_conns, 7);
-        assert_eq!(cfg.exhaust_policy, ExhaustPolicy::Error);
     }
 
     #[test]

@@ -130,58 +130,143 @@ enum ConnKind {
 /// Resolved byte offsets of every segment (computed once at map time from
 /// the config echo — identical in every process because the layout is a
 /// pure function of the config).
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-pub struct Offsets {
-    pub header: usize,
-    pub slots: usize,
-    pub lnvcs: usize,
-    pub registry: usize,
-    pub msgs: usize,
-    pub sends: usize,
-    pub recvs: usize,
-    pub links: usize,
-    pub payloads: usize,
-    pub fac_tel: usize,
-    pub lnvc_tel: usize,
-    pub trace_rings: usize,
-    pub aio_sq: usize,
-    pub aio_cq: usize,
+struct Offsets {
+    header: usize,
+    slots: usize,
+    lnvcs: usize,
+    registry: usize,
+    msgs: usize,
+    sends: usize,
+    recvs: usize,
+    links: usize,
+    payloads: usize,
+    fac_tel: usize,
+    lnvc_tel: usize,
+    trace_rings: usize,
+    aio_sq: usize,
+    aio_cq: usize,
 }
 
-/// Pool sizes (config echo, denormalized for hot-path use).
-#[derive(Debug, Clone, Copy)]
-struct Counts {
-    max_lnvcs: u32,
-    max_processes: u32,
-    block_payload: usize,
-    total_blocks: u32,
-    max_messages: u32,
-    max_send_conns: u32,
-    max_recv_conns: u32,
+/// A carved region as typed tables: the mapping plus the segment offsets
+/// of the configuration it was carved for.  A participant ([`IpcMpf`]) and
+/// the read-only inspector in `mpf-ipc` reach every in-region struct
+/// through this one view.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct Tables {
+    region: ShmRegion,
+    off: Offsets,
 }
 
-/// The segment offsets of `cfg`'s carve (for the read-only inspector in
-/// `mpf-ipc`, which overlays the same structs without joining).
-#[doc(hidden)]
-pub fn offsets_for(cfg: &MpfConfig) -> Offsets {
-    let l = RegionLayout::for_config(cfg);
-    let seg = |name: &str| l.segment(name).expect("carved segment").offset;
-    Offsets {
-        header: seg("region header"),
-        slots: seg("process slots"),
-        lnvcs: seg("lnvc descriptors"),
-        registry: seg("name registry"),
-        msgs: seg("message headers"),
-        sends: seg("send descriptors"),
-        recvs: seg("receive descriptors"),
-        links: seg("block links"),
-        payloads: seg("block payloads"),
-        fac_tel: seg("facility telemetry"),
-        lnvc_tel: seg("lnvc telemetry"),
-        trace_rings: seg("trace rings"),
-        aio_sq: seg("aio sq rings"),
-        aio_cq: seg("aio cq rings"),
+impl Tables {
+    /// `region` as the carve of `cfg`: the caller carved it so, or
+    /// [`verify_carve`] said it is.
+    pub fn new(region: ShmRegion, cfg: &MpfConfig) -> Self {
+        let l = RegionLayout::for_config(cfg);
+        let seg = |name: &str| l.segment(name).expect("carved segment").offset;
+        let off = Offsets {
+            header: seg("region header"),
+            slots: seg("process slots"),
+            lnvcs: seg("lnvc descriptors"),
+            registry: seg("name registry"),
+            msgs: seg("message headers"),
+            sends: seg("send descriptors"),
+            recvs: seg("receive descriptors"),
+            links: seg("block links"),
+            payloads: seg("block payloads"),
+            fac_tel: seg("facility telemetry"),
+            lnvc_tel: seg("lnvc telemetry"),
+            trace_rings: seg("trace rings"),
+            aio_sq: seg("aio sq rings"),
+            aio_cq: seg("aio cq rings"),
+        };
+        Self { region, off }
+    }
+
+    /// The mapping itself.
+    pub fn region(&self) -> &ShmRegion {
+        &self.region
+    }
+
+    /// Slot `i` of the table of `T`s carved at byte offset `base`.
+    fn table<T>(&self, base: usize, i: u32) -> &T {
+        // SAFETY: only called with the in-region structs of `shmem` and
+        // `mpf_shm`, each `#[repr(C)]` over atomics — valid for any bit
+        // pattern, shared through `&` — at the base of its own table, and
+        // every table starts 64-byte aligned with a stride that keeps
+        // `T`'s alignment (const-asserted in `shmem`); `at` bounds-checks
+        // the slot against the mapping, whatever `i` a caller passes, so
+        // an index read from a torn or corrupt region cannot leave it.  A
+        // read-only mapping (the inspector's) changes nothing: loads are
+        // all its holder does, and a store would fault, not corrupt.
+        unsafe { self.region.at(base + i as usize * std::mem::size_of::<T>()) }
+    }
+
+    pub fn header(&self) -> &RegionHeader {
+        self.table(self.off.header, 0)
+    }
+
+    /// Process slot `i`; the index is the MPF process id.
+    pub fn slot(&self, i: u32) -> &ProcessSlot {
+        self.table(self.off.slots, i)
+    }
+
+    pub fn lnvc(&self, i: u32) -> &LnvcDesc {
+        self.table(self.off.lnvcs, i)
+    }
+
+    pub fn reg_entry(&self, i: u32) -> &RegistryEntry {
+        self.table(self.off.registry, i)
+    }
+
+    pub fn msg(&self, i: u32) -> &MsgDesc {
+        self.table(self.off.msgs, i)
+    }
+
+    fn send(&self, i: u32) -> &SendDesc {
+        self.table(self.off.sends, i)
+    }
+
+    pub fn recv(&self, i: u32) -> &RecvDesc {
+        self.table(self.off.recvs, i)
+    }
+
+    /// Block `i`'s link: the next block of its chain, or of the free list.
+    pub fn block_link(&self, i: u32) -> &AtomicU32 {
+        self.table(self.off.links, i)
+    }
+
+    /// Process `slot`'s facility-telemetry shard: its cold counters and
+    /// what the conversations it deleted had counted.
+    pub fn fac_tel(&self, slot: u32) -> &FacilityTelemetry {
+        self.table(self.off.fac_tel, slot)
+    }
+
+    pub fn lnvc_tel(&self, i: u32) -> &LnvcTelemetry {
+        self.table(self.off.lnvc_tel, i)
+    }
+
+    /// Process `p`'s trace ring.
+    pub fn trace_ring(&self, p: u32) -> &TraceRing {
+        self.table(self.off.trace_rings, p)
+    }
+
+    /// Process `p`'s aio submission ring.
+    pub fn aio_sq(&self, p: u32) -> &AioRing {
+        self.table(self.off.aio_sq, p)
+    }
+
+    /// Process `p`'s aio completion ring.
+    pub fn aio_cq(&self, p: u32) -> &AioRing {
+        self.table(self.off.aio_cq, p)
+    }
+
+    /// `n` bytes of the block store, from byte `at` of it.
+    fn payload(&self, at: usize, n: usize) -> *mut u8 {
+        // SAFETY: `bytes_at` bounds-checks the range against the mapping;
+        // what may read or write the bytes is the caller's protocol.
+        unsafe { self.region.bytes_at(self.off.payloads + at, n) }
     }
 }
 
@@ -248,23 +333,15 @@ fn locked_update(word: &AtomicU32, f: impl FnOnce(u32) -> u32) -> u32 {
 /// anonymous one.
 #[derive(Debug)]
 pub struct IpcMpf {
-    region: ShmRegion,
-    off: Offsets,
-    counts: Counts,
+    t: Tables,
+    /// The creator's configuration, echoed in the header so every attacher
+    /// agrees: the pool sizes, whether telemetry is recorded (the segments
+    /// exist either way), and the latency and chain sampling periods.
+    cfg: MpfConfig,
     /// Our process slot index — the MPF process id.
     me: u32,
-    /// Whether telemetry recording is on (creator's choice, echoed in the
-    /// header so every attacher agrees).  The segments exist either way.
-    tel_on: bool,
-    /// Latency sampling period (creator's choice, echoed in the header):
-    /// stamp `sent_at` on 1-in-N sends.
-    latency_every: u32,
     /// Local send counter driving the 1-in-N latency sample.
     latency_tick: AtomicU64,
-    /// Chain-sampling period (creator's choice, echoed in the header):
-    /// mint a traced root for 1-in-N new causal chains; 0 disables
-    /// tracing entirely.
-    trace_every: u32,
     /// Local counter driving root-id serials and the 1-in-N chain sample.
     trace_tick: AtomicU64,
     /// This process's causal context: the chain of its last delivery,
@@ -278,6 +355,15 @@ pub struct IpcMpf {
     last_sweep: AtomicU64,
     /// Sweeps this handle has run, found anything or not (test hook).
     sweeps_run: AtomicU64,
+}
+
+/// How long a receive may wait for its first delivery.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Not at all: one pass over the queue.
+    No,
+    /// Until the deadline (`None` = for as long as it takes).
+    Until(Option<Instant>),
 }
 
 /// Watches armed by one doorbell wait; disarmed on drop.
@@ -339,48 +425,19 @@ impl IpcMpf {
         // Calibrate the cycle-counter clock before any event can need a
         // timestamp (one-time cost, shared by telemetry and tracing).
         mpf_shm::clock::calibrate();
-        let mut this = Self::handle(region, cfg);
+        let mut this = Self::slotless(Tables::new(region, cfg), cfg.clone());
         this.carve(cfg, total);
         this.me = this.claim_slot()?;
         Ok(this)
     }
 
-    /// A handle on `region`, carved for `cfg`, that owns no slot yet.
-    fn handle(region: ShmRegion, cfg: &MpfConfig) -> Self {
-        let counts = Counts {
-            max_lnvcs: cfg.max_lnvcs,
-            max_processes: cfg.max_processes,
-            block_payload: cfg.block_payload,
-            total_blocks: cfg.total_blocks,
-            max_messages: cfg.max_messages,
-            max_send_conns: cfg.max_send_conns,
-            max_recv_conns: cfg.max_recv_conns,
-        };
-        let sampling = (
-            cfg.telemetry,
-            cfg.latency_sample_every.max(1),
-            cfg.trace_sample_every,
-        );
-        Self::slotless(region, offsets_for(cfg), counts, sampling)
-    }
-
-    /// A handle with fresh per-process state that owns no slot yet;
-    /// `sampling` is `(tel_on, latency_every, trace_every)`.
-    fn slotless(
-        region: ShmRegion,
-        off: Offsets,
-        counts: Counts,
-        sampling: (bool, u32, u32),
-    ) -> Self {
+    /// A handle with fresh per-process state that owns no slot yet.
+    fn slotless(t: Tables, cfg: MpfConfig) -> Self {
         Self {
-            region,
-            off,
-            counts,
+            t,
+            cfg,
             me: 0,
-            tel_on: sampling.0,
-            latency_every: sampling.1,
             latency_tick: AtomicU64::new(0),
-            trace_every: sampling.2,
             trace_tick: AtomicU64::new(0),
             ctx_trace: AtomicU64::new(0),
             ctx_hop: AtomicU32::new(0),
@@ -403,8 +460,11 @@ impl IpcMpf {
     /// anonymous region it shares the one mapping.
     pub fn attach_view(&self) -> std::result::Result<Self, AttachError> {
         // This handle already verified the header the view would read.
-        let sampling = (self.tel_on, self.latency_every, self.trace_every);
-        let mut view = Self::slotless(self.region.attach_again()?, self.off, self.counts, sampling);
+        let again = Tables {
+            region: self.t.region.attach_again()?,
+            off: self.t.off,
+        };
+        let mut view = Self::slotless(again, self.cfg.clone());
         view.me = view.claim_slot()?;
         Ok(view)
     }
@@ -442,7 +502,7 @@ impl IpcMpf {
             std::thread::sleep(Duration::from_millis(1));
         }
         let cfg = verify_carve(&region)?;
-        let mut this = Self::handle(region, &cfg);
+        let mut this = Self::slotless(Tables::new(region, &cfg), cfg);
         this.me = this.claim_slot()?;
         Ok(this)
     }
@@ -451,7 +511,7 @@ impl IpcMpf {
     /// `state = READY` barrier release (`Release` ordering publishes the
     /// carve to attaching processes).
     fn carve(&self, cfg: &MpfConfig, total: usize) {
-        let h = self.header();
+        let h = self.t.header();
         h.layout_version.store(LAYOUT_VERSION, Ordering::Relaxed);
         h.total_bytes.store(total as u64, Ordering::Relaxed);
         let echo = &h.cfg;
@@ -471,26 +531,26 @@ impl IpcMpf {
         }
         // Thread the four free lists, low indices first out.
         h.msg_free.thread(cfg.max_messages, |s, n| {
-            self.msg(s).next.store(n, Ordering::Relaxed)
+            self.t.msg(s).next.store(n, Ordering::Relaxed)
         });
         h.block_free.thread(cfg.total_blocks, |s, n| {
-            self.block_link(s).store(n, Ordering::Relaxed)
+            self.t.block_link(s).store(n, Ordering::Relaxed)
         });
         h.send_free.thread(cfg.max_send_conns, |s, n| {
-            self.send(s).next.store(n, Ordering::Relaxed)
+            self.t.send(s).next.store(n, Ordering::Relaxed)
         });
         h.recv_free.thread(cfg.max_recv_conns, |s, n| {
-            self.recv(s).next.store(n, Ordering::Relaxed)
+            self.t.recv(s).next.store(n, Ordering::Relaxed)
         });
         for i in 0..cfg.max_lnvcs {
-            self.lnvc(i).q_head.store(NIL, Ordering::Relaxed);
-            self.lnvc(i).q_tail.store(NIL, Ordering::Relaxed);
-            self.lnvc(i).send_head.store(NIL, Ordering::Relaxed);
-            self.lnvc(i).recv_head.store(NIL, Ordering::Relaxed);
+            self.t.lnvc(i).q_head.store(NIL, Ordering::Relaxed);
+            self.t.lnvc(i).q_tail.store(NIL, Ordering::Relaxed);
+            self.t.lnvc(i).send_head.store(NIL, Ordering::Relaxed);
+            self.t.lnvc(i).recv_head.store(NIL, Ordering::Relaxed);
         }
         for p in 0..cfg.max_processes {
-            self.aio_sq(p).reset();
-            self.aio_cq(p).reset();
+            self.t.aio_sq(p).reset();
+            self.t.aio_cq(p).reset();
         }
         h.magic.store(REGION_MAGIC, Ordering::Release);
         h.state.store(region_state::READY, Ordering::Release);
@@ -499,8 +559,8 @@ impl IpcMpf {
     /// Claims a free (or swept-dead) process slot; the index becomes this
     /// process's MPF pid.
     fn claim_slot(&self) -> Result<u32> {
-        for i in 0..self.counts.max_processes {
-            let s = self.slot(i);
+        for i in 0..self.cfg.max_processes {
+            let s = self.t.slot(i);
             for from in [slot_state::FREE, slot_state::DEAD] {
                 if s.state
                     .compare_exchange(
@@ -523,90 +583,12 @@ impl IpcMpf {
                     // Tag the slot's trace ring with the new writer; on a
                     // recycled slot the predecessor's (timestamped) events
                     // remain readable until overwritten.
-                    self.trace_ring(i).set_writer_pid(std::process::id());
+                    self.t.trace_ring(i).set_writer_pid(std::process::id());
                     return Ok(i);
                 }
             }
         }
         Err(MpfError::InvalidProcess)
-    }
-
-    // -- raw accessors -------------------------------------------------
-
-    /// Slot `i` of the table of `T`s carved at byte offset `base`.
-    fn table<T>(&self, base: usize, i: u32) -> &T {
-        // SAFETY: every in-region struct is `#[repr(C)]` over atomics —
-        // valid for any bit pattern, shared through `&` — and every table
-        // starts 64-byte aligned with a stride that keeps `T`'s alignment
-        // (const-asserted in `shmem`); `at` bounds-checks the slot against
-        // the mapping, whatever `i` a caller passes.
-        unsafe { self.region.at(base + i as usize * std::mem::size_of::<T>()) }
-    }
-
-    fn header(&self) -> &RegionHeader {
-        self.table(self.off.header, 0)
-    }
-
-    fn slot(&self, i: u32) -> &ProcessSlot {
-        debug_assert!(i < self.counts.max_processes);
-        self.table(self.off.slots, i)
-    }
-
-    fn lnvc(&self, i: u32) -> &LnvcDesc {
-        debug_assert!(i < self.counts.max_lnvcs);
-        self.table(self.off.lnvcs, i)
-    }
-
-    fn reg_entry(&self, i: u32) -> &RegistryEntry {
-        self.table(self.off.registry, i)
-    }
-
-    fn msg(&self, i: u32) -> &MsgDesc {
-        debug_assert!(i < self.counts.max_messages);
-        self.table(self.off.msgs, i)
-    }
-
-    fn send(&self, i: u32) -> &SendDesc {
-        self.table(self.off.sends, i)
-    }
-
-    fn recv(&self, i: u32) -> &RecvDesc {
-        self.table(self.off.recvs, i)
-    }
-
-    fn block_link(&self, i: u32) -> &AtomicU32 {
-        debug_assert!(i < self.counts.total_blocks);
-        self.table(self.off.links, i)
-    }
-
-    /// Process `slot`'s facility-telemetry shard: its cold counters and
-    /// what the conversations it deleted had counted.
-    fn fac_tel(&self, slot: u32) -> &FacilityTelemetry {
-        debug_assert!(slot < self.counts.max_processes);
-        self.table(self.off.fac_tel, slot)
-    }
-
-    fn lnvc_tel(&self, i: u32) -> &LnvcTelemetry {
-        debug_assert!(i < self.counts.max_lnvcs);
-        self.table(self.off.lnvc_tel, i)
-    }
-
-    /// Process `p`'s trace ring.
-    fn trace_ring(&self, p: u32) -> &TraceRing {
-        debug_assert!(p < self.counts.max_processes);
-        self.table(self.off.trace_rings, p)
-    }
-
-    /// Process `p`'s aio submission ring.
-    fn aio_sq(&self, p: u32) -> &AioRing {
-        debug_assert!(p < self.counts.max_processes);
-        self.table(self.off.aio_sq, p)
-    }
-
-    /// Process `p`'s aio completion ring.
-    fn aio_cq(&self, p: u32) -> &AioRing {
-        debug_assert!(p < self.counts.max_processes);
-        self.table(self.off.aio_cq, p)
     }
 
     /// Frees every message still staged in process `p`'s submission ring
@@ -615,13 +597,13 @@ impl IpcMpf {
     /// were allocated from the shared pools but never enqueued, so nobody
     /// else will ever free them.
     fn reclaim_aio_of(&self, p: u32) {
-        let sq = self.aio_sq(p);
+        let sq = self.t.aio_sq(p);
         while let Some(e) = sq.try_pop() {
-            if e.arg0 < self.counts.max_messages {
+            if e.arg0 < self.cfg.max_messages {
                 self.free_message(e.arg0);
             }
         }
-        let cq = self.aio_cq(p);
+        let cq = self.t.aio_cq(p);
         while cq.try_pop().is_some() {}
     }
 
@@ -632,7 +614,7 @@ impl IpcMpf {
     /// conversation, under its lock ([`Self::lnvc_tel`]).
     #[inline]
     fn tel(&self) -> Option<&FacilityTelemetry> {
-        self.tel_on.then(|| self.fac_tel(self.me))
+        self.cfg.telemetry.then(|| self.t.fac_tel(self.me))
     }
 
     /// Books the first wait of one blocking receive on conversation `idx`
@@ -640,7 +622,8 @@ impl IpcMpf {
     fn note_recv_wait(&self, idx: u32) {
         if let Some(t) = self.tel() {
             t.recv_waits.inc();
-            self.lnvc_tel(idx)
+            self.t
+                .lnvc_tel(idx)
                 .recv_waits
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -659,18 +642,18 @@ impl IpcMpf {
     /// Books `freed` reclaimed messages against conversation `idx`, whose
     /// lock the caller holds — the same hold that freed them.
     fn note_reclaim(&self, idx: u32, freed: u32) {
-        if freed != 0 && self.tel_on {
-            bump(&self.lnvc_tel(idx).reclaims, u64::from(freed));
+        if freed != 0 && self.cfg.telemetry {
+            bump(&self.t.lnvc_tel(idx).reclaims, u64::from(freed));
         }
     }
 
     /// Liveness oracle for [`mpf_shm::IpcLock`] holders.  Lock owner ids
     /// are `mpf_pid + 1` (0 means "free"), hence the shift.
     fn holder_alive(&self, owner: u32) -> bool {
-        if owner == 0 || owner > self.counts.max_processes {
+        if owner == 0 || owner > self.cfg.max_processes {
             return false;
         }
-        self.slot(owner - 1).owner_alive()
+        self.t.slot(owner - 1).owner_alive()
     }
 
     fn lock_owner(&self) -> u32 {
@@ -711,18 +694,18 @@ impl IpcMpf {
     /// its only writer, so load + store; two threads of one view can lose
     /// a tick between them, which a beacon does not mind.
     fn heartbeat(&self) {
-        bump(&self.slot(self.me).heartbeat, 1);
+        bump(&self.t.slot(self.me).heartbeat, 1);
     }
 
     /// Whether this send should carry a latency origin stamp (1-in-N
     /// sampling, period fixed at region creation).
     #[inline]
     fn sample_latency(&self) -> bool {
-        self.latency_every <= 1
+        self.cfg.latency_sample_every <= 1
             || self
                 .latency_tick
                 .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(u64::from(self.latency_every))
+                .is_multiple_of(u64::from(self.cfg.latency_sample_every))
     }
 
     // -- causal tracing -------------------------------------------------
@@ -731,7 +714,7 @@ impl IpcMpf {
     /// `trace_sample_rate(0)` turns it off, echoed in the header).
     #[inline]
     fn tracing(&self) -> bool {
-        self.trace_every != 0
+        self.cfg.trace_sample_every != 0
     }
 
     /// Decides the (trace id, hop) of a send by this process: continues
@@ -748,8 +731,8 @@ impl IpcMpf {
             return (inherited, self.ctx_hop.load(Ordering::Relaxed) + 1);
         }
         let n = self.trace_tick.fetch_add(1, Ordering::Relaxed);
-        if !n.is_multiple_of(u64::from(self.trace_every)) {
-            self.trace_ring(self.me).note_skipped();
+        if !n.is_multiple_of(u64::from(self.cfg.trace_sample_every)) {
+            self.t.trace_ring(self.me).note_skipped();
             return (0, 0);
         }
         // The serial is process-local, but the owner bits make roots
@@ -777,7 +760,8 @@ impl IpcMpf {
     ) {
         if trace != 0 {
             let t = if tstamp != 0 { tstamp } else { now_nanos() };
-            self.trace_ring(self.me)
+            self.t
+                .trace_ring(self.me)
                 .record_at(t, trace, stamp, kind, hop, lnvc, arg, arg2);
         }
     }
@@ -788,7 +772,8 @@ impl IpcMpf {
     /// the last things a process did, even across untraced gaps.
     fn trace_pop(&self, kind: u32, lnvc: u32, arg: u32) {
         if self.tracing() {
-            self.trace_ring(self.me)
+            self.t
+                .trace_ring(self.me)
                 .record_at(now_nanos(), 0, 0, kind, 0, lnvc, arg, 0);
         }
     }
@@ -805,7 +790,7 @@ impl IpcMpf {
         }
         if self.tracing() {
             let code = err.status_code().unsigned_abs();
-            self.trace_ring(self.me).record_at(
+            self.t.trace_ring(self.me).record_at(
                 now_nanos(),
                 0,
                 0,
@@ -839,18 +824,18 @@ impl IpcMpf {
     /// Number of process slots the region was carved for
     /// (`MpfConfig::max_processes`).
     pub fn max_processes(&self) -> u32 {
-        self.counts.max_processes
+        self.cfg.max_processes
     }
 
     /// Total region bytes mapped.
     pub fn region_bytes(&self) -> usize {
-        self.region.len()
+        self.t.region.len()
     }
 
     /// Base address of this mapping (differs between processes — that is
     /// the point).
     pub fn base_addr(&self) -> usize {
-        self.region.base() as usize
+        self.t.region.base() as usize
     }
 
     // -- the eight primitives ------------------------------------------
@@ -862,7 +847,7 @@ impl IpcMpf {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, created) = self.find_or_create(lname.as_str())?;
-            let d = self.lnvc(idx);
+            let d = self.t.lnvc(idx);
             self.lock_lnvc(d);
             let result = (|| {
                 self.poison_check(d)?;
@@ -873,11 +858,12 @@ impl IpcMpf {
                     return Err(MpfError::AlreadyConnected);
                 }
                 let conn = self
+                    .t
                     .header()
                     .send_free
-                    .pop(|i| self.send(i).next.load(Ordering::Acquire))
+                    .pop(|i| self.t.send(i).next.load(Ordering::Acquire))
                     .ok_or(MpfError::ConnectionsExhausted)?;
-                let s = self.send(conn);
+                let s = self.t.send(conn);
                 s.pid.store(self.me, Ordering::Release);
                 s.next
                     .store(d.send_head.load(Ordering::Acquire), Ordering::Release);
@@ -903,14 +889,14 @@ impl IpcMpf {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, created) = self.find_or_create(lname.as_str())?;
-            let d = self.lnvc(idx);
+            let d = self.t.lnvc(idx);
             self.lock_lnvc(d);
             let result = (|| {
                 self.poison_check(d)?;
                 if let Some(existing) =
                     self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
                 {
-                    let have = self.recv(existing).protocol_code();
+                    let have = self.t.recv(existing).protocol_code();
                     return Err(if have == protocol.code() {
                         MpfError::AlreadyConnected
                     } else {
@@ -920,11 +906,12 @@ impl IpcMpf {
                 let first_receiver =
                     d.n_fcfs.load(Ordering::Acquire) + d.n_bcast.load(Ordering::Acquire) == 0;
                 let conn = self
+                    .t
                     .header()
                     .recv_free
-                    .pop(|i| self.recv(i).next.load(Ordering::Acquire))
+                    .pop(|i| self.t.recv(i).next.load(Ordering::Acquire))
                     .ok_or(MpfError::ConnectionsExhausted)?;
-                let r = self.recv(conn);
+                let r = self.t.recv(conn);
                 r.pid.store(self.me, Ordering::Release);
                 r.protocol.store(protocol.code(), Ordering::Release);
                 // BROADCAST receivers see only messages sent after they
@@ -973,9 +960,10 @@ impl IpcMpf {
                 let conn = self
                     .unlink_conn(ConnKind::Send, &d.send_head, self.me)
                     .ok_or(MpfError::NotConnected)?;
-                self.header()
+                self.t
+                    .header()
                     .send_free
-                    .push(conn, |s, n| self.send(s).next.store(n, Ordering::Release));
+                    .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
                 d.n_senders.fetch_sub(1, Ordering::AcqRel);
                 if d.total_connections() == 0 {
                     self.delete_conversation(idx, d);
@@ -1025,7 +1013,7 @@ impl IpcMpf {
     /// enqueues it on the conversation.
     pub fn message_send(&self, id: IpcLnvcId, payload: &[u8]) -> Result<()> {
         self.heartbeat();
-        let max = self.counts.block_payload * self.counts.total_blocks as usize;
+        let max = self.cfg.max_message_bytes();
         if payload.len() > max {
             return Err(MpfError::MessageTooLarge {
                 len: payload.len(),
@@ -1046,59 +1034,91 @@ impl IpcMpf {
         // lock: exhaustion then never happens inside the critical
         // section, and a death mid-allocation cannot corrupt the queue.
         let m_idx = self.stage_message(idx, d, payload)?;
-        let m = self.msg(m_idx);
-        // Latency origin stamp; 0 means "not stamped" (telemetry off, or
-        // this send fell outside the 1-in-N latency sample), so the
-        // receiver never computes latency against a recycled value.
-        let sent_at = if self.tel_on && self.sample_latency() {
-            now_nanos()
-        } else {
-            0
+        // A run of one, in the form the submission ring stages them.
+        let (trace, hop) = self.trace_for_send();
+        let staged = RingEntry {
+            user_data: 0,
+            trace,
+            lnvc: idx,
+            arg0: m_idx,
+            arg1: payload.len() as u32,
+            status: hop as i32,
         };
-        m.sent_at.store(sent_at, Ordering::Release);
+        self.publish_run(idx, d, std::slice::from_ref(&staged))
+            .inspect_err(|_| self.free_message(m_idx))
+    }
 
+    /// The only routine that publishes: links the staged messages of
+    /// `run` — descriptors as [`Self::submit_sends`] stages them: message
+    /// index in `arg0`, length in `arg1`, causal id in `trace`, hop count
+    /// in `status` — at the tail of conversation `idx` under one lock hold,
+    /// with one receiver population and so one set of obligations, books
+    /// them, and wakes receivers once.  On error nothing was published and
+    /// the staged messages are still the caller's to free.
+    fn publish_run(&self, idx: u32, d: &LnvcDesc, run: &[RingEntry]) -> Result<()> {
+        // One clock read is the latency origin of every sampled message and
+        // dates every record: taken here, off the lock's critical path,
+        // when the first message is sure to need it, else at the first
+        // that does.
+        let certain =
+            run[0].trace != 0 || (self.cfg.telemetry && self.cfg.latency_sample_every <= 1);
+        let mut now = if certain { now_nanos() } else { 0 };
         self.lock_lnvc(d);
-        let result = (|| {
-            let (needs_fcfs, n_bcast) = self.send_obligations(d)?;
-            // Causal id stamped under the lock, before receivers can see
-            // the message; obligations are fixed at this instant, so the
-            // packed arg2 is what the conformance checker audits against.
-            let (trace, hop) = self.trace_for_send();
-            m.trace.store(trace, Ordering::Release);
-            m.hop.store(hop, Ordering::Release);
-            let (stamp, depth) = self.publish(d, m_idx, needs_fcfs, n_bcast);
-            if self.tel_on {
+        let published = self.send_obligations(d).map(|(needs_fcfs, n_bcast)| {
+            // Stamps are the region's total order over sends, increasing
+            // along every queue; a run takes its block of them in one
+            // step, so none has to be carried out of the lock one by one
+            // for the trace records below.
+            let first_stamp = self
+                .t
+                .header()
+                .next_stamp
+                .fetch_add(run.len() as u64, Ordering::AcqRel);
+            let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
+            let (mut bytes, mut depth) = (0u64, 0u32);
+            for (e, stamp) in run.iter().zip(first_stamp..) {
+                let m = self.t.msg(e.arg0);
+                // The causal id is in place before receivers can see the
+                // message (staging left both words zero).
+                if e.trace != 0 {
+                    m.trace.store(e.trace, Ordering::Release);
+                    m.hop.store(e.status as u32, Ordering::Release);
+                }
+                // Latency origin stamp; 0 means "not stamped" (telemetry
+                // off, or outside the 1-in-N latency sample), so the
+                // receiver never computes latency against a recycled value.
+                let sampled = self.cfg.telemetry && self.sample_latency();
+                if now == 0 && (sampled || e.trace != 0) {
+                    now = now_nanos();
+                }
+                m.sent_at
+                    .store(if sampled { now } else { 0 }, Ordering::Release);
+                depth = self.publish(d, e.arg0, stamp, needs_fcfs, n_bcast);
+                if let Some(lt) = lt {
+                    lt.sizes.record_locked(u64::from(e.arg1));
+                }
+                bytes += u64::from(e.arg1);
+            }
+            if let Some(lt) = lt {
                 // lt.* writes are serialised by the LNVC lock we hold, so
                 // the RMW-free `bump` is sound (see telemetry::bump).
-                let lt = self.lnvc_tel(idx);
-                bump(&lt.sends, 1);
-                bump(&lt.bytes_in, payload.len() as u64);
-                lt.sizes.record_locked(payload.len() as u64);
-                lt.note_depth(depth as u64);
+                bump(&lt.sends, run.len() as u64);
+                bump(&lt.bytes_in, bytes);
+                lt.note_depth(u64::from(depth));
             }
-            Ok((stamp, trace, hop, (u32::from(needs_fcfs) << 16) | n_bcast))
-        })();
+            // Obligations are fixed at this instant; packed, they are what
+            // the conformance checker audits the deliveries against.
+            (first_stamp, (u32::from(needs_fcfs) << 16) | n_bcast)
+        });
         d.lock.unlock();
-        match result {
-            Ok((stamp, trace, hop, obligations)) => {
-                self.trace_rec_at(
-                    sent_at,
-                    TR_SEND,
-                    hop,
-                    trace,
-                    idx,
-                    stamp,
-                    payload.len() as u32,
-                    obligations,
-                );
-                self.notify_lnvc(d);
-                Ok(())
-            }
-            Err(e) => {
-                self.free_message(m_idx);
-                Err(e)
-            }
+        let (first_stamp, obligations) = published?;
+        // One wake for the whole run — the amortisation the rings buy.
+        self.notify_lnvc(d);
+        for (e, stamp) in run.iter().zip(first_stamp..) {
+            let hop = e.status as u32;
+            self.trace_rec_at(now, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
         }
+        Ok(())
     }
 
     /// `check_receive`: non-destructively reports whether a message is
@@ -1121,12 +1141,9 @@ impl IpcMpf {
     /// Non-blocking `message_receive`: `Ok(None)` when nothing is
     /// deliverable.
     pub fn try_message_receive(&self, id: IpcLnvcId, buf: &mut [u8]) -> Result<Option<usize>> {
-        self.heartbeat();
-        let (idx, d) = self.resolve(id)?;
-        self.lock_lnvc(d);
-        let result = self.receive_locked(idx, d, |m, len| self.copy_out(m, len, buf));
-        d.lock.unlock();
-        result
+        let take = |m: &MsgDesc, len| self.copy_out(m, len, buf);
+        let (msgs, bytes) = self.receive_with(id, Wait::No, 1, take)?;
+        Ok((msgs != 0).then_some(bytes))
     }
 
     /// Blocking `message_receive`: the paper's default.  Waits on the
@@ -1134,19 +1151,39 @@ impl IpcMpf {
     /// [`RECV_SWEEP_INTERVAL`] for a liveness sweep, so a dead sender
     /// converts a would-be deadlock into [`MpfError::PeerDied`].
     pub fn message_receive(&self, id: IpcLnvcId, buf: &mut [u8]) -> Result<usize> {
-        self.receive_blocking(id, None, |m, len| self.copy_out(m, len, buf))
+        self.recv_deadline(id, buf, None)
     }
 
-    /// Blocking receive with an optional timeout ([`MpfError::WouldBlock`]
-    /// when it expires).
+    /// Blocking receive with a timeout ([`MpfError::WouldBlock`] when it
+    /// expires: its original contract, kept for existing callers;
+    /// [`Self::recv_deadline`] is the form that reports
+    /// [`MpfError::TimedOut`]).
     pub fn message_receive_timeout(
         &self,
         id: IpcLnvcId,
         buf: &mut [u8],
         timeout: Duration,
     ) -> Result<usize> {
-        let deadline = Some(Instant::now() + timeout);
-        self.receive_blocking(id, deadline, |m, len| self.copy_out(m, len, buf))
+        match self.recv_deadline(id, buf, Some(Instant::now() + timeout)) {
+            Err(MpfError::TimedOut) => Err(MpfError::WouldBlock),
+            other => other,
+        }
+    }
+
+    /// Deadline-bounded blocking receive: [`MpfError::TimedOut`] once
+    /// `deadline` passes with nothing deliverable (`None` blocks
+    /// forever, like [`Self::message_receive`]).
+    ///
+    /// The expiry check runs *after* each delivery attempt, so a message
+    /// racing the deadline is delivered, not timed out.
+    pub fn recv_deadline(
+        &self,
+        id: IpcLnvcId,
+        buf: &mut [u8],
+        deadline: Option<Instant>,
+    ) -> Result<usize> {
+        let take = |m: &MsgDesc, len| self.copy_out(m, len, buf);
+        Ok(self.receive_with(id, Wait::Until(deadline), 1, take)?.1)
     }
 
     /// Zero-copy blocking receive: the next message's payload is visited
@@ -1165,89 +1202,73 @@ impl IpcMpf {
         id: IpcLnvcId,
         mut visit: impl FnMut(&[u8]),
     ) -> Result<usize> {
-        self.receive_blocking(id, None, |m, len| {
+        let take = |m: &MsgDesc, len| {
             self.scan_chain(m, len, &mut visit);
             Ok(())
-        })
+        };
+        Ok(self.receive_with(id, Wait::Until(None), 1, take)?.1)
     }
 
-    /// The blocking-receive loop: delivers the next message through `take`
-    /// (see [`Self::receive_locked`]) or reports [`MpfError::WouldBlock`]
-    /// once `deadline` passes with nothing deliverable.
-    fn receive_blocking(
+    /// Every receive: delivers up to `max` messages through `take` (see
+    /// [`Self::deliver_locked`]) under one lock hold and returns how many
+    /// messages and bytes that was.  With nothing deliverable,
+    /// [`Wait::No`] returns `(0, 0)` at once and [`Wait::Until`] sleeps on
+    /// the conversation's sequence — the only place a receiver does —
+    /// waking at least every [`RECV_SWEEP_INTERVAL`] to look for dead
+    /// peers, until a first delivery or [`MpfError::TimedOut`].
+    fn receive_with(
         &self,
         id: IpcLnvcId,
-        deadline: Option<Instant>,
+        wait: Wait,
+        max: usize,
         mut take: impl FnMut(&MsgDesc, usize) -> Result<()>,
-    ) -> Result<usize> {
+    ) -> Result<(usize, usize)> {
+        self.heartbeat();
+        if max == 0 {
+            return Ok((0, 0));
+        }
         // One blocked call is one wait, however many 50 ms naps it takes —
         // counting per nap would turn an idle receiver into a counter storm.
         let mut waited = false;
         loop {
             let (idx, d) = self.resolve(id)?;
-            // Injected peer death on the receive path: identical shape to
-            // a sweep-detected poisoning, minus the region mutation.
-            self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
+            if matches!(wait, Wait::Until(_)) {
+                // Injected peer death: identical shape to a sweep-detected
+                // poisoning, minus the region mutation.  The single-pass
+                // forms, the reactor's path, are left alone.
+                self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
+            }
             // Ticket before the predicate check (the sequence-count
             // protocol): a send between our check and our wait bumps the
             // sequence and the wait returns immediately.
             let ticket = d.waitq.ticket();
             self.lock_lnvc(d);
-            let result = self.receive_locked(idx, d, &mut take);
+            let result = self.deliver_locked(idx, d, max, &mut take);
             d.lock.unlock();
-            match result? {
-                Some(n) => {
+            let delivered = result?;
+            let deadline = match wait {
+                Wait::Until(deadline) if delivered.0 == 0 => deadline,
+                _ => {
                     if waited && self.tracing() {
                         // The delivery that ended the block; its chain is
-                        // the context receive_locked just adopted.
-                        self.trace_rec_at(
-                            0,
-                            TR_WAKEUP,
-                            self.ctx_hop.load(Ordering::Relaxed),
-                            self.ctx_trace.load(Ordering::Relaxed),
-                            idx,
-                            0,
-                            n as u32,
-                            0,
-                        );
+                        // the context deliver_locked just adopted.
+                        let trace = self.ctx_trace.load(Ordering::Relaxed);
+                        let hop = self.ctx_hop.load(Ordering::Relaxed);
+                        self.trace_rec_at(0, TR_WAKEUP, hop, trace, idx, 0, delivered.1 as u32, 0);
                     }
-                    return Ok(n);
+                    return Ok(delivered);
                 }
-                None => {
-                    let nap = Self::nap_until(deadline).ok_or(MpfError::WouldBlock)?;
-                    if !waited {
-                        waited = true;
-                        self.note_recv_wait(idx);
-                    }
-                    d.waitq.wait(ticket, Some(nap));
-                    // Between naps, look for dead peers so a vanished
-                    // sender poisons the conversation instead of leaving
-                    // us blocked forever.
-                    self.sweep_if_due();
-                }
+            };
+            let nap = Self::nap_until(deadline).ok_or(MpfError::TimedOut)?;
+            if !waited {
+                waited = true;
+                self.note_recv_wait(idx);
             }
-        }
-    }
-
-    /// Deadline-bounded blocking receive: [`MpfError::TimedOut`] once
-    /// `deadline` passes with nothing deliverable (`None` blocks
-    /// forever, like [`Self::message_receive`]).
-    ///
-    /// The expiry check runs *after* each delivery attempt, so a message
-    /// racing the deadline is delivered, not timed out.  Distinct from
-    /// [`Self::message_receive_timeout`], which keeps its original
-    /// [`MpfError::WouldBlock`] contract for existing callers.
-    pub fn recv_deadline(
-        &self,
-        id: IpcLnvcId,
-        buf: &mut [u8],
-        deadline: Option<Instant>,
-    ) -> Result<usize> {
-        match self.receive_blocking(id, deadline, |m, len| self.copy_out(m, len, buf)) {
-            // The internal loop only reports WouldBlock at expiry, and
-            // only when a deadline was supplied.
-            Err(MpfError::WouldBlock) => Err(MpfError::TimedOut),
-            other => other,
+            d.waitq.wait(ticket, Some(nap));
+            // Between naps, look for dead peers so a vanished sender
+            // poisons the conversation instead of leaving us blocked
+            // forever.
+            self.sweep_if_due();
         }
     }
 
@@ -1348,13 +1369,12 @@ impl IpcMpf {
         Ok((n_fcfs > 0 || n_fcfs + n_bcast == 0, n_bcast))
     }
 
-    /// Stamps staged message `m_idx` with its sequence number, global
-    /// stamp and obligations and links it at the queue's tail; returns the
-    /// stamp and the new queue depth.  Caller holds `d`'s lock.
-    fn publish(&self, d: &LnvcDesc, m_idx: u32, needs_fcfs: bool, n_bcast: u32) -> (u64, u32) {
-        let m = self.msg(m_idx);
+    /// Gives staged message `m_idx` its sequence number, `stamp` and
+    /// obligations and links it at the queue's tail; returns the new queue
+    /// depth.  Caller holds `d`'s lock.
+    fn publish(&self, d: &LnvcDesc, m_idx: u32, stamp: u64, needs_fcfs: bool, n_bcast: u32) -> u32 {
+        let m = self.t.msg(m_idx);
         let seq = locked_update(&d.next_seq, |s| s.wrapping_add(1)).wrapping_sub(1);
-        let stamp = self.header().next_stamp.fetch_add(1, Ordering::AcqRel);
         m.seq.store(seq, Ordering::Release);
         m.stamp.store(stamp, Ordering::Release);
         m.bcast_pending.store(n_bcast, Ordering::Release);
@@ -1366,11 +1386,11 @@ impl IpcMpf {
         if tail == NIL {
             d.q_head.store(m_idx, Ordering::Release);
         } else {
-            self.msg(tail).next.store(m_idx, Ordering::Release);
+            self.t.msg(tail).next.store(m_idx, Ordering::Release);
         }
         d.q_tail.store(m_idx, Ordering::Release);
         d.last_stamp.store(stamp, Ordering::Release);
-        (stamp, locked_update(&d.msg_count, |n| n + 1))
+        locked_update(&d.msg_count, |n| n + 1)
     }
 
     /// Allocates a message header and a filled block chain for `payload`
@@ -1383,8 +1403,11 @@ impl IpcMpf {
         // must cope as if they were not.  Nothing was allocated, so the
         // typed error carries no cleanup obligation.
         self.inject_fault(FaultSite::PoolExhaust, MpfError::MessagesExhausted)?;
-        let h = self.header();
-        let pop_msg = || h.msg_free.pop(|i| self.msg(i).next.load(Ordering::Acquire));
+        let h = self.t.header();
+        let pop_msg = || {
+            h.msg_free
+                .pop(|i| self.t.msg(i).next.load(Ordering::Acquire))
+        };
         // Memory pressure: reclaim fully-delivered messages stuck behind
         // a still-claimed queue head, then retry once.
         let relieve = || {
@@ -1405,11 +1428,11 @@ impl IpcMpf {
             Ok(b) => b,
             Err(e) => {
                 h.msg_free
-                    .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
+                    .push(m_idx, |s, n| self.t.msg(s).next.store(n, Ordering::Release));
                 return Err(e);
             }
         };
-        let m = self.msg(m_idx);
+        let m = self.t.msg(m_idx);
         m.head_block.store(blocks.0, Ordering::Release);
         m.n_blocks.store(blocks.1, Ordering::Release);
         m.len.store(payload.len() as u32, Ordering::Release);
@@ -1432,13 +1455,13 @@ impl IpcMpf {
     /// [`MpfError::WouldBlock`] (drain, reap, then resubmit the rest).
     pub fn submit_sends(&self, id: IpcLnvcId, payloads: &[&[u8]]) -> Result<usize> {
         self.heartbeat();
-        let max = self.counts.block_payload * self.counts.total_blocks as usize;
+        let max = self.cfg.max_message_bytes();
         let (idx, d) = self.resolve(id)?;
         self.poison_check(d)?;
         if payloads.is_empty() {
             return Ok(0);
         }
-        let sq = self.aio_sq(self.me);
+        let sq = self.t.aio_sq(self.me);
         let mut submitted = 0usize;
         for (i, buf) in payloads.iter().enumerate() {
             if sq.is_full() {
@@ -1520,8 +1543,8 @@ impl IpcMpf {
     /// dropped.  Returns the number completed.
     pub fn drain_sends(&self) -> usize {
         self.heartbeat();
-        let sq = self.aio_sq(self.me);
-        let cq = self.aio_cq(self.me);
+        let sq = self.t.aio_sq(self.me);
+        let cq = self.t.aio_cq(self.me);
         // Reap-side space only grows (we are the only CQ producer), so
         // this bound is conservative and conservation holds.
         let budget = cq.capacity() - cq.depth();
@@ -1534,25 +1557,28 @@ impl IpcMpf {
             return 0;
         }
         let run_key = |e: &RingEntry| (e.lnvc, e.user_data & u64::from(u32::MAX));
-        let mut done = 0usize;
-        while done < entries.len() {
-            let key = run_key(&entries[done]);
-            let run_end = entries[done..]
-                .iter()
-                .position(|e| run_key(e) != key)
-                .map_or(entries.len(), |p| done + p);
-            self.drain_run(&entries[done..run_end], cq);
-            done = run_end;
+        for run in entries.chunk_by(|a, b| run_key(a) == run_key(b)) {
+            self.drain_run(run, cq);
         }
         cq.ring_doorbell();
         entries.len()
     }
 
     /// Completes one run of same-conversation submission descriptors:
-    /// a single lock hold, a single receiver wake, one CQ push each.
+    /// one [`Self::publish_run`], then one CQ push each.
     fn drain_run(&self, run: &[RingEntry], cq: &AioRing) {
         let id = IpcLnvcId::new((run[0].user_data & u64::from(u32::MAX)) as u32, run[0].lnvc);
-        let complete = |e: &RingEntry, status: i32| {
+        let published = self
+            .resolve(id)
+            .and_then(|(idx, d)| self.publish_run(idx, d, run));
+        if published.is_err() {
+            // Gone, poisoned or closed under us: nothing of the run went out.
+            for staged in run {
+                self.free_message(staged.arg0);
+            }
+        }
+        let status = published.map_or_else(|e| e.status_code(), |()| 0);
+        for e in run {
             let pushed = cq.try_push(RingEntry {
                 user_data: e.user_data >> 32,
                 trace: e.trace,
@@ -1562,84 +1588,13 @@ impl IpcMpf {
                 status,
             });
             debug_assert!(pushed, "drain reserved CQ space");
-        };
-        let fail_all = |err: MpfError| {
-            for e in run {
-                self.free_message(e.arg0);
-                complete(e, err.status_code());
-            }
-        };
-        let (idx, d) = match self.resolve(id) {
-            Ok(found) => found,
-            Err(e) => return fail_all(e),
-        };
-        self.lock_lnvc(d);
-        let mut stamps: Vec<u64> = Vec::with_capacity(run.len());
-        let result = (|| {
-            // Obligations are shared by the whole run — one lock hold,
-            // one receiver population.
-            let (needs_fcfs, n_bcast) = self.send_obligations(d)?;
-            let obligations = (u32::from(needs_fcfs) << 16) | n_bcast;
-            // One clock read covers every sampled stamp in the run.
-            let now = if self.tel_on { now_nanos() } else { 0 };
-            let mut bytes = 0u64;
-            for e in run {
-                let m = self.msg(e.arg0);
-                // The staged hop rode the (pre-completion) status field.
-                if e.trace != 0 {
-                    m.trace.store(e.trace, Ordering::Release);
-                    m.hop.store(e.status as u32, Ordering::Release);
-                }
-                let sent_at = if self.tel_on && self.sample_latency() {
-                    now
-                } else {
-                    0
-                };
-                m.sent_at.store(sent_at, Ordering::Release);
-                stamps.push(self.publish(d, e.arg0, needs_fcfs, n_bcast).0);
-                bytes += u64::from(e.arg1);
-            }
-            if self.tel_on {
-                let lt = self.lnvc_tel(idx);
-                bump(&lt.sends, run.len() as u64);
-                bump(&lt.bytes_in, bytes);
-                for e in run {
-                    lt.sizes.record_locked(u64::from(e.arg1));
-                }
-                lt.note_depth(u64::from(d.msg_count.load(Ordering::Acquire)));
-            }
-            Ok(obligations)
-        })();
-        d.lock.unlock();
-        match result {
-            Ok(obligations) => {
-                // One wake for the whole run — the amortisation the
-                // rings buy.
-                self.notify_lnvc(d);
-                for (e, &stamp) in run.iter().zip(&stamps) {
-                    self.trace_rec_at(
-                        0,
-                        TR_SEND,
-                        e.status as u32,
-                        e.trace,
-                        idx,
-                        stamp,
-                        e.arg1,
-                        obligations,
-                    );
-                }
-                for e in run {
-                    complete(e, 0);
-                }
-            }
-            Err(e) => fail_all(e),
         }
     }
 
     /// Reaps every pending completion from this process's CQ into `out`;
     /// returns how many were appended.
     pub fn reap_completions(&self, out: &mut Vec<AioCompletion>) -> usize {
-        let cq = self.aio_cq(self.me);
+        let cq = self.t.aio_cq(self.me);
         let mut n = 0usize;
         while let Some(e) = cq.try_pop() {
             out.push(AioCompletion {
@@ -1758,132 +1713,30 @@ impl IpcMpf {
         max: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<Vec<u8>>> {
-        self.heartbeat();
-        let mut out = Vec::new();
-        if max == 0 {
-            return Ok(out);
-        }
-        let mut waited = false;
-        loop {
-            let (idx, d) = self.resolve(id)?;
-            let ticket = d.waitq.ticket();
-            self.lock_lnvc(d);
-            let result = self.recv_many_locked(idx, d, max, &mut out);
-            d.lock.unlock();
-            if result? > 0 {
-                return Ok(out);
-            }
-            let nap = Self::nap_until(deadline).ok_or(MpfError::TimedOut)?;
-            if !waited {
-                waited = true;
-                self.note_recv_wait(idx);
-            }
-            d.waitq.wait(ticket, Some(nap));
-            self.sweep_if_due();
-        }
+        self.receive_vecs(id, Wait::Until(deadline), max)
     }
 
     /// Non-blocking [`Self::recv_batch`]: drains whatever is deliverable
     /// right now (possibly nothing).
     pub fn try_recv_batch(&self, id: IpcLnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.heartbeat();
-        let mut out = Vec::new();
-        if max == 0 {
-            return Ok(out);
-        }
-        let (idx, d) = self.resolve(id)?;
-        self.lock_lnvc(d);
-        let result = self.recv_many_locked(idx, d, max, &mut out);
-        d.lock.unlock();
-        result?;
-        Ok(out)
+        self.receive_vecs(id, Wait::No, max)
     }
 
-    /// Collects up to `max` deliverable messages into `out` and runs one
-    /// prefix reclamation; caller holds the LNVC lock.  Telemetry for the
-    /// whole batch shares a single clock read.
-    fn recv_many_locked(
-        &self,
-        idx: u32,
-        d: &LnvcDesc,
-        max: usize,
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<usize> {
-        self.poison_check(d)?;
-        let conn = self
-            .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
-            .ok_or(MpfError::NotConnected)?;
-        let r = self.recv(conn);
-        let bcast = r.protocol_code() == Protocol::Broadcast.code();
-        // One clock read covers every trace record and latency sample
-        // this batch produces.
-        let now = if self.tel_on || self.tracing() {
-            now_nanos()
-        } else {
-            0
-        };
-        let mut received = 0usize;
-        let mut bytes = 0u64;
-        let mut sampled: Vec<u64> = Vec::new();
-        let mut last_chain = (0u64, 0u32);
-        while received < max {
-            let Some(m_idx) = self.next_deliverable(d, conn) else {
-                break;
-            };
-            let m = self.msg(m_idx);
-            let len = m.len.load(Ordering::Acquire) as usize;
-            let sent_at = m.sent_at.load(Ordering::Acquire);
-            let stamp = m.stamp.load(Ordering::Acquire);
-            let trace = m.trace.load(Ordering::Acquire);
-            let hop = m.hop.load(Ordering::Acquire);
+    /// [`Self::receive_with`] gathering each message into a fresh `Vec`.
+    fn receive_vecs(&self, id: IpcLnvcId, wait: Wait, max: usize) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        self.receive_with(id, wait, max, |m, len| {
             let mut buf = vec![0u8; len];
             self.gather(m, &mut buf);
-            if bcast {
-                r.cursor
-                    .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
-            }
-            Self::claim_delivery(m, bcast);
-            // Delivery is claimed; record it before the batch's
-            // reclamation pass can append this message's TR_RECLAIM.
-            self.trace_rec_at(
-                now,
-                if bcast { TR_RECV_B } else { TR_RECV },
-                hop,
-                trace,
-                idx,
-                stamp,
-                len as u32,
-                0,
-            );
-            last_chain = (trace, hop);
             out.push(buf);
-            received += 1;
-            bytes += len as u64;
-            if sent_at != 0 {
-                sampled.push(sent_at);
-            }
-        }
-        if received == 0 {
-            return Ok(0);
-        }
-        // The last delivery of the batch becomes this process's context.
-        self.adopt_trace(last_chain.0, last_chain.1);
-        let freed = self.reclaim_prefix(d, now);
-        self.note_reclaim(idx, freed);
-        if self.tel_on {
-            let lt = self.lnvc_tel(idx);
-            bump(&lt.receives, received as u64);
-            bump(&lt.bytes_out, bytes);
-            for sent_at in sampled {
-                lt.latency.record_locked(now.saturating_sub(sent_at));
-            }
-        }
-        Ok(received)
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Counters of this process's submission/completion ring pair.
     pub fn aio_stats(&self) -> AioStats {
-        AioStats::from_rings(self.aio_sq(self.me), self.aio_cq(self.me))
+        AioStats::from_rings(self.t.aio_sq(self.me), self.t.aio_cq(self.me))
     }
 
     // -- reactor support ------------------------------------------------
@@ -1901,14 +1754,7 @@ impl IpcMpf {
     /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing
     /// is deliverable.
     pub fn try_message_receive_vec(&self, id: IpcLnvcId) -> Result<Option<Vec<u8>>> {
-        self.heartbeat();
-        let (idx, d) = self.resolve(id)?;
-        self.lock_lnvc(d);
-        let mut out = Vec::new();
-        let result = self.recv_many_locked(idx, d, 1, &mut out);
-        d.lock.unlock();
-        result?;
-        Ok(out.pop())
+        Ok(self.receive_vecs(id, Wait::No, 1)?.pop())
     }
 
     /// Current wait-queue ticket for `id`'s conversation.  Take it
@@ -1924,7 +1770,7 @@ impl IpcMpf {
     /// waiting for memory ([`Self::pool_wait_begin`]), so take it after
     /// registering and before the try it guards.
     pub fn mem_signal_ticket(&self) -> u32 {
-        self.header().pool_seq.load(Ordering::SeqCst)
+        self.t.header().pool_seq.load(Ordering::SeqCst)
     }
 
     /// Registers this process as waiting for pool memory: from here until
@@ -1935,14 +1781,14 @@ impl IpcMpf {
         // way out): a kill in between leaves the count high — the gate
         // stuck open, every reclaim signalling — never a share the sweep
         // would subtract without it having been added.
-        self.header().pool_waiters.fetch_add(1, Ordering::SeqCst);
-        self.slot(self.me).mem_wait.fetch_add(1, Ordering::SeqCst);
+        self.t.header().pool_waiters.fetch_add(1, Ordering::SeqCst);
+        self.t.slot(self.me).mem_wait.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Withdraws one [`Self::pool_wait_begin`] registration.
     pub fn pool_wait_end(&self) {
-        self.slot(self.me).mem_wait.fetch_sub(1, Ordering::SeqCst);
-        self.header().pool_waiters.fetch_sub(1, Ordering::SeqCst);
+        self.t.slot(self.me).mem_wait.fetch_sub(1, Ordering::SeqCst);
+        self.t.header().pool_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Rings this process's own doorbell: wakes its threads parked in
@@ -1981,7 +1827,7 @@ impl IpcMpf {
     /// This process's doorbell: the one word its multi-source and memory
     /// waits sleep on.
     fn doorbell(&self) -> &FutexSeq {
-        &self.slot(self.me).doorbell
+        &self.t.slot(self.me).doorbell
     }
 
     /// One sleep on the doorbell, at most to `deadline` or the sweep
@@ -2038,7 +1884,7 @@ impl IpcMpf {
         };
         self.lock_lnvc(d);
         let conn = self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me);
-        let changed = match conn.map(|c| self.recv(c)) {
+        let changed = match conn.map(|c| self.t.recv(c)) {
             Some(r) if on => {
                 r.protocol.fetch_add(RecvDesc::WATCH_ONE, Ordering::AcqRel);
                 d.watchers.fetch_add(1, Ordering::SeqCst);
@@ -2091,7 +1937,7 @@ impl IpcMpf {
             // take this lock (to disarm, to receive), and on a busy CPU
             // it preempts us the instant the wake lands.
             for pid in watching {
-                self.slot(pid).doorbell.notify_all();
+                self.t.slot(pid).doorbell.notify_all();
             }
         }
     }
@@ -2100,7 +1946,7 @@ impl IpcMpf {
     /// caller that holds `d`'s lock and cannot drop it first.
     fn ring_watchers(&self, d: &LnvcDesc) {
         for pid in self.watching_pids(d) {
-            self.slot(pid).doorbell.notify_all();
+            self.t.slot(pid).doorbell.notify_all();
         }
     }
 
@@ -2110,7 +1956,7 @@ impl IpcMpf {
         let mut pids = Vec::new();
         let mut cur = d.recv_head.load(Ordering::Acquire);
         while cur != NIL {
-            let r = self.recv(cur);
+            let r = self.t.recv(cur);
             if r.watches() != 0 {
                 pids.push(r.pid.load(Ordering::Acquire));
             }
@@ -2123,9 +1969,9 @@ impl IpcMpf {
     /// registered as waiting for memory.
     #[cold]
     fn signal_pool(&self) {
-        self.header().pool_seq.fetch_add(1, Ordering::SeqCst);
-        for p in 0..self.counts.max_processes {
-            let s = self.slot(p);
+        self.t.header().pool_seq.fetch_add(1, Ordering::SeqCst);
+        for p in 0..self.cfg.max_processes {
+            let s = self.t.slot(p);
             if s.mem_wait.load(Ordering::SeqCst) != 0 {
                 s.doorbell.notify_all();
             }
@@ -2143,70 +1989,80 @@ impl IpcMpf {
         Ok(())
     }
 
-    /// Delivers the next message deliverable to this process: `take` is
-    /// handed the descriptor and its payload length to move the bytes out
-    /// (an error from it leaves the message queued), then the delivery is
-    /// booked and the queue head reclaimed.  `Ok(None)` when nothing is
-    /// deliverable.  Caller holds the LNVC lock.
-    fn receive_locked(
+    /// The only routine that delivers: hands up to `max` messages
+    /// deliverable to this process, oldest first, to `take` — which gets
+    /// the descriptor and its payload length and moves the bytes out —
+    /// claiming each delivery as it goes, then runs one prefix reclamation
+    /// and books the lot.  Returns the messages and bytes delivered,
+    /// `(0, 0)` when nothing was deliverable.  An error from `take` leaves
+    /// its message queued: it ends a batch, and is the result when it
+    /// struck the first message.  Caller holds the LNVC lock.
+    fn deliver_locked(
         &self,
         idx: u32,
         d: &LnvcDesc,
-        take: impl FnOnce(&MsgDesc, usize) -> Result<()>,
-    ) -> Result<Option<usize>> {
+        max: usize,
+        take: &mut impl FnMut(&MsgDesc, usize) -> Result<()>,
+    ) -> Result<(usize, usize)> {
         self.poison_check(d)?;
         let conn = self
             .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
             .ok_or(MpfError::NotConnected)?;
-        let Some(m_idx) = self.next_deliverable(d, conn) else {
-            return Ok(None);
-        };
-        let m = self.msg(m_idx);
-        let len = m.len.load(Ordering::Acquire) as usize;
-        take(m, len)?;
-        // Read before reclaim may free the descriptor back to the pool.
-        let sent_at = m.sent_at.load(Ordering::Acquire);
-        let stamp = m.stamp.load(Ordering::Acquire);
-        let trace = m.trace.load(Ordering::Acquire);
-        let hop = m.hop.load(Ordering::Acquire);
-        let r = self.recv(conn);
+        let r = self.t.recv(conn);
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
-        if bcast {
-            r.cursor
-                .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
-        }
-        Self::claim_delivery(m, bcast);
-        // One clock read covers the trace records (delivery + reclaim) and
-        // the latency sample of this receive.
-        let now = if sent_at != 0 || trace != 0 {
-            now_nanos()
-        } else {
-            0
-        };
-        // Delivery is claimed; record it before the reclamation sweep can
-        // append this message's TR_RECLAIM, so ring order matches logic.
-        self.adopt_trace(trace, hop);
-        self.trace_rec_at(
-            now,
-            if bcast { TR_RECV_B } else { TR_RECV },
-            hop,
-            trace,
-            idx,
-            stamp,
-            len as u32,
-            0,
-        );
-        let freed = self.reclaim_prefix(d, now);
-        self.note_reclaim(idx, freed);
-        if self.tel_on {
-            let lt = self.lnvc_tel(idx);
-            bump(&lt.receives, 1);
-            bump(&lt.bytes_out, len as u64);
-            if sent_at != 0 {
+        let kind = if bcast { TR_RECV_B } else { TR_RECV };
+        let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
+        // One clock read, at the first message that needs one, dates every
+        // trace record (deliveries and reclaims) and latency sample here.
+        let mut now = 0u64;
+        let (mut received, mut bytes) = (0usize, 0usize);
+        let mut last_chain = (0u64, 0u32);
+        while received < max {
+            let Some(m_idx) = self.next_deliverable(d, conn) else {
+                break;
+            };
+            let m = self.t.msg(m_idx);
+            let len = m.len.load(Ordering::Acquire) as usize;
+            if let Err(e) = take(m, len) {
+                if received == 0 {
+                    return Err(e);
+                }
+                break;
+            }
+            let sent_at = m.sent_at.load(Ordering::Acquire);
+            let trace = m.trace.load(Ordering::Acquire);
+            let hop = m.hop.load(Ordering::Acquire);
+            if bcast {
+                r.cursor
+                    .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
+            }
+            Self::claim_delivery(m, bcast);
+            if now == 0 && (sent_at != 0 || trace != 0) {
+                now = now_nanos();
+            }
+            // Delivery is claimed; record it before the reclamation pass
+            // can append this message's TR_RECLAIM, so ring order matches
+            // logic.
+            let stamp = m.stamp.load(Ordering::Acquire);
+            self.trace_rec_at(now, kind, hop, trace, idx, stamp, len as u32, 0);
+            if let (Some(lt), true) = (lt, sent_at != 0) {
                 lt.latency.record_locked(now.saturating_sub(sent_at));
             }
+            last_chain = (trace, hop);
+            received += 1;
+            bytes += len;
         }
-        Ok(Some(len))
+        if received != 0 {
+            // The last delivery becomes this process's causal context.
+            self.adopt_trace(last_chain.0, last_chain.1);
+            let freed = self.reclaim_prefix(d, now);
+            self.note_reclaim(idx, freed);
+            if let Some(lt) = lt {
+                bump(&lt.receives, received as u64);
+                bump(&lt.bytes_out, bytes as u64);
+            }
+        }
+        Ok((received, bytes))
     }
 
     /// Marks one delivery of `m` as made: a BROADCAST claim released, or
@@ -2223,21 +2079,19 @@ impl IpcMpf {
 
     /// First queued message deliverable to connection `conn`.
     fn next_deliverable(&self, d: &LnvcDesc, conn: u32) -> Option<u32> {
-        let r = self.recv(conn);
+        let r = self.t.recv(conn);
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
         let cursor = r.cursor.load(Ordering::Acquire);
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
-            let m = self.msg(cur);
-            if bcast {
-                if m.seq.load(Ordering::Acquire) >= cursor {
-                    return Some(cur);
-                }
+            let m = self.t.msg(cur);
+            let owed = if bcast {
+                m.seq.load(Ordering::Acquire) >= cursor
             } else {
-                let flags = m.flags.load(Ordering::Acquire);
-                if flags & msg_flags::NEEDS_FCFS != 0 && flags & msg_flags::FCFS_TAKEN == 0 {
-                    return Some(cur);
-                }
+                m.fcfs_owed()
+            };
+            if owed {
+                return Some(cur);
             }
             cur = m.next.load(Ordering::Acquire);
         }
@@ -2255,12 +2109,8 @@ impl IpcMpf {
             if head == NIL {
                 return freed;
             }
-            let m = self.msg(head);
-            let flags = m.flags.load(Ordering::Acquire);
-            let fcfs_done =
-                flags & msg_flags::NEEDS_FCFS == 0 || flags & msg_flags::FCFS_TAKEN != 0;
-            let bcast_done = m.bcast_pending.load(Ordering::Acquire) == 0;
-            if !(fcfs_done && bcast_done) {
+            let m = self.t.msg(head);
+            if !m.fully_delivered() {
                 return freed;
             }
             let next = m.next.load(Ordering::Acquire);
@@ -2285,11 +2135,9 @@ impl IpcMpf {
     fn clear_fcfs_obligations(&self, d: &LnvcDesc) {
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
-            let m = self.msg(cur);
-            let flags = m.flags.load(Ordering::Acquire);
-            if flags & msg_flags::NEEDS_FCFS != 0 && flags & msg_flags::FCFS_TAKEN == 0 {
-                m.flags
-                    .store(flags & !msg_flags::NEEDS_FCFS, Ordering::Release);
+            let m = self.t.msg(cur);
+            if m.fcfs_owed() {
+                locked_update(&m.flags, |flags| flags & !msg_flags::NEEDS_FCFS);
             }
             cur = m.next.load(Ordering::Acquire);
         }
@@ -2306,16 +2154,13 @@ impl IpcMpf {
         let mut prev = NIL;
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
-            let m = self.msg(cur);
+            let m = self.t.msg(cur);
             let next = m.next.load(Ordering::Acquire);
-            let flags = m.flags.load(Ordering::Acquire);
-            let fcfs_done =
-                flags & msg_flags::NEEDS_FCFS == 0 || flags & msg_flags::FCFS_TAKEN != 0;
-            if fcfs_done && m.bcast_pending.load(Ordering::Acquire) == 0 {
+            if m.fully_delivered() {
                 if prev == NIL {
                     d.q_head.store(next, Ordering::Release);
                 } else {
-                    self.msg(prev).next.store(next, Ordering::Release);
+                    self.t.msg(prev).next.store(next, Ordering::Release);
                 }
                 if next == NIL {
                     d.q_tail.store(prev, Ordering::Release);
@@ -2349,7 +2194,7 @@ impl IpcMpf {
     fn release_bcast_claims(&self, d: &LnvcDesc, cursor: u32) {
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
-            let m = self.msg(cur);
+            let m = self.t.msg(cur);
             let owed = m.bcast_pending.load(Ordering::Acquire);
             if m.seq.load(Ordering::Acquire) >= cursor && owed > 0 {
                 m.bcast_pending
@@ -2364,16 +2209,17 @@ impl IpcMpf {
     /// Allocates and fills a block chain; returns (head, count).  The
     /// whole chain is one pop, so a shortage takes nothing off the list.
     fn alloc_blocks(&self, payload: &[u8]) -> Result<(u32, u32)> {
-        let n_needed = payload.len().div_ceil(self.counts.block_payload) as u32;
+        let n_needed = payload.len().div_ceil(self.cfg.block_payload) as u32;
         if n_needed == 0 {
             return Ok((NIL, 0));
         }
         let (head, tail) = self
+            .t
             .header()
             .block_free
-            .pop_chain(n_needed, |i| self.block_link(i).load(Ordering::Acquire))
+            .pop_chain(n_needed, |i| self.t.block_link(i).load(Ordering::Acquire))
             .ok_or(MpfError::BlocksExhausted)?;
-        self.block_link(tail).store(NIL, Ordering::Release);
+        self.t.block_link(tail).store(NIL, Ordering::Release);
         // Scatter the payload.
         let mut src = payload.as_ptr();
         self.for_each_run(head, payload.len(), |dst, n| {
@@ -2395,7 +2241,7 @@ impl IpcMpf {
     /// one degrades to one run per block.  Reads no link past the block
     /// that holds the last byte.
     fn for_each_run(&self, head: u32, len: usize, mut f: impl FnMut(*mut u8, usize)) {
-        let bp = self.counts.block_payload;
+        let bp = self.cfg.block_payload;
         let mut cur = head;
         let mut left = len;
         while left > 0 {
@@ -2403,26 +2249,19 @@ impl IpcMpf {
             let first = cur;
             let mut blocks = 1;
             while blocks * bp < left {
-                cur = self.block_link(cur).load(Ordering::Acquire);
+                cur = self.t.block_link(cur).load(Ordering::Acquire);
                 if cur != first + blocks as u32 {
                     break;
                 }
                 blocks += 1;
             }
             let n = left.min(blocks * bp);
-            // SAFETY: `bytes_at` bounds-checks the run against the mapping.
-            f(
-                unsafe {
-                    self.region
-                        .bytes_at(self.off.payloads + first as usize * bp, n)
-                },
-                n,
-            );
+            f(self.t.payload(first as usize * bp, n), n);
             left -= n;
         }
     }
 
-    /// [`Self::receive_locked`]'s `take` for a caller-supplied buffer.
+    /// [`Self::deliver_locked`]'s `take` for a caller-supplied buffer.
     fn copy_out(&self, m: &MsgDesc, len: usize, buf: &mut [u8]) -> Result<()> {
         if buf.len() < len {
             // Message stays queued — the caller may retry with a bigger
@@ -2464,13 +2303,13 @@ impl IpcMpf {
         let (mut tail, mut next) = (NIL, head);
         while next != NIL {
             tail = next;
-            next = self.block_link(tail).load(Ordering::Acquire);
+            next = self.t.block_link(tail).load(Ordering::Acquire);
         }
         if tail == NIL {
             return;
         }
-        self.header().block_free.push_chain(head, tail, |s, n| {
-            self.block_link(s).store(n, Ordering::Release)
+        self.t.header().block_free.push_chain(head, tail, |s, n| {
+            self.t.block_link(s).store(n, Ordering::Release)
         });
     }
 
@@ -2479,7 +2318,7 @@ impl IpcMpf {
     }
 
     fn free_message_at(&self, m_idx: u32, tstamp: u64) {
-        let m = self.msg(m_idx);
+        let m = self.t.msg(m_idx);
         // Reclaim is chain-attributed but not conversation-attributed
         // (the descriptor may outlive its LNVC); clearing the id keeps a
         // recycled descriptor from logging a second reclaim.
@@ -2499,9 +2338,9 @@ impl IpcMpf {
         }
         self.free_block_chain(m.head_block.load(Ordering::Acquire));
         m.head_block.store(NIL, Ordering::Release);
-        let h = self.header();
+        let h = self.t.header();
         h.msg_free
-            .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
+            .push(m_idx, |s, n| self.t.msg(s).next.store(n, Ordering::Release));
         // The pool signal's gate: one load of the line the push above
         // just wrote, zero unless a sender is waiting out an exhaustion.
         if h.pool_waiters.load(Ordering::SeqCst) != 0 {
@@ -2513,7 +2352,7 @@ impl IpcMpf {
 
     /// Runs `f` holding the registry lock (lock order: registry → LNVC).
     fn with_registry<T>(&self, f: impl FnOnce() -> T) -> T {
-        let h = self.header();
+        let h = self.t.header();
         let (_, contended) = h
             .registry_lock
             .lock_traced(self.lock_owner(), |o| self.holder_alive(o));
@@ -2536,8 +2375,8 @@ impl IpcMpf {
         let mut padded = [0u8; 32];
         padded[..bytes.len()].copy_from_slice(bytes);
         let mut free_entry = NIL;
-        for i in 0..self.counts.max_lnvcs {
-            let e = self.reg_entry(i);
+        for i in 0..self.cfg.max_lnvcs {
+            let e = self.t.reg_entry(i);
             if e.used.load(Ordering::Acquire) == 1 {
                 if e.get_name() == padded {
                     return Ok((e.lnvc.load(Ordering::Acquire), false));
@@ -2550,8 +2389,8 @@ impl IpcMpf {
             return Err(MpfError::LnvcsExhausted);
         }
         // Find a free descriptor slot.
-        for idx in 0..self.counts.max_lnvcs {
-            let d = self.lnvc(idx);
+        for idx in 0..self.cfg.max_lnvcs {
+            let d = self.t.lnvc(idx);
             if d.active.load(Ordering::Acquire) == 0 {
                 // (Re)activate: pristine lock, fresh generation, empty
                 // queue and lists.
@@ -2572,7 +2411,7 @@ impl IpcMpf {
                 d.watchers.store(0, Ordering::Release);
                 d.waitq.reset_sleepers();
                 d.active.store(1, Ordering::Release);
-                let e = self.reg_entry(free_entry);
+                let e = self.t.reg_entry(free_entry);
                 e.set_name(bytes);
                 e.lnvc.store(idx, Ordering::Release);
                 e.used.store(1, Ordering::Release);
@@ -2591,13 +2430,13 @@ impl IpcMpf {
     /// from zero and the facility totals lose nothing.  Caller holds the
     /// registry lock and the LNVC lock.
     fn deactivate(&self, idx: u32) {
-        let d = self.lnvc(idx);
-        let e = self.reg_entry(d.registry_idx.load(Ordering::Acquire));
+        let d = self.t.lnvc(idx);
+        let e = self.t.reg_entry(d.registry_idx.load(Ordering::Acquire));
         e.used.store(0, Ordering::Release);
         d.active.store(0, Ordering::Release);
         if let Some(t) = self.tel() {
             t.lnvcs_deleted.inc();
-            t.retire(self.lnvc_tel(idx), &self.header().tel_fold_seq);
+            t.retire(self.t.lnvc_tel(idx), &self.t.header().tel_fold_seq);
         }
     }
 
@@ -2606,7 +2445,7 @@ impl IpcMpf {
     fn drop_queue(&self, d: &LnvcDesc) {
         let mut cur = d.q_head.swap(NIL, Ordering::AcqRel);
         while cur != NIL {
-            let next = self.msg(cur).next.load(Ordering::Acquire);
+            let next = self.t.msg(cur).next.load(Ordering::Acquire);
             self.free_message(cur);
             cur = next;
         }
@@ -2628,10 +2467,10 @@ impl IpcMpf {
     /// `index`, if any: how a caller holding only part of a handle (the
     /// `Mpf` facade's 31-bit `LnvcId`) recovers the whole of it.
     pub fn id_at(&self, index: u32) -> Option<IpcLnvcId> {
-        if index >= self.counts.max_lnvcs {
+        if index >= self.cfg.max_lnvcs {
             return None;
         }
-        let d = self.lnvc(index);
+        let d = self.t.lnvc(index);
         // Generation first: a recycle between the two loads then yields a
         // handle that is already stale, never a fresh one for a dead slot.
         let generation = d.generation.load(Ordering::Acquire);
@@ -2640,10 +2479,10 @@ impl IpcMpf {
 
     fn resolve(&self, id: IpcLnvcId) -> Result<(u32, &LnvcDesc)> {
         let idx = id.index();
-        if idx >= self.counts.max_lnvcs {
+        if idx >= self.cfg.max_lnvcs {
             return Err(MpfError::UnknownLnvc);
         }
-        let d = self.lnvc(idx);
+        let d = self.t.lnvc(idx);
         if d.active.load(Ordering::Acquire) != 1
             || d.generation.load(Ordering::Acquire) != id.generation()
         {
@@ -2654,22 +2493,22 @@ impl IpcMpf {
 
     fn conn_pid(&self, kind: ConnKind, i: u32) -> u32 {
         match kind {
-            ConnKind::Send => self.send(i).pid.load(Ordering::Acquire),
-            ConnKind::Recv => self.recv(i).pid.load(Ordering::Acquire),
+            ConnKind::Send => self.t.send(i).pid.load(Ordering::Acquire),
+            ConnKind::Recv => self.t.recv(i).pid.load(Ordering::Acquire),
         }
     }
 
     fn conn_next(&self, kind: ConnKind, i: u32) -> u32 {
         match kind {
-            ConnKind::Send => self.send(i).next.load(Ordering::Acquire),
-            ConnKind::Recv => self.recv(i).next.load(Ordering::Acquire),
+            ConnKind::Send => self.t.send(i).next.load(Ordering::Acquire),
+            ConnKind::Recv => self.t.recv(i).next.load(Ordering::Acquire),
         }
     }
 
     fn set_conn_next(&self, kind: ConnKind, i: u32, v: u32) {
         match kind {
-            ConnKind::Send => self.send(i).next.store(v, Ordering::Release),
-            ConnKind::Recv => self.recv(i).next.store(v, Ordering::Release),
+            ConnKind::Send => self.t.send(i).next.store(v, Ordering::Release),
+            ConnKind::Recv => self.t.recv(i).next.store(v, Ordering::Release),
         }
     }
 
@@ -2680,13 +2519,14 @@ impl IpcMpf {
     /// path), not just the head.  Returns the connection's protocol code
     /// and the watches it took along.  Caller holds `d`'s lock.
     fn retire_recv(&self, idx: u32, d: &LnvcDesc, conn: u32) -> (u32, u32) {
-        let r = self.recv(conn);
+        let r = self.t.recv(conn);
         let (protocol, watches) = (r.protocol_code(), r.watches());
         let cursor = r.cursor.load(Ordering::Acquire);
         d.watchers.fetch_sub(watches, Ordering::SeqCst);
-        self.header()
+        self.t
+            .header()
             .recv_free
-            .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
+            .push(conn, |s, n| self.t.recv(s).next.store(n, Ordering::Release));
         if protocol == Protocol::Broadcast.code() {
             d.n_bcast.fetch_sub(1, Ordering::AcqRel);
             self.release_bcast_claims(d, cursor);
@@ -2747,11 +2587,11 @@ impl IpcMpf {
     pub fn sweep_dead_peers(&self) -> u32 {
         self.sweeps_run.fetch_add(1, Ordering::Relaxed);
         let mut found = 0;
-        for p in 0..self.counts.max_processes {
+        for p in 0..self.cfg.max_processes {
             if p == self.me {
                 continue;
             }
-            let s = self.slot(p);
+            let s = self.t.slot(p);
             if s.state.load(Ordering::Acquire) != slot_state::ATTACHED {
                 continue;
             }
@@ -2777,7 +2617,8 @@ impl IpcMpf {
                 // A corpse that died waiting for memory would hold the
                 // pool signal's gate open for good.
                 let waits = s.mem_wait.swap(0, Ordering::SeqCst);
-                self.header()
+                self.t
+                    .header()
                     .pool_waiters
                     .fetch_sub(waits, Ordering::SeqCst);
                 // The corpse may have died between submit and drain:
@@ -2797,7 +2638,7 @@ impl IpcMpf {
             if let Some(t) = self.tel() {
                 t.sweeps.inc();
             }
-            self.header().sweep_epoch.fetch_add(1, Ordering::AcqRel);
+            self.t.header().sweep_epoch.fetch_add(1, Ordering::AcqRel);
         }
         found
     }
@@ -2810,8 +2651,8 @@ impl IpcMpf {
     /// teardown (a SIGKILLed client's private reply LNVC is the
     /// canonical case).  Caller holds the registry lock.
     fn sweep_connections_of(&self, dead: u32) {
-        for idx in 0..self.counts.max_lnvcs {
-            let d = self.lnvc(idx);
+        for idx in 0..self.cfg.max_lnvcs {
+            let d = self.t.lnvc(idx);
             if d.active.load(Ordering::Acquire) != 1 {
                 continue;
             }
@@ -2821,9 +2662,10 @@ impl IpcMpf {
             self.lock_lnvc(d);
             let mut touched = false;
             if let Some(conn) = self.unlink_conn(ConnKind::Send, &d.send_head, dead) {
-                self.header()
+                self.t
+                    .header()
                     .send_free
-                    .push(conn, |s, n| self.send(s).next.store(n, Ordering::Release));
+                    .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
                 d.n_senders.fetch_sub(1, Ordering::AcqRel);
                 touched = true;
             }
@@ -2860,7 +2702,7 @@ impl IpcMpf {
 
     /// Whether the creator enabled telemetry recording for this region.
     pub fn telemetry_enabled(&self) -> bool {
-        self.tel_on
+        self.cfg.telemetry
     }
 
     /// Snapshot of the facility-wide counters and histograms: every
@@ -2870,9 +2712,9 @@ impl IpcMpf {
     pub fn telemetry_snapshot(&self) -> TelSnapshot {
         self.with_registry(|| {
             facility_snapshot(
-                &self.header().tel_fold_seq,
-                (0..self.counts.max_processes).map(|p| self.fac_tel(p)),
-                (0..self.counts.max_lnvcs).map(|i| self.lnvc_tel(i)),
+                &self.t.header().tel_fold_seq,
+                (0..self.cfg.max_processes).map(|p| self.t.fac_tel(p)),
+                (0..self.cfg.max_lnvcs).map(|i| self.t.lnvc_tel(i)),
             )
         })
     }
@@ -2881,7 +2723,7 @@ impl IpcMpf {
     pub fn lnvc_telemetry(&self, id: IpcLnvcId) -> Result<LnvcTelSnapshot> {
         let (idx, d) = self.resolve(id)?;
         self.lock_lnvc(d);
-        let snap = self.lnvc_tel(idx).snapshot();
+        let snap = self.t.lnvc_tel(idx).snapshot();
         d.lock.unlock();
         Ok(snap)
     }
@@ -2892,8 +2734,8 @@ impl IpcMpf {
     /// would free memory right now.
     pub fn reclaimable(&self) -> Reclaimable {
         let mut out = Reclaimable::default();
-        for idx in 0..self.counts.max_lnvcs {
-            let d = self.lnvc(idx);
+        for idx in 0..self.cfg.max_lnvcs {
+            let d = self.t.lnvc(idx);
             if d.active.load(Ordering::Acquire) != 1 {
                 continue;
             }
@@ -2901,11 +2743,8 @@ impl IpcMpf {
             if d.active.load(Ordering::Acquire) == 1 {
                 let mut cur = d.q_head.load(Ordering::Acquire);
                 while cur != NIL {
-                    let m = self.msg(cur);
-                    let flags = m.flags.load(Ordering::Acquire);
-                    let fcfs_done =
-                        flags & msg_flags::NEEDS_FCFS == 0 || flags & msg_flags::FCFS_TAKEN != 0;
-                    if fcfs_done && m.bcast_pending.load(Ordering::Acquire) == 0 {
+                    let m = self.t.msg(cur);
+                    if m.fully_delivered() {
                         out.messages += 1;
                         out.blocks += m.n_blocks.load(Ordering::Acquire) as u64;
                     }
@@ -2927,17 +2766,17 @@ impl IpcMpf {
     /// `mpf-trace` crate reconstructs chains from these).
     /// Readable for any pid — including a dead one, which is the point.
     pub fn trace_events(&self, pid: u32) -> Vec<TraceEvent> {
-        if pid >= self.counts.max_processes {
+        if pid >= self.cfg.max_processes {
             return Vec::new();
         }
-        self.trace_ring(pid).snapshot()
+        self.t.trace_ring(pid).snapshot()
     }
 
     /// Occupancy of a process's trace ring: `(records ever written,
     /// chains skipped by sampling)`; `None` for an out-of-range pid.
     pub fn trace_ring_stats(&self, pid: u32) -> Option<(u64, u64)> {
-        (pid < self.counts.max_processes).then(|| {
-            let r = self.trace_ring(pid);
+        (pid < self.cfg.max_processes).then(|| {
+            let r = self.t.trace_ring(pid);
             (r.head(), r.skipped())
         })
     }
@@ -2946,21 +2785,21 @@ impl IpcMpf {
 
     /// Number of active conversations.
     pub fn live_lnvcs(&self) -> usize {
-        (0..self.counts.max_lnvcs)
-            .filter(|&i| self.lnvc(i).active.load(Ordering::Acquire) == 1)
+        (0..self.cfg.max_lnvcs)
+            .filter(|&i| self.t.lnvc(i).active.load(Ordering::Acquire) == 1)
             .count()
     }
 
     /// Free payload blocks (walks the free list; quiescent diagnostic).
     pub fn free_blocks(&self) -> u32 {
-        self.header().block_free.len(self.counts.total_blocks, |i| {
-            self.block_link(i).load(Ordering::Acquire)
+        self.t.header().block_free.len(self.cfg.total_blocks, |i| {
+            self.t.block_link(i).load(Ordering::Acquire)
         })
     }
 
     /// Whether a given MPF pid's slot is currently attached and alive.
     pub fn peer_alive(&self, pid: u32) -> bool {
-        pid < self.counts.max_processes && self.slot(pid).owner_alive()
+        pid < self.cfg.max_processes && self.t.slot(pid).owner_alive()
     }
 
     /// Whether a conversation named `name` exists right now.  A lock-free
@@ -2975,8 +2814,8 @@ impl IpcMpf {
         }
         let mut padded = [0u8; 32];
         padded[..bytes.len()].copy_from_slice(bytes);
-        (0..self.counts.max_lnvcs).any(|i| {
-            let e = self.reg_entry(i);
+        (0..self.cfg.max_lnvcs).any(|i| {
+            let e = self.t.reg_entry(i);
             e.used.load(Ordering::Acquire) == 1 && e.get_name() == padded
         })
     }
@@ -3022,7 +2861,7 @@ impl IpcMpf {
 
     /// [`Self::check_invariants`] under the registry lock.
     fn audit_region(&self) -> std::result::Result<(), String> {
-        let c = &self.counts;
+        let c = &self.cfg;
         let mut live = 0;
         // Messages, blocks, send and receive connections held by queues
         // and connection lists.
@@ -3031,14 +2870,14 @@ impl IpcMpf {
         // reaches it: a second visit is a torn splice.
         let mut reached = vec![0u64; (c.total_blocks as usize).div_ceil(64)];
         for idx in 0..c.max_lnvcs {
-            let d = self.lnvc(idx);
+            let d = self.t.lnvc(idx);
             if d.active.load(Ordering::Acquire) != 1 {
                 continue;
             }
             live += 1;
             let entry = d.registry_idx.load(Ordering::Acquire);
             let named = entry < c.max_lnvcs && {
-                let e = self.reg_entry(entry);
+                let e = self.t.reg_entry(entry);
                 e.used.load(Ordering::Acquire) == 1 && e.lnvc.load(Ordering::Acquire) == idx
             };
             if !named {
@@ -3053,34 +2892,35 @@ impl IpcMpf {
             }
         }
         let names = (0..c.max_lnvcs)
-            .filter(|&i| self.reg_entry(i).used.load(Ordering::Acquire) == 1)
+            .filter(|&i| self.t.reg_entry(i).used.load(Ordering::Acquire) == 1)
             .count();
         if names != live {
             return Err(format!(
                 "registry has {names} names but {live} LNVC slots are active"
             ));
         }
-        let h = self.header();
+        let h = self.t.header();
         let mut free_blocks = 0;
         let mut b = h.block_free.peek().1;
         while b != NIL {
             self.audit_reach(&mut reached, b)
                 .map_err(|e| format!("block free list: {e}"))?;
             free_blocks += 1;
-            b = self.block_link(b).load(Ordering::Acquire);
+            b = self.t.block_link(b).load(Ordering::Acquire);
         }
         let allocated = [
             c.max_messages
-                - h.msg_free
-                    .len(c.max_messages, |i| self.msg(i).next.load(Ordering::Acquire)),
+                - h.msg_free.len(c.max_messages, |i| {
+                    self.t.msg(i).next.load(Ordering::Acquire)
+                }),
             c.total_blocks - free_blocks,
             c.max_send_conns
                 - h.send_free.len(c.max_send_conns, |i| {
-                    self.send(i).next.load(Ordering::Acquire)
+                    self.t.send(i).next.load(Ordering::Acquire)
                 }),
             c.max_recv_conns
                 - h.recv_free.len(c.max_recv_conns, |i| {
-                    self.recv(i).next.load(Ordering::Acquire)
+                    self.t.recv(i).next.load(Ordering::Acquire)
                 }),
         ];
         let pools = [
@@ -3107,7 +2947,7 @@ impl IpcMpf {
         if block == NIL {
             return Err("block chain ends short".into());
         }
-        if block >= self.counts.total_blocks {
+        if block >= self.cfg.total_blocks {
             return Err(format!("link to block {block}, outside the pool"));
         }
         let (word, bit) = (block as usize / 64, 1u64 << (block % 64));
@@ -3128,21 +2968,21 @@ impl IpcMpf {
     ) -> std::result::Result<[u64; 4], String> {
         let count = |a: &AtomicU32| a.load(Ordering::Acquire);
         let holder_gone =
-            |pid: u32| pid >= self.counts.max_processes || !self.slot(pid).owner_alive();
+            |pid: u32| pid >= self.cfg.max_processes || !self.t.slot(pid).owner_alive();
         let mut senders = 0u32;
         let mut cur = count(&d.send_head);
         while cur != NIL {
             senders += 1;
-            if senders > self.counts.max_send_conns {
+            if senders > self.cfg.max_send_conns {
                 return Err("send list is cyclic".into());
             }
-            let pid = count(&self.send(cur).pid);
+            let pid = count(&self.t.send(cur).pid);
             if holder_gone(pid) {
                 return Err(format!(
                     "send connection of process {pid} outlives its holder"
                 ));
             }
-            cur = count(&self.send(cur).next);
+            cur = count(&self.t.send(cur).next);
         }
         if senders != count(&d.n_senders) {
             return Err(format!(
@@ -3154,10 +2994,10 @@ impl IpcMpf {
         let mut cursors = Vec::new();
         let mut cur = count(&d.recv_head);
         while cur != NIL {
-            if fcfs + cursors.len() as u32 >= self.counts.max_recv_conns {
+            if fcfs + cursors.len() as u32 >= self.cfg.max_recv_conns {
                 return Err("receive list is cyclic".into());
             }
-            let r = self.recv(cur);
+            let r = self.t.recv(cur);
             let pid = count(&r.pid);
             if holder_gone(pid) {
                 return Err(format!(
@@ -3183,10 +3023,10 @@ impl IpcMpf {
         let mut cur = count(&d.q_head);
         while cur != NIL {
             queued += 1;
-            if queued > self.counts.max_messages {
+            if queued > self.cfg.max_messages {
                 return Err("FIFO is cyclic".into());
             }
-            let m = self.msg(cur);
+            let m = self.t.msg(cur);
             let (seq, stamp) = (count(&m.seq), m.stamp.load(Ordering::Acquire));
             if last.is_some_and(|(s, t)| seq <= s || stamp <= t) {
                 return Err(format!(
@@ -3201,7 +3041,7 @@ impl IpcMpf {
                 self.audit_reach(reached, b).map_err(|e| {
                     format!("message {cur} (stamp {stamp}) of {n_blocks} blocks: {e}")
                 })?;
-                b = count(self.block_link(b));
+                b = count(self.t.block_link(b));
             }
             if b != NIL {
                 return Err(format!(
@@ -3217,15 +3057,14 @@ impl IpcMpf {
                     count(&m.bcast_pending)
                 ));
             }
-            let flags = count(&m.flags);
-            let owed = flags & msg_flags::NEEDS_FCFS != 0 && flags & msg_flags::FCFS_TAKEN == 0;
+            let owed = m.fcfs_owed();
             if owed && n_fcfs == 0 && n_bcast > 0 {
                 return Err(format!(
                     "message {cur} (stamp {stamp}) awaits an FCFS delivery but no FCFS \
                      receiver is connected and broadcast receivers keep the LNVC alive"
                 ));
             }
-            if prev == NIL && !owed && claims == 0 {
+            if prev == NIL && m.fully_delivered() {
                 return Err(format!(
                     "FIFO head {cur} (stamp {stamp}) is fully delivered but was not reclaimed"
                 ));
@@ -3287,7 +3126,8 @@ impl IpcMpf {
     /// except to drop it.
     #[doc(hidden)]
     pub fn debug_abandon_slot(&self) {
-        self.slot(self.me)
+        self.t
+            .slot(self.me)
             .os_pid
             .store(0x7fff_fffe, Ordering::Release);
     }
@@ -3301,14 +3141,14 @@ impl Drop for IpcMpf {
         // submissions, then release the slot.  An unwind skips the closes:
         // it may be passing through a hold of the locks they take.
         if !std::thread::panicking() {
-            for id in (0..self.counts.max_lnvcs).filter_map(|i| self.id_at(i)) {
+            for id in (0..self.cfg.max_lnvcs).filter_map(|i| self.id_at(i)) {
                 // `NotConnected` is the common case, not a failure.
                 let _ = self.close_send(id);
                 let _ = self.close_receive(id);
             }
         }
         self.reclaim_aio_of(self.me);
-        let s = self.slot(self.me);
+        let s = self.t.slot(self.me);
         s.os_pid.store(0, Ordering::Release);
         s.state.store(slot_state::FREE, Ordering::Release);
     }
@@ -3336,13 +3176,12 @@ mod tests {
             m.message_send(tx, payload).unwrap();
         }
         // Mark the second and the last delivered, as the receive path would.
-        let d = m.lnvc(tx.index());
-        let second = m
-            .msg(d.q_head.load(Ordering::Acquire))
-            .next
-            .load(Ordering::Acquire);
+        let d = m.t.lnvc(tx.index());
+        let head = m.t.msg(d.q_head.load(Ordering::Acquire));
+        let second = head.next.load(Ordering::Acquire);
         for corpse in [second, d.q_tail.load(Ordering::Acquire)] {
-            IpcMpf::claim_delivery(m.msg(corpse), false);
+            let taken = msg_flags::NEEDS_FCFS | msg_flags::FCFS_TAKEN;
+            m.t.msg(corpse).flags.store(taken, Ordering::Release);
         }
         assert_eq!(
             m.reclaimable(),

@@ -6,7 +6,8 @@ pub type Result<T> = std::result::Result<T, MpfError>;
 /// Everything that can go wrong in the facility.
 ///
 /// The paper's C interface signals errors with negative return values; the
-/// mapping lives in [`MpfError::status_code`] and is used by [`crate::capi`].
+/// mapping lives in [`MpfError::status_code`] and is what the `mpf_*` C ABI
+/// (`mpf-ipc`) returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpfError {
     /// LNVC name empty or longer than [`crate::MAX_NAME_LEN`].
@@ -22,11 +23,10 @@ pub enum MpfError {
     LnvcsExhausted,
     /// All connection descriptors are in use.
     ConnectionsExhausted,
-    /// All message headers are in use (and policy is
-    /// [`crate::ExhaustPolicy::Error`]).
+    /// All message headers are in use (the engine's non-waiting sends; the
+    /// `*_deadline` forms and the [`crate::Mpf`] facade wait instead).
     MessagesExhausted,
-    /// All message blocks are in use (and policy is
-    /// [`crate::ExhaustPolicy::Error`]).
+    /// All message blocks are in use (likewise).
     BlocksExhausted,
     /// The message is larger than the region could ever hold.
     MessageTooLarge {

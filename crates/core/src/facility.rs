@@ -5,8 +5,9 @@
 //! ([`IpcMpf::anon`]) with every process slot claimed up front: one view
 //! per [`ProcessId`], so `mpf.message_send(pid, id, buf)` is
 //! `views[pid].message_send(id, buf)`.  Nothing here queues, pools or
-//! locks; the facade only picks the view, maps [`LnvcId`] to the engine's
-//! handle and back, and applies the [`ExhaustPolicy`].
+//! locks; the facade only picks the view and maps [`LnvcId`] to the
+//! engine's handle and back.  Its sends wait out pool exhaustion; the
+//! typed error is [`Mpf::try_message_send`]'s or the view's own send's.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,7 +17,7 @@ use mpf_shm::telemetry::{LnvcTelSnapshot, TelSnapshot};
 use mpf_shm::tracering::TraceEvent;
 
 use crate::aio::{AioCompletion, AioStats};
-use crate::config::{ExhaustPolicy, MpfConfig};
+use crate::config::MpfConfig;
 use crate::engine::{AttachError, IpcLnvcId, IpcMpf};
 use crate::error::{MpfError, Result};
 use crate::stats::Reclaimable;
@@ -190,18 +191,17 @@ impl Mpf {
     }
 
     /// `message_send(process_id, lnvc_id, send_buffer, buffer_length)`:
-    /// asynchronous send.  When the region is full the
-    /// [`ExhaustPolicy`] decides: wait for a consumer to free room (the
-    /// default), or fail with `MessagesExhausted`/`BlocksExhausted`.
+    /// asynchronous send.  When the region is full it waits for a
+    /// consumer to free room: the paper's fixed region simply fills and
+    /// senders are at the mercy of consumers.
     pub fn message_send(&self, pid: ProcessId, id: LnvcId, buf: &[u8]) -> Result<()> {
         self.send_deadline(pid, id, buf, None)
     }
 
-    /// [`Self::message_send`] bounded by `deadline`: under region
-    /// exhaustion with [`ExhaustPolicy::Wait`] the sender blocks only
-    /// until the deadline, then fails with [`MpfError::TimedOut`] and
-    /// **nothing enqueued** (safe to retry or drop).  `None` blocks
-    /// indefinitely, exactly like `message_send`.
+    /// [`Self::message_send`] bounded by `deadline`: under region exhaustion
+    /// the sender blocks until the deadline, then fails with
+    /// [`MpfError::TimedOut`] and **nothing enqueued** (safe to retry or
+    /// drop).  `None` blocks indefinitely, exactly like `message_send`.
     pub fn send_deadline(
         &self,
         pid: ProcessId,
@@ -210,10 +210,7 @@ impl Mpf {
         deadline: Option<Instant>,
     ) -> Result<()> {
         let (view, id) = self.on(pid, id)?;
-        match self.cfg.exhaust_policy {
-            ExhaustPolicy::Wait => view.send_deadline(id, buf, deadline),
-            ExhaustPolicy::Error => view.message_send(id, buf),
-        }
+        view.send_deadline(id, buf, deadline)
     }
 
     /// Non-blocking send: `Ok(false)` when the region is exhausted right
@@ -357,9 +354,9 @@ impl Mpf {
     /// submission ring and rings the doorbell **once**.  Each descriptor's
     /// `user_data` token is its index within `payloads`.
     ///
-    /// Returns the number staged: allocation follows the exhaustion policy
-    /// (it may block under [`ExhaustPolicy::Wait`] while nothing at all
-    /// can be staged), and a full ring or a dry pool stops the batch early
+    /// Returns the number staged: allocation waits out exhaustion while
+    /// nothing at all can be staged, and a full ring or a dry pool stops
+    /// the batch early
     /// — a partial submit.  An empty batch is `Ok(0)` with no doorbell; a
     /// ring with no room for even the first descriptor is
     /// [`MpfError::WouldBlock`] (drain, then resubmit the rest).
@@ -367,10 +364,9 @@ impl Mpf {
         self.submit_sends_deadline(pid, id, payloads, None)
     }
 
-    /// [`Self::submit_sends`] bounded by `deadline`: exhaustion waits
-    /// under [`ExhaustPolicy::Wait`] time out, surfacing
-    /// [`MpfError::TimedOut`] when nothing was staged (partial progress
-    /// still wins otherwise).
+    /// [`Self::submit_sends`] bounded by `deadline`: exhaustion waits time
+    /// out, surfacing [`MpfError::TimedOut`] when nothing was staged
+    /// (partial progress still wins otherwise).
     pub fn submit_sends_deadline(
         &self,
         pid: ProcessId,
@@ -379,10 +375,7 @@ impl Mpf {
         deadline: Option<Instant>,
     ) -> Result<usize> {
         let (view, id) = self.on(pid, id)?;
-        match self.cfg.exhaust_policy {
-            ExhaustPolicy::Wait => view.submit_sends_deadline(id, payloads, deadline),
-            ExhaustPolicy::Error => view.submit_sends(id, payloads),
-        }
+        view.submit_sends_deadline(id, payloads, deadline)
     }
 
     /// Drains `pid`'s submission ring: links every staged message under
@@ -405,8 +398,7 @@ impl Mpf {
     /// doorbell, one lock hold, and one receiver wake, returning the
     /// completions (tokens are indices into `payloads`).  May also return
     /// completions left over from earlier partial cycles on this ring.
-    /// Under [`ExhaustPolicy::Wait`] it keeps going until the whole batch
-    /// is sent; under [`ExhaustPolicy::Error`] one cycle is all it does.
+    /// Keeps going until the whole batch is sent.
     pub fn send_batch(
         &self,
         pid: ProcessId,
@@ -427,10 +419,7 @@ impl Mpf {
         deadline: Option<Instant>,
     ) -> Result<Vec<AioCompletion>> {
         let (view, id) = self.on(pid, id)?;
-        match self.cfg.exhaust_policy {
-            ExhaustPolicy::Wait => view.send_batch_deadline(id, payloads, deadline),
-            ExhaustPolicy::Error => view.send_batch(id, payloads),
-        }
+        view.send_batch_deadline(id, payloads, deadline)
     }
 
     /// Batched blocking receive: waits for traffic, then drains up to
@@ -747,24 +736,37 @@ mod tests {
     }
 
     #[test]
-    fn exhaust_error_policy_reports() {
+    fn exhaustion_is_a_typed_error_through_the_view() {
         let mpf = Mpf::init(
             MpfConfig::new(2, 2)
                 .with_total_blocks(4)
                 .with_block_payload(10)
-                .with_exhaust_policy(ExhaustPolicy::Error),
+                .with_max_messages(2),
         )
         .unwrap();
         let tx = mpf.open_send(p(0), "full").unwrap();
+        let (view, id) = mpf.on(p(0), tx).unwrap();
         mpf.message_send(p(0), tx, &[0u8; 40]).unwrap();
         assert_eq!(
-            mpf.message_send(p(0), tx, &[0u8; 10]).unwrap_err(),
+            view.message_send(id, &[0u8; 10]).unwrap_err(),
             MpfError::BlocksExhausted
         );
+        assert_eq!(mpf.try_message_send(p(0), tx, &[0u8; 10]), Ok(false));
         assert_eq!(
             mpf.message_send(p(0), tx, &[0u8; 1000]).unwrap_err(),
             MpfError::MessageTooLarge { len: 1000, max: 40 }
         );
+        // Blocks to spare, headers none: the other pool's error.
+        let rx = mpf.open_receive(p(1), "full", Protocol::Fcfs).unwrap();
+        assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap().len(), 40);
+        for _ in 0..2 {
+            view.message_send(id, b"x").unwrap();
+        }
+        assert_eq!(
+            view.message_send(id, b"x").unwrap_err(),
+            MpfError::MessagesExhausted
+        );
+        mpf.assert_invariants();
     }
 
     #[test]

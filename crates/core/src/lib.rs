@@ -19,7 +19,7 @@
 //! ## The eight primitives
 //!
 //! The paper's C interface maps 1:1 onto [`Mpf`] methods (and onto the
-//! literal C-style layer in [`capi`]):
+//! `mpf_*` C ABI the `mpf-ipc` crate exports over the same engine):
 //!
 //! | paper | here |
 //! |---|---|
@@ -74,8 +74,6 @@
 //! ```
 
 pub mod aio;
-pub mod capi;
-pub mod capi_ffi;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -89,7 +87,7 @@ pub mod sync_channel;
 pub mod types;
 
 pub use aio::{AioCompletion, AioStats};
-pub use config::{ExhaustPolicy, MpfConfig};
+pub use config::MpfConfig;
 pub use engine::{AttachError, IpcLnvcId, IpcMpf};
 pub use error::{MpfError, Result};
 pub use facility::Mpf;

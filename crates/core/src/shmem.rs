@@ -408,6 +408,21 @@ pub struct MsgDesc {
     pub trace: AtomicU64,
 }
 
+impl MsgDesc {
+    /// Whether the message still owes its one FCFS delivery.
+    pub fn fcfs_owed(&self) -> bool {
+        let flags = self.flags.load(Ordering::Acquire);
+        flags & msg_flags::NEEDS_FCFS != 0 && flags & msg_flags::FCFS_TAKEN == 0
+    }
+
+    /// The §3 reclaim rule: every delivery fixed at send time has been
+    /// made (or waived) — no FCFS delivery owed, no BROADCAST claim left —
+    /// so the message may leave its queue.
+    pub fn fully_delivered(&self) -> bool {
+        !self.fcfs_owed() && self.bcast_pending.load(Ordering::Acquire) == 0
+    }
+}
+
 /// One send-connection descriptor.
 #[repr(C)]
 #[derive(Debug)]

@@ -94,8 +94,7 @@ impl std::str::FromStr for LnvcName {
 /// MPF's internal LNVC identifier, returned by `open_send`/`open_receive`
 /// and required by the transfer and close primitives (paper §2).
 ///
-/// Like the paper's `int`, it fits a non-negative `i32` for the C layer.
-/// Internally it packs a slot index (low 16 bits) and a 15-bit generation
+/// Like the paper's `int`, it fits a non-negative `i32`.  It packs a slot index (low 16 bits) and a 15-bit generation
 /// so a stale identifier for a deleted-and-recycled LNVC is detected rather
 /// than silently addressing the wrong conversation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,16 +127,6 @@ impl LnvcId {
     /// invalidate fresh identifiers).
     pub(crate) fn matches_generation(self, slot_generation: u32) -> bool {
         (slot_generation & GEN_MASK) == self.generation()
-    }
-
-    /// Non-negative integer form (what the paper's C functions return).
-    pub fn as_i32(self) -> i32 {
-        self.0 as i32
-    }
-
-    /// Parses the integer form.  Returns `None` for negative values.
-    pub fn from_i32(raw: i32) -> Option<Self> {
-        (raw >= 0).then_some(Self(raw as u32))
     }
 }
 
@@ -192,15 +181,6 @@ mod tests {
         let id = LnvcId::from_parts(513, 77);
         assert_eq!(id.index(), 513);
         assert_eq!(id.generation(), 77);
-    }
-
-    #[test]
-    fn id_i32_roundtrip_is_nonnegative() {
-        let id = LnvcId::from_parts(MAX_LNVC_INDEX, GEN_MASK);
-        let raw = id.as_i32();
-        assert!(raw >= 0, "C-layer ids must be non-negative");
-        assert_eq!(LnvcId::from_i32(raw), Some(id));
-        assert_eq!(LnvcId::from_i32(-1), None);
     }
 
     #[test]

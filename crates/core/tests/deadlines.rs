@@ -79,7 +79,7 @@ fn recv_deadline_wakes_on_cross_thread_send() {
 
 #[test]
 fn send_deadline_times_out_under_exhaustion_with_nothing_enqueued() {
-    // Default ExhaustPolicy::Wait: fill the 4-block pool, then a
+    // The facade's sends wait for room: fill the 4-block pool, then a
     // deadline-bounded send must give up instead of parking forever —
     // and must leave no partial allocation behind.
     let m = facility();

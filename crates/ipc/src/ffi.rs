@@ -1,338 +1,418 @@
-//! `extern "C"` bindings for the multi-process backend.
+//! The `mpf_*` C ABI: the paper's §2 interface with C linkage, the one
+//! exported by the workspace (this crate builds the `cdylib`).
 //!
-//! Unlike `mpf::capi_ffi` (one global facility per process), these
-//! functions are handle-based: `mpf_ipc_create`/`mpf_ipc_attach` return
-//! an opaque handle a separately compiled binary uses for every further
-//! call, so one process can hold several regions.  The intended C usage:
+//! "The message passing primitives for this model are implemented as a
+//! portable library of C function calls."  A handle *is* a process: where
+//! the paper's functions take `process_id`, these take the opaque handle
+//! `mpf_create`, `mpf_attach` or `mpf_attach_view` returned, and otherwise
+//! keep the paper's argument order.  A named region is joined by any
+//! process on the machine knowing only its name; `mpf_create(NULL, …)`
+//! makes an anonymous one for the threads of one program, each holding
+//! its own `mpf_attach_view` of it:
 //!
 //! ```c
-//! void *h = mpf_ipc_attach("jobname");
-//! long long id = mpf_ipc_open_receive(h, "results", 0 /* FCFS */);
-//! long n = mpf_ipc_message_receive(h, id, buf, sizeof buf);
-//! mpf_ipc_close_receive(h, id);
-//! mpf_ipc_detach(h);
+//! void *h = mpf_attach("jobname");
+//! long long id = mpf_open_receive(h, "results", 0 /* FCFS */);
+//! long n = mpf_message_receive(h, id, buf, sizeof buf);
+//! mpf_close_receive(h, id);
+//! mpf_detach(h);
 //! ```
 //!
-//! Status codes are [`MpfError::status_code`] values (negative);
-//! conversation ids are the raw [`IpcLnvcId`] `u64`, always positive and
-//! returned in an `int64_t` so the sign still carries errors.
+//! Failures are [`MpfError::status_code`] values (negative) — NULL where
+//! a handle is returned; conversation ids are the raw [`IpcLnvcId`],
+//! always positive and returned in a `long long` so the sign still
+//! carries errors.
 
 use std::ffi::CStr;
 use std::os::raw::{c_char, c_int, c_long, c_longlong, c_void};
 
+use mpf::engine::{AttachError, IpcLnvcId, IpcMpf};
+use mpf::types::MAX_LNVC_INDEX;
 use mpf::{MpfConfig, MpfError, Protocol};
 
-use mpf::engine::{IpcLnvcId, IpcMpf};
-
-/// Status returned when a handle or required pointer is NULL.
-fn bad_handle() -> c_int {
-    MpfError::BadInit.status_code() as c_int
-}
-
-/// Converts a C string, mapping NULL/invalid UTF-8 to the invalid-name
-/// status code.
+/// Converts a C string, mapping NULL/invalid UTF-8 to
+/// [`MpfError::InvalidName`].
 ///
 /// # Safety
 /// `name` must be NULL or a valid NUL-terminated string.
-unsafe fn name_arg<'a>(name: *const c_char) -> Result<&'a str, c_int> {
+unsafe fn name_arg<'a>(name: *const c_char) -> mpf::Result<&'a str> {
+    let bad = MpfError::InvalidName { len: 0, max: 0 };
     if name.is_null() {
-        return Err(MpfError::InvalidName { len: 0, max: 0 }.status_code());
+        return Err(bad);
     }
-    CStr::from_ptr(name)
-        .to_str()
-        .map_err(|_| MpfError::InvalidName { len: 0, max: 0 }.status_code())
+    // SAFETY: non-NULL, so NUL-terminated by the caller's contract.
+    unsafe { CStr::from_ptr(name) }.to_str().map_err(|_| bad)
 }
 
-unsafe fn handle<'a>(h: *mut c_void) -> Result<&'a IpcMpf, c_int> {
-    if h.is_null() {
-        return Err(bad_handle());
-    }
-    Ok(&*(h as *const IpcMpf))
-}
-
-fn status(r: mpf::Result<()>) -> c_int {
-    match r {
-        Ok(()) => 0,
-        Err(e) => e.status_code(),
-    }
-}
-
-/// Creates and carves a named region; returns an opaque handle or NULL.
-/// `max_lnvcs`/`max_processes` mirror the paper's `init` parameters.
+/// The process behind `h`; a NULL handle is [`MpfError::BadInit`].
 ///
 /// # Safety
-/// `region_name` must be a valid NUL-terminated string.
+/// `h` must be NULL or a live handle.
+unsafe fn process<'a>(h: *mut c_void) -> mpf::Result<&'a IpcMpf> {
+    // SAFETY: a live handle points at the `IpcMpf` `into_handle` boxed.
+    unsafe { (h as *const IpcMpf).as_ref() }.ok_or(MpfError::BadInit)
+}
+
+/// Runs `f` on the process behind `h`; an error — `f`'s, or a NULL
+/// handle's — comes back as its status code.
+///
+/// # Safety
+/// `h` must be NULL or a live handle.
+unsafe fn call(h: *mut c_void, f: impl FnOnce(&IpcMpf) -> mpf::Result<i64>) -> i64 {
+    // SAFETY: the caller's contract.
+    let result = unsafe { process(h) }.and_then(f);
+    result.unwrap_or_else(|e| i64::from(e.status_code()))
+}
+
+fn into_handle(made: Result<IpcMpf, AttachError>) -> *mut c_void {
+    made.map_or(std::ptr::null_mut(), |m| Box::into_raw(Box::new(m)).cast())
+}
+
+fn lnvc(lnvc_id: c_longlong) -> IpcLnvcId {
+    IpcLnvcId::from_raw(lnvc_id as u64)
+}
+
+/// The paper's `init(maxLNVC's, max_processes)`: creates and carves a
+/// region — named `region_name`, or anonymous when that is NULL — and
+/// returns the handle of its first process, or NULL.
+///
+/// # Safety
+/// `region_name` must be NULL or a valid NUL-terminated string.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_create(
+pub unsafe extern "C" fn mpf_create(
     region_name: *const c_char,
     max_lnvcs: c_int,
     max_processes: c_int,
 ) -> *mut c_void {
-    let Ok(name) = name_arg(region_name) else {
+    let (Ok(lnvcs), Ok(processes)) = (u32::try_from(max_lnvcs), u32::try_from(max_processes))
+    else {
         return std::ptr::null_mut();
     };
-    if max_lnvcs <= 0 || max_processes <= 0 {
+    if !(1..=MAX_LNVC_INDEX + 1).contains(&lnvcs) || processes == 0 {
         return std::ptr::null_mut();
     }
-    let cfg = MpfConfig::new(max_lnvcs as u32, max_processes as u32);
-    match IpcMpf::create(name, &cfg) {
-        Ok(m) => Box::into_raw(Box::new(m)) as *mut c_void,
+    let cfg = MpfConfig::new(lnvcs, processes);
+    if region_name.is_null() {
+        return into_handle(IpcMpf::anon(&cfg));
+    }
+    // SAFETY: the caller's contract.
+    match unsafe { name_arg(region_name) } {
+        Ok(name) => into_handle(IpcMpf::create(name, &cfg)),
         Err(_) => std::ptr::null_mut(),
     }
 }
 
-/// Attaches an existing region by name; returns an opaque handle or NULL
-/// (region missing, layout mismatch, or no free process slot).
+/// Attaches an existing region by name; returns a new process's handle or
+/// NULL (region missing, layout mismatch, or no free process slot).
 ///
 /// # Safety
-/// `region_name` must be a valid NUL-terminated string.
+/// `region_name` must be NULL or a valid NUL-terminated string.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_attach(region_name: *const c_char) -> *mut c_void {
-    let Ok(name) = name_arg(region_name) else {
-        return std::ptr::null_mut();
-    };
-    match IpcMpf::attach(name) {
-        Ok(m) => Box::into_raw(Box::new(m)) as *mut c_void,
+pub unsafe extern "C" fn mpf_attach(region_name: *const c_char) -> *mut c_void {
+    // SAFETY: the caller's contract.
+    match unsafe { name_arg(region_name) } {
+        Ok(name) => into_handle(IpcMpf::attach(name)),
         Err(_) => std::ptr::null_mut(),
     }
 }
 
-/// Releases the handle (and its process slot).  NULL is a no-op.
+/// A further process on `h`'s region, in this program: how the threads of
+/// one program each get their own `process_id`.  NULL when `h` is NULL or
+/// every process slot is taken.
 ///
 /// # Safety
-/// `h` must be NULL or a handle from `mpf_ipc_create`/`mpf_ipc_attach`,
-/// not used after this call.
+/// `h` must be NULL or a live handle.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_detach(h: *mut c_void) {
+pub unsafe extern "C" fn mpf_attach_view(h: *mut c_void) -> *mut c_void {
+    // SAFETY: the caller's contract.
+    unsafe { process(h) }.map_or(std::ptr::null_mut(), |m| into_handle(m.attach_view()))
+}
+
+/// Releases the handle: closes the connections it still holds and frees
+/// its process slot.  NULL is a no-op.
+///
+/// # Safety
+/// `h` must be NULL or a live handle, not used after this call.
+#[no_mangle]
+pub unsafe extern "C" fn mpf_detach(h: *mut c_void) {
     if !h.is_null() {
-        drop(Box::from_raw(h as *mut IpcMpf));
+        // SAFETY: a live handle is the `Box` `into_handle` leaked.
+        drop(unsafe { Box::from_raw(h as *mut IpcMpf) });
     }
 }
 
-/// This process's MPF pid (its heartbeat-slot index), or a negative
-/// status.
+/// The handle's MPF process id (its process-slot index).
 ///
 /// # Safety
-/// `h` must be a valid handle.
+/// `h` must be NULL or a live handle.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_pid(h: *mut c_void) -> c_int {
-    match handle(h) {
-        Ok(m) => m.pid() as c_int,
-        Err(code) => code,
-    }
+pub unsafe extern "C" fn mpf_pid(h: *mut c_void) -> c_int {
+    // SAFETY: the caller's contract.
+    unsafe { call(h, |m| Ok(i64::from(m.pid()))) as c_int }
 }
 
-/// `open_LNVC_send`; returns the conversation id (≥ 0) or a negative
-/// status.
+/// Runs a liveness sweep; returns the number of newly-found dead peers.
 ///
 /// # Safety
-/// `h` must be a valid handle; `lnvc_name` a valid NUL-terminated string.
+/// `h` must be NULL or a live handle.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_open_send(h: *mut c_void, lnvc_name: *const c_char) -> c_longlong {
-    let m = match handle(h) {
-        Ok(m) => m,
-        Err(code) => return code as c_longlong,
-    };
-    let name = match name_arg(lnvc_name) {
-        Ok(n) => n,
-        Err(code) => return code as c_longlong,
-    };
-    match m.open_send(name) {
-        Ok(id) => id.raw() as c_longlong,
-        Err(e) => e.status_code() as c_longlong,
-    }
+pub unsafe extern "C" fn mpf_sweep(h: *mut c_void) -> c_int {
+    // SAFETY: the caller's contract.
+    unsafe { call(h, |m| Ok(i64::from(m.sweep_dead_peers()))) as c_int }
 }
 
-/// `open_LNVC_receive` with `protocol` 0 = FCFS, 1 = BROADCAST.
+/// `open_send(process_id, lnvc_name)`: the conversation id (≥ 0).
 ///
 /// # Safety
-/// `h` must be a valid handle; `lnvc_name` a valid NUL-terminated string.
+/// `h` must be NULL or a live handle; `lnvc_name` NULL or a valid
+/// NUL-terminated string.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_open_receive(
+pub unsafe extern "C" fn mpf_open_send(h: *mut c_void, lnvc_name: *const c_char) -> c_longlong {
+    // SAFETY: the caller's contract, for both.
+    unsafe { call(h, |m| Ok(m.open_send(name_arg(lnvc_name)?)?.raw() as i64)) }
+}
+
+/// `open_receive(process_id, lnvc_name, protocol)`, `protocol` 0 = FCFS,
+/// 1 = BROADCAST: the conversation id (≥ 0).
+///
+/// # Safety
+/// As [`mpf_open_send`].
+#[no_mangle]
+pub unsafe extern "C" fn mpf_open_receive(
     h: *mut c_void,
     lnvc_name: *const c_char,
     protocol: c_int,
 ) -> c_longlong {
-    let m = match handle(h) {
-        Ok(m) => m,
-        Err(code) => return code as c_longlong,
-    };
-    let name = match name_arg(lnvc_name) {
-        Ok(n) => n,
-        Err(code) => return code as c_longlong,
-    };
-    let protocol = match protocol {
-        0 => Protocol::Fcfs,
-        1 => Protocol::Broadcast,
-        _ => return MpfError::ProtocolConflict.status_code() as c_longlong,
-    };
-    match m.open_receive(name, protocol) {
-        Ok(id) => id.raw() as c_longlong,
-        Err(e) => e.status_code() as c_longlong,
+    // SAFETY: the caller's contract, for both.
+    unsafe {
+        call(h, |m| {
+            let protocol = match protocol {
+                0 => Protocol::Fcfs,
+                1 => Protocol::Broadcast,
+                _ => return Err(MpfError::ProtocolConflict),
+            };
+            Ok(m.open_receive(name_arg(lnvc_name)?, protocol)?.raw() as i64)
+        })
     }
 }
 
-/// `close_LNVC_send`.
+/// `close_send(process_id, lnvc_id)`: 0.
 ///
 /// # Safety
-/// `h` must be a valid handle.
+/// `h` must be NULL or a live handle.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_close_send(h: *mut c_void, lnvc_id: c_longlong) -> c_int {
-    match handle(h) {
-        Ok(m) => status(m.close_send(IpcLnvcId::from_raw(lnvc_id as u64))),
-        Err(code) => code,
-    }
+pub unsafe extern "C" fn mpf_close_send(h: *mut c_void, lnvc_id: c_longlong) -> c_int {
+    // SAFETY: the caller's contract.
+    unsafe { call(h, |m| m.close_send(lnvc(lnvc_id)).map(|()| 0)) as c_int }
 }
 
-/// `close_LNVC_receive`.
+/// `close_receive(process_id, lnvc_id)`: 0.
 ///
 /// # Safety
-/// `h` must be a valid handle.
+/// `h` must be NULL or a live handle.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_close_receive(h: *mut c_void, lnvc_id: c_longlong) -> c_int {
-    match handle(h) {
-        Ok(m) => status(m.close_receive(IpcLnvcId::from_raw(lnvc_id as u64))),
-        Err(code) => code,
-    }
+pub unsafe extern "C" fn mpf_close_receive(h: *mut c_void, lnvc_id: c_longlong) -> c_int {
+    // SAFETY: the caller's contract.
+    unsafe { call(h, |m| m.close_receive(lnvc(lnvc_id)).map(|()| 0)) as c_int }
 }
 
-/// `message_send`.
+/// `message_send(process_id, lnvc_id, send_buffer, buffer_length)`: 0.
+/// Asynchronous; a full region is [`MpfError::MessagesExhausted`] or
+/// [`MpfError::BlocksExhausted`], for the caller to retry.
 ///
 /// # Safety
-/// `h` must be a valid handle; `buf` must point to `len` readable bytes
-/// (NULL allowed only when `len == 0`).
+/// `h` must be NULL or a live handle; `send_buffer` must point to
+/// `buffer_length` readable bytes (NULL allowed only with length 0).
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_message_send(
+pub unsafe extern "C" fn mpf_message_send(
     h: *mut c_void,
     lnvc_id: c_longlong,
-    buf: *const u8,
-    len: c_long,
+    send_buffer: *const u8,
+    buffer_length: c_long,
 ) -> c_int {
-    let m = match handle(h) {
-        Ok(m) => m,
-        Err(code) => return code,
+    // SAFETY: the caller's contract.
+    let sent = unsafe {
+        call(h, |m| {
+            let payload = match usize::try_from(buffer_length) {
+                Ok(0) => &[][..],
+                // SAFETY: non-NULL, so `len` readable bytes by contract.
+                Ok(len) if !send_buffer.is_null() => std::slice::from_raw_parts(send_buffer, len),
+                _ => return Err(MpfError::MessageTooLarge { len: 0, max: 0 }),
+            };
+            m.message_send(lnvc(lnvc_id), payload).map(|()| 0)
+        })
     };
-    if len < 0 || (buf.is_null() && len != 0) {
-        return MpfError::MessageTooLarge { len: 0, max: 0 }.status_code();
-    }
-    let payload = if len == 0 {
-        &[][..]
-    } else {
-        std::slice::from_raw_parts(buf, len as usize)
-    };
-    status(m.message_send(IpcLnvcId::from_raw(lnvc_id as u64), payload))
+    sent as c_int
 }
 
-/// Blocking `message_receive`; returns the delivered byte count (≥ 0) or
-/// a negative status.
+/// `message_receive(process_id, lnvc_id, receive_buffer, buffer_length)`:
+/// blocks for the next message and returns the bytes transferred (≥ 0).
+/// A buffer shorter than the message is [`MpfError::BufferTooSmall`] and
+/// leaves the message queued.
 ///
 /// # Safety
-/// `h` must be a valid handle; `buf` must point to `cap` writable bytes.
+/// `h` must be NULL or a live handle; `receive_buffer` must point to
+/// `buffer_length` writable bytes (NULL allowed only with length 0).
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_message_receive(
+pub unsafe extern "C" fn mpf_message_receive(
     h: *mut c_void,
     lnvc_id: c_longlong,
-    buf: *mut u8,
-    cap: c_long,
+    receive_buffer: *mut u8,
+    buffer_length: c_long,
 ) -> c_long {
-    let m = match handle(h) {
-        Ok(m) => m,
-        Err(code) => return code as c_long,
+    // SAFETY: the caller's contract.
+    let received = unsafe {
+        call(h, |m| {
+            let out = match usize::try_from(buffer_length) {
+                Ok(0) => &mut [][..],
+                // SAFETY: non-NULL, so `cap` writable bytes by contract.
+                Ok(cap) if !receive_buffer.is_null() => {
+                    std::slice::from_raw_parts_mut(receive_buffer, cap)
+                }
+                _ => return Err(MpfError::BufferTooSmall { needed: 0 }),
+            };
+            m.message_receive(lnvc(lnvc_id), out).map(|n| n as i64)
+        })
     };
-    if cap < 0 || (buf.is_null() && cap != 0) {
-        return MpfError::BufferTooSmall { needed: 0 }.status_code() as c_long;
-    }
-    let out = if cap == 0 {
-        &mut [][..]
-    } else {
-        std::slice::from_raw_parts_mut(buf, cap as usize)
-    };
-    match m.message_receive(IpcLnvcId::from_raw(lnvc_id as u64), out) {
-        Ok(n) => n as c_long,
-        Err(e) => e.status_code() as c_long,
-    }
+    received as c_long
 }
 
-/// `check_receive`: 1 when a message is deliverable, 0 when not, or a
-/// negative status.
+/// `check_receive(process_id, lnvc_id)`: non-zero when a message is
+/// waiting for this process (advisory for FCFS), 0 when not.
 ///
 /// # Safety
-/// `h` must be a valid handle.
+/// `h` must be NULL or a live handle.
 #[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_check_receive(h: *mut c_void, lnvc_id: c_longlong) -> c_int {
-    match handle(h) {
-        Ok(m) => match m.check_receive(IpcLnvcId::from_raw(lnvc_id as u64)) {
-            Ok(ready) => ready as c_int,
-            Err(e) => e.status_code(),
-        },
-        Err(code) => code,
-    }
-}
-
-/// Runs a liveness sweep; returns the number of newly-found dead peers
-/// or a negative status.
-///
-/// # Safety
-/// `h` must be a valid handle.
-#[no_mangle]
-pub unsafe extern "C" fn mpf_ipc_sweep(h: *mut c_void) -> c_int {
-    match handle(h) {
-        Ok(m) => m.sweep_dead_peers() as c_int,
-        Err(code) => code,
-    }
+pub unsafe extern "C" fn mpf_check_receive(h: *mut c_void, lnvc_id: c_longlong) -> c_int {
+    // SAFETY: the caller's contract.
+    unsafe { call(h, |m| m.check_receive(lnvc(lnvc_id)).map(i64::from)) as c_int }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn c(s: &str) -> std::ffi::CString {
-        std::ffi::CString::new(s).unwrap()
+    const NULL: *mut c_void = std::ptr::null_mut();
+
+    fn code(e: MpfError) -> c_int {
+        e.status_code()
     }
 
-    #[test]
-    fn ffi_roundtrip_over_a_real_region() {
-        let region = c("ffi-roundtrip");
+    /// The eight primitives between two processes of `creator`'s region;
+    /// `peer` is a second handle on it.
+    unsafe fn conversation(creator: *mut c_void, peer: *mut c_void) {
         unsafe {
-            let h = mpf_ipc_create(region.as_ptr(), 4, 4);
-            assert!(!h.is_null());
-            assert_eq!(mpf_ipc_pid(h), 0);
-            let name = c("ffi:pipe");
-            let tx = mpf_ipc_open_send(h, name.as_ptr());
+            assert_eq!((mpf_pid(creator), mpf_pid(peer)), (0, 1));
+            let name = c"ffi:pipe";
+            let tx = mpf_open_send(creator, name.as_ptr());
+            let rx = mpf_open_receive(peer, name.as_ptr(), 0);
             assert!(tx >= 0, "open_send -> {tx}");
-            let rx = mpf_ipc_open_receive(h, name.as_ptr(), 0);
-            assert!(rx >= 0, "open_receive -> {rx}");
-            assert_eq!(mpf_ipc_check_receive(h, rx), 0);
+            assert_eq!(tx, rx, "same conversation, same id");
+            assert_eq!(mpf_check_receive(peer, rx), 0);
             let payload = b"over the C ABI";
             assert_eq!(
-                mpf_ipc_message_send(h, tx, payload.as_ptr(), payload.len() as c_long),
+                mpf_message_send(creator, tx, payload.as_ptr(), payload.len() as c_long),
                 0
             );
-            assert_eq!(mpf_ipc_check_receive(h, rx), 1);
+            assert_eq!(mpf_check_receive(peer, rx), 1);
+
+            // A short buffer names the typed error and consumes nothing.
             let mut buf = [0u8; 64];
-            let n = mpf_ipc_message_receive(h, rx, buf.as_mut_ptr(), buf.len() as c_long);
-            assert_eq!(n as usize, payload.len());
+            assert_eq!(
+                mpf_message_receive(peer, rx, buf.as_mut_ptr(), 4),
+                c_long::from(code(MpfError::BufferTooSmall { needed: 14 }))
+            );
+            let n = mpf_message_receive(peer, rx, buf.as_mut_ptr(), buf.len() as c_long);
             assert_eq!(&buf[..n as usize], payload);
-            assert_eq!(mpf_ipc_close_send(h, tx), 0);
-            assert_eq!(mpf_ipc_close_receive(h, rx), 0);
-            mpf_ipc_detach(h);
+
+            // NULL buffers are legal exactly when the length is zero.
+            assert!(mpf_message_send(creator, tx, std::ptr::null(), 4) < 0);
+            assert!(mpf_message_receive(peer, rx, std::ptr::null_mut(), 4) < 0);
+            assert!(mpf_message_send(creator, tx, payload.as_ptr(), -1) < 0);
+            assert_eq!(mpf_message_send(creator, tx, std::ptr::null(), 0), 0);
+            assert_eq!(mpf_message_receive(peer, rx, std::ptr::null_mut(), 0), 0);
+
+            // Bad protocol code; a process that is not connected.
+            assert_eq!(
+                mpf_open_receive(creator, name.as_ptr(), 7),
+                c_longlong::from(code(MpfError::ProtocolConflict))
+            );
+            assert_eq!(
+                mpf_message_send(peer, tx, payload.as_ptr(), 1),
+                code(MpfError::NotConnected)
+            );
+
+            assert_eq!(mpf_close_send(creator, tx), 0);
+            assert_eq!(mpf_close_receive(peer, rx), 0);
+            // The conversation is deleted; its id is stale now.
+            assert_eq!(mpf_close_send(creator, tx), code(MpfError::UnknownLnvc));
+            assert_eq!(mpf_sweep(creator), 0);
         }
     }
 
     #[test]
-    fn ffi_rejects_nulls_and_bad_ids() {
+    fn primitives_between_two_handles_of_a_named_region() {
         unsafe {
-            assert!(mpf_ipc_attach(std::ptr::null()).is_null());
-            assert_eq!(mpf_ipc_pid(std::ptr::null_mut()), bad_handle());
-            let region = c("ffi-badid");
-            let h = mpf_ipc_create(region.as_ptr(), 2, 2);
+            let region = c"ffi-roundtrip";
+            let h = mpf_create(region.as_ptr(), 4, 4);
             assert!(!h.is_null());
-            let bogus = IpcLnvcId::from_raw(7 << 32 | 1).raw() as c_longlong;
-            assert_eq!(
-                mpf_ipc_close_send(h, bogus),
-                MpfError::UnknownLnvc.status_code()
+            let peer = mpf_attach(region.as_ptr());
+            assert!(!peer.is_null());
+            conversation(h, peer);
+            mpf_detach(peer);
+            mpf_detach(h);
+            assert!(
+                mpf_attach(region.as_ptr()).is_null(),
+                "unlinked with its creator"
             );
-            mpf_ipc_detach(h);
+        }
+    }
+
+    #[test]
+    fn primitives_between_two_views_of_an_anonymous_region() {
+        unsafe {
+            let h = mpf_create(std::ptr::null(), 8, 2);
+            assert!(!h.is_null());
+            let peer = mpf_attach_view(h);
+            assert!(!peer.is_null());
+            assert!(mpf_attach_view(h).is_null(), "both process slots taken");
+            conversation(h, peer);
+            // A view outlives the handle it was made from.
+            mpf_detach(h);
+            assert_eq!(mpf_pid(peer), 1);
+            mpf_detach(peer);
+        }
+    }
+
+    #[test]
+    fn nulls_bad_names_and_bad_ids_are_typed_errors() {
+        unsafe {
+            assert!(mpf_attach(std::ptr::null()).is_null());
+            assert!(mpf_attach_view(NULL).is_null());
+            assert!(mpf_create(std::ptr::null(), 0, 4).is_null());
+            assert!(mpf_create(std::ptr::null(), 4, -1).is_null());
+            assert!(mpf_create(std::ptr::null(), 1 << 20, 4).is_null());
+            let not_utf8 = [0xFFu8, 0xFE, 0];
+            assert!(mpf_create(not_utf8.as_ptr().cast(), 4, 4).is_null());
+            mpf_detach(NULL);
+
+            let bad_handle = code(MpfError::BadInit);
+            assert_eq!(mpf_pid(NULL), bad_handle);
+            assert_eq!(mpf_sweep(NULL), bad_handle);
+            assert_eq!(mpf_check_receive(NULL, 0), bad_handle);
+            assert_eq!(
+                mpf_open_send(NULL, c"x".as_ptr()),
+                c_longlong::from(bad_handle)
+            );
+
+            let h = mpf_create(std::ptr::null(), 2, 2);
+            let bad_name = c_longlong::from(code(MpfError::InvalidName { len: 0, max: 0 }));
+            assert_eq!(mpf_open_send(h, std::ptr::null()), bad_name);
+            assert_eq!(mpf_open_receive(h, not_utf8.as_ptr().cast(), 0), bad_name);
+            let bogus = IpcLnvcId::from_raw(7 << 32 | 1).raw() as c_longlong;
+            assert_eq!(mpf_close_send(h, bogus), code(MpfError::UnknownLnvc));
+            assert_eq!(mpf_check_receive(h, -1), code(MpfError::UnknownLnvc));
+            mpf_detach(h);
         }
     }
 }

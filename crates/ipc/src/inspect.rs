@@ -11,7 +11,8 @@
 //!   trace rings) are scanned by index — no links followed;
 //! * queue walks are bounded by the message-pool capacity, so a cycle
 //!   torn by a mid-update crash terminates instead of hanging;
-//! * trace rings use their seqlock protocol ([`TraceRing::snapshot`]),
+//! * trace rings use their seqlock protocol
+//!   ([`mpf_shm::tracering::TraceRing::snapshot`]),
 //!   dropping records a live writer is mid-overwrite on.
 //!
 //! Numbers read while the session is running are each individually
@@ -23,18 +24,12 @@ use std::sync::atomic::Ordering;
 
 use mpf::aio::AioStats;
 use mpf::MpfConfig;
-use mpf_shm::ring::AioRing;
-use mpf_shm::telemetry::{
-    facility_snapshot, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
-};
-use mpf_shm::tracering::{TraceEvent, TraceRing, TRACE_RING_SLOTS};
+use mpf_shm::telemetry::{facility_snapshot, LnvcTelSnapshot, TelSnapshot};
+use mpf_shm::tracering::{TraceEvent, TRACE_RING_SLOTS};
 use mpf_shm::ShmRegion;
 
-use mpf::engine::{offsets_for, verify_carve, AttachError, Offsets};
-use mpf::shmem::{
-    msg_flags, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader, RegistryEntry,
-    NIL,
-};
+use mpf::engine::{verify_carve, AttachError, Tables};
+use mpf::shmem::{slot_state, LnvcDesc, NIL};
 
 /// One process slot, decoded.
 #[derive(Debug, Clone)]
@@ -122,8 +117,7 @@ pub struct TraceRingInfo {
 /// A read-only attachment to a named region (live or post-mortem).
 #[derive(Debug)]
 pub struct RegionInspector {
-    region: ShmRegion,
-    off: Offsets,
+    t: Tables,
     cfg: MpfConfig,
     name: String,
 }
@@ -137,67 +131,10 @@ impl RegionInspector {
         // A clean error for any corrupt header, never a panic.
         let cfg = verify_carve(&region)?;
         Ok(Self {
-            region,
-            off: offsets_for(&cfg),
+            t: Tables::new(region, &cfg),
             cfg,
             name: name.to_string(),
         })
-    }
-
-    // -- raw accessors (all reads) -------------------------------------
-
-    /// Slot `i` of the table of `T`s carved at byte offset `base`.
-    fn table<T>(&self, base: usize, i: u32) -> &T {
-        // SAFETY: in-region structs are all atomics, valid for any bit
-        // pattern; tables start 64-byte aligned at strides that keep `T`'s
-        // alignment, in the layout `attach` verified against the mapped
-        // length — and `at` bounds-checks the slot regardless of `i`.
-        unsafe { self.region.at(base + i as usize * std::mem::size_of::<T>()) }
-    }
-
-    fn header(&self) -> &RegionHeader {
-        self.table(self.off.header, 0)
-    }
-
-    fn slot(&self, i: u32) -> &ProcessSlot {
-        self.table(self.off.slots, i)
-    }
-
-    fn lnvc(&self, i: u32) -> &LnvcDesc {
-        self.table(self.off.lnvcs, i)
-    }
-
-    fn reg_entry(&self, i: u32) -> &RegistryEntry {
-        self.table(self.off.registry, i)
-    }
-
-    fn recv(&self, i: u32) -> &RecvDesc {
-        self.table(self.off.recvs, i)
-    }
-
-    fn msg(&self, i: u32) -> &MsgDesc {
-        self.table(self.off.msgs, i)
-    }
-
-    /// Process `slot`'s facility-telemetry shard.
-    fn fac_tel(&self, slot: u32) -> &FacilityTelemetry {
-        self.table(self.off.fac_tel, slot)
-    }
-
-    fn lnvc_tel(&self, i: u32) -> &LnvcTelemetry {
-        self.table(self.off.lnvc_tel, i)
-    }
-
-    fn trace_ring(&self, p: u32) -> &TraceRing {
-        self.table(self.off.trace_rings, p)
-    }
-
-    fn aio_sq(&self, p: u32) -> &AioRing {
-        self.table(self.off.aio_sq, p)
-    }
-
-    fn aio_cq(&self, p: u32) -> &AioRing {
-        self.table(self.off.aio_cq, p)
     }
 
     // -- decoded views -------------------------------------------------
@@ -220,23 +157,23 @@ impl RegionInspector {
 
     /// Total region bytes.
     pub fn region_bytes(&self) -> usize {
-        self.region.len()
+        self.t.region().len()
     }
 
     /// Global send stamp — total messages ever sent through the region.
     pub fn next_stamp(&self) -> u64 {
-        self.header().next_stamp.load(Ordering::Acquire)
+        self.t.header().next_stamp.load(Ordering::Acquire)
     }
 
     /// Dead-peer sweep epoch (bumped each time corpses were found).
     pub fn sweep_epoch(&self) -> u64 {
-        u64::from(self.header().sweep_epoch.load(Ordering::Acquire))
+        u64::from(self.t.header().sweep_epoch.load(Ordering::Acquire))
     }
 
     /// Registrations waiting for pool memory, region-wide: non-zero means
     /// every reclaim currently fires the pool signal.
     pub fn pool_waiters(&self) -> u32 {
-        self.header().pool_waiters.load(Ordering::Acquire)
+        self.t.header().pool_waiters.load(Ordering::Acquire)
     }
 
     /// Watched conversations per process slot.  Connection-list walks are
@@ -244,14 +181,14 @@ impl RegionInspector {
     fn watch_census(&self) -> Vec<u32> {
         let mut watching = vec![0u32; self.cfg.max_processes as usize];
         for idx in 0..self.cfg.max_lnvcs {
-            let d = self.lnvc(idx);
+            let d = self.t.lnvc(idx);
             if d.active.load(Ordering::Acquire) != 1 {
                 continue;
             }
             let mut cur = d.recv_head.load(Ordering::Acquire);
             let mut steps = 0;
             while cur != NIL && cur < self.cfg.max_recv_conns && steps < self.cfg.max_recv_conns {
-                let r = self.recv(cur);
+                let r = self.t.recv(cur);
                 let pid = r.pid.load(Ordering::Acquire) as usize;
                 if r.watches() != 0 && pid < watching.len() {
                     watching[pid] += 1;
@@ -268,7 +205,7 @@ impl RegionInspector {
         let watching = self.watch_census();
         (0..self.cfg.max_processes)
             .map(|i| {
-                let s = self.slot(i);
+                let s = self.t.slot(i);
                 let state = s.state.load(Ordering::Acquire);
                 let os_pid = s.os_pid.load(Ordering::Acquire);
                 ProcessInfo {
@@ -298,13 +235,13 @@ impl RegionInspector {
     pub fn lnvcs(&self) -> Vec<LnvcInfo> {
         let mut out = Vec::new();
         for idx in 0..self.cfg.max_lnvcs {
-            let d = self.lnvc(idx);
+            let d = self.t.lnvc(idx);
             if d.active.load(Ordering::Acquire) != 1 {
                 continue;
             }
             let reg_idx = d.registry_idx.load(Ordering::Acquire);
             let name = if reg_idx < self.cfg.max_lnvcs {
-                let raw = self.reg_entry(reg_idx).get_name();
+                let raw = self.t.reg_entry(reg_idx).get_name();
                 let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
                 String::from_utf8_lossy(&raw[..end]).into_owned()
             } else {
@@ -323,7 +260,7 @@ impl RegionInspector {
                 next_seq: d.next_seq.load(Ordering::Acquire),
                 poisoned: d.poisoned.load(Ordering::Acquire) != 0,
                 dead_pid: d.dead_pid.load(Ordering::Acquire),
-                tel: self.lnvc_tel(idx).snapshot(),
+                tel: self.t.lnvc_tel(idx).snapshot(),
             });
         }
         out
@@ -335,14 +272,9 @@ impl RegionInspector {
         let mut reclaimable = 0;
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL && cur < self.cfg.max_messages && queued < self.cfg.max_messages {
-            let m = self.msg(cur);
+            let m = self.t.msg(cur);
             queued += 1;
-            let flags = m.flags.load(Ordering::Acquire);
-            let fcfs_done =
-                flags & msg_flags::NEEDS_FCFS == 0 || flags & msg_flags::FCFS_TAKEN != 0;
-            if fcfs_done && m.bcast_pending.load(Ordering::Acquire) == 0 {
-                reclaimable += 1;
-            }
+            reclaimable += u32::from(m.fully_delivered());
             cur = m.next.load(Ordering::Acquire);
         }
         (queued, reclaimable)
@@ -353,16 +285,16 @@ impl RegionInspector {
     /// conversation's delete is moving counts between the two.
     pub fn telemetry_snapshot(&self) -> TelSnapshot {
         facility_snapshot(
-            &self.header().tel_fold_seq,
-            (0..self.cfg.max_processes).map(|p| self.fac_tel(p)),
-            (0..self.cfg.max_lnvcs).map(|i| self.lnvc_tel(i)),
+            &self.t.header().tel_fold_seq,
+            (0..self.cfg.max_processes).map(|p| self.t.fac_tel(p)),
+            (0..self.cfg.max_lnvcs).map(|i| self.t.lnvc_tel(i)),
         )
     }
 
     /// The telemetry fold sequence word: odd while a delete is retiring a
     /// conversation's counts (or its folder died there).
     pub fn tel_fold_seq(&self) -> u32 {
-        self.header().tel_fold_seq.load(Ordering::Acquire)
+        self.t.header().tel_fold_seq.load(Ordering::Acquire)
     }
 
     /// Every process slot's aio submission/completion ring counters.
@@ -372,7 +304,7 @@ impl RegionInspector {
         (0..self.cfg.max_processes)
             .map(|p| AioRingInfo {
                 pid: p,
-                stats: AioStats::from_rings(self.aio_sq(p), self.aio_cq(p)),
+                stats: AioStats::from_rings(self.t.aio_sq(p), self.t.aio_cq(p)),
             })
             .collect()
     }
@@ -390,14 +322,14 @@ impl RegionInspector {
         if pid >= self.cfg.max_processes {
             return Vec::new();
         }
-        self.trace_ring(pid).snapshot()
+        self.t.trace_ring(pid).snapshot()
     }
 
     /// Every process slot's trace-ring occupancy.
     pub fn trace_rings(&self) -> Vec<TraceRingInfo> {
         (0..self.cfg.max_processes)
             .map(|p| {
-                let r = self.trace_ring(p);
+                let r = self.t.trace_ring(p);
                 let recorded = r.head();
                 TraceRingInfo {
                     pid: p,

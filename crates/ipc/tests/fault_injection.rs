@@ -54,6 +54,36 @@ fn injected_peer_death_surfaces_typed_error_and_traces() {
     assert_ne!(faults[0].arg2, 0, "the typed error's status is recorded");
 }
 
+/// Every blocking receive passes the peer-death site, batched or not; the
+/// single-pass `try_` forms (the reactor's path) do not.
+#[test]
+fn injected_peer_death_reaches_blocking_batch_receives_only() {
+    let _t = PLANE.lock().unwrap_or_else(|e| e.into_inner());
+    let m = region("fault-peer-batch");
+    let tx = m.open_send("doomed").unwrap();
+    let rx = m.open_receive("doomed", Protocol::Fcfs).unwrap();
+    for i in 0..4u8 {
+        m.message_send(tx, &[i]).unwrap();
+    }
+    let died = MpfError::PeerDied { pid: 0 };
+    let mut buf = [0u8; 8];
+    {
+        let _g = faultplane::install(FaultConfig::new(12).with_peer_died(1.0));
+        assert_eq!(m.recv_batch(rx, 4), Err(died));
+        assert_eq!(m.recv_batch_deadline(rx, 4, None), Err(died));
+        assert_eq!(m.message_receive(rx, &mut buf), Err(died));
+        // Nothing was consumed, and the single-pass forms still deliver.
+        assert_eq!(m.queue_depth(rx), Ok(4));
+        assert_eq!(m.try_message_receive(rx, &mut buf), Ok(Some(1)));
+        assert_eq!(m.try_message_receive_vec(rx), Ok(Some(vec![1])));
+        assert_eq!(m.try_recv_batch(rx, 1), Ok(vec![vec![2]]));
+    }
+    assert_eq!(m.recv_batch(rx, 4), Ok(vec![vec![3]]));
+    let faults = m.trace_events(m.pid());
+    let faults = faults.iter().filter(|e| e.kind == TR_FAULT);
+    assert_eq!(faults.count(), 3, "one record per injection");
+}
+
 #[test]
 fn injected_pool_exhaustion_reports_without_allocating() {
     let _t = PLANE.lock().unwrap_or_else(|e| e.into_inner());

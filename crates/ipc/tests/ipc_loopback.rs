@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_ipc::IpcMpf;
+use mpf_ipc::{IpcMpf, RegionInspector};
 
 fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(8, 4)
@@ -128,14 +128,51 @@ fn buffer_too_small_keeps_the_message_queued() {
     let rx = m.open_receive("big", Protocol::Fcfs).unwrap();
     m.message_send(tx, &[7u8; 100]).unwrap();
 
+    // Every form that copies into a caller's buffer, blocking or not.
     let mut tiny = [0u8; 8];
-    match m.try_message_receive(rx, &mut tiny) {
-        Err(MpfError::BufferTooSmall { needed }) => assert_eq!(needed, 100),
-        other => panic!("expected BufferTooSmall, got {other:?}"),
-    }
+    let short = Err(MpfError::BufferTooSmall { needed: 100 });
+    assert_eq!(m.try_message_receive(rx, &mut tiny), short.map(Some));
+    assert_eq!(m.message_receive(rx, &mut tiny), short);
+    assert_eq!(m.recv_deadline(rx, &mut tiny, None), short);
+    assert_eq!(
+        m.message_receive_timeout(rx, &mut tiny, Duration::from_secs(1)),
+        short
+    );
+    assert_eq!(m.queue_depth(rx), Ok(1));
     // The message is still there for a properly sized buffer.
     let mut big = [0u8; 128];
     assert_eq!(m.message_receive(rx, &mut big).unwrap(), 100);
+}
+
+/// `mpfstat` shows a process's heartbeat as its sign of progress: one
+/// that only ever blocks in single receives must not look frozen.
+#[test]
+fn blocking_single_receives_tick_the_heartbeat() {
+    let a = region("loop-heartbeat");
+    let b = a.attach_view().expect("receiving view");
+    let tx = a.open_send("beat").unwrap();
+    let rx = b.open_receive("beat", Protocol::Fcfs).unwrap();
+    let insp = RegionInspector::attach("loop-heartbeat").expect("inspector");
+    let beat = || insp.processes()[b.pid() as usize].heartbeat;
+    let start = beat();
+    let mut buf = [0u8; 8];
+    const ROUNDS: u64 = 5;
+    for _ in 0..ROUNDS {
+        for _ in 0..4 {
+            a.message_send(tx, b"tick").unwrap();
+        }
+        assert_eq!(b.message_receive(rx, &mut buf), Ok(4));
+        assert_eq!(b.recv_deadline(rx, &mut buf, None), Ok(4));
+        let timeout = Duration::from_secs(1);
+        assert_eq!(b.message_receive_timeout(rx, &mut buf, timeout), Ok(4));
+        assert_eq!(b.message_receive_scan(rx, |_| ()), Ok(4));
+    }
+    assert!(
+        beat() - start >= 4 * ROUNDS,
+        "{} receives moved the heartbeat from {start} to {}",
+        4 * ROUNDS,
+        beat()
+    );
 }
 
 #[test]
@@ -364,20 +401,17 @@ fn dropping_a_view_closes_the_connections_it_still_holds() {
 }
 
 /// The block pool costs a message one CAS to allocate and one to free,
-/// whatever its length: the free list's tag, read through a raw overlay
-/// of the region header, goes up by two per 64-block round trip.
+/// whatever its length: the free list's tag, read through a second
+/// overlay of the region header, goes up by two per 64-block round trip.
 #[test]
 fn a_64_block_message_is_two_block_pool_cas() {
-    use mpf_ipc::shmem::RegionHeader;
-
     let cfg = MpfConfig::new(2, 2)
         .with_block_payload(256)
         .with_total_blocks(128);
     let m = IpcMpf::create("loop-chain-cas", &cfg).expect("create region");
     let raw = mpf_shm::ShmRegion::attach("loop-chain-cas").unwrap();
-    // SAFETY: the header sits at offset 0 of every carved region and
-    // `raw` maps all of it.
-    let header: &RegionHeader = unsafe { raw.at(0) };
+    let tables = mpf::engine::Tables::new(raw, &cfg);
+    let header = tables.header();
     let tx = m.open_send("bulk").unwrap();
     let rx = m.open_receive("bulk", Protocol::Fcfs).unwrap();
     let payload: Vec<u8> = (0..64 * 256).map(|i| (i % 251) as u8).collect();
@@ -399,21 +433,20 @@ fn a_64_block_message_is_two_block_pool_cas() {
 /// what a torn splice would leave — each fail `check_invariants`.
 #[test]
 fn check_invariants_reports_torn_block_chains() {
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::Ordering;
 
     let cfg = MpfConfig::new(2, 2)
         .with_block_payload(16)
         .with_total_blocks(8);
     let m = IpcMpf::create("loop-torn-chain", &cfg).expect("create region");
     let raw = mpf_shm::ShmRegion::attach("loop-torn-chain").unwrap();
-    let links = mpf::engine::offsets_for(&cfg).links;
-    // SAFETY: the carve puts one `AtomicU32` link per block at `links`.
-    let link = |block: usize| -> &AtomicU32 { unsafe { raw.at(links + 4 * block) } };
+    let tables = mpf::engine::Tables::new(raw, &cfg);
+    let link = |block: u32| tables.block_link(block);
     let tx = m.open_send("q").unwrap();
     let _rx = m.open_receive("q", Protocol::Fcfs).unwrap();
     m.message_send(tx, &[7u8; 48]).unwrap(); // blocks 0 -> 1 -> 2
     m.check_invariants().expect("an intact chain");
-    let corrupt = |block: usize, to: u32| {
+    let corrupt = |block: u32, to: u32| {
         let was = link(block).swap(to, Ordering::AcqRel);
         let report = m.check_invariants().expect_err("a torn chain");
         link(block).store(was, Ordering::Release);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_ipc::shmem::{msg_flags, LnvcDesc, MsgDesc, NIL};
+use mpf_ipc::shmem::{msg_flags, NIL};
 use mpf_ipc::{IpcLnvcId, IpcMpf, RegionInspector};
 use mpf_shm::telemetry::TelSnapshot;
 
@@ -285,14 +285,9 @@ fn pressure_sweep_books_its_reclaims_under_the_lock() {
     let rx = rx_view.open_receive("q", Protocol::Fcfs).unwrap();
 
     let raw = mpf_shm::ShmRegion::attach(&name).unwrap();
-    let off = mpf::engine::offsets_for(&cfg);
-    // SAFETY: the carve puts the LNVC descriptors at `off.lnvcs` and the
-    // message headers at `off.msgs`, all atomics.
-    let d: &LnvcDesc =
-        unsafe { raw.at(off.lnvcs + tx.index() as usize * std::mem::size_of::<LnvcDesc>()) };
-    let msg = |i: u32| -> &MsgDesc {
-        unsafe { raw.at(off.msgs + i as usize * std::mem::size_of::<MsgDesc>()) }
-    };
+    let tables = mpf::engine::Tables::new(raw, &cfg);
+    let d = tables.lnvc(tx.index());
+    let msg = |i: u32| tables.msg(i);
 
     let done = AtomicBool::new(false);
     let (received, forged) = std::thread::scope(|s| {

@@ -12,7 +12,7 @@ use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_ipc::{IpcMpf, RegionInspector};
 use mpf_shm::tracering::{
     TR_CLOSE_RECV, TR_CLOSE_SEND, TR_LOCK_CONTEND, TR_OPEN_RECV, TR_OPEN_SEND, TR_RECLAIM, TR_RECV,
-    TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK, TR_SWEEP_DEAD,
+    TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK, TR_SWEEP_DEAD, TR_WAKEUP,
 };
 use mpf_trace::TraceLog;
 
@@ -276,6 +276,55 @@ fn broadcast_chain_covers_every_receiver() {
         .find(|r| r.ev.kind == TR_SEND)
         .expect("send recorded");
     assert_eq!(send.ev.arg2 & 0xffff, 2, "population 2 at send");
+    let report = log.check();
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_eq!(report.deliveries, 2);
+}
+
+/// A batch receive that had to sleep records its wake like a single one:
+/// `TR_WAKEUP` on the chain of the batch's last delivery, after the
+/// deliveries, in a record that still checks clean.
+#[test]
+fn blocked_batch_receive_records_its_wake_in_the_chain() {
+    let mpf = Mpf::init(small_cfg()).unwrap();
+    let tx = mpf.open_send(p(0), "late").unwrap();
+    let rx = mpf.open_receive(p(1), "late", Protocol::Fcfs).unwrap();
+    let blocked = || {
+        let ring = mpf.trace_events(p(1)).unwrap();
+        ring.iter().any(|e| e.kind == TR_RECV_BLOCK)
+    };
+    let got = std::thread::scope(|s| {
+        let receiver = s.spawn(|| mpf.recv_batch(p(1), rx, 8).unwrap());
+        // The marker is written once the receiver has found the queue
+        // empty and is about to sleep: only then is there a wake to record.
+        while !blocked() {
+            std::thread::yield_now();
+        }
+        mpf.send_batch(p(0), tx, &[b"one".as_slice(), b"two"])
+            .unwrap();
+        receiver.join().unwrap()
+    });
+    assert_eq!(
+        got,
+        [b"one".to_vec(), b"two".to_vec()],
+        "published as one run"
+    );
+
+    let ring = mpf.trace_events(p(1)).unwrap();
+    let story: Vec<_> = ring
+        .iter()
+        .filter(|e| matches!(e.kind, TR_RECV_BLOCK | TR_RECV | TR_WAKEUP))
+        .collect();
+    let kinds: Vec<u32> = story.iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, [TR_RECV_BLOCK, TR_RECV, TR_RECV, TR_WAKEUP]);
+    let (last_recv, wake) = (story[2], story[3]);
+    assert_ne!(wake.trace, 0);
+    assert_eq!((wake.trace, wake.hop), (last_recv.trace, last_recv.hop));
+    assert_eq!(wake.arg, 6, "the bytes the wake delivered");
+
+    let log = TraceLog::from_mpf(&mpf);
+    let in_chain = |c: &mpf_trace::Chain| c.events.iter().any(|r| r.ev.kind == TR_WAKEUP);
+    assert_eq!(log.chains().iter().filter(|c| in_chain(c)).count(), 1);
     let report = log.check();
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     assert_eq!(report.deliveries, 2);

@@ -55,16 +55,23 @@ fn exhaustion_error_path_conserves_blocks() {
     let mpf = Mpf::init(
         MpfConfig::new(2, 2)
             .with_total_blocks(8)
-            .with_block_payload(10)
-            .with_exhaust_policy(mpf::ExhaustPolicy::Error),
+            .with_block_payload(10),
     )
     .expect("init");
     let tx = mpf.sender(p(0), "tight").expect("tx");
     let rx = mpf.receiver(p(1), "tight", Protocol::Fcfs).expect("rx");
 
     tx.send(&[1u8; 50]).expect("5 blocks");
-    // 3 blocks left; a 40-byte message needs 4: must fail cleanly.
-    assert_eq!(tx.send(&[2u8; 40]).unwrap_err(), MpfError::BlocksExhausted);
+    // 3 blocks left; a 40-byte message needs 4: must fail cleanly.  The
+    // facade's send would wait for room; the engine's own reports.
+    let (view, id) = (
+        mpf.view(p(0)).expect("view"),
+        mpf.ipc_id(tx.id()).expect("id"),
+    );
+    assert_eq!(
+        view.message_send(id, &[2u8; 40]).unwrap_err(),
+        MpfError::BlocksExhausted
+    );
     assert_eq!(mpf.free_blocks(), 3, "failed send must roll back fully");
     tx.send(&[3u8; 30]).expect("exactly the remaining 3 blocks");
     assert_eq!(mpf.free_blocks(), 0);
