@@ -13,7 +13,6 @@ use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
 
 /// Waker that unparks the thread blocked in [`block_on`].
 struct Unpark(Thread);
@@ -35,35 +34,6 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
             Poll::Pending => thread::park(),
         }
     }
-}
-
-/// [`block_on`] with a deadline: returns `None` (dropping the future) if
-/// it is still pending at `deadline`.  The dropped future's reactor
-/// registration may fire a late wake; that only sets this thread's park
-/// token, which the next `block_on`-family call absorbs as one spurious
-/// poll.  This is the seam request/reply clients use for per-attempt
-/// timeouts.
-pub fn block_on_deadline<F: Future>(fut: F, deadline: Instant) -> Option<F::Output> {
-    let mut fut = std::pin::pin!(fut);
-    let waker = Waker::from(Arc::new(Unpark(thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => return Some(v),
-            Poll::Pending => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return None;
-                }
-                thread::park_timeout(deadline - now);
-            }
-        }
-    }
-}
-
-/// [`block_on_deadline`] with a relative timeout.
-pub fn block_on_timeout<F: Future>(fut: F, timeout: Duration) -> Option<F::Output> {
-    block_on_deadline(fut, Instant::now() + timeout)
 }
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;

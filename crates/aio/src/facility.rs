@@ -3,15 +3,16 @@
 //! [`AsyncIpc`] wraps one `IpcMpf` — a process's handle on a named region,
 //! or one logical process's view of an `mpf::Mpf` ([`AsyncMpf::new`]) —
 //! and hands out three futures, [`RecvFuture`], [`SendFuture`] and
-//! [`SelectAny`].  It owns one [`Reactor`] thread that multiplexes every
-//! pending future in one notified wait (see the reactor module for the
-//! lost-wakeup-free ticket protocol).
+//! [`SelectAny`].  From its first pending future on it owns one
+//! [`Reactor`] thread that multiplexes every pending future in one
+//! notified wait (see the reactor module for the lost-wakeup-free ticket
+//! protocol); a facade whose operations all complete on their first poll —
+//! or that is only used through [`AsyncIpc::facility`] — never starts it.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mpf::{IpcLnvcId, IpcMpf, Mpf, MpfError, ProcessId, Protocol, Result};
@@ -22,19 +23,15 @@ use crate::reactor::{Interest, Reactor};
 // Reactor lifetime
 // ----------------------------------------------------------------------
 
-/// Owns the reactor thread; dropping the last clone of a facility stops
-/// and joins it.
+/// Dropping the last clone of a facility stops and joins its reactor
+/// thread (pending futures hold the reactor itself, not this).
 struct Driver {
     reactor: Arc<Reactor>,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl Drop for Driver {
     fn drop(&mut self) {
         self.reactor.stop();
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -222,7 +219,7 @@ impl Future for SelectAny {
 // Public facade
 // ----------------------------------------------------------------------
 
-/// Async facade over one engine view.  Clones share the reactor thread.
+/// Async facade over one engine view.  Clones share the reactor.
 #[derive(Clone)]
 pub struct AsyncIpc {
     ipc: Arc<IpcMpf>,
@@ -230,15 +227,13 @@ pub struct AsyncIpc {
 }
 
 impl AsyncIpc {
-    /// Wraps a region view, starting the reactor.
+    /// Wraps a region view.  Spawns nothing: the reactor thread starts
+    /// when a future first returns `Pending`.
     pub fn new(ipc: Arc<IpcMpf>) -> Self {
-        let (reactor, thread) = Reactor::start(Arc::clone(&ipc));
+        let reactor = Reactor::new(Arc::clone(&ipc));
         AsyncIpc {
             ipc,
-            driver: Arc::new(Driver {
-                reactor,
-                thread: Some(thread),
-            }),
+            driver: Arc::new(Driver { reactor }),
         }
     }
 

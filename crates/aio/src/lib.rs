@@ -8,11 +8,13 @@
 //!   logical process of an `mpf::Mpf` ([`AsyncMpf::new`]) — with
 //!   [`AsyncIpc::recv`], [`AsyncIpc::send`], and [`AsyncIpc::select_any`]
 //!   futures;
-//! * each facade owns one **reactor** thread whose single waiter
-//!   multiplexes every registered conversation over the existing
-//!   futex/waitq layer — futures take a signal ticket *before* their
-//!   non-blocking attempt, so a message landing between the attempt and
-//!   the registration can delay a wake but never lose one;
+//! * from its first pending future on, each facade owns one **reactor**
+//!   thread whose single waiter multiplexes every registered conversation
+//!   over the existing futex/waitq layer — futures take a signal ticket
+//!   *before* their non-blocking attempt, so a message landing between the
+//!   attempt and the registration can delay a wake but never lose one.  A
+//!   facade that never pends (`mpf-serve`'s transport blocks in the engine
+//!   itself) owns no thread;
 //! * [`block_on`] and [`Executor`] are a tiny std-only driver pair —
 //!   enough to run the futures without pulling in an async runtime.
 //!
@@ -42,5 +44,5 @@ pub mod exec;
 pub mod facility;
 pub mod reactor;
 
-pub use exec::{block_on, block_on_deadline, block_on_timeout, Executor, JoinHandle};
+pub use exec::{block_on, Executor, JoinHandle};
 pub use facility::{AsyncIpc, AsyncMpf, Deadline, RecvFuture, SelectAny, SendFuture};

@@ -1,5 +1,7 @@
-//! The reactor: one thread per async facility whose single waiter
-//! multiplexes every registered interest in one notified wait
+//! The reactor: one thread per async facility — started by the first
+//! registration, so a facade whose operations never pend owns none —
+//! whose single waiter multiplexes every registered interest in one
+//! notified wait
 //! (`IpcMpf::wait_signals`, asleep on the process doorbell: it watches
 //! the registered conversations, so an enqueue or poison on any of them
 //! rings it; a reclaim rings it while a send future is registered for the
@@ -48,6 +50,9 @@ struct State {
     /// Deadline registrations from `Deadline`-wrapped futures: fired (and
     /// dropped) once `Instant::now()` passes the stored instant.
     timers: Vec<(u64, Instant, Waker)>,
+    /// The reactor thread, from the first registration until
+    /// [`Reactor::stop`] joins it.
+    thread: Option<JoinHandle<()>>,
 }
 
 pub(crate) struct Reactor {
@@ -102,11 +107,22 @@ impl Interest {
         self.file(|st| st.timers.push((key, at, waker.clone())));
     }
 
-    /// Applies one registration and makes the reactor rescan.
+    /// Applies one registration and makes the reactor rescan — starting
+    /// it if this is the facade's first.
     fn file(&mut self, add: impl FnOnce(&mut State)) {
         self.filed = true;
         let mut st = self.reactor.state.lock().unwrap_or_else(|e| e.into_inner());
         add(&mut st);
+        // Not after `stop`: the facade is gone and nobody would join it.
+        if st.thread.is_none() && !self.reactor.shutdown.load(Ordering::Acquire) {
+            let r = Arc::clone(&self.reactor);
+            st.thread = Some(
+                std::thread::Builder::new()
+                    .name("mpf-aio-reactor".into())
+                    .spawn(move || r.run())
+                    .expect("spawn mpf-aio reactor thread"),
+            );
+        }
         drop(st);
         self.reactor.wake.notify_all();
         self.reactor.ipc.ring_doorbell();
@@ -131,24 +147,19 @@ impl Drop for Interest {
 }
 
 impl Reactor {
-    pub(crate) fn start(ipc: Arc<IpcMpf>) -> (Arc<Self>, JoinHandle<()>) {
-        let reactor = Arc::new(Reactor {
+    pub(crate) fn new(ipc: Arc<IpcMpf>) -> Arc<Self> {
+        Arc::new(Reactor {
             ipc,
             state: Mutex::new(State {
                 recv: Vec::new(),
                 send: Vec::new(),
                 timers: Vec::new(),
+                thread: None,
             }),
             wake: WaitQueue::new(),
             shutdown: AtomicBool::new(false),
             next_key: AtomicU64::new(0),
-        });
-        let r = Arc::clone(&reactor);
-        let thread = std::thread::Builder::new()
-            .name("mpf-aio-reactor".into())
-            .spawn(move || r.run())
-            .expect("spawn mpf-aio reactor thread");
-        (reactor, thread)
+        })
     }
 
     /// Registrations currently held: `(recv, send, timers)`.
@@ -158,10 +169,20 @@ impl Reactor {
         (st.recv.len(), st.send.len(), st.timers.len())
     }
 
+    /// Stops and joins the reactor thread, if a registration ever started
+    /// one.  The flag is raised under the state lock, so a registration
+    /// racing this either started the thread joined here or starts none.
     pub(crate) fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.wake.notify_all();
-        self.ipc.ring_doorbell();
+        let thread = {
+            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            self.shutdown.store(true, Ordering::Release);
+            st.thread.take()
+        };
+        if let Some(h) = thread {
+            self.wake.notify_all();
+            self.ipc.ring_doorbell();
+            let _ = h.join();
+        }
     }
 
     fn run(&self) {

@@ -179,7 +179,7 @@ fn async_recv_over_the_shared_memory_region() {
     block_on(facility.send(tx2, b"pong".to_vec())).unwrap();
     let mut buf = [0u8; 64];
     let n = peer
-        .message_receive_timeout(rx2, &mut buf, Duration::from_secs(5))
+        .recv_deadline(rx2, &mut buf, Some(Instant::now() + Duration::from_secs(5)))
         .unwrap();
     assert_eq!(&buf[..n], b"pong");
 }
@@ -207,7 +207,7 @@ fn ipc_send_pends_until_capacity_frees() {
             thread::sleep(Duration::from_millis(40));
             let mut buf = [0u8; 32];
             assert_eq!(
-                c.message_receive_timeout(rx, &mut buf, Duration::from_secs(5))
+                c.recv_deadline(rx, &mut buf, Some(Instant::now() + Duration::from_secs(5)))
                     .unwrap(),
                 5
             );
@@ -223,7 +223,7 @@ fn ipc_send_pends_until_capacity_frees() {
 
     let mut buf = [0u8; 32];
     let n = creator
-        .message_receive_timeout(rx, &mut buf, Duration::from_secs(5))
+        .recv_deadline(rx, &mut buf, Some(Instant::now() + Duration::from_secs(5)))
         .unwrap();
     assert_eq!(&buf[..n], b"second");
 }

@@ -48,6 +48,11 @@ fn region_config(telemetry: bool) -> MpfConfig {
 /// will never drain the pools, so sweep for dead peers while spinning;
 /// the sweep poisons the conversation and the next send reports
 /// `PeerDied` instead of hanging this process forever.
+/// How long either process waits for the other before giving up.
+fn patience() -> Option<Instant> {
+    Some(Instant::now() + Duration::from_secs(60))
+}
+
 fn send_retry(m: &IpcMpf, id: mpf_ipc::IpcLnvcId, payload: &[u8]) {
     loop {
         match m.message_send(id, payload) {
@@ -107,7 +112,7 @@ fn worker_main(region: &str, rounds: usize) {
     for _ in 0..rounds {
         loop {
             let n = m
-                .message_receive_timeout(rx, &mut buf, Duration::from_secs(60))
+                .recv_deadline(rx, &mut buf, patience())
                 .expect("worker recv");
             if n == 1 {
                 break;
@@ -141,8 +146,7 @@ fn ipc_two_process_series(msgs: u64, telemetry: bool) -> Series {
             send_retry(&m, tx, &payload);
         }
         send_retry(&m, tx, &[0u8; 1]); // end-of-round marker
-        m.message_receive_timeout(ack, &mut buf, Duration::from_secs(60))
-            .expect("ack");
+        m.recv_deadline(ack, &mut buf, patience()).expect("ack");
         let secs = start.elapsed().as_secs_f64();
         points.push((len as f64, (msgs as usize * len) as f64 / secs));
     }

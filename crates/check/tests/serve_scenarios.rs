@@ -8,8 +8,10 @@
 //! races a deterministic worker ([`WorkerCfg::deterministic`]: no idle
 //! ticks, no clock-driven timeouts, exits only on `K_SHUTDOWN`) against
 //! a controller that owns the [`Server`] and an inline [`Client`], all
-//! over [`SyncTransport`] so every wait parks on the hooked waitqs the
-//! cooperative scheduler controls.
+//! over the transport that ships ([`ThreadTransport`]): it blocks in the
+//! engine's own waits, which park on the hooked futex words the
+//! cooperative scheduler controls, and its facade starts no reactor
+//! thread — nothing runs that the explorer does not schedule.
 //!
 //! Under **every** explored interleaving the run must finish with: the
 //! call answered, the drain acked by the one worker with an empty
@@ -17,13 +19,28 @@
 //! the facility back to zero live conversations with all blocks free.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use mpf::{Mpf, MpfConfig, ProcessId};
+use mpf_aio::AsyncMpf;
 use mpf_check::{explore_random, Case, ExploreOpts};
-use mpf_serve::{run_worker, Client, ClientCfg, Server, SyncTransport, WorkerCfg};
+use mpf_serve::{run_worker, Client, ClientCfg, Server, ThreadTransport, WorkerCfg};
 
-fn p(i: usize) -> ProcessId {
-    ProcessId::from_index(i)
+fn transport(mpf: &Arc<Mpf>, pid: usize) -> ThreadTransport {
+    ThreadTransport(AsyncMpf::new(Arc::clone(mpf), ProcessId::from_index(pid)))
+}
+
+/// Budgets no schedule outlives: a hooked wait ignores its timeout, so a
+/// deadline here could only ever fire on the wall clock and make a
+/// schedule unreplayable.
+fn deterministic_client(cid: u32) -> ClientCfg {
+    const NEVER: Duration = Duration::from_secs(24 * 3600);
+    ClientCfg {
+        attempt: NEVER,
+        discover: NEVER,
+        call_budget: NEVER,
+        ..ClientCfg::new(SVC, cid)
+    }
 }
 
 const SVC: &str = "hand";
@@ -41,16 +58,12 @@ fn handshake_case() -> Case {
     let total = cfg.total_blocks;
     let mpf = Arc::new(Mpf::init(cfg).expect("init"));
 
-    let server_t = Arc::new(SyncTransport {
-        mpf: Arc::clone(&mpf),
-        pid: p(0),
-    });
-    let server = Server::new(server_t, SVC).expect("anchor");
+    let server = Server::new(Arc::new(transport(&mpf, 0)), SVC).expect("anchor");
 
     let worker = {
         let mpf = Arc::clone(&mpf);
         Box::new(move || {
-            let t = SyncTransport { mpf, pid: p(1) };
+            let t = transport(&mpf, 1);
             let stats = run_worker(&t, &WorkerCfg::deterministic(SVC, 1), |req| {
                 let v = u32::from_le_bytes(req[..4].try_into().expect("4 bytes"));
                 v.wrapping_mul(2).to_le_bytes().to_vec()
@@ -71,8 +84,8 @@ fn handshake_case() -> Case {
                 server.poll_acks(None).expect("poll_acks");
             }
 
-            let t = Arc::new(SyncTransport { mpf, pid: p(2) });
-            let mut client = Client::connect(t, ClientCfg::new(SVC, 7)).expect("connect");
+            let t = Arc::new(transport(&mpf, 2));
+            let mut client = Client::connect(t, deterministic_client(7)).expect("connect");
             let reply = client.call(&21u32.to_le_bytes()).expect("call");
             assert_eq!(u32::from_le_bytes(reply[..4].try_into().unwrap()), 42);
             client.close();

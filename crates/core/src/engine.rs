@@ -1154,22 +1154,6 @@ impl IpcMpf {
         self.recv_deadline(id, buf, None)
     }
 
-    /// Blocking receive with a timeout ([`MpfError::WouldBlock`] when it
-    /// expires: its original contract, kept for existing callers;
-    /// [`Self::recv_deadline`] is the form that reports
-    /// [`MpfError::TimedOut`]).
-    pub fn message_receive_timeout(
-        &self,
-        id: IpcLnvcId,
-        buf: &mut [u8],
-        timeout: Duration,
-    ) -> Result<usize> {
-        match self.recv_deadline(id, buf, Some(Instant::now() + timeout)) {
-            Err(MpfError::TimedOut) => Err(MpfError::WouldBlock),
-            other => other,
-        }
-    }
-
     /// Deadline-bounded blocking receive: [`MpfError::TimedOut`] once
     /// `deadline` passes with nothing deliverable (`None` blocks
     /// forever, like [`Self::message_receive`]).

@@ -3,6 +3,7 @@
 //! that exercises the real multi-process code paths).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_ipc::IpcMpf;
@@ -94,7 +95,7 @@ fn dead_sender_mid_batch_reclaims_staged_messages_and_poisons() {
         "the corpse's staged ring entries are reclaimed"
     );
     let mut buf = [0u8; 64];
-    match main.message_receive_timeout(rx, &mut buf, std::time::Duration::from_secs(2)) {
+    match main.recv_deadline(rx, &mut buf, Some(Instant::now() + Duration::from_secs(2))) {
         Err(MpfError::PeerDied { pid }) => assert_eq!(pid, sender.pid()),
         other => panic!("expected PeerDied, got {other:?}"),
     }

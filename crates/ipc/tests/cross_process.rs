@@ -16,6 +16,11 @@ use mpf_shm::tracering::{TR_RECV_BLOCK, TR_SEND};
 
 const REGION_ENV: &str = "MPF_IPC_REGION";
 
+/// The deadline `d` from now.
+fn within(d: Duration) -> Option<Instant> {
+    Some(Instant::now() + d)
+}
+
 fn unique_region(tag: &str) -> String {
     format!("xp-{tag}-{}", std::process::id())
 }
@@ -79,7 +84,7 @@ fn helper_echo_worker() {
         .expect("send ready");
     let mut buf = [0u8; 256];
     let n = m
-        .message_receive_timeout(news, &mut buf, Duration::from_secs(30))
+        .recv_deadline(news, &mut buf, within(Duration::from_secs(30)))
         .expect("receive broadcast");
     let text = std::str::from_utf8(&buf[..n]).expect("utf8").to_string();
     m.message_send(results, format!("got:{text}:{}", m.pid()).as_bytes())
@@ -105,7 +110,7 @@ fn separate_processes_exchange_fcfs_and_broadcast() {
     let mut worker_pids = Vec::new();
     for _ in 0..2 {
         let n = m
-            .message_receive_timeout(results, &mut buf, Duration::from_secs(30))
+            .recv_deadline(results, &mut buf, within(Duration::from_secs(30)))
             .expect("ready message");
         let text = std::str::from_utf8(&buf[..n]).unwrap();
         let pid: u32 = text.strip_prefix("ready:").unwrap().parse().unwrap();
@@ -122,7 +127,7 @@ fn separate_processes_exchange_fcfs_and_broadcast() {
     let mut echoes = Vec::new();
     for _ in 0..2 {
         let n = m
-            .message_receive_timeout(results, &mut buf, Duration::from_secs(30))
+            .recv_deadline(results, &mut buf, within(Duration::from_secs(30)))
             .expect("echo message");
         echoes.push(std::str::from_utf8(&buf[..n]).unwrap().to_string());
     }
@@ -156,7 +161,7 @@ fn helper_victim() {
 
     m.message_send(tx, b"alive").expect("send");
     let mut buf = [0u8; 8];
-    m.message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+    m.recv_deadline(ctl, &mut buf, within(Duration::from_secs(30)))
         .expect("go-ahead from parent");
     // Die as rudely as possible: inside the critical section.  `seized`
     // is a different descriptor, so signalling on it is safe while
@@ -182,14 +187,14 @@ fn killing_a_peer_unblocks_blocked_receivers() {
 
     let mut buf = [0u8; 64];
     let n = m
-        .message_receive_timeout(rx, &mut buf, Duration::from_secs(30))
+        .recv_deadline(rx, &mut buf, within(Duration::from_secs(30)))
         .expect("first message proves the victim is connected");
     assert_eq!(&buf[..n], b"alive");
 
     // Tell the victim to seize the lock, wait for confirmation that it
     // holds it, then SIGKILL it mid-critical-section.
     m.message_send(ctl, b"go").unwrap();
-    m.message_receive_timeout(seized, &mut buf, Duration::from_secs(30))
+    m.recv_deadline(seized, &mut buf, within(Duration::from_secs(30)))
         .expect("victim reports holding the lock");
     victim.kill().expect("SIGKILL victim");
     victim.wait().expect("reap victim");
@@ -197,7 +202,7 @@ fn killing_a_peer_unblocks_blocked_receivers() {
     // The survivor's blocked receive must resolve to PeerDied — within
     // the timeout, i.e. no deadlock on the orphaned lock.
     let err = m
-        .message_receive_timeout(rx, &mut buf, Duration::from_secs(10))
+        .recv_deadline(rx, &mut buf, within(Duration::from_secs(10)))
         .expect_err("conversation must be poisoned");
     match err {
         MpfError::PeerDied { pid } => assert_ne!(pid, m.pid(), "culprit is the victim"),
@@ -233,12 +238,12 @@ fn helper_broadcast_only_consumer() {
 
     let mut buf = [0u8; 128];
     for _ in 0..20 {
-        m.message_receive_timeout(flood, &mut buf, Duration::from_secs(30))
+        m.recv_deadline(flood, &mut buf, within(Duration::from_secs(30)))
             .expect("receive batch 1");
     }
     m.message_send(ctl, b"batch1").expect("ack batch1");
     for _ in 0..8 {
-        m.message_receive_timeout(flood, &mut buf, Duration::from_secs(30))
+        m.recv_deadline(flood, &mut buf, within(Duration::from_secs(30)))
             .expect("receive batch 2");
     }
     // Leave before acking so the parent's conservation check runs after
@@ -275,7 +280,7 @@ fn fcfs_departure_releases_obligations_across_processes() {
     let child = spawn_helper("helper_broadcast_only_consumer", &region);
     let mut buf = [0u8; 128];
     let n = m
-        .message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+        .recv_deadline(ctl, &mut buf, within(Duration::from_secs(30)))
         .expect("joined ack");
     assert_eq!(&buf[..n], b"joined");
 
@@ -285,7 +290,7 @@ fn fcfs_departure_releases_obligations_across_processes() {
         m.message_send(flood_tx, &[i]).expect("send batch 1");
     }
     let n = m
-        .message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+        .recv_deadline(ctl, &mut buf, within(Duration::from_secs(30)))
         .expect("batch1 ack");
     assert_eq!(&buf[..n], b"batch1");
 
@@ -299,7 +304,7 @@ fn fcfs_departure_releases_obligations_across_processes() {
         m.message_send(flood_tx, &[i]).expect("send batch 2");
     }
     let n = m
-        .message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+        .recv_deadline(ctl, &mut buf, within(Duration::from_secs(30)))
         .expect("batch2 ack");
     assert_eq!(&buf[..n], b"batch2");
     finish(child, "broadcast-only consumer");
@@ -344,7 +349,7 @@ fn helper_doomed_sender() {
     // Die blocked: nobody ever sends here.
     let idle = m.open_receive("idle", Protocol::Fcfs).expect("open idle");
     let mut buf = [0u8; 8];
-    let _ = m.message_receive_timeout(idle, &mut buf, Duration::from_secs(60));
+    let _ = m.recv_deadline(idle, &mut buf, within(Duration::from_secs(60)));
 }
 
 /// The trace ring's post-mortem reason to exist: a writer is SIGKILLed
@@ -363,12 +368,12 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
     let mut victim = spawn_helper("helper_doomed_sender", &region);
     let mut buf = [0u8; 64];
     let n = m
-        .message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+        .recv_deadline(ctl, &mut buf, within(Duration::from_secs(30)))
         .expect("victim reports in");
     assert_eq!(&buf[..n], b"sent");
     // Drain two of the five so receive-side counters are non-zero too.
     for _ in 0..2 {
-        m.message_receive_timeout(rx, &mut buf, Duration::from_secs(30))
+        m.recv_deadline(rx, &mut buf, within(Duration::from_secs(30)))
             .expect("drain stream");
     }
 
@@ -479,10 +484,10 @@ fn blocked_receiver_notices_a_sigkilled_sender_within_the_cadence() {
     let ctl = m.open_receive("ctl", Protocol::Fcfs).unwrap();
     let mut victim = spawn_helper("helper_doomed_sender", &region);
     let mut buf = [0u8; 64];
-    m.message_receive_timeout(ctl, &mut buf, Duration::from_secs(30))
+    m.recv_deadline(ctl, &mut buf, within(Duration::from_secs(30)))
         .expect("victim reports in");
     for _ in 0..5 {
-        m.message_receive_timeout(rx, &mut buf, Duration::from_secs(30))
+        m.recv_deadline(rx, &mut buf, within(Duration::from_secs(30)))
             .expect("drain the stream");
     }
     let waits_before = m.telemetry_snapshot().recv_waits;
@@ -552,7 +557,7 @@ fn helper_second_member_sender() {
     let mut buf = [0u8; 8];
     for _ in 0..WAKE_TRIALS {
         let n = m
-            .message_receive_timeout(go, &mut buf, Duration::from_secs(30))
+            .recv_deadline(go, &mut buf, within(Duration::from_secs(30)))
             .expect("go-ahead");
         let parent = u32::from_le_bytes(buf[..n].try_into().expect("pid"));
         let patience = Instant::now() + Duration::from_secs(30);

@@ -5,7 +5,7 @@
 //! process slots, separate base addresses — without fork.  Genuine
 //! multi-process coverage lives in `cross_process.rs`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_ipc::{IpcMpf, RegionInspector};
@@ -135,7 +135,7 @@ fn buffer_too_small_keeps_the_message_queued() {
     assert_eq!(m.message_receive(rx, &mut tiny), short);
     assert_eq!(m.recv_deadline(rx, &mut tiny, None), short);
     assert_eq!(
-        m.message_receive_timeout(rx, &mut tiny, Duration::from_secs(1)),
+        m.recv_deadline(rx, &mut tiny, Some(Instant::now() + Duration::from_secs(1))),
         short
     );
     assert_eq!(m.queue_depth(rx), Ok(1));
@@ -164,7 +164,10 @@ fn blocking_single_receives_tick_the_heartbeat() {
         assert_eq!(b.message_receive(rx, &mut buf), Ok(4));
         assert_eq!(b.recv_deadline(rx, &mut buf, None), Ok(4));
         let timeout = Duration::from_secs(1);
-        assert_eq!(b.message_receive_timeout(rx, &mut buf, timeout), Ok(4));
+        assert_eq!(
+            b.recv_deadline(rx, &mut buf, Some(Instant::now() + timeout)),
+            Ok(4)
+        );
         assert_eq!(b.message_receive_scan(rx, |_| ()), Ok(4));
     }
     assert!(
@@ -229,18 +232,6 @@ fn send_with_no_receivers_queues_for_future_fcfs() {
     let mut buf = [0u8; 32];
     assert_eq!(m.message_receive(rx, &mut buf).unwrap(), 15);
     assert_eq!(&buf[..15], b"waiting for you");
-}
-
-#[test]
-fn receive_timeout_returns_would_block() {
-    let m = region("loop-timeout");
-    let _tx = m.open_send("silence").unwrap();
-    let rx = m.open_receive("silence", Protocol::Fcfs).unwrap();
-    let mut buf = [0u8; 8];
-    let err = m
-        .message_receive_timeout(rx, &mut buf, Duration::from_millis(50))
-        .unwrap_err();
-    assert_eq!(err, MpfError::WouldBlock);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! `mpf-soak` — soak/chaos driver for the mpf-serve service layer.
 //!
 //! ```text
-//! mpf-soak [--backend ipc|threads] [--requests N] [--workers N] [--clients N]
-//!          [--payload BYTES] [--kill-workers N] [--kill-clients N] [--no-churn]
+//! mpf-soak [--requests N] [--workers N] [--clients N] [--payload BYTES]
+//!          [--kill-workers N] [--kill-clients N] [--no-churn]
 //!          [--json PATH] [--debug]
 //! ```
 //!
@@ -12,7 +12,7 @@
 //!
 //! * every request body is stamped and every reply byte-verified — a
 //!   lost, duplicated, cross-wired, or corrupted reply fails the run;
-//! * workers and clients are SIGKILLed mid-traffic (ipc backend); the
+//! * workers and clients are SIGKILLed mid-traffic; the
 //!   surviving clients must still complete their full quota through the
 //!   epoch-failover machinery;
 //! * after shutdown the region must conserve: zero live conversations,
@@ -41,8 +41,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpf::{Mpf, MpfConfig, ProcessId};
-use mpf_aio::{AsyncIpc, AsyncMpf};
+use mpf::MpfConfig;
+use mpf_aio::AsyncIpc;
 use mpf_bench::report::{json_str, JsonReport};
 use mpf_bench::Series;
 use mpf_ipc::IpcMpf;
@@ -52,7 +52,7 @@ use mpf_serve::soak::{
 };
 use mpf_serve::{
     run_worker, Client, ClientCfg, ClientStats, IpcTransport, ServeError, Server, ServerStats,
-    ThreadTransport, Transport, WorkerCfg,
+    WorkerCfg,
 };
 
 const REGION_ENV: &str = "MPF_SOAK_REGION";
@@ -65,8 +65,8 @@ const WAVE_GRACE: Duration = Duration::from_secs(120);
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mpf-soak [--backend ipc|threads] [--requests N] [--workers N] [--clients N]\n\
-         \u{20}               [--payload BYTES] [--kill-workers N] [--kill-clients N] [--no-churn]\n\
+        "usage: mpf-soak [--requests N] [--workers N] [--clients N] [--payload BYTES]\n\
+         \u{20}               [--kill-workers N] [--kill-clients N] [--no-churn]\n\
          \u{20}               [--json PATH] [--debug]"
     );
     std::process::exit(6);
@@ -74,7 +74,6 @@ fn usage() -> ! {
 
 #[derive(Clone)]
 struct Args {
-    ipc: bool,
     requests: u64,
     workers: u32,
     clients: u32,
@@ -90,7 +89,6 @@ impl Args {
     fn parse() -> (Option<(String, u32)>, Args) {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut a = Args {
-            ipc: true,
             requests: 1_000_000,
             workers: 4,
             clients: 8,
@@ -111,14 +109,6 @@ impl Args {
         let mut i = 0;
         while i < argv.len() {
             match argv[i].as_str() {
-                "--backend" => {
-                    i += 1;
-                    match argv.get(i).map(String::as_str) {
-                        Some("ipc") => a.ipc = true,
-                        Some("threads") => a.ipc = false,
-                        _ => usage(),
-                    }
-                }
                 "--requests" => a.requests = num(&argv, &mut i),
                 "--workers" => a.workers = num(&argv, &mut i) as u32,
                 "--clients" => a.clients = num(&argv, &mut i) as u32,
@@ -170,8 +160,7 @@ fn main() {
                 6
             }
         },
-        None if args.ipc => driver_ipc(&args),
-        None => driver_threads(&args),
+        None => driver(&args),
     };
     // All facility handles dropped above; exiting here cannot skip a
     // region detach (a skipped detach would read as a dead peer).
@@ -234,10 +223,9 @@ fn client_child(cid: u32, quota: u64, payload: usize) -> i32 {
     i32::from(failed)
 }
 
-/// The client work loop, shared by the ipc child process and the
-/// threads-backend in-process client.
-fn run_client<T: Transport>(
-    t: Arc<T>,
+/// The client work loop.
+fn run_client(
+    t: Arc<IpcTransport>,
     svc: &str,
     cid: u32,
     quota: u64,
@@ -307,7 +295,7 @@ fn run_client<T: Transport>(
 }
 
 // ----------------------------------------------------------------------
-// IPC driver
+// Driver
 // ----------------------------------------------------------------------
 
 fn region_config(debug: bool) -> MpfConfig {
@@ -337,7 +325,7 @@ enum ChaosAt {
     KillWorker(Duration),
 }
 
-/// Process bookkeeping for the ipc driver (the [`Server`] itself stays a
+/// Process bookkeeping for the driver (the [`Server`] itself stays a
 /// local so `shutdown(self)` can consume it).
 struct Driver {
     exe: std::path::PathBuf,
@@ -567,7 +555,7 @@ impl Driver {
     }
 }
 
-fn driver_ipc(args: &Args) -> i32 {
+fn driver(args: &Args) -> i32 {
     let region = format!("soak-{}", std::process::id());
     let cfg = region_config(args.debug);
     let ipc = match IpcMpf::create(&region, &cfg) {
@@ -853,136 +841,6 @@ fn check_conservation(ipc: &IpcMpf, total_blocks: u32) -> Result<(usize, u32), S
 }
 
 // ----------------------------------------------------------------------
-// Threads driver (no SIGKILL chaos; quick functional soak)
-// ----------------------------------------------------------------------
-
-fn driver_threads(args: &Args) -> i32 {
-    let cfg = region_config(false);
-    let total_blocks = cfg.total_blocks;
-    let m = Arc::new(Mpf::init(cfg).expect("init"));
-    let server_t = Arc::new(ThreadTransport(AsyncMpf::new(
-        Arc::clone(&m),
-        ProcessId::from_index(0),
-    )));
-    let mut server = Server::new(Arc::clone(&server_t), SVC).expect("anchor");
-    let workers = args.workers.min(8);
-    let clients = args.clients.min(16);
-    let mut worker_handles = Vec::new();
-    for w in 0..workers {
-        let mt = Arc::clone(&m);
-        worker_handles.push(std::thread::spawn(move || {
-            let t = ThreadTransport(AsyncMpf::new(mt, ProcessId::from_index(1 + w as usize)));
-            let cfg = WorkerCfg::new(SVC, w + 1);
-            run_worker(&t, &cfg, transform).map(|s| s.served)
-        }));
-    }
-    let join_by = Instant::now() + Duration::from_secs(10);
-    while server.worker_count() < workers as usize && Instant::now() < join_by {
-        let _ = server.poll_acks(Some(Instant::now() + Duration::from_millis(20)));
-    }
-
-    let mut failure: Option<(i32, String)> = None;
-    let mut done = 0u64;
-    let mut phases: Vec<PhaseSlo> = Vec::new();
-    for (name, payload, share) in [
-        ("ramp", args.payload, 20u64),
-        ("pressure", args.payload.max(1024), 10),
-        ("runout", args.payload, 70),
-    ] {
-        let mut phase = PhaseSlo::new(name);
-        let quota_each = (args.requests * share / 100).max(u64::from(clients)) / u64::from(clients);
-        let phase_idx = phases.len() as u32;
-        let mut handles = Vec::new();
-        for cidx in 0..clients {
-            let mt = Arc::clone(&m);
-            let pid = 1 + workers as usize + cidx as usize;
-            let cid = 1000 * (phase_idx + 1) + cidx;
-            handles.push(std::thread::spawn(move || {
-                let t = Arc::new(ThreadTransport(AsyncMpf::new(
-                    mt,
-                    ProcessId::from_index(pid),
-                )));
-                run_client(t, SVC, cid, quota_each, payload)
-            }));
-        }
-        for h in handles {
-            while !h.is_finished() {
-                let _ = server.poll_acks(Some(Instant::now() + Duration::from_millis(10)));
-            }
-            let (kvs, failed) = h.join().expect("client thread");
-            let kv: BTreeMap<String, String> = kvs
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect();
-            phase.absorb(&kv);
-            if failed && failure.is_none() {
-                failure = Some((5, format!("thread client failed in {name}")));
-            }
-        }
-        done += phase.ok;
-        if phase.ok > 0 && !phase.slo_structure_ok() {
-            failure.get_or_insert((4, format!("phase {name}: latency structure broken")));
-        }
-        phases.push(phase);
-    }
-
-    match server.drain(Some(Duration::from_secs(10))) {
-        Ok(r) if r.timed_out.is_empty() && r.residual == 0 => {}
-        Ok(r) => {
-            failure.get_or_insert((5, format!("drain incomplete: {r:?}")));
-        }
-        Err(e) => {
-            failure.get_or_insert((5, format!("drain: {e}")));
-        }
-    }
-    let _ = server.resume();
-    let mut server_stats = server.stats;
-    match server.shutdown(Some(Duration::from_secs(10))) {
-        Ok(r) if r.stragglers.is_empty() => {
-            server_stats.byes += r.byes.len() as u64;
-        }
-        Ok(r) => {
-            failure.get_or_insert((5, format!("shutdown stragglers {:?}", r.stragglers)));
-        }
-        Err(e) => {
-            failure.get_or_insert((5, format!("shutdown: {e}")));
-        }
-    }
-    for h in worker_handles {
-        if h.join().expect("worker thread").is_err() {
-            failure.get_or_insert((5, "worker errored".to_string()));
-        }
-    }
-    drop(server_t);
-    let view = m.view(ProcessId::from_index(0)).expect("process 0");
-    let conservation = check_conservation(view, total_blocks);
-    if let Err(why) = &conservation {
-        failure.get_or_insert((2, format!("conservation: {why}")));
-    }
-    write_report(
-        args,
-        &phases,
-        &server_stats,
-        1,
-        workers as usize,
-        &[],
-        &conservation,
-        done,
-    );
-    summarize(&phases, done, server_stats.epoch_bumps);
-    match failure {
-        Some((code, what)) => {
-            eprintln!("mpf-soak: FAIL {what}");
-            code
-        }
-        None => {
-            println!("mpf-soak: PASS ({done} verified requests)");
-            0
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
 // Reporting
 // ----------------------------------------------------------------------
 
@@ -1016,9 +874,8 @@ fn write_report(
     r.add_extra(
         "soak_config",
         format!(
-            "{{\"backend\":{},\"requests\":{},\"workers\":{},\"clients\":{},\"payload\":{},\
+            "{{\"requests\":{},\"workers\":{},\"clients\":{},\"payload\":{},\
              \"kill_workers\":{},\"kill_clients\":{},\"churn\":{}}}",
-            json_str(if args.ipc { "ipc" } else { "threads" }),
             args.requests,
             args.workers,
             args.clients,

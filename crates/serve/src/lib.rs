@@ -12,11 +12,13 @@
 //! * a [`Client`] with timeout/retry, duplicate suppression, and
 //!   `PeerDied`-aware failover.
 //!
-//! Everything is written against the [`Transport`] seam, so the same
-//! server/worker/client code runs over an engine view — a process's
-//! handle on a named region ([`IpcTransport`]) or a logical process of an
-//! in-process `Mpf` ([`ThreadTransport`]; the same type, two names) — and
-//! over the deterministic `mpf-check` fake ([`SyncTransport`]).
+//! Everything is written against the [`Transport`] seam, whose one
+//! implementation calls the engine's deadline-bounded waits on an engine
+//! view — a process's handle on a named region ([`IpcTransport`]) or a
+//! logical process of an in-process `Mpf` ([`ThreadTransport`]; the same
+//! type, two names).  Blocking is the engine's job: a participant sleeps
+//! on its conversation's sequence or its process doorbell itself, so the
+//! code `mpf-check` explores is the code that ships.
 //!
 //! ## Delivery contract
 //!
@@ -43,7 +45,7 @@ pub use server::{
 };
 pub use transport::ViewTransport as IpcTransport;
 pub use transport::ViewTransport as ThreadTransport;
-pub use transport::{is_failover, SyncTransport, Transport};
+pub use transport::{is_failover, Transport};
 pub use worker::{run_worker, WorkerCfg, WorkerStats};
 
 use mpf::MpfError;

@@ -1,30 +1,25 @@
-//! The transport seam: one trait the server, workers, and clients speak,
-//! with the production implementation and a deterministic fake.
+//! The transport seam: what the server, workers, and clients ask of the
+//! facility, and the one implementation of it.
 //!
-//! * [`ViewTransport`] — the production shape: wraps
-//!   [`mpf_aio::AsyncIpc`], driving its futures with
-//!   [`mpf_aio::block_on_deadline`] so every blocking operation is
-//!   timeout-capable (the reactor multiplexes the actual waiting).  The
-//!   crate exports it under two names: `IpcTransport` for a process's
-//!   handle on a named region, `ThreadTransport` for a logical process of
-//!   an in-process `Mpf` (`AsyncMpf::new`) — unit tests and the threads
-//!   soak variant.
-//! * [`SyncTransport`] — a deliberately timeout-free synchronous shape
-//!   over `mpf::Mpf`'s blocking primitives, for `mpf-check` schedule
-//!   exploration: every block goes through the hooked waitqs the
-//!   cooperative scheduler models, and no reactor thread or wall clock
-//!   is involved.
+//! [`ViewTransport`] calls the engine's deadline-bounded waits on the
+//! calling thread: a participant blocked in `recv_deadline` sleeps on its
+//! conversation's sequence, one blocked in `recv_any_deadline` or in a
+//! `send_deadline` under pool exhaustion sleeps on its process doorbell —
+//! the paper's `message_receive` blocking the calling process, with a
+//! bound.  No second thread does the waiting, so `mpf-check` schedules
+//! exactly the code that ships.  The crate exports the type under two
+//! names: `IpcTransport` for a process's handle on a named region,
+//! `ThreadTransport` for a logical process of an in-process `Mpf`
+//! (`AsyncMpf::new`).
 //!
-//! Deadline semantics: `None` means block indefinitely.  A transport
-//! that cannot honor deadlines ([`SyncTransport`]) treats every deadline
-//! as `None`; callers built for determinism pass `None` anyway.
+//! Deadline semantics: `None` means block indefinitely; expiry is
+//! `Ok(false)` / `Ok(None)`, never an error.
 
 use std::fmt::Debug;
-use std::sync::Arc;
 use std::time::Instant;
 
-use mpf::{IpcLnvcId, LnvcId, Mpf, MpfError, ProcessId, Protocol, Result};
-use mpf_aio::{block_on, block_on_deadline, AsyncIpc};
+use mpf::{IpcLnvcId, MpfError, Protocol, Result};
+use mpf_aio::AsyncIpc;
 
 /// What the service layer needs from a backend.
 pub trait Transport: Send + Sync + 'static {
@@ -81,13 +76,19 @@ pub trait Transport: Send + Sync + 'static {
     fn sweep_dead(&self) -> u32;
 }
 
-// ----------------------------------------------------------------------
-// The production transport
-// ----------------------------------------------------------------------
-
-/// Production transport: [`AsyncIpc`] futures driven to completion (or
-/// deadline) on the calling thread.
+/// The transport: an engine view's own blocking calls.  Only the view
+/// inside the [`AsyncIpc`] is used — nothing here creates a future, so the
+/// facade never starts its reactor thread.
 pub struct ViewTransport(pub AsyncIpc);
+
+/// `Ok(None)` for a wait that ran out of time.
+fn timed<T>(r: Result<T>) -> Result<Option<T>> {
+    match r {
+        Ok(v) => Ok(Some(v)),
+        Err(MpfError::TimedOut) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
 
 impl Transport for ViewTransport {
     type Id = IpcLnvcId;
@@ -114,20 +115,13 @@ impl Transport for ViewTransport {
         payload: &[u8],
         deadline: Option<Instant>,
     ) -> Result<bool> {
-        match deadline {
-            None => block_on(self.0.send(id, payload.to_vec())).map(|()| true),
-            Some(dl) => match block_on_deadline(self.0.send(id, payload.to_vec()), dl) {
-                Some(r) => r.map(|()| true),
-                None => Ok(false),
-            },
-        }
+        let sent = self.0.facility().send_deadline(id, payload, deadline);
+        Ok(timed(sent)?.is_some())
     }
 
     fn recv_deadline(&self, id: IpcLnvcId, deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
-        match deadline {
-            None => block_on(self.0.recv(id)).map(Some),
-            Some(dl) => block_on_deadline(self.0.recv(id), dl).transpose(),
-        }
+        let batch = self.0.facility().recv_batch_deadline(id, 1, deadline);
+        Ok(timed(batch)?.and_then(|mut b| b.pop()))
     }
 
     fn recv_any_deadline(
@@ -135,9 +129,17 @@ impl Transport for ViewTransport {
         ids: &[IpcLnvcId],
         deadline: Option<Instant>,
     ) -> Result<Option<(IpcLnvcId, Vec<u8>)>> {
-        match deadline {
-            None => block_on(self.0.select_any(ids)).map(Some),
-            Some(dl) => block_on_deadline(self.0.select_any(ids), dl).transpose(),
+        let ipc = self.0.facility();
+        // `wait_any_deadline` names a conversation with a pending message,
+        // but an FCFS rival may take it between the wait and our try —
+        // wait again.
+        loop {
+            let Some(ready) = timed(ipc.wait_any_deadline(ids, deadline))? else {
+                return Ok(None);
+            };
+            if let Some(msg) = ipc.try_message_receive_vec(ready)? {
+                return Ok(Some((ready, msg)));
+            }
         }
     }
 
@@ -165,93 +167,6 @@ impl Transport for ViewTransport {
 
     fn sweep_dead(&self) -> u32 {
         self.0.facility().sweep_dead_peers()
-    }
-}
-
-// ----------------------------------------------------------------------
-// Synchronous (deterministic) transport
-// ----------------------------------------------------------------------
-
-/// Timeout-free synchronous transport over `Mpf`'s blocking primitives,
-/// for `mpf-check` scenarios.  Deadlines are ignored — every wait parks on
-/// the hooked futex words the cooperative scheduler controls, and nothing
-/// here spawns a thread.  Nobody dies in those scenarios, so the dead-peer
-/// probes answer "no".
-pub struct SyncTransport {
-    pub mpf: Arc<Mpf>,
-    pub pid: ProcessId,
-}
-
-impl Transport for SyncTransport {
-    type Id = LnvcId;
-
-    fn open_send(&self, name: &str) -> Result<LnvcId> {
-        self.mpf.open_send(self.pid, name)
-    }
-
-    fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
-        self.mpf.open_receive(self.pid, name, protocol)
-    }
-
-    fn close_send(&self, id: LnvcId) -> Result<()> {
-        self.mpf.close_send(self.pid, id)
-    }
-
-    fn close_receive(&self, id: LnvcId) -> Result<()> {
-        self.mpf.close_receive(self.pid, id)
-    }
-
-    fn send_deadline(
-        &self,
-        id: LnvcId,
-        payload: &[u8],
-        _deadline: Option<Instant>,
-    ) -> Result<bool> {
-        self.mpf.message_send(self.pid, id, payload).map(|()| true)
-    }
-
-    fn recv_deadline(&self, id: LnvcId, _deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
-        self.mpf.message_receive_vec(self.pid, id).map(Some)
-    }
-
-    fn recv_any_deadline(
-        &self,
-        ids: &[LnvcId],
-        _deadline: Option<Instant>,
-    ) -> Result<Option<(LnvcId, Vec<u8>)>> {
-        // `wait_any` names a conversation with a pending message, but an
-        // FCFS rival may take it between the wait and our try — loop.
-        loop {
-            let ready = self.mpf.wait_any(self.pid, ids)?;
-            match self.mpf.try_message_receive_vec(self.pid, ready)? {
-                Some(msg) => return Ok(Some((ready, msg))),
-                None => continue,
-            }
-        }
-    }
-
-    fn try_recv(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
-        self.mpf.try_message_receive_vec(self.pid, id)
-    }
-
-    fn try_recv_batch(&self, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.mpf.try_recv_batch(self.pid, id, max)
-    }
-
-    fn lnvc_exists(&self, name: &str) -> bool {
-        self.mpf.lnvc_exists(name)
-    }
-
-    fn queue_depth(&self, id: LnvcId) -> Result<u32> {
-        self.mpf.queue_depth(id)
-    }
-
-    fn is_poisoned(&self, _id: LnvcId) -> bool {
-        false
-    }
-
-    fn sweep_dead(&self) -> u32 {
-        0
     }
 }
 

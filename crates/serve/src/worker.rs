@@ -20,10 +20,10 @@
 //! protocol is at-least-once with client-side de-duplication, so a live
 //! client simply retries.
 //!
-//! After each idle tick the worker runs a dead-peer sweep: the aio
-//! reactor's receive path never sweeps (unlike the facilities' blocking
-//! receives), so without this a region whose only parked receivers are
-//! workers would take arbitrarily long to notice a corpse.
+//! After each idle tick the worker runs a dead-peer sweep and reports
+//! what it found ([`WorkerStats::sweeps`]); the engine waits it blocks in
+//! sweep at the same cadence, so a region whose only parked receivers are
+//! workers still notices a corpse within one tick.
 
 use std::time::{Duration, Instant};
 
@@ -343,13 +343,14 @@ fn serve_one<T: Transport>(
         &reply_payload,
     );
     let name = reply_name(&cfg.svc, req.cid, req.gen);
-    let delivered = (|| -> Result<bool> {
-        let rtx = t.open_send(&name)?;
+    let delivered = t.open_send(&name).and_then(|rtx| {
         let dl = cfg.reply_timeout.map(|d| Instant::now() + d);
-        let sent = t.send_deadline(rtx, &frame, dl)?;
+        let sent = t.send_deadline(rtx, &frame, dl);
+        // Whatever the send said: a failed reply must not leave this
+        // worker connected to a departed client's queue (module doc).
         let _ = t.close_send(rtx);
-        Ok(sent)
-    })();
+        sent
+    });
     if !matches!(delivered, Ok(true)) {
         stats.reply_failures += 1;
     }

@@ -1,13 +1,14 @@
 //! Service-layer integration tests on the thread backend: full
 //! control-plane lifecycle (pause → resume → drain → shutdown) with
-//! real concurrency, plus conservation after everything disconnects.
+//! real concurrency, plus conservation after everything disconnects;
+//! the transport's deadline contract; and who owns a reactor thread.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpf::{Mpf, MpfConfig, ProcessId};
-use mpf_aio::AsyncMpf;
-use mpf_serve::{run_worker, Client, ClientCfg, Server, ThreadTransport, WorkerCfg};
+use mpf::{Mpf, MpfConfig, MpfError, ProcessId, Protocol};
+use mpf_aio::{block_on, AsyncMpf};
+use mpf_serve::{run_worker, Client, ClientCfg, Server, ThreadTransport, Transport, WorkerCfg};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::from_index(i)
@@ -223,4 +224,118 @@ fn supervise_until_returns_at_deadline_or_stop() {
     assert_eq!(bumps, 0);
     assert!(start.elapsed() < Duration::from_secs(5));
     assert!(stop.load(Ordering::Acquire));
+}
+
+#[test]
+fn transport_waits_are_bounded_by_their_deadline() {
+    // Three one-block messages leave one block free; a two-block message
+    // then finds a header but not its chain.
+    let cfg = MpfConfig::new(8, 4)
+        .with_block_payload(64)
+        .with_total_blocks(4)
+        .with_max_messages(8);
+    let mpf = Arc::new(Mpf::init(cfg).expect("init"));
+    let (a, b) = (thread_t(&mpf, 0), thread_t(&mpf, 1));
+    let tx = a.open_send("east").expect("open_send");
+    let east = b
+        .open_receive("east", Protocol::Fcfs)
+        .expect("open_receive");
+    let west = b
+        .open_receive("west", Protocol::Fcfs)
+        .expect("open_receive");
+    let west_tx = a.open_send("west").expect("open_send");
+    let within = |ms| Some(Instant::now() + Duration::from_millis(ms));
+
+    // Empty queue: `Ok(None)` at the deadline — not before, and not at
+    // the engine's next 50 ms sweep tick.
+    let start = Instant::now();
+    assert_eq!(b.recv_deadline(east, within(20)), Ok(None));
+    assert_eq!(b.recv_any_deadline(&[east, west], within(20)), Ok(None));
+    let took = start.elapsed();
+    assert!(took >= Duration::from_millis(40), "{took:?}");
+    assert!(took < Duration::from_millis(80), "{took:?}");
+
+    // The conversation that was written is the one returned.
+    assert_eq!(a.send_deadline(west_tx, b"w", within(20)), Ok(true));
+    let got = b.recv_any_deadline(&[east, west], within(1000));
+    assert_eq!(got, Ok(Some((west, b"w".to_vec()))));
+    assert_eq!(a.send_deadline(tx, b"e", None), Ok(true));
+    assert_eq!(b.recv_deadline(east, None), Ok(Some(b"e".to_vec())));
+
+    // Exhausted pool: `Ok(false)`, nothing enqueued, nothing leaked.
+    for _ in 0..3 {
+        assert_eq!(a.send_deadline(tx, &[7; 64], within(20)), Ok(true));
+    }
+    assert_eq!(mpf.free_blocks(), 1);
+    assert_eq!(a.send_deadline(tx, &[9; 128], within(20)), Ok(false));
+    assert_eq!(mpf.free_blocks(), 1);
+    assert_eq!(b.queue_depth(east), Ok(3));
+    mpf.check_invariants().expect("invariants");
+}
+
+/// Threads of this process named `mpf-aio-reactor`.
+#[cfg(target_os = "linux")]
+fn reactor_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "mpf-aio-reactor")
+        .count()
+}
+
+/// No other test in this binary creates a future and the transport never
+/// does, so the process-wide counts below are exact.
+#[cfg(target_os = "linux")]
+#[test]
+fn only_a_pending_future_starts_a_reactor_thread() {
+    let mpf = Arc::new(Mpf::init(MpfConfig::new(32, 16)).expect("init"));
+    let mut server = Server::new(Arc::new(thread_t(&mpf, 0)), "own").expect("anchor");
+    let worker = {
+        let mpf = Arc::clone(&mpf);
+        std::thread::spawn(move || {
+            run_worker(&thread_t(&mpf, 1), &WorkerCfg::new("own", 1), |req| {
+                req.to_vec()
+            })
+        })
+    };
+    pump_until(&mut server, Duration::from_secs(10), |s| {
+        s.worker_count() == 1
+    });
+    let mut client =
+        Client::connect(Arc::new(thread_t(&mpf, 2)), ClientCfg::new("own", 1)).expect("connect");
+    assert_eq!(client.call(b"echo").expect("call"), b"echo");
+    // Server, worker and client all blocked and were woken: in the engine.
+    assert_eq!(reactor_threads(), 0, "the transport owns no thread");
+    client.close();
+    server
+        .shutdown(Some(Duration::from_secs(10)))
+        .expect("shutdown");
+    worker.join().expect("worker thread").expect("worker");
+
+    let a = AsyncMpf::new(Arc::clone(&mpf), p(3));
+    let rx = a
+        .open_receive("quiet", Protocol::Fcfs)
+        .expect("open_receive");
+    let tx = a.open_send("quiet").expect("open_send");
+    block_on(async {
+        a.send(tx, b"ready".to_vec()).await.expect("send");
+        assert_eq!(a.recv(rx).await.expect("recv"), b"ready");
+    });
+    assert_eq!(reactor_threads(), 0, "futures that never pend need none");
+    for _ in 0..2 {
+        let pended = block_on(a.recv(rx).timeout(Duration::from_millis(10)));
+        assert_eq!(pended, Err(MpfError::TimedOut));
+        assert_eq!(
+            reactor_threads(),
+            1,
+            "one per facade, from the first Pending"
+        );
+    }
+    drop(a);
+    // `join` returns at the thread's exit; /proc drops the task just after.
+    let patience = Instant::now() + Duration::from_secs(5);
+    while reactor_threads() != 0 {
+        assert!(Instant::now() < patience, "dropping the facade joins it");
+        std::thread::yield_now();
+    }
 }

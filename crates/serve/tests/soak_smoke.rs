@@ -1,6 +1,6 @@
 //! Cross-process smoke run of the soak harness: a scaled-down version
-//! of the CI job — real forked workers and clients over the ipc
-//! backend, one SIGKILLed worker, and the full gate stack (stamp
+//! of the CI job — real forked workers and clients of one named
+//! region, one SIGKILLed worker, and the full gate stack (stamp
 //! verification, conservation, SLO structure) enforced by the binary's
 //! exit code.  The test then re-checks the headline claims from the
 //! emitted `BENCH_soak.json` rather than trusting stdout alone.
@@ -14,8 +14,6 @@ fn soak_smoke_ipc_with_worker_kill() {
 
     let out = Command::new(env!("CARGO_BIN_EXE_mpf-soak"))
         .args([
-            "--backend",
-            "ipc",
             "--requests",
             "3000",
             "--workers",

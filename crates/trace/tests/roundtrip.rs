@@ -6,7 +6,7 @@
 //! reconstructs what it was doing from the region file alone.
 
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_ipc::{IpcMpf, RegionInspector};
@@ -203,7 +203,11 @@ fn every_marker_kind_checks_clean() {
     let gone = m.open_send("quiet").unwrap();
     let quiet = m.open_receive("quiet", Protocol::Fcfs).unwrap();
     m.close_send(gone).unwrap();
-    let _ = m.message_receive_timeout(quiet, &mut buf, Duration::from_millis(5));
+    let _ = m.recv_deadline(
+        quiet,
+        &mut buf,
+        Some(Instant::now() + Duration::from_millis(5)),
+    );
 
     // send_block: four headers, nobody draining.
     let tx = m.open_send("full").unwrap();
@@ -396,7 +400,11 @@ fn sigkilled_peer_reconstructs_post_mortem() {
     m.message_send(req_tx, b"trace me").unwrap();
     let mut buf = [0u8; 64];
     let n = m
-        .message_receive_timeout(rep_rx, &mut buf, Duration::from_secs(30))
+        .recv_deadline(
+            rep_rx,
+            &mut buf,
+            Some(Instant::now() + Duration::from_secs(30)),
+        )
         .expect("reply arrives");
     assert_eq!(&buf[..n], b"trace me");
 

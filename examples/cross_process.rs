@@ -9,13 +9,18 @@
 //! Run: `cargo run --example cross_process`
 
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mpf_repro::ipc::IpcMpf;
 use mpf_repro::mpf::{MpfConfig, Protocol};
 
 const REGION_ENV: &str = "MPF_EXAMPLE_REGION";
 const WORKERS: usize = 2;
+
+/// How long either side waits for the other before giving up.
+fn patience() -> Option<Instant> {
+    Some(Instant::now() + Duration::from_secs(10))
+}
 
 fn worker() {
     let region = std::env::var(REGION_ENV).expect("worker needs the region name");
@@ -35,7 +40,7 @@ fn worker() {
 
     let mut buf = [0u8; 256];
     let n = m
-        .message_receive_timeout(announce, &mut buf, Duration::from_secs(10))
+        .recv_deadline(announce, &mut buf, patience())
         .expect("receive broadcast");
     println!(
         "[worker {} / OS pid {}] got broadcast: {:?}",
@@ -81,7 +86,7 @@ fn main() {
     let mut buf = [0u8; 256];
     for _ in 0..WORKERS {
         let n = m
-            .message_receive_timeout(requests, &mut buf, Duration::from_secs(10))
+            .recv_deadline(requests, &mut buf, patience())
             .expect("receive request");
         println!(
             "[parent] request: {:?}",
