@@ -623,3 +623,173 @@ fn ipc_pool_signal_survives_dead_waiter() {
     explore_dfs(&opts, || pool_signal_case(true)).assert_ok();
     explore_random(&opts, 0xDEAD9001, || pool_signal_case(true)).assert_ok();
 }
+
+// ---------------------------------------------------------------------
+// Runs that move whole: a batch leaves the pools with one pop each and
+// comes back with one push each, so a death strands a run, not a message.
+// ---------------------------------------------------------------------
+
+/// Messages per batch, one block each: the run a death may leak.
+const RUN: usize = 6;
+
+/// A process asleep waiting for pool memory, a batch sender and a batch
+/// receiver, one of the last two (`victim`: 1 or 2) mortal.  The sleeper
+/// goes first so that depth-first exploration starts from schedules in
+/// which it is already asleep.  Ring pushes and pops are
+/// decision points here (`preempt_events`), so the sender can die
+/// anywhere inside its submit — some of the run staged, the rest popped
+/// and on no list — or inside its drain; the sleeper makes the pool
+/// signal a decision point, so the receiver can die inside its reclaim,
+/// holding the conversation's lock, with the run cut off the queue and
+/// already pushed.  Whatever the schedule: the region audits clean but
+/// for at most one leaked run, both pools still hand out each slot once,
+/// and the survivor completes or sees `PeerDied`.
+fn batch_death_case(victim: usize) -> Case {
+    let (name, root) = named_region("run");
+    let views = [(); 3].map(|()| Arc::new(root.attach_view().expect("view")));
+    let [w, s, r] = views.clone();
+    let total = root.free_blocks();
+    let tx = s.open_send("batch").expect("open send");
+    let rx = r.open_receive("batch", Protocol::Fcfs).expect("open recv");
+    let over = Arc::new(AtomicBool::new(false));
+    let died = Arc::new(AtomicBool::new(false));
+    // Each of the two, when done, lets the sleeper go.
+    let finish = |over: &AtomicBool, w: &IpcMpf| {
+        over.store(true, Ordering::SeqCst);
+        w.ring_doorbell();
+    };
+    let sender = {
+        let (s, w, over) = (Arc::clone(&s), Arc::clone(&w), Arc::clone(&over));
+        Box::new(move || {
+            let payloads: Vec<[u8; 32]> = (0..RUN as u8).map(|i| [i; 32]).collect();
+            let refs: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
+            match s.send_batch(tx, &refs) {
+                // Every descriptor completes: sent, or — the receiver's
+                // corpse already swept — failed as a run with `PeerDied`.
+                Ok(done) => {
+                    let died = MpfError::PeerDied { pid: 0 }.status_code();
+                    assert_eq!(done.len(), RUN);
+                    assert!(done.iter().all(|c| c.status == done[0].status));
+                    assert!(done[0].ok() || done[0].status == died, "{done:?}");
+                }
+                Err(MpfError::PeerDied { .. }) => {}
+                Err(e) => panic!("send_batch: {e:?}"),
+            }
+            finish(&over, &w);
+        }) as Proc
+    };
+    let receiver = {
+        let (r, w, over) = (Arc::clone(&r), Arc::clone(&w), Arc::clone(&over));
+        Box::new(move || {
+            // Never blocks: a hooked wait has no sweep cadence to fall
+            // back on, so the survivor sweeps for itself.
+            let mut got = 0u8;
+            for _ in 0..2 {
+                r.sweep_dead_peers();
+                match r.try_recv_batch(rx, RUN) {
+                    Ok(msgs) => {
+                        for m in msgs {
+                            assert_eq!(m, [got; 32], "FIFO, intact");
+                            got += 1;
+                        }
+                    }
+                    Err(MpfError::PeerDied { .. }) => break,
+                    Err(e) => panic!("try_recv_batch: {e:?}"),
+                }
+            }
+            finish(&over, &w);
+        }) as Proc
+    };
+    let sleeper = {
+        let (w, over) = (Arc::clone(&w), Arc::clone(&over));
+        Box::new(move || {
+            w.pool_wait_begin();
+            let ticket = w.mem_signal_ticket();
+            w.wait_signals(&[], Some(ticket), &|| over.load(Ordering::SeqCst), None);
+            w.pool_wait_end();
+        }) as Proc
+    };
+    let on_death = {
+        let (died, corpse) = (Arc::clone(&died), Arc::clone(&views[victim]));
+        Box::new(move |_tid: usize| {
+            died.store(true, Ordering::Relaxed);
+            corpse.debug_abandon_slot();
+        })
+    };
+    Case {
+        procs: vec![sleeper, sender, receiver],
+        death: Some(DeathPlan {
+            victims: vec![victim],
+            on_death,
+        }),
+        check: Box::new(move || {
+            // The views outlive the processes: a view dropped by the last
+            // closure to finish would run its detach under the scheduler,
+            // and under the victim's name if that closure was the victim's.
+            let _views = views;
+            let died = died.load(Ordering::Relaxed);
+            root.sweep_dead_peers();
+            // The pool accounting is the audit's last step: every queue,
+            // chain and free-list walk has passed when it reports a leak.
+            let audit = |stage: &str| match root.check_invariants() {
+                Err(e) if !(died && e.contains("leaked")) => Err(format!("{stage}: {e}")),
+                _ => Ok(()),
+            };
+            audit("after the schedule")?;
+            if !died || victim != 1 {
+                s.close_send(tx).map_err(|e| format!("close send: {e}"))?;
+            }
+            if !died || victim != 2 {
+                r.close_receive(rx)
+                    .map_err(|e| format!("close recv: {e}"))?;
+            }
+            let free = root.free_blocks();
+            let floor = if died { total - RUN as u32 } else { total };
+            if free < floor || root.live_lnvcs() != 0 {
+                return Err(format!(
+                    "{free} blocks free of {total}, {} conversations live",
+                    root.live_lnvcs()
+                ));
+            }
+            // Both pools still hand out every slot once: a header or a
+            // block pushed twice would come out twice here.
+            let probe_tx = root.open_send("probe").map_err(|e| e.to_string())?;
+            let probe_rx = root
+                .open_receive("probe", Protocol::Fcfs)
+                .map_err(|e| e.to_string())?;
+            let sent = (0..8u8)
+                .take_while(|&i| root.message_send(probe_tx, &[i; 64]).is_ok())
+                .count();
+            audit("with the pools emptied")?;
+            let back = root
+                .try_recv_batch(probe_rx, 8)
+                .map_err(|e| e.to_string())?;
+            let want: Vec<Vec<u8>> = (0..sent as u8).map(|i| vec![i; 64]).collect();
+            if back != want || sent < if died { 8 - RUN } else { 8 } {
+                return Err(format!("probe sent {sent}, got back {back:?}"));
+            }
+            if root.free_blocks() != free {
+                return Err("the probe's blocks did not come back".into());
+            }
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+#[test]
+fn ipc_batch_sender_death_leaks_at_most_one_run() {
+    let opts = ExploreOpts::new("ipc-batch-sender-death")
+        .max_schedules(400)
+        .preempt_events(true);
+    explore_dfs(&opts, || batch_death_case(1)).assert_ok();
+    explore_random(&opts, 0xDEAD5E4D, || batch_death_case(1)).assert_ok();
+}
+
+#[test]
+fn ipc_batch_receiver_death_leaks_at_most_one_run() {
+    let opts = ExploreOpts::new("ipc-batch-receiver-death")
+        .max_schedules(400)
+        .preempt_events(true);
+    explore_dfs(&opts, || batch_death_case(2)).assert_ok();
+    explore_random(&opts, 0xDEAD4EC7, || batch_death_case(2)).assert_ok();
+}

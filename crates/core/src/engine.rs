@@ -30,7 +30,7 @@ use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
 use crate::stats::Reclaimable;
 use crate::types::{LnvcName, Protocol};
 use mpf_shm::faultplane::{self, FaultSite};
-use mpf_shm::ring::{AioRing, RingEntry};
+use mpf_shm::ring::{AioRing, RingEntry, AIO_RING_SLOTS};
 use mpf_shm::telemetry::{
     bump, facility_snapshot, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry,
     TelSnapshot,
@@ -595,12 +595,14 @@ impl IpcMpf {
     /// and discards its unreaped completions.  Called when a slot changes
     /// hands (dead-peer sweep, slot reuse, clean detach): staged messages
     /// were allocated from the shared pools but never enqueued, so nobody
-    /// else will ever free them.
+    /// else will ever free them.  (What a submitter killed inside
+    /// [`Self::stage_run`] had not yet pushed here is on no list: that one
+    /// run leaks, DESIGN.md "Free lists".)
     fn reclaim_aio_of(&self, p: u32) {
         let sq = self.t.aio_sq(p);
         while let Some(e) = sq.try_pop() {
             if e.arg0 < self.cfg.max_messages {
-                self.free_message(e.arg0);
+                self.free_run(e.arg0, e.arg0, 0);
             }
         }
         let cq = self.t.aio_cq(p);
@@ -628,23 +630,6 @@ impl IpcMpf {
                 .fetch_add(1, Ordering::Relaxed);
         }
         self.trace_pop(TR_RECV_BLOCK, idx, 0);
-    }
-
-    /// Books one send to conversation `idx` that found a pool exhausted
-    /// and is about to sweep for room.
-    fn note_send_wait(&self, idx: u32) {
-        if let Some(t) = self.tel() {
-            t.send_waits.inc();
-        }
-        self.trace_pop(TR_SEND_BLOCK, idx, 0);
-    }
-
-    /// Books `freed` reclaimed messages against conversation `idx`, whose
-    /// lock the caller holds — the same hold that freed them.
-    fn note_reclaim(&self, idx: u32, freed: u32) {
-        if freed != 0 && self.cfg.telemetry {
-            bump(&self.t.lnvc_tel(idx).reclaims, u64::from(freed));
-        }
     }
 
     /// Liveness oracle for [`mpf_shm::IpcLock`] holders.  Lock owner ids
@@ -933,8 +918,7 @@ impl IpcMpf {
                 // only pin blocks.  Drop it now.
                 if first_receiver && protocol == Protocol::Broadcast {
                     self.clear_fcfs_obligations(d);
-                    let freed = self.reclaim_consumed(d);
-                    self.note_reclaim(idx, freed);
+                    self.reclaim(idx, d, true, 0);
                 }
                 Ok(IpcLnvcId::new(d.generation.load(Ordering::Acquire), idx))
             })();
@@ -1033,7 +1017,8 @@ impl IpcMpf {
         // Allocate from the lock-free pools *before* taking the LNVC
         // lock: exhaustion then never happens inside the critical
         // section, and a death mid-allocation cannot corrupt the queue.
-        let m_idx = self.stage_message(idx, d, payload)?;
+        let mut m_idx = NIL;
+        self.stage_run(idx, d, &[payload], std::slice::from_mut(&mut m_idx))?;
         // A run of one, in the form the submission ring stages them.
         let (trace, hop) = self.trace_for_send();
         let staged = RingEntry {
@@ -1045,7 +1030,7 @@ impl IpcMpf {
             status: hop as i32,
         };
         self.publish_run(idx, d, std::slice::from_ref(&staged))
-            .inspect_err(|_| self.free_message(m_idx))
+            .inspect_err(|_| self.free_run(m_idx, m_idx, 0))
     }
 
     /// The only routine that publishes: links the staged messages of
@@ -1132,7 +1117,8 @@ impl IpcMpf {
             let conn = self
                 .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
                 .ok_or(MpfError::NotConnected)?;
-            Ok(self.next_deliverable(d, conn).is_some())
+            let head = d.q_head.load(Ordering::Acquire);
+            Ok(self.next_deliverable(head, self.t.recv(conn)) != NIL)
         })();
         d.lock.unlock();
         result
@@ -1377,54 +1363,110 @@ impl IpcMpf {
         locked_update(&d.msg_count, |n| n + 1)
     }
 
-    /// Allocates a message header and a filled block chain for `payload`
-    /// from the lock-free pools (sweeping conversation `idx` once for
-    /// reclaimable corpses under memory pressure) and preps the
-    /// descriptor: everything except the queue link and the publish-time
-    /// fields (`seq`, `stamp`, `flags`, `bcast_pending`, `sent_at`).
-    fn stage_message(&self, idx: u32, d: &LnvcDesc, payload: &[u8]) -> Result<u32> {
+    /// The only routine that stages: gives each of `payloads` (each within
+    /// the size limit) a message header and a filled block chain from the
+    /// lock-free pools and writes the header indices to `staged`.  Returns
+    /// how many were staged — a prefix, when the pools or an injected
+    /// exhaustion end the run early — or the error that kept even the
+    /// first out.  A staged descriptor lacks only its queue link and the
+    /// publish-time fields (`seq`, `stamp`, `flags`, `bcast_pending`,
+    /// `sent_at`).  A single send is a run of one: inlined (with
+    /// `alloc_run`) so that its loops fold away there, ≈ 7 ns a send.
+    #[inline(always)]
+    fn stage_run(
+        &self,
+        idx: u32,
+        d: &LnvcDesc,
+        payloads: &[&[u8]],
+        staged: &mut [u32],
+    ) -> Result<usize> {
         // Injected pool exhaustion: the pools are fine, but the caller
-        // must cope as if they were not.  Nothing was allocated, so the
-        // typed error carries no cleanup obligation.
-        self.inject_fault(FaultSite::PoolExhaust, MpfError::MessagesExhausted)?;
-        let h = self.t.header();
-        let pop_msg = || {
-            h.msg_free
-                .pop(|i| self.t.msg(i).next.load(Ordering::Acquire))
-        };
-        // Memory pressure: reclaim fully-delivered messages stuck behind
-        // a still-claimed queue head, then retry once.
-        let relieve = || {
-            self.note_send_wait(idx);
+        // must cope as if they were not.  Every message passes the site,
+        // before anything is allocated, so the typed error carries no
+        // cleanup obligation; the first firing ends the run.
+        let site = || self.inject_fault(FaultSite::PoolExhaust, MpfError::MessagesExhausted);
+        let n = payloads.iter().take_while(|_| site().is_ok()).count();
+        if n == 0 {
+            return Err(MpfError::MessagesExhausted);
+        }
+        if self.alloc_run(&payloads[..n], staged).is_err() {
+            // Sweep the conversation for room, then go message by
+            // message, so a shortage stages the prefix it still leaves.
             self.sweep_consumed(idx, d);
-        };
-        let m_idx = pop_msg()
-            .or_else(|| {
-                relieve();
-                pop_msg()
-            })
-            .ok_or(MpfError::MessagesExhausted)?;
-        let blocks = self.alloc_blocks(payload).or_else(|_| {
-            relieve();
-            self.alloc_blocks(payload)
-        });
-        let blocks = match blocks {
-            Ok(b) => b,
-            Err(e) => {
-                h.msg_free
-                    .push(m_idx, |s, n| self.t.msg(s).next.store(n, Ordering::Release));
-                return Err(e);
+            for (i, payload) in payloads[..n].iter().enumerate() {
+                let one = std::slice::from_ref(payload);
+                if let Err(e) = self.alloc_run(one, &mut staged[i..]) {
+                    return if i == 0 { Err(e) } else { Ok(i) };
+                }
             }
-        };
-        let m = self.t.msg(m_idx);
-        m.head_block.store(blocks.0, Ordering::Release);
-        m.n_blocks.store(blocks.1, Ordering::Release);
-        m.len.store(payload.len() as u32, Ordering::Release);
-        m.next.store(NIL, Ordering::Release);
-        m.sent_at.store(0, Ordering::Release);
-        m.trace.store(0, Ordering::Release);
-        m.hop.store(0, Ordering::Release);
-        Ok(m_idx)
+        }
+        Ok(n)
+    }
+
+    /// Pops `payloads.len()` headers and all their blocks, one chain per
+    /// pool, cuts the block chain per message and scatters each payload
+    /// into its piece.  All or nothing: a shortage leaves both pools as
+    /// they were.  The run is on no list from the first pop until its
+    /// caller publishes it or stages it in the submission ring — the
+    /// window in which a death leaks it.
+    #[inline(always)]
+    fn alloc_run(&self, payloads: &[&[u8]], staged: &mut [u32]) -> Result<()> {
+        let h = self.t.header();
+        let next_of = |i| self.t.msg(i).next.load(Ordering::Acquire);
+        let (first, last) = h
+            .msg_free
+            .pop_chain(payloads.len() as u32, next_of)
+            .ok_or(MpfError::MessagesExhausted)?;
+        let link = |b: u32| self.t.block_link(b);
+        // One division per message: the block counts wait in `staged`
+        // until the header indices replace them.
+        let mut total = 0;
+        for (slot, payload) in staged.iter_mut().zip(payloads) {
+            *slot = (payload.len() as u32).div_ceil(self.cfg.block_payload as u32);
+            total += *slot;
+        }
+        let mut block = NIL;
+        if total != 0 {
+            let link_of = |b| link(b).load(Ordering::Acquire);
+            let Some((head, _)) = h.block_free.pop_chain(total, link_of) else {
+                self.push_free(first, last, NIL, NIL);
+                return Err(MpfError::BlocksExhausted);
+            };
+            block = head;
+        }
+        let mut m_idx = first;
+        for (payload, slot) in payloads.iter().zip(staged) {
+            let m = self.t.msg(m_idx);
+            let n_blocks = std::mem::replace(slot, m_idx);
+            // Still the free list's link: the next header of the run.
+            m_idx = next_of(m_idx);
+            let head = if n_blocks == 0 { NIL } else { block };
+            let mut src = payload.as_ptr();
+            let tail = self.for_each_run(head, payload.len(), |dst, n| {
+                // SAFETY: the runs add up to `payload.len()` bytes, so
+                // `src` stays inside `payload`; `dst` is `n` bytes of
+                // blocks only we hold until the message is published.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(src, dst, n);
+                    src = src.add(n);
+                }
+            });
+            if tail != NIL {
+                // The cut: this message's chain ends here; what the link
+                // held is the next message's first block (after the last
+                // message, the free list's top: not ours).
+                block = link(tail).load(Ordering::Acquire);
+                link(tail).store(NIL, Ordering::Release);
+            }
+            m.head_block.store(head, Ordering::Release);
+            m.n_blocks.store(n_blocks, Ordering::Release);
+            m.len.store(payload.len() as u32, Ordering::Release);
+            m.next.store(NIL, Ordering::Release);
+            m.sent_at.store(0, Ordering::Release);
+            m.trace.store(0, Ordering::Release);
+            m.hop.store(0, Ordering::Release);
+        }
+        Ok(())
     }
 
     // -- batched submission (aio) --------------------------------------
@@ -1446,27 +1488,26 @@ impl IpcMpf {
             return Ok(0);
         }
         let sq = self.t.aio_sq(self.me);
-        let mut submitted = 0usize;
-        for (i, buf) in payloads.iter().enumerate() {
-            if sq.is_full() {
-                break;
-            }
-            if buf.len() > max {
-                if submitted == 0 {
-                    return Err(MpfError::MessageTooLarge {
-                        len: buf.len(),
-                        max,
-                    });
-                }
-                break;
-            }
-            let m_idx = match self.stage_message(idx, d, buf) {
-                Ok(m) => m,
-                // Keep what was already staged; surface the error only
-                // when nothing was (callers see partial progress first).
-                Err(e) if submitted == 0 => return Err(e),
-                Err(_) => break,
-            };
+        // What of the batch has a ring slot and is within the size limit.
+        let room = sq.capacity() - sq.depth();
+        let fit = payloads
+            .iter()
+            .take(room)
+            .take_while(|buf| buf.len() <= max)
+            .count();
+        if fit == 0 {
+            let len = payloads[0].len();
+            return Err(if room == 0 {
+                MpfError::WouldBlock
+            } else {
+                MpfError::MessageTooLarge { len, max }
+            });
+        }
+        let mut staged = [NIL; AIO_RING_SLOTS];
+        let submitted = self.stage_run(idx, d, &payloads[..fit], &mut staged)?;
+        // One clock read, at the first record that needs one, dates them all.
+        let mut now = 0u64;
+        for (i, (buf, &m_idx)) in payloads.iter().zip(&staged[..submitted]).enumerate() {
             // The descriptor carries everything the drain needs: the
             // message index, the length, and the handle generation (so a
             // recreated conversation fails the run instead of receiving
@@ -1475,30 +1516,20 @@ impl IpcMpf {
             // rides the status field, which carries no meaning until
             // completion.
             let (trace, hop) = self.trace_for_send();
+            let len = buf.len() as u32;
             let pushed = sq.try_push(RingEntry {
-                user_data: (u64::from(u32::try_from(i).unwrap_or(u32::MAX)) << 32)
-                    | u64::from(id.generation()),
+                user_data: ((i as u64) << 32) | u64::from(id.generation()),
                 trace,
                 lnvc: idx,
                 arg0: m_idx,
-                arg1: buf.len() as u32,
+                arg1: len,
                 status: hop as i32,
             });
             debug_assert!(pushed, "single-submitter ring had room");
-            self.trace_rec_at(
-                0,
-                TR_ENQUEUE,
-                hop,
-                trace,
-                idx,
-                0,
-                buf.len() as u32,
-                i as u32,
-            );
-            submitted += 1;
-        }
-        if submitted == 0 {
-            return Err(MpfError::WouldBlock);
+            if now == 0 && trace != 0 {
+                now = now_nanos();
+            }
+            self.trace_rec_at(now, TR_ENQUEUE, hop, trace, idx, 0, len, i as u32);
         }
         sq.ring_doorbell();
         Ok(submitted)
@@ -1532,20 +1563,23 @@ impl IpcMpf {
         // Reap-side space only grows (we are the only CQ producer), so
         // this bound is conservative and conservation holds.
         let budget = cq.capacity() - cq.depth();
-        let mut entries = Vec::with_capacity(budget.min(sq.depth()));
-        while entries.len() < budget {
+        let mut entries = [RingEntry::default(); AIO_RING_SLOTS];
+        let mut n = 0;
+        while n < budget {
             let Some(e) = sq.try_pop() else { break };
-            entries.push(e);
+            entries[n] = e;
+            n += 1;
         }
-        if entries.is_empty() {
+        if n == 0 {
             return 0;
         }
+        let entries = &entries[..n];
         let run_key = |e: &RingEntry| (e.lnvc, e.user_data & u64::from(u32::MAX));
         for run in entries.chunk_by(|a, b| run_key(a) == run_key(b)) {
             self.drain_run(run, cq);
         }
         cq.ring_doorbell();
-        entries.len()
+        n
     }
 
     /// Completes one run of same-conversation submission descriptors:
@@ -1558,7 +1592,7 @@ impl IpcMpf {
         if published.is_err() {
             // Gone, poisoned or closed under us: nothing of the run went out.
             for staged in run {
-                self.free_message(staged.arg0);
+                self.free_run(staged.arg0, staged.arg0, 0);
             }
         }
         let status = published.map_or_else(|e| e.status_code(), |()| 0);
@@ -1710,8 +1744,8 @@ impl IpcMpf {
     fn receive_vecs(&self, id: IpcLnvcId, wait: Wait, max: usize) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::new();
         self.receive_with(id, wait, max, |m, len| {
-            let mut buf = vec![0u8; len];
-            self.gather(m, &mut buf);
+            let mut buf = Vec::with_capacity(len);
+            self.scan_chain(m, len, &mut |run| buf.extend_from_slice(run));
             out.push(buf);
             Ok(())
         })?;
@@ -2001,11 +2035,15 @@ impl IpcMpf {
         let mut now = 0u64;
         let (mut received, mut bytes) = (0usize, 0usize);
         let mut last_chain = (0u64, 0u32);
+        // One walk of the queue per batch: nothing moves under the lock, so
+        // the scan resumes behind each delivery (queued until the reclaim).
+        let mut cur = d.q_head.load(Ordering::Acquire);
         while received < max {
-            let Some(m_idx) = self.next_deliverable(d, conn) else {
+            cur = self.next_deliverable(cur, r);
+            if cur == NIL {
                 break;
-            };
-            let m = self.t.msg(m_idx);
+            }
+            let m = self.t.msg(cur);
             let len = m.len.load(Ordering::Acquire) as usize;
             if let Err(e) = take(m, len) {
                 if received == 0 {
@@ -2035,12 +2073,12 @@ impl IpcMpf {
             last_chain = (trace, hop);
             received += 1;
             bytes += len;
+            cur = m.next.load(Ordering::Acquire);
         }
         if received != 0 {
             // The last delivery becomes this process's causal context.
             self.adopt_trace(last_chain.0, last_chain.1);
-            let freed = self.reclaim_prefix(d, now);
-            self.note_reclaim(idx, freed);
+            self.reclaim(idx, d, false, now);
             if let Some(lt) = lt {
                 bump(&lt.receives, received as u64);
                 bump(&lt.bytes_out, bytes as u64);
@@ -2061,12 +2099,12 @@ impl IpcMpf {
         }
     }
 
-    /// First queued message deliverable to connection `conn`.
-    fn next_deliverable(&self, d: &LnvcDesc, conn: u32) -> Option<u32> {
-        let r = self.t.recv(conn);
+    /// The first message deliverable to connection `r` at or behind `from`
+    /// in its queue, [`NIL`] when there is none.
+    fn next_deliverable(&self, from: u32, r: &RecvDesc) -> u32 {
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
         let cursor = r.cursor.load(Ordering::Acquire);
-        let mut cur = d.q_head.load(Ordering::Acquire);
+        let mut cur = from;
         while cur != NIL {
             let m = self.t.msg(cur);
             let owed = if bcast {
@@ -2075,37 +2113,11 @@ impl IpcMpf {
                 m.fcfs_owed()
             };
             if owed {
-                return Some(cur);
+                break;
             }
             cur = m.next.load(Ordering::Acquire);
         }
-        None
-    }
-
-    /// Pops fully-delivered messages off the queue head and frees them;
-    /// returns how many were freed.  `tstamp` (0 = read the clock) dates
-    /// the freed messages' trace records — the receive hot paths pass the
-    /// clock read they already did.
-    fn reclaim_prefix(&self, d: &LnvcDesc, tstamp: u64) -> u32 {
-        let mut freed = 0;
-        loop {
-            let head = d.q_head.load(Ordering::Acquire);
-            if head == NIL {
-                return freed;
-            }
-            let m = self.t.msg(head);
-            if !m.fully_delivered() {
-                return freed;
-            }
-            let next = m.next.load(Ordering::Acquire);
-            d.q_head.store(next, Ordering::Release);
-            if next == NIL {
-                d.q_tail.store(NIL, Ordering::Release);
-            }
-            locked_update(&d.msg_count, |n| n.wrapping_sub(1));
-            self.free_message_at(head, tstamp);
-            freed += 1;
-        }
+        cur
     }
 
     /// Clears the FCFS obligation on every still-owed queued message.
@@ -2127,48 +2139,62 @@ impl IpcMpf {
         }
     }
 
-    /// Full-queue variant of [`Self::reclaim_prefix`]: frees
-    /// fully-delivered messages anywhere in the queue, relinking around
-    /// them.  Interior messages become reclaimable when an FCFS receiver
-    /// takes a message parked behind a broadcast-claimed head or when
-    /// obligations are cleared; closes and memory-pressure sweeps use
-    /// this, the per-receive hot path keeps the cheap prefix pop.
-    fn reclaim_consumed(&self, d: &LnvcDesc) -> u32 {
-        let mut freed = 0;
-        let mut prev = NIL;
-        let mut cur = d.q_head.load(Ordering::Acquire);
-        while cur != NIL {
-            let m = self.t.msg(cur);
-            let next = m.next.load(Ordering::Acquire);
-            if m.fully_delivered() {
+    /// The only routine that reclaims: cuts runs of fully-delivered
+    /// messages off the queue — its prefix, which is all a receive leaves
+    /// behind, or with `whole_queue` wherever they sit — frees each as one
+    /// run and books the lot against conversation `idx`.  Interior
+    /// messages become reclaimable when an FCFS receiver takes one parked
+    /// behind a broadcast-claimed head or when obligations are cleared:
+    /// closes and memory-pressure sweeps look for them, the receive hot
+    /// path does not.  `tstamp` (0 = read the clock) dates the trace
+    /// records.  Caller holds `d`'s lock.
+    fn reclaim(&self, idx: u32, d: &LnvcDesc, whole_queue: bool, tstamp: u64) {
+        let next_of = |m: u32| self.t.msg(m).next.load(Ordering::Acquire);
+        let mut freed = 0u32;
+        let (mut prev, mut cur) = (NIL, d.q_head.load(Ordering::Acquire));
+        loop {
+            let (first, mut last, mut n) = (cur, NIL, 0u32);
+            while cur != NIL && self.t.msg(cur).fully_delivered() {
+                (last, cur, n) = (cur, next_of(cur), n + 1);
+            }
+            if n != 0 {
+                // Off the queue before anything of it is relinked or
+                // pushed: a death from here on leaks the run, and leaves
+                // the queue whole.
                 if prev == NIL {
-                    d.q_head.store(next, Ordering::Release);
+                    d.q_head.store(cur, Ordering::Release);
                 } else {
-                    self.t.msg(prev).next.store(next, Ordering::Release);
+                    self.t.msg(prev).next.store(cur, Ordering::Release);
                 }
-                if next == NIL {
+                if cur == NIL {
                     d.q_tail.store(prev, Ordering::Release);
                 }
-                locked_update(&d.msg_count, |n| n.wrapping_sub(1));
-                self.free_message(cur);
-                freed += 1;
-            } else {
-                prev = cur;
+                locked_update(&d.msg_count, |c| c.wrapping_sub(n));
+                self.free_run(first, last, tstamp);
+                freed += n;
             }
-            cur = next;
+            if !whole_queue || cur == NIL {
+                break;
+            }
+            (prev, cur) = (cur, next_of(cur));
         }
-        freed
+        if freed != 0 && self.cfg.telemetry {
+            bump(&self.t.lnvc_tel(idx).reclaims, u64::from(freed));
+        }
     }
 
     /// Best-effort sweep under memory pressure: a sender that finds the
-    /// pools exhausted reclaims fully-delivered messages stuck behind a
-    /// still-claimed queue head before giving up.  Takes the LNVC lock,
-    /// and books what it freed before letting go of it.
+    /// pools exhausted books the wait, then reclaims fully-delivered
+    /// messages stuck behind a still-claimed queue head before giving up.
+    /// Takes the LNVC lock, and books what it freed before letting go.
     fn sweep_consumed(&self, idx: u32, d: &LnvcDesc) {
+        if let Some(t) = self.tel() {
+            t.send_waits.inc();
+        }
+        self.trace_pop(TR_SEND_BLOCK, idx, 0);
         self.lock_lnvc(d);
         if d.poisoned.load(Ordering::Acquire) == 0 {
-            let freed = self.reclaim_consumed(d);
-            self.note_reclaim(idx, freed);
+            self.reclaim(idx, d, true, 0);
         }
         d.lock.unlock();
     }
@@ -2190,44 +2216,18 @@ impl IpcMpf {
 
     // -- allocation helpers --------------------------------------------
 
-    /// Allocates and fills a block chain; returns (head, count).  The
-    /// whole chain is one pop, so a shortage takes nothing off the list.
-    fn alloc_blocks(&self, payload: &[u8]) -> Result<(u32, u32)> {
-        let n_needed = payload.len().div_ceil(self.cfg.block_payload) as u32;
-        if n_needed == 0 {
-            return Ok((NIL, 0));
-        }
-        let (head, tail) = self
-            .t
-            .header()
-            .block_free
-            .pop_chain(n_needed, |i| self.t.block_link(i).load(Ordering::Acquire))
-            .ok_or(MpfError::BlocksExhausted)?;
-        self.t.block_link(tail).store(NIL, Ordering::Release);
-        // Scatter the payload.
-        let mut src = payload.as_ptr();
-        self.for_each_run(head, payload.len(), |dst, n| {
-            // SAFETY: the runs add up to `payload.len()` bytes, so `src`
-            // stays inside `payload`; `dst` is `n` bytes of blocks only we
-            // hold until the message is published.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src, dst, n);
-                src = src.add(n);
-            }
-        });
-        Ok((head, n_needed))
-    }
-
     /// Visits the first `len` payload bytes of the chain at `head` as
     /// maximal contiguous runs.  Payloads are laid out by block index, so
     /// a run extends for as long as the chain steps to the adjacent block:
     /// a chain cut from an unfragmented pool is a single run, a scattered
     /// one degrades to one run per block.  Reads no link past the block
-    /// that holds the last byte.
-    fn for_each_run(&self, head: u32, len: usize, mut f: impl FnMut(*mut u8, usize)) {
+    /// that holds the last byte, and returns that block ([`NIL`] for an
+    /// empty payload).
+    fn for_each_run(&self, head: u32, len: usize, mut f: impl FnMut(*mut u8, usize)) -> u32 {
         let bp = self.cfg.block_payload;
         let mut cur = head;
         let mut left = len;
+        let mut last = NIL;
         while left > 0 {
             debug_assert_ne!(cur, NIL);
             let first = cur;
@@ -2242,7 +2242,9 @@ impl IpcMpf {
             let n = left.min(blocks * bp);
             f(self.t.payload(first as usize * bp, n), n);
             left -= n;
+            last = first + blocks as u32 - 1;
         }
+        last
     }
 
     /// [`Self::deliver_locked`]'s `take` for a caller-supplied buffer.
@@ -2252,7 +2254,11 @@ impl IpcMpf {
             // buffer (paper: the receiver learns the needed size).
             return Err(MpfError::BufferTooSmall { needed: len });
         }
-        self.gather(m, &mut buf[..len]);
+        let mut at = 0;
+        self.scan_chain(m, len, &mut |run| {
+            buf[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        });
         Ok(())
     }
 
@@ -2268,68 +2274,69 @@ impl IpcMpf {
         });
     }
 
-    /// Gathers a message's block chain into `out` (`out.len()` = msg len).
-    fn gather(&self, m: &MsgDesc, out: &mut [u8]) {
-        let mut dst = out.as_mut_ptr();
-        self.for_each_run(m.head_block.load(Ordering::Acquire), out.len(), |src, n| {
-            // SAFETY: the runs add up to `out.len()` bytes, so `dst` stays
-            // inside `out`; `src` is `n` bytes of a queued message's blocks.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src, dst, n);
-                dst = dst.add(n);
+    /// The only routine that frees: returns messages `first ..= last` (or
+    /// to the end of the chain, `last` = [`NIL`]: all of it) — linked
+    /// through `next` in that order, on no queue and no free list — and
+    /// all their blocks with one push per pool.  Their block chains
+    /// are linked tail to head on the way, which is why the run must be
+    /// off its queue first: a survivor freeing a dead reclaimer's queue
+    /// would free the spliced chain once per message.  `tstamp` (0 = read
+    /// the clock) dates the `TR_RECLAIM` records.
+    fn free_run(&self, first: u32, last: u32, tstamp: u64) {
+        let link = |b: u32| self.t.block_link(b);
+        let (mut b_head, mut b_tail) = (NIL, NIL);
+        let mut cur = first;
+        loop {
+            let m = self.t.msg(cur);
+            // Reclaim is chain-attributed but not conversation-attributed
+            // (the descriptor may outlive its LNVC); clearing the id keeps
+            // a recycled descriptor from logging a second reclaim.
+            let trace = m.trace.load(Ordering::Acquire);
+            if trace != 0 {
+                let hop = m.hop.load(Ordering::Acquire);
+                let stamp = m.stamp.load(Ordering::Acquire);
+                self.trace_rec_at(tstamp, TR_RECLAIM, hop, trace, NIL, stamp, cur, 0);
+                m.trace.store(0, Ordering::Release);
             }
-        });
-    }
-
-    /// Returns the chain at `head` to the pool whole: one walk to its
-    /// tail, one push.
-    fn free_block_chain(&self, head: u32) {
-        let (mut tail, mut next) = (NIL, head);
-        while next != NIL {
-            tail = next;
-            next = self.t.block_link(tail).load(Ordering::Acquire);
+            let mut b = m.head_block.load(Ordering::Acquire);
+            if b != NIL {
+                m.head_block.store(NIL, Ordering::Release);
+                if b_tail == NIL {
+                    b_head = b;
+                } else {
+                    link(b_tail).store(b, Ordering::Release);
+                }
+                while b != NIL {
+                    b_tail = b;
+                    b = link(b).load(Ordering::Acquire);
+                }
+            }
+            let next = m.next.load(Ordering::Acquire);
+            if cur == last || next == NIL {
+                break;
+            }
+            cur = next;
         }
-        if tail == NIL {
-            return;
-        }
-        self.t.header().block_free.push_chain(head, tail, |s, n| {
-            self.t.block_link(s).store(n, Ordering::Release)
-        });
-    }
-
-    fn free_message(&self, m_idx: u32) {
-        self.free_message_at(m_idx, 0);
-    }
-
-    fn free_message_at(&self, m_idx: u32, tstamp: u64) {
-        let m = self.t.msg(m_idx);
-        // Reclaim is chain-attributed but not conversation-attributed
-        // (the descriptor may outlive its LNVC); clearing the id keeps a
-        // recycled descriptor from logging a second reclaim.
-        let trace = m.trace.load(Ordering::Acquire);
-        if trace != 0 {
-            self.trace_rec_at(
-                tstamp,
-                TR_RECLAIM,
-                m.hop.load(Ordering::Acquire),
-                trace,
-                NIL,
-                m.stamp.load(Ordering::Acquire),
-                m_idx,
-                0,
-            );
-            m.trace.store(0, Ordering::Release);
-        }
-        self.free_block_chain(m.head_block.load(Ordering::Acquire));
-        m.head_block.store(NIL, Ordering::Release);
-        let h = self.t.header();
-        h.msg_free
-            .push(m_idx, |s, n| self.t.msg(s).next.store(n, Ordering::Release));
-        // The pool signal's gate: one load of the line the push above
+        self.push_free(first, cur, b_head, b_tail);
+        // The pool signal's gate: one load of the line the pushes above
         // just wrote, zero unless a sender is waiting out an exhaustion.
-        if h.pool_waiters.load(Ordering::SeqCst) != 0 {
+        if self.t.header().pool_waiters.load(Ordering::SeqCst) != 0 {
             self.signal_pool();
         }
+    }
+
+    /// Pushes the linked headers `first ..= last` and, unless `b_head` is
+    /// [`NIL`], the linked blocks `b_head ..= b_tail` onto their free
+    /// lists.  Signals nobody: a stager handing back the headers of a run
+    /// it found no blocks for must not wake itself.
+    fn push_free(&self, first: u32, last: u32, b_head: u32, b_tail: u32) {
+        let h = self.t.header();
+        let set_link = |s, n| self.t.block_link(s).store(n, Ordering::Release);
+        if b_head != NIL {
+            h.block_free.push_chain(b_head, b_tail, set_link);
+        }
+        let set_next = |s, n| self.t.msg(s).next.store(n, Ordering::Release);
+        h.msg_free.push_chain(first, last, set_next);
     }
 
     // -- conversation lifecycle (registry lock held) --------------------
@@ -2427,14 +2434,15 @@ impl IpcMpf {
     /// Frees every queued message, delivered or not.  Caller holds `d`'s
     /// lock.
     fn drop_queue(&self, d: &LnvcDesc) {
-        let mut cur = d.q_head.swap(NIL, Ordering::AcqRel);
-        while cur != NIL {
-            let next = self.t.msg(cur).next.load(Ordering::Acquire);
-            self.free_message(cur);
-            cur = next;
-        }
+        let first = d.q_head.load(Ordering::Acquire);
+        d.q_head.store(NIL, Ordering::Release);
         d.q_tail.store(NIL, Ordering::Release);
         d.msg_count.store(0, Ordering::Release);
+        if first != NIL {
+            // To the chain's end, not to `q_tail`: a holder that died
+            // mid-publish may have left the tail word behind.
+            self.free_run(first, NIL, 0);
+        }
     }
 
     /// Deletes a conversation whose last connection just closed: frees
@@ -2524,8 +2532,7 @@ impl IpcMpf {
             // reclaimable instead of pinning blocks until the LNVC dies.
             self.clear_fcfs_obligations(d);
         }
-        let freed = self.reclaim_consumed(d);
-        self.note_reclaim(idx, freed);
+        self.reclaim(idx, d, true, 0);
         (protocol, watches)
     }
 

@@ -118,35 +118,110 @@ fn broadcast_one_at_a_time_and_one_batch_leave_the_same_books() {
     assert_eq!(single.records[1].len(), 2 * K);
 }
 
+/// What `k` sends leave behind on a region of `blocks` blocks, sent one
+/// call each or as one `send_batch`; sends the pool has no room for are
+/// refused the same way either way.
+fn send_run(batched: bool, k: usize, blocks: u32) -> (usize, impl PartialEq + std::fmt::Debug) {
+    let cfg = MpfConfig::new(4, 4)
+        .with_block_payload(16)
+        .with_total_blocks(blocks)
+        .with_max_messages(64);
+    let tx_view = IpcMpf::anon(&cfg).expect("region");
+    let rx_views = [(); 2].map(|()| tx_view.attach_view().expect("view"));
+    for v in &rx_views {
+        v.open_receive("q", Protocol::Broadcast)
+            .expect("open_receive");
+    }
+    let id = tx_view.open_send("q").expect("open_send");
+    let payloads: Vec<Vec<u8>> = (0..k).map(|i| payload(i % K)).collect();
+    let sent = if batched {
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let done = tx_view.send_batch(id, &refs).expect("send_batch");
+        assert!(done.iter().all(|c| c.ok()));
+        done.len()
+    } else {
+        let sends = payloads.iter().map(|p| tx_view.message_send(id, p));
+        sends.take_while(Result::is_ok).count()
+    };
+    let t = tx_view.lnvc_telemetry(id).expect("telemetry");
+    let sends = records(&tx_view, &[TR_SEND]);
+    // Every record carries the obligations fixed at send time: no
+    // FCFS delivery, two BROADCAST ones.
+    assert!(
+        sends.len() == sent && sends.iter().all(|r| r.6 == 2),
+        "{sends:?}"
+    );
+    tx_view.check_invariants().expect("invariants");
+    let got = rx_views[1].recv_batch(id, k).expect("recv_batch");
+    assert_eq!(got, payloads[..sent], "FIFO either way");
+    let counters = (t.sends, t.bytes_in, t.sizes.count, t.sizes.sum, t.depth_hwm);
+    (sent, (counters, tx_view.free_blocks(), sends))
+}
+
 #[test]
 fn k_sends_and_one_send_batch_leave_the_same_books() {
+    for k in [K, 64] {
+        assert_eq!(send_run(false, k, 256), send_run(true, k, 256), "{k} sends");
+    }
+    // A pool too small for the run: the batch falls back to staging
+    // message by message and stops where the single sends are refused.
+    let short = send_run(true, 64, 100);
+    assert_eq!(send_run(false, 64, 100), short);
+    assert!((1..64).contains(&short.0), "staged {} of 64", short.0);
+}
+
+/// Two FCFS receivers take turns while a BROADCAST receiver has read
+/// nothing, so everything taken stays queued: each turn's scan must skip
+/// what both have already taken and resume, not stop, behind its own
+/// deliveries.  Turn by turn, a batch of `n` and `n` single receives leave
+/// the same books.
+#[test]
+fn batches_over_taken_but_pending_messages_leave_the_same_books() {
+    const TURNS: [usize; 6] = [2, 1, 3, 2, 1, 3];
     let run = |batched: bool| {
-        let (tx_view, id, views) = scene(Protocol::Broadcast, 2);
-        let payloads: Vec<Vec<u8>> = (0..K).map(payload).collect();
-        if batched {
-            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let done = tx_view.send_batch(id, &refs).expect("send_batch");
-            assert!(done.len() == K && done.iter().all(|c| c.ok()));
-        } else {
-            for p in &payloads {
-                tx_view.message_send(id, p).expect("send");
-            }
+        let (tx_view, id, takers) = scene(Protocol::Fcfs, 2);
+        let reader = tx_view.attach_view().expect("view");
+        reader
+            .open_receive("q", Protocol::Broadcast)
+            .expect("open_receive");
+        let total: usize = TURNS.iter().sum();
+        for i in 0..total {
+            tx_view.message_send(id, &payload(i % K)).expect("send");
         }
+        let mut taken = Vec::new();
+        for (turn, &n) in TURNS.iter().enumerate() {
+            let v = &takers[turn % 2];
+            if batched {
+                taken.extend(v.recv_batch(id, n).expect("recv_batch"));
+            } else {
+                let mut buf = [0u8; 64];
+                for _ in 0..n {
+                    let len = v.message_receive(id, &mut buf).expect("message_receive");
+                    taken.push(buf[..len].to_vec());
+                }
+            }
+            assert_eq!(
+                tx_view.queue_depth(id),
+                Ok(total as u32),
+                "all still pending"
+            );
+            tx_view.check_invariants().expect("invariants");
+        }
+        let expect: Vec<Vec<u8>> = (0..total).map(|i| payload(i % K)).collect();
+        assert_eq!(taken, expect, "FIFO across the turns");
+        // The BROADCAST reader's one batch delivers and reclaims the lot.
+        assert_eq!(reader.recv_batch(id, total).expect("drain"), expect);
         let t = tx_view.lnvc_telemetry(id).expect("telemetry");
-        let sends = records(&tx_view, &[TR_SEND]);
-        // Every record carries the obligations fixed at send time: no
-        // FCFS delivery, two BROADCAST ones.
-        assert!(
-            sends.len() == K && sends.iter().all(|r| r.6 == 2),
-            "{sends:?}"
-        );
-        let got = views[1].recv_batch(id, K).expect("recv_batch");
-        assert_eq!(got, payloads, "FIFO either way");
+        tx_view.check_invariants().expect("invariants");
+        let views = [&takers[0], &takers[1], &reader];
         (
-            (t.sends, t.bytes_in, t.sizes.count, t.sizes.sum, t.depth_hwm),
-            tx_view.free_blocks(),
-            sends,
+            (t.receives, t.bytes_out, t.reclaims),
+            (tx_view.free_blocks(), tx_view.queue_depth(id)),
+            views.map(|v| records(v, &[TR_RECV, TR_RECV_B, TR_RECLAIM])),
         )
     };
-    assert_eq!(run(false), run(true));
+    let single = run(false);
+    assert_eq!(single, run(true));
+    assert_eq!(single.0 .2, 12, "every message reclaimed once");
+    assert_eq!(single.2[2].len(), 24, "the reader's recv and reclaim each");
 }

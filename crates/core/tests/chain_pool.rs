@@ -1,10 +1,15 @@
-//! The block pool at chain granularity, through the public engine API: a
-//! shortage takes nothing off the free list, and payloads survive a
-//! fragmented pool whatever mix of contiguous runs their chains are.
+//! The pools at chain granularity, through the public engine API: a
+//! shortage takes nothing off the free list, payloads survive a
+//! fragmented pool whatever mix of contiguous runs their chains are, and
+//! a run of messages costs each pool one CAS on the way in and one on the
+//! way out.  (The injected-exhaustion case lives with the other
+//! fault-plane tests, `crates/ipc/tests/fault_injection.rs`: the plane is
+//! process-global and would fire in the tests here.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
+use mpf::engine::Tables;
 use mpf::{IpcMpf, MpfConfig, MpfError, Protocol};
 
 /// One thread keeps asking for more blocks than are free; the other's
@@ -209,4 +214,166 @@ fn chain_pool_stress_keeps_every_block_singly_owned() {
     });
     assert_eq!(root.free_blocks(), TOTAL);
     root.check_invariants().unwrap();
+}
+
+/// A named region and a second overlay of it, so a test can read the
+/// free lists' CAS tags ([`FreeHead::peek`]) behind the engine's back.
+fn region_with_overlay(tag: &str, cfg: &MpfConfig) -> (IpcMpf, Tables) {
+    let name = format!("chain-{tag}-{}", std::process::id());
+    let m = IpcMpf::create(&name, cfg).expect("create region");
+    let raw = mpf_shm::ShmRegion::attach(&name).expect("second mapping");
+    (m, Tables::new(raw, cfg))
+}
+
+/// Successful CASes so far on (`msg_free`, `block_free`).
+fn pool_cas(t: &Tables) -> (u32, u32) {
+    (t.header().msg_free.peek().0, t.header().block_free.peek().0)
+}
+
+/// A run moves whole: 32 messages leave the pools with one CAS each and
+/// come back with one CAS each, exactly as one message does.
+#[test]
+fn a_run_of_32_is_one_cas_per_pool_each_way() {
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(64)
+        .with_total_blocks(128)
+        .with_max_messages(64);
+    let (m, t) = region_with_overlay("run-cas", &cfg);
+    let tx = m.open_send("q").unwrap();
+    let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
+    let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 64 + i as usize]).collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let mut buf = [0u8; 128];
+    for round in 0..3 {
+        let before = pool_cas(&t);
+        assert_eq!(m.submit_sends(tx, &refs), Ok(32));
+        assert_eq!(
+            pool_cas(&t),
+            (before.0 + 1, before.1 + 1),
+            "round {round}: one pop per pool stages the run"
+        );
+        assert_eq!(m.drain_sends(), 32);
+        assert_eq!(
+            pool_cas(&t),
+            (before.0 + 1, before.1 + 1),
+            "a drain allocates nothing"
+        );
+        assert_eq!(m.recv_batch(rx, 32).unwrap(), payloads);
+        assert_eq!(
+            pool_cas(&t),
+            (before.0 + 2, before.1 + 2),
+            "round {round}: one push per pool reclaims the run"
+        );
+        m.reap_completions(&mut Vec::new());
+
+        // A single send and receive: the same routines on a run of one.
+        m.message_send(tx, &payloads[round]).unwrap();
+        assert_eq!(pool_cas(&t), (before.0 + 3, before.1 + 3));
+        assert_eq!(m.message_receive(rx, &mut buf), Ok(payloads[round].len()));
+        assert_eq!(pool_cas(&t), (before.0 + 4, before.1 + 4));
+    }
+    assert_eq!(m.free_blocks(), 128);
+    m.check_invariants().unwrap();
+}
+
+/// Empty, one-block, three-block and whole-pool messages in one run:
+/// every chain is cut to its own length, whichever way the run was staged.
+#[test]
+fn a_mixed_run_leaves_every_queued_chain_whole() {
+    const BP: usize = 16;
+    const TOTAL: u32 = 24;
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(BP)
+        .with_total_blocks(TOTAL)
+        .with_max_messages(16);
+    let m = IpcMpf::anon(&cfg).unwrap();
+    let tx = m.open_send("q").unwrap();
+    let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
+    let fill =
+        |len: usize, salt: usize| -> Vec<u8> { (0..len).map(|i| (i + salt) as u8).collect() };
+    let lens = [
+        0,
+        BP,
+        3 * BP,
+        1,
+        0,
+        2 * BP + 1,
+        BP - 1,
+        3 * BP,
+        cfg.max_message_bytes(),
+    ];
+    let payloads: Vec<Vec<u8>> = lens.iter().enumerate().map(|(i, &l)| fill(l, i)).collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let blocks = |p: &[Vec<u8>]| p.iter().map(|p| p.len().div_ceil(BP) as u32).sum::<u32>();
+
+    // The whole-pool message cannot ride with the others: the run falls
+    // back to message by message and stages the eight that fit.
+    assert_eq!(m.submit_sends(tx, &refs), Ok(8));
+    assert_eq!(m.free_blocks(), TOTAL - blocks(&payloads[..8]));
+    assert_eq!(m.drain_sends(), 8);
+    m.check_invariants().expect("after the drain");
+    assert_eq!(m.recv_batch(rx, 5).unwrap(), payloads[..5]);
+    m.check_invariants().expect("after a partial batch");
+    assert_eq!(m.free_blocks(), TOTAL - blocks(&payloads[5..8]));
+    assert_eq!(m.recv_batch(rx, 16).unwrap(), payloads[5..8]);
+    m.check_invariants().expect("after the full drain");
+    assert_eq!(m.free_blocks(), TOTAL);
+
+    // Now it fits, alone, and the eight before it as one run.
+    assert_eq!(m.submit_sends(tx, &refs[8..]), Ok(1));
+    assert_eq!(m.free_blocks(), 0);
+    assert_eq!(m.drain_sends(), 1);
+    m.check_invariants().expect("a whole-pool chain");
+    assert_eq!(m.recv_batch(rx, 1).unwrap(), payloads[8..]);
+    assert_eq!(m.submit_sends(tx, &refs[..8]), Ok(8));
+    assert_eq!(m.drain_sends(), 8);
+    m.check_invariants().expect("a run staged whole");
+    assert_eq!(m.recv_batch(rx, 8).unwrap(), payloads[..8]);
+    assert_eq!(m.free_blocks(), TOTAL);
+    m.check_invariants().unwrap();
+}
+
+/// A pool one block short of the run stages exactly the prefix that
+/// staging message by message would, and holds exactly its blocks.
+#[test]
+fn a_pool_short_by_one_block_stages_the_same_prefix() {
+    const BP: usize = 8;
+    let lens = [2 * BP, BP, 3 * BP, 1, 2 * BP, BP, 4 * BP];
+    let need = |upto: usize| {
+        lens[..upto]
+            .iter()
+            .map(|l| l.div_ceil(BP) as u32)
+            .sum::<u32>()
+    };
+    let total = need(lens.len()) - 1;
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(BP)
+        .with_total_blocks(total)
+        .with_max_messages(16);
+    let payloads: Vec<Vec<u8>> = lens.iter().map(|&l| vec![0xAB; l]).collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+
+    let by_message = IpcMpf::anon(&cfg).unwrap();
+    let tx = by_message.open_send("q").unwrap();
+    let _rx = by_message.open_receive("q", Protocol::Fcfs).unwrap();
+    let fit = refs
+        .iter()
+        .take_while(|p| by_message.message_send(tx, p).is_ok())
+        .count();
+    assert_eq!(
+        fit,
+        lens.len() - 1,
+        "only the last message finds the pool short"
+    );
+
+    let by_run = IpcMpf::anon(&cfg).unwrap();
+    let tx = by_run.open_send("q").unwrap();
+    let rx = by_run.open_receive("q", Protocol::Fcfs).unwrap();
+    assert_eq!(by_run.submit_sends(tx, &refs), Ok(fit));
+    assert_eq!(by_run.free_blocks(), total - need(fit));
+    assert_eq!(by_run.free_blocks(), by_message.free_blocks());
+    assert_eq!(by_run.drain_sends(), fit);
+    by_run.check_invariants().unwrap();
+    assert_eq!(by_run.recv_batch(rx, 16).unwrap(), payloads[..fit]);
+    assert_eq!(by_run.free_blocks(), total);
 }

@@ -104,6 +104,54 @@ fn injected_pool_exhaustion_reports_without_allocating() {
     assert_eq!(m.message_receive(rx, &mut buf).unwrap(), 8);
 }
 
+/// Every message of a batch passes the exhaustion site before anything
+/// is allocated: a seeded firing at message *k* stages exactly *k* (an
+/// error at *k* = 0) and takes nothing from the pools beyond them.
+#[test]
+fn injected_exhaustion_at_message_k_stages_exactly_k() {
+    let _t = PLANE.lock().unwrap_or_else(|e| e.into_inner());
+    let payloads = [[0x5Au8; 100]; 12]; // two blocks each
+    let refs: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
+    let mut seen = std::collections::BTreeSet::new();
+    for seed in 1..=12u64 {
+        let plan = FaultConfig::new(seed).with_pool_exhaust(0.2);
+        // Where this seed first fires, from the plane itself.
+        let k = {
+            let _g = faultplane::install(plan);
+            (0..refs.len())
+                .take_while(|_| !faultplane::inject(FaultSite::PoolExhaust))
+                .count()
+        };
+        let m = region(&format!("fault-pool-k{seed}"));
+        let tx = m.open_send("starved").unwrap();
+        let rx = m.open_receive("starved", Protocol::Fcfs).unwrap();
+        let staged = {
+            let _g = faultplane::install(plan);
+            m.submit_sends(tx, &refs)
+        };
+        let want = if k == 0 {
+            Err(MpfError::MessagesExhausted)
+        } else {
+            Ok(k)
+        };
+        assert_eq!(staged, want, "seed {seed}");
+        assert_eq!(
+            m.free_blocks(),
+            32 - 2 * k as u32,
+            "seed {seed}: only the staged hold blocks"
+        );
+        assert_eq!(m.drain_sends(), k);
+        m.check_invariants().unwrap();
+        assert_eq!(m.try_recv_batch(rx, 16).unwrap().len(), k);
+        assert_eq!(m.free_blocks(), 32);
+        seen.insert(k);
+    }
+    assert!(
+        seen.contains(&0) && seen.len() > 3,
+        "firing points seen: {seen:?}"
+    );
+}
+
 #[test]
 fn seeded_injection_replays_identically_through_the_facility() {
     let _t = PLANE.lock().unwrap_or_else(|e| e.into_inner());

@@ -23,8 +23,10 @@
 //! channel.  A ring belongs to one process slot: that
 //! process pushes submissions and pops completions; whoever drains
 //! (usually the same process, inline) pops submissions and pushes
-//! completions.  Observers ([`AioRing::depth`], the region inspector) may
-//! read counters from anywhere.
+//! completions.  Each counter has the same one writer as the cursor it
+//! mirrors (the doorbell count: the producer), so it is a load and a
+//! store, not an RMW.  Observers ([`AioRing::depth`], the region
+//! inspector) may read counters from anywhere.
 //!
 //! Push/pop report [`crate::hooks::SyncEvent::StackPush`]/`StackPop`
 //! yield points, so the `mpf-check` harness can permute ring operations
@@ -33,6 +35,7 @@
 use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, Ordering};
 
 use crate::hooks::{self, SyncEvent};
+use crate::telemetry::bump;
 use crate::waitq::FutexSeq;
 
 /// Descriptor slots per ring.  A power of two, fixed so the region layout
@@ -148,16 +151,6 @@ impl AioRing {
         tail.wrapping_sub(head) as usize
     }
 
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.depth() == 0
-    }
-
-    /// True when a push would fail.
-    pub fn is_full(&self) -> bool {
-        self.depth() >= AIO_RING_SLOTS
-    }
-
     /// Attempts to push `e`; `false` when the ring is full.  Does **not**
     /// ring the doorbell — submitters push a whole batch, then call
     /// [`AioRing::ring_doorbell`] once.
@@ -178,7 +171,7 @@ impl AioRing {
         // The release publish transfers the slot's relaxed stores to the
         // consumer's acquire load of `tail`.
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
+        bump(&self.enqueued, 1);
         true
     }
 
@@ -201,14 +194,14 @@ impl AioRing {
         };
         // Release returns slot ownership to the producer.
         self.head.store(head.wrapping_add(1), Ordering::Release);
-        self.dequeued.fetch_add(1, Ordering::Relaxed);
+        bump(&self.dequeued, 1);
         Some(e)
     }
 
     /// Rings the doorbell: one sequence bump + futex wake for the whole
     /// batch pushed since the last ring.
     pub fn ring_doorbell(&self) {
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
+        bump(&self.doorbells, 1);
         self.doorbell.notify_all();
     }
 
@@ -260,7 +253,7 @@ mod tests {
     #[test]
     fn fifo_roundtrip() {
         let r = AioRing::new();
-        assert!(r.is_empty());
+        assert_eq!(r.depth(), 0);
         for i in 0..10 {
             assert!(r.try_push(e(i)));
         }
@@ -279,7 +272,7 @@ mod tests {
         for i in 0..AIO_RING_SLOTS as u64 {
             assert!(r.try_push(e(i)));
         }
-        assert!(r.is_full());
+        assert_eq!(r.depth(), r.capacity());
         assert!(!r.try_push(e(999)), "65th push must fail");
         assert_eq!(r.try_pop(), Some(e(0)));
         assert!(r.try_push(e(999)), "space after a pop");
@@ -292,7 +285,7 @@ mod tests {
             assert!(r.try_push(e(round)));
             assert_eq!(r.try_pop(), Some(e(round)));
         }
-        assert!(r.is_empty());
+        assert_eq!(r.depth(), 0);
         assert_eq!(r.total_enqueued(), 10_000);
     }
 
@@ -315,7 +308,7 @@ mod tests {
         r.ring_doorbell();
         r.try_pop();
         r.reset();
-        assert!(r.is_empty());
+        assert_eq!(r.depth(), 0);
         assert_eq!(r.doorbell_count(), 0);
         assert_eq!(r.total_enqueued(), 0);
         assert_eq!(r.total_dequeued(), 0);
@@ -343,6 +336,6 @@ mod tests {
                 assert_eq!(got, e(i), "order and integrity at {i}");
             }
         });
-        assert!(r.is_empty());
+        assert_eq!(r.depth(), 0);
     }
 }
