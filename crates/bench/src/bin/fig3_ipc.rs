@@ -1,242 +1,115 @@
-//! Figure 3 on the multi-process backend: throughput vs message length.
+//! Figure 3 with the series that needs a second OS process.
 //!
-//! Three series, same x-axis as `fig3_base`:
+//! `fig3_ipc [--quick] [--json PATH]` runs the catalog's native `fig3`
+//! entry (loop-back, observability on and off) and adds `two processes`:
+//! sender and receiver in genuinely separate OS processes — the receiver is
+//! this binary re-exec'd with `--worker` — the configuration the paper
+//! actually measured.  Same axis, same timer, one table, one report.
 //!
-//! * `threads`  — the in-process thread backend (`mpf::Mpf`), identical
-//!   to `fig3_base --native`;
-//! * `ipc loop-back` — the shared-region backend (`mpf_ipc::IpcMpf`)
-//!   with sender and receiver in ONE process, isolating the cost of the
-//!   offset-addressed region + `IpcLock`/futex primitives;
-//! * `ipc 2-process` — sender and receiver in genuinely separate OS
-//!   processes (the receiver is this binary re-exec'd with `--worker`),
-//!   the configuration the paper actually measured.
-//!
-//! Usage: `fig3_ipc [--msgs N] [--no-telemetry] [--json <path>]`
-//! (default 2000 messages per point). `--no-telemetry` runs all three
-//! series with telemetry and tracing off, for measuring their overhead;
-//! `--json` additionally writes the series plus loop-back latency
-//! percentiles (from the in-region histogram) machine-readably.
+//! `fig3_ipc --msgs N` measures nothing: it pushes `N` messages per size
+//! through the worker, as a live two-process workload for the `mpfstat` /
+//! `mpf-trace` smokes and the dead-peer probe to look at.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_bench::report::{json_num, print_series, JsonReport};
-use mpf_bench::{native, Series};
-use mpf_ipc::IpcMpf;
-use mpf_shm::telemetry::HistSnapshot;
+use mpf::{IpcLnvcId, IpcMpf, Protocol};
+use mpf_bench::catalog::{self, axis, fold, per_second, FIG3_LENGTHS};
+use mpf_bench::measure::{measure, Budget, Workload};
+use mpf_bench::native::{loopback_config, MAX_LOOPBACK_LEN};
+use mpf_bench::report::JsonReport;
 
-const LENGTHS: [usize; 8] = [16, 64, 128, 256, 512, 1024, 1536, 2048];
 const REGION_ENV: &str = "MPF_FIG3_REGION";
-const ROUNDS_ENV: &str = "MPF_FIG3_ROUNDS";
+/// A round ends with a 1-byte message, the session with a 2-byte one
+/// (every payload is at least 16 bytes).
+const END_OF_ROUND: &[u8] = &[0];
+const END_OF_SESSION: &[u8] = &[0, 0];
 
-fn region_config(telemetry: bool) -> MpfConfig {
-    // `--no-telemetry` is the undisturbed baseline, so it switches off
-    // causal tracing too; the default configuration carries both, which
-    // is what the measured observability overhead covers.
-    MpfConfig::new(4, 4)
-        .with_block_payload(256)
-        .with_total_blocks(1024)
-        .with_max_messages(256)
-        .with_max_connections(8)
-        .with_telemetry(telemetry)
-        .trace_sample_rate(u32::from(telemetry))
-}
-
-/// Sends with back-pressure: pool exhaustion usually means the receiver
-/// is behind, so spin until a slot frees up — but a receiver that DIED
-/// will never drain the pools, so sweep for dead peers while spinning;
-/// the sweep poisons the conversation and the next send reports
-/// `PeerDied` instead of hanging this process forever.
 /// How long either process waits for the other before giving up.
 fn patience() -> Option<Instant> {
     Some(Instant::now() + Duration::from_secs(60))
 }
 
-fn send_retry(m: &IpcMpf, id: mpf_ipc::IpcLnvcId, payload: &[u8]) {
-    loop {
-        match m.message_send(id, payload) {
-            Ok(()) => return,
-            Err(MpfError::MessagesExhausted) | Err(MpfError::BlocksExhausted) => {
-                m.sweep_dead_peers();
-                std::thread::yield_now();
-            }
-            Err(e) => panic!("send failed: {e}"),
-        }
-    }
+/// Sends with back-pressure: a full pool means the receiver is behind, so
+/// sleep until it frees room — and a receiver that DIED never will, which
+/// the wait's sweep turns into `PeerDied` instead of a hang.
+fn send(m: &IpcMpf, id: IpcLnvcId, payload: &[u8]) {
+    m.send_deadline(id, payload, patience())
+        .unwrap_or_else(|e| panic!("send failed: {e}"));
 }
 
-/// In-process loop-back over the shared region (alternating send/recv,
-/// exactly the paper's `base` loop). Also returns the region's
-/// send-to-receive latency histogram (empty when telemetry is off).
-fn ipc_loopback_throughput(len: usize, iters: u64, telemetry: bool) -> (f64, HistSnapshot) {
-    let m = IpcMpf::create(
-        &format!("fig3-loop-{}", std::process::id()),
-        &region_config(telemetry),
-    )
-    .expect("create region");
-    let tx = m.open_send("bench").expect("tx");
-    let rx = m.open_receive("bench", Protocol::Fcfs).expect("rx");
-    let payload = vec![0xA5u8; len];
-    let mut buf = vec![0u8; len.max(1)];
-    let start = Instant::now();
-    for _ in 0..iters {
-        m.message_send(tx, &payload).expect("send");
-        m.message_receive(rx, &mut buf).expect("recv");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let tput = (iters as usize * len) as f64 / secs;
-    (tput, m.telemetry_snapshot().latency_hist)
-}
-
-/// Renders one latency histogram as a JSON object of percentiles.
-fn latency_json(h: &HistSnapshot) -> String {
-    format!(
-        "{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-        h.count,
-        json_num(h.mean()),
-        h.percentile(0.50),
-        h.percentile(0.90),
-        h.percentile(0.99),
-        h.max
-    )
-}
-
-/// Worker half of the 2-process measurement: drain `bench`, ack each
-/// round (a 1-byte message marks end-of-round) on `ack`.
-fn worker_main(region: &str, rounds: usize) {
+/// Worker half: drain `bench`, acknowledge each round on `ack`.
+fn worker_main(region: &str) {
     let m = IpcMpf::attach(region).expect("attach");
     let rx = m.open_receive("bench", Protocol::Fcfs).expect("rx");
     let ack = m.open_send("ack").expect("ack tx");
-    let mut buf = vec![0u8; 4096];
-    for _ in 0..rounds {
-        loop {
-            let n = m
-                .recv_deadline(rx, &mut buf, patience())
-                .expect("worker recv");
-            if n == 1 {
-                break;
-            }
+    let mut buf = vec![0u8; MAX_LOOPBACK_LEN];
+    loop {
+        let n = (m.recv_deadline(rx, &mut buf, patience())).expect("worker recv");
+        if n == END_OF_ROUND.len() {
+            send(&m, ack, b"ok");
+        } else if n == END_OF_SESSION.len() {
+            return;
         }
-        send_retry(&m, ack, b"ok");
     }
 }
 
-/// Parent half: per length, time `msgs` sends plus the worker's ack.
-fn ipc_two_process_series(msgs: u64, telemetry: bool) -> Series {
-    let region = format!("fig3-xp-{}", std::process::id());
-    let m = IpcMpf::create(&region, &region_config(telemetry)).expect("create region");
-    let tx = m.open_send("bench").expect("tx");
-    let ack = m.open_receive("ack", Protocol::Fcfs).expect("ack rx");
-
-    let mut worker = Command::new(std::env::current_exe().expect("current_exe"))
-        .arg("--worker")
-        .env(REGION_ENV, &region)
-        .env(ROUNDS_ENV, LENGTHS.len().to_string())
-        .stdout(Stdio::null())
-        .spawn()
-        .expect("spawn worker");
-
-    let mut points = Vec::new();
-    let mut buf = [0u8; 8];
-    for &len in &LENGTHS {
-        let payload = vec![0x5Au8; len];
+/// Parent half, one size: an iteration is one message sent; the section
+/// ends when the worker has acknowledged draining the round.
+fn two_process(m: &IpcMpf, tx: IpcLnvcId, ack: IpcLnvcId, len: u32) -> Workload<'_> {
+    let payload = vec![0x5Au8; len as usize];
+    Box::new(move |msgs| {
         let start = Instant::now();
         for _ in 0..msgs {
-            send_retry(&m, tx, &payload);
+            send(m, tx, &payload);
         }
-        send_retry(&m, tx, &[0u8; 1]); // end-of-round marker
-        m.recv_deadline(ack, &mut buf, patience()).expect("ack");
-        let secs = start.elapsed().as_secs_f64();
-        points.push((len as f64, (msgs as usize * len) as f64 / secs));
-    }
-    let status = worker.wait().expect("reap worker");
-    assert!(status.success(), "worker exited with {status}");
-    Series {
-        label: "ipc 2-process".to_string(),
-        points,
-    }
+        send(m, tx, END_OF_ROUND);
+        (m.recv_deadline(ack, &mut [0u8; 8], patience())).expect("ack");
+        start.elapsed()
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--worker") {
-        let region = std::env::var(REGION_ENV).expect(REGION_ENV);
-        let rounds: usize = std::env::var(ROUNDS_ENV)
-            .expect(ROUNDS_ENV)
-            .parse()
-            .unwrap();
-        worker_main(&region, rounds);
-        return;
+        return worker_main(&std::env::var(REGION_ENV).expect(REGION_ENV));
     }
-    let msgs: u64 = args
-        .iter()
-        .position(|a| a == "--msgs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--msgs N"))
-        .unwrap_or(2000);
-    let telemetry = !args.iter().any(|a| a == "--no-telemetry");
-    let mut json = JsonReport::from_args();
+    let live = (args.iter().position(|a| a == "--msgs"))
+        .map(|i| args[i + 1].parse::<u64>().expect("--msgs N"));
 
-    let threads = Series {
-        label: "threads".to_string(),
-        points: LENGTHS
-            .iter()
-            .map(|&len| (len as f64, native::base_throughput(len, msgs, telemetry)))
-            .collect(),
-    };
-    let mut latencies = Vec::new();
-    let ipc_loop = Series {
-        label: "ipc loop-back".to_string(),
-        points: LENGTHS
-            .iter()
-            .map(|&len| {
-                let (tput, lat) = ipc_loopback_throughput(len, msgs, telemetry);
-                latencies.push((len, lat));
-                (len as f64, tput)
-            })
-            .collect(),
-    };
-    let ipc_xp = ipc_two_process_series(msgs, telemetry);
-    let title = format!(
-        "Figure 3 on the process backend: throughput (bytes/s) vs message length [telemetry {}]",
-        if telemetry { "on" } else { "off" }
-    );
-    let series = [threads, ipc_loop, ipc_xp];
-    print_series(&title, &series);
-    for s in &series {
-        println!(
-            "# {}: telemetry + tracing {}",
-            s.label,
-            if telemetry { "on" } else { "off" }
-        );
-    }
-    if telemetry {
-        println!("# loop-back send-to-receive latency (ns, in-region histogram)");
-        for (len, lat) in &latencies {
-            println!(
-                "len {len:<6} p50 {:<8} p90 {:<8} p99 {:<8} max {}",
-                lat.percentile(0.50),
-                lat.percentile(0.90),
-                lat.percentile(0.99),
-                lat.max
-            );
+    let region = format!("fig3-xp-{}", std::process::id());
+    let m = IpcMpf::create(&region, &loopback_config(true)).expect("create region");
+    let tx = m.open_send("bench").expect("tx");
+    let ack = m.open_receive("ack", Protocol::Fcfs).expect("ack rx");
+    let mut worker = Command::new(std::env::current_exe().expect("current_exe"))
+        .arg("--worker")
+        .env(REGION_ENV, &region)
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn worker");
+    let mut points = Vec::from_iter(FIG3_LENGTHS.map(|len| two_process(&m, tx, ack, len)));
+
+    if let Some(msgs) = live {
+        for (point, len) in points.iter_mut().zip(FIG3_LENGTHS) {
+            let took = point(msgs);
+            println!("{len:>6} B: {msgs} messages to the worker in {took:.2?}");
         }
-        println!();
+    } else {
+        let budget = Budget::from_args(&args);
+        let ns = measure(&mut points, budget);
+        let curve = ["two processes".to_string()];
+        let y = per_second(|i| FIG3_LENGTHS[i] as f64);
+        let xp = fold("", &curve, &axis(&FIG3_LENGTHS), &ns, y);
+        let mut out = catalog::fig3_native(budget);
+        out.figures[0].series.extend(xp.series);
+        out.figures[0].spread.extend(xp.spread);
+        let mut json = JsonReport::from_args();
+        catalog::emit(out, budget, json.as_mut());
+        if let Some(j) = json {
+            eprintln!("wrote {}", j.write().expect("write --json").display());
+        }
     }
-    if let Some(j) = json.as_mut() {
-        j.add(&title, &series);
-        j.add_extra("telemetry", format!("{telemetry}"));
-        j.add_extra("msgs_per_point", format!("{msgs}"));
-        let lat = latencies
-            .iter()
-            .map(|(len, h)| format!("{{\"len\":{len},\"latency_ns\":{}}}", latency_json(h)))
-            .collect::<Vec<_>>()
-            .join(",");
-        j.add_extra("loopback_latency", format!("[{lat}]"));
-    }
-    if let Some(j) = json {
-        let path = j.write().expect("write --json");
-        eprintln!("wrote {}", path.display());
-    }
+    send(&m, tx, END_OF_SESSION);
+    let status = worker.wait().expect("reap worker");
+    assert!(status.success(), "worker exited with {status}");
 }

@@ -1,23 +1,25 @@
 //! # mpf-bench — the figure-regeneration harness
 //!
-//! For every figure in the paper's evaluation there is a binary that
-//! reprints its series (`fig3_base` … `fig8_sor`, plus `all_figures`).
-//! Each experiment runs in two modes:
+//! Every figure of the paper's evaluation (§4) is an entry of one
+//! [`catalog`], regenerated by one binary, `figures`; its §5 variants and
+//! the DESIGN.md ablations are entries of the same type for the same
+//! driver, in the one bench target.  An entry runs in up to two modes:
 //!
 //! * **sim** — on the `mpf-sim` Balance 21000 model, which reproduces the
 //!   paper's curve *shapes* (contention declines, broadcast scaling,
-//!   paging cliff) and magnitudes;
-//! * **native** — the real `mpf` library driven by OS threads on the host.
-//!   Native numbers depend on the host's core count (the reproduction
-//!   machine may have a single core, where parallel speedup is
-//!   impossible); they validate functionality and relative ordering, not
-//!   the paper's absolute values.
+//!   paging cliff) and magnitudes, deterministically;
+//! * **native** — the real `mpf` engine on the host.  These numbers depend
+//!   on the host's core count; they validate functionality and relative
+//!   ordering, not the paper's absolute values.
 //!
-//! The [`native`] module contains the thread-backed measurement routines;
-//! [`report`] prints series as aligned tables.
+//! [`native`] holds the workloads, [`measure`] the one routine that times
+//! them (median and quartiles of alternated runs), [`report`] the one
+//! printer and the one `BENCH_*.json` schema.  `fig3_ipc` adds the series
+//! that needs a second OS process; [`replay`] re-prices a native trace on
+//! the model.
 
-pub mod aio;
-pub mod crit;
+pub mod catalog;
+pub mod measure;
 pub mod native;
 pub mod replay;
 pub mod report;

@@ -23,12 +23,10 @@
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::aio::{AioCompletion, AioStats};
 use crate::config::MpfConfig;
 use crate::error::{MpfError, Result};
 use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
-use crate::stats::Reclaimable;
-use crate::types::{LnvcName, Protocol};
+use crate::types::{AioCompletion, AioStats, LnvcName, Protocol, Reclaimable};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::ring::{AioRing, RingEntry, AIO_RING_SLOTS};
 use mpf_shm::telemetry::{

@@ -16,12 +16,10 @@ use mpf_shm::process::ProcessId;
 use mpf_shm::telemetry::{LnvcTelSnapshot, TelSnapshot};
 use mpf_shm::tracering::TraceEvent;
 
-use crate::aio::{AioCompletion, AioStats};
 use crate::config::MpfConfig;
 use crate::engine::{AttachError, IpcLnvcId, IpcMpf};
 use crate::error::{MpfError, Result};
-use crate::stats::Reclaimable;
-use crate::types::{LnvcId, Protocol, MAX_LNVC_INDEX};
+use crate::types::{AioCompletion, AioStats, LnvcId, Protocol, Reclaimable, MAX_LNVC_INDEX};
 
 /// The message passing facility.  One instance is one shared region;
 /// share it among "processes" with `Arc` or scoped borrows.

@@ -22,14 +22,13 @@
 
 use std::sync::atomic::Ordering;
 
-use mpf::aio::AioStats;
-use mpf::MpfConfig;
 use mpf_shm::telemetry::{facility_snapshot, LnvcTelSnapshot, TelSnapshot};
 use mpf_shm::tracering::{TraceEvent, TRACE_RING_SLOTS};
 use mpf_shm::ShmRegion;
 
-use mpf::engine::{verify_carve, AttachError, Tables};
-use mpf::shmem::{slot_state, LnvcDesc, NIL};
+use crate::engine::{verify_carve, AttachError, Tables};
+use crate::shmem::{slot_state, LnvcDesc, NIL};
+use crate::{AioStats, MpfConfig};
 
 /// One process slot, decoded.
 #[derive(Debug, Clone)]
@@ -347,7 +346,7 @@ impl RegionInspector {
 mod tests {
     use super::*;
     use crate::IpcMpf;
-    use mpf::Protocol;
+    use crate::Protocol;
     use mpf_shm::tracering::{TR_OPEN_RECV, TR_OPEN_SEND, TR_SEND};
     use std::sync::atomic::AtomicU64;
 

@@ -73,26 +73,23 @@
 //! mpf.close_receive(p2, rx).unwrap();
 //! ```
 
-pub mod aio;
 pub mod config;
 pub mod engine;
 pub mod error;
 pub mod facility;
 pub mod handle;
+pub mod inspect;
 pub mod layout;
 pub mod one2one;
 pub mod shmem;
-pub mod stats;
 pub mod sync_channel;
 pub mod types;
 
-pub use aio::{AioCompletion, AioStats};
 pub use config::MpfConfig;
 pub use engine::{AttachError, IpcLnvcId, IpcMpf};
 pub use error::{MpfError, Result};
 pub use facility::Mpf;
 pub use handle::{Receiver, Sender};
-pub use stats::Reclaimable;
-pub use types::{LnvcId, LnvcName, Protocol, MAX_NAME_LEN};
+pub use types::{AioCompletion, AioStats, LnvcId, LnvcName, Protocol, Reclaimable, MAX_NAME_LEN};
 
 pub use mpf_shm::process::ProcessId;

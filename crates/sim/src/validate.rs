@@ -1,7 +1,7 @@
 //! Calibration validation: every quantitative claim the model is fitted
 //! to (or predicts), checked in one place.
 //!
-//! `mpf-bench`'s `paper_stats` binary prints this table; the test suite
+//! `mpf-bench`'s `figures paper_stats` prints this table; the test suite
 //! asserts every row, so a cost-model change that breaks an anchor fails
 //! loudly with the offending row.
 

@@ -24,7 +24,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use mpf_ipc::RegionInspector;
+use mpf::inspect::RegionInspector;
 use mpf_shm::tracering::trace_event_name;
 use mpf_trace::TraceLog;
 

@@ -1,10 +1,10 @@
 //! Offline causal-trace reconstruction for MPF trace rings.
 //!
-//! The protocol engine (behind `mpf::Mpf` and `mpf_ipc::IpcMpf` alike)
+//! The protocol engine (behind `mpf::Mpf` and `mpf::IpcMpf` alike)
 //! stamps a 64-bit trace id into every message descriptor at send time and
 //! appends fixed-size records to per-process crash-persistent trace rings
 //! (`mpf_shm::tracering`).  This crate consumes those records — live or
-//! post-mortem, via [`mpf_ipc::RegionInspector`] or directly from a
+//! post-mortem, via [`mpf::inspect::RegionInspector`] or directly from a
 //! facility handle — and rebuilds three views:
 //!
 //! - **causal chains**: all events sharing a trace id, ordered by hop, so a
@@ -193,7 +193,7 @@ impl TraceLog {
     }
 
     /// Snapshots every trace ring of a shared region (live or post-mortem).
-    pub fn from_inspector(ins: &mpf_ipc::RegionInspector) -> Self {
+    pub fn from_inspector(ins: &mpf::inspect::RegionInspector) -> Self {
         let infos = ins.trace_rings();
         let rings = infos
             .iter()
@@ -214,7 +214,7 @@ impl TraceLog {
     }
 
     /// Snapshots every trace ring of the region behind an engine handle.
-    pub fn from_ipc(ipc: &mpf_ipc::IpcMpf) -> Self {
+    pub fn from_ipc(ipc: &mpf::IpcMpf) -> Self {
         let n = ipc.max_processes();
         let mut rings = Vec::with_capacity(n as usize);
         for pid in 0..n {

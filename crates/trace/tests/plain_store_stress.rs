@@ -17,8 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use mpf::inspect::RegionInspector;
+use mpf::{IpcLnvcId, IpcMpf};
 use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_ipc::{IpcLnvcId, IpcMpf, RegionInspector};
 use mpf_trace::TraceLog;
 
 const CONVS: [&str; 2] = ["a", "b"];

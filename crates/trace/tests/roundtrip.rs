@@ -8,8 +8,9 @@
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use mpf::inspect::RegionInspector;
+use mpf::IpcMpf;
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
-use mpf_ipc::{IpcMpf, RegionInspector};
 use mpf_shm::tracering::{
     TR_CLOSE_RECV, TR_CLOSE_SEND, TR_LOCK_CONTEND, TR_OPEN_RECV, TR_OPEN_SEND, TR_RECLAIM, TR_RECV,
     TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK, TR_SWEEP_DEAD, TR_WAKEUP,

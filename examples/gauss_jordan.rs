@@ -52,5 +52,5 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("max |x_seq - x_mpf| = {worst:.3e}");
     println!("note: wall-clock speedup requires a multi-core host; on the");
-    println!("Balance 21000 model, run: cargo run -p mpf-bench --bin fig7_gauss");
+    println!("Balance 21000 model, run: cargo run -p mpf-bench --bin figures -- fig7");
 }
