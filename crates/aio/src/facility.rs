@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use mpf::{IpcLnvcId, IpcMpf, Mpf, MpfError, ProcessId, Protocol, Result};
+use mpf::{IpcMpf, LnvcId, Mpf, MpfError, ProcessId, Result};
 
 use crate::reactor::{Interest, Reactor};
 
@@ -42,7 +42,7 @@ impl Drop for Driver {
 /// Resolves to the next message on one conversation.
 pub struct RecvFuture {
     interest: Interest,
-    id: IpcLnvcId,
+    id: LnvcId,
 }
 
 impl Future for RecvFuture {
@@ -74,7 +74,7 @@ impl Future for RecvFuture {
 /// or block pool is exhausted.
 pub struct SendFuture {
     interest: Interest,
-    id: IpcLnvcId,
+    id: LnvcId,
     payload: Vec<u8>,
     /// Whether this future is registered for the pool signal
     /// (`IpcMpf::pool_wait_begin`), which fires only while somebody is.
@@ -184,11 +184,11 @@ deadline_combinator!(SelectAny);
 /// conversation delivers first.
 pub struct SelectAny {
     interest: Interest,
-    ids: Vec<IpcLnvcId>,
+    ids: Vec<LnvcId>,
 }
 
 impl Future for SelectAny {
-    type Output = Result<(IpcLnvcId, Vec<u8>)>;
+    type Output = Result<(LnvcId, Vec<u8>)>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -237,29 +237,14 @@ impl AsyncIpc {
         }
     }
 
-    /// The wrapped region view, for the sync primitives.
+    /// The wrapped region view: connections are opened and closed on it,
+    /// like every other synchronous primitive.
     pub fn facility(&self) -> &Arc<IpcMpf> {
         &self.ipc
     }
 
-    pub fn open_send(&self, name: &str) -> Result<IpcLnvcId> {
-        self.ipc.open_send(name)
-    }
-
-    pub fn open_receive(&self, name: &str, protocol: Protocol) -> Result<IpcLnvcId> {
-        self.ipc.open_receive(name, protocol)
-    }
-
-    pub fn close_send(&self, id: IpcLnvcId) -> Result<()> {
-        self.ipc.close_send(id)
-    }
-
-    pub fn close_receive(&self, id: IpcLnvcId) -> Result<()> {
-        self.ipc.close_receive(id)
-    }
-
     /// Receives the next message on `id`.
-    pub fn recv(&self, id: IpcLnvcId) -> RecvFuture {
+    pub fn recv(&self, id: LnvcId) -> RecvFuture {
         RecvFuture {
             interest: Interest::new(Arc::clone(&self.driver.reactor)),
             id,
@@ -267,7 +252,7 @@ impl AsyncIpc {
     }
 
     /// Sends `payload` on `id`, pending while the region is full.
-    pub fn send(&self, id: IpcLnvcId, payload: Vec<u8>) -> SendFuture {
+    pub fn send(&self, id: LnvcId, payload: Vec<u8>) -> SendFuture {
         SendFuture {
             interest: Interest::new(Arc::clone(&self.driver.reactor)),
             id,
@@ -277,7 +262,7 @@ impl AsyncIpc {
     }
 
     /// Receives from whichever of `ids` delivers first.
-    pub fn select_any(&self, ids: &[IpcLnvcId]) -> SelectAny {
+    pub fn select_any(&self, ids: &[LnvcId]) -> SelectAny {
         assert!(
             !ids.is_empty(),
             "select_any needs at least one conversation"
@@ -311,7 +296,7 @@ impl AsyncMpf {
 mod tests {
     use super::*;
     use crate::block_on;
-    use mpf::MpfConfig;
+    use mpf::{MpfConfig, Protocol};
 
     /// A long-lived service's shape: every round a `select_any` over a
     /// busy and a quiet conversation pends once, then completes on the
@@ -321,9 +306,9 @@ mod tests {
     fn completed_futures_leave_no_registrations_behind() {
         let m = Arc::new(Mpf::init(MpfConfig::new(8, 4)).unwrap());
         let a = AsyncMpf::new(m, ProcessId::from_index(0));
-        let tx = a.open_send("busy").unwrap();
-        let busy = a.open_receive("busy", Protocol::Fcfs).unwrap();
-        let quiet = a.open_receive("quiet", Protocol::Fcfs).unwrap();
+        let tx = a.facility().open_send("busy").unwrap();
+        let busy = a.facility().open_receive("busy", Protocol::Fcfs).unwrap();
+        let quiet = a.facility().open_receive("quiet", Protocol::Fcfs).unwrap();
         for round in 0..10_000u32 {
             let mut fut = a
                 .select_any(&[busy, quiet])

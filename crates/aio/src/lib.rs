@@ -19,8 +19,8 @@
 //!   enough to run the futures without pulling in an async runtime.
 //!
 //! Batched submission/completion rings (the other half of the amortised
-//! I/O story) live on the facilities themselves: `Mpf::send_batch`,
-//! `IpcMpf::send_batch`, and friends.
+//! I/O story) live on the engine view itself: `IpcMpf::send_batch` and
+//! friends (`Mpf::send_batch` is the same call on `mpf.view(pid)?`).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -31,8 +31,8 @@
 //! let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
 //! let b = AsyncMpf::new(m, ProcessId::from_index(1));
 //!
-//! let tx = a.open_send("chat").unwrap();
-//! let rx = b.open_receive("chat", Protocol::Fcfs).unwrap();
+//! let tx = a.facility().open_send("chat").unwrap();
+//! let rx = b.facility().open_receive("chat", Protocol::Fcfs).unwrap();
 //!
 //! block_on(async {
 //!     a.send(tx, b"hello".to_vec()).await.unwrap();

@@ -39,13 +39,13 @@ use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mpf::{IpcLnvcId, IpcMpf};
+use mpf::{IpcMpf, LnvcId};
 use mpf_shm::waitq::WaitQueue;
 
 /// Registrations, each tagged with the key of the [`Interest`] that
 /// filed it.
 struct State {
-    recv: Vec<(u64, IpcLnvcId, u32, Waker)>,
+    recv: Vec<(u64, LnvcId, u32, Waker)>,
     send: Vec<(u64, u32, Waker)>,
     /// Deadline registrations from `Deadline`-wrapped futures: fired (and
     /// dropped) once `Instant::now()` passes the stored instant.
@@ -84,7 +84,7 @@ impl Interest {
 
     /// Files interest in each listed receive signal moving past its
     /// ticket.
-    pub(crate) fn recv(&mut self, signals: &[(IpcLnvcId, u32)], waker: &Waker) {
+    pub(crate) fn recv(&mut self, signals: &[(LnvcId, u32)], waker: &Waker) {
         let key = self.key;
         self.file(|st| {
             st.recv

@@ -29,8 +29,11 @@ fn recv_pends_then_wakes_on_delayed_send() {
     let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
     let b = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(1));
 
-    let tx = a.open_send("delayed").unwrap();
-    let rx = b.open_receive("delayed", Protocol::Fcfs).unwrap();
+    let tx = a.facility().open_send("delayed").unwrap();
+    let rx = b
+        .facility()
+        .open_receive("delayed", Protocol::Fcfs)
+        .unwrap();
 
     let sender = thread::spawn(move || {
         thread::sleep(Duration::from_millis(30));
@@ -48,10 +51,10 @@ fn select_any_returns_whichever_delivers_first() {
     let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
     let b = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(1));
 
-    let tx_west = a.open_send("west").unwrap();
-    let _tx_east = a.open_send("east").unwrap();
-    let rx_east = b.open_receive("east", Protocol::Fcfs).unwrap();
-    let rx_west = b.open_receive("west", Protocol::Fcfs).unwrap();
+    let tx_west = a.facility().open_send("west").unwrap();
+    let _tx_east = a.facility().open_send("east").unwrap();
+    let rx_east = b.facility().open_receive("east", Protocol::Fcfs).unwrap();
+    let rx_west = b.facility().open_receive("west", Protocol::Fcfs).unwrap();
 
     // Already-ready conversation wins without pending.
     block_on(a.send(tx_west, b"immediate".to_vec())).unwrap();
@@ -82,7 +85,7 @@ fn send_pends_until_a_receive_frees_capacity() {
     let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
     let p1 = ProcessId::from_index(1);
 
-    let tx = a.open_send("narrow").unwrap();
+    let tx = a.facility().open_send("narrow").unwrap();
     let rx = m.open_receive(p1, "narrow", Protocol::Fcfs).unwrap();
 
     let drainer = {
@@ -119,7 +122,10 @@ fn executor_drives_many_concurrent_tasks() {
     for i in 0..CLIENTS {
         let client = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(1 + i));
         let name = format!("lane-{i}");
-        let rx = client.open_receive(&name, Protocol::Fcfs).unwrap();
+        let rx = client
+            .facility()
+            .open_receive(&name, Protocol::Fcfs)
+            .unwrap();
         handles.push(exec.spawn(async move {
             let msg = client.recv(rx).await.unwrap();
             (i, msg)
@@ -131,7 +137,7 @@ fn executor_drives_many_concurrent_tasks() {
     let producer = thread::spawn(move || {
         thread::sleep(Duration::from_millis(20));
         for i in 0..CLIENTS {
-            let tx = server.open_send(&format!("lane-{i}")).unwrap();
+            let tx = server.facility().open_send(&format!("lane-{i}")).unwrap();
             block_on(server.send(tx, format!("payload-{i}").into_bytes())).unwrap();
         }
     });
@@ -234,8 +240,11 @@ fn deadline_futures_time_out_with_typed_error() {
 
     let m = Arc::new(Mpf::init(MpfConfig::new(8, 4)).unwrap());
     let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
-    let _tx = a.open_send("dl-quiet").unwrap();
-    let rx = a.open_receive("dl-quiet", Protocol::Fcfs).unwrap();
+    let _tx = a.facility().open_send("dl-quiet").unwrap();
+    let rx = a
+        .facility()
+        .open_receive("dl-quiet", Protocol::Fcfs)
+        .unwrap();
 
     let start = Instant::now();
     let err = block_on(a.recv(rx).timeout(Duration::from_millis(50))).unwrap_err();
@@ -252,14 +261,17 @@ fn deadline_recv_delivers_when_send_races_expiry() {
     let m = Arc::new(Mpf::init(MpfConfig::new(8, 4)).unwrap());
     let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
     let b = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(1));
-    let tx = a.open_send("dl-race").unwrap();
-    let rx = b.open_receive("dl-race", Protocol::Fcfs).unwrap();
+    let tx = a.facility().open_send("dl-race").unwrap();
+    let rx = b
+        .facility()
+        .open_receive("dl-race", Protocol::Fcfs)
+        .unwrap();
 
     let sender = {
         let m = Arc::clone(&m);
         thread::spawn(move || {
             thread::sleep(Duration::from_millis(40));
-            m.message_send(ProcessId::from_index(0), tx.into(), b"in time")
+            m.message_send(ProcessId::from_index(0), tx, b"in time")
                 .unwrap();
         })
     };
@@ -280,12 +292,12 @@ fn send_future_times_out_under_exhaustion_then_recovers() {
         .unwrap(),
     );
     let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
-    let tx = a.open_send("dl-full").unwrap();
+    let tx = a.facility().open_send("dl-full").unwrap();
     let rx = m
         .open_receive(ProcessId::from_index(1), "dl-full", Protocol::Fcfs)
         .unwrap();
     for i in 0..4 {
-        m.message_send(ProcessId::from_index(0), tx.into(), &[i; 64])
+        m.message_send(ProcessId::from_index(0), tx, &[i; 64])
             .unwrap();
     }
 

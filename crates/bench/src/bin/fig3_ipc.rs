@@ -13,7 +13,7 @@
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use mpf::{IpcLnvcId, IpcMpf, Protocol};
+use mpf::{IpcMpf, LnvcId, Protocol};
 use mpf_bench::catalog::{self, axis, fold, per_second, FIG3_LENGTHS};
 use mpf_bench::measure::{measure, Budget, Workload};
 use mpf_bench::native::{loopback_config, MAX_LOOPBACK_LEN};
@@ -33,7 +33,7 @@ fn patience() -> Option<Instant> {
 /// Sends with back-pressure: a full pool means the receiver is behind, so
 /// sleep until it frees room — and a receiver that DIED never will, which
 /// the wait's sweep turns into `PeerDied` instead of a hang.
-fn send(m: &IpcMpf, id: IpcLnvcId, payload: &[u8]) {
+fn send(m: &IpcMpf, id: LnvcId, payload: &[u8]) {
     m.send_deadline(id, payload, patience())
         .unwrap_or_else(|e| panic!("send failed: {e}"));
 }
@@ -56,7 +56,7 @@ fn worker_main(region: &str) {
 
 /// Parent half, one size: an iteration is one message sent; the section
 /// ends when the worker has acknowledged draining the round.
-fn two_process(m: &IpcMpf, tx: IpcLnvcId, ack: IpcLnvcId, len: u32) -> Workload<'_> {
+fn two_process(m: &IpcMpf, tx: LnvcId, ack: LnvcId, len: u32) -> Workload<'_> {
     let payload = vec![0x5Au8; len as usize];
     Box::new(move |msgs| {
         let start = Instant::now();

@@ -209,6 +209,7 @@ pub fn random(len: usize, procs: u32, seed: u64, tally: Rc<Tally>) -> Workload<'
                 .filter(|&d| d != me)
                 .map(|d| mpf.open_send(pid, &name(d)).expect("tx"))
                 .collect();
+            let view = mpf.view(pid).expect("view");
             let mut rng = SmallRng::seed_from_u64(seed ^ (me as u64) << 32);
             let payload = vec![me as u8; len];
             let mut buf = vec![0u8; len.max(1)];
@@ -218,7 +219,7 @@ pub fn random(len: usize, procs: u32, seed: u64, tally: Rc<Tally>) -> Workload<'
                 let dest = txs[rng.gen_range(0..txs.len())];
                 // Everyone is a sender, so a full pool is emptied by
                 // receiving, never by sleeping until somebody else does.
-                while !mpf.try_message_send(pid, dest, &payload).expect("send") {
+                while !view.try_message_send(dest, &payload).expect("send") {
                     drain();
                 }
                 drain();

@@ -48,9 +48,14 @@ impl TracedRun {
     /// would silently thin the schedule being replayed.
     pub fn capture(mpf: &Mpf) -> Result<Self, String> {
         let mut events = Vec::new();
-        for idx in 0..mpf.config().max_processes as usize {
-            let pid = ProcessId::from_index(idx);
-            let (recorded, skipped) = mpf.trace_ring_stats(pid).map_err(|e| e.to_string())?;
+        // Every view reads every process's ring.
+        let view = mpf
+            .view(ProcessId::from_index(0))
+            .map_err(|e| e.to_string())?;
+        for idx in 0..mpf.config().max_processes {
+            let (recorded, skipped) = view
+                .trace_ring_stats(idx)
+                .ok_or_else(|| format!("process {idx} has no trace ring"))?;
             if recorded > TRACE_RING_SLOTS as u64 || skipped > 0 {
                 return Err(format!(
                     "process {idx} wrote {recorded} trace records into a \
@@ -58,8 +63,7 @@ impl TracedRun {
                      shrink the run"
                 ));
             }
-            let ring = mpf.trace_events(pid).map_err(|e| e.to_string())?;
-            events.extend(ring.into_iter().map(|e| (idx as u32, e)));
+            events.extend(view.trace_events(idx).into_iter().map(|e| (idx, e)));
         }
         Ok(Self { events })
     }

@@ -1,6 +1,7 @@
 //! Schedule-exploration scenarios for the protocol engine, driven through
 //! the in-process facade (`Mpf`: one view per `ProcessId` of an anonymous
-//! region, `pid` passed per call).
+//! region, `pid` passed per call; what the facade does not spell — the
+//! send that waits for room, the try-forms — through `mpf.view(pid)`).
 //!
 //! Each scenario builds a fresh facility per schedule, races a small set of
 //! logical processes through a known-racy path, and checks the final state
@@ -90,7 +91,7 @@ fn leak_case() -> Case {
         let mpf = Arc::clone(&mpf);
         Box::new(move || {
             for _ in 0..2 {
-                mpf.message_receive_vec(p(2), rb).expect("bcast recv");
+                mpf.recv_batch(p(2), rb, 1).expect("bcast recv");
             }
         }) as Proc
     };
@@ -151,7 +152,9 @@ fn concurrent_fcfs_receivers_race_one_message() {
             Box::new(move || {
                 let mut buf = [0u8; 16];
                 if mpf
-                    .try_message_receive(p(pid), id, &mut buf)
+                    .view(p(pid))
+                    .unwrap()
+                    .try_message_receive(id, &mut buf)
                     .expect("try_recv")
                     .is_some()
                 {
@@ -209,7 +212,7 @@ fn broadcast_close_with_unread_vs_concurrent_reads() {
             let mpf = Arc::clone(&mpf);
             Box::new(move || {
                 for _ in 0..3 {
-                    mpf.message_receive_vec(p(1), r1).expect("recv");
+                    mpf.recv_batch(p(1), r1, 1).expect("recv");
                 }
             }) as Proc
         };
@@ -268,7 +271,11 @@ fn send_races_delete() {
             let mpf = Arc::clone(&mpf);
             Box::new(move || {
                 let mut buf = [0u8; 16];
-                let _ = mpf.try_message_receive(p(1), rx, &mut buf).expect("try");
+                let _ = mpf
+                    .view(p(1))
+                    .unwrap()
+                    .try_message_receive(rx, &mut buf)
+                    .expect("try");
                 mpf.close_receive(p(1), rx).expect("close_receive");
             }) as Proc
         };
@@ -317,9 +324,11 @@ fn flow_control_wakeups_under_pressure() {
             let mpf = Arc::clone(&mpf);
             Box::new(move || {
                 // Each message spans 2 of the 4 blocks: the third send can
-                // only proceed once the receiver frees one.
+                // only proceed once the receiver frees one — the send that
+                // waits for room.
+                let view = mpf.view(p(0)).expect("view");
                 for i in 0..4u8 {
-                    mpf.message_send(p(0), tx, &[i; 20]).expect("send");
+                    view.send_deadline(tx, &[i; 20], None).expect("send");
                 }
             }) as Proc
         };
@@ -327,7 +336,7 @@ fn flow_control_wakeups_under_pressure() {
             let mpf = Arc::clone(&mpf);
             Box::new(move || {
                 for _ in 0..4 {
-                    mpf.message_receive_vec(p(1), rx).expect("recv");
+                    mpf.recv_batch(p(1), rx, 1).expect("recv");
                 }
             }) as Proc
         };
@@ -382,7 +391,11 @@ fn open_close_churn_vs_traffic() {
                         .open_receive(p(1), "churn", Protocol::Fcfs)
                         .expect("open_receive");
                     let mut buf = [0u8; 16];
-                    let _ = mpf.try_message_receive(p(1), rx, &mut buf).expect("try");
+                    let _ = mpf
+                        .view(p(1))
+                        .unwrap()
+                        .try_message_receive(rx, &mut buf)
+                        .expect("try");
                     mpf.close_receive(p(1), rx).expect("close_receive");
                 }
             }) as Proc
@@ -441,7 +454,7 @@ fn telemetry_conserved_under_schedules() {
             let mpf = Arc::clone(&mpf);
             Box::new(move || {
                 for _ in 0..2 {
-                    mpf.message_receive_vec(p(pid), id).expect("recv");
+                    mpf.recv_batch(p(pid), id, 1).expect("recv");
                 }
             }) as Proc
         };
@@ -476,7 +489,10 @@ fn telemetry_conserved_under_schedules() {
                         t.reclaims
                     ));
                 }
-                let lt = mpf.lnvc_telemetry(tx).map_err(|e| e.to_string())?;
+                let lt = mpf
+                    .view(p(0))
+                    .and_then(|v| v.lnvc_telemetry(tx))
+                    .map_err(|e| e.to_string())?;
                 if lt.sends != 4 || lt.receives != 4 {
                     return Err(format!(
                         "per-LNVC counters drifted: {}/{}, want 4/4",
@@ -618,7 +634,7 @@ fn trace_conservation_under_schedules() {
                     mpf.message_send(p(0), req_tx, &[i; 8]).expect("send req");
                 }
                 for _ in 0..2 {
-                    mpf.message_receive_vec(p(0), rep_rx).expect("recv rep");
+                    mpf.recv_batch(p(0), rep_rx, 1).expect("recv rep");
                 }
             }) as Proc
         };
@@ -626,8 +642,8 @@ fn trace_conservation_under_schedules() {
             let mpf = Arc::clone(&mpf);
             Box::new(move || {
                 for _ in 0..2 {
-                    let m = mpf.message_receive_vec(p(1), req_rx).expect("recv req");
-                    mpf.message_send(p(1), rep_tx, &m).expect("send rep");
+                    let m = mpf.recv_batch(p(1), req_rx, 1).expect("recv req");
+                    mpf.message_send(p(1), rep_tx, &m[0]).expect("send rep");
                 }
             }) as Proc
         };

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use crate::config::MpfConfig;
 use crate::error::{MpfError, Result};
 use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
-use crate::types::{AioCompletion, AioStats, LnvcName, Protocol, Reclaimable};
+use crate::types::{AioCompletion, AioStats, LnvcId, LnvcName, Protocol, Reclaimable};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::ring::{AioRing, RingEntry, AIO_RING_SLOTS};
 use mpf_shm::telemetry::{
@@ -53,36 +53,9 @@ const RECV_SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 /// How long `attach` waits for the creator to finish carving.
 const ATTACH_BARRIER_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Handle to one conversation: `generation << 32 | descriptor index`.
-/// Stale handles from deleted conversations are detected, not dereferenced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct IpcLnvcId(u64);
-
-impl IpcLnvcId {
-    fn new(generation: u32, index: u32) -> Self {
-        Self(((generation as u64) << 32) | index as u64)
-    }
-
-    /// The LNVC descriptor index.
-    pub fn index(self) -> u32 {
-        self.0 as u32
-    }
-
-    /// The descriptor generation this handle was minted under.
-    pub fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    /// Raw transport form (for FFI).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a handle from its raw form.
-    pub fn from_raw(raw: u64) -> Self {
-        Self(raw)
-    }
-}
+/// The conversation handle under the name the repo benchmark spells
+/// (`mpf_ipc::IpcLnvcId`); everything else says [`LnvcId`].
+pub type IpcLnvcId = LnvcId;
 
 /// Errors from region creation/attachment (everything after that speaks
 /// [`MpfError`]).
@@ -372,7 +345,7 @@ enum Wait {
 /// as SIGKILL would — for the sweep to clean up.
 struct Watch<'a> {
     ipc: &'a IpcMpf,
-    armed: Vec<IpcLnvcId>,
+    armed: Vec<LnvcId>,
 }
 
 impl Drop for Watch<'_> {
@@ -825,7 +798,7 @@ impl IpcMpf {
 
     /// `open_LNVC_send`: joins (or creates) the named conversation as a
     /// sender.
-    pub fn open_send(&self, name: &str) -> Result<IpcLnvcId> {
+    pub fn open_send(&self, name: &str) -> Result<LnvcId> {
         let lname = LnvcName::new(name)?;
         self.heartbeat();
         self.with_registry(|| {
@@ -852,7 +825,7 @@ impl IpcMpf {
                     .store(d.send_head.load(Ordering::Acquire), Ordering::Release);
                 d.send_head.store(conn, Ordering::Release);
                 d.n_senders.fetch_add(1, Ordering::AcqRel);
-                Ok(IpcLnvcId::new(d.generation.load(Ordering::Acquire), idx))
+                Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
             })();
             if result.is_err() && created {
                 self.deactivate(idx);
@@ -867,7 +840,7 @@ impl IpcMpf {
 
     /// `open_LNVC_receive`: joins (or creates) the named conversation as
     /// an FCFS or BROADCAST receiver.
-    pub fn open_receive(&self, name: &str, protocol: Protocol) -> Result<IpcLnvcId> {
+    pub fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
         let lname = LnvcName::new(name)?;
         self.heartbeat();
         self.with_registry(|| {
@@ -918,7 +891,7 @@ impl IpcMpf {
                     self.clear_fcfs_obligations(d);
                     self.reclaim(idx, d, true, 0);
                 }
-                Ok(IpcLnvcId::new(d.generation.load(Ordering::Acquire), idx))
+                Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
             })();
             if result.is_err() && created {
                 self.deactivate(idx);
@@ -933,7 +906,7 @@ impl IpcMpf {
 
     /// `close_LNVC_send`: leaves the conversation as a sender; the last
     /// connection out deletes the conversation and frees its queue.
-    pub fn close_send(&self, id: IpcLnvcId) -> Result<()> {
+    pub fn close_send(&self, id: LnvcId) -> Result<()> {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, d) = self.resolve(id)?;
@@ -963,7 +936,7 @@ impl IpcMpf {
     /// `close_LNVC_receive`: leaves as a receiver.  A departing BROADCAST
     /// receiver releases its delivery claims so fully-delivered messages
     /// can be reclaimed.
-    pub fn close_receive(&self, id: IpcLnvcId) -> Result<()> {
+    pub fn close_receive(&self, id: LnvcId) -> Result<()> {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, d) = self.resolve(id)?;
@@ -993,7 +966,7 @@ impl IpcMpf {
 
     /// `message_send`: scatters the payload into shared blocks and
     /// enqueues it on the conversation.
-    pub fn message_send(&self, id: IpcLnvcId, payload: &[u8]) -> Result<()> {
+    pub fn message_send(&self, id: LnvcId, payload: &[u8]) -> Result<()> {
         self.heartbeat();
         let max = self.cfg.max_message_bytes();
         if payload.len() > max {
@@ -1106,7 +1079,7 @@ impl IpcMpf {
 
     /// `check_receive`: non-destructively reports whether a message is
     /// deliverable to this process.
-    pub fn check_receive(&self, id: IpcLnvcId) -> Result<bool> {
+    pub fn check_receive(&self, id: LnvcId) -> Result<bool> {
         self.heartbeat();
         let (_, d) = self.resolve(id)?;
         self.lock_lnvc(d);
@@ -1124,7 +1097,7 @@ impl IpcMpf {
 
     /// Non-blocking `message_receive`: `Ok(None)` when nothing is
     /// deliverable.
-    pub fn try_message_receive(&self, id: IpcLnvcId, buf: &mut [u8]) -> Result<Option<usize>> {
+    pub fn try_message_receive(&self, id: LnvcId, buf: &mut [u8]) -> Result<Option<usize>> {
         let take = |m: &MsgDesc, len| self.copy_out(m, len, buf);
         let (msgs, bytes) = self.receive_with(id, Wait::No, 1, take)?;
         Ok((msgs != 0).then_some(bytes))
@@ -1134,7 +1107,7 @@ impl IpcMpf {
     /// in-region futex sequence, waking at least every
     /// [`RECV_SWEEP_INTERVAL`] for a liveness sweep, so a dead sender
     /// converts a would-be deadlock into [`MpfError::PeerDied`].
-    pub fn message_receive(&self, id: IpcLnvcId, buf: &mut [u8]) -> Result<usize> {
+    pub fn message_receive(&self, id: LnvcId, buf: &mut [u8]) -> Result<usize> {
         self.recv_deadline(id, buf, None)
     }
 
@@ -1146,7 +1119,7 @@ impl IpcMpf {
     /// racing the deadline is delivered, not timed out.
     pub fn recv_deadline(
         &self,
-        id: IpcLnvcId,
+        id: LnvcId,
         buf: &mut [u8],
         deadline: Option<Instant>,
     ) -> Result<usize> {
@@ -1165,11 +1138,7 @@ impl IpcMpf {
     ///
     /// `visit` runs under the conversation's lock, like the copy it
     /// replaces: it must not call back into the facility.
-    pub fn message_receive_scan(
-        &self,
-        id: IpcLnvcId,
-        mut visit: impl FnMut(&[u8]),
-    ) -> Result<usize> {
+    pub fn message_receive_scan(&self, id: LnvcId, mut visit: impl FnMut(&[u8])) -> Result<usize> {
         let take = |m: &MsgDesc, len| {
             self.scan_chain(m, len, &mut visit);
             Ok(())
@@ -1186,7 +1155,7 @@ impl IpcMpf {
     /// peers, until a first delivery or [`MpfError::TimedOut`].
     fn receive_with(
         &self,
-        id: IpcLnvcId,
+        id: LnvcId,
         wait: Wait,
         max: usize,
         mut take: impl FnMut(&MsgDesc, usize) -> Result<()>,
@@ -1250,7 +1219,7 @@ impl IpcMpf {
     /// than starving us.
     pub fn send_deadline(
         &self,
-        id: IpcLnvcId,
+        id: LnvcId,
         payload: &[u8],
         deadline: Option<Instant>,
     ) -> Result<()> {
@@ -1298,11 +1267,7 @@ impl IpcMpf {
     /// or close on any of them rings this process's doorbell, and sleeps
     /// on that one word.  An empty set is [`MpfError::EmptyWaitSet`];
     /// poisoning of any member surfaces as its error.
-    pub fn wait_any_deadline(
-        &self,
-        ids: &[IpcLnvcId],
-        deadline: Option<Instant>,
-    ) -> Result<IpcLnvcId> {
+    pub fn wait_any_deadline(&self, ids: &[LnvcId], deadline: Option<Instant>) -> Result<LnvcId> {
         if ids.is_empty() {
             return Err(MpfError::EmptyWaitSet);
         }
@@ -1477,7 +1442,7 @@ impl IpcMpf {
     /// the batch early (a partial submit).  An empty batch is `Ok(0)`
     /// with no doorbell; no room for even the first descriptor is
     /// [`MpfError::WouldBlock`] (drain, reap, then resubmit the rest).
-    pub fn submit_sends(&self, id: IpcLnvcId, payloads: &[&[u8]]) -> Result<usize> {
+    pub fn submit_sends(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
         self.heartbeat();
         let max = self.cfg.max_message_bytes();
         let (idx, d) = self.resolve(id)?;
@@ -1533,21 +1498,6 @@ impl IpcMpf {
         Ok(submitted)
     }
 
-    /// [`Self::submit_sends`] that waits out pool exhaustion: when nothing
-    /// at all can be staged for want of pool memory it sleeps on the pool
-    /// signal, like [`Self::send_deadline`], until a first descriptor is
-    /// staged or `deadline` passes ([`MpfError::TimedOut`]).  A partial
-    /// submit still returns at once, and a full ring is still
-    /// [`MpfError::WouldBlock`] — only the submitter's own drain frees it.
-    pub fn submit_sends_deadline(
-        &self,
-        id: IpcLnvcId,
-        payloads: &[&[u8]],
-        deadline: Option<Instant>,
-    ) -> Result<usize> {
-        self.retry_when_pool_frees(deadline, || self.submit_sends(id, payloads))
-    }
-
     /// Drains this process's submission ring: links every staged message
     /// under one LNVC-lock hold per run of same-conversation descriptors,
     /// wakes receivers **once** per run, and pushes one completion per
@@ -1583,7 +1533,7 @@ impl IpcMpf {
     /// Completes one run of same-conversation submission descriptors:
     /// one [`Self::publish_run`], then one CQ push each.
     fn drain_run(&self, run: &[RingEntry], cq: &AioRing) {
-        let id = IpcLnvcId::new((run[0].user_data & u64::from(u32::MAX)) as u32, run[0].lnvc);
+        let id = LnvcId::new((run[0].user_data & u64::from(u32::MAX)) as u32, run[0].lnvc);
         let published = self
             .resolve(id)
             .and_then(|(idx, d)| self.publish_run(idx, d, run));
@@ -1629,7 +1579,7 @@ impl IpcMpf {
     /// doorbell, one lock hold, and one receiver wake, returning the
     /// completions (tokens are indices into `payloads`).  May also return
     /// completions left over from earlier partial cycles on this ring.
-    pub fn send_batch(&self, id: IpcLnvcId, payloads: &[&[u8]]) -> Result<Vec<AioCompletion>> {
+    pub fn send_batch(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<Vec<AioCompletion>> {
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
@@ -1651,7 +1601,7 @@ impl IpcMpf {
     /// Completion tokens index into the original `payloads`.
     pub fn send_batch_deadline(
         &self,
-        id: IpcLnvcId,
+        id: LnvcId,
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<Vec<AioCompletion>> {
@@ -1714,7 +1664,7 @@ impl IpcMpf {
     /// sweep between naps, like [`Self::message_receive`]), then drains
     /// up to `max` messages under one lock hold with one reclamation
     /// pass.  `max == 0` returns an empty batch immediately.
-    pub fn recv_batch(&self, id: IpcLnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
+    pub fn recv_batch(&self, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
         self.recv_batch_deadline(id, max, None)
     }
 
@@ -1725,7 +1675,7 @@ impl IpcMpf {
     /// batch racing the deadline is delivered, not timed out.
     pub fn recv_batch_deadline(
         &self,
-        id: IpcLnvcId,
+        id: LnvcId,
         max: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<Vec<u8>>> {
@@ -1734,12 +1684,12 @@ impl IpcMpf {
 
     /// Non-blocking [`Self::recv_batch`]: drains whatever is deliverable
     /// right now (possibly nothing).
-    pub fn try_recv_batch(&self, id: IpcLnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
+    pub fn try_recv_batch(&self, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
         self.receive_vecs(id, Wait::No, max)
     }
 
     /// [`Self::receive_with`] gathering each message into a fresh `Vec`.
-    fn receive_vecs(&self, id: IpcLnvcId, wait: Wait, max: usize) -> Result<Vec<Vec<u8>>> {
+    fn receive_vecs(&self, id: LnvcId, wait: Wait, max: usize) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::new();
         self.receive_with(id, wait, max, |m, len| {
             let mut buf = Vec::with_capacity(len);
@@ -1759,7 +1709,7 @@ impl IpcMpf {
 
     /// Non-blocking send for async callers: `Ok(false)` when the shared
     /// pools are exhausted (retry after a reclaim), errors otherwise.
-    pub fn try_message_send(&self, id: IpcLnvcId, payload: &[u8]) -> Result<bool> {
+    pub fn try_message_send(&self, id: LnvcId, payload: &[u8]) -> Result<bool> {
         match self.message_send(id, payload) {
             Ok(()) => Ok(true),
             Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => Ok(false),
@@ -1769,7 +1719,7 @@ impl IpcMpf {
 
     /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing
     /// is deliverable.
-    pub fn try_message_receive_vec(&self, id: IpcLnvcId) -> Result<Option<Vec<u8>>> {
+    pub fn try_message_receive_vec(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
         Ok(self.receive_vecs(id, Wait::No, 1)?.pop())
     }
 
@@ -1777,7 +1727,7 @@ impl IpcMpf {
     /// *before* a failed try-operation: if the sequence has moved past it
     /// by the next check, traffic arrived in between (the lost-wakeup
     /// guard the blocking primitives use, exposed for the async reactor).
-    pub fn recv_signal_ticket(&self, id: IpcLnvcId) -> Result<u32> {
+    pub fn recv_signal_ticket(&self, id: LnvcId) -> Result<u32> {
         Ok(self.resolve(id)?.1.waitq.ticket())
     }
 
@@ -1823,7 +1773,7 @@ impl IpcMpf {
     /// `woken` must be followed by [`Self::ring_doorbell`].
     pub fn wait_signals(
         &self,
-        recv: &[(IpcLnvcId, u32)],
+        recv: &[(LnvcId, u32)],
         mem: Option<u32>,
         woken: &dyn Fn() -> bool,
         until: Option<Instant>,
@@ -1894,7 +1844,7 @@ impl IpcMpf {
     /// connection — closed, or swept after its holder's death.  Returns
     /// whether a watch was added; a conversation that does not resolve or
     /// that we do not receive on is left to the caller's own check.
-    fn set_watch(&self, id: IpcLnvcId, on: bool) -> bool {
+    fn set_watch(&self, id: LnvcId, on: bool) -> bool {
         let Ok((_, d)) = self.resolve(id) else {
             return false;
         };
@@ -1921,7 +1871,7 @@ impl IpcMpf {
 
     /// Arms a watch on each of `ids` for the life of the returned guard.
     /// Arm, *then* check: see [`Self::notify_lnvc`] for the pairing.
-    fn watch(&self, ids: impl Iterator<Item = IpcLnvcId>) -> Watch<'_> {
+    fn watch(&self, ids: impl Iterator<Item = LnvcId>) -> Watch<'_> {
         let armed = ids.filter(|&id| self.set_watch(id, true)).collect();
         // Orders the arming increments before the predicate loads that
         // follow, whatever their own ordering (tickets are `Acquire`).
@@ -2454,9 +2404,8 @@ impl IpcMpf {
     }
 
     /// The handle of the conversation currently living in descriptor
-    /// `index`, if any: how a caller holding only part of a handle (the
-    /// `Mpf` facade's 31-bit `LnvcId`) recovers the whole of it.
-    pub fn id_at(&self, index: u32) -> Option<IpcLnvcId> {
+    /// `index`, if any (a detaching view closes what it still holds).
+    fn id_at(&self, index: u32) -> Option<LnvcId> {
         if index >= self.cfg.max_lnvcs {
             return None;
         }
@@ -2464,10 +2413,10 @@ impl IpcMpf {
         // Generation first: a recycle between the two loads then yields a
         // handle that is already stale, never a fresh one for a dead slot.
         let generation = d.generation.load(Ordering::Acquire);
-        (d.active.load(Ordering::Acquire) == 1).then(|| IpcLnvcId::new(generation, index))
+        (d.active.load(Ordering::Acquire) == 1).then(|| LnvcId::new(generation, index))
     }
 
-    fn resolve(&self, id: IpcLnvcId) -> Result<(u32, &LnvcDesc)> {
+    fn resolve(&self, id: LnvcId) -> Result<(u32, &LnvcDesc)> {
         let idx = id.index();
         if idx >= self.cfg.max_lnvcs {
             return Err(MpfError::UnknownLnvc);
@@ -2709,7 +2658,7 @@ impl IpcMpf {
     }
 
     /// Snapshot of one conversation's telemetry.
-    pub fn lnvc_telemetry(&self, id: IpcLnvcId) -> Result<LnvcTelSnapshot> {
+    pub fn lnvc_telemetry(&self, id: LnvcId) -> Result<LnvcTelSnapshot> {
         let (idx, d) = self.resolve(id)?;
         self.lock_lnvc(d);
         let snap = self.t.lnvc_tel(idx).snapshot();
@@ -2812,14 +2761,14 @@ impl IpcMpf {
     /// Queued (undelivered or partially-delivered) message count of a
     /// conversation.  Racy diagnostic: drain protocols use it to decide
     /// whether a queue has quiesced after pausing intake.
-    pub fn queue_depth(&self, id: IpcLnvcId) -> Result<u32> {
+    pub fn queue_depth(&self, id: LnvcId) -> Result<u32> {
         let (_, d) = self.resolve(id)?;
         Ok(d.msg_count.load(Ordering::Acquire))
     }
 
     /// Whether a conversation has been poisoned by a dead peer (sticky
     /// until the conversation is deleted and its name recycled).
-    pub fn lnvc_poisoned(&self, id: IpcLnvcId) -> Result<bool> {
+    pub fn lnvc_poisoned(&self, id: LnvcId) -> Result<bool> {
         let (_, d) = self.resolve(id)?;
         Ok(d.poisoned.load(Ordering::Acquire) != 0)
     }
@@ -3092,7 +3041,7 @@ impl IpcMpf {
     /// hook for dead-lock-holder scenarios (the seizing process is then
     /// killed, and survivors must break the lock).
     #[doc(hidden)]
-    pub fn debug_seize_lnvc_lock(&self, id: IpcLnvcId) -> Result<()> {
+    pub fn debug_seize_lnvc_lock(&self, id: LnvcId) -> Result<()> {
         let (_, d) = self.resolve(id)?;
         self.lock_lnvc(d);
         Ok(())
@@ -3102,7 +3051,7 @@ impl IpcMpf {
     /// survival path of modeled-death scenarios, where the would-be
     /// victim outlives the schedule and must hand the lock back.
     #[doc(hidden)]
-    pub fn debug_release_lnvc_lock(&self, id: IpcLnvcId) -> Result<()> {
+    pub fn debug_release_lnvc_lock(&self, id: LnvcId) -> Result<()> {
         let (_, d) = self.resolve(id)?;
         d.lock.unlock();
         Ok(())

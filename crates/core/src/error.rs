@@ -23,8 +23,8 @@ pub enum MpfError {
     LnvcsExhausted,
     /// All connection descriptors are in use.
     ConnectionsExhausted,
-    /// All message headers are in use (the engine's non-waiting sends; the
-    /// `*_deadline` forms and the [`crate::Mpf`] facade wait instead).
+    /// All message headers are in use (every plain send, on [`crate::Mpf`]
+    /// and on a view alike; the `*_deadline` forms wait instead).
     MessagesExhausted,
     /// All message blocks are in use (likewise).
     BlocksExhausted,

@@ -2,22 +2,22 @@
 //!
 //! The protocol lives in [`crate::engine`] and runs on a carved region.
 //! `Mpf` is the engine on an anonymous, process-private region
-//! ([`IpcMpf::anon`]) with every process slot claimed up front: one view
-//! per [`ProcessId`], so `mpf.message_send(pid, id, buf)` is
-//! `views[pid].message_send(id, buf)`.  Nothing here queues, pools or
-//! locks; the facade only picks the view and maps [`LnvcId`] to the
-//! engine's handle and back.  Its sends wait out pool exhaustion; the
-//! typed error is [`Mpf::try_message_send`]'s or the view's own send's.
+//! ([`IpcMpf::anon`]) with every process slot claimed up front: a table of
+//! views, one per [`ProcessId`], so `mpf.message_send(pid, id, buf)` is
+//! `mpf.view(pid)?.message_send(id, buf)` — the same handle, the same
+//! result.  Nothing here queues, pools, locks or waits.  `Mpf` spells the
+//! paper's primitives and the names the repo benchmark calls; everything
+//! else the engine offers (deadlines, try-forms, multi-conversation waits,
+//! zero-copy scans, per-conversation telemetry) is on the view.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use mpf_shm::process::ProcessId;
-use mpf_shm::telemetry::{LnvcTelSnapshot, TelSnapshot};
-use mpf_shm::tracering::TraceEvent;
+use mpf_shm::telemetry::TelSnapshot;
 
 use crate::config::MpfConfig;
-use crate::engine::{AttachError, IpcLnvcId, IpcMpf};
+use crate::engine::{AttachError, IpcMpf};
 use crate::error::{MpfError, Result};
 use crate::types::{AioCompletion, AioStats, LnvcId, Protocol, Reclaimable, MAX_LNVC_INDEX};
 
@@ -60,101 +60,19 @@ impl Mpf {
         &self.cfg
     }
 
-    /// The engine's handle for logical process `pid`: everything `Mpf`
-    /// does on `pid`'s behalf goes through it, and layers that want the
-    /// engine's own surface (the async reactor, dead-peer probes) take it
-    /// from here.
+    /// The engine's handle for logical process `pid`: every method below
+    /// is this view's method of the same name, and the rest of the
+    /// engine's surface — and the async layer ([`IpcMpf`] is what
+    /// `AsyncMpf::new` wraps) — is reached through it.
     pub fn view(&self, pid: ProcessId) -> Result<&Arc<IpcMpf>> {
         self.views.get(pid.index()).ok_or(MpfError::InvalidProcess)
-    }
-
-    /// The view for calls that name no process.
-    fn any(&self) -> &IpcMpf {
-        &self.views[0]
-    }
-
-    /// The engine handle behind `id`.  An [`LnvcId`] carries the slot index
-    /// and 15 bits of the slot's generation; the rest is read back from the
-    /// slot, and an id minted under another generation is stale.
-    pub fn ipc_id(&self, id: LnvcId) -> Result<IpcLnvcId> {
-        match self.any().id_at(id.index()) {
-            Some(full) if id.matches_generation(full.generation()) => Ok(full),
-            _ => Err(MpfError::UnknownLnvc),
-        }
-    }
-
-    /// The view of `pid` and the engine handle behind `id`.
-    fn on(&self, pid: ProcessId, id: LnvcId) -> Result<(&IpcMpf, IpcLnvcId)> {
-        Ok((self.view(pid)?, self.ipc_id(id)?))
-    }
-
-    /// Point-in-time copy of the region telemetry (stays zero when
-    /// [`MpfConfig::with_telemetry`] turned recording off).
-    pub fn telemetry_snapshot(&self) -> TelSnapshot {
-        self.any().telemetry_snapshot()
-    }
-
-    /// Point-in-time copy of one conversation's telemetry.
-    pub fn lnvc_telemetry(&self, id: LnvcId) -> Result<LnvcTelSnapshot> {
-        self.any().lnvc_telemetry(self.ipc_id(id)?)
-    }
-
-    /// Pool occupancy held by corpses: queued messages that are fully
-    /// consumed, awaiting a reclamation sweep.  Distinguishes "pool full of
-    /// live messages" from "pool full of garbage a sweep would free".
-    /// Locks each descriptor, like [`Self::check_invariants`], so call it
-    /// at quiescent points.
-    pub fn reclaimable(&self) -> Reclaimable {
-        self.any().reclaimable()
-    }
-
-    /// Number of currently existing conversations.
-    pub fn live_lnvcs(&self) -> usize {
-        self.any().live_lnvcs()
-    }
-
-    /// Free message blocks (walks the free list: a diagnostic, not a
-    /// hot-path flow-control hint).
-    pub fn free_blocks(&self) -> u32 {
-        self.any().free_blocks()
-    }
-
-    /// Whether a conversation named `name` exists right now.  A hint only:
-    /// the answer can be stale by the time the caller acts on it.
-    /// Service layers poll this to discover rendezvous points (e.g. an
-    /// epoch-suffixed request queue) without creating them as a side
-    /// effect the way `open_*` would.
-    pub fn lnvc_exists(&self, name: &str) -> bool {
-        self.any().lnvc_exists(name)
-    }
-
-    /// Queued (undelivered or partially-delivered) message count of a
-    /// conversation.  Racy diagnostic: drain protocols use it to decide
-    /// whether a queue has quiesced after pausing intake.
-    pub fn queue_depth(&self, id: LnvcId) -> Result<u32> {
-        self.any().queue_depth(self.ipc_id(id)?)
-    }
-
-    /// The surviving contents of `pid`'s causal trace ring, oldest first
-    /// (the `mpf-trace` crate reconstructs chains from these).
-    pub fn trace_events(&self, pid: ProcessId) -> Result<Vec<TraceEvent>> {
-        let view = self.view(pid)?;
-        Ok(view.trace_events(view.pid()))
-    }
-
-    /// Occupancy of `pid`'s trace ring: `(records ever written, chains
-    /// skipped by sampling)`.
-    pub fn trace_ring_stats(&self, pid: ProcessId) -> Result<(u64, u64)> {
-        let view = self.view(pid)?;
-        view.trace_ring_stats(view.pid())
-            .ok_or(MpfError::InvalidProcess)
     }
 
     /// `open_send(process_id, lnvc_name)`: establishes a send connection,
     /// creating the conversation if needed.  Returns MPF's internal LNVC
     /// identifier for use in `message_send` and `close_send`.
     pub fn open_send(&self, pid: ProcessId, name: &str) -> Result<LnvcId> {
-        self.view(pid)?.open_send(name).map(LnvcId::from)
+        self.view(pid)?.open_send(name)
     }
 
     /// `open_receive(process_id, lnvc_name, protocol)`: establishes a
@@ -166,17 +84,14 @@ impl Mpf {
     /// by the same process fails (with [`MpfError::ProtocolConflict`] if
     /// the protocols differ, [`MpfError::AlreadyConnected`] otherwise).
     pub fn open_receive(&self, pid: ProcessId, name: &str, protocol: Protocol) -> Result<LnvcId> {
-        self.view(pid)?
-            .open_receive(name, protocol)
-            .map(LnvcId::from)
+        self.view(pid)?.open_receive(name, protocol)
     }
 
     /// `close_send(process_id, lnvc_id)`: removes the process's send
     /// connection.  The last connection out deletes the conversation:
     /// "the LNVC is deleted and all unread messages are discarded" (§2).
     pub fn close_send(&self, pid: ProcessId, id: LnvcId) -> Result<()> {
-        let (view, id) = self.on(pid, id)?;
-        view.close_send(id)
+        self.view(pid)?.close_send(id)
     }
 
     /// `close_receive(process_id, lnvc_id)`: removes the process's receive
@@ -184,39 +99,16 @@ impl Mpf {
     /// performs the paper's §3.2 sweep, releasing the receiver's claim on
     /// every message from its cursor to the tail.
     pub fn close_receive(&self, pid: ProcessId, id: LnvcId) -> Result<()> {
-        let (view, id) = self.on(pid, id)?;
-        view.close_receive(id)
+        self.view(pid)?.close_receive(id)
     }
 
     /// `message_send(process_id, lnvc_id, send_buffer, buffer_length)`:
-    /// asynchronous send.  When the region is full it waits for a
-    /// consumer to free room: the paper's fixed region simply fills and
-    /// senders are at the mercy of consumers.
+    /// asynchronous send.  A full region fails at once with
+    /// [`MpfError::MessagesExhausted`] / [`MpfError::BlocksExhausted`] and
+    /// nothing enqueued; `view(pid)?.send_deadline(id, buf, None)` is the
+    /// send that waits for a consumer to free room.
     pub fn message_send(&self, pid: ProcessId, id: LnvcId, buf: &[u8]) -> Result<()> {
-        self.send_deadline(pid, id, buf, None)
-    }
-
-    /// [`Self::message_send`] bounded by `deadline`: under region exhaustion
-    /// the sender blocks until the deadline, then fails with
-    /// [`MpfError::TimedOut`] and **nothing enqueued** (safe to retry or
-    /// drop).  `None` blocks indefinitely, exactly like `message_send`.
-    pub fn send_deadline(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        buf: &[u8],
-        deadline: Option<Instant>,
-    ) -> Result<()> {
-        let (view, id) = self.on(pid, id)?;
-        view.send_deadline(id, buf, deadline)
-    }
-
-    /// Non-blocking send: `Ok(false)` when the region is exhausted right
-    /// now (the async layer retries after a memory wakeup instead of
-    /// parking the thread).  Connection/validity errors still fail.
-    pub fn try_message_send(&self, pid: ProcessId, id: LnvcId, buf: &[u8]) -> Result<bool> {
-        let (view, id) = self.on(pid, id)?;
-        view.try_message_send(id, buf)
+        self.view(pid)?.message_send(id, buf)
     }
 
     /// `message_receive(process_id, lnvc_id, receive_buffer,
@@ -224,72 +116,7 @@ impl Mpf {
     /// transferred ("buffer_length is set to the number of bytes
     /// transferred").
     pub fn message_receive(&self, pid: ProcessId, id: LnvcId, buf: &mut [u8]) -> Result<usize> {
-        let (view, id) = self.on(pid, id)?;
-        view.message_receive(id, buf)
-    }
-
-    /// [`Self::message_receive`] bounded by `deadline`: blocks until a
-    /// message is delivered or the deadline passes, then fails with
-    /// [`MpfError::TimedOut`] and nothing consumed.  A delivery racing
-    /// the deadline wins — the queue is always re-checked after the
-    /// final wait.  `None` blocks indefinitely.
-    pub fn recv_deadline(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        buf: &mut [u8],
-        deadline: Option<Instant>,
-    ) -> Result<usize> {
-        let (view, id) = self.on(pid, id)?;
-        view.recv_deadline(id, buf, deadline)
-    }
-
-    /// Non-blocking variant of [`Self::message_receive`]; `Ok(None)` when
-    /// no message is available.
-    pub fn try_message_receive(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        buf: &mut [u8],
-    ) -> Result<Option<usize>> {
-        let (view, id) = self.on(pid, id)?;
-        view.try_message_receive(id, buf)
-    }
-
-    /// Zero-copy blocking receive: the next message's payload is visited
-    /// in order as slices borrowed straight from the shared region, with
-    /// no intermediate copy into a user buffer — the paper's §5 "direct
-    /// data transfer" idea applied to the receive side.  Each slice is a
-    /// maximal contiguous run of the message's blocks: one slice for the
-    /// whole payload when its chain was cut from an unfragmented pool, at
-    /// most one per block otherwise.  Returns the message length.
-    ///
-    /// The message is consumed exactly as by [`Self::message_receive`];
-    /// the visitor runs under the conversation's lock, like the copy it
-    /// replaces, so it must not call back into the facility.
-    pub fn message_receive_scan(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        visit: impl FnMut(&[u8]),
-    ) -> Result<usize> {
-        let (view, id) = self.on(pid, id)?;
-        view.message_receive_scan(id, visit)
-    }
-
-    /// Blocking receive into a freshly sized `Vec` (convenience; not in
-    /// the paper's C interface).
-    pub fn message_receive_vec(&self, pid: ProcessId, id: LnvcId) -> Result<Vec<u8>> {
-        let (view, id) = self.on(pid, id)?;
-        let mut one = view.recv_batch(id, 1)?;
-        Ok(one.pop().expect("a blocking batch of one delivers one"))
-    }
-
-    /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing is
-    /// deliverable.
-    pub fn try_message_receive_vec(&self, pid: ProcessId, id: LnvcId) -> Result<Option<Vec<u8>>> {
-        let (view, id) = self.on(pid, id)?;
-        view.try_message_receive_vec(id)
+        self.view(pid)?.message_receive(id, buf)
     }
 
     /// `check_receive(process_id, lnvc_id)`: true if a message is waiting
@@ -297,91 +124,58 @@ impl Mpf {
     /// be present at the next `message_receive`; for FCFS another receiver
     /// may still take it first (the paper's §2 caution).
     pub fn check_receive(&self, pid: ProcessId, id: LnvcId) -> Result<bool> {
-        let (view, id) = self.on(pid, id)?;
-        view.check_receive(id)
-    }
-
-    /// Polls several conversations; returns the first (in argument order)
-    /// with a message waiting for `pid`.  The FCFS caveat of
-    /// [`Self::check_receive`] applies per conversation.
-    pub fn check_any(&self, pid: ProcessId, ids: &[LnvcId]) -> Result<Option<LnvcId>> {
-        for &id in ids {
-            if self.check_receive(pid, id)? {
-                return Ok(Some(id));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Blocks until one of the conversations has a message for `pid`;
-    /// returns which.  Not a paper primitive — 1987 programs built this
-    /// select loop out of `check_receive` (the SOR solver's monitor is the
-    /// use case) — but ours sleeps properly: every member is watched
-    /// *before* the scan, so a send (or close) landing after it rings the
-    /// process's doorbell instead of being lost.
-    ///
-    /// An empty `ids` slice is rejected with [`MpfError::EmptyWaitSet`]:
-    /// waiting on no conversations could never wake.
-    pub fn wait_any(&self, pid: ProcessId, ids: &[LnvcId]) -> Result<LnvcId> {
-        self.wait_any_deadline(pid, ids, None)
-    }
-
-    /// [`Self::wait_any`] bounded by `deadline`: [`MpfError::TimedOut`]
-    /// if no conversation has a message for `pid` by then.  A message
-    /// arriving as the deadline expires is reported, not timed out (the
-    /// set is re-polled after the final wait).
-    pub fn wait_any_deadline(
-        &self,
-        pid: ProcessId,
-        ids: &[LnvcId],
-        deadline: Option<Instant>,
-    ) -> Result<LnvcId> {
-        let view = self.view(pid)?;
-        let full = ids
-            .iter()
-            .map(|&id| self.ipc_id(id))
-            .collect::<Result<Vec<_>>>()?;
-        view.wait_any_deadline(&full, deadline).map(LnvcId::from)
+        self.view(pid)?.check_receive(id)
     }
 
     // ------------------------------------------------------------------
     // Batched submission (aio): SQ/CQ rings, one doorbell per batch.
     // ------------------------------------------------------------------
 
-    /// Stages up to `payloads.len()` send descriptors in `pid`'s
-    /// submission ring and rings the doorbell **once**.  Each descriptor's
-    /// `user_data` token is its index within `payloads`.
-    ///
-    /// Returns the number staged: allocation waits out exhaustion while
-    /// nothing at all can be staged, and a full ring or a dry pool stops
-    /// the batch early
-    /// — a partial submit.  An empty batch is `Ok(0)` with no doorbell; a
-    /// ring with no room for even the first descriptor is
-    /// [`MpfError::WouldBlock`] (drain, then resubmit the rest).
-    pub fn submit_sends(&self, pid: ProcessId, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
-        self.submit_sends_deadline(pid, id, payloads, None)
+    /// Submit + drain + reap in one pass: one doorbell, one lock hold and
+    /// one receiver wake for what the ring and the pools take; a pool or
+    /// ring that takes nothing is the typed error
+    /// ([`IpcMpf::send_batch`]).  `send_batch_deadline(.., None)` is the
+    /// form that waits until the whole batch is sent.
+    pub fn send_batch(
+        &self,
+        pid: ProcessId,
+        id: LnvcId,
+        payloads: &[&[u8]],
+    ) -> Result<Vec<AioCompletion>> {
+        self.view(pid)?.send_batch(id, payloads)
     }
 
-    /// [`Self::submit_sends`] bounded by `deadline`: exhaustion waits time
-    /// out, surfacing [`MpfError::TimedOut`] when nothing was staged
-    /// (partial progress still wins otherwise).
-    pub fn submit_sends_deadline(
+    /// [`Self::send_batch`] that resubmits until the whole batch is sent
+    /// or `deadline` passes ([`IpcMpf::send_batch_deadline`]).
+    pub fn send_batch_deadline(
         &self,
         pid: ProcessId,
         id: LnvcId,
         payloads: &[&[u8]],
         deadline: Option<Instant>,
-    ) -> Result<usize> {
-        let (view, id) = self.on(pid, id)?;
-        view.submit_sends_deadline(id, payloads, deadline)
+    ) -> Result<Vec<AioCompletion>> {
+        self.view(pid)?.send_batch_deadline(id, payloads, deadline)
     }
 
-    /// Drains `pid`'s submission ring: links every staged message under
-    /// one descriptor-lock hold per run of same-conversation descriptors,
-    /// wakes receivers **once** per run, and pushes one completion per
-    /// descriptor into the CQ (doorbell rung once).  Stops early if the
-    /// CQ lacks space, so no completion is ever dropped.  Returns the
-    /// number completed.
+    /// Batched blocking receive: waits for traffic, then drains up to
+    /// `max` messages under one lock hold with one reclamation pass.
+    /// `max == 0` returns an empty batch immediately.
+    pub fn recv_batch(&self, pid: ProcessId, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
+        self.view(pid)?.recv_batch(id, max)
+    }
+
+    /// Stages up to `payloads.len()` send descriptors in `pid`'s
+    /// submission ring and rings its doorbell once
+    /// ([`IpcMpf::submit_sends`]): a partial submit when the ring or a
+    /// pool runs short, [`MpfError::WouldBlock`] when the ring has no
+    /// room at all, the pool's error when it has none.
+    pub fn submit_sends(&self, pid: ProcessId, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
+        self.view(pid)?.submit_sends(id, payloads)
+    }
+
+    /// Drains `pid`'s submission ring into the conversations and its
+    /// completion ring ([`IpcMpf::drain_sends`]); returns the number
+    /// completed.
     pub fn drain_sends(&self, pid: ProcessId) -> Result<usize> {
         Ok(self.view(pid)?.drain_sends())
     }
@@ -392,89 +186,43 @@ impl Mpf {
         Ok(self.view(pid)?.reap_completions(out))
     }
 
-    /// Submit + drain + reap in one call: sends the whole batch with one
-    /// doorbell, one lock hold, and one receiver wake, returning the
-    /// completions (tokens are indices into `payloads`).  May also return
-    /// completions left over from earlier partial cycles on this ring.
-    /// Keeps going until the whole batch is sent.
-    pub fn send_batch(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<AioCompletion>> {
-        self.send_batch_deadline(pid, id, payloads, None)
-    }
-
-    /// [`Self::send_batch`] bounded by `deadline`: allocation waits time
-    /// out with [`MpfError::TimedOut`] when nothing could be staged by
-    /// the deadline; a partially staged batch is drained and returned.
-    pub fn send_batch_deadline(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        payloads: &[&[u8]],
-        deadline: Option<Instant>,
-    ) -> Result<Vec<AioCompletion>> {
-        let (view, id) = self.on(pid, id)?;
-        view.send_batch_deadline(id, payloads, deadline)
-    }
-
-    /// Batched blocking receive: waits for traffic, then drains up to
-    /// `max` messages under one lock hold with one reclamation pass.
-    /// `max == 0` returns an empty batch immediately.
-    pub fn recv_batch(&self, pid: ProcessId, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        self.recv_batch_deadline(pid, id, max, None)
-    }
-
-    /// [`Self::recv_batch`] bounded by `deadline`: [`MpfError::TimedOut`]
-    /// if nothing was deliverable by then (a batch racing the deadline is
-    /// delivered — the queue is drained once more after the final wait).
-    pub fn recv_batch_deadline(
-        &self,
-        pid: ProcessId,
-        id: LnvcId,
-        max: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<Vec<u8>>> {
-        let (view, id) = self.on(pid, id)?;
-        view.recv_batch_deadline(id, max, deadline)
-    }
-
-    /// Non-blocking [`Self::recv_batch`]: drains whatever is deliverable
-    /// right now (possibly nothing).
-    pub fn try_recv_batch(&self, pid: ProcessId, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
-        let (view, id) = self.on(pid, id)?;
-        view.try_recv_batch(id, max)
-    }
-
     /// Counters of `pid`'s submission/completion ring pair.
     pub fn aio_stats(&self, pid: ProcessId) -> Result<AioStats> {
         Ok(self.view(pid)?.aio_stats())
     }
 
+    // ------------------------------------------------------------------
+    // Region-wide diagnostics: every view answers alike; slot 0's does.
+    // ------------------------------------------------------------------
+
+    /// Point-in-time copy of the region telemetry (stays zero when
+    /// [`MpfConfig::with_telemetry`] turned recording off).
+    pub fn telemetry_snapshot(&self) -> TelSnapshot {
+        self.views[0].telemetry_snapshot()
+    }
+
+    /// Pool occupancy held by corpses: queued messages that are fully
+    /// consumed, awaiting a reclamation sweep.  Locks each descriptor, so
+    /// call it at quiescent points.
+    pub fn reclaimable(&self) -> Reclaimable {
+        self.views[0].reclaimable()
+    }
+
+    /// Number of currently existing conversations.
+    pub fn live_lnvcs(&self) -> usize {
+        self.views[0].live_lnvcs()
+    }
+
+    /// Free message blocks (walks the free list: a diagnostic, not a
+    /// hot-path flow-control hint).
+    pub fn free_blocks(&self) -> u32 {
+        self.views[0].free_blocks()
+    }
+
     /// Audits every structural invariant of the facility
-    /// ([`IpcMpf::check_invariants`]): registry ↔ descriptors, queued
-    /// messages, blocks and connections ↔ pool occupancy, per-message
-    /// delivery bookkeeping.  For **quiescent points** only.
+    /// ([`IpcMpf::check_invariants`]).  For **quiescent points** only.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        self.any().check_invariants()
-    }
-
-    /// Panics with the violation description if [`Self::check_invariants`]
-    /// fails.  Convenient at the end of tests.
-    pub fn assert_invariants(&self) {
-        if let Err(e) = self.check_invariants() {
-            panic!("MPF invariant violated: {e}");
-        }
-    }
-}
-
-impl From<IpcLnvcId> for LnvcId {
-    /// The facade's short form of an engine handle: the slot index and the
-    /// low 15 bits of its generation ([`Mpf::ipc_id`] maps it back).
-    fn from(full: IpcLnvcId) -> Self {
-        LnvcId::from_parts(full.index(), full.generation())
+        self.views[0].check_invariants()
     }
 }
 
@@ -493,6 +241,16 @@ mod tests {
 
     fn p(i: usize) -> ProcessId {
         ProcessId::from_index(i)
+    }
+
+    /// Process `i`'s view: where everything past the paper's primitives is.
+    fn v(mpf: &Mpf, i: usize) -> &IpcMpf {
+        mpf.view(p(i)).unwrap()
+    }
+
+    /// A blocking receive into a fresh `Vec`: a batch of one.
+    fn recv_vec(mpf: &Mpf, pid: ProcessId, id: LnvcId) -> Vec<u8> {
+        mpf.recv_batch(pid, id, 1).unwrap().pop().unwrap()
     }
 
     #[test]
@@ -561,7 +319,7 @@ mod tests {
         let r2 = mpf.open_receive(p(2), "news", Protocol::Broadcast).unwrap();
         mpf.message_send(p(0), tx, b"extra extra").unwrap();
         for (pid, rx) in [(p(1), r1), (p(2), r2)] {
-            let v = mpf.message_receive_vec(pid, rx).unwrap();
+            let v = recv_vec(&mpf, pid, rx);
             assert_eq!(v, b"extra extra");
         }
         // Fully consumed: blocks back on the free list.
@@ -576,9 +334,9 @@ mod tests {
         let rb1 = mpf.open_receive(p(2), "mix", Protocol::Broadcast).unwrap();
         let rb2 = mpf.open_receive(p(3), "mix", Protocol::Broadcast).unwrap();
         mpf.message_send(p(0), tx, b"both").unwrap();
-        assert_eq!(mpf.message_receive_vec(p(1), rf).unwrap(), b"both");
-        assert_eq!(mpf.message_receive_vec(p(2), rb1).unwrap(), b"both");
-        assert_eq!(mpf.message_receive_vec(p(3), rb2).unwrap(), b"both");
+        assert_eq!(recv_vec(&mpf, p(1), rf), b"both");
+        assert_eq!(recv_vec(&mpf, p(2), rb1), b"both");
+        assert_eq!(recv_vec(&mpf, p(3), rb2), b"both");
         assert!(!mpf.check_receive(p(1), rf).unwrap());
     }
 
@@ -600,11 +358,11 @@ mod tests {
         mpf.message_send(p(0), tx, &[7u8; 100]).unwrap();
         let mut small = [0u8; 10];
         assert_eq!(
-            mpf.try_message_receive(p(1), rx, &mut small).unwrap_err(),
+            v(&mpf, 1).try_message_receive(rx, &mut small).unwrap_err(),
             MpfError::BufferTooSmall { needed: 100 }
         );
         // Still there; a big enough buffer gets it.
-        let v = mpf.message_receive_vec(p(1), rx).unwrap();
+        let v = recv_vec(&mpf, p(1), rx);
         assert_eq!(v.len(), 100);
     }
 
@@ -639,7 +397,7 @@ mod tests {
         );
         let mut buf = [0u8; 4];
         assert_eq!(
-            mpf.try_message_receive(p(0), tx, &mut buf).unwrap_err(),
+            v(&mpf, 0).try_message_receive(tx, &mut buf).unwrap_err(),
             MpfError::NotConnected
         );
     }
@@ -662,10 +420,7 @@ mod tests {
         let tx = mpf.open_send(p(0), "early").unwrap();
         mpf.message_send(p(0), tx, b"waiting for you").unwrap();
         let rx = mpf.open_receive(p(1), "early", Protocol::Fcfs).unwrap();
-        assert_eq!(
-            mpf.message_receive_vec(p(1), rx).unwrap(),
-            b"waiting for you"
-        );
+        assert_eq!(recv_vec(&mpf, p(1), rx), b"waiting for you");
     }
 
     #[test]
@@ -677,7 +432,7 @@ mod tests {
         let r2 = mpf.open_receive(p(2), "talk", Protocol::Broadcast).unwrap();
         assert!(!mpf.check_receive(p(2), r2).unwrap());
         mpf.message_send(p(0), tx, b"after").unwrap();
-        assert_eq!(mpf.message_receive_vec(p(2), r2).unwrap(), b"after");
+        assert_eq!(recv_vec(&mpf, p(2), r2), b"after");
     }
 
     #[test]
@@ -691,7 +446,7 @@ mod tests {
         }
         // r1 reads everything; r2 reads nothing and closes.
         for _ in 0..3 {
-            mpf.message_receive_vec(p(1), r1).unwrap();
+            recv_vec(&mpf, p(1), r1);
         }
         assert!(mpf.free_blocks() < 256, "r2's claims pin the messages");
         mpf.close_receive(p(2), r2).unwrap();
@@ -701,7 +456,7 @@ mod tests {
             "the vexing-problem sweep frees them"
         );
         assert_eq!(mpf.reclaimable(), Reclaimable::default());
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -734,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_is_a_typed_error_through_the_view() {
+    fn exhaustion_is_a_typed_error() {
         let mpf = Mpf::init(
             MpfConfig::new(2, 2)
                 .with_total_blocks(4)
@@ -743,28 +498,27 @@ mod tests {
         )
         .unwrap();
         let tx = mpf.open_send(p(0), "full").unwrap();
-        let (view, id) = mpf.on(p(0), tx).unwrap();
         mpf.message_send(p(0), tx, &[0u8; 40]).unwrap();
         assert_eq!(
-            view.message_send(id, &[0u8; 10]).unwrap_err(),
+            mpf.message_send(p(0), tx, &[0u8; 10]).unwrap_err(),
             MpfError::BlocksExhausted
         );
-        assert_eq!(mpf.try_message_send(p(0), tx, &[0u8; 10]), Ok(false));
+        assert_eq!(v(&mpf, 0).try_message_send(tx, &[0u8; 10]), Ok(false));
         assert_eq!(
             mpf.message_send(p(0), tx, &[0u8; 1000]).unwrap_err(),
             MpfError::MessageTooLarge { len: 1000, max: 40 }
         );
         // Blocks to spare, headers none: the other pool's error.
         let rx = mpf.open_receive(p(1), "full", Protocol::Fcfs).unwrap();
-        assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap().len(), 40);
+        assert_eq!(recv_vec(&mpf, p(1), rx).len(), 40);
         for _ in 0..2 {
-            view.message_send(id, b"x").unwrap();
+            mpf.message_send(p(0), tx, b"x").unwrap();
         }
         assert_eq!(
-            view.message_send(id, b"x").unwrap_err(),
+            mpf.message_send(p(0), tx, b"x").unwrap_err(),
             MpfError::MessagesExhausted
         );
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -782,18 +536,19 @@ mod tests {
         let sent_second = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                mpf.message_send(p(0), tx, &[2u8; 20]).unwrap(); // blocks
+                // The send that waits for room (the plain one fails).
+                v(&mpf, 0).send_deadline(tx, &[2u8; 20], None).unwrap();
                 sent_second.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(std::time::Duration::from_millis(30));
             assert!(!sent_second.load(Ordering::SeqCst), "sender must block");
-            let v = mpf.message_receive_vec(p(1), rx).unwrap();
+            let v = recv_vec(&mpf, p(1), rx);
             assert_eq!(v.len(), 40);
         });
         assert!(sent_second.load(Ordering::SeqCst));
-        let v = mpf.message_receive_vec(p(1), rx).unwrap();
+        let v = recv_vec(&mpf, p(1), rx);
         assert_eq!(v, vec![2u8; 20]);
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -802,12 +557,12 @@ mod tests {
         let tx = mpf.open_send(p(0), "wake").unwrap();
         let rx = mpf.open_receive(p(1), "wake", Protocol::Fcfs).unwrap();
         std::thread::scope(|s| {
-            let h = s.spawn(|| mpf.message_receive_vec(p(1), rx).unwrap());
+            let h = s.spawn(|| recv_vec(&mpf, p(1), rx));
             std::thread::sleep(std::time::Duration::from_millis(20));
             mpf.message_send(p(0), tx, b"good morning").unwrap();
             assert_eq!(h.join().unwrap(), b"good morning");
         });
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -817,8 +572,8 @@ mod tests {
         let rx = mpf.open_receive(p(1), "tel", Protocol::Fcfs).unwrap();
         mpf.message_send(p(0), tx, &[0u8; 50]).unwrap();
         mpf.message_send(p(0), tx, &[0u8; 70]).unwrap();
-        mpf.message_receive_vec(p(1), rx).unwrap();
-        mpf.message_receive_vec(p(1), rx).unwrap();
+        recv_vec(&mpf, p(1), rx);
+        recv_vec(&mpf, p(1), rx);
         let t = mpf.telemetry_snapshot();
         assert_eq!(t.sends, 2);
         assert_eq!(t.receives, 2);
@@ -830,7 +585,7 @@ mod tests {
         assert_eq!(t.size_hist.max, 70);
         assert_eq!(t.latency_hist.count, 2, "every delivery samples latency");
         assert!(t.latency_hist.percentile(0.99) >= t.latency_hist.percentile(0.50));
-        let lt = mpf.lnvc_telemetry(rx).unwrap();
+        let lt = v(&mpf, 0).lnvc_telemetry(rx).unwrap();
         assert_eq!(lt.sends, 2);
         assert_eq!(lt.receives, 2);
         assert_eq!(lt.bytes_in, 120);
@@ -850,13 +605,13 @@ mod tests {
         let rx = mpf.open_receive(p(1), "quiet", Protocol::Fcfs).unwrap();
         mpf.message_send(p(0), tx, &[7u8; 50]).unwrap();
         // The message is delivered all the same; only the books stay shut.
-        assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap(), vec![7u8; 50]);
+        assert_eq!(recv_vec(&mpf, p(1), rx), vec![7u8; 50]);
         let t = mpf.telemetry_snapshot();
         assert_eq!(t.sends, 0);
         assert_eq!(t.receives, 0);
         assert_eq!(t.lnvcs_created, 0);
         assert_eq!(t.latency_hist.count, 0);
-        assert_eq!(mpf.lnvc_telemetry(rx).unwrap().sends, 0);
+        assert_eq!(v(&mpf, 0).lnvc_telemetry(rx).unwrap().sends, 0);
     }
 
     #[test]
@@ -866,7 +621,7 @@ mod tests {
         mpf.message_send(p(0), id1, b"old").unwrap();
         mpf.close_send(p(0), id1).unwrap();
         let id2 = mpf.open_send(p(0), "cycle").unwrap();
-        let lt = mpf.lnvc_telemetry(id2).unwrap();
+        let lt = v(&mpf, 0).lnvc_telemetry(id2).unwrap();
         assert_eq!(lt.sends, 0, "new conversation starts from zero");
         assert_eq!(lt.depth_hwm, 0);
     }
@@ -885,7 +640,7 @@ mod tests {
             mpf.message_send(p(0), tx, &[1u8; 64]).unwrap();
         }
         for _ in 0..3 {
-            mpf.message_receive_vec(p(1), r1).unwrap();
+            recv_vec(&mpf, p(1), r1);
         }
         assert_eq!(
             mpf.reclaimable(),
@@ -895,7 +650,7 @@ mod tests {
         mpf.close_receive(p(2), r2).unwrap();
         assert_eq!(mpf.reclaimable(), Reclaimable::default());
         assert_eq!(mpf.free_blocks(), 256);
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -907,40 +662,37 @@ mod tests {
             mpf.message_send(p(0), tx, &[i]).unwrap();
         }
         for i in 0..20u8 {
-            assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap(), vec![i]);
+            assert_eq!(recv_vec(&mpf, p(1), rx), vec![i]);
         }
     }
 
     #[test]
-    fn check_any_and_wait_any_select_across_conversations() {
+    fn wait_any_selects_across_conversations() {
         let mpf = facility();
         let a_tx = mpf.open_send(p(0), "sel:a").unwrap();
         let b_tx = mpf.open_send(p(0), "sel:b").unwrap();
         let a_rx = mpf.open_receive(p(1), "sel:a", Protocol::Fcfs).unwrap();
         let b_rx = mpf.open_receive(p(1), "sel:b", Protocol::Fcfs).unwrap();
+        let wait_any = |ids: &[LnvcId]| v(&mpf, 1).wait_any_deadline(ids, None).unwrap();
 
-        assert_eq!(mpf.check_any(p(1), &[a_rx, b_rx]).unwrap(), None);
         mpf.message_send(p(0), b_tx, b"second conversation")
             .unwrap();
-        assert_eq!(mpf.check_any(p(1), &[a_rx, b_rx]).unwrap(), Some(b_rx));
-        assert_eq!(mpf.wait_any(p(1), &[a_rx, b_rx]).unwrap(), b_rx);
+        assert_eq!(wait_any(&[a_rx, b_rx]), b_rx);
 
         // Argument order breaks ties.
         mpf.message_send(p(0), a_tx, b"first too").unwrap();
-        assert_eq!(mpf.check_any(p(1), &[a_rx, b_rx]).unwrap(), Some(a_rx));
+        assert_eq!(wait_any(&[a_rx, b_rx]), a_rx);
 
         // A cross-thread wake: wait_any sees a message sent later.
-        let v = mpf.message_receive_vec(p(1), a_rx).unwrap();
-        assert_eq!(v, b"first too");
-        let v = mpf.message_receive_vec(p(1), b_rx).unwrap();
-        assert_eq!(v, b"second conversation");
+        assert_eq!(recv_vec(&mpf, p(1), a_rx), b"first too");
+        assert_eq!(recv_vec(&mpf, p(1), b_rx), b"second conversation");
         std::thread::scope(|s| {
-            let h = s.spawn(|| mpf.wait_any(p(1), &[a_rx, b_rx]).unwrap());
+            let h = s.spawn(|| wait_any(&[a_rx, b_rx]));
             std::thread::sleep(std::time::Duration::from_millis(15));
             mpf.message_send(p(0), a_tx, b"wake").unwrap();
             assert_eq!(h.join().unwrap(), a_rx);
         });
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -956,7 +708,7 @@ mod tests {
         let payload: Vec<u8> = (0..35u8).collect();
         let scan = || {
             let mut pieces = Vec::new();
-            let n = mpf.message_receive_scan(p(1), rx, |piece| pieces.push(piece.to_vec()));
+            let n = v(&mpf, 1).message_receive_scan(rx, |piece| pieces.push(piece.to_vec()));
             assert_eq!((n, pieces.concat()), (Ok(35), payload.clone()));
             pieces.len()
         };
@@ -970,7 +722,7 @@ mod tests {
             mpf.message_send(p(0), tx, &[i; 10]).unwrap();
         }
         for i in 0..4u8 {
-            assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap(), vec![i; 10]);
+            assert_eq!(recv_vec(&mpf, p(1), rx), vec![i; 10]);
         }
         mpf.message_send(p(0), tx, &payload).unwrap();
         assert_eq!(scan(), 4, "35 bytes over 10-byte blocks, no two adjacent");
@@ -992,7 +744,9 @@ mod tests {
         mpf.message_send(p(0), tx, b"to everyone").unwrap();
         for (pid, rx) in [(p(1), r1), (p(2), r2)] {
             let mut got = Vec::new();
-            mpf.message_receive_scan(pid, rx, |c| got.extend_from_slice(c))
+            mpf.view(pid)
+                .unwrap()
+                .message_receive_scan(rx, |c| got.extend_from_slice(c))
                 .unwrap();
             assert_eq!(got, b"to everyone");
         }
@@ -1015,17 +769,17 @@ mod tests {
         }
         mpf.close_receive(p(1), rf).unwrap(); // never read anything
         for _ in 0..3 {
-            assert_eq!(mpf.message_receive_vec(p(2), rb).unwrap(), vec![9u8; 30]);
+            assert_eq!(recv_vec(&mpf, p(2), rb), vec![9u8; 30]);
         }
         assert_eq!(
             mpf.free_blocks(),
             256,
             "obligation re-evaluation must free the backlog"
         );
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
         mpf.close_receive(p(2), rb).unwrap();
         mpf.close_send(p(0), tx).unwrap();
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1042,7 +796,7 @@ mod tests {
             mpf.message_send(p(0), tx, &[5u8; 30]).unwrap();
         }
         for _ in 0..3 {
-            mpf.message_receive_vec(p(2), rb).unwrap();
+            recv_vec(&mpf, p(2), rb);
         }
         assert!(mpf.free_blocks() < 256, "FCFS obligation pins the queue");
         assert_eq!(
@@ -1053,7 +807,7 @@ mod tests {
         mpf.close_receive(p(1), rf).unwrap();
         assert_eq!(mpf.free_blocks(), 256, "close sweep reclaims in place");
         assert_eq!(mpf.reclaimable(), Reclaimable::default());
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1073,17 +827,17 @@ mod tests {
             .open_receive(p(2), "wedge", Protocol::Broadcast)
             .unwrap();
         mpf.message_send(p(0), tx, &[1u8; 40]).unwrap(); // region full
-        mpf.message_receive_vec(p(2), rb).unwrap(); // bcast claim released
+        recv_vec(&mpf, p(2), rb); // bcast claim released
         std::thread::scope(|s| {
-            let h = s.spawn(|| mpf.message_send(p(0), tx, &[2u8; 10]));
+            let h = s.spawn(|| v(&mpf, 0).send_deadline(tx, &[2u8; 10], None));
             std::thread::sleep(std::time::Duration::from_millis(30));
             // Pre-fix the sender waits forever: the queued message is owed
             // an FCFS delivery nobody will make.
             mpf.close_receive(p(1), rf).unwrap();
             h.join().unwrap().unwrap();
         });
-        assert_eq!(mpf.message_receive_vec(p(2), rb).unwrap(), vec![2u8; 10]);
-        mpf.assert_invariants();
+        assert_eq!(recv_vec(&mpf, p(2), rb), vec![2u8; 10]);
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1103,15 +857,15 @@ mod tests {
         let rf = mpf.open_receive(p(2), "drop", Protocol::Fcfs).unwrap();
         assert!(!mpf.check_receive(p(2), rf).unwrap());
         mpf.message_send(p(0), tx, b"fresh").unwrap();
-        assert_eq!(mpf.message_receive_vec(p(2), rf).unwrap(), b"fresh");
-        mpf.assert_invariants();
+        assert_eq!(recv_vec(&mpf, p(2), rf), b"fresh");
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
     fn wait_any_rejects_empty_set() {
         let mpf = facility();
         assert_eq!(
-            mpf.wait_any(p(0), &[]).unwrap_err(),
+            v(&mpf, 0).wait_any_deadline(&[], None).unwrap_err(),
             MpfError::EmptyWaitSet,
             "waiting on nothing would block forever"
         );
@@ -1129,26 +883,39 @@ mod tests {
         let a_rx = mpf.open_receive(p(1), "park:a", Protocol::Fcfs).unwrap();
         let b_rx = mpf.open_receive(p(1), "park:b", Protocol::Fcfs).unwrap();
         std::thread::scope(|s| {
-            let h = s.spawn(|| mpf.wait_any(p(1), &[b_rx, a_rx]).unwrap());
+            let h = s.spawn(|| v(&mpf, 1).wait_any_deadline(&[b_rx, a_rx], None).unwrap());
             std::thread::sleep(std::time::Duration::from_millis(40));
             mpf.message_send(p(0), a_tx, b"wake").unwrap();
             assert_eq!(h.join().unwrap(), a_rx);
         });
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
     fn slot_recycling_survives_generation_mask_wrap() {
         // Found by the open_close_send microbenchmark: after 2^15 recycles
-        // of one slot the id's 15-bit generation wraps; a fresh id must
-        // still validate (and the previous generation's id must not).
+        // of one slot a 15-bit generation wraps; a fresh id must still
+        // validate, and no earlier generation's id — neither the previous
+        // one nor round 0's, whose low 15 bits round 2^15 shares — may
+        // reach the conversation living there now.
         let mpf = Mpf::init(MpfConfig::new(1, 2)).unwrap();
-        let mut prev = None;
-        for round in 0..((1 << 15) + 5) {
+        let first = mpf.open_send(p(0), "churn").unwrap();
+        mpf.close_send(p(0), first).unwrap();
+        let mut prev = first;
+        for round in 1..((1 << 15) + 5) {
             let id = mpf.open_send(p(0), "churn").unwrap();
-            if let Some(prev) = prev {
-                assert_ne!(prev, id, "round {round}");
-            }
+            assert_ne!(prev, id, "round {round}");
+            assert_eq!(
+                mpf.message_send(p(0), first, b"stale"),
+                Err(MpfError::UnknownLnvc),
+                "round 0's id through Mpf (round {round})"
+            );
+            assert_eq!(
+                v(&mpf, 0).message_send(first, b"stale"),
+                Err(MpfError::UnknownLnvc),
+                "round 0's id through the view (round {round})"
+            );
+            assert_eq!(v(&mpf, 0).queue_depth(id), Ok(0), "round {round}");
             mpf.message_send(p(0), id, b"x")
                 .expect("fresh id must validate");
             mpf.close_send(p(0), id).unwrap();
@@ -1156,7 +923,7 @@ mod tests {
                 mpf.message_send(p(0), id, b"x").is_err(),
                 "closed id must be stale (round {round})"
             );
-            prev = Some(id);
+            prev = id;
         }
     }
 
@@ -1194,7 +961,7 @@ mod tests {
         assert_eq!((st.sq_depth, st.cq_depth), (0, 0));
         let got = mpf.recv_batch(p(1), rx, 64).unwrap();
         assert_eq!(got, payloads, "FIFO order survives batching");
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1217,7 +984,7 @@ mod tests {
         // The second broadcast receiver still sees all six.
         assert_eq!(mpf.recv_batch(p(2), r2, 64).unwrap().len(), 6);
         assert_eq!(mpf.free_blocks(), 256, "everything reclaimed");
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1231,7 +998,7 @@ mod tests {
         let st = mpf.aio_stats(p(0)).unwrap();
         assert_eq!(st.submitted, 0);
         assert_eq!(st.sq_doorbells, 0, "empty batch rings no doorbell");
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1276,7 +1043,7 @@ mod tests {
         let st = mpf.aio_stats(p(0)).unwrap();
         assert_eq!(st.submitted, st.drained, "every descriptor drained");
         assert_eq!(st.completed, st.reaped, "every completion reaped");
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1298,7 +1065,7 @@ mod tests {
             "stale descriptor surfaces the close, resources reclaimed"
         );
         assert_eq!(mpf.free_blocks(), 256);
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1311,18 +1078,18 @@ mod tests {
         .unwrap();
         let tx = mpf.open_send(p(0), "nb").unwrap();
         let rx = mpf.open_receive(p(1), "nb", Protocol::Fcfs).unwrap();
-        assert_eq!(mpf.try_message_receive_vec(p(1), rx).unwrap(), None);
-        assert!(mpf.try_message_send(p(0), tx, &[1u8; 40]).unwrap());
+        assert_eq!(v(&mpf, 1).try_message_receive_vec(rx).unwrap(), None);
+        assert!(v(&mpf, 0).try_message_send(tx, &[1u8; 40]).unwrap());
         assert!(
-            !mpf.try_message_send(p(0), tx, &[2u8; 10]).unwrap(),
+            !v(&mpf, 0).try_message_send(tx, &[2u8; 10]).unwrap(),
             "region full: try-send declines instead of parking"
         );
         assert_eq!(
-            mpf.try_message_receive_vec(p(1), rx).unwrap().unwrap(),
+            v(&mpf, 1).try_message_receive_vec(rx).unwrap().unwrap(),
             vec![1u8; 40]
         );
-        assert!(mpf.try_message_send(p(0), tx, &[2u8; 10]).unwrap());
-        mpf.assert_invariants();
+        assert!(v(&mpf, 0).try_message_send(tx, &[2u8; 10]).unwrap());
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1340,14 +1107,14 @@ mod tests {
             mpf.message_send(p(0), tx, &[0u8; 20]).unwrap();
         }
         for _ in 0..8 {
-            mpf.message_receive_vec(p(1), rx).unwrap();
+            recv_vec(&mpf, p(1), rx);
         }
         let t = mpf.telemetry_snapshot();
         assert_eq!(t.sends, 8, "all traffic still counted");
         assert_eq!(t.receives, 8);
         assert_eq!(t.latency_hist.count, 2, "1-in-4 of 8 sends sampled");
-        assert_eq!(mpf.lnvc_telemetry(rx).unwrap().latency.count, 2);
-        mpf.assert_invariants();
+        assert_eq!(v(&mpf, 0).lnvc_telemetry(rx).unwrap().latency.count, 2);
+        mpf.check_invariants().unwrap();
     }
 
     #[test]
@@ -1361,7 +1128,6 @@ mod tests {
         let _rx = mpf.open_receive(p(1), "second", Protocol::Fcfs).unwrap();
         assert_eq!(old.index(), new.index(), "same descriptor slot");
         assert_ne!(old, new, "another generation");
-        assert_eq!(mpf.ipc_id(old).unwrap_err(), MpfError::UnknownLnvc);
         assert_eq!(
             mpf.message_send(p(0), old, b"to a stranger").unwrap_err(),
             MpfError::UnknownLnvc
@@ -1370,15 +1136,16 @@ mod tests {
             mpf.close_send(p(0), old).unwrap_err(),
             MpfError::UnknownLnvc
         );
-        assert_eq!(mpf.queue_depth(old).unwrap_err(), MpfError::UnknownLnvc);
         assert_eq!(
-            mpf.wait_any(p(1), &[old]).unwrap_err(),
+            v(&mpf, 0).queue_depth(old).unwrap_err(),
             MpfError::UnknownLnvc
         );
-        // The live id still round-trips through the engine handle.
-        assert_eq!(LnvcId::from(mpf.ipc_id(new).unwrap()), new);
+        assert_eq!(
+            v(&mpf, 1).wait_any_deadline(&[old], None).unwrap_err(),
+            MpfError::UnknownLnvc
+        );
         mpf.message_send(p(0), new, b"x").unwrap();
-        assert_eq!(mpf.queue_depth(new).unwrap(), 1, "nothing went astray");
+        assert_eq!(v(&mpf, 0).queue_depth(new), Ok(1), "nothing went astray");
     }
 
     #[test]
@@ -1428,12 +1195,12 @@ mod tests {
             });
             s.spawn(|| {
                 for _ in 0..ROUNDS {
-                    let m = mpf.message_receive_vec(p(1), out_rx).unwrap();
+                    let m = recv_vec(&mpf, p(1), out_rx);
                     mpf.message_send(p(1), back_tx, &m).unwrap();
                 }
             });
             for i in 0..ROUNDS {
-                let m = mpf.message_receive_vec(p(0), back).unwrap();
+                let m = recv_vec(&mpf, p(0), back);
                 assert_eq!(m, i.to_le_bytes(), "one sender, one echo: FIFO");
                 echoed.store(i + 1, std::sync::atomic::Ordering::Release);
             }
@@ -1443,7 +1210,7 @@ mod tests {
             (t.sends, t.receives),
             (2 * ROUNDS as u64, 2 * ROUNDS as u64)
         );
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
         mpf.close_send(p(0), out).unwrap();
         mpf.close_receive(p(0), back).unwrap();
         mpf.close_receive(p(1), out_rx).unwrap();
@@ -1451,6 +1218,6 @@ mod tests {
         assert_eq!(mpf.live_lnvcs(), 0);
         assert_eq!(mpf.free_blocks(), 256);
         assert_eq!(mpf.reclaimable(), Reclaimable::default());
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 }

@@ -3,11 +3,12 @@
 //! [`Sender`] and [`Receiver`] wrap an open connection and close it on
 //! drop, so a panicking participant still leaves the conversation — the
 //! dynamic join/leave discipline the LNVC model is built around, made
-//! automatic.  Everything here delegates to [`Mpf`]; no semantics are
-//! added.
+//! automatic.  Everything here is a call on the owning process's view
+//! ([`Mpf::view`]); no semantics are added.
 
 use mpf_shm::process::ProcessId;
 
+use crate::engine::IpcMpf;
 use crate::error::{MpfError, Result};
 use crate::facility::Mpf;
 use crate::types::{LnvcId, Protocol};
@@ -15,7 +16,7 @@ use crate::types::{LnvcId, Protocol};
 /// An open send connection; closed on drop.
 #[derive(Debug)]
 pub struct Sender<'a> {
-    mpf: &'a Mpf,
+    view: &'a IpcMpf,
     pid: ProcessId,
     id: LnvcId,
 }
@@ -31,14 +32,16 @@ impl<'a> Sender<'a> {
         self.pid
     }
 
-    /// Asynchronously sends `buf` into the conversation.
+    /// Asynchronously sends `buf` into the conversation, waiting for a
+    /// consumer to free room when the region is full
+    /// ([`IpcMpf::send_deadline`] with no deadline).
     pub fn send(&self, buf: &[u8]) -> Result<()> {
-        self.mpf.message_send(self.pid, self.id, buf)
+        self.view.send_deadline(self.id, buf, None)
     }
 
     /// Closes explicitly, reporting errors that drop would swallow.
     pub fn close(self) -> Result<()> {
-        let result = self.mpf.close_send(self.pid, self.id);
+        let result = self.view.close_send(self.id);
         std::mem::forget(self);
         result
     }
@@ -46,14 +49,14 @@ impl<'a> Sender<'a> {
 
 impl Drop for Sender<'_> {
     fn drop(&mut self) {
-        let _ = self.mpf.close_send(self.pid, self.id);
+        let _ = self.view.close_send(self.id);
     }
 }
 
 /// An open receive connection; closed on drop.
 #[derive(Debug)]
 pub struct Receiver<'a> {
-    mpf: &'a Mpf,
+    view: &'a IpcMpf,
     pid: ProcessId,
     id: LnvcId,
     protocol: Protocol,
@@ -77,28 +80,23 @@ impl<'a> Receiver<'a> {
 
     /// Blocking receive into `buf`; returns bytes transferred.
     pub fn recv(&self, buf: &mut [u8]) -> Result<usize> {
-        self.mpf.message_receive(self.pid, self.id, buf)
+        self.view.message_receive(self.id, buf)
     }
 
-    /// Blocking receive into a fresh `Vec`.
+    /// Blocking receive into a fresh `Vec` (a batch of one).
     pub fn recv_vec(&self) -> Result<Vec<u8>> {
-        self.mpf.message_receive_vec(self.pid, self.id)
+        let mut one = self.view.recv_batch(self.id, 1)?;
+        Ok(one.pop().expect("a blocking batch of one delivers one"))
     }
 
     /// Non-blocking receive; `Ok(None)` when no message is waiting.
     pub fn try_recv(&self, buf: &mut [u8]) -> Result<Option<usize>> {
-        self.mpf.try_message_receive(self.pid, self.id, buf)
-    }
-
-    /// Zero-copy blocking receive: visits the payload as borrowed slices,
-    /// one per contiguous run of blocks (see [`Mpf::message_receive_scan`]).
-    pub fn recv_scan(&self, visit: impl FnMut(&[u8])) -> Result<usize> {
-        self.mpf.message_receive_scan(self.pid, self.id, visit)
+        self.view.try_message_receive(self.id, buf)
     }
 
     /// `check_receive`: is a message waiting?  (Advisory for FCFS.)
     pub fn check(&self) -> Result<bool> {
-        self.mpf.check_receive(self.pid, self.id)
+        self.view.check_receive(self.id)
     }
 
     /// An iterator of messages that ends when the conversation dies
@@ -114,7 +112,7 @@ impl<'a> Receiver<'a> {
 
     /// Closes explicitly, reporting errors that drop would swallow.
     pub fn close(self) -> Result<()> {
-        let result = self.mpf.close_receive(self.pid, self.id);
+        let result = self.view.close_receive(self.id);
         std::mem::forget(self);
         result
     }
@@ -122,22 +120,24 @@ impl<'a> Receiver<'a> {
 
 impl Drop for Receiver<'_> {
     fn drop(&mut self) {
-        let _ = self.mpf.close_receive(self.pid, self.id);
+        let _ = self.view.close_receive(self.id);
     }
 }
 
 impl Mpf {
     /// Opens a send connection wrapped in a droppable [`Sender`].
     pub fn sender(&self, pid: ProcessId, name: &str) -> Result<Sender<'_>> {
-        let id = self.open_send(pid, name)?;
-        Ok(Sender { mpf: self, pid, id })
+        let view = self.view(pid)?;
+        let id = view.open_send(name)?;
+        Ok(Sender { view, pid, id })
     }
 
     /// Opens a receive connection wrapped in a droppable [`Receiver`].
     pub fn receiver(&self, pid: ProcessId, name: &str, protocol: Protocol) -> Result<Receiver<'_>> {
-        let id = self.open_receive(pid, name, protocol)?;
+        let view = self.view(pid)?;
+        let id = view.open_receive(name, protocol)?;
         Ok(Receiver {
-            mpf: self,
+            view,
             pid,
             id,
             protocol,

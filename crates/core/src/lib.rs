@@ -19,22 +19,27 @@
 //! ## The eight primitives
 //!
 //! The paper's C interface maps 1:1 onto [`Mpf`] methods (and onto the
-//! `mpf_*` C ABI the `mpf-ipc` crate exports over the same engine):
+//! `mpf_*` C ABI the `mpf-ipc` crate exports over the same engine).  Each
+//! is `mpf.view(pid)?` — the engine's handle for that process, an
+//! [`IpcMpf`] — calling its method of the same name, with the same result:
 //!
-//! | paper | here |
-//! |---|---|
-//! | `init(maxLNVCs, maxProcesses)` | [`Mpf::init`] / [`MpfConfig::new`] |
-//! | `open_send(pid, name)` | [`Mpf::open_send`] |
-//! | `open_receive(pid, name, protocol)` | [`Mpf::open_receive`] |
-//! | `close_send(pid, id)` | [`Mpf::close_send`] |
-//! | `close_receive(pid, id)` | [`Mpf::close_receive`] |
-//! | `message_send(pid, id, buf, len)` | [`Mpf::message_send`] |
-//! | `message_receive(pid, id, buf, len)` | [`Mpf::message_receive`] |
-//! | `check_receive(pid, id)` | [`Mpf::check_receive`] |
+//! | paper | here | waits? |
+//! |---|---|---|
+//! | `init(maxLNVCs, maxProcesses)` | [`Mpf::init`] / [`MpfConfig::new`] | — |
+//! | `open_send(pid, name)` | [`Mpf::open_send`] | no |
+//! | `open_receive(pid, name, protocol)` | [`Mpf::open_receive`] | no |
+//! | `close_send(pid, id)` | [`Mpf::close_send`] | no |
+//! | `close_receive(pid, id)` | [`Mpf::close_receive`] | no |
+//! | `message_send(pid, id, buf, len)` | [`Mpf::message_send`] | no: a full region is `MessagesExhausted` / `BlocksExhausted` |
+//! | `message_receive(pid, id, buf, len)` | [`Mpf::message_receive`] | yes, for a message |
+//! | `check_receive(pid, id)` | [`Mpf::check_receive`] | no |
 //!
 //! `message_send` is asynchronous (the sender continues before delivery);
-//! `message_receive` blocks until a message arrives.  A higher-level RAII
-//! API lives in [`handle`].
+//! `message_receive` blocks until a message arrives.  The send that waits
+//! for room is the view's `send_deadline(id, buf, None)`; deadlines,
+//! try-forms, multi-conversation waits and zero-copy scans are the view's
+//! too.  A higher-level RAII API lives in [`handle`]; its `Sender::send`
+//! waits for room.
 //!
 //! ## Implementation shape (paper §3)
 //!
@@ -86,7 +91,7 @@ pub mod sync_channel;
 pub mod types;
 
 pub use config::MpfConfig;
-pub use engine::{AttachError, IpcLnvcId, IpcMpf};
+pub use engine::{AttachError, IpcMpf};
 pub use error::{MpfError, Result};
 pub use facility::Mpf;
 pub use handle::{Receiver, Sender};

@@ -106,16 +106,6 @@ pub fn one2one(capacity: usize) -> (O2OSender, O2OReceiver) {
 }
 
 impl O2OSender {
-    /// Largest single message this channel can carry.
-    pub fn max_message(&self) -> usize {
-        self.ring.buf.len() - FRAME_HEADER
-    }
-
-    /// True if the consumer half has been dropped.
-    pub fn is_disconnected(&self) -> bool {
-        Arc::strong_count(&self.ring) == 1
-    }
-
     /// Attempts to enqueue `buf`; `Ok(false)` when the ring is full.
     pub fn try_send(&mut self, buf: &[u8]) -> Result<bool> {
         let need = FRAME_HEADER + buf.len();
@@ -123,7 +113,7 @@ impl O2OSender {
         if need > ring.buf.len() {
             return Err(MpfError::MessageTooLarge {
                 len: buf.len(),
-                max: self.max_message(),
+                max: ring.buf.len() - FRAME_HEADER,
             });
         }
         // Schedule-exploration seam: the only racy step on this side is
@@ -168,11 +158,6 @@ impl O2OSender {
 }
 
 impl O2OReceiver {
-    /// True if the producer half has been dropped.
-    pub fn is_disconnected(&self) -> bool {
-        Arc::strong_count(&self.ring) == 1
-    }
-
     /// Length of the next queued message, or `None` if empty.
     pub fn peek_len(&self) -> Option<usize> {
         let ring = &*self.ring;
@@ -286,18 +271,6 @@ mod tests {
         assert_eq!(rx.peek_len(), Some(10), "message still queued");
         let mut big = [0u8; 16];
         assert_eq!(rx.recv(&mut big).unwrap(), 10);
-    }
-
-    #[test]
-    fn disconnection_is_observable() {
-        let (tx, rx) = one2one(16);
-        assert!(!tx.is_disconnected());
-        drop(rx);
-        assert!(tx.is_disconnected());
-        drop(tx);
-        let (tx2, rx2) = one2one(16);
-        drop(tx2);
-        assert!(rx2.is_disconnected());
     }
 
     #[test]

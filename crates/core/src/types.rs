@@ -20,14 +20,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// Encoding used in shared-region descriptors and the C API.
-    pub fn to_raw(self) -> u8 {
-        match self {
-            Protocol::Fcfs => 0,
-            Protocol::Broadcast => 1,
-        }
-    }
-
     /// Encoding used in the ipc backend's receive descriptors and in both
     /// backends' `TR_OPEN_RECV`/`TR_CLOSE_RECV` trace markers (0 is left
     /// to mean "no protocol" in a zeroed region).
@@ -38,7 +30,7 @@ impl Protocol {
         }
     }
 
-    /// Decodes a raw protocol value.
+    /// Decodes the C ABI's `protocol` argument (0 = FCFS, 1 = BROADCAST).
     pub fn from_raw(raw: u8) -> Option<Self> {
         match raw {
             0 => Some(Protocol::Fcfs),
@@ -95,47 +87,41 @@ impl std::str::FromStr for LnvcName {
 }
 
 /// MPF's internal LNVC identifier, returned by `open_send`/`open_receive`
-/// and required by the transfer and close primitives (paper §2).
-///
-/// Like the paper's `int`, it fits a non-negative `i32`.  It packs a slot index (low 16 bits) and a 15-bit generation
-/// so a stale identifier for a deleted-and-recycled LNVC is detected rather
-/// than silently addressing the wrong conversation.
+/// and required by the transfer and close primitives (paper §2): the
+/// descriptor index and the generation it was minted under
+/// (`generation << 32 | index`).  A handle to a deleted conversation stays
+/// stale however often its descriptor is recycled — it is detected, never
+/// dereferenced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LnvcId(u32);
+pub struct LnvcId(u64);
 
-/// Maximum LNVC slot index representable in an [`LnvcId`].
+/// Maximum LNVC slot index a region may carve (`MpfConfig::new`, the
+/// region header check and `mpf_create` enforce it).
 pub const MAX_LNVC_INDEX: u32 = u16::MAX as u32;
-const GEN_MASK: u32 = 0x7FFF;
 
 impl LnvcId {
-    /// Packs a slot index and generation.
-    pub(crate) fn from_parts(index: u32, generation: u32) -> Self {
-        debug_assert!(index <= MAX_LNVC_INDEX);
-        Self(((generation & GEN_MASK) << 16) | index)
+    pub(crate) fn new(generation: u32, index: u32) -> Self {
+        Self(((generation as u64) << 32) | index as u64)
     }
 
-    /// The LNVC slot index.
-    pub(crate) fn index(self) -> u32 {
-        self.0 & 0xFFFF
+    /// The LNVC descriptor index.
+    pub fn index(self) -> u32 {
+        self.0 as u32
     }
 
-    /// The generation tag this identifier was minted with.
-    pub(crate) fn generation(self) -> u32 {
-        (self.0 >> 16) & GEN_MASK
+    /// The descriptor generation this handle was minted under.
+    pub fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
     }
 
-    /// Whether this identifier was minted under `slot_generation`.  The
-    /// id carries only [`GEN_MASK`] bits, so the slot's full counter must
-    /// be masked before comparing (a slot recycled 2^15 times must not
-    /// invalidate fresh identifiers).
-    pub(crate) fn matches_generation(self, slot_generation: u32) -> bool {
-        (slot_generation & GEN_MASK) == self.generation()
+    /// Raw transport form (for FFI).
+    pub fn raw(self) -> u64 {
+        self.0
     }
-}
 
-impl std::fmt::Display for LnvcId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lnvc#{}@{}", self.index(), self.generation())
+    /// Rebuilds a handle from its raw form.
+    pub fn from_raw(raw: u64) -> Self {
+        Self(raw)
     }
 }
 
@@ -219,10 +205,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protocol_raw_roundtrip() {
-        for p in [Protocol::Fcfs, Protocol::Broadcast] {
-            assert_eq!(Protocol::from_raw(p.to_raw()), Some(p));
-        }
+    fn protocol_decodes_the_c_encoding() {
+        assert_eq!(Protocol::from_raw(0), Some(Protocol::Fcfs));
+        assert_eq!(Protocol::from_raw(1), Some(Protocol::Broadcast));
         assert_eq!(Protocol::from_raw(2), None);
     }
 
@@ -252,20 +237,5 @@ mod tests {
     fn name_display_and_fromstr() {
         let n: LnvcName = "edge:3->4".parse().unwrap();
         assert_eq!(n.to_string(), "edge:3->4");
-    }
-
-    #[test]
-    fn id_pack_unpack() {
-        let id = LnvcId::from_parts(513, 77);
-        assert_eq!(id.index(), 513);
-        assert_eq!(id.generation(), 77);
-    }
-
-    #[test]
-    fn generation_wraps_in_mask() {
-        let id = LnvcId::from_parts(1, GEN_MASK + 5);
-        assert_eq!(id.generation(), 4);
-        assert!(id.matches_generation(GEN_MASK + 5));
-        assert!(!id.matches_generation(GEN_MASK + 6));
     }
 }

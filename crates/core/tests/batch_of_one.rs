@@ -3,15 +3,15 @@
 //! same engine routine, so they must leave the same books — telemetry,
 //! pools, queue, and, message by message, the same trace records.
 
-use mpf::engine::{IpcLnvcId, IpcMpf};
-use mpf::{MpfConfig, Protocol};
+use mpf::engine::IpcMpf;
+use mpf::{LnvcId, MpfConfig, Protocol};
 use mpf_shm::tracering::{TraceEvent, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_SEND};
 
 const K: usize = 6;
 
 /// A fresh region with a sender (the creator) and `receivers` receiving
 /// views of protocol `protocol` on one conversation.
-fn scene(protocol: Protocol, receivers: usize) -> (IpcMpf, IpcLnvcId, Vec<IpcMpf>) {
+fn scene(protocol: Protocol, receivers: usize) -> (IpcMpf, LnvcId, Vec<IpcMpf>) {
     let cfg = MpfConfig::new(4, 4)
         .with_block_payload(16)
         .with_total_blocks(64)

@@ -1,5 +1,6 @@
-//! Deadline-bounded blocking on the thread backend: every `*_deadline`
-//! entry point must (a) fail with `MpfError::TimedOut` once the clock
+//! Deadline-bounded blocking on an `Mpf`'s views (`send_batch_deadline`
+//! also through `Mpf`, which spells it): every `*_deadline` entry point
+//! must (a) fail with `MpfError::TimedOut` once the clock
 //! passes with nothing consumed or enqueued, and (b) let real traffic
 //! racing the expiry win — a message that arrived is delivered, never
 //! timed out.
@@ -31,7 +32,9 @@ fn recv_deadline_times_out_on_empty_queue() {
     let mut buf = [0u8; 8];
     let start = Instant::now();
     let err = m
-        .recv_deadline(p(0), rx, &mut buf, Some(start + Duration::from_millis(50)))
+        .view(p(0))
+        .unwrap()
+        .recv_deadline(rx, &mut buf, Some(start + Duration::from_millis(50)))
         .unwrap_err();
     assert_eq!(err, MpfError::TimedOut);
     assert!(start.elapsed() >= Duration::from_millis(50));
@@ -47,7 +50,9 @@ fn recv_deadline_delivers_a_queued_message_despite_expiry() {
     m.message_send(p(0), tx, b"beat-it").unwrap();
     let mut buf = [0u8; 16];
     let n = m
-        .recv_deadline(p(1), rx, &mut buf, Some(Instant::now()))
+        .view(p(1))
+        .unwrap()
+        .recv_deadline(rx, &mut buf, Some(Instant::now()))
         .unwrap();
     assert_eq!(&buf[..n], b"beat-it");
 }
@@ -66,12 +71,9 @@ fn recv_deadline_wakes_on_cross_thread_send() {
     };
     let mut buf = [0u8; 32];
     let n = m
-        .recv_deadline(
-            p(1),
-            rx,
-            &mut buf,
-            Some(Instant::now() + Duration::from_secs(30)),
-        )
+        .view(p(1))
+        .unwrap()
+        .recv_deadline(rx, &mut buf, Some(Instant::now() + Duration::from_secs(30)))
         .unwrap();
     assert_eq!(&buf[..n], b"late but real");
     sender.join().unwrap();
@@ -79,8 +81,7 @@ fn recv_deadline_wakes_on_cross_thread_send() {
 
 #[test]
 fn send_deadline_times_out_under_exhaustion_with_nothing_enqueued() {
-    // The facade's sends wait for room: fill the 4-block pool, then a
-    // deadline-bounded send must give up instead of parking forever —
+    // Fill the 4-block pool, then a deadline-bounded send must give up instead of parking forever —
     // and must leave no partial allocation behind.
     let m = facility();
     let tx = m.open_send(p(0), "full").unwrap();
@@ -90,7 +91,9 @@ fn send_deadline_times_out_under_exhaustion_with_nothing_enqueued() {
     }
     let start = Instant::now();
     let err = m
-        .send_deadline(p(0), tx, &[9; 64], Some(start + Duration::from_millis(60)))
+        .view(p(0))
+        .unwrap()
+        .send_deadline(tx, &[9; 64], Some(start + Duration::from_millis(60)))
         .unwrap_err();
     assert_eq!(err, MpfError::TimedOut);
     assert!(start.elapsed() >= Duration::from_millis(60));
@@ -105,13 +108,10 @@ fn send_deadline_times_out_under_exhaustion_with_nothing_enqueued() {
     assert!(!m.check_receive(p(1), rx).unwrap());
 
     // With capacity back, the same send now fits before its deadline.
-    m.send_deadline(
-        p(0),
-        tx,
-        &[9; 64],
-        Some(Instant::now() + Duration::from_secs(30)),
-    )
-    .unwrap();
+    m.view(p(0))
+        .unwrap()
+        .send_deadline(tx, &[9; 64], Some(Instant::now() + Duration::from_secs(30)))
+        .unwrap();
     let n = m.message_receive(p(1), rx, &mut buf).unwrap();
     assert_eq!(&buf[..n], &[9; 64][..]);
 }
@@ -125,26 +125,24 @@ fn wait_any_deadline_times_out_then_reports_the_ready_member() {
     let r2 = m.open_receive(p(1), "b", Protocol::Fcfs).unwrap();
 
     assert_eq!(
-        m.wait_any_deadline(p(1), &[], Some(Instant::now()))
+        m.view(p(1))
+            .unwrap()
+            .wait_any_deadline(&[], Some(Instant::now()))
             .unwrap_err(),
         MpfError::EmptyWaitSet
     );
     let err = m
-        .wait_any_deadline(
-            p(1),
-            &[r1, r2],
-            Some(Instant::now() + Duration::from_millis(50)),
-        )
+        .view(p(1))
+        .unwrap()
+        .wait_any_deadline(&[r1, r2], Some(Instant::now() + Duration::from_millis(50)))
         .unwrap_err();
     assert_eq!(err, MpfError::TimedOut);
 
     m.message_send(p(0), t1, b"here").unwrap();
     let ready = m
-        .wait_any_deadline(
-            p(1),
-            &[r1, r2],
-            Some(Instant::now() + Duration::from_secs(30)),
-        )
+        .view(p(1))
+        .unwrap()
+        .wait_any_deadline(&[r1, r2], Some(Instant::now() + Duration::from_secs(30)))
         .unwrap();
     assert_eq!(ready, r1);
 }
@@ -155,12 +153,9 @@ fn recv_batch_deadline_times_out_then_drains() {
     let tx = m.open_send(p(0), "batch").unwrap();
     let rx = m.open_receive(p(1), "batch", Protocol::Fcfs).unwrap();
     let err = m
-        .recv_batch_deadline(
-            p(1),
-            rx,
-            8,
-            Some(Instant::now() + Duration::from_millis(50)),
-        )
+        .view(p(1))
+        .unwrap()
+        .recv_batch_deadline(rx, 8, Some(Instant::now() + Duration::from_millis(50)))
         .unwrap_err();
     assert_eq!(err, MpfError::TimedOut);
 
@@ -168,7 +163,9 @@ fn recv_batch_deadline_times_out_then_drains() {
         m.message_send(p(0), tx, &[i; 4]).unwrap();
     }
     let got = m
-        .recv_batch_deadline(p(1), rx, 8, Some(Instant::now() + Duration::from_secs(30)))
+        .view(p(1))
+        .unwrap()
+        .recv_batch_deadline(rx, 8, Some(Instant::now() + Duration::from_secs(30)))
         .unwrap();
     assert_eq!(got, vec![vec![0; 4], vec![1; 4], vec![2; 4]]);
 }

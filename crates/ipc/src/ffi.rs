@@ -19,16 +19,16 @@
 //! ```
 //!
 //! Failures are [`MpfError::status_code`] values (negative) — NULL where
-//! a handle is returned; conversation ids are the raw [`IpcLnvcId`],
+//! a handle is returned; conversation ids are the raw [`LnvcId`],
 //! always positive and returned in a `long long` so the sign still
 //! carries errors.
 
 use std::ffi::CStr;
 use std::os::raw::{c_char, c_int, c_long, c_longlong, c_void};
 
-use mpf::engine::{AttachError, IpcLnvcId, IpcMpf};
+use mpf::engine::{AttachError, IpcMpf};
 use mpf::types::MAX_LNVC_INDEX;
-use mpf::{MpfConfig, MpfError, Protocol};
+use mpf::{LnvcId, MpfConfig, MpfError, Protocol};
 
 /// Converts a C string, mapping NULL/invalid UTF-8 to
 /// [`MpfError::InvalidName`].
@@ -68,8 +68,8 @@ fn into_handle(made: Result<IpcMpf, AttachError>) -> *mut c_void {
     made.map_or(std::ptr::null_mut(), |m| Box::into_raw(Box::new(m)).cast())
 }
 
-fn lnvc(lnvc_id: c_longlong) -> IpcLnvcId {
-    IpcLnvcId::from_raw(lnvc_id as u64)
+fn lnvc(lnvc_id: c_longlong) -> LnvcId {
+    LnvcId::from_raw(lnvc_id as u64)
 }
 
 /// The paper's `init(maxLNVC's, max_processes)`: creates and carves a
@@ -186,11 +186,10 @@ pub unsafe extern "C" fn mpf_open_receive(
     // SAFETY: the caller's contract, for both.
     unsafe {
         call(h, |m| {
-            let protocol = match protocol {
-                0 => Protocol::Fcfs,
-                1 => Protocol::Broadcast,
-                _ => return Err(MpfError::ProtocolConflict),
-            };
+            let protocol = u8::try_from(protocol)
+                .ok()
+                .and_then(Protocol::from_raw)
+                .ok_or(MpfError::ProtocolConflict)?;
             Ok(m.open_receive(name_arg(lnvc_name)?, protocol)?.raw() as i64)
         })
     }
@@ -409,7 +408,7 @@ mod tests {
             let bad_name = c_longlong::from(code(MpfError::InvalidName { len: 0, max: 0 }));
             assert_eq!(mpf_open_send(h, std::ptr::null()), bad_name);
             assert_eq!(mpf_open_receive(h, not_utf8.as_ptr().cast(), 0), bad_name);
-            let bogus = IpcLnvcId::from_raw(7 << 32 | 1).raw() as c_longlong;
+            let bogus = LnvcId::from_raw(7 << 32 | 1).raw() as c_longlong;
             assert_eq!(mpf_close_send(h, bogus), code(MpfError::UnknownLnvc));
             assert_eq!(mpf_check_receive(h, -1), code(MpfError::UnknownLnvc));
             mpf_detach(h);

@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpf::{MpfConfig, MpfError, Protocol};
+use mpf::{LnvcId, MpfConfig, MpfError, Protocol};
 use mpf_ipc::shmem::{msg_flags, NIL};
-use mpf_ipc::{IpcLnvcId, IpcMpf, RegionInspector};
+use mpf_ipc::{IpcMpf, RegionInspector};
 use mpf_shm::telemetry::TelSnapshot;
 
 fn unique(tag: &str) -> String {
@@ -72,7 +72,7 @@ fn same(a: &TelSnapshot, b: &TelSnapshot) {
     }
 }
 
-fn recv_n(v: &IpcMpf, id: IpcLnvcId, n: u64, len: usize) {
+fn recv_n(v: &IpcMpf, id: LnvcId, n: u64, len: usize) {
     let mut buf = [0u8; 256];
     for _ in 0..n {
         assert_eq!(v.message_receive(id, &mut buf), Ok(len));

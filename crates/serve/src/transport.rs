@@ -18,7 +18,7 @@
 use std::fmt::Debug;
 use std::time::Instant;
 
-use mpf::{IpcLnvcId, MpfError, Protocol, Result};
+use mpf::{LnvcId, MpfError, Protocol, Result};
 use mpf_aio::AsyncIpc;
 
 /// What the service layer needs from a backend.
@@ -91,44 +91,39 @@ fn timed<T>(r: Result<T>) -> Result<Option<T>> {
 }
 
 impl Transport for ViewTransport {
-    type Id = IpcLnvcId;
+    type Id = LnvcId;
 
-    fn open_send(&self, name: &str) -> Result<IpcLnvcId> {
-        self.0.open_send(name)
+    fn open_send(&self, name: &str) -> Result<LnvcId> {
+        self.0.facility().open_send(name)
     }
 
-    fn open_receive(&self, name: &str, protocol: Protocol) -> Result<IpcLnvcId> {
-        self.0.open_receive(name, protocol)
+    fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
+        self.0.facility().open_receive(name, protocol)
     }
 
-    fn close_send(&self, id: IpcLnvcId) -> Result<()> {
-        self.0.close_send(id)
+    fn close_send(&self, id: LnvcId) -> Result<()> {
+        self.0.facility().close_send(id)
     }
 
-    fn close_receive(&self, id: IpcLnvcId) -> Result<()> {
-        self.0.close_receive(id)
+    fn close_receive(&self, id: LnvcId) -> Result<()> {
+        self.0.facility().close_receive(id)
     }
 
-    fn send_deadline(
-        &self,
-        id: IpcLnvcId,
-        payload: &[u8],
-        deadline: Option<Instant>,
-    ) -> Result<bool> {
+    fn send_deadline(&self, id: LnvcId, payload: &[u8], deadline: Option<Instant>) -> Result<bool> {
         let sent = self.0.facility().send_deadline(id, payload, deadline);
         Ok(timed(sent)?.is_some())
     }
 
-    fn recv_deadline(&self, id: IpcLnvcId, deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
+    fn recv_deadline(&self, id: LnvcId, deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
         let batch = self.0.facility().recv_batch_deadline(id, 1, deadline);
         Ok(timed(batch)?.and_then(|mut b| b.pop()))
     }
 
     fn recv_any_deadline(
         &self,
-        ids: &[IpcLnvcId],
+        ids: &[LnvcId],
         deadline: Option<Instant>,
-    ) -> Result<Option<(IpcLnvcId, Vec<u8>)>> {
+    ) -> Result<Option<(LnvcId, Vec<u8>)>> {
         let ipc = self.0.facility();
         // `wait_any_deadline` names a conversation with a pending message,
         // but an FCFS rival may take it between the wait and our try —
@@ -143,11 +138,11 @@ impl Transport for ViewTransport {
         }
     }
 
-    fn try_recv(&self, id: IpcLnvcId) -> Result<Option<Vec<u8>>> {
+    fn try_recv(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
         self.0.facility().try_message_receive_vec(id)
     }
 
-    fn try_recv_batch(&self, id: IpcLnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
+    fn try_recv_batch(&self, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
         self.0.facility().try_recv_batch(id, max)
     }
 
@@ -155,11 +150,11 @@ impl Transport for ViewTransport {
         self.0.facility().lnvc_exists(name)
     }
 
-    fn queue_depth(&self, id: IpcLnvcId) -> Result<u32> {
+    fn queue_depth(&self, id: LnvcId) -> Result<u32> {
         self.0.facility().queue_depth(id)
     }
 
-    fn is_poisoned(&self, id: IpcLnvcId) -> bool {
+    fn is_poisoned(&self, id: LnvcId) -> bool {
         // UnknownLnvc means the conversation vanished under us — the
         // reaction (re-anchor) is the same as for poison.
         self.0.facility().lnvc_poisoned(id).unwrap_or(true)

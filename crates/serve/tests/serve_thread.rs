@@ -314,9 +314,10 @@ fn only_a_pending_future_starts_a_reactor_thread() {
 
     let a = AsyncMpf::new(Arc::clone(&mpf), p(3));
     let rx = a
+        .facility()
         .open_receive("quiet", Protocol::Fcfs)
         .expect("open_receive");
-    let tx = a.open_send("quiet").expect("open_send");
+    let tx = a.facility().open_send("quiet").expect("open_send");
     block_on(async {
         a.send(tx, b"ready".to_vec()).await.expect("send");
         assert_eq!(a.recv(rx).await.expect("recv"), b"ready");

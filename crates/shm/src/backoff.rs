@@ -11,7 +11,7 @@ use std::thread;
 /// Number of doublings spent issuing `spin_loop` hints before escalating to
 /// `thread::yield_now`.
 const SPIN_LIMIT: u32 = 6;
-/// Number of doublings before [`Backoff::is_completed`] suggests parking.
+/// Number of doublings after which [`Backoff::snooze`] stops escalating.
 const YIELD_LIMIT: u32 = 10;
 
 /// Per-spin-loop backoff state.  Create one per acquisition attempt.
@@ -57,12 +57,6 @@ impl Backoff {
             self.step += 1;
         }
     }
-
-    /// True once backoff has escalated far enough that the caller should
-    /// block (park) instead of continuing to poll.
-    pub fn is_completed(&self) -> bool {
-        self.step > YIELD_LIMIT
-    }
 }
 
 #[cfg(test)]
@@ -72,11 +66,11 @@ mod tests {
     #[test]
     fn escalates_to_completed() {
         let mut b = Backoff::new();
-        assert!(!b.is_completed());
+        assert!(b.step <= YIELD_LIMIT);
         for _ in 0..=YIELD_LIMIT {
             b.snooze();
         }
-        assert!(b.is_completed());
+        assert!(b.step > YIELD_LIMIT);
     }
 
     #[test]
@@ -86,7 +80,7 @@ mod tests {
             b.snooze();
         }
         b.reset();
-        assert!(!b.is_completed());
+        assert!(b.step <= YIELD_LIMIT);
     }
 
     #[test]
@@ -96,6 +90,6 @@ mod tests {
             b.spin();
         }
         // spin() never escalates past the spin limit + 1.
-        assert!(!b.is_completed());
+        assert!(b.step <= YIELD_LIMIT);
     }
 }

@@ -26,11 +26,6 @@ impl SpinBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn parties(&self) -> u32 {
-        self.parties
-    }
-
     /// Blocks until all parties arrive.  Returns `true` for exactly one
     /// caller per phase (the "leader", last to arrive), mirroring
     /// `std::sync::Barrier`.

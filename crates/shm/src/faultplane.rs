@@ -125,16 +125,6 @@ impl FaultConfig {
         }
     }
 
-    pub fn with_notify_drop(mut self, p: f64) -> Self {
-        self.notify_drop = p;
-        self
-    }
-
-    pub fn with_lock_stall(mut self, p: f64) -> Self {
-        self.lock_stall = p;
-        self
-    }
-
     pub fn with_pool_exhaust(mut self, p: f64) -> Self {
         self.pool_exhaust = p;
         self
@@ -337,7 +327,10 @@ mod tests {
     #[test]
     fn stats_count_per_site() {
         let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _g = install(FaultConfig::new(7).with_lock_stall(1.0));
+        let _g = install(FaultConfig {
+            lock_stall: 1.0,
+            ..FaultConfig::new(7)
+        });
         for _ in 0..5 {
             assert!(inject(FaultSite::LockStall));
             assert!(!inject(FaultSite::PeerDied));

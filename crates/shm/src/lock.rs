@@ -98,7 +98,7 @@ impl SpinLock {
     }
 
     /// Number of acquisitions that did not succeed on the first attempt.
-    pub fn contended_count(&self) -> u64 {
+    fn contended_count(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
 }
@@ -165,7 +165,7 @@ impl TicketLock {
     }
 
     /// Number of acquisitions that had to wait.
-    pub fn contended_count(&self) -> u64 {
+    fn contended_count(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
 }
@@ -225,7 +225,7 @@ impl FutexLock {
     }
 
     /// Number of acquisitions that had to wait.
-    pub fn contended_count(&self) -> u64 {
+    fn contended_count(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
 }
@@ -495,7 +495,7 @@ impl ShmLock {
     }
 
     /// Number of acquisitions that had to wait.
-    pub fn contended_count(&self) -> u64 {
+    fn contended_count(&self) -> u64 {
         match self {
             ShmLock::Spin(l) => l.contended_count(),
             ShmLock::Ticket(l) => l.contended_count(),

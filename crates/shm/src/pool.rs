@@ -42,11 +42,6 @@ impl<T> Pool<T> {
         self.slots.len() as u32
     }
 
-    /// Approximate number of slots currently allocated.
-    pub fn in_use(&self) -> u32 {
-        self.capacity() - self.free.len()
-    }
-
     /// Approximate number of free slots.
     pub fn available(&self) -> u32 {
         self.free.len()
@@ -100,7 +95,7 @@ mod tests {
         let b = p.alloc().unwrap();
         let c = p.alloc().unwrap();
         assert_eq!(p.alloc(), None);
-        assert_eq!(p.in_use(), 3);
+        assert_eq!(p.capacity() - p.available(), 3);
         p.free(b);
         assert_eq!(p.alloc(), Some(b));
         let mut all = [a, b, c];
@@ -125,9 +120,9 @@ mod tests {
         let p: Pool<Slot> = Pool::new(8);
         assert_eq!(p.available(), 8);
         let i = p.alloc().unwrap();
-        assert_eq!(p.in_use(), 1);
+        assert_eq!(p.capacity() - p.available(), 1);
         p.free(i);
-        assert_eq!(p.in_use(), 0);
+        assert_eq!(p.capacity() - p.available(), 0);
     }
 
     #[test]
@@ -151,7 +146,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(p.in_use(), 0);
+        assert_eq!(p.capacity() - p.available(), 0);
     }
 
     #[test]

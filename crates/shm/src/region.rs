@@ -267,17 +267,6 @@ impl ShmRegion {
         self.len == 0
     }
 
-    /// Whether this handle created (and will unlink) the name.
-    pub fn is_owner(&self) -> bool {
-        matches!(
-            &self.backing,
-            Backing::Mmap {
-                unlink: Some(_),
-                ..
-            }
-        )
-    }
-
     /// A typed reference to the object at byte `offset`.
     ///
     /// # Safety
@@ -431,7 +420,6 @@ mod tests {
         let name = unique("ro");
         let a = ShmRegion::create(&name, 4096).unwrap();
         let ro = ShmRegion::attach_readonly(&name).unwrap();
-        assert!(!ro.is_owner());
         let wa: &AtomicU32 = unsafe { a.at(128) };
         wa.store(41, Ordering::Release);
         let wr: &AtomicU32 = unsafe { ro.at(128) };
@@ -442,7 +430,6 @@ mod tests {
     fn anon_is_zeroed_aligned_and_shared_by_attach_again() {
         let r = ShmRegion::anon(1024);
         assert_eq!(r.len(), 1024);
-        assert!(!r.is_owner());
         assert_eq!(r.base() as usize % 8, 0);
         let again = r.attach_again().unwrap();
         assert_eq!(again.base(), r.base(), "one mapping, two handles");

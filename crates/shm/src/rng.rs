@@ -31,7 +31,7 @@ impl SmallRng {
     }
 
     /// Uniform `f64` in `[0, 1)` (53 random mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -40,7 +40,7 @@ mod nr {
 /// # Safety
 /// The caller must uphold the contract of the specific syscall.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-pub unsafe fn syscall6(
+unsafe fn syscall6(
     nr: usize,
     a1: usize,
     a2: usize,
@@ -72,7 +72,7 @@ pub unsafe fn syscall6(
 /// # Safety
 /// The caller must uphold the contract of the specific syscall.
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
-pub unsafe fn syscall6(
+unsafe fn syscall6(
     nr: usize,
     a1: usize,
     a2: usize,

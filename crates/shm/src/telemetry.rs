@@ -121,7 +121,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Largest value bucket `b` can represent (before clamping).
-pub fn bucket_upper_bound(b: usize) -> u64 {
+fn bucket_upper_bound(b: usize) -> u64 {
     if b == 0 {
         0
     } else if b >= 64 {
@@ -414,7 +414,7 @@ impl TelSnapshot {
     }
 
     /// Adds one conversation's per-message counts into the totals.
-    pub fn absorb_lnvc(&mut self, lnvc: &LnvcTelSnapshot) {
+    fn absorb_lnvc(&mut self, lnvc: &LnvcTelSnapshot) {
         self.sends += lnvc.sends;
         self.receives += lnvc.receives;
         self.bytes_in += lnvc.bytes_in;

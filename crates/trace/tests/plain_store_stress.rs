@@ -18,7 +18,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mpf::inspect::RegionInspector;
-use mpf::{IpcLnvcId, IpcMpf};
+use mpf::{IpcMpf, LnvcId};
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_trace::TraceLog;
 
@@ -157,7 +157,7 @@ fn shared_conversations_lose_no_update_under_contention() {
     creator.check_invariants().expect("audit with a backlog");
     let insp = RegionInspector::attach(&name).expect("inspector");
     for ((info, &id), name) in insp.lnvcs().iter().zip(tx_ids).zip(CONVS) {
-        let id: IpcLnvcId = id;
+        let id: LnvcId = id;
         assert_eq!(info.name, name);
         assert_eq!(info.next_seq as u64, per_conv + 3, "a sequence number lost");
         assert_eq!(info.tel.sends, per_conv + 3);

@@ -161,8 +161,9 @@ fn both_backends_record_the_same_kind_sequence() {
     mpf.close_send(p(0), tx).unwrap();
     mpf.close_receive(p(0), rx).unwrap();
     let thread_kinds: Vec<u32> = mpf
-        .trace_events(p(0))
+        .view(p(0))
         .unwrap()
+        .trace_events(0)
         .iter()
         .map(|e| e.kind)
         .collect();
@@ -295,7 +296,7 @@ fn blocked_batch_receive_records_its_wake_in_the_chain() {
     let tx = mpf.open_send(p(0), "late").unwrap();
     let rx = mpf.open_receive(p(1), "late", Protocol::Fcfs).unwrap();
     let blocked = || {
-        let ring = mpf.trace_events(p(1)).unwrap();
+        let ring = mpf.view(p(1)).unwrap().trace_events(1);
         ring.iter().any(|e| e.kind == TR_RECV_BLOCK)
     };
     let got = std::thread::scope(|s| {
@@ -315,7 +316,7 @@ fn blocked_batch_receive_records_its_wake_in_the_chain() {
         "published as one run"
     );
 
-    let ring = mpf.trace_events(p(1)).unwrap();
+    let ring = mpf.view(p(1)).unwrap().trace_events(1);
     let story: Vec<_> = ring
         .iter()
         .filter(|e| matches!(e.kind, TR_RECV_BLOCK | TR_RECV | TR_WAKEUP))

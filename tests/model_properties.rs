@@ -265,7 +265,8 @@ fn run_sequence(ops: Vec<Op>) {
             Op::TryRecv { pid, name } => {
                 let Some(&id) = ids.get(&name) else { continue };
                 let mut buf = [0u8; 128];
-                let result = mpf.try_message_receive(ProcessId::from_index(pid), id, &mut buf);
+                let view = mpf.view(ProcessId::from_index(pid)).expect("view");
+                let result = view.try_message_receive(id, &mut buf);
                 let Some(entry) = model.lnvcs.get_mut(&name) else {
                     continue;
                 };

@@ -1,7 +1,7 @@
 //! Regression tests for the *specific behaviours the paper calls out in
 //! prose* — each test cites its sentence.
 
-use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
+use mpf::{LnvcId, Mpf, MpfConfig, ProcessId, Protocol};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::from_index(i)
@@ -9,6 +9,11 @@ fn p(i: usize) -> ProcessId {
 
 fn facility() -> Mpf {
     Mpf::init(MpfConfig::new(8, 8)).expect("init")
+}
+
+/// A blocking receive into a fresh `Vec`: a batch of one.
+fn recv_vec(mpf: &Mpf, pid: ProcessId, id: LnvcId) -> Vec<u8> {
+    mpf.recv_batch(pid, id, 1).unwrap().remove(0)
 }
 
 /// §3.2: "a sending process might want to open a send connection on an
@@ -42,7 +47,7 @@ fn receiver_connected_before_close_preserves_the_messages() {
     mpf.message_send(p(0), tx, b"survives").unwrap();
     let rx = mpf.open_receive(p(1), "kept", Protocol::Fcfs).unwrap();
     mpf.close_send(p(0), tx).unwrap(); // receiver keeps the LNVC alive
-    assert_eq!(mpf.message_receive_vec(p(1), rx).unwrap(), b"survives");
+    assert_eq!(recv_vec(&mpf, p(1), rx), b"survives");
 }
 
 /// §2: "Although check_receive() may indicate that a message is present,
@@ -58,10 +63,13 @@ fn check_receive_is_advisory_for_fcfs() {
 
     assert!(mpf.check_receive(p(1), r1).unwrap(), "message is present…");
     // …but the other FCFS receiver takes it first.
-    assert_eq!(mpf.message_receive_vec(p(2), r2).unwrap(), b"only one");
+    assert_eq!(recv_vec(&mpf, p(2), r2), b"only one");
     let mut buf = [0u8; 16];
     assert_eq!(
-        mpf.try_message_receive(p(1), r1, &mut buf).unwrap(),
+        mpf.view(p(1))
+            .unwrap()
+            .try_message_receive(r1, &mut buf)
+            .unwrap(),
         None,
         "the checked message is gone — exactly the documented race"
     );
@@ -79,8 +87,8 @@ fn check_receive_is_a_guarantee_for_broadcast() {
 
     assert!(mpf.check_receive(p(1), r1).unwrap());
     // Another broadcast receiver consuming does not invalidate the check.
-    assert_eq!(mpf.message_receive_vec(p(2), r2).unwrap(), b"for all");
-    assert_eq!(mpf.message_receive_vec(p(1), r1).unwrap(), b"for all");
+    assert_eq!(recv_vec(&mpf, p(2), r2), b"for all");
+    assert_eq!(recv_vec(&mpf, p(1), r1), b"for all");
 }
 
 /// §3.1: "A time-ordered message stream will be seen by all BROADCAST
@@ -101,18 +109,18 @@ fn broadcast_total_order_and_fcfs_suborder_coexist() {
     }
     // Broadcast receiver: the full stream, in order.
     for i in 0..10u8 {
-        assert_eq!(mpf.message_receive_vec(p(1), bc).unwrap(), vec![i]);
+        assert_eq!(recv_vec(&mpf, p(1), bc), vec![i]);
     }
     // FCFS receivers alternating arbitrarily: each sub-stream ascends.
     let mut last1 = -1i16;
     let mut last2 = -1i16;
     for turn in 0..10 {
         if turn % 3 == 0 {
-            let v = mpf.message_receive_vec(p(3), f2).unwrap()[0] as i16;
+            let v = recv_vec(&mpf, p(3), f2)[0] as i16;
             assert!(v > last2);
             last2 = v;
         } else {
-            let v = mpf.message_receive_vec(p(2), f1).unwrap()[0] as i16;
+            let v = recv_vec(&mpf, p(2), f1)[0] as i16;
             assert!(v > last1);
             last1 = v;
         }
@@ -167,13 +175,10 @@ fn broadcast_only_messages_are_not_kept_for_late_fcfs_receivers() {
         "the broadcast-only message is not owed to the late FCFS receiver"
     );
     // …while the broadcast receiver still gets it.
-    assert_eq!(
-        mpf.message_receive_vec(p(1), bc).unwrap(),
-        b"spoken to the room"
-    );
+    assert_eq!(recv_vec(&mpf, p(1), bc), b"spoken to the room");
     // Messages sent from now on (with an FCFS receiver connected) are owed.
     mpf.message_send(p(0), tx, b"task").unwrap();
-    assert_eq!(mpf.message_receive_vec(p(2), late).unwrap(), b"task");
+    assert_eq!(recv_vec(&mpf, p(2), late), b"task");
 }
 
 /// Footnote 2: "An LNVC exists only if the set of senders or receivers is

@@ -46,7 +46,7 @@ fn random_single_threaded_traffic_conserves_blocks() {
             "round {round}: blocks leaked after conversation deletion"
         );
         assert_eq!(mpf.live_lnvcs(), 0, "round {round}");
-        mpf.assert_invariants();
+        mpf.check_invariants().unwrap();
     }
 }
 
@@ -62,14 +62,9 @@ fn exhaustion_error_path_conserves_blocks() {
     let rx = mpf.receiver(p(1), "tight", Protocol::Fcfs).expect("rx");
 
     tx.send(&[1u8; 50]).expect("5 blocks");
-    // 3 blocks left; a 40-byte message needs 4: must fail cleanly.  The
-    // facade's send would wait for room; the engine's own reports.
-    let (view, id) = (
-        mpf.view(p(0)).expect("view"),
-        mpf.ipc_id(tx.id()).expect("id"),
-    );
+    // 3 blocks left; a 40-byte message needs 4: must fail cleanly.
     assert_eq!(
-        view.message_send(id, &[2u8; 40]).unwrap_err(),
+        mpf.message_send(p(0), tx.id(), &[2u8; 40]).unwrap_err(),
         MpfError::BlocksExhausted
     );
     assert_eq!(mpf.free_blocks(), 3, "failed send must roll back fully");
@@ -81,7 +76,7 @@ fn exhaustion_error_path_conserves_blocks() {
     assert_eq!(mpf.free_blocks(), 5, "consumption reclaims");
     assert_eq!(rx.recv(&mut buf).expect("recv"), 30);
     assert_eq!(mpf.free_blocks(), 8);
-    mpf.assert_invariants();
+    mpf.check_invariants().unwrap();
 }
 
 #[test]
@@ -106,7 +101,7 @@ fn buffer_too_small_never_leaks_or_consumes() {
     let v = rx.recv_vec().expect("recv");
     assert_eq!(v.len(), 100);
     assert_eq!(mpf.free_blocks(), 64);
-    mpf.assert_invariants();
+    mpf.check_invariants().unwrap();
 }
 
 #[test]
@@ -143,5 +138,5 @@ fn concurrent_traffic_conserves_after_join() {
     assert_eq!(snap.sends, 800);
     assert_eq!(snap.receives, 800);
     assert_eq!(snap.bytes_in, snap.bytes_out, "loop traffic is symmetric");
-    mpf.assert_invariants();
+    mpf.check_invariants().unwrap();
 }
