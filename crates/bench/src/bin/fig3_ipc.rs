@@ -7,8 +7,8 @@
 //! actually measured.  Same axis, same timer, one table, one report.
 //!
 //! `fig3_ipc --msgs N` measures nothing: it pushes `N` messages per size
-//! through the worker, as a live two-process workload for the `mpfstat` /
-//! `mpf-trace` smokes and the dead-peer probe to look at.
+//! through the worker, as a live two-process workload for the `mpf-trace`
+//! smokes and the dead-peer probe to look at.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};

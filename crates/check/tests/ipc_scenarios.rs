@@ -24,9 +24,10 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use mpf::inspect::RegionInspector;
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_check::{explore_dfs, explore_random, Case, DeathPlan, ExploreOpts};
-use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_ipc::IpcMpf;
 use mpf_shm::waitq::FutexSeq;
 
 type Proc = Box<dyn FnOnce() + Send>;

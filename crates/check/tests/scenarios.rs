@@ -653,7 +653,7 @@ fn trace_conservation_under_schedules() {
             death: None,
             check: Box::new(move || {
                 mpf.check_invariants()?;
-                let log = mpf_trace::TraceLog::from_mpf(&mpf);
+                let log = mpf_trace::TraceLog::from_ipc(mpf.view(p(0)).map_err(|e| e.to_string())?);
                 let report = log.check();
                 if !report.is_clean() {
                     return Err(format!("conformance violations: {:?}", report.violations));

@@ -645,7 +645,7 @@ impl IpcMpf {
         }
     }
 
-    /// Ticks this process's progress beacon (`mpfstat` displays it; the
+    /// Ticks this process's progress beacon (`mpf-trace stat` shows it; the
     /// liveness sweep probes the OS pid, not this).  The slot's owner is
     /// its only writer, so load + store; two threads of one view can lose
     /// a tick between them, which a beacon does not mind.

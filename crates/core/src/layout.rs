@@ -156,7 +156,7 @@ impl RegionLayout {
         );
         // One single-writer trace ring per process slot, so a crashed
         // process's last events survive in the region: the substrate of
-        // `mpfstat`'s last-events view and `mpf-trace`'s post-mortem
+        // `mpf-trace`'s last-events view (`stat`) and its post-mortem
         // reconstruction.
         push(
             "trace rings",

@@ -163,7 +163,7 @@ impl AioCompletion {
 }
 
 /// Point-in-time counters of one process's submission/completion ring
-/// pair (also surfaced by the region inspector and `mpfstat`).
+/// pair (also surfaced by the region inspector and `mpf-trace stat`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AioStats {
     /// Descriptors currently staged in the submission ring.

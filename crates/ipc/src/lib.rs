@@ -4,8 +4,7 @@
 //! physical memory on the Sequent Balance 21000.  The protocol engine
 //! lives in `mpf-core` ([`mpf::engine`]; `mpf::Mpf` runs it for threads on
 //! an anonymous region); this crate is its multi-process face — the named
-//! create/attach surface and the read-only inspector re-exported, a C ABI
-//! and the `mpfstat` binary:
+//! create/attach surface re-exported and a C ABI:
 //!
 //! * [`IpcMpf::create`] mmaps a named region (`/dev/shm/mpf-region-<name>`)
 //!   and carves it per [`mpf::layout::RegionLayout::for_config`] — a
@@ -24,10 +23,9 @@
 //!
 //! [`ffi`] exports the same surface with a C ABI so separately compiled
 //! binaries can join a conversation knowing only the region name;
-//! [`RegionInspector`] (`mpf::inspect`, and the `mpfstat` binary over it)
+//! `mpf::inspect::RegionInspector` (and the `mpf-trace` binary over it)
 //! reads a live or post-mortem region without joining it.
 
 pub mod ffi;
 pub use mpf::engine::{AttachError, IpcLnvcId, IpcMpf};
-pub use mpf::inspect::{self, AioRingInfo, LnvcInfo, ProcessInfo, RegionInspector};
 pub use mpf::shmem;

@@ -10,8 +10,9 @@ use std::io::Read as _;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use mpf::inspect::{ProcessInfo, RegionInspector};
 use mpf::{MpfConfig, MpfError, Protocol, Reclaimable};
-use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_ipc::IpcMpf;
 use mpf_shm::tracering::{TR_RECV_BLOCK, TR_SEND};
 
 const REGION_ENV: &str = "MPF_IPC_REGION";
@@ -329,7 +330,7 @@ fn fcfs_departure_releases_obligations_across_processes() {
     assert_eq!(t.lnvcs_created, t.lnvcs_deleted);
 }
 
-/// Child role for [`mpfstat_post_mortem_reads_a_sigkilled_writer`]: open a
+/// Child role for [`post_mortem_reads_a_sigkilled_writer`]: open a
 /// conversation, send a recognizable stream, report in, then park
 /// forever — the parent SIGKILLs this process mid-session, so its last
 /// acts must remain readable from the region afterwards.
@@ -353,13 +354,13 @@ fn helper_doomed_sender() {
 }
 
 /// The trace ring's post-mortem reason to exist: a writer is SIGKILLed
-/// while blocked in a receive and `mpfstat --json` — attaching
-/// read-only, after the fact — still reports its last events (its final
+/// while blocked in a receive and the read-only inspector — attaching
+/// after the fact — still reports its last events (its final
 /// sends, then the `recv_block` marker it died on), the non-zero
 /// counters it contributed, and the poisoned conversation it left
 /// behind.
 #[test]
-fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
+fn post_mortem_reads_a_sigkilled_writer() {
     let region = unique_region("postmortem");
     let m = create_region(&region);
     let rx = m.open_receive("blackbox", Protocol::Fcfs).unwrap();
@@ -395,13 +396,13 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
     victim.wait().expect("reap victim");
     // One survivor sweep converts the corpse's slot to DEAD and poisons
     // the conversations it touched — exactly what a stuck operator's
-    // first `mpfstat` glance should show.
+    // first `mpf-trace stat` glance should show.
     while m.sweep_dead_peers() == 0 {
         std::thread::sleep(Duration::from_millis(10));
     }
     m.check_invariants().expect("audit after the sweep");
 
-    // The library-level post-mortem view first.
+    // The post-mortem view, read straight off the region.
     let dead: Vec<_> = insp
         .processes()
         .into_iter()
@@ -427,48 +428,6 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
     assert!(insp.lnvcs().iter().any(|l| l.poisoned));
     let t = insp.telemetry_snapshot();
     assert!(t.sends >= 6 && t.receives >= 2 && t.peers_died == 1);
-
-    // Then the full binary, exactly as an operator would run it.
-    let out = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
-        .args([region.as_str(), "--json"])
-        .output()
-        .expect("run mpfstat");
-    assert!(out.status.success(), "mpfstat failed: {out:?}");
-    let json = String::from_utf8(out.stdout).expect("utf8 json");
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    assert!(json.contains("\"state\":\"dead\""), "dead slot in {json}");
-    assert!(json.contains("\"poisoned\":true"), "poison in {json}");
-    assert!(json.contains("\"trace_rings\":["), "event tails in {json}");
-    assert!(json.contains("\"kind\":\"send\""), "ring events in {json}");
-    assert!(
-        json.contains("\"kind\":\"recv_block\""),
-        "blocked reader in {json}"
-    );
-    assert!(
-        json.contains(&format!("\"os_pid\":{victim_os_pid}")),
-        "victim os pid in {json}"
-    );
-    assert!(json.contains("\"peers_died\":1"), "sweep count in {json}");
-    // Per-conversation size distribution and the fold word of the header.
-    assert!(json.contains("\"sizes\":{\"count\":"), "sizes in {json}");
-    assert!(json.contains("\"tel_fold_seq\":"), "fold word in {json}");
-
-    // The trace subview reads the same rings.
-    let out = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
-        .args([region.as_str(), "--trace", "--json"])
-        .output()
-        .expect("run mpfstat --trace");
-    assert!(out.status.success(), "mpfstat --trace failed: {out:?}");
-    let json = String::from_utf8(out.stdout).expect("utf8 json");
-    assert!(
-        json.contains("\"trace_enabled\":true"),
-        "tracing on in {json}"
-    );
-    assert!(
-        json.contains("\"kind\":\"send\""),
-        "victim's trace records in {json}"
-    );
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
 /// A receiver blocked on one conversation — no lock contended, no
@@ -515,8 +474,8 @@ fn blocked_receiver_notices_a_sigkilled_sender_within_the_cadence() {
 fn await_peer(
     insp: &RegionInspector,
     me: u32,
-    parked: impl Fn(&mpf_ipc::ProcessInfo) -> bool,
-) -> mpf_ipc::ProcessInfo {
+    parked: impl Fn(&ProcessInfo) -> bool,
+) -> ProcessInfo {
     let patience = Instant::now() + Duration::from_secs(30);
     loop {
         if let Some(p) = insp
@@ -609,7 +568,7 @@ fn wait_any_is_woken_promptly_from_another_process() {
     );
 }
 
-/// Child role for [`mpfstat_post_mortem_shows_who_was_parked_on_what`]:
+/// Child role for [`post_mortem_shows_who_was_parked_on_what`]:
 /// park in a two-member `wait_any_deadline` nobody will ever satisfy.
 #[test]
 #[ignore = "helper: only meaningful when spawned by a parent test"]
@@ -625,13 +584,13 @@ fn helper_doomed_watcher() {
 
 /// "Who is stuck on what", post-mortem: a process is SIGKILLed while
 /// asleep on its doorbell in `wait_any_deadline`.  Before any survivor
-/// sweeps, `mpfstat` shows the corpse asleep and watching two
+/// sweeps, the inspector shows the corpse asleep and watching two
 /// conversations; senders to those conversations keep succeeding (they
 /// ring a doorbell nobody hears); the sweep then retires the watches with
 /// the corpse's connections, conservation holds, and whoever recycles
 /// the slot starts with a doorbell nobody is counted asleep on.
 #[test]
-fn mpfstat_post_mortem_shows_who_was_parked_on_what() {
+fn post_mortem_shows_who_was_parked_on_what() {
     let region = unique_region("parked");
     let m = create_region(&region);
     let total = m.free_blocks();
@@ -645,28 +604,14 @@ fn mpfstat_post_mortem_shows_who_was_parked_on_what() {
 
     // Unswept: the slot is still ATTACHED, its owner gone, and the region
     // remembers what it was waiting for.
-    let out = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
-        .args([region.as_str(), "--json"])
-        .output()
-        .expect("run mpfstat");
-    assert!(out.status.success(), "mpfstat failed: {out:?}");
-    let json = String::from_utf8(out.stdout).expect("utf8 json");
-    let row = format!("\"os_pid\":{},\"alive\":false", parked.os_pid);
-    assert!(json.contains(&row), "corpse row in {json}");
+    let corpse = &insp.processes()[parked.pid as usize];
+    assert_eq!(corpse.state, "attached");
+    assert!(!corpse.alive, "{corpse:?}");
     assert!(
-        json.contains("\"asleep\":true,\"watching\":2,\"mem_wait\":false"),
-        "parked watcher in {json}"
+        corpse.asleep && corpse.watching == 2 && !corpse.mem_wait,
+        "{corpse:?}"
     );
-    assert!(json.contains("\"pool_waiters\":0"), "header in {json}");
-    let text = Command::new(env!("CARGO_BIN_EXE_mpfstat"))
-        .arg(region.as_str())
-        .output()
-        .expect("run mpfstat");
-    let text = String::from_utf8(text.stdout).expect("utf8");
-    assert!(
-        text.contains("asleep") && text.contains("watching"),
-        "{text}"
-    );
+    assert_eq!(insp.pool_waiters(), 0);
 
     // A watched conversation whose watcher is dead still takes sends.
     m.message_send(ta, b"into the void")

@@ -6,8 +6,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mpf::inspect::{ProcessInfo, RegionInspector};
 use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_ipc::IpcMpf;
 
 fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(8, 4)
@@ -193,7 +194,7 @@ fn send_batch_deadline_times_out_when_nothing_submits() {
 /// Spins until `pid`'s slot in the named region satisfies `parked` — the
 /// forced interleaving for the wake-latency tests: the peer acts only
 /// once the waiter is really asleep on its doorbell.
-fn await_parked(region: &str, pid: u32, parked: impl Fn(&mpf_ipc::ProcessInfo) -> bool) {
+fn await_parked(region: &str, pid: u32, parked: impl Fn(&ProcessInfo) -> bool) {
     let insp = RegionInspector::attach(region).expect("inspect");
     let patience = Instant::now() + Duration::from_secs(30);
     while !parked(&insp.processes()[pid as usize]) {

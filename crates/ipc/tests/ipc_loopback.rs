@@ -7,8 +7,9 @@
 
 use std::time::{Duration, Instant};
 
+use mpf::inspect::RegionInspector;
 use mpf::{MpfConfig, MpfError, Protocol};
-use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_ipc::IpcMpf;
 
 fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(8, 4)
@@ -144,7 +145,7 @@ fn buffer_too_small_keeps_the_message_queued() {
     assert_eq!(m.message_receive(rx, &mut big).unwrap(), 100);
 }
 
-/// `mpfstat` shows a process's heartbeat as its sign of progress: one
+/// `mpf-trace stat` shows a process's heartbeat as its sign of progress: one
 /// that only ever blocks in single receives must not look frozen.
 #[test]
 fn blocking_single_receives_tick_the_heartbeat() {
@@ -272,7 +273,7 @@ fn attach_by_name_sees_existing_conversations() {
 #[test]
 fn previous_layout_version_is_rejected() {
     use mpf::layout::LAYOUT_VERSION;
-    use mpf_ipc::{shmem::RegionHeader, AttachError, RegionInspector};
+    use mpf_ipc::{shmem::RegionHeader, AttachError};
     use std::sync::atomic::Ordering;
 
     assert_eq!(LAYOUT_VERSION, 8);

@@ -11,9 +11,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mpf::inspect::RegionInspector;
 use mpf::{LnvcId, MpfConfig, MpfError, Protocol};
 use mpf_ipc::shmem::{msg_flags, NIL};
-use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_ipc::IpcMpf;
 use mpf_shm::telemetry::TelSnapshot;
 
 fn unique(tag: &str) -> String {

@@ -4,7 +4,7 @@
 //! atomics so it can live *inside* the shared region carved by
 //! `RegionLayout` — cross-process readable, crash-persistent, and safe to
 //! inspect read-only from a process that never took part in the session
-//! (the `mpfstat` inspector).  Design rules:
+//! (`mpf-trace stat`).  Design rules:
 //!
 //! * **Per-message quantities are counted once, per conversation**
 //!   ([`LnvcTelemetry`]: sends, receives, bytes, reclaims, sizes,

@@ -16,7 +16,7 @@
 //! Each ring is strictly single-writer: the owning process appends,
 //! wait-free (Torquati's SPSC discipline; see PAPERS.md).  Publication is
 //! a seqlock: the writer zeroes `seq`, fills the payload, then publishes
-//! `seq = pos + 1`.  A reader (live `mpfstat`, post-mortem `mpf-trace`)
+//! `seq = pos + 1`.  A reader (`mpf-trace`, live or post-mortem)
 //! validates `seq` before and after copying the payload and skips torn
 //! slots; a writer SIGKILLed mid-append leaves `seq == 0` and loses
 //! exactly that slot.  Rings are KB-sized (512 records × 48 B) because
@@ -169,7 +169,7 @@ pub struct TraceEvent {
 pub struct TraceRing {
     head: AtomicU64,
     /// Events not recorded because the chain fell outside the 1-in-N
-    /// trace sample — occupancy math for `mpfstat --trace`.
+    /// trace sample — occupancy math for `mpf-trace`'s ring table.
     skipped: AtomicU64,
     writer_pid: AtomicU32,
     _pad: [u8; 44],

@@ -1,287 +1,221 @@
-//! `mpf-trace` — offline causal-trace reconstruction for an MPF region.
-//!
-//! ```text
-//! mpf-trace <region-name> [--chains] [--check] [--export <path|->] [--json]
-//! mpf-trace <region-name> --follow [--interval-ms N] [--for-secs N]
-//! ```
+//! `mpf-trace` — read an MPF region file, live or post-mortem (`--help`
+//! prints the usage).
 //!
 //! Attaches **read-only** (`RegionInspector`): no process slot, no lock,
 //! no write — safe on a live region and on the leftover region file of a
-//! SIGKILLed session.  With no mode flags it prints a summary plus the
+//! SIGKILLed session.  With no mode it reconstructs the causal chains and
+//! prints a summary (records, chains, trace-ring occupancy) plus the §3
 //! conformance report.
 //!
 //! - `--chains` renders every reconstructed causal chain, hop by hop.
-//! - `--check` runs only the §3 conformance checker; the process exits
-//!   with status 3 when violations are found, so CI can gate on it.
+//! - `--check` runs only the conformance checker; the process exits with
+//!   status 3 when violations are found, so CI can gate on it.
 //! - `--export <path>` writes Chrome `trace_event` JSON (Perfetto and
 //!   `chrome://tracing` load it); `-` writes to stdout.
-//! - `--json` switches the summary/check output to machine-readable JSON.
+//! - `--json` switches the summary/check and `stat` output to one JSON
+//!   document.
+//! - `--ring N` sets how many of each ring's last records are shown
+//!   (default 16).
 //! - `--follow` tails the live trace rings, printing records as the
-//!   region's processes write them (`mpf-soak --debug` drives this).
-//!   Each poll re-reads the single-writer rings without locking; records
-//!   lost to ring wrap-around are reported as a gap.
+//!   region's processes write them (`mpf-soak --debug` drives this);
+//!   records lost to ring wrap-around are reported as a gap.
+//! - `stat` prints who is stuck on what: the process table (liveness,
+//!   asleep, watching, mem-wait), the conversations, counters, latency
+//!   and size percentiles, aio rings, trace-ring occupancy and each
+//!   ring's last events.  `--watch` redraws it every interval, with
+//!   counter deltas and sparkline rate history.
+//! - `--follow` and `--watch` poll every `--interval-ms` (default 250)
+//!   until `--for-secs` elapses, or forever.
+//!
+//! Every flag takes a value or none; a missing or unparsable value exits
+//! 2.  A reader that hangs up early (`| head`) ends the process quietly.
 
-use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
+use std::process::exit;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use mpf::inspect::RegionInspector;
-use mpf_shm::tracering::trace_event_name;
+use mpf_trace::render::{self, SPARK_WIDTH};
 use mpf_trace::TraceLog;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mpf-trace <region-name> [--chains] [--check] [--export <path|->] [--json]\n\
-         \u{20}      mpf-trace <region-name> --follow [--interval-ms N] [--for-secs N]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "\
+usage: mpf-trace <region> [--chains] [--check] [--export <path|->] [--json] [--ring N]
+       mpf-trace <region> --follow [--interval-ms N] [--for-secs N]
+       mpf-trace <region> stat [--json] [--ring N] [--watch] [--interval-ms N] [--for-secs N]";
+
+#[derive(Default)]
+struct Args {
+    name: String,
+    stat: bool,
+    chains: bool,
+    check: bool,
+    export: Option<String>,
+    json: bool,
+    ring: usize,
+    follow: bool,
+    watch: bool,
+    interval: Duration,
+    for_secs: Option<u64>,
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("mpf-trace: {msg}\n{USAGE}");
+    exit(2);
+}
+
+/// The value after `flag`, parsed; missing or unparsable exits 2.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    match it.next().map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => usage_error(&format!("`{flag}` needs a value")),
+    }
+}
+
+fn parse() -> Args {
+    let mut name = None;
+    let mut a = Args {
+        ring: 16,
+        interval: Duration::from_millis(250),
+        ..Args::default()
+    };
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--chains" => a.chains = true,
+            "--check" => a.check = true,
+            "--json" => a.json = true,
+            "--follow" => a.follow = true,
+            "--watch" => a.watch = true,
+            "--export" => a.export = Some(value(&mut it, &arg)),
+            "--ring" => a.ring = value(&mut it, &arg),
+            "--interval-ms" => {
+                a.interval = Duration::from_millis(value::<u64>(&mut it, &arg).max(1))
+            }
+            "--for-secs" => a.for_secs = Some(value(&mut it, &arg)),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                exit(0);
+            }
+            "stat" if name.is_some() && !a.stat => a.stat = true,
+            other if name.is_none() && !other.starts_with('-') => name = Some(other.to_string()),
+            other => usage_error(&format!("unknown argument `{other}`")),
+        }
+    }
+    if a.watch && !a.stat {
+        usage_error("`--watch` redraws `stat`");
+    }
+    a.name = name.unwrap_or_else(|| usage_error("no region named"));
+    a
+}
+
+/// Every byte of output goes through here.  A reader that hung up ends
+/// the process quietly instead of in a broken-pipe panic.
+fn emit(s: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(s.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("mpf-trace: cannot write output: {e}");
+        exit(1);
+    }
+}
+
+/// The one live loop (`--follow`, `stat --watch`): `tick` now, then every
+/// `interval` until `for_secs` have passed — forever without it.
+fn poll(interval: Duration, for_secs: Option<u64>, mut tick: impl FnMut()) {
+    let deadline = for_secs.map(|s| Instant::now() + Duration::from_secs(s));
+    loop {
+        tick();
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return;
+        }
+        std::thread::sleep(interval);
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut name = None;
-    let mut chains = false;
-    let mut check_only = false;
-    let mut export: Option<String> = None;
-    let mut json = false;
-    let mut follow = false;
-    let mut interval = Duration::from_millis(250);
-    let mut for_secs: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--chains" => chains = true,
-            "--check" => check_only = true,
-            "--json" => json = true,
-            "--follow" => follow = true,
-            "--interval-ms" => {
-                let Some(ms) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-                    usage()
-                };
-                interval = Duration::from_millis(ms.max(1));
-                i += 1;
-            }
-            "--for-secs" => {
-                let Some(s) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-                    usage()
-                };
-                for_secs = Some(s);
-                i += 1;
-            }
-            "--export" => {
-                let Some(path) = args.get(i + 1) else { usage() };
-                export = Some(path.clone());
-                i += 1;
-            }
-            "--help" | "-h" => usage(),
-            other if name.is_none() && !other.starts_with('-') => name = Some(other.to_string()),
-            other => {
-                eprintln!("mpf-trace: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(name) = name else { usage() };
-
-    let insp = match RegionInspector::attach(&name) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("mpf-trace: cannot attach `{name}`: {e}");
-            std::process::exit(1);
-        }
-    };
+    let a = parse();
+    let insp = RegionInspector::attach(&a.name).unwrap_or_else(|e| {
+        eprintln!("mpf-trace: cannot attach `{}`: {e}", a.name);
+        exit(1);
+    });
     if !insp.trace_enabled() {
-        eprintln!("mpf-trace: region `{name}` was created with tracing disabled");
+        eprintln!(
+            "mpf-trace: region `{}` was created with tracing disabled",
+            a.name
+        );
     }
-    if follow {
-        follow_rings(&insp, interval, for_secs);
+
+    if a.stat {
+        // One frame; with `--watch`, one per interval, each adding the
+        // counter deltas since the last to the sparkline history.
+        let (mut prev, mut history) = (None, Vec::new());
+        let for_secs = if a.watch { a.for_secs } else { Some(0) };
+        poll(a.interval, for_secs, || {
+            let now = insp.telemetry_snapshot();
+            if let Some(prev) = &prev {
+                history.push(now.diff(prev));
+                if history.len() > SPARK_WIDTH {
+                    history.remove(0);
+                }
+            }
+            prev = Some(now);
+            // ANSI clear-screen + home keeps the redrawn table in place.
+            let clear = if a.watch && !a.json {
+                "\x1b[2J\x1b[H"
+            } else {
+                ""
+            };
+            let frame = if a.json {
+                format!("{}\n", render::stat_json(&insp, a.ring))
+            } else {
+                render::stat_text(&insp, a.ring, &history)
+            };
+            emit(&format!("{clear}{frame}"));
+        });
         return;
     }
-    let log = TraceLog::from_inspector(&insp);
+    if a.follow {
+        let mut last_seq = vec![0u64; insp.trace_rings().len()];
+        poll(a.interval, a.for_secs, || {
+            emit(&render::follow_step(&insp, &mut last_seq))
+        });
+        return;
+    }
 
-    if let Some(path) = export {
+    let log = TraceLog::from_inspector(&insp);
+    if let Some(path) = &a.export {
         let out = log.chrome_json();
         if path == "-" {
-            println!("{out}");
-        } else if let Err(e) = std::fs::write(&path, &out) {
+            emit(&format!("{out}\n"));
+        } else if let Err(e) = std::fs::write(path, &out) {
             eprintln!("mpf-trace: cannot write `{path}`: {e}");
-            std::process::exit(1);
+            exit(1);
         } else {
             eprintln!(
                 "mpf-trace: wrote {} events to {path} (load in Perfetto or chrome://tracing)",
                 log.len()
             );
         }
-        if !chains && !check_only {
+        if !a.chains && !a.check {
             return;
         }
     }
-
-    if chains {
-        print!("{}", log.render_chains());
-        if !check_only {
+    if a.chains {
+        emit(&log.render_chains());
+        if !a.check {
             return;
         }
     }
-
     let report = log.check();
-    if json {
-        println!("{}", report_json(&name, &log, &report));
+    emit(&if a.json {
+        format!("{}\n", render::summary_json(&insp, &log, &report, a.ring))
     } else {
-        print!("{}", summary_text(&name, &log));
-        if report.truncated {
-            println!("note: a ring wrapped — completeness rules suppressed past the horizon");
-        }
-        println!(
-            "conformance: {} messages, {} deliveries, {} injected fault(s), {} violation(s)",
-            report.messages,
-            report.deliveries,
-            report.faults,
-            report.violations.len()
-        );
-        for v in &report.violations {
-            println!("  {v}");
-        }
-    }
+        render::summary_text(&insp, &log, &report)
+    });
     if !report.is_clean() {
-        std::process::exit(3);
+        exit(3);
     }
-}
-
-/// Live-tails every process's trace ring: each poll re-reads the
-/// single-writer rings (no locks taken — same guarantee as the offline
-/// reader) and prints records newer than the last seen sequence.  Wrap
-/// losses show up as an explicit gap line rather than silently skipped
-/// output.  Runs until `--for-secs` elapses or the process is killed.
-fn follow_rings(insp: &RegionInspector, interval: Duration, for_secs: Option<u64>) {
-    let deadline = for_secs.map(|s| Instant::now() + Duration::from_secs(s));
-    let nprocs = insp.trace_rings().len();
-    let mut last_seq = vec![0u64; nprocs];
-    let mut t0: Option<u64> = None;
-    println!(
-        "{:<4}{:>10}  {:<10}{:>10}{:>8}{:>5}{:>6}{:>10}{:>10}",
-        "pid", "ms", "kind", "trace", "stamp", "hop", "lnvc", "arg", "arg2"
-    );
-    loop {
-        for (pid, last) in last_seq.iter_mut().enumerate() {
-            let events = insp.trace_events(pid as u32);
-            let Some(newest) = events.last().map(|e| e.seq) else {
-                continue;
-            };
-            if newest <= *last {
-                continue;
-            }
-            let oldest_avail = events.first().map(|e| e.seq).unwrap_or(newest);
-            if *last != 0 && oldest_avail > *last + 1 {
-                println!(
-                    "{:<4}  -- gap: {} record(s) overwritten before this poll --",
-                    pid,
-                    oldest_avail - *last - 1
-                );
-            }
-            for e in events.iter().filter(|e| e.seq > *last) {
-                let base = *t0.get_or_insert(e.tstamp);
-                println!(
-                    "{:<4}{:>10}  {:<10}{:>10x}{:>8}{:>5}{:>6}{:>10}{:>10}",
-                    pid,
-                    e.tstamp.saturating_sub(base) / 1_000_000,
-                    trace_event_name(e.kind),
-                    e.trace,
-                    e.stamp,
-                    e.hop,
-                    if e.lnvc == u32::MAX {
-                        -1
-                    } else {
-                        e.lnvc as i64
-                    },
-                    e.arg,
-                    e.arg2
-                );
-            }
-            *last = newest;
-        }
-        if let Some(dl) = deadline {
-            if Instant::now() >= dl {
-                return;
-            }
-        }
-        std::thread::sleep(interval);
-    }
-}
-
-fn summary_text(name: &str, log: &TraceLog) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "region {name}: {} surviving trace records across {} rings",
-        log.len(),
-        log.rings().len()
-    );
-    for r in log.rings() {
-        if r.events.is_empty() && r.sampled_out == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "  pid {:<3} {:>6} records{}{}",
-            r.pid,
-            r.events.len(),
-            if r.truncated { "  (wrapped)" } else { "" },
-            if r.sampled_out > 0 {
-                format!("  ({} chains sampled out)", r.sampled_out)
-            } else {
-                String::new()
-            },
-        );
-    }
-    let _ = writeln!(s, "chains reconstructed: {}", log.chains().len());
-    s
-}
-
-fn report_json(name: &str, log: &TraceLog, report: &mpf_trace::Report) -> String {
-    let rings = log
-        .rings()
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"pid\":{},\"records\":{},\"truncated\":{},\"sampled_out\":{}}}",
-                r.pid,
-                r.events.len(),
-                r.truncated,
-                r.sampled_out
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{{\"rule\":\"{}\",\"trace\":\"{:#x}\",\"stamp\":{},\"lnvc\":{},\"detail\":\"{}\"}}",
-                v.rule,
-                v.trace,
-                v.stamp,
-                if v.lnvc == u32::MAX {
-                    -1
-                } else {
-                    v.lnvc as i64
-                },
-                v.detail.replace('\\', "\\\\").replace('"', "\\\""),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"region\":\"{}\",\"records\":{},\"chains\":{},\"truncated\":{},\
-         \"messages\":{},\"deliveries\":{},\"faults\":{},\"rings\":[{rings}],\
-         \"violations\":[{violations}]}}",
-        name.replace('\\', "\\\\").replace('"', "\\\""),
-        log.len(),
-        log.chains().len(),
-        report.truncated,
-        report.messages,
-        report.deliveries,
-        report.faults,
-    )
 }

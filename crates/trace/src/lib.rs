@@ -29,6 +29,8 @@
 //! Everything here is read-only and lock-free: safe to point at the region of
 //! a SIGKILLed process.
 
+pub mod render;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -205,12 +207,6 @@ impl TraceLog {
             })
             .collect();
         TraceLog { rings }
-    }
-
-    /// Snapshots every trace ring of an in-process facility.
-    pub fn from_mpf(mpf: &mpf::Mpf) -> Self {
-        let any = mpf_shm::process::ProcessId::from_index(0);
-        Self::from_ipc(mpf.view(any).expect("a facility has a process 0"))
     }
 
     /// Snapshots every trace ring of the region behind an engine handle.

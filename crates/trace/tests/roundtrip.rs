@@ -51,7 +51,7 @@ fn mpf_roundtrip_reconstructs_exact_chain() {
     let n = mpf.message_receive(p(0), rep_rx, &mut buf).unwrap();
     assert_eq!(&buf[..n], b"pong!");
 
-    let log = TraceLog::from_mpf(&mpf);
+    let log = TraceLog::from_ipc(mpf.view(p(0)).unwrap());
     let chains = log.chains();
     assert_eq!(chains.len(), 1, "one causal chain: {chains:?}");
     let chain = &chains[0];
@@ -109,7 +109,7 @@ fn sampling_thins_chains_not_events() {
         mpf.message_send(p(0), tx, &[i; 16]).unwrap();
         mpf.message_receive(p(1), rx, &mut buf).unwrap();
     }
-    let log = TraceLog::from_mpf(&mpf);
+    let log = TraceLog::from_ipc(mpf.view(p(0)).unwrap());
     assert_eq!(log.chains().len(), 2, "1-in-2 of four roots");
     let skipped: u64 = log.rings().iter().map(|r| r.sampled_out).sum();
     assert_eq!(skipped, 2);
@@ -133,7 +133,7 @@ fn rate_zero_disables_tracing() {
     assert_eq!(mpf.message_receive(p(1), rx, &mut buf).unwrap(), 6);
     mpf.close_send(p(0), tx).unwrap();
     mpf.close_receive(p(1), rx).unwrap();
-    let log = TraceLog::from_mpf(&mpf);
+    let log = TraceLog::from_ipc(mpf.view(p(0)).unwrap());
     assert!(log.is_empty(), "rate 0 must record nothing: {log:?}");
 }
 
@@ -273,7 +273,7 @@ fn broadcast_chain_covers_every_receiver() {
     mpf.close_receive(p(1), r1).unwrap();
     mpf.close_receive(p(2), r2).unwrap();
 
-    let log = TraceLog::from_mpf(&mpf);
+    let log = TraceLog::from_ipc(mpf.view(p(0)).unwrap());
     let chains = log.chains();
     assert_eq!(chains.len(), 1);
     let send = chains[0]
@@ -328,7 +328,7 @@ fn blocked_batch_receive_records_its_wake_in_the_chain() {
     assert_eq!((wake.trace, wake.hop), (last_recv.trace, last_recv.hop));
     assert_eq!(wake.arg, 6, "the bytes the wake delivered");
 
-    let log = TraceLog::from_mpf(&mpf);
+    let log = TraceLog::from_ipc(mpf.view(p(0)).unwrap());
     let in_chain = |c: &mpf_trace::Chain| c.events.iter().any(|r| r.ev.kind == TR_WAKEUP);
     assert_eq!(log.chains().iter().filter(|c| in_chain(c)).count(), 1);
     let report = log.check();
@@ -358,7 +358,8 @@ fn spawn_helper(helper: &str, region: &str) -> Child {
 
 /// Child role for [`sigkilled_peer_reconstructs_post_mortem`]: answer one
 /// request (continuing its causal chain), queue undeliverable messages on
-/// a conversation nobody reads, then park until SIGKILLed.
+/// a conversation nobody reads, then block in a receive nobody will
+/// satisfy until SIGKILLed.
 #[test]
 #[ignore = "helper: only meaningful when spawned by a parent test"]
 fn helper_traced_victim() {
@@ -375,7 +376,12 @@ fn helper_traced_victim() {
     for i in 0..3u8 {
         m.message_send(void, &[i; 8]).expect("send into the void");
     }
-    std::thread::sleep(Duration::from_secs(60));
+    let idle = m.open_receive("idle", Protocol::Fcfs).expect("open idle");
+    let _ = m.recv_deadline(
+        idle,
+        &mut buf,
+        Some(Instant::now() + Duration::from_secs(60)),
+    );
 }
 
 /// The tentpole's acceptance story: a 2-process run whose peer is
@@ -383,7 +389,8 @@ fn helper_traced_victim() {
 /// chain — spanning both rings, dead process included — and a
 /// conformance-clean report (the victim's undelivered backlog is excused
 /// by the poison markers the survivor's sweep records).  The `mpf-trace`
-/// binary is exercised the way an operator would run it.
+/// binary is exercised the way an operator would run it: `--check`,
+/// `--export`, and `stat --json` on the corpse it left.
 #[test]
 fn sigkilled_peer_reconstructs_post_mortem() {
     if !mpf_shm::sys::HAVE_SYSCALLS {
@@ -410,7 +417,8 @@ fn sigkilled_peer_reconstructs_post_mortem() {
         .expect("reply arrives");
     assert_eq!(&buf[..n], b"trace me");
 
-    // Wait until the victim's three void sends are visible, then kill it.
+    // Wait until the victim has sent its three voids and blocked in its
+    // last receive, then kill it.
     let insp = RegionInspector::attach(&region).unwrap();
     let victim_slot = loop {
         let logs = TraceLog::from_inspector(&insp);
@@ -420,17 +428,18 @@ fn sigkilled_peer_reconstructs_post_mortem() {
             .find(|r| r.pid != m.pid() && !r.events.is_empty())
             .map(|r| r.pid);
         if let Some(pid) = victim_pid {
-            let voids = insp
-                .trace_events(pid)
+            let events = insp.trace_events(pid);
+            let voids = events
                 .iter()
                 .filter(|e| e.kind == TR_SEND && e.arg == 8)
                 .count();
-            if voids >= 3 {
+            if voids >= 3 && events.last().map(|e| e.kind) == Some(TR_RECV_BLOCK) {
                 break pid;
             }
         }
         std::thread::sleep(Duration::from_millis(10));
     };
+    let victim_os_pid = victim.id();
     victim.kill().expect("SIGKILL victim");
     victim.wait().expect("reap victim");
     while m.sweep_dead_peers() == 0 {
@@ -494,4 +503,30 @@ fn sigkilled_peer_reconstructs_post_mortem() {
     assert!(exported.contains("\"traceEvents\""));
     assert_eq!(exported.matches('{').count(), exported.matches('}').count());
     let _ = std::fs::remove_file(&export);
+
+    // `stat --json`: the swept corpse, its poisoned conversations, the
+    // counters it contributed and the tail of its ring, the last record
+    // being the receive it died blocked in.
+    let out = Command::new(env!("CARGO_BIN_EXE_mpf-trace"))
+        .args([region.as_str(), "stat", "--json"])
+        .output()
+        .expect("run mpf-trace stat");
+    assert!(out.status.success(), "stat failed: {out:?}");
+    let json = String::from_utf8(out.stdout).expect("utf8 json");
+    assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    for key in [
+        "\"state\":\"dead\"",
+        "\"poisoned\":true",
+        "\"trace_enabled\":true",
+        "\"trace_rings\":[{",
+        "\"kind\":\"send\"",
+        "\"kind\":\"recv_block\"",
+        "\"peers_died\":1",
+        "\"sizes\":{\"count\":",
+        "\"tel_fold_seq\":",
+        &format!("\"os_pid\":{victim_os_pid}"),
+    ] {
+        assert!(json.contains(key), "{key} missing from {json}");
+    }
 }
