@@ -42,8 +42,8 @@ use mpf_shm::waitq::FutexSeq;
 use mpf_shm::ShmRegion;
 
 use crate::shmem::{
-    msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
-    RegistryEntry, SendDesc, NIL,
+    msg_flags, region_state, slot_state, stretch, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc,
+    RegionHeader, RegistryEntry, SendDesc, NIL,
 };
 
 /// How long any blocked call sleeps between liveness sweeps: the bound
@@ -98,9 +98,9 @@ enum ConnKind {
     Recv,
 }
 
-/// Resolved byte offsets of every segment (computed once at map time from
-/// the config echo — identical in every process because the layout is a
-/// pure function of the config).
+/// Resolved byte offsets of every segment, and the block count (computed
+/// once at map time from the config echo — identical in every process
+/// because the layout is a pure function of the config).
 #[derive(Debug, Clone, Copy)]
 struct Offsets {
     header: usize,
@@ -111,6 +111,7 @@ struct Offsets {
     sends: usize,
     recvs: usize,
     links: usize,
+    blocks: usize,
     payloads: usize,
     fac_tel: usize,
     lnvc_tel: usize,
@@ -145,6 +146,7 @@ impl Tables {
             sends: seg("send descriptors"),
             recvs: seg("receive descriptors"),
             links: seg("block links"),
+            blocks: cfg.total_blocks as usize,
             payloads: seg("block payloads"),
             fac_tel: seg("facility telemetry"),
             lnvc_tel: seg("lnvc telemetry"),
@@ -203,9 +205,14 @@ impl Tables {
         self.table(self.off.recvs, i)
     }
 
-    /// Block `i`'s link: the next block of its chain, or of the free list.
-    pub fn block_link(&self, i: u32) -> &AtomicU32 {
-        self.table(self.off.links, i)
+    /// The block links as one slice: `links()[b]` is the next block of
+    /// `b`'s chain or of the free list; an index outside the pool panics.
+    pub fn links(&self) -> &[AtomicU32] {
+        let (at, n) = (self.off.links, self.off.blocks);
+        // SAFETY: `bytes_at` bounds-checks the segment's `n` 4-byte links
+        // against the mapping; the rest is `table`'s argument for one slot
+        // (64-byte aligned, atomics valid for any bit pattern, `&` only).
+        unsafe { std::slice::from_raw_parts(self.region.bytes_at(at, 4 * n).cast(), n) }
     }
 
     /// Process `slot`'s facility-telemetry shard: its cold counters and
@@ -502,10 +509,12 @@ impl IpcMpf {
         }
         // Thread the four free lists, low indices first out.
         h.msg_free.thread(cfg.max_messages, |s, n| {
+            self.t.msg(s).head_block.store(NIL, Ordering::Relaxed);
             self.t.msg(s).next.store(n, Ordering::Relaxed)
         });
+        let links = self.t.links();
         h.block_free.thread(cfg.total_blocks, |s, n| {
-            self.t.block_link(s).store(n, Ordering::Relaxed)
+            links[s as usize].store(n, Ordering::Relaxed)
         });
         h.send_free.thread(cfg.max_send_conns, |s, n| {
             self.t.send(s).next.store(n, Ordering::Relaxed)
@@ -1380,7 +1389,7 @@ impl IpcMpf {
             .msg_free
             .pop_chain(payloads.len() as u32, next_of)
             .ok_or(MpfError::MessagesExhausted)?;
-        let link = |b: u32| self.t.block_link(b);
+        let links = self.t.links();
         // One division per message: the block counts wait in `staged`
         // until the header indices replace them.
         let mut total = 0;
@@ -1390,7 +1399,7 @@ impl IpcMpf {
         }
         let mut block = NIL;
         if total != 0 {
-            let link_of = |b| link(b).load(Ordering::Acquire);
+            let link_of = |b: u32| links[b as usize].load(Ordering::Acquire);
             let Some((head, _)) = h.block_free.pop_chain(total, link_of) else {
                 self.push_free(first, last, NIL, NIL);
                 return Err(MpfError::BlocksExhausted);
@@ -1418,8 +1427,8 @@ impl IpcMpf {
                 // The cut: this message's chain ends here; what the link
                 // held is the next message's first block (after the last
                 // message, the free list's top: not ours).
-                block = link(tail).load(Ordering::Acquire);
-                link(tail).store(NIL, Ordering::Release);
+                block = links[tail as usize].load(Ordering::Acquire);
+                links[tail as usize].store(NIL, Ordering::Release);
             }
             m.head_block.store(head, Ordering::Release);
             m.n_blocks.store(n_blocks, Ordering::Release);
@@ -2168,9 +2177,9 @@ impl IpcMpf {
     /// maximal contiguous runs.  Payloads are laid out by block index, so
     /// a run extends for as long as the chain steps to the adjacent block:
     /// a chain cut from an unfragmented pool is a single run, a scattered
-    /// one degrades to one run per block.  Reads no link past the block
-    /// that holds the last byte, and returns that block ([`NIL`] for an
-    /// empty payload).
+    /// one degrades to one run per block.  Reads each link once and none
+    /// past the block that holds the last byte, and returns that block
+    /// ([`NIL`] for an empty payload).
     fn for_each_run(&self, head: u32, len: usize, mut f: impl FnMut(*mut u8, usize)) -> u32 {
         let bp = self.cfg.block_payload;
         let mut cur = head;
@@ -2180,17 +2189,16 @@ impl IpcMpf {
             debug_assert_ne!(cur, NIL);
             let first = cur;
             let mut blocks = 1;
-            while blocks * bp < left {
-                cur = self.t.block_link(cur).load(Ordering::Acquire);
-                if cur != first + blocks as u32 {
-                    break;
-                }
-                blocks += 1;
+            if left > bp {
+                // Every link but the last byte's block's; a full stretch adds it.
+                let (links, max) = (self.t.links(), ((left - 1) / bp) as u32);
+                let (k, next) = stretch(first, max, |b| links[b as usize].load(Ordering::Acquire));
+                (blocks, cur) = (k + u32::from(next == first + k), next);
             }
-            let n = left.min(blocks * bp);
+            let n = left.min(blocks as usize * bp);
             f(self.t.payload(first as usize * bp, n), n);
             left -= n;
-            last = first + blocks as u32 - 1;
+            last = first + blocks - 1;
         }
         last
     }
@@ -2231,7 +2239,8 @@ impl IpcMpf {
     /// would free the spliced chain once per message.  `tstamp` (0 = read
     /// the clock) dates the `TR_RECLAIM` records.
     fn free_run(&self, first: u32, last: u32, tstamp: u64) {
-        let link = |b: u32| self.t.block_link(b);
+        let links = self.t.links();
+        let link_of = |b: u32| links[b as usize].load(Ordering::Acquire);
         let (mut b_head, mut b_tail) = (NIL, NIL);
         let mut cur = first;
         loop {
@@ -2252,11 +2261,11 @@ impl IpcMpf {
                 if b_tail == NIL {
                     b_head = b;
                 } else {
-                    link(b_tail).store(b, Ordering::Release);
+                    links[b_tail as usize].store(b, Ordering::Release);
                 }
                 while b != NIL {
-                    b_tail = b;
-                    b = link(b).load(Ordering::Acquire);
+                    let (k, next) = stretch(b, u32::MAX, link_of);
+                    (b_tail, b) = (b + k - 1, next);
                 }
             }
             let next = m.next.load(Ordering::Acquire);
@@ -2279,7 +2288,7 @@ impl IpcMpf {
     /// it found no blocks for must not wake itself.
     fn push_free(&self, first: u32, last: u32, b_head: u32, b_tail: u32) {
         let h = self.t.header();
-        let set_link = |s, n| self.t.block_link(s).store(n, Ordering::Release);
+        let set_link = |s: u32, n| self.t.links()[s as usize].store(n, Ordering::Release);
         if b_head != NIL {
             h.block_free.push_chain(b_head, b_tail, set_link);
         }
@@ -2731,7 +2740,7 @@ impl IpcMpf {
     /// Free payload blocks (walks the free list; quiescent diagnostic).
     pub fn free_blocks(&self) -> u32 {
         self.t.header().block_free.len(self.cfg.total_blocks, |i| {
-            self.t.block_link(i).load(Ordering::Acquire)
+            self.t.links()[i as usize].load(Ordering::Acquire)
         })
     }
 
@@ -2791,8 +2800,8 @@ impl IpcMpf {
     /// up); every queued message's block chain is `n_blocks` long, in
     /// range and `NIL`-terminated.  Globally: the name registry and the
     /// active descriptors agree, no block is reached twice by the queued
-    /// chains and the free list together, and pool occupancy (messages,
-    /// blocks, connections) is exactly accounted for by the walks.
+    /// chains and the free list together, no free header holds a chain,
+    /// and pool occupancy is exactly accounted for by the walks.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         self.with_registry(|| self.audit_region())
     }
@@ -2844,13 +2853,18 @@ impl IpcMpf {
             self.audit_reach(&mut reached, b)
                 .map_err(|e| format!("block free list: {e}"))?;
             free_blocks += 1;
-            b = self.t.block_link(b).load(Ordering::Acquire);
+            b = self.t.links()[b as usize].load(Ordering::Acquire);
+        }
+        let (mut free_msgs, mut m) = (0, h.msg_free.peek().1);
+        while m != NIL && free_msgs < c.max_messages {
+            if self.t.msg(m).head_block.load(Ordering::Acquire) != NIL {
+                return Err(format!("free message header {m} still holds a block chain"));
+            }
+            free_msgs += 1;
+            m = self.t.msg(m).next.load(Ordering::Acquire);
         }
         let allocated = [
-            c.max_messages
-                - h.msg_free.len(c.max_messages, |i| {
-                    self.t.msg(i).next.load(Ordering::Acquire)
-                }),
+            c.max_messages - free_msgs,
             c.total_blocks - free_blocks,
             c.max_send_conns
                 - h.send_free.len(c.max_send_conns, |i| {
@@ -2979,7 +2993,7 @@ impl IpcMpf {
                 self.audit_reach(reached, b).map_err(|e| {
                     format!("message {cur} (stamp {stamp}) of {n_blocks} blocks: {e}")
                 })?;
-                b = count(self.t.block_link(b));
+                b = count(&self.t.links()[b as usize]);
             }
             if b != NIL {
                 return Err(format!(

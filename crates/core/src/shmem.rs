@@ -191,9 +191,8 @@ impl FreeHead {
             // pop already took cannot loop, and its CAS below will fail.
             let (mut tail, mut rest, mut walked) = (NIL, head, 0);
             while walked < n && rest != NIL {
-                tail = rest;
-                rest = next_of(tail);
-                walked += 1;
+                let (k, next) = stretch(rest, n - walked, &next_of);
+                (tail, rest, walked) = (rest + k - 1, next, walked + k);
             }
             if walked < n {
                 // The end of the list — or of a chain a racing pop cut
@@ -228,6 +227,22 @@ impl FreeHead {
     pub fn peek(&self) -> (u32, u32) {
         let word = self.word.load(Ordering::Acquire);
         ((word >> 32) as u32, word as u32)
+    }
+}
+
+/// Every chain walk's step: reads the links of `from`, `from + 1`, … (at
+/// most `max` ≥ 1) up to the first not naming the next slot; returns how
+/// many it read and the last.  It steps by index, only comparing the loaded
+/// link, so a stretch's loads overlap where a pointer chase's would wait.
+#[inline(always)]
+pub(crate) fn stretch(from: u32, max: u32, next_of: impl Fn(u32) -> u32) -> (u32, u32) {
+    let mut k = 0;
+    loop {
+        let (want, next) = (from + k + 1, next_of(from + k));
+        k += 1;
+        if k == max || next != want {
+            return (k, next);
+        }
     }
 }
 

@@ -2,15 +2,28 @@
 //! shortage takes nothing off the free list, payloads survive a
 //! fragmented pool whatever mix of contiguous runs their chains are, and
 //! a run of messages costs each pool one CAS on the way in and one on the
-//! way out.  (The injected-exhaustion case lives with the other
-//! fault-plane tests, `crates/ipc/tests/fault_injection.rs`: the plane is
-//! process-global and would fire in the tests here.)
+//! way out.  Chains are walked by index, so the tests also pin what a
+//! walk finds: how many contiguous stretches a chain is, and which blocks
+//! a pop ending anywhere in a stretch takes.  (The injected-exhaustion
+//! case lives with the other fault-plane tests,
+//! `crates/ipc/tests/fault_injection.rs`: the plane is process-global and
+//! would fire in the tests here.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use mpf::engine::Tables;
-use mpf::{IpcMpf, MpfConfig, MpfError, Protocol};
+use mpf::shmem::NIL;
+use mpf::{IpcMpf, LnvcId, MpfConfig, MpfError, Protocol};
+
+/// A send and an FCFS receive connection on each conversation of `names`.
+fn queues(m: &IpcMpf, names: &[&str]) -> Vec<(LnvcId, LnvcId)> {
+    let open = |name: &&str| {
+        let tx = m.open_send(name).unwrap();
+        (tx, m.open_receive(name, Protocol::Fcfs).unwrap())
+    };
+    names.iter().map(open).collect()
+}
 
 /// One thread keeps asking for more blocks than are free; the other's
 /// one-block sends, with blocks to spare, must never see the pool empty.
@@ -81,15 +94,7 @@ fn payloads_round_trip_over_a_fragmented_pool() {
         .with_total_blocks(TOTAL)
         .with_max_messages(64);
     let m = IpcMpf::anon(&cfg).unwrap();
-    let q: Vec<_> = ["even", "odd"]
-        .iter()
-        .map(|name| {
-            (
-                m.open_send(name).unwrap(),
-                m.open_receive(name, Protocol::Fcfs).unwrap(),
-            )
-        })
-        .collect();
+    let q = queues(&m, &["even", "odd"]);
     // Chains of 1..=5 blocks, dealt alternately to two queues, cover the
     // whole pool; draining one queue and then the other stacks them in
     // an order no allocation produced, one-block chains between longer
@@ -376,4 +381,183 @@ fn a_pool_short_by_one_block_stages_the_same_prefix() {
     by_run.check_invariants().unwrap();
     assert_eq!(by_run.recv_batch(rx, 16).unwrap(), payloads[..fit]);
     assert_eq!(by_run.free_blocks(), total);
+}
+
+/// A free header holds no chain: the audit walks `msg_free` and refuses a
+/// header that still names blocks — on a fresh region, after a round
+/// trip, and after a run whose block pop failed handed its headers back.
+#[test]
+fn a_free_header_holds_no_chain() {
+    const BP: usize = 16;
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(BP)
+        .with_total_blocks(8)
+        .with_max_messages(8);
+    let m = IpcMpf::anon(&cfg).unwrap();
+    m.check_invariants().expect("a fresh region");
+    let tx = m.open_send("q").unwrap();
+    let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
+    let mut buf = [0u8; 8 * BP];
+    m.message_send(tx, &[1u8; 3 * BP]).unwrap();
+    assert_eq!(m.message_receive(rx, &mut buf), Ok(3 * BP));
+    m.check_invariants().expect("after a round trip");
+    // Nine blocks asked of eight: the run's block pop fails and both
+    // headers go back bare; message by message, the second one's fails.
+    let (five, four) = ([2u8; 5 * BP], [3u8; 4 * BP]);
+    assert_eq!(m.submit_sends(tx, &[&five, &four]), Ok(1));
+    assert_eq!(m.drain_sends(), 1);
+    m.check_invariants().expect("after two failed block pops");
+    assert_eq!(m.message_receive(rx, &mut buf), Ok(5 * BP));
+    m.check_invariants().unwrap();
+}
+
+/// Up to `n` blocks of the chain from `head`, read from the link table.
+fn chain(t: &Tables, head: u32, n: usize) -> Vec<u32> {
+    let links = t.links();
+    let next = |&b: &u32| Some(links[b as usize].load(Ordering::Acquire)).filter(|&b| b != NIL);
+    std::iter::successors(Some(head).filter(|&b| b != NIL), next)
+        .take(n)
+        .collect()
+}
+
+/// The block free list, top first.
+fn free_list(t: &Tables) -> Vec<u32> {
+    chain(t, t.header().block_free.peek().1, t.links().len())
+}
+
+/// The contiguous stretches of a chain: a new one starts wherever it does
+/// not step to the adjacent block.
+fn stretches(chain: &[u32]) -> usize {
+    1 + chain.windows(2).filter(|w| w[1] != w[0] + 1).count()
+}
+
+/// A 16 KiB message over 256-byte blocks cut from a fresh pool is one
+/// contiguous run, so `message_receive_scan` hands it over as one slice.
+#[test]
+fn a_16_kib_message_on_a_fresh_pool_is_one_slice() {
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(256)
+        .with_total_blocks(128);
+    let m = IpcMpf::anon(&cfg).unwrap();
+    let tx = m.open_send("bulk").unwrap();
+    let rx = m.open_receive("bulk", Protocol::Fcfs).unwrap();
+    let payload: Vec<u8> = (0..64 * 256).map(|i| (i % 251) as u8).collect();
+    for round in 0..3 {
+        m.message_send(tx, &payload).unwrap();
+        let mut slices = Vec::new();
+        let got = m.message_receive_scan(rx, |s| slices.push(s.to_vec()));
+        assert_eq!(got, Ok(payload.len()));
+        assert_eq!(slices.len(), 1, "round {round}: {} slices", slices.len());
+        assert_eq!(slices[0], payload);
+    }
+}
+
+/// On a seeded scramble of the pool, a 16 KiB message comes out of
+/// `message_receive_scan` as exactly as many slices as its chain — read
+/// from the link table before the receive — has contiguous stretches.
+#[test]
+fn slices_are_the_chains_contiguous_stretches() {
+    const BP: usize = 256;
+    const TOTAL: u32 = 256;
+    let cfg = MpfConfig::new(4, 2)
+        .with_block_payload(BP)
+        .with_total_blocks(TOTAL)
+        .with_max_messages(TOTAL);
+    let payload: Vec<u8> = (0..64 * BP).map(|i| (i % 241) as u8).collect();
+    let mut buf = vec![0u8; 8 * BP];
+    let mut fragmented = 0;
+    for seed in 1..=6u64 {
+        let (m, t) = region_with_overlay(&format!("stretch-{seed}"), &cfg);
+        let q = queues(&m, &["a", "b", "c"]);
+        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize
+        };
+        // Chains of 1..=8 blocks dealt at random to three queues fill the
+        // pool; draining the queues in a random order scrambles it.
+        let mut left = TOTAL as usize;
+        while left > 0 {
+            let blocks = (1 + next() % 8).min(left);
+            m.message_send(q[next() % 3].0, &buf[..blocks * BP])
+                .unwrap();
+            left -= blocks;
+        }
+        let mut order = [0, 1, 2];
+        order.rotate_left(next() % 3);
+        if next() % 2 == 1 {
+            order.swap(1, 2);
+        }
+        for i in order {
+            while m.try_message_receive(q[i].1, &mut buf).unwrap().is_some() {}
+        }
+        assert_eq!(m.free_blocks(), TOTAL);
+
+        let (tx, rx) = q[0];
+        for round in 0..3 {
+            let header = t.header().msg_free.peek().1;
+            m.message_send(tx, &payload).unwrap();
+            let msg = t.msg(header);
+            let n = msg.n_blocks.load(Ordering::Acquire) as usize;
+            assert_eq!(n, 64);
+            let want = stretches(&chain(&t, msg.head_block.load(Ordering::Acquire), n));
+            let mut slices = Vec::new();
+            let got = m.message_receive_scan(rx, |s| slices.push(s.to_vec()));
+            assert_eq!(got, Ok(payload.len()));
+            assert_eq!(slices.len(), want, "seed {seed}, round {round}");
+            assert_eq!(slices.concat(), payload, "seed {seed}, round {round}");
+            fragmented += usize::from(want > 1);
+        }
+        m.check_invariants().unwrap();
+    }
+    assert!(fragmented > 0, "no seed scrambled the pool");
+}
+
+/// A pop whose `n` ends inside a stretch, exactly at a stretch's end, at
+/// the end of the list, or one past it takes what a link-by-link walk of
+/// the free list says: the same free count and the same new top — and a
+/// shortage takes nothing.
+#[test]
+fn a_pop_ending_anywhere_in_a_stretch_takes_what_the_links_say() {
+    const BP: usize = 16;
+    let cfg = MpfConfig::new(4, 2)
+        .with_block_payload(BP)
+        .with_total_blocks(12);
+    let (m, t) = region_with_overlay("stretch-ends", &cfg);
+    let q = queues(&m, &["a", "b", "c"]);
+    let mut buf = vec![0u8; 12 * BP];
+    for &(tx, _) in &q {
+        m.message_send(tx, &buf[..4 * BP]).unwrap();
+    }
+    for i in [2, 0, 1] {
+        assert_eq!(m.message_receive(q[i].1, &mut buf), Ok(4 * BP));
+    }
+    assert_eq!(free_list(&t), [4, 5, 6, 7, 0, 1, 2, 3, 8, 9, 10, 11]);
+
+    let (tx, rx) = q[0];
+    for n in [1, 2, 4, 5, 8, 11, 12] {
+        let list = free_list(&t);
+        m.message_send(tx, &buf[..n * BP]).unwrap();
+        assert_eq!(m.free_blocks() as usize, list.len() - n, "n = {n}");
+        let top = list.get(n).copied().unwrap_or(NIL);
+        assert_eq!(t.header().block_free.peek().1, top, "n = {n}");
+        let mut slices = 0;
+        assert_eq!(m.message_receive_scan(rx, |_| slices += 1), Ok(n * BP));
+        assert_eq!(slices, stretches(&list[..n]), "n = {n}");
+        assert_eq!(free_list(&t), list, "n = {n}: the chain is back on top");
+    }
+
+    // Hold the first stretch, then ask for one block more than is left.
+    m.message_send(q[1].0, &buf[..4 * BP]).unwrap();
+    let (list, before) = (free_list(&t), t.header().block_free.peek());
+    assert_eq!(list, [0, 1, 2, 3, 8, 9, 10, 11]);
+    assert_eq!(
+        m.message_send(tx, &buf[..(list.len() + 1) * BP]),
+        Err(MpfError::BlocksExhausted)
+    );
+    assert_eq!(t.header().block_free.peek(), before, "no CAS, same top");
+    assert_eq!(free_list(&t), list);
+    m.check_invariants().unwrap();
 }

@@ -433,7 +433,7 @@ fn check_invariants_reports_torn_block_chains() {
     let m = IpcMpf::create("loop-torn-chain", &cfg).expect("create region");
     let raw = mpf_shm::ShmRegion::attach("loop-torn-chain").unwrap();
     let tables = mpf::engine::Tables::new(raw, &cfg);
-    let link = |block: u32| tables.block_link(block);
+    let link = |block: u32| &tables.links()[block as usize];
     let tx = m.open_send("q").unwrap();
     let _rx = m.open_receive("q", Protocol::Fcfs).unwrap();
     m.message_send(tx, &[7u8; 48]).unwrap(); // blocks 0 -> 1 -> 2

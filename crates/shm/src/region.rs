@@ -294,6 +294,7 @@ impl ShmRegion {
     ///
     /// # Safety
     /// Concurrent access must be coordinated by the caller.
+    #[inline]
     pub unsafe fn bytes_at(&self, offset: usize, len: usize) -> *mut u8 {
         assert!(
             offset + len <= self.len,
