@@ -1,48 +1,48 @@
-//! # mpf-aio — waker-based async API for MPF
+//! # mpf-aio — the two constructors the repo benchmark spells
 //!
-//! The paper's primitives block the calling process; a 2020s program
-//! wants to `await` them.  This crate adds that surface without touching
-//! the facilities' internals and without any external dependency:
-//!
-//! * [`AsyncIpc`] wraps an engine view — a process's `IpcMpf`, or one
-//!   logical process of an `mpf::Mpf` ([`AsyncMpf::new`]) — with
-//!   [`AsyncIpc::recv`], [`AsyncIpc::send`], and [`AsyncIpc::select_any`]
-//!   futures;
-//! * from its first pending future on, each facade owns one **reactor**
-//!   thread whose single waiter multiplexes every registered conversation
-//!   over the existing futex/waitq layer — futures take a signal ticket
-//!   *before* their non-blocking attempt, so a message landing between the
-//!   attempt and the registration can delay a wake but never lose one.  A
-//!   facade that never pends (`mpf-serve`'s transport blocks in the engine
-//!   itself) owns no thread;
-//! * [`block_on`] and [`Executor`] are a tiny std-only driver pair —
-//!   enough to run the futures without pulling in an async runtime.
-//!
-//! Batched submission/completion rings (the other half of the amortised
-//! I/O story) live on the engine view itself: `IpcMpf::send_batch` and
-//! friends (`Mpf::send_batch` is the same call on `mpf.view(pid)?`).
-//!
-//! ```
-//! use std::sync::Arc;
-//! use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
-//! use mpf_aio::{block_on, AsyncMpf};
-//!
-//! let m = Arc::new(Mpf::init(MpfConfig::new(8, 4)).unwrap());
-//! let a = AsyncMpf::new(Arc::clone(&m), ProcessId::from_index(0));
-//! let b = AsyncMpf::new(m, ProcessId::from_index(1));
-//!
-//! let tx = a.facility().open_send("chat").unwrap();
-//! let rx = b.facility().open_receive("chat", Protocol::Fcfs).unwrap();
-//!
-//! block_on(async {
-//!     a.send(tx, b"hello".to_vec()).await.unwrap();
-//!     assert_eq!(b.recv(rx).await.unwrap(), b"hello");
-//! });
-//! ```
+//! Waiting has one home, the engine: a receive, a multi-conversation wait
+//! and a send under pool exhaustion each sleep on the caller's own thread
+//! (`IpcMpf::recv_deadline`, `wait_any_deadline`, `send_deadline`), and
+//! batched submission/completion rings live on the engine view itself
+//! (`IpcMpf::send_batch` and friends).  What is left here is an
+//! [`AsyncIpc`] that holds one engine view and [`AsyncMpf::new`], which
+//! builds one for a logical process of an in-process [`Mpf`].  Both exist
+//! only until the harness names `mpf_serve::ViewTransport::new` instead;
+//! then this crate goes.
 
-pub mod exec;
-pub mod facility;
-pub mod reactor;
+use std::sync::Arc;
 
-pub use exec::{block_on, Executor, JoinHandle};
-pub use facility::{AsyncIpc, AsyncMpf, Deadline, RecvFuture, SelectAny, SendFuture};
+use mpf::{IpcMpf, Mpf, ProcessId};
+
+/// One engine view: a process's handle on a named region, or a logical
+/// process of an [`Mpf`].
+pub struct AsyncIpc(Arc<IpcMpf>);
+
+impl AsyncIpc {
+    /// Wraps a view.
+    pub fn new(ipc: Arc<IpcMpf>) -> Self {
+        AsyncIpc(ipc)
+    }
+
+    /// The wrapped view: every primitive is called on it.
+    pub fn facility(&self) -> &Arc<IpcMpf> {
+        &self.0
+    }
+}
+
+/// The in-process spelling of [`AsyncIpc::new`].
+pub struct AsyncMpf;
+
+impl AsyncMpf {
+    /// [`AsyncIpc`] over `mpf`'s view of logical process `pid`.
+    ///
+    /// # Panics
+    /// If `pid` is not one of `mpf`'s `max_processes` processes.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(mpf: Arc<Mpf>, pid: ProcessId) -> AsyncIpc {
+        let view = mpf
+            .view(pid)
+            .expect("pid within the facility's max_processes");
+        AsyncIpc::new(Arc::clone(view))
+    }
+}

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use mpf::{IpcMpf, Mpf, MpfConfig, ProcessId, Protocol};
+use mpf::{IpcMpf, Mpf, MpfConfig, MpfError, ProcessId, Protocol};
 use mpf_shm::barrier::SpinBarrier;
 use mpf_shm::process::run_processes_collect;
 use mpf_shm::telemetry::TelSnapshot;
@@ -219,8 +219,12 @@ pub fn random(len: usize, procs: u32, seed: u64, tally: Rc<Tally>) -> Workload<'
                 let dest = txs[rng.gen_range(0..txs.len())];
                 // Everyone is a sender, so a full pool is emptied by
                 // receiving, never by sleeping until somebody else does.
-                while !view.try_message_send(dest, &payload).expect("send") {
-                    drain();
+                loop {
+                    match view.message_send(dest, &payload) {
+                        Ok(()) => break,
+                        Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => drain(),
+                        Err(e) => panic!("send: {e}"),
+                    }
                 }
                 drain();
             }

@@ -703,12 +703,7 @@ fn batch_death_case(victim: usize) -> Case {
     };
     let sleeper = {
         let (w, over) = (Arc::clone(&w), Arc::clone(&over));
-        Box::new(move || {
-            w.pool_wait_begin();
-            let ticket = w.mem_signal_ticket();
-            w.wait_signals(&[], Some(ticket), &|| over.load(Ordering::SeqCst), None);
-            w.pool_wait_end();
-        }) as Proc
+        Box::new(move || w.debug_pool_wait(&|| over.load(Ordering::SeqCst))) as Proc
     };
     let on_death = {
         let (died, corpse) = (Arc::clone(&died), Arc::clone(&views[victim]));

@@ -9,9 +9,9 @@
 //! ticks, no clock-driven timeouts, exits only on `K_SHUTDOWN`) against
 //! a controller that owns the [`Server`] and an inline [`Client`], all
 //! over the transport that ships ([`ThreadTransport`]): it blocks in the
-//! engine's own waits, which park on the hooked futex words the
-//! cooperative scheduler controls, and its facade starts no reactor
-//! thread — nothing runs that the explorer does not schedule.
+//! engine's own waits on the caller's thread, which park on the hooked
+//! futex words the cooperative scheduler controls — nothing runs that
+//! the explorer does not schedule.
 //!
 //! Under **every** explored interleaving the run must finish with: the
 //! call answered, the drain acked by the one worker with an empty
@@ -22,12 +22,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpf::{Mpf, MpfConfig, ProcessId};
-use mpf_aio::AsyncMpf;
 use mpf_check::{explore_random, Case, ExploreOpts};
 use mpf_serve::{run_worker, Client, ClientCfg, Server, ThreadTransport, WorkerCfg};
 
 fn transport(mpf: &Arc<Mpf>, pid: usize) -> ThreadTransport {
-    ThreadTransport(AsyncMpf::new(Arc::clone(mpf), ProcessId::from_index(pid)))
+    ThreadTransport::new(Arc::clone(
+        mpf.view(ProcessId::from_index(pid)).expect("view"),
+    ))
 }
 
 /// Budgets no schedule outlives: a hooked wait ignores its timeout, so a

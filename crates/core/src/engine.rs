@@ -365,14 +365,29 @@ impl Drop for Watch<'_> {
     }
 }
 
-/// One registration for the pool signal; withdrawn on drop (but, as for
-/// [`Watch`], not by an unwind).
+/// One registration for the pool signal: from here until the drop, every
+/// reclaim in the region bumps the pool signal and rings this process's
+/// doorbell.  Withdrawn on drop (but, as for [`Watch`], not by an unwind).
 struct PoolWait<'a>(&'a IpcMpf);
+
+impl<'a> PoolWait<'a> {
+    fn register(ipc: &'a IpcMpf) -> Self {
+        // Region count first, slot share second (and the reverse on the
+        // way out): a kill in between leaves the count high — the gate
+        // stuck open, every reclaim signalling — never a share the sweep
+        // would subtract without it having been added.
+        ipc.t.header().pool_waiters.fetch_add(1, Ordering::SeqCst);
+        ipc.t.slot(ipc.me).mem_wait.fetch_add(1, Ordering::SeqCst);
+        PoolWait(ipc)
+    }
+}
 
 impl Drop for PoolWait<'_> {
     fn drop(&mut self) {
         if !std::thread::panicking() {
-            self.0.pool_wait_end();
+            let ipc = self.0;
+            ipc.t.slot(ipc.me).mem_wait.fetch_sub(1, Ordering::SeqCst);
+            ipc.t.header().pool_waiters.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -1181,7 +1196,7 @@ impl IpcMpf {
             if matches!(wait, Wait::Until(_)) {
                 // Injected peer death: identical shape to a sweep-detected
                 // poisoning, minus the region mutation.  The single-pass
-                // forms, the reactor's path, are left alone.
+                // `try_` forms never wait and are left alone.
                 self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
             }
             // Ticket before the predicate check (the sequence-count
@@ -1257,7 +1272,7 @@ impl IpcMpf {
         // Register, then the ticket, then the retry — in that order, so a
         // reclaim either is seen by the retry or rings past the ticket; the
         // first failure, unregistered, proved nothing.
-        let _waiting = self.pool_wait();
+        let _waiting = PoolWait::register(self);
         loop {
             let ticket = self.doorbell().ticket();
             let again = attempt();
@@ -1658,7 +1673,7 @@ impl IpcMpf {
             // signal, then retry once before the first sleep, so a
             // reclaim that preceded the registration is not waited for.
             if waiting.is_none() {
-                waiting = Some(self.pool_wait());
+                waiting = Some(PoolWait::register(self));
             } else if !self.doorbell_nap(ticket, deadline) {
                 if submitted == 0 {
                     return Err(MpfError::TimedOut);
@@ -1714,89 +1729,18 @@ impl IpcMpf {
         AioStats::from_rings(self.t.aio_sq(self.me), self.t.aio_cq(self.me))
     }
 
-    // -- reactor support ------------------------------------------------
-
-    /// Non-blocking send for async callers: `Ok(false)` when the shared
-    /// pools are exhausted (retry after a reclaim), errors otherwise.
-    pub fn try_message_send(&self, id: LnvcId, payload: &[u8]) -> Result<bool> {
-        match self.message_send(id, payload) {
-            Ok(()) => Ok(true),
-            Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing
     /// is deliverable.
     pub fn try_message_receive_vec(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
         Ok(self.receive_vecs(id, Wait::No, 1)?.pop())
     }
 
-    /// Current wait-queue ticket for `id`'s conversation.  Take it
-    /// *before* a failed try-operation: if the sequence has moved past it
-    /// by the next check, traffic arrived in between (the lost-wakeup
-    /// guard the blocking primitives use, exposed for the async reactor).
-    pub fn recv_signal_ticket(&self, id: LnvcId) -> Result<u32> {
-        Ok(self.resolve(id)?.1.waitq.ticket())
-    }
+    // -- waiting ---------------------------------------------------------
 
-    /// Current ticket of the pool signal (senders' flow-control signal).
-    /// It moves on a reclaim only while some process is registered as
-    /// waiting for memory ([`Self::pool_wait_begin`]), so take it after
-    /// registering and before the try it guards.
-    pub fn mem_signal_ticket(&self) -> u32 {
-        self.t.header().pool_seq.load(Ordering::SeqCst)
-    }
-
-    /// Registers this process as waiting for pool memory: from here until
-    /// the matching [`Self::pool_wait_end`], every reclaim in the region
-    /// bumps the pool signal and rings this process's doorbell.
-    pub fn pool_wait_begin(&self) {
-        // Region count first, slot share second (and the reverse on the
-        // way out): a kill in between leaves the count high — the gate
-        // stuck open, every reclaim signalling — never a share the sweep
-        // would subtract without it having been added.
-        self.t.header().pool_waiters.fetch_add(1, Ordering::SeqCst);
-        self.t.slot(self.me).mem_wait.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Withdraws one [`Self::pool_wait_begin`] registration.
-    pub fn pool_wait_end(&self) {
-        self.t.slot(self.me).mem_wait.fetch_sub(1, Ordering::SeqCst);
-        self.t.header().pool_waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Rings this process's own doorbell: wakes its threads parked in
-    /// [`Self::wait_signals`] or [`Self::wait_any_deadline`] to re-check
-    /// process-local state (the reactor's registrations and shutdown).
+    /// Rings this process's own doorbell: wakes its threads asleep in a
+    /// doorbell wait to re-check whatever they wait for.
     pub fn ring_doorbell(&self) {
         self.doorbell().notify_all();
-    }
-
-    /// The reactor's one wait.  Returns once any of the given signals may
-    /// have fired — a conversation's sequence moved past its ticket (or it
-    /// no longer resolves), the pool signal moved past `mem`, `woken`
-    /// holds — or `until` passes; at the latest after the sweep cadence.
-    /// Every listed conversation is watched for the duration, so all of
-    /// it arrives on this process's doorbell; process-local changes behind
-    /// `woken` must be followed by [`Self::ring_doorbell`].
-    pub fn wait_signals(
-        &self,
-        recv: &[(LnvcId, u32)],
-        mem: Option<u32>,
-        woken: &dyn Fn() -> bool,
-        until: Option<Instant>,
-    ) {
-        let ticket = self.doorbell().ticket();
-        let _watch = self.watch(recv.iter().map(|&(id, _)| id));
-        let fired = woken()
-            || mem.is_some_and(|t| self.mem_signal_ticket() != t)
-            || recv
-                .iter()
-                .any(|&(id, t)| self.recv_signal_ticket(id) != Ok(t));
-        if !fired {
-            self.doorbell_nap(ticket, until);
-        }
     }
 
     /// This process's doorbell: the one word its multi-source and memory
@@ -1886,12 +1830,6 @@ impl IpcMpf {
         // follow, whatever their own ordering (tickets are `Acquire`).
         fence(Ordering::SeqCst);
         Watch { ipc: self, armed }
-    }
-
-    /// Registers for the pool signal for the life of the returned guard.
-    fn pool_wait(&self) -> PoolWait<'_> {
-        self.pool_wait_begin();
-        PoolWait(self)
     }
 
     /// Publishes a change to `d` (enqueue, poison): bumps its sequence,
@@ -3082,6 +3020,22 @@ impl IpcMpf {
             .slot(self.me)
             .os_pid
             .store(0x7fff_fffe, Ordering::Release);
+    }
+
+    /// Waits as a send blocked on exhaustion does, for a schedule explorer
+    /// that wants a pool waiter without emptying the pools: registers for
+    /// the pool signal, then naps once on the doorbell unless the signal
+    /// has already fired or `woken` holds.  Whoever makes `woken` true
+    /// must then [`Self::ring_doorbell`].
+    #[doc(hidden)]
+    pub fn debug_pool_wait(&self, woken: &dyn Fn() -> bool) {
+        let _waiting = PoolWait::register(self);
+        let pool_seq = &self.t.header().pool_seq;
+        let signal = pool_seq.load(Ordering::SeqCst);
+        let ticket = self.doorbell().ticket();
+        if !woken() && pool_seq.load(Ordering::SeqCst) == signal {
+            self.doorbell_nap(ticket, None);
+        }
     }
 }
 

@@ -62,8 +62,7 @@ impl Mpf {
 
     /// The engine's handle for logical process `pid`: every method below
     /// is this view's method of the same name, and the rest of the
-    /// engine's surface — and the async layer ([`IpcMpf`] is what
-    /// `AsyncMpf::new` wraps) — is reached through it.
+    /// engine's surface is reached through it.
     pub fn view(&self, pid: ProcessId) -> Result<&Arc<IpcMpf>> {
         self.views.get(pid.index()).ok_or(MpfError::InvalidProcess)
     }
@@ -503,7 +502,6 @@ mod tests {
             mpf.message_send(p(0), tx, &[0u8; 10]).unwrap_err(),
             MpfError::BlocksExhausted
         );
-        assert_eq!(v(&mpf, 0).try_message_send(tx, &[0u8; 10]), Ok(false));
         assert_eq!(
             mpf.message_send(p(0), tx, &[0u8; 1000]).unwrap_err(),
             MpfError::MessageTooLarge { len: 1000, max: 40 }
@@ -1069,7 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn try_send_and_try_receive_vec_report_would_block() {
+    fn try_receive_vec_reports_would_block() {
         let mpf = Mpf::init(
             MpfConfig::new(2, 2)
                 .with_total_blocks(4)
@@ -1079,16 +1077,17 @@ mod tests {
         let tx = mpf.open_send(p(0), "nb").unwrap();
         let rx = mpf.open_receive(p(1), "nb", Protocol::Fcfs).unwrap();
         assert_eq!(v(&mpf, 1).try_message_receive_vec(rx).unwrap(), None);
-        assert!(v(&mpf, 0).try_message_send(tx, &[1u8; 40]).unwrap());
-        assert!(
-            !v(&mpf, 0).try_message_send(tx, &[2u8; 10]).unwrap(),
-            "region full: try-send declines instead of parking"
+        mpf.message_send(p(0), tx, &[1u8; 40]).unwrap();
+        assert_eq!(
+            mpf.message_send(p(0), tx, &[2u8; 10]),
+            Err(MpfError::BlocksExhausted),
+            "region full: the send declines instead of parking"
         );
         assert_eq!(
             v(&mpf, 1).try_message_receive_vec(rx).unwrap().unwrap(),
             vec![1u8; 40]
         );
-        assert!(v(&mpf, 0).try_message_send(tx, &[2u8; 10]).unwrap());
+        mpf.message_send(p(0), tx, &[2u8; 10]).unwrap();
         mpf.check_invariants().unwrap();
     }
 
@@ -1172,8 +1171,8 @@ mod tests {
 
     #[test]
     fn two_threads_sharing_a_pid_keep_conservation() {
-        // The async layer's shape: a process's main thread and its reactor
-        // both act as the same `pid`.  Here one thread of process 0 sends
+        // A view is shared by every thread of its process, and each may
+        // act as the same `pid`.  Here one thread of process 0 sends
         // while another receives the echoes, process 1 echoing in between.
         const ROUNDS: u32 = 2000;
         let mpf = facility();

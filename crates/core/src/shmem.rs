@@ -333,7 +333,7 @@ pub struct ProcessSlot {
     /// The word every multi-source or memory wait of this process sleeps
     /// on.  Rung by an enqueue, poison or close on a conversation the
     /// process watches, by a reclaim while it waits for pool memory, and
-    /// by its own reactor registrations.
+    /// by its own `close_receive` of a watched connection.
     pub doorbell: FutexSeq,
     /// Registrations of this process in [`RegionHeader::pool_waiters`]
     /// (per slot, so the sweep can retire a dead waiter's share).

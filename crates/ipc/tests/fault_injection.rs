@@ -8,7 +8,9 @@
 //! away from the other ipc tests.
 
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
+use mpf::inspect::RegionInspector;
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_ipc::IpcMpf;
 use mpf_shm::faultplane::{self, FaultConfig, FaultSite};
@@ -55,7 +57,7 @@ fn injected_peer_death_surfaces_typed_error_and_traces() {
 }
 
 /// Every blocking receive passes the peer-death site, batched or not; the
-/// single-pass `try_` forms (the reactor's path) do not.
+/// single-pass `try_` forms, which never wait, do not.
 #[test]
 fn injected_peer_death_reaches_blocking_batch_receives_only() {
     let _t = PLANE.lock().unwrap_or_else(|e| e.into_inner());
@@ -82,6 +84,98 @@ fn injected_peer_death_reaches_blocking_batch_receives_only() {
     let faults = m.trace_events(m.pid());
     let faults = faults.iter().filter(|e| e.kind == TR_FAULT);
     assert_eq!(faults.count(), 3, "one record per injection");
+}
+
+/// Runs `wait` on its own thread, runs `wake` once `parked` says the
+/// waiter is in its wait and the kernel has put the thread to sleep (so
+/// the wake is really needed), and returns how long after `wake` began
+/// the wait returned.
+fn wake_lag(
+    wait: impl FnOnce() + Send,
+    parked: impl Fn() -> bool,
+    wake: impl FnOnce(),
+) -> Duration {
+    std::thread::scope(|s| {
+        let (tid_tx, tid_rx) = std::sync::mpsc::channel();
+        let waiter = s.spawn(move || {
+            let me = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+            tid_tx.send(me).expect("main thread");
+            wait();
+            Instant::now()
+        });
+        let stat = std::path::Path::new("/proc")
+            .join(tid_rx.recv().expect("waiter tid"))
+            .join("stat");
+        // The state letter follows the parenthesised thread name.
+        let sleeping = || {
+            let stat = std::fs::read_to_string(&stat).unwrap_or_default();
+            stat.rsplit(") ")
+                .next()
+                .is_some_and(|rest| rest.starts_with('S'))
+        };
+        let patience = Instant::now() + Duration::from_secs(30);
+        while !(parked() && sleeping()) {
+            assert!(Instant::now() < patience, "the waiter never parked");
+            std::thread::yield_now();
+        }
+        let rung = Instant::now();
+        wake();
+        let done = waiter.join().expect("waiter");
+        done.saturating_duration_since(rung)
+    })
+}
+
+/// DESIGN.md's contract for a lost wake: with every notify dropped, each
+/// of the engine's three waits — `recv_deadline`, `wait_any_deadline`,
+/// `send_deadline` — still returns within two sweep intervals (2 × 50 ms)
+/// of the send, or the freeing receive, that should have woken it.
+#[test]
+fn every_wait_outlives_a_dropped_wake_by_at_most_two_sweep_intervals() {
+    const CONTRACT: Duration = Duration::from_millis(2 * 50);
+    let _t = PLANE.lock().unwrap_or_else(|e| e.into_inner());
+    let m = region("fault-notify");
+    let peer = m.attach_view().expect("view");
+    let insp = RegionInspector::attach("fault-notify").expect("inspect");
+    let asleep = |pid: u32| insp.processes()[pid as usize].asleep;
+    let tx = m.open_send("one").unwrap();
+    let rx = peer.open_receive("one", Protocol::Fcfs).unwrap();
+    let other_tx = m.open_send("other").unwrap();
+    let other = peer.open_receive("other", Protocol::Fcfs).unwrap();
+    let far = || Some(Instant::now() + Duration::from_secs(10));
+    let mut buf = [0u8; 8];
+
+    let _g = faultplane::install(FaultConfig {
+        notify_drop: 1.0,
+        ..FaultConfig::new(50)
+    });
+    // A receiver books its wait just before it sleeps.
+    let recv = wake_lag(
+        || assert_eq!(peer.recv_deadline(rx, &mut buf, far()), Ok(1)),
+        || peer.telemetry_snapshot().recv_waits == 1,
+        || m.message_send(tx, b"r").unwrap(),
+    );
+    let any = wake_lag(
+        || assert_eq!(peer.wait_any_deadline(&[rx, other], far()), Ok(other)),
+        || asleep(peer.pid()),
+        || m.message_send(other_tx, b"a").unwrap(),
+    );
+    assert_eq!(peer.try_message_receive_vec(other), Ok(Some(b"a".to_vec())));
+    // Every header queued: the next send finds the pool empty.
+    while m.message_send(tx, b"f").is_ok() {}
+    let send = wake_lag(
+        || assert_eq!(m.send_deadline(tx, b"s", far()), Ok(())),
+        || asleep(m.pid()),
+        || assert_eq!(peer.recv_deadline(rx, &mut [0u8; 8], None), Ok(1)),
+    );
+    for (wait, lag) in [
+        ("recv_deadline", recv),
+        ("wait_any_deadline", any),
+        ("send_deadline", send),
+    ] {
+        assert!(lag < CONTRACT, "{wait} returned {lag:?} after its wake");
+    }
+    assert!(faultplane::stats().notify_drops > 0, "no wake was dropped");
+    m.check_invariants().unwrap();
 }
 
 #[test]

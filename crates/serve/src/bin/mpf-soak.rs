@@ -42,7 +42,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpf::MpfConfig;
-use mpf_aio::AsyncIpc;
 use mpf_bench::report::{json_str, JsonReport};
 use mpf_bench::Series;
 use mpf_ipc::IpcMpf;
@@ -174,7 +173,7 @@ fn main() {
 fn attach_transport() -> Option<IpcTransport> {
     let region = std::env::var(REGION_ENV).ok()?;
     let ipc = IpcMpf::attach(&region).ok()?;
-    Some(IpcTransport(AsyncIpc::new(Arc::new(ipc))))
+    Some(IpcTransport::new(Arc::new(ipc)))
 }
 
 fn worker_child(wid: u32) -> i32 {
@@ -565,7 +564,7 @@ fn driver(args: &Args) -> i32 {
             return 1;
         }
     };
-    let t = Arc::new(IpcTransport(AsyncIpc::new(Arc::clone(&ipc))));
+    let t = Arc::new(IpcTransport::new(Arc::clone(&ipc)));
     let mut server = match Server::new(Arc::clone(&t), SVC) {
         Ok(s) => s,
         Err(e) => {

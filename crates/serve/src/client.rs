@@ -15,7 +15,9 @@
 //! Failover is two-tiered, mirroring which conversation went bad:
 //!
 //! * Request queue `PeerDied`/`UnknownLnvc` → the epoch is dead.
-//!   Rediscover (floor = failed epoch + 1), reopen, resend.
+//!   Rediscover (floor = failed epoch + 1), reopen, resend.  If no epoch
+//!   turns up the call fails `Unavailable`, holding no request queue, and
+//!   the next call searches again from the failed epoch up.
 //! * Reply queue `PeerDied` → some worker that had our queue open was
 //!   killed; poison is sticky, so bump `gen` and open a **fresh** queue
 //!   name.  Pending replies addressed to the old `gen` are lost —
@@ -139,7 +141,9 @@ pub struct Client<T: Transport> {
     epoch: u32,
     gen: u32,
     seq: u64,
-    q_tx: T::Id,
+    /// The request queue's send connection; `None` after a failover that
+    /// found no epoch, so the next call looks again before it sends.
+    q_tx: Option<T::Id>,
     reply_rx: T::Id,
     pub stats: ClientStats,
 }
@@ -167,7 +171,7 @@ impl<T: Transport> Client<T> {
             epoch,
             gen,
             seq: 0,
-            q_tx,
+            q_tx: Some(q_tx),
             reply_rx,
             stats: ClientStats::default(),
         })
@@ -213,12 +217,8 @@ impl<T: Transport> Client<T> {
                     // connection ever erroring — possible when our open
                     // re-created an already-retired queue name, where
                     // sends succeed as owed messages nobody will serve.
-                    if let Some(higher) = scan_epoch(self.t.as_ref(), &self.cfg.svc, self.epoch + 1)
-                    {
-                        let _ = self.t.close_send(self.q_tx);
-                        self.q_tx = self.t.open_send(&q_name(&self.cfg.svc, higher))?;
-                        self.epoch = higher;
-                        self.stats.epoch_failovers += 1;
+                    if scan_epoch(self.t.as_ref(), &self.cfg.svc, self.epoch + 1).is_some() {
+                        self.failover_request_queue(overall)?;
                     }
                 }
                 Err(e) => return Err(e),
@@ -239,9 +239,15 @@ impl<T: Transport> Client<T> {
         deadline: Instant,
         overall: Instant,
     ) -> ServeResult<Option<Vec<u8>>> {
+        let q_tx = match self.q_tx {
+            Some(id) => id,
+            // The last failover found no epoch.  The one we left may have
+            // been healthy after all, so the search starts at it.
+            None => self.open_request_queue(self.epoch, overall)?,
+        };
         let sent_ns = now_nanos();
         let frame = encode_req(K_REQ, self.cfg.cid, self.gen, seq, sent_ns, payload);
-        match self.t.send_deadline(self.q_tx, &frame, Some(deadline)) {
+        match self.t.send_deadline(q_tx, &frame, Some(deadline)) {
             Ok(true) => {}
             Ok(false) => return Ok(None), // pool pressure held us past the deadline
             Err(e) if is_failover(&e) => {
@@ -275,16 +281,22 @@ impl<T: Transport> Client<T> {
     }
 
     /// The epoch died: rediscover above it and reopen the request queue.
-    /// Discovery is bounded by the smaller of the discovery budget and
-    /// the calling request's `overall` deadline.
-    fn failover_request_queue(&mut self, overall: Instant) -> ServeResult<()> {
-        let _ = self.t.close_send(self.q_tx);
+    fn failover_request_queue(&mut self, overall: Instant) -> ServeResult<T::Id> {
+        if let Some(id) = self.q_tx.take() {
+            let _ = self.t.close_send(id);
+        }
+        self.open_request_queue(self.epoch + 1, overall)
+    }
+
+    /// Opens the request queue of the highest live epoch at or above
+    /// `floor`.  Discovery is bounded by the smaller of the discovery
+    /// budget and the calling request's `overall` deadline.
+    fn open_request_queue(&mut self, floor: u32, overall: Instant) -> ServeResult<T::Id> {
         let deadline = (Instant::now() + self.cfg.discover).min(overall);
-        let floor = self.epoch + 1;
         let Some(epoch) = discover_epoch(self.t.as_ref(), &self.cfg.svc, floor, Some(deadline))
         else {
             // Distinguish "service gone" from "the call's budget clipped
-            // the search": the latter is retryable with a fresh call.
+            // the search"; either way the next call searches again.
             return Err(if Instant::now() >= overall {
                 self.stats.deadline_exceeded += 1;
                 ServeError::DeadlineExceeded
@@ -292,10 +304,11 @@ impl<T: Transport> Client<T> {
                 ServeError::Unavailable
             });
         };
-        self.q_tx = self.t.open_send(&q_name(&self.cfg.svc, epoch))?;
+        let q_tx = self.t.open_send(&q_name(&self.cfg.svc, epoch))?;
+        self.q_tx = Some(q_tx);
         self.epoch = epoch;
         self.stats.epoch_failovers += 1;
-        Ok(())
+        Ok(q_tx)
     }
 
     /// The reply queue was poisoned by a dead worker: abandon it (the
@@ -314,7 +327,9 @@ impl<T: Transport> Client<T> {
     /// Disconnects, closing both conversations (the private reply queue
     /// is deleted here — the client is its only connection).
     pub fn close(self) {
-        let _ = self.t.close_send(self.q_tx);
+        if let Some(id) = self.q_tx {
+            let _ = self.t.close_send(id);
+        }
         let _ = self.t.close_receive(self.reply_rx);
     }
 }

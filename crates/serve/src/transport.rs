@@ -7,18 +7,19 @@
 //! `send_deadline` under pool exhaustion sleeps on its process doorbell —
 //! the paper's `message_receive` blocking the calling process, with a
 //! bound.  No second thread does the waiting, so `mpf-check` schedules
-//! exactly the code that ships.  The crate exports the type under two
-//! names: `IpcTransport` for a process's handle on a named region,
-//! `ThreadTransport` for a logical process of an in-process `Mpf`
-//! (`AsyncMpf::new`).
+//! exactly the code that ships.  [`ViewTransport::new`] takes any view: a
+//! process's handle on a named region, or `Mpf::view(pid)` for a logical
+//! process of an in-process `Mpf`.  The crate exports the type under two
+//! names, `IpcTransport` and `ThreadTransport`.
 //!
 //! Deadline semantics: `None` means block indefinitely; expiry is
 //! `Ok(false)` / `Ok(None)`, never an error.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 use std::time::Instant;
 
-use mpf::{LnvcId, MpfError, Protocol, Result};
+use mpf::{IpcMpf, LnvcId, MpfError, Protocol, Result};
 use mpf_aio::AsyncIpc;
 
 /// What the service layer needs from a backend.
@@ -76,10 +77,17 @@ pub trait Transport: Send + Sync + 'static {
     fn sweep_dead(&self) -> u32;
 }
 
-/// The transport: an engine view's own blocking calls.  Only the view
-/// inside the [`AsyncIpc`] is used — nothing here creates a future, so the
-/// facade never starts its reactor thread.
+/// The transport: an engine view's own blocking calls.  The field is an
+/// [`AsyncIpc`], which only holds the view, because the repo benchmark
+/// still builds the tuple; everything else calls [`ViewTransport::new`].
 pub struct ViewTransport(pub AsyncIpc);
+
+impl ViewTransport {
+    /// The transport over one engine view.
+    pub fn new(ipc: Arc<IpcMpf>) -> Self {
+        ViewTransport(AsyncIpc::new(ipc))
+    }
+}
 
 /// `Ok(None)` for a wait that ran out of time.
 fn timed<T>(r: Result<T>) -> Result<Option<T>> {

@@ -1,19 +1,20 @@
 //! The service layer under injected peer death.
 //!
 //! The transport blocks in the engine's own receive forms, which pass the
-//! fault plane's `PeerDied` site (the reactor's single-pass forms never
-//! did): a client's send or reply wait can now be told, falsely, that its
-//! peer died.  Whatever the lie, every `call` must end — with the reply or
-//! a typed error — inside its `call_budget`, and the region must stay
-//! sound.  The plane is process-global, so this file is its own test
-//! binary; the in-process server and worker live under the same plane.
+//! fault plane's `PeerDied` site (the single-pass `try_` forms do not): a
+//! client's send or reply wait can be told, falsely, that its peer died.
+//! Whatever the lie, every `call` must end — with the reply or a typed
+//! error — inside its `call_budget`, and the region must stay sound; a
+//! client that gave up `Unavailable` is served again by its next call,
+//! without reconnecting.  The plane is process-global, so this file is
+//! its own test binary; the in-process server and worker live under the
+//! same plane.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpf::{Mpf, MpfConfig, ProcessId};
-use mpf_aio::AsyncMpf;
 use mpf_serve::{run_worker, Client, ClientCfg, ServeError, Server, ThreadTransport, WorkerCfg};
 use mpf_shm::faultplane::{self, FaultConfig};
 
@@ -21,7 +22,9 @@ const SVC: &str = "lied";
 const CALLS: u32 = 60;
 
 fn thread_t(mpf: &Arc<Mpf>, pid: usize) -> ThreadTransport {
-    ThreadTransport(AsyncMpf::new(Arc::clone(mpf), ProcessId::from_index(pid)))
+    ThreadTransport::new(Arc::clone(
+        mpf.view(ProcessId::from_index(pid)).expect("view"),
+    ))
 }
 
 #[test]
@@ -62,7 +65,7 @@ fn calls_under_injected_peer_death_end_typed_within_budget() {
             }
         });
         let plane = faultplane::install(FaultConfig::new(0xD1ED).with_peer_died(0.05));
-        let mut client = Client::connect(Arc::clone(&t), cfg.clone()).expect("connect");
+        let mut client = Client::connect(t, cfg).expect("connect");
         for i in 0..CALLS {
             let start = Instant::now();
             let result = client.call(&i.to_le_bytes());
@@ -74,14 +77,11 @@ fn calls_under_injected_peer_death_end_typed_within_budget() {
                     ok += 1;
                 }
                 // A lied-about request queue sends the client looking for
-                // an epoch that does not exist; it gives up, typed, and a
-                // caller reconnects.
-                Err(ServeError::Unavailable) => {
-                    typed += 1;
-                    client.close();
-                    client = Client::connect(Arc::clone(&t), cfg.clone()).expect("reconnect");
-                }
-                Err(ServeError::TimedOut | ServeError::DeadlineExceeded) => typed += 1,
+                // an epoch that does not exist; it gives up, typed, and
+                // its next call finds the live one again.
+                Err(
+                    ServeError::Unavailable | ServeError::TimedOut | ServeError::DeadlineExceeded,
+                ) => typed += 1,
                 Err(e) => panic!("call {i}: {e}"),
             }
         }

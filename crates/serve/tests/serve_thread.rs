@@ -1,21 +1,24 @@
 //! Service-layer integration tests on the thread backend: full
 //! control-plane lifecycle (pause → resume → drain → shutdown) with
 //! real concurrency, plus conservation after everything disconnects;
-//! the transport's deadline contract; and who owns a reactor thread.
+//! the transport's deadline contract; a client that comes back after the
+//! service was gone; and the threads the service starts.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpf::{Mpf, MpfConfig, MpfError, ProcessId, Protocol};
-use mpf_aio::{block_on, AsyncMpf};
-use mpf_serve::{run_worker, Client, ClientCfg, Server, ThreadTransport, Transport, WorkerCfg};
+use mpf::{LnvcId, Mpf, MpfConfig, MpfError, ProcessId, Protocol, Result};
+use mpf_serve::{
+    run_worker, wire, Client, ClientCfg, ServeError, Server, ThreadTransport, Transport, WorkerCfg,
+};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::from_index(i)
 }
 
 fn thread_t(mpf: &Arc<Mpf>, pid: usize) -> ThreadTransport {
-    ThreadTransport(AsyncMpf::new(Arc::clone(mpf), p(pid)))
+    ThreadTransport::new(Arc::clone(mpf.view(p(pid)).expect("view")))
 }
 
 /// Pumps the server's ack channel until `cond` holds or `timeout`.
@@ -199,8 +202,6 @@ fn call_budget_bounds_a_workerless_call() {
 
 #[test]
 fn supervise_until_returns_at_deadline_or_stop() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     let mpf = Arc::new(Mpf::init(MpfConfig::new(32, 16)).expect("init"));
     let mut server = Server::new(Arc::new(thread_t(&mpf, 0)), "idle").expect("anchor");
 
@@ -273,21 +274,154 @@ fn transport_waits_are_bounded_by_their_deadline() {
     mpf.check_invariants().expect("invariants");
 }
 
-/// Threads of this process named `mpf-aio-reactor`.
-#[cfg(target_os = "linux")]
-fn reactor_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("/proc/self/task")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == "mpf-aio-reactor")
-        .count()
+/// The thread transport with one switch: while `lying` is set, every
+/// send reports a dead peer, as the fault plane's `PeerDied` site does.
+/// (The plane is process-global, and this binary's tests share a
+/// process.)
+struct Liar {
+    t: ThreadTransport,
+    lying: AtomicBool,
 }
 
-/// No other test in this binary creates a future and the transport never
-/// does, so the process-wide counts below are exact.
+impl Transport for Liar {
+    type Id = LnvcId;
+
+    fn open_send(&self, name: &str) -> Result<LnvcId> {
+        self.t.open_send(name)
+    }
+    fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
+        self.t.open_receive(name, protocol)
+    }
+    fn close_send(&self, id: LnvcId) -> Result<()> {
+        self.t.close_send(id)
+    }
+    fn close_receive(&self, id: LnvcId) -> Result<()> {
+        self.t.close_receive(id)
+    }
+    fn send_deadline(&self, id: LnvcId, payload: &[u8], deadline: Option<Instant>) -> Result<bool> {
+        if self.lying.load(Ordering::Acquire) {
+            return Err(MpfError::PeerDied { pid: 0 });
+        }
+        self.t.send_deadline(id, payload, deadline)
+    }
+    fn recv_deadline(&self, id: LnvcId, deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
+        self.t.recv_deadline(id, deadline)
+    }
+    fn recv_any_deadline(
+        &self,
+        ids: &[LnvcId],
+        deadline: Option<Instant>,
+    ) -> Result<Option<(LnvcId, Vec<u8>)>> {
+        self.t.recv_any_deadline(ids, deadline)
+    }
+    fn try_recv(&self, id: LnvcId) -> Result<Option<Vec<u8>>> {
+        self.t.try_recv(id)
+    }
+    fn try_recv_batch(&self, id: LnvcId, max: usize) -> Result<Vec<Vec<u8>>> {
+        self.t.try_recv_batch(id, max)
+    }
+    fn lnvc_exists(&self, name: &str) -> bool {
+        self.t.lnvc_exists(name)
+    }
+    fn queue_depth(&self, id: LnvcId) -> Result<u32> {
+        self.t.queue_depth(id)
+    }
+    fn is_poisoned(&self, id: LnvcId) -> bool {
+        self.t.is_poisoned(id)
+    }
+    fn sweep_dead(&self) -> u32 {
+        self.t.sweep_dead()
+    }
+}
+
+/// A call that found no epoch leaves the client holding no request
+/// queue, not a closed connection on the old one: once the server has
+/// re-anchored, the same client's next call finds the new epoch.
+#[test]
+fn a_client_that_found_the_service_gone_rediscovers_on_its_next_call() {
+    let mpf = Arc::new(Mpf::init(MpfConfig::new(32, 16)).expect("init"));
+    let mut server = Server::new(Arc::new(thread_t(&mpf, 0)), "back").expect("anchor");
+    let liar = Arc::new(Liar {
+        t: thread_t(&mpf, 1),
+        lying: AtomicBool::new(false),
+    });
+    let cfg = ClientCfg {
+        discover: Duration::from_millis(50),
+        ..ClientCfg::new("back", 1)
+    };
+    let mut client = Client::connect(Arc::clone(&liar), cfg).expect("connect");
+    // A peer that still holds epoch 1's request queue keeps it alive, and
+    // healthy, after the server and the client have both left it.
+    let straggler = thread_t(&mpf, 2);
+    let old_q = straggler
+        .open_receive(&server.q_name(), Protocol::Fcfs)
+        .expect("straggler");
+
+    // The request queue reports a dead peer and no higher epoch exists.
+    liar.lying.store(true, Ordering::Release);
+    let gone = client.call(b"anyone?");
+    assert!(matches!(gone, Err(ServeError::Unavailable)), "{gone:?}");
+    liar.lying.store(false, Ordering::Release);
+
+    // A worker dies holding the ack channel: the server re-anchors at
+    // epoch 2, and a live worker joins it there.
+    let victim = thread_t(&mpf, 3);
+    victim
+        .open_send(&wire::ack_name("back", 1))
+        .expect("victim");
+    mpf.view(p(3)).expect("view").debug_abandon_slot();
+    assert!(server.supervise().expect("supervise"));
+    assert_eq!(server.epoch(), 2);
+    let worker = {
+        let mpf = Arc::clone(&mpf);
+        std::thread::spawn(move || {
+            run_worker(&thread_t(&mpf, 4), &WorkerCfg::new("back", 1), |req| {
+                req.to_vec()
+            })
+        })
+    };
+    pump_until(&mut server, Duration::from_secs(10), |s| {
+        s.worker_count() == 1
+    });
+
+    assert_eq!(client.call(b"back").expect("next call"), b"back");
+    assert_eq!(client.epoch(), 2);
+    client.close();
+    straggler.close_receive(old_q).expect("straggler leaves");
+    let s = server
+        .shutdown(Some(Duration::from_secs(10)))
+        .expect("shutdown");
+    assert!(s.stragglers.is_empty(), "{s:?}");
+    worker.join().expect("worker thread").expect("worker");
+    assert_eq!(mpf.live_lnvcs(), 0);
+    mpf.check_invariants().expect("invariants");
+}
+
+/// Set in the copy of this binary that
+/// [`the_transport_starts_no_thread`] runs its count in.
+const ALONE_ENV: &str = "MPF_SERVE_THREAD_ALONE";
+
+/// Server, worker and client all block and are woken in the engine: the
+/// one thread a service adds is the worker the caller spawns.  Counted in
+/// a copy of this binary that runs this test alone, so that no other
+/// test's threads come and go under the count.
 #[cfg(target_os = "linux")]
 #[test]
-fn only_a_pending_future_starts_a_reactor_thread() {
+fn the_transport_starts_no_thread() {
+    let name = "the_transport_starts_no_thread";
+    if std::env::var_os(ALONE_ENV).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+            .args(["--exact", name, "--test-threads=1"])
+            .env(ALONE_ENV, "1")
+            .output()
+            .expect("re-exec");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}");
+        assert!(stdout.contains("1 passed"), "{stdout}");
+        return;
+    }
+    let threads = || std::fs::read_dir("/proc/self/task").expect("tasks").count();
+    let before = threads();
     let mpf = Arc::new(Mpf::init(MpfConfig::new(32, 16)).expect("init"));
     let mut server = Server::new(Arc::new(thread_t(&mpf, 0)), "own").expect("anchor");
     let worker = {
@@ -304,39 +438,10 @@ fn only_a_pending_future_starts_a_reactor_thread() {
     let mut client =
         Client::connect(Arc::new(thread_t(&mpf, 2)), ClientCfg::new("own", 1)).expect("connect");
     assert_eq!(client.call(b"echo").expect("call"), b"echo");
-    // Server, worker and client all blocked and were woken: in the engine.
-    assert_eq!(reactor_threads(), 0, "the transport owns no thread");
+    assert_eq!(threads(), before + 1, "the transport owns no thread");
     client.close();
     server
         .shutdown(Some(Duration::from_secs(10)))
         .expect("shutdown");
     worker.join().expect("worker thread").expect("worker");
-
-    let a = AsyncMpf::new(Arc::clone(&mpf), p(3));
-    let rx = a
-        .facility()
-        .open_receive("quiet", Protocol::Fcfs)
-        .expect("open_receive");
-    let tx = a.facility().open_send("quiet").expect("open_send");
-    block_on(async {
-        a.send(tx, b"ready".to_vec()).await.expect("send");
-        assert_eq!(a.recv(rx).await.expect("recv"), b"ready");
-    });
-    assert_eq!(reactor_threads(), 0, "futures that never pend need none");
-    for _ in 0..2 {
-        let pended = block_on(a.recv(rx).timeout(Duration::from_millis(10)));
-        assert_eq!(pended, Err(MpfError::TimedOut));
-        assert_eq!(
-            reactor_threads(),
-            1,
-            "one per facade, from the first Pending"
-        );
-    }
-    drop(a);
-    // `join` returns at the thread's exit; /proc drops the task just after.
-    let patience = Instant::now() + Duration::from_secs(5);
-    while reactor_threads() != 0 {
-        assert!(Instant::now() < patience, "dropping the facade joins it");
-        std::thread::yield_now();
-    }
 }

@@ -21,8 +21,7 @@
 //!   Balance's ALM atomic-lock-memory equivalent), a FIFO ticket lock, and
 //!   an OS mutex, selectable at run time (ablation A2).
 //! * [`waitq::WaitQueue`] — heap wait/notify with spin, yield and park
-//!   strategies (ablation A3); the restricted §5 channels and the async
-//!   reactor's wake channel use it.
+//!   strategies (ablation A3); the restricted §5 channels use it.
 //! * [`pool::Pool`] / [`idxstack::IndexStack`] — typed slot pools over a
 //!   Treiber free list with an ABA tag.
 //! * [`hooks`] — the sync-event hook layer: every lock, wait queue, pool
@@ -36,7 +35,7 @@
 //! * [`sys`] — a four-syscall layer (`mmap`/`munmap`/`futex`/`kill`) with
 //!   portable fallbacks; the workspace builds with no external crates.
 //! * [`ring::AioRing`] — io_uring-style SPSC descriptor ring with a futex
-//!   doorbell, the substrate of the batched/async `mpf-aio` layer.
+//!   doorbell, the substrate of the engine's batched sends and receives.
 //!
 //! Nothing in this crate knows about messages or LNVCs; it only provides
 //! "shared memory allocation and synchronization", the two facilities the

@@ -17,7 +17,6 @@
 use std::sync::Arc;
 
 use mpf::{Mpf, MpfConfig, ProcessId};
-use mpf_aio::AsyncMpf;
 use mpf_serve::{run_worker, Client, ClientCfg, Server, ThreadTransport, WorkerCfg};
 
 const CLIENTS: u32 = 4;
@@ -25,23 +24,26 @@ const WORKERS: u32 = 2;
 const REQUESTS_PER_CLIENT: u64 = 8;
 const SVC: &str = "square";
 
+/// The transport of logical process `pid`: its view of the one `Mpf`.
+fn transport(mpf: &Mpf, pid: usize) -> ThreadTransport {
+    let view = mpf.view(ProcessId::from_index(pid)).expect("pid in range");
+    ThreadTransport::new(Arc::clone(view))
+}
+
 fn main() {
     let mpf = Arc::new(Mpf::init(MpfConfig::new(32, 16)).expect("init"));
 
     // The server anchors the service's shared conversations (request
     // queue, control plane, ack channel) before any worker or client
     // exists, so nothing is lost to late joiners.
-    let server_t = Arc::new(ThreadTransport(AsyncMpf::new(
-        Arc::clone(&mpf),
-        ProcessId::from_index(0),
-    )));
+    let server_t = Arc::new(transport(&mpf, 0));
     let mut server = Server::new(Arc::clone(&server_t), SVC).expect("anchor service");
 
     let mut workers = Vec::new();
     for w in 0..WORKERS {
         let m = Arc::clone(&mpf);
         workers.push(std::thread::spawn(move || {
-            let t = ThreadTransport(AsyncMpf::new(m, ProcessId::from_index(1 + w as usize)));
+            let t = transport(&m, 1 + w as usize);
             // The handler squares a little-endian u32.
             let stats = run_worker(&t, &WorkerCfg::new(SVC, w + 1), |req| {
                 let v = u32::from_le_bytes(req[..4].try_into().expect("4 bytes"));
@@ -56,8 +58,7 @@ fn main() {
     for c in 0..CLIENTS {
         let m = Arc::clone(&mpf);
         clients.push(std::thread::spawn(move || {
-            let pid = ProcessId::from_index(1 + WORKERS as usize + c as usize);
-            let t = Arc::new(ThreadTransport(AsyncMpf::new(m, pid)));
+            let t = Arc::new(transport(&m, 1 + WORKERS as usize + c as usize));
             let mut client = Client::connect(t, ClientCfg::new(SVC, c + 1)).expect("connect");
             for i in 0..REQUESTS_PER_CLIENT {
                 let reply = client.call(&(i as u32).to_le_bytes()).expect("call");
