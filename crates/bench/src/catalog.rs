@@ -295,9 +295,7 @@ pub fn fig3_native(budget: Budget) -> Output {
 /// multiple and large ones converge on the copy.  `batch=1` pays the ring
 /// machinery with no amortisation: the baseline of the claim.
 fn fig3_aio(budget: Budget) -> Output {
-    // Stamp 1 message in 32, so the latency histogram stays populated
-    // without a clock read per message of a batch.
-    let cfg = loopback_config(true).latency_sample_rate(32);
+    let cfg = loopback_config(true);
     let n = AIO_LENGTHS.len();
     let point = |b: u32, len: u32| loopback(anon(&cfg), len as usize, Round::Batch(b as usize));
     let grid = (AIO_BATCHES.iter()).flat_map(|&b| AIO_LENGTHS.map(|len| point(b, len)));

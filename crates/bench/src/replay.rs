@@ -34,11 +34,11 @@ pub struct NativeSummary {
     /// Sent-side throughput over the span, bytes/second.
     pub send_throughput: f64,
     /// Mean send→receive latency over deliveries matched to their send
-    /// by message stamp, ns.
+    /// by message stamp, both records dated, ns.
     pub mean_latency_ns: f64,
     /// Maximum matched latency, ns.
     pub max_latency_ns: u64,
-    /// Deliveries matched to a send.
+    /// Dated deliveries matched to a dated send.
     pub matched: u64,
 }
 
@@ -68,11 +68,12 @@ impl TracedRun {
         Ok(Self { events })
     }
 
-    /// Reduces the capture to summary statistics.
+    /// Reduces the capture to summary statistics.  Times come from dated
+    /// records only (`tstamp` 0 is an undated one): a latency needs both
+    /// ends dated, the span its first and last dated record.
     pub fn summary(&self) -> NativeSummary {
-        let sent_at: HashMap<u64, u64> = self
-            .events
-            .iter()
+        let dated = || self.events.iter().filter(|(_, e)| e.tstamp != 0);
+        let sent_at: HashMap<u64, u64> = dated()
             .filter(|(_, e)| e.kind == TR_SEND)
             .map(|(_, e)| (e.stamp, e.tstamp))
             .collect();
@@ -86,7 +87,7 @@ impl TracedRun {
                 }
                 TR_RECV | TR_RECV_B => {
                     receives += 1;
-                    if let Some(&t0) = sent_at.get(&e.stamp) {
+                    if let (Some(&t0), true) = (sent_at.get(&e.stamp), e.tstamp != 0) {
                         let lat = e.tstamp.saturating_sub(t0);
                         latency_sum += u128::from(lat);
                         max_latency_ns = max_latency_ns.max(lat);
@@ -97,7 +98,7 @@ impl TracedRun {
                 _ => {}
             }
         }
-        let stamps = self.events.iter().map(|(_, e)| e.tstamp);
+        let stamps = dated().map(|(_, e)| e.tstamp);
         let span_ns = match (stamps.clone().min(), stamps.max()) {
             (Some(first), Some(last)) => last - first,
             _ => 0,
@@ -153,10 +154,14 @@ pub fn trace_to_schedule(run: &TracedRun, cycles_per_ns: f64) -> ReplaySchedule 
 /// `len` bytes each) and returns the capture of its trace rings.  The
 /// receiver writes up to four records per message (receive, reclaim,
 /// block marker, wakeup), so `senders * msgs` must stay near a quarter
-/// of [`TRACE_RING_SLOTS`] for the capture to be complete.
+/// of [`TRACE_RING_SLOTS`] for the capture to be complete.  Every message
+/// is timed (latency sample period 1), because the replay schedules each
+/// op by its record's date.
 pub fn traced_fanin(senders: usize, msgs: u64, len: usize) -> Result<TracedRun, String> {
-    let mpf =
-        Mpf::init(MpfConfig::new(8, senders as u32 + 1).with_total_blocks(8192)).expect("init");
+    let cfg = MpfConfig::new(8, senders as u32 + 1)
+        .with_total_blocks(8192)
+        .latency_sample_rate(1);
+    let mpf = Mpf::init(cfg).expect("init");
     // Open the receive connection before any sender thread exists: if the
     // senders ran to completion (send + close) first, the conversation
     // would be deleted and the stream discarded (paper §3.2).

@@ -433,7 +433,8 @@ fn telemetry_conserved_under_schedules() {
         let cfg = MpfConfig::new(4, 4)
             .with_total_blocks(64)
             .with_block_payload(16)
-            .with_max_messages(16);
+            .with_max_messages(16)
+            .latency_sample_rate(1);
         let mpf = Arc::new(Mpf::init(cfg).expect("init"));
         let tx = mpf.open_send(p(0), "meter").expect("open_send");
         let r1 = mpf

@@ -35,14 +35,15 @@ pub struct MpfConfig {
     /// that cost.  The telemetry segments are always carved (the
     /// layout does not depend on this flag); disabling only stops writes.
     pub telemetry: bool,
-    /// Latency sampling period: stamp a send timestamp on 1-in-N messages
-    /// (1 = every message, the default).  The send→receive latency
-    /// histogram costs two reads of the calibrated cycle counter per
-    /// message (~21 ns each; no syscall), the largest observability cost
-    /// left at 16 B; sampling keeps the histogram statistically useful
-    /// while removing both reads from the other N−1 messages.  Unsampled
-    /// deliveries skip latency recording only; every other counter still
-    /// updates.
+    /// Latency sampling period N, a power of two (default 32): a
+    /// conversation's messages whose sequence number is a multiple of N
+    /// are *timed*.  Only a send or receive that handles a timed message
+    /// reads the calibrated cycle counter (~17 ns; no syscall); that one
+    /// reading is the latency sample's origin or end and dates the call's
+    /// trace records.  The other N−1 read no clock at all, with tracing on
+    /// or off: they skip the latency histogram and write their trace
+    /// records undated (`tstamp` 0), and every counter still updates.
+    /// 1 times every message.
     pub latency_sample_every: u32,
     /// Causal-trace sampling period: record 1-in-N causal chains in the
     /// per-process trace rings (1 = trace every chain, the default;
@@ -73,7 +74,7 @@ impl MpfConfig {
             max_send_conns: conns,
             max_recv_conns: conns,
             telemetry: true,
-            latency_sample_every: 1,
+            latency_sample_every: 32,
             trace_sample_every: 1,
         }
     }
@@ -124,11 +125,16 @@ impl MpfConfig {
         self
     }
 
-    /// Samples send→receive latency on 1-in-`every` messages (≥ 1).  The
-    /// default, 1, stamps every message; larger values drop the two
-    /// per-message clock reads from the hot path.
+    /// Times 1-in-`every` messages of each conversation (a power of two;
+    /// 32 by default): only those read the clock, for the latency sample
+    /// and the dates of their trace records, so the other messages' sends
+    /// and receives make no clock read, traced or not.  1 times every
+    /// message.
     pub fn latency_sample_rate(mut self, every: u32) -> Self {
-        assert!(every >= 1, "latency sample period must be at least 1");
+        assert!(
+            every.is_power_of_two(),
+            "latency sample period must be a power of two, got {every}"
+        );
         self.latency_sample_every = every;
         self
     }

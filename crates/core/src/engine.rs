@@ -318,8 +318,6 @@ pub struct IpcMpf {
     cfg: MpfConfig,
     /// Our process slot index — the MPF process id.
     me: u32,
-    /// Local send counter driving the 1-in-N latency sample.
-    latency_tick: AtomicU64,
     /// Local counter driving root-id serials and the 1-in-N chain sample.
     trace_tick: AtomicU64,
     /// This process's causal context: the chain of its last delivery,
@@ -430,7 +428,6 @@ impl IpcMpf {
             t,
             cfg,
             me: 0,
-            latency_tick: AtomicU64::new(0),
             trace_tick: AtomicU64::new(0),
             ctx_trace: AtomicU64::new(0),
             ctx_hop: AtomicU32::new(0),
@@ -597,7 +594,7 @@ impl IpcMpf {
         let sq = self.t.aio_sq(p);
         while let Some(e) = sq.try_pop() {
             if e.arg0 < self.cfg.max_messages {
-                self.free_run(e.arg0, e.arg0, 0);
+                self.free_run(e.arg0, e.arg0, None);
             }
         }
         let cq = self.t.aio_cq(p);
@@ -677,15 +674,16 @@ impl IpcMpf {
         bump(&self.t.slot(self.me).heartbeat, 1);
     }
 
-    /// Whether this send should carry a latency origin stamp (1-in-N
-    /// sampling, period fixed at region creation).
+    /// Whether the message with conversation sequence number `seq` and
+    /// causal id `trace` is *timed*: its seq is a multiple of the latency
+    /// sample period (a power of two, fixed at region creation), and
+    /// something records it — telemetry's latency sample, or its traced
+    /// chain's dated records.  Only a send or receive call that handles a
+    /// timed message reads the clock.
     #[inline]
-    fn sample_latency(&self) -> bool {
-        self.cfg.latency_sample_every <= 1
-            || self
-                .latency_tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(u64::from(self.cfg.latency_sample_every))
+    fn timed(&self, seq: u32, trace: u64) -> bool {
+        let mask = self.cfg.latency_sample_every.saturating_sub(1);
+        seq & mask == 0 && (self.cfg.telemetry || trace != 0)
     }
 
     // -- causal tracing -------------------------------------------------
@@ -723,13 +721,15 @@ impl IpcMpf {
 
     /// Appends one record to this process's trace ring; a no-op for
     /// untraced chains, so callers thread the gate through `trace == 0`.
-    /// `tstamp` is a clock read the caller already has (0 = read it here),
-    /// shared by the trace records and latency sample of an operation.
+    /// `tstamp` is the date: `Some` of the clock read the message-path call
+    /// already made, shared by all its records and its latency sample (0 =
+    /// the call handled no timed message: undated), or `None` off the
+    /// message path, to read the clock here.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn trace_rec_at(
         &self,
-        tstamp: u64,
+        tstamp: Option<u64>,
         kind: u32,
         hop: u32,
         trace: u64,
@@ -739,7 +739,7 @@ impl IpcMpf {
         arg2: u32,
     ) {
         if trace != 0 {
-            let t = if tstamp != 0 { tstamp } else { now_nanos() };
+            let t = tstamp.unwrap_or_else(now_nanos);
             self.t
                 .trace_ring(self.me)
                 .record_at(t, trace, stamp, kind, hop, lnvc, arg, arg2);
@@ -913,7 +913,7 @@ impl IpcMpf {
                 // only pin blocks.  Drop it now.
                 if first_receiver && protocol == Protocol::Broadcast {
                     self.clear_fcfs_obligations(d);
-                    self.reclaim(idx, d, true, 0);
+                    self.reclaim(idx, d, true, None);
                 }
                 Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
             })();
@@ -1025,7 +1025,7 @@ impl IpcMpf {
             status: hop as i32,
         };
         self.publish_run(idx, d, std::slice::from_ref(&staged))
-            .inspect_err(|_| self.free_run(m_idx, m_idx, 0))
+            .inspect_err(|_| self.free_run(m_idx, m_idx, None))
     }
 
     /// The only routine that publishes: links the staged messages of
@@ -1036,13 +1036,10 @@ impl IpcMpf {
     /// them, and wakes receivers once.  On error nothing was published and
     /// the staged messages are still the caller's to free.
     fn publish_run(&self, idx: u32, d: &LnvcDesc, run: &[RingEntry]) -> Result<()> {
-        // One clock read is the latency origin of every sampled message and
-        // dates every record: taken here, off the lock's critical path,
-        // when the first message is sure to need it, else at the first
-        // that does.
-        let certain =
-            run[0].trace != 0 || (self.cfg.telemetry && self.cfg.latency_sample_every <= 1);
-        let mut now = if certain { now_nanos() } else { 0 };
+        // One clock read, at the run's first timed message, is the latency
+        // origin of its timed messages and dates every record; a run with
+        // none reads nothing and records undated (0).
+        let mut now = 0u64;
         self.lock_lnvc(d);
         let published = self.send_obligations(d).map(|(needs_fcfs, n_bcast)| {
             // Stamps are the region's total order over sends, increasing
@@ -1064,15 +1061,17 @@ impl IpcMpf {
                     m.trace.store(e.trace, Ordering::Release);
                     m.hop.store(e.status as u32, Ordering::Release);
                 }
-                // Latency origin stamp; 0 means "not stamped" (telemetry
-                // off, or outside the 1-in-N latency sample), so the
-                // receiver never computes latency against a recycled value.
-                let sampled = self.cfg.telemetry && self.sample_latency();
-                if now == 0 && (sampled || e.trace != 0) {
-                    now = now_nanos();
+                // The seq `publish` is about to give it decides the timing.
+                if self.timed(d.next_seq.load(Ordering::Relaxed), e.trace) {
+                    if now == 0 {
+                        now = now_nanos();
+                    }
+                    // The latency origin, which the receiver of a timed
+                    // message reads.
+                    if lt.is_some() {
+                        m.sent_at.store(now, Ordering::Release);
+                    }
                 }
-                m.sent_at
-                    .store(if sampled { now } else { 0 }, Ordering::Release);
                 depth = self.publish(d, e.arg0, stamp, needs_fcfs, n_bcast);
                 if let Some(lt) = lt {
                     lt.sizes.record_locked(u64::from(e.arg1));
@@ -1094,9 +1093,10 @@ impl IpcMpf {
         let (first_stamp, obligations) = published?;
         // One wake for the whole run — the amortisation the rings buy.
         self.notify_lnvc(d);
+        let at = Some(now);
         for (e, stamp) in run.iter().zip(first_stamp..) {
             let hop = e.status as u32;
-            self.trace_rec_at(now, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
+            self.trace_rec_at(at, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
         }
         Ok(())
     }
@@ -1215,7 +1215,8 @@ impl IpcMpf {
                         // the context deliver_locked just adopted.
                         let trace = self.ctx_trace.load(Ordering::Relaxed);
                         let hop = self.ctx_hop.load(Ordering::Relaxed);
-                        self.trace_rec_at(0, TR_WAKEUP, hop, trace, idx, 0, delivered.1 as u32, 0);
+                        let bytes = delivered.1 as u32;
+                        self.trace_rec_at(None, TR_WAKEUP, hop, trace, idx, 0, bytes, 0);
                     }
                     return Ok(delivered);
                 }
@@ -1516,7 +1517,7 @@ impl IpcMpf {
             if now == 0 && trace != 0 {
                 now = now_nanos();
             }
-            self.trace_rec_at(now, TR_ENQUEUE, hop, trace, idx, 0, len, i as u32);
+            self.trace_rec_at(Some(now), TR_ENQUEUE, hop, trace, idx, 0, len, i as u32);
         }
         sq.ring_doorbell();
         Ok(submitted)
@@ -1564,7 +1565,7 @@ impl IpcMpf {
         if published.is_err() {
             // Gone, poisoned or closed under us: nothing of the run went out.
             for staged in run {
-                self.free_run(staged.arg0, staged.arg0, 0);
+                self.free_run(staged.arg0, staged.arg0, None);
             }
         }
         let status = published.map_or_else(|e| e.status_code(), |()| 0);
@@ -1925,8 +1926,9 @@ impl IpcMpf {
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
         let kind = if bcast { TR_RECV_B } else { TR_RECV };
         let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
-        // One clock read, at the first message that needs one, dates every
-        // trace record (deliveries and reclaims) and latency sample here.
+        // One clock read, at the first timed message, dates the records
+        // from there on (deliveries, then reclaims) and the latency
+        // samples; a batch with none reads nothing and records undated.
         let mut now = 0u64;
         let (mut received, mut bytes) = (0usize, 0usize);
         let mut last_chain = (0u64, 0u32);
@@ -1946,23 +1948,25 @@ impl IpcMpf {
                 }
                 break;
             }
-            let sent_at = m.sent_at.load(Ordering::Acquire);
             let trace = m.trace.load(Ordering::Acquire);
             let hop = m.hop.load(Ordering::Acquire);
+            let seq = m.seq.load(Ordering::Acquire);
             if bcast {
-                r.cursor
-                    .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
+                r.cursor.store(seq + 1, Ordering::Release);
             }
             Self::claim_delivery(m, bcast);
-            if now == 0 && (sent_at != 0 || trace != 0) {
+            let timed = self.timed(seq, trace);
+            if now == 0 && timed {
                 now = now_nanos();
             }
             // Delivery is claimed; record it before the reclamation pass
             // can append this message's TR_RECLAIM, so ring order matches
             // logic.
             let stamp = m.stamp.load(Ordering::Acquire);
-            self.trace_rec_at(now, kind, hop, trace, idx, stamp, len as u32, 0);
-            if let (Some(lt), true) = (lt, sent_at != 0) {
+            self.trace_rec_at(Some(now), kind, hop, trace, idx, stamp, len as u32, 0);
+            if let (Some(lt), true) = (lt, timed) {
+                // The sender stamped every timed message (same config).
+                let sent_at = m.sent_at.load(Ordering::Acquire);
                 lt.latency.record_locked(now.saturating_sub(sent_at));
             }
             last_chain = (trace, hop);
@@ -1973,7 +1977,7 @@ impl IpcMpf {
         if received != 0 {
             // The last delivery becomes this process's causal context.
             self.adopt_trace(last_chain.0, last_chain.1);
-            self.reclaim(idx, d, false, now);
+            self.reclaim(idx, d, false, Some(now));
             if let Some(lt) = lt {
                 bump(&lt.receives, received as u64);
                 bump(&lt.bytes_out, bytes as u64);
@@ -2041,9 +2045,9 @@ impl IpcMpf {
     /// messages become reclaimable when an FCFS receiver takes one parked
     /// behind a broadcast-claimed head or when obligations are cleared:
     /// closes and memory-pressure sweeps look for them, the receive hot
-    /// path does not.  `tstamp` (0 = read the clock) dates the trace
-    /// records.  Caller holds `d`'s lock.
-    fn reclaim(&self, idx: u32, d: &LnvcDesc, whole_queue: bool, tstamp: u64) {
+    /// path does not.  `tstamp` dates the trace records (see
+    /// [`Self::trace_rec_at`]).  Caller holds `d`'s lock.
+    fn reclaim(&self, idx: u32, d: &LnvcDesc, whole_queue: bool, tstamp: Option<u64>) {
         let next_of = |m: u32| self.t.msg(m).next.load(Ordering::Acquire);
         let mut freed = 0u32;
         let (mut prev, mut cur) = (NIL, d.q_head.load(Ordering::Acquire));
@@ -2089,7 +2093,7 @@ impl IpcMpf {
         self.trace_pop(TR_SEND_BLOCK, idx, 0);
         self.lock_lnvc(d);
         if d.poisoned.load(Ordering::Acquire) == 0 {
-            self.reclaim(idx, d, true, 0);
+            self.reclaim(idx, d, true, None);
         }
         d.lock.unlock();
     }
@@ -2174,9 +2178,9 @@ impl IpcMpf {
     /// all their blocks with one push per pool.  Their block chains
     /// are linked tail to head on the way, which is why the run must be
     /// off its queue first: a survivor freeing a dead reclaimer's queue
-    /// would free the spliced chain once per message.  `tstamp` (0 = read
-    /// the clock) dates the `TR_RECLAIM` records.
-    fn free_run(&self, first: u32, last: u32, tstamp: u64) {
+    /// would free the spliced chain once per message.  `tstamp` dates the
+    /// `TR_RECLAIM` records (see [`Self::trace_rec_at`]).
+    fn free_run(&self, first: u32, last: u32, tstamp: Option<u64>) {
         let links = self.t.links();
         let link_of = |b: u32| links[b as usize].load(Ordering::Acquire);
         let (mut b_head, mut b_tail) = (NIL, NIL);
@@ -2336,7 +2340,7 @@ impl IpcMpf {
         if first != NIL {
             // To the chain's end, not to `q_tail`: a holder that died
             // mid-publish may have left the tail word behind.
-            self.free_run(first, NIL, 0);
+            self.free_run(first, NIL, None);
         }
     }
 
@@ -2426,7 +2430,7 @@ impl IpcMpf {
             // reclaimable instead of pinning blocks until the LNVC dies.
             self.clear_fcfs_obligations(d);
         }
-        self.reclaim(idx, d, true, 0);
+        self.reclaim(idx, d, true, None);
         (protocol, watches)
     }
 

@@ -565,7 +565,13 @@ mod tests {
 
     #[test]
     fn telemetry_tracks_traffic_and_latency() {
-        let mpf = facility();
+        let mpf = Mpf::init(
+            MpfConfig::new(8, 8)
+                .with_total_blocks(256)
+                .with_max_messages(64)
+                .latency_sample_rate(1),
+        )
+        .unwrap();
         let tx = mpf.open_send(p(0), "tel").unwrap();
         let rx = mpf.open_receive(p(1), "tel", Protocol::Fcfs).unwrap();
         mpf.message_send(p(0), tx, &[0u8; 50]).unwrap();

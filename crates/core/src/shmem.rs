@@ -49,9 +49,9 @@ pub struct ConfigEcho {
     /// 1 when the creator enabled telemetry recording; the segments are
     /// carved either way, this only tells attachers whether to write them.
     pub telemetry: AtomicU32,
-    /// Latency sampling period: send timestamps are stamped on 1-in-N
-    /// messages (1 = every message).  Echoed so every attacher samples at
-    /// the creator's rate.
+    /// Latency sampling period N: a conversation's messages with a seq
+    /// that is a multiple of N are timed (1 = every message).  Echoed so
+    /// sender and receiver agree on which messages those are.
     pub latency_sample_every: AtomicU32,
     /// Causal-trace sampling period: 1-in-N causal chains are recorded in
     /// the trace rings (1 = every chain, 0 = tracing off).  Echoed so
@@ -415,8 +415,8 @@ pub struct MsgDesc {
     pub hop: AtomicU32,
     /// Global send stamp (total order / tracing).
     pub stamp: AtomicU64,
-    /// Wall-clock nanoseconds at send (0 = unstamped), feeding the
-    /// telemetry send→receive latency histogram.
+    /// Wall-clock nanoseconds at send of a timed message (0 otherwise),
+    /// feeding the telemetry send→receive latency histogram.
     pub sent_at: AtomicU64,
     /// Causal trace id (0 = untraced; bit 63 = sampled flag).  Stamped at
     /// send, read at delivery to continue the chain, cleared at reclaim.

@@ -10,12 +10,13 @@ use mpf_shm::tracering::{TraceEvent, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_SEND};
 const K: usize = 6;
 
 /// A fresh region with a sender (the creator) and `receivers` receiving
-/// views of protocol `protocol` on one conversation.
+/// views of protocol `protocol` on one conversation, every message timed.
 fn scene(protocol: Protocol, receivers: usize) -> (IpcMpf, LnvcId, Vec<IpcMpf>) {
     let cfg = MpfConfig::new(4, 4)
         .with_block_payload(16)
         .with_total_blocks(64)
-        .with_max_messages(16);
+        .with_max_messages(16)
+        .latency_sample_rate(1);
     let tx_view = IpcMpf::anon(&cfg).expect("region");
     let views: Vec<IpcMpf> = (0..receivers)
         .map(|_| tx_view.attach_view().expect("view"))

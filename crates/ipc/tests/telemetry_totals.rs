@@ -87,10 +87,12 @@ fn recv_n(v: &IpcMpf, id: LnvcId, n: u64, len: usize) {
 /// and a racing reader watching that no total ever goes backwards.
 #[test]
 fn derived_totals_match_an_independent_model() {
+    // Every message timed, so the latency histograms count every delivery.
     let cfg = MpfConfig::new(3, 6)
         .with_block_payload(32)
         .with_total_blocks(256)
-        .with_max_messages(64);
+        .with_max_messages(64)
+        .latency_sample_rate(1);
     let name = unique("model");
     let v0 = Arc::new(IpcMpf::create(&name, &cfg).expect("create"));
     let views: Vec<IpcMpf> = (0..3).map(|_| v0.attach_view().expect("view")).collect();

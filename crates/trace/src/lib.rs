@@ -530,7 +530,9 @@ impl TraceLog {
     /// Every record becomes a 1 µs complete slice on track
     /// `pid = MPF pid`, `tid = LNVC`; each send→receive pair additionally
     /// emits a flow arrow keyed by the message stamp, so causal chains draw
-    /// as connected arcs across process tracks.
+    /// as connected arcs across process tracks.  An undated record sits at
+    /// a neighbour's date in its ring (see [`placed`]) with `"dated":false`
+    /// in its args.
     pub fn chrome_json(&self) -> String {
         let mut out = String::with_capacity(4096 + self.len() * 160);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
@@ -554,43 +556,54 @@ impl TraceLog {
             );
         }
 
-        // Collect send/recv pairs for flow arrows while emitting slices.
-        let mut sends: BTreeMap<u64, Rec> = BTreeMap::new();
-        let mut recvs: Vec<Rec> = Vec::new();
+        // Collect send/recv pairs for flow arrows, each with where it was
+        // placed, while emitting slices.
+        let mut sends: BTreeMap<u64, (Rec, u64)> = BTreeMap::new();
+        let mut recvs: Vec<(Rec, u64)> = Vec::new();
+        let earliest = self.recs().map(|r| r.ev.tstamp).filter(|&t| t != 0).min();
 
-        for rec in self.recs() {
-            let ev = rec.ev;
-            let tid: i64 = if ev.lnvc == NIL { -1 } else { ev.lnvc as i64 };
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"mpf\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\
-                     \"pid\":{},\"tid\":{},\"args\":{{\"trace\":\"{:#x}\",\"stamp\":{},\
-                     \"hop\":{},\"arg\":{},\"arg2\":{},\"seq\":{}}}}}",
-                    trace_event_name(ev.kind),
-                    micros(ev.tstamp),
-                    rec.pid,
-                    tid,
-                    ev.trace,
-                    ev.stamp,
-                    ev.hop,
-                    ev.arg,
-                    ev.arg2,
-                    ev.seq
-                ),
-            );
-            match ev.kind {
-                TR_SEND => {
-                    sends.insert(ev.stamp, rec);
+        for ring in &self.rings {
+            let at = placed(&ring.events, earliest.unwrap_or(0));
+            for (&ev, at) in ring.events.iter().zip(at) {
+                let rec = Rec { pid: ring.pid, ev };
+                let tid: i64 = if ev.lnvc == NIL { -1 } else { ev.lnvc as i64 };
+                let undated = if ev.tstamp == 0 {
+                    ",\"dated\":false"
+                } else {
+                    ""
+                };
+                push(
+                    &mut out,
+                    &mut first,
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"mpf\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\
+                         \"pid\":{},\"tid\":{},\"args\":{{\"trace\":\"{:#x}\",\"stamp\":{},\
+                         \"hop\":{},\"arg\":{},\"arg2\":{},\"seq\":{}{}}}}}",
+                        trace_event_name(ev.kind),
+                        micros(at),
+                        rec.pid,
+                        tid,
+                        ev.trace,
+                        ev.stamp,
+                        ev.hop,
+                        ev.arg,
+                        ev.arg2,
+                        ev.seq,
+                        undated,
+                    ),
+                );
+                match ev.kind {
+                    TR_SEND => {
+                        sends.insert(ev.stamp, (rec, at));
+                    }
+                    TR_RECV | TR_RECV_B => recvs.push((rec, at)),
+                    _ => {}
                 }
-                TR_RECV | TR_RECV_B => recvs.push(rec),
-                _ => {}
             }
         }
 
-        for r in recvs {
-            if let Some(s) = sends.get(&r.ev.stamp) {
+        for (r, r_at) in recvs {
+            if let Some(&(s, s_at)) = sends.get(&r.ev.stamp) {
                 let flow = r.ev.stamp;
                 push(
                     &mut out,
@@ -599,7 +612,7 @@ impl TraceLog {
                         "{{\"name\":\"msg\",\"cat\":\"mpf\",\"ph\":\"s\",\"id\":{},\"ts\":{},\
                          \"pid\":{},\"tid\":{}}}",
                         flow,
-                        micros(s.ev.tstamp),
+                        micros(s_at),
                         s.pid,
                         s.ev.lnvc
                     ),
@@ -611,7 +624,7 @@ impl TraceLog {
                         "{{\"name\":\"msg\",\"cat\":\"mpf\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\
                          \"ts\":{},\"pid\":{},\"tid\":{}}}",
                         flow,
-                        micros(r.ev.tstamp),
+                        micros(r_at),
                         r.pid,
                         r.ev.lnvc
                     ),
@@ -646,12 +659,40 @@ impl TraceLog {
                     },
                     r.ev.stamp,
                     r.ev.arg,
-                    r.ev.tstamp
+                    date(r.ev.tstamp)
                 ));
             }
         }
         out
     }
+}
+
+/// A record's date for the text views: its `tstamp`, or `-` when it is
+/// undated (0: written by a call that handled no timed message).
+pub(crate) fn date(tstamp: u64) -> String {
+    match tstamp {
+        0 => "-".into(),
+        t => t.to_string(),
+    }
+}
+
+/// Where the Chrome export places each record of `events` (one ring, in
+/// ring order): at its own date, or, undated, at the date of the nearest
+/// dated record before it in the ring — after it when none precedes, and
+/// `fallback` (the log's earliest date) in a ring with no dated record.
+fn placed(events: &[TraceEvent], fallback: u64) -> Vec<u64> {
+    let mut at: Vec<u64> = events
+        .iter()
+        .scan(0, |last, e| {
+            *last = if e.tstamp != 0 { e.tstamp } else { *last };
+            Some(*last)
+        })
+        .collect();
+    let first = events.iter().map(|e| e.tstamp).find(|&t| t != 0);
+    for t in at.iter_mut().take_while(|t| **t == 0) {
+        *t = first.unwrap_or(fallback);
+    }
+    at
 }
 
 /// Microsecond timestamp with sub-µs precision, as Chrome expects.
@@ -952,6 +993,24 @@ mod tests {
         assert_eq!(streams[0].sends.len(), 1);
         assert_eq!(streams[0].recvs.len(), 1);
         assert_eq!(streams[1].lnvc, 4);
+    }
+
+    #[test]
+    fn undated_records_take_a_neighbours_date() {
+        let at = |dates: &[u64]| {
+            let evs: Vec<_> = dates
+                .iter()
+                .map(|&t| TraceEvent {
+                    tstamp: t,
+                    ..ev(TR_SEND, 0x10, 1, 0, 3, 64, 0)
+                })
+                .collect();
+            placed(&evs, 99)
+        };
+        assert_eq!(at(&[0, 0, 5, 0, 7, 0]), [5, 5, 5, 5, 7, 7]);
+        assert_eq!(at(&[0, 0]), [99, 99], "no date in the ring");
+        assert_eq!(date(0), "-");
+        assert_eq!(date(42), "42");
     }
 
     #[test]

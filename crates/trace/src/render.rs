@@ -47,12 +47,13 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// One trace record on one line (no pid: callers say whose ring it is).
+/// One trace record on one line (no pid: callers say whose ring it is);
+/// an undated record reads `t=-`.
 pub fn record_line(e: &TraceEvent) -> String {
     format!(
         "#{:<6} t={} {:<12} trace={:#x} hop={} stamp={} lnvc={} arg={} arg2={}",
         e.seq,
-        e.tstamp,
+        crate::date(e.tstamp),
         trace_event_name(e.kind),
         e.trace,
         e.hop,

@@ -46,7 +46,8 @@ fn shared_conversations_lose_no_update_under_contention() {
     let cfg = MpfConfig::new(4, 8)
         .with_block_payload(16)
         .with_total_blocks(96)
-        .with_max_messages(48);
+        .with_max_messages(48)
+        .latency_sample_rate(1);
     let name = format!("plain-store-stress-{}", std::process::id());
     let creator = Arc::new(IpcMpf::create(&name, &cfg).expect("create"));
     let per_conv = u64::from(SENDERS) * PER_SENDER;

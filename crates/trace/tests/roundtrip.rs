@@ -96,6 +96,44 @@ fn mpf_roundtrip_reconstructs_exact_chain() {
     assert_eq!(json.matches("\"ph\":\"s\"").count(), 2);
 }
 
+/// On the default configuration only one message in 32 of a conversation
+/// is timed, so most per-chain records are undated (`tstamp` 0).  The
+/// checker does not care (it orders by stamp), the text views print
+/// `t -` for them, and the Chrome export places each at a dated
+/// neighbour's time, marked `"dated":false` — never at `ts` 0.
+#[test]
+fn undated_records_check_clean_and_export_at_a_neighbours_date() {
+    let mpf = Mpf::init(small_cfg()).unwrap();
+    let tx = mpf.open_send(p(0), "undated").unwrap();
+    let rx = mpf.open_receive(p(1), "undated", Protocol::Fcfs).unwrap();
+    let mut buf = [0u8; 64];
+    for i in 0..40u8 {
+        mpf.message_send(p(0), tx, &[i; 16]).unwrap();
+        mpf.message_receive(p(1), rx, &mut buf).unwrap();
+    }
+    let log = TraceLog::from_ipc(mpf.view(p(0)).unwrap());
+    let undated = log
+        .rings()
+        .iter()
+        .flat_map(|r| &r.events)
+        .filter(|e| e.tstamp == 0)
+        .count();
+    // seq 0 and 32 are timed: three dated records each, of 120.
+    assert_eq!(undated, 120 - 2 * 3);
+
+    let report = log.check();
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_eq!((report.messages, report.deliveries), (40, 40));
+
+    let chains = log.render_chains();
+    assert_eq!(chains.matches(" t -\n").count(), undated, "{chains}");
+
+    let json = log.chrome_json();
+    assert_eq!(json.matches("\"dated\":false").count(), undated);
+    assert!(!json.contains("\"ts\":0.000"), "an event at ts 0: {json}");
+    assert_eq!(json.matches("\"ph\":\"s\"").count(), 40);
+}
+
 /// Sampling thins chains, never the events inside one: at 1-in-2, four
 /// independent sends yield two fully-recorded chains and two skips, and
 /// the record stays conformance-clean.
