@@ -113,9 +113,10 @@ fn a1_block_size(budget: Budget) -> Output {
 
 /// A2 — the paper's substrate was a busy-wait lock.  The facility has no
 /// lock knob (its conversations use `IpcLock`, the one lock that can
-/// outlive a dead holder), so the ablation drives the primitives directly.
+/// outlive a dead holder), so the ablation drives the primitives directly:
+/// the two busy-wait locks against the engine's futex mutex.
 fn a2_locks(budget: Budget) -> Output {
-    let locks = [LockKind::Spin, LockKind::Ticket, LockKind::Os].map(ShmLock::new);
+    let locks = [LockKind::Spin, LockKind::Ticket].map(ShmLock::new);
     let ipc = IpcLock::new();
     let mut points = Vec::from_iter(locks.iter().map(|lock| repeat(move || drop(lock.lock()))));
     points.push(repeat(|| {
@@ -123,7 +124,7 @@ fn a2_locks(budget: Budget) -> Output {
         ipc.unlock();
     }));
     let title = "A2 lock kind: one uncontended lock/unlock pair (ns)";
-    one_row(title, &["spin", "ticket", "os", "ipc"], points, budget).into()
+    one_row(title, &["spin", "ticket", "ipc"], points, budget).into()
 }
 
 /// One direction of the A3 ping-pong: a counter and the queue its reader
@@ -154,8 +155,9 @@ impl Lane {
 
 /// A3 — how a blocked receiver waits decides the wake-up latency.  The
 /// facility has no strategy knob (it sleeps on in-region futex words), so
-/// the ablation drives `WaitQueue` directly: a cross-thread ping-pong over
-/// two of them, one `wait(_, strategy)` wake-up each way per round trip.
+/// the ablation drives `WaitQueue` directly (its `park` is the engine's
+/// futex word): a cross-thread ping-pong over two of them, one
+/// `wait(_, strategy)` wake-up each way per round trip.
 fn a3_wait(budget: Budget) -> Output {
     let pingpong = |strategy| -> Workload {
         Box::new(move |rounds| {

@@ -28,6 +28,7 @@ use crate::error::{MpfError, Result};
 use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
 use crate::types::{AioCompletion, AioStats, LnvcId, LnvcName, Protocol, Reclaimable};
 use mpf_shm::faultplane::{self, FaultSite};
+use mpf_shm::freelist::stretch;
 use mpf_shm::ring::{AioRing, RingEntry, AIO_RING_SLOTS};
 use mpf_shm::telemetry::{
     bump, facility_snapshot, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry,
@@ -42,8 +43,8 @@ use mpf_shm::waitq::FutexSeq;
 use mpf_shm::ShmRegion;
 
 use crate::shmem::{
-    msg_flags, region_state, slot_state, stretch, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc,
-    RegionHeader, RegistryEntry, SendDesc, NIL,
+    msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
+    RegistryEntry, SendDesc, NIL,
 };
 
 /// How long any blocked call sleeps between liveness sweeps: the bound

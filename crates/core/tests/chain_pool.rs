@@ -561,3 +561,50 @@ fn a_pop_ending_anywhere_in_a_stretch_takes_what_the_links_say() {
     assert_eq!(free_list(&t), list);
     m.check_invariants().unwrap();
 }
+
+/// The engine's pools are the one free list, so a schedule hook sees them:
+/// one send and one receive pop and push each pool once, reported on the
+/// list's head word (on an anonymous region the canonical id is the
+/// address; no mapping is registered for it).
+#[test]
+fn a_round_trip_reports_alloc_and_free_on_both_pools() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use mpf::shmem::RegionHeader;
+    use mpf_shm::hooks::{self, SyncEvent, SyncHook};
+
+    struct Recorder(RefCell<Vec<SyncEvent>>);
+    impl SyncHook for Recorder {
+        fn yield_point(&self, ev: SyncEvent) {
+            self.0.borrow_mut().push(ev);
+        }
+        fn lock_acquire(&self, _: usize, try_lock: &mut dyn FnMut() -> bool) {
+            while !try_lock() {}
+        }
+        fn lock_release(&self, _: usize) {}
+        fn wait(&self, _: usize, ready: &mut dyn FnMut() -> bool) {
+            while !ready() {}
+        }
+        fn notify(&self, _: usize) {}
+    }
+
+    let m = IpcMpf::anon(&MpfConfig::new(4, 2)).unwrap();
+    let q = queues(&m, &["hooked"]);
+    let rec = Rc::new(Recorder(RefCell::new(Vec::new())));
+    {
+        let _hook = hooks::install(rec.clone());
+        m.message_send(q[0].0, &[7u8; 100]).unwrap();
+        assert_eq!(m.message_receive(q[0].1, &mut [0u8; 100]), Ok(100));
+    }
+    let at = |offset| m.base_addr() + offset;
+    let msgs = at(std::mem::offset_of!(RegionHeader, msg_free));
+    let blocks = at(std::mem::offset_of!(RegionHeader, block_free));
+    let evs = rec.0.borrow();
+    for pool in [msgs, blocks] {
+        for want in [SyncEvent::Alloc(pool), SyncEvent::Free(pool)] {
+            let n = evs.iter().filter(|&&ev| ev == want).count();
+            assert_eq!(n, 1, "{want:?} in {evs:?}");
+        }
+    }
+}

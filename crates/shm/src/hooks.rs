@@ -2,7 +2,7 @@
 //! exploration (the `mpf-check` harness).
 //!
 //! Every blocking or racy primitive in this crate — lock acquire/release,
-//! wait-queue wait/notify, pool alloc/free, free-list push/pop — consults a
+//! wait-queue wait/notify, free-list pop/push, ring push/pop — consults a
 //! thread-local [`SyncHook`] before touching the real synchronization
 //! machinery.  A test harness installs a hook on each "logical process"
 //! thread; the hook serializes execution, turning every call site into a
@@ -31,13 +31,13 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 /// about to).  Carries the address of the structure involved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncEvent {
-    /// A pool slot allocation attempt.
+    /// A free-list pop: a pool slot (or chain) allocation attempt.
     Alloc(usize),
-    /// A pool slot free.
+    /// A free-list push: a pool slot (or chain) free.
     Free(usize),
-    /// A lock-free index-stack push.
+    /// A lock-free ring push.
     StackPush(usize),
-    /// A lock-free index-stack pop.
+    /// A lock-free ring pop.
     StackPop(usize),
     /// A waiter counted itself as a sleeper on an in-region wait queue
     /// and has not yet re-checked the sequence: the window the sleeper
@@ -208,13 +208,20 @@ fn current() -> Option<Rc<dyn SyncHook>> {
     TLS_HOOK.try_with(|h| h.borrow().clone()).ok().flatten()
 }
 
-/// Reports `ev` to the current thread's hook, if any.
-#[inline]
+/// Reports `ev` to the current thread's hook, if any.  Only the gate is
+/// inlined: with no hook installed a call site costs one relaxed load.
+#[inline(always)]
 pub fn yield_point(ev: SyncEvent) {
     if enabled() {
-        if let Some(h) = current() {
-            h.yield_point(ev.canonicalized());
-        }
+        report(ev);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn report(ev: SyncEvent) {
+    if let Some(h) = current() {
+        h.yield_point(ev.canonicalized());
     }
 }
 
@@ -407,15 +414,36 @@ mod tests {
         let _g = install(hook.clone());
         let lock = crate::lock::ShmLock::new(crate::lock::LockKind::Spin);
         drop(lock.lock());
-        let q = crate::waitq::WaitQueue::new();
-        let t = q.ticket();
+        let pool: crate::pool::Pool<u32> = crate::pool::Pool::new(1);
+        pool.free(pool.alloc().unwrap());
+        // The word reports a notify only while a waiter counts itself
+        // asleep: an unhooked peer wakes this thread, then sleeps itself.
+        let q = std::sync::Arc::new(crate::waitq::FutexSeq::new());
+        let asleep = |q: &crate::waitq::FutexSeq| {
+            while q.sleepers() == 0 {
+                std::thread::yield_now();
+            }
+        };
+        let peer = {
+            let q = std::sync::Arc::clone(&q);
+            std::thread::spawn(move || {
+                asleep(&q);
+                q.notify_all();
+                let t = q.ticket();
+                while !q.wait(t, Some(std::time::Duration::from_secs(5))) {}
+            })
+        };
+        q.wait(q.ticket(), None);
+        asleep(&q);
         q.notify_all();
-        q.wait(t, crate::waitq::WaitStrategy::Spin);
+        peer.join().unwrap();
         let evs = hook.events.borrow().clone();
-        assert!(evs.contains(&"acquire".to_string()), "{evs:?}");
-        assert!(evs.contains(&"release".to_string()), "{evs:?}");
-        assert!(evs.contains(&"notify".to_string()), "{evs:?}");
-        assert!(evs.contains(&"wait".to_string()), "{evs:?}");
+        for want in ["acquire", "release", "wait", "notify"] {
+            assert!(evs.iter().any(|e| e == want), "{want}: {evs:?}");
+        }
+        for want in ["Alloc(", "Free(", "Sleeper("] {
+            assert!(evs.iter().any(|e| e.starts_with(want)), "{want}: {evs:?}");
+        }
     }
 
     /// Two registered mappings of the same region key resolve an address

@@ -12,18 +12,20 @@
 //!   process at a potentially different virtual address, so every internal
 //!   link had to be position independent.  We keep that discipline: all
 //!   cross-"process" references in this workspace are `u32` slot indices.
-//! * [`lock::IpcLock`] / [`waitq::FutexSeq`] — the `#[repr(C)]` in-region
-//!   lock (holder identity, dead-holder recovery) and wait queue the
-//!   protocol engine runs on; [`futex`] is the cross-process wait/notify
-//!   beneath them.
-//! * [`lock::ShmLock`] — the 1987 substrate's choices side by side:
-//!   test-and-test-and-set spin lock with exponential backoff (the
-//!   Balance's ALM atomic-lock-memory equivalent), a FIFO ticket lock, and
-//!   an OS mutex, selectable at run time (ablation A2).
-//! * [`waitq::WaitQueue`] — heap wait/notify with spin, yield and park
-//!   strategies (ablation A3); the restricted §5 channels use it.
-//! * [`pool::Pool`] / [`idxstack::IndexStack`] — typed slot pools over a
-//!   Treiber free list with an ABA tag.
+//! * The three protocols the engine runs on, each implemented once:
+//!   [`freelist::FreeHead`] (a Treiber free list of index chains with an
+//!   ABA tag), [`lock::IpcLock`] (a futex mutex with holder identity and
+//!   dead-holder recovery) and [`waitq::FutexSeq`] (a sequence-count wait
+//!   word with a sleeper gate); [`futex`] is the cross-process
+//!   wait/notify beneath the last two.
+//! * Thin shims over them for heap users: [`pool::Pool`] (typed slots
+//!   over a [`freelist::FreeHead`]) and [`waitq::WaitQueue`] (a
+//!   [`waitq::FutexSeq`] waited on by spinning, yielding or sleeping —
+//!   ablation A3; the restricted §5 channels use it).
+//! * [`lock::ShmLock`] — the 1987 substrate's busy-wait locks side by
+//!   side: test-and-test-and-set with exponential backoff (the Balance's
+//!   ALM atomic-lock-memory equivalent) and a FIFO ticket lock, selectable
+//!   at run time (ablation A2 times them against [`lock::IpcLock`]).
 //! * [`hooks`] — the sync-event hook layer: every lock, wait queue, pool
 //!   and free list reports to an optional thread-local [`hooks::SyncHook`],
 //!   the seam the `mpf-check` schedule-exploration harness drives.
@@ -34,8 +36,8 @@
 //!
 //! * [`sys`] — a four-syscall layer (`mmap`/`munmap`/`futex`/`kill`) with
 //!   portable fallbacks; the workspace builds with no external crates.
-//! * [`ring::AioRing`] — io_uring-style SPSC descriptor ring with a futex
-//!   doorbell, the substrate of the engine's batched sends and receives.
+//! * [`ring::AioRing`] — io_uring-style SPSC descriptor ring with a batch
+//!   counter, the substrate of the engine's batched sends and receives.
 //!
 //! Nothing in this crate knows about messages or LNVCs; it only provides
 //! "shared memory allocation and synchronization", the two facilities the
@@ -45,9 +47,9 @@ pub mod backoff;
 pub mod barrier;
 pub mod clock;
 pub mod faultplane;
+pub mod freelist;
 pub mod futex;
 pub mod hooks;
-pub mod idxstack;
 pub mod lock;
 pub mod pad;
 pub mod pool;
@@ -63,9 +65,9 @@ pub mod waitq;
 pub use backoff::Backoff;
 pub use barrier::SpinBarrier;
 pub use faultplane::{FaultConfig, FaultGuard, FaultSite, FaultStats};
+pub use freelist::{FreeHead, NIL};
 pub use hooks::{HookGuard, HookedMutex, SyncEvent, SyncHook};
-pub use idxstack::{IndexStack, NIL};
-pub use lock::{FutexLock, IpcAcquire, IpcLock, LockKind, ShmLock, ShmLockGuard};
+pub use lock::{IpcAcquire, IpcLock, LockKind, ShmLock, ShmLockGuard};
 pub use pad::CachePadded;
 pub use pool::Pool;
 pub use process::{run_processes, run_processes_collect, ProcessId};

@@ -2,28 +2,26 @@
 //!
 //! The paper's §3.1: "a synchronization lock for mutual exclusive access to
 //! the LNVC descriptor".  On the Balance 21000 this was a busy-wait lock on
-//! the bus's atomic lock memory.  We provide three interchangeable
-//! realizations (DESIGN.md ablation A2):
-//!
-//! * [`SpinLock`] — test-and-test-and-set with exponential backoff; the
-//!   closest analogue of the 1987 primitive.
-//! * [`TicketLock`] — FIFO-fair; trades throughput for fairness, which
-//!   matters for the FCFS receiver pools in Figure 4 style workloads.
-//! * [`FutexLock`] — kernel-assisted sleeping lock (what a modern port
-//!   would use); also the only kind that blocks efficiently *across
-//!   processes*, since the futex is keyed by the physical page.
-//!
-//! All lock types are `#[repr(C)]` over atomics, so any of them may be
-//! placed inside a shared-memory region and used from several address
-//! spaces.  [`IpcLock`] extends [`FutexLock`]'s protocol with holder
+//! the bus's atomic lock memory.  The engine's lock is [`IpcLock`], a
+//! futex mutex — kernel-assisted, so it blocks efficiently *across
+//! processes* (the futex is keyed by the physical page) — with holder
 //! identity and a generation counter, the hooks the multi-process
 //! backend's dead-peer recovery needs (a crashed holder's lock can be
 //! detected, broken, and the protected structure poisoned instead of
 //! deadlocking every survivor).
 //!
-//! Every variant counts contended acquisitions so benchmarks can report
-//! how much of a throughput dip is lock contention (the paper attributes
-//! the 16/128-byte declines in Figure 4 to "increased LNVC contention").
+//! [`ShmLock`] keeps the 1987 busy-wait realizations beside it for
+//! ablation A2: [`SpinLock`] (test-and-test-and-set with exponential
+//! backoff; the closest analogue of the 1987 primitive) and
+//! [`TicketLock`] (FIFO-fair; trades throughput for fairness, which
+//! matters for the FCFS receiver pools in Figure 4 style workloads).
+//! Both count contended acquisitions so benchmarks can report how much of
+//! a throughput dip is lock contention (the paper attributes the
+//! 16/128-byte declines in Figure 4 to "increased LNVC contention").
+//!
+//! All lock types are `#[repr(C)]` over atomics, so any of them may be
+//! placed inside a shared-memory region and used from several address
+//! spaces.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
@@ -40,8 +38,6 @@ pub enum LockKind {
     Spin,
     /// FIFO ticket lock.
     Ticket,
-    /// Kernel-assisted sleeping lock ([`FutexLock`]).
-    Os,
 }
 
 /// Test-and-test-and-set spin lock with exponential backoff.
@@ -170,66 +166,6 @@ impl TicketLock {
     }
 }
 
-/// Kernel-assisted sleeping lock (Drepper's three-state futex mutex).
-///
-/// States: 0 free, 1 held, 2 held with (possible) sleepers.  Contended
-/// acquirers sleep in the kernel instead of burning a CPU, and because
-/// the futex is keyed by physical page, waiters in *other processes*
-/// mapping the same region sleep and wake correctly too.  On hosts
-/// without futexes the wait degrades to a bounded yield-sleep.
-#[derive(Debug, Default)]
-#[repr(C)]
-pub struct FutexLock {
-    state: AtomicU32,
-    contended: AtomicU64,
-}
-
-impl FutexLock {
-    /// New, unlocked.
-    pub const fn new() -> Self {
-        Self {
-            state: AtomicU32::new(0),
-            contended: AtomicU64::new(0),
-        }
-    }
-
-    /// Attempts to acquire without waiting.
-    #[inline]
-    pub fn try_lock(&self) -> bool {
-        self.state
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Acquires, sleeping in the kernel while contended.
-    pub fn lock(&self) {
-        if crate::hooks::lock_acquire(self as *const Self as usize, &mut || self.try_lock()) {
-            return;
-        }
-        if self.try_lock() {
-            return;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        // Mark contended and sleep until handed 0.
-        while self.state.swap(2, Ordering::Acquire) != 0 {
-            futex::futex_wait(&self.state, 2, Some(Duration::from_millis(50)));
-        }
-    }
-
-    /// Releases.  Caller must hold the lock.
-    pub fn unlock(&self) {
-        if self.state.swap(0, Ordering::Release) == 2 {
-            futex::futex_wake_one(&self.state);
-        }
-        crate::hooks::lock_release(self as *const Self as usize);
-    }
-
-    /// Number of acquisitions that had to wait.
-    fn contended_count(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
-    }
-}
-
 /// Outcome of an [`IpcLock`] acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpcAcquire {
@@ -240,8 +176,9 @@ pub enum IpcAcquire {
     Poisoned,
 }
 
-/// The in-region lock of the multi-process backend: [`FutexLock`]'s
-/// protocol plus holder identity, a break generation, and a poison flag.
+/// The in-region lock of the multi-process backend: Drepper's three-state
+/// futex mutex (`state` 0 free, 1 held, 2 held with possible sleepers)
+/// plus holder identity, a break generation, and a poison flag.
 ///
 /// Deadlock robustness: an acquirer that waits longer than its patience
 /// asks a caller-supplied liveness oracle about the recorded holder.  If
@@ -438,8 +375,6 @@ pub enum ShmLock {
     Spin(SpinLock),
     /// FIFO ticket lock.
     Ticket(TicketLock),
-    /// Kernel-assisted sleeping lock.
-    Os(FutexLock),
 }
 
 impl std::fmt::Debug for ShmLock {
@@ -447,7 +382,6 @@ impl std::fmt::Debug for ShmLock {
         let kind = match self {
             ShmLock::Spin(_) => "Spin",
             ShmLock::Ticket(_) => "Ticket",
-            ShmLock::Os(_) => "Os",
         };
         f.debug_struct("ShmLock")
             .field("kind", &kind)
@@ -468,7 +402,6 @@ impl ShmLock {
         match kind {
             LockKind::Spin => ShmLock::Spin(SpinLock::new()),
             LockKind::Ticket => ShmLock::Ticket(TicketLock::new()),
-            LockKind::Os => ShmLock::Os(FutexLock::new()),
         }
     }
 
@@ -477,7 +410,6 @@ impl ShmLock {
         match self {
             ShmLock::Spin(l) => l.lock(),
             ShmLock::Ticket(l) => l.lock(),
-            ShmLock::Os(l) => l.lock(),
         }
         ShmLockGuard { lock: self }
     }
@@ -487,7 +419,6 @@ impl ShmLock {
         let ok = match self {
             ShmLock::Spin(l) => l.try_lock(),
             ShmLock::Ticket(l) => l.try_lock(),
-            ShmLock::Os(l) => l.try_lock(),
         };
         // `then` (not `then_some`): the guard must only exist — and thus
         // only ever unlock on drop — if the acquisition succeeded.
@@ -499,7 +430,6 @@ impl ShmLock {
         match self {
             ShmLock::Spin(l) => l.contended_count(),
             ShmLock::Ticket(l) => l.contended_count(),
-            ShmLock::Os(l) => l.contended_count(),
         }
     }
 
@@ -507,7 +437,6 @@ impl ShmLock {
         match self {
             ShmLock::Spin(l) => l.unlock(),
             ShmLock::Ticket(l) => l.unlock(),
-            ShmLock::Os(l) => l.unlock(),
         }
     }
 }
@@ -533,8 +462,6 @@ const _: () = assert!(std::mem::size_of::<SpinLock>() == 16);
 const _: () = assert!(std::mem::align_of::<SpinLock>() == 8);
 const _: () = assert!(std::mem::size_of::<TicketLock>() == 16);
 const _: () = assert!(std::mem::align_of::<TicketLock>() == 8);
-const _: () = assert!(std::mem::size_of::<FutexLock>() == 16);
-const _: () = assert!(std::mem::align_of::<FutexLock>() == 8);
 const _: () = assert!(std::mem::size_of::<IpcLock>() == 16);
 const _: () = assert!(std::mem::align_of::<IpcLock>() == 4);
 
@@ -585,14 +512,8 @@ mod tests {
     }
 
     #[test]
-    fn os_lock_mutual_exclusion() {
-        let lock = ShmLock::new(LockKind::Os);
-        assert_eq!(hammer(&lock, 4, 5_000), 20_000);
-    }
-
-    #[test]
     fn try_lock_fails_while_held() {
-        for kind in [LockKind::Spin, LockKind::Ticket, LockKind::Os] {
+        for kind in [LockKind::Spin, LockKind::Ticket] {
             let lock = ShmLock::new(kind);
             let g = lock.lock();
             assert!(lock.try_lock().is_none(), "{kind:?}");
@@ -610,7 +531,7 @@ mod tests {
 
     #[test]
     fn contention_counter_counts_forced_contention() {
-        for kind in [LockKind::Spin, LockKind::Ticket, LockKind::Os] {
+        for kind in [LockKind::Spin, LockKind::Ticket] {
             let lock = ShmLock::new(kind);
             let entered = AtomicUsize::new(0);
             thread::scope(|s| {
@@ -633,16 +554,6 @@ mod tests {
     #[test]
     fn raw_spin_try_lock_semantics() {
         let l = SpinLock::new();
-        assert!(l.try_lock());
-        assert!(!l.try_lock());
-        l.unlock();
-        assert!(l.try_lock());
-        l.unlock();
-    }
-
-    #[test]
-    fn raw_futex_lock_semantics() {
-        let l = FutexLock::new();
         assert!(l.try_lock());
         assert!(!l.try_lock());
         l.unlock();

@@ -1,38 +1,42 @@
-//! Typed slot pools backed by a lock-free free list.
+//! Typed slot pools on the heap, over the engine's free list.
 //!
-//! All MPF descriptors (message headers, LNVC descriptors, send/receive
-//! connection descriptors) live in fixed arrays inside the shared region,
-//! sized at `init()` time from `max_lnvcs`/`max_processes` exactly as the
-//! paper's §2 describes ("used to estimate the amount of shared memory
-//! necessary").  A slot is referenced by its `u32` index — never by
-//! pointer — keeping every structure position independent.
+//! The engine keeps its descriptors in fixed in-region arrays threaded on
+//! [`FreeHead`]s; a [`Pool`] is the same arrangement in process memory —
+//! slots, a parallel link array and one [`FreeHead`] — for code that
+//! wants a typed pool with `u32` handles (the substrate probes).
 //!
 //! # Ownership discipline
 //!
 //! `alloc` transfers logical ownership of a slot to the caller; `free`
 //! returns it.  Slots are never deinitialized: `T` is required to be
 //! `Default` and slot types use interior mutability (atomics) for their
-//! fields, with the owning protocol (usually a per-LNVC lock in `mpf-core`)
-//! providing exclusion.  `get` hands out `&T` to any caller; it is the
-//! layer above that guarantees only the owner mutates a live slot.
+//! fields, with the owning protocol providing exclusion.  `get` hands out
+//! `&T` to any caller; it is the layer above that guarantees only the
+//! owner mutates a live slot.
 
-use crate::idxstack::{IndexStack, NIL};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// A fixed-capacity pool of `T` slots with index handles.
+use crate::freelist::{FreeHead, NIL};
+
+/// A fixed-capacity pool of `T` slots with index handles: the slots, a
+/// parallel link array and one [`FreeHead`] over it.
 #[derive(Debug)]
 pub struct Pool<T> {
     slots: Box<[T]>,
-    free: IndexStack,
+    links: Box<[AtomicU32]>,
+    free: FreeHead,
 }
 
 impl<T: Default> Pool<T> {
     /// Creates a pool with `capacity` default-initialized slots, all free.
     pub fn new(capacity: u32) -> Self {
         let slots: Box<[T]> = (0..capacity).map(|_| T::default()).collect();
-        Self {
-            slots,
-            free: IndexStack::new(capacity, true),
-        }
+        let links: Box<[AtomicU32]> = (0..capacity).map(|_| AtomicU32::new(NIL)).collect();
+        let free = FreeHead::empty();
+        free.thread(capacity, |i, n| {
+            links[i as usize].store(n, Ordering::Relaxed)
+        });
+        Self { slots, links, free }
     }
 }
 
@@ -42,16 +46,17 @@ impl<T> Pool<T> {
         self.slots.len() as u32
     }
 
-    /// Approximate number of free slots.
+    /// Free slots, by walking the list: exact when quiescent, approximate
+    /// while other threads allocate and free.
     pub fn available(&self) -> u32 {
-        self.free.len()
+        let next = |i| self.link(i).load(Ordering::Relaxed);
+        self.free.len(self.capacity(), next)
     }
 
     /// Takes a free slot, returning its index, or `None` when exhausted
     /// (the paper's fixed shared-memory budget is a hard limit too).
     pub fn alloc(&self) -> Option<u32> {
-        crate::hooks::yield_point(crate::hooks::SyncEvent::Alloc(self as *const Self as usize));
-        self.free.pop()
+        self.free.pop(|i| self.link(i).load(Ordering::Acquire))
     }
 
     /// Returns slot `idx` to the free list.
@@ -59,9 +64,13 @@ impl<T> Pool<T> {
     /// Logic error (list corruption) if `idx` is not currently allocated;
     /// panics if out of range.
     pub fn free(&self, idx: u32) {
-        debug_assert!(idx != NIL);
-        crate::hooks::yield_point(crate::hooks::SyncEvent::Free(self as *const Self as usize));
-        self.free.push(idx);
+        assert!((idx as usize) < self.links.len(), "index out of range");
+        self.free
+            .push(idx, |i, n| self.link(i).store(n, Ordering::Release));
+    }
+
+    fn link(&self, i: u32) -> &AtomicU32 {
+        &self.links[i as usize]
     }
 
     /// Shared access to slot `idx`.  Panics if out of range.
@@ -147,6 +156,34 @@ mod tests {
             }
         });
         assert_eq!(p.capacity() - p.available(), 0);
+    }
+
+    #[test]
+    fn zero_capacity_and_lifo_order() {
+        let empty: Pool<Slot> = Pool::new(0);
+        assert_eq!(
+            (empty.alloc(), empty.capacity(), empty.available()),
+            (None, 0, 0)
+        );
+        let p: Pool<Slot> = Pool::new(8);
+        let all: Vec<u32> = std::iter::from_fn(|| p.alloc()).collect();
+        assert_eq!(
+            all,
+            (0..8).collect::<Vec<_>>(),
+            "every index once, low first"
+        );
+        for &i in &all {
+            p.free(i);
+        }
+        for want in all.into_iter().rev() {
+            assert_eq!(p.alloc(), Some(want), "last freed, first reused");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn freeing_out_of_range_panics() {
+        Pool::<Slot>::new(4).free(4);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! message sizes that per-message lock/notify traffic dominates (the same
 //! observation behind Figure 3's asymptote — and behind modern batched
 //! I/O interfaces).  An [`AioRing`] amortises it: a submitter fills a
-//! cache-line-padded ring of 32-byte descriptors and rings **one futex
-//! doorbell per batch**; a drainer completes the batch into a companion
-//! completion ring under a single lock hold.
+//! cache-line-padded ring of 32-byte descriptors and rings **one doorbell
+//! per batch** (a count, nothing sleeps on it); a drainer completes the
+//! batch into a companion completion ring under a single lock hold.
 //!
 //! The ring is `#[repr(C)]`, offset-addressed and valid for any zeroed
 //! bit pattern, so the facility carves one submission ring and one
@@ -19,7 +19,7 @@
 //! Single-producer / single-consumer: one side owns `tail` (push), the
 //! other owns `head` (pop); the only synchronization is one
 //! release/acquire pair per side, exactly like
-//! [`crate::waitq::WaitQueue`]'s sequence protocol and the one-to-one
+//! [`crate::waitq::FutexSeq`]'s sequence protocol and the one-to-one
 //! channel.  A ring belongs to one process slot: that
 //! process pushes submissions and pops completions; whoever drains
 //! (usually the same process, inline) pops submissions and pushes
@@ -36,7 +36,6 @@ use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, Ordering};
 
 use crate::hooks::{self, SyncEvent};
 use crate::telemetry::bump;
-use crate::waitq::FutexSeq;
 
 /// Descriptor slots per ring.  A power of two, fixed so the region layout
 /// stays a pure function of the facility configuration.
@@ -44,7 +43,7 @@ pub const AIO_RING_SLOTS: usize = 64;
 /// Bytes per ring descriptor.
 pub const AIO_RING_ENTRY_BYTES: usize = 32;
 /// Bytes of the ring header (three padded cache lines: producer cursor,
-/// consumer cursor, doorbell + counters).
+/// consumer cursor, counters).
 pub const AIO_RING_HEADER_BYTES: usize = 192;
 /// Total bytes of one ring.
 pub const AIO_RING_BYTES: usize = AIO_RING_HEADER_BYTES + AIO_RING_SLOTS * AIO_RING_ENTRY_BYTES;
@@ -85,7 +84,7 @@ struct Slot {
     status: AtomicI32,
 }
 
-/// A bounded SPSC descriptor ring with a futex doorbell and counters.
+/// A bounded SPSC descriptor ring with counters.
 #[derive(Debug)]
 #[repr(C)]
 pub struct AioRing {
@@ -95,8 +94,8 @@ pub struct AioRing {
     /// Consumer cursor: descriptors popped since reset.  Own line.
     head: AtomicU32,
     _pad_head: [u32; 15],
-    /// The doorbell a drainer sleeps on; rung once per batch.
-    doorbell: FutexSeq,
+    /// Padding that keeps the counters at the offsets the layout fixes.
+    _pad_bell: u64,
     /// Times the doorbell was rung (batches, not descriptors).
     doorbells: AtomicU64,
     /// Descriptors ever pushed (monotonic; `tail` mirrors it).
@@ -121,7 +120,7 @@ impl AioRing {
             _pad_tail: [0; 15],
             head: AtomicU32::new(0),
             _pad_head: [0; 15],
-            doorbell: FutexSeq::new(),
+            _pad_bell: 0,
             doorbells: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
             dequeued: AtomicU64::new(0),
@@ -198,16 +197,9 @@ impl AioRing {
         Some(e)
     }
 
-    /// Rings the doorbell: one sequence bump + futex wake for the whole
-    /// batch pushed since the last ring.
+    /// Rings the doorbell: counts one batch pushed since the last ring.
     pub fn ring_doorbell(&self) {
         bump(&self.doorbells, 1);
-        self.doorbell.notify_all();
-    }
-
-    /// The doorbell word, for drainers that sleep on it.
-    pub fn doorbell(&self) -> &FutexSeq {
-        &self.doorbell
     }
 
     /// Times the doorbell has been rung.
@@ -292,13 +284,11 @@ mod tests {
     #[test]
     fn doorbell_counts_batches_not_entries() {
         let r = AioRing::new();
-        let t = r.doorbell().ticket();
         for i in 0..8 {
             assert!(r.try_push(e(i)));
         }
         r.ring_doorbell();
         assert_eq!(r.doorbell_count(), 1);
-        assert!(r.doorbell().wait(t, None), "doorbell moved the sequence");
     }
 
     #[test]

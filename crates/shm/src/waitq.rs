@@ -1,25 +1,23 @@
 //! Wait/notify for blocking `message_receive()`.
 //!
 //! The paper's `message_receive()` "is blocking; it returns only after a
-//! message has been received."  On the Balance the natural realization was
-//! busy-waiting; a modern port parks the thread.  [`WaitQueue`] offers both
-//! (plus a yield middle ground) behind one sequence-count protocol
-//! (DESIGN.md ablation A3); [`FutexSeq`] is the same protocol reduced to
-//! the in-region word the facility's own waits sleep on.
+//! message has been received."  [`FutexSeq`] is the one sequence-count
+//! protocol the facility's waits sleep on; [`WaitQueue`] is that word on
+//! the heap, waited on by the strategy the caller picks: busy-waiting (the
+//! natural realization on the Balance), yielding, or sleeping on the futex
+//! (DESIGN.md ablation A3).
 //!
 //! # Protocol
 //!
 //! A waiter, *while still holding the lock under which it observed "no
-//! message"*, reads a ticket with [`WaitQueue::ticket`], drops the lock,
-//! and calls [`WaitQueue::wait`].  A notifier makes its state change under
-//! the same lock and then calls [`WaitQueue::notify_all`], which bumps the
-//! sequence before waking.  `wait` returns as soon as the sequence differs
-//! from the ticket, so a notification between ticket-read and wait is never
-//! lost.  Spurious returns are allowed; callers re-check their predicate.
+//! message"*, reads a ticket with [`FutexSeq::ticket`], drops the lock,
+//! and waits.  A notifier makes its state change under the same lock and
+//! then calls [`FutexSeq::notify_all`], which bumps the sequence before
+//! waking.  A wait returns as soon as the sequence differs from the
+//! ticket, so a notification between ticket-read and wait is never lost.
+//! Spurious returns are allowed; callers re-check their predicate.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
-use std::thread::{self, Thread};
 use std::time::Duration;
 
 use crate::backoff::Backoff;
@@ -34,29 +32,22 @@ pub enum WaitStrategy {
     /// (the paper runs 20 processes plus an arbiter on 20 CPUs).
     #[default]
     Yield,
-    /// Park the OS thread until notified.
+    /// Sleep on the futex word until notified.
     Park,
 }
 
-/// A notify-all wait queue with a monotonically increasing sequence.
-#[derive(Debug)]
+/// A notify-all wait queue: a [`FutexSeq`] plus the strategy chosen at
+/// each wait.
+#[derive(Debug, Default)]
 pub struct WaitQueue {
-    seq: AtomicU32,
-    parked: Mutex<Vec<Thread>>,
-}
-
-impl Default for WaitQueue {
-    fn default() -> Self {
-        Self::new()
-    }
+    seq: FutexSeq,
 }
 
 impl WaitQueue {
     /// New queue with sequence 0 and no waiters.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
-            seq: AtomicU32::new(0),
-            parked: Mutex::new(Vec::new()),
+            seq: FutexSeq::new(),
         }
     }
 
@@ -64,67 +55,39 @@ impl WaitQueue {
     /// that protects the waited-on predicate.
     #[inline]
     pub fn ticket(&self) -> u32 {
-        self.seq.load(Ordering::Acquire)
+        self.seq.ticket()
     }
 
     /// Blocks until the sequence moves past `ticket` (or spuriously).
+    /// `Park` sleeps on the futex word with no timeout (an injected
+    /// `NotifyDrop` would strand it); `Spin` and `Yield` poll it.  Under
+    /// a schedule hook every strategy sleeps on the word: it counts itself
+    /// asleep there, so [`FutexSeq::notify_all`] reports the notify the
+    /// hook's modeled block is waiting for.
     pub fn wait(&self, ticket: u32, strategy: WaitStrategy) {
-        if crate::hooks::wait(self as *const Self as usize, &mut || {
-            self.seq.load(Ordering::Acquire) != ticket
-        }) {
+        if strategy == WaitStrategy::Park || crate::hooks::enabled() {
+            self.seq.wait(ticket, None);
             return;
         }
-        match strategy {
-            WaitStrategy::Spin => {
-                let mut backoff = Backoff::new();
-                while self.seq.load(Ordering::Acquire) == ticket {
-                    backoff.spin();
-                }
-            }
-            WaitStrategy::Yield => {
-                let mut backoff = Backoff::new();
-                while self.seq.load(Ordering::Acquire) == ticket {
-                    backoff.snooze();
-                }
-            }
-            WaitStrategy::Park => {
-                while self.seq.load(Ordering::Acquire) == ticket {
-                    self.parked
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(thread::current());
-                    // A notification that raced the registration leaves a
-                    // stale handle behind: at worst a harmless unpark.
-                    if self.seq.load(Ordering::Acquire) == ticket {
-                        // A liveness bound no wake depends on: notify_all
-                        // unparks every registered thread.
-                        thread::park_timeout(Duration::from_millis(2));
-                    }
-                }
+        let mut backoff = Backoff::new();
+        while self.seq.ticket() == ticket {
+            if strategy == WaitStrategy::Spin {
+                backoff.spin();
+            } else {
+                backoff.snooze();
             }
         }
     }
 
-    /// Bumps the sequence and wakes every parked waiter.  Call after the
+    /// Bumps the sequence and wakes every sleeping waiter.  Call after the
     /// state change is visible under the predicate's lock.
     pub fn notify_all(&self) {
-        self.seq.fetch_add(1, Ordering::Release);
-        // An injected notify-drop swallows the wake syscalls but never
-        // the sequence bump: waiters recover via their bounded naps, so
-        // the fault delays delivery without ever losing it.
-        if !crate::faultplane::inject(crate::faultplane::FaultSite::NotifyDrop) {
-            let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
-            for t in parked.drain(..) {
-                t.unpark();
-            }
-        }
-        crate::hooks::notify(self as *const Self as usize);
+        self.seq.notify_all();
     }
 }
 
-/// The in-region counterpart of [`WaitQueue`]: the same sequence-count
-/// protocol, reduced to a shared sequence word that waiters futex-sleep
-/// on plus a count of the threads asleep on it.  `#[repr(C)]`,
+/// The sequence-count wait word: a shared sequence that waiters
+/// futex-sleep on plus a count of the threads asleep on it.  `#[repr(C)]`,
 /// position-independent, valid for any bit pattern — safe to place at a
 /// fixed offset inside a mapped region and use from any number of
 /// processes.
@@ -217,8 +180,9 @@ impl FutexSeq {
     /// syscall.
     pub fn notify_all(&self) {
         self.seq.fetch_add(1, Ordering::SeqCst);
-        // See `WaitQueue::notify_all`: a dropped wake is recovered by
-        // the bounded futex naps every in-region waiter already uses.
+        // An injected notify-drop swallows the wake syscall but never the
+        // sequence bump: the bounded futex naps every in-region waiter
+        // already uses recover it, so the fault delays delivery only.
         let dropped = crate::faultplane::inject(crate::faultplane::FaultSite::NotifyDrop);
         if self.sleepers.load(Ordering::SeqCst) != 0 {
             if !dropped {
@@ -241,6 +205,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+    use std::thread;
 
     fn wakeup_smoke(strategy: WaitStrategy) {
         let q = Arc::new(WaitQueue::new());
@@ -337,19 +302,13 @@ mod tests {
     #[test]
     fn notify_before_wait_is_not_lost() {
         let q = WaitQueue::new();
-        let t = q.ticket();
-        q.notify_all();
-        // Must return immediately: sequence already moved past the ticket.
-        q.wait(t, WaitStrategy::Park);
-    }
-
-    #[test]
-    fn ticket_reflects_notifications() {
-        let q = WaitQueue::new();
-        let t0 = q.ticket();
-        q.notify_all();
-        q.notify_all();
-        assert_ne!(q.ticket(), t0);
+        for strategy in [WaitStrategy::Spin, WaitStrategy::Yield, WaitStrategy::Park] {
+            let t = q.ticket();
+            q.notify_all();
+            assert_ne!(q.ticket(), t);
+            // Must return at once: the sequence already moved past the ticket.
+            q.wait(t, strategy);
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod lnvc;
 pub mod machine;
 pub mod paging;
 pub mod replay;
-pub mod report;
 pub mod validate;
 pub mod workloads;
 
