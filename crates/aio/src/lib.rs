@@ -3,7 +3,7 @@
 //! Waiting has one home, the engine: a receive, a multi-conversation wait
 //! and a send under pool exhaustion each sleep on the caller's own thread
 //! (`IpcMpf::recv_deadline`, `wait_any_deadline`, `send_deadline`), and
-//! batched submission/completion rings live on the engine view itself
+//! batched sends and receives live on the engine view itself
 //! (`IpcMpf::send_batch` and friends).  What is left here is an
 //! [`AsyncIpc`] that holds one engine view and [`AsyncMpf::new`], which
 //! builds one for a logical process of an in-process [`Mpf`].  Both exist

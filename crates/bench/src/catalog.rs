@@ -290,10 +290,12 @@ pub fn fig3_native(budget: Budget) -> Output {
     out
 }
 
-/// Figure 3 through the submission/completion rings: one doorbell, one
-/// conversation lock and one notify per *batch*, so small messages gain a
-/// multiple and large ones converge on the copy.  `batch=1` pays the ring
-/// machinery with no amortisation: the baseline of the claim.
+/// Figure 3 in batches: `send_batch` stages each batch as one run and
+/// publishes it with one conversation lock and one notify, and
+/// `recv_batch` takes it back under one lock, so small messages gain a
+/// multiple and large ones converge on the copy.  `batch=1` pays the
+/// batch calls' fixed cost with no amortisation: the baseline of the
+/// claim.
 fn fig3_aio(budget: Budget) -> Output {
     let cfg = loopback_config(true);
     let n = AIO_LENGTHS.len();
@@ -301,7 +303,7 @@ fn fig3_aio(budget: Budget) -> Output {
     let grid = (AIO_BATCHES.iter()).flat_map(|&b| AIO_LENGTHS.map(|len| point(b, len)));
     let ns = measure(&mut Vec::from_iter(grid), budget);
     let title =
-        "Figure 3, batched rings: loop-back throughput (bytes/s) vs message length [native host]";
+        "Figure 3, batched sends: loop-back throughput (bytes/s) vs message length [native host]";
     let y = per_second(|i| (AIO_BATCHES[i / n] * AIO_LENGTHS[i % n]) as f64);
     let (curves, lens) = (labels(&AIO_BATCHES, " per batch"), axis(&AIO_LENGTHS));
     let mut out = Output::from(fold(title, &curves, &lens, &ns, y));

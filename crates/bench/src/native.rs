@@ -59,8 +59,8 @@ pub enum Round {
     Single,
     /// `message_send` then `message_receive_scan` (ablation A6).
     Scan,
-    /// `send_batch` of `n` then `recv_batch` until `n` arrived, through
-    /// the SQ/CQ rings; `Batch(1)` pays the rings and amortises nothing.
+    /// `send_batch` of `n` (one staged run, published in one call) then
+    /// `recv_batch` until `n` arrived; `Batch(1)` amortises nothing.
     Batch(usize),
 }
 

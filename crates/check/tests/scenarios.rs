@@ -516,13 +516,17 @@ fn telemetry_conserved_under_schedules() {
     explore_random(&opts, 0x7E1E, make).assert_ok();
 }
 
-/// Batched submission under permuted schedules: two senders push a batch
-/// each through their submission/completion rings while a receiver drains
-/// the conversation.  Batch conservation is the invariant — every
-/// submitted descriptor completes exactly once (tokens in order, all
-/// successful), the rings end empty, and the message pools balance.
+/// Batched sends under permuted schedules: one sender pushes its batch
+/// through the submission/completion ring shims, the other sends its as
+/// one run with `send_batch`, while a receiver drains the conversation.
+/// Batch conservation is the invariant — every descriptor completes
+/// exactly once (tokens in order, all successful), the shim sender's
+/// rings end empty with every count at 3, the run sender's rings are
+/// never touched, and the message pools balance.
 #[test]
 fn aio_batch_conservation_under_schedules() {
+    /// The sender that goes through the ring shims; the other one does not.
+    const RING_SENDER: usize = 0;
     let make = || {
         let cfg = MpfConfig::new(4, 4)
             .with_total_blocks(64)
@@ -540,7 +544,15 @@ fn aio_batch_conservation_under_schedules() {
                 let payloads: Vec<Vec<u8>> =
                     (0..3u8).map(|i| vec![pid as u8 * 10 + i; 8]).collect();
                 let refs: Vec<&[u8]> = payloads.iter().map(|v| v.as_slice()).collect();
-                let completions = mpf.send_batch(p(pid), tx, &refs).expect("send_batch");
+                let completions = if pid == RING_SENDER {
+                    assert_eq!(mpf.submit_sends(p(pid), tx, &refs), Ok(3));
+                    assert_eq!(mpf.drain_sends(p(pid)), Ok(3));
+                    let mut done = Vec::new();
+                    mpf.reap_completions(p(pid), &mut done).expect("reap");
+                    done
+                } else {
+                    mpf.send_batch(p(pid), tx, &refs).expect("send_batch")
+                };
                 assert_eq!(completions.len(), 3, "whole batch completes");
                 for (i, c) in completions.iter().enumerate() {
                     assert!(c.ok(), "completion {i} failed: status {}", c.status);
@@ -556,7 +568,7 @@ fn aio_batch_conservation_under_schedules() {
                 while got < 6 {
                     let msgs = mpf.recv_batch(p(2), rx, 6 - got).expect("recv_batch");
                     for m in &msgs {
-                        assert_eq!(m.len(), 8, "frame length survives the ring");
+                        assert_eq!(m.len(), 8, "frame length survives the batch");
                     }
                     got += msgs.len();
                 }
@@ -573,21 +585,25 @@ fn aio_batch_conservation_under_schedules() {
                 if received.load(Ordering::Relaxed) != 6 {
                     return Err("receiver finished short of both batches".into());
                 }
-                for pid in 0..2 {
-                    let st = mpf.aio_stats(p(pid)).map_err(|e| e.to_string())?;
-                    if st.submitted != 3 || st.drained != 3 || st.completed != 3 || st.reaped != 3 {
-                        return Err(format!(
-                            "batch conservation broken for process {pid}: \
-                             {}/{}/{}/{} submitted/drained/completed/reaped, want 3 each",
-                            st.submitted, st.drained, st.completed, st.reaped
-                        ));
-                    }
-                    if st.sq_depth != 0 || st.cq_depth != 0 {
-                        return Err(format!(
-                            "rings not empty for process {pid}: sq {} cq {}",
-                            st.sq_depth, st.cq_depth
-                        ));
-                    }
+                let runs = mpf
+                    .aio_stats(p(1 - RING_SENDER))
+                    .map_err(|e| e.to_string())?;
+                if runs != Default::default() {
+                    return Err(format!("send_batch touched the rings: {runs:?}"));
+                }
+                let st = mpf.aio_stats(p(RING_SENDER)).map_err(|e| e.to_string())?;
+                if st.submitted != 3 || st.drained != 3 || st.completed != 3 || st.reaped != 3 {
+                    return Err(format!(
+                        "ring conservation broken: {}/{}/{}/{} \
+                         submitted/drained/completed/reaped, want 3 each",
+                        st.submitted, st.drained, st.completed, st.reaped
+                    ));
+                }
+                if st.sq_depth != 0 || st.cq_depth != 0 {
+                    return Err(format!(
+                        "rings not empty: sq {} cq {}",
+                        st.sq_depth, st.cq_depth
+                    ));
                 }
                 if mpf.free_blocks() != total {
                     return Err("batched traffic leaked blocks".into());

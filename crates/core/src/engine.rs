@@ -1460,25 +1460,25 @@ impl IpcMpf {
 
     // -- batched submission (aio) --------------------------------------
 
-    /// Stages up to `payloads.len()` send descriptors in this process's
-    /// in-region submission ring and rings the doorbell **once**.  Each
-    /// descriptor's completion token is its index within `payloads`.
-    ///
-    /// Returns the number staged: pool exhaustion or a full ring stops
-    /// the batch early (a partial submit).  An empty batch is `Ok(0)`
-    /// with no doorbell; no room for even the first descriptor is
-    /// [`MpfError::WouldBlock`] (drain, reap, then resubmit the rest).
-    pub fn submit_sends(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
+    /// The one stager of descriptors: stages what of `payloads` fits `room`
+    /// and the size limit as one run and writes to `run` the descriptors
+    /// [`Self::publish_run`] takes, `user_data` = token (index within
+    /// `payloads`) << 32 | handle generation.  Returns the conversation and
+    /// how many were staged (0 for an empty batch); no room is `WouldBlock`.
+    fn stage_batch(
+        &self,
+        id: LnvcId,
+        payloads: &[&[u8]],
+        room: usize,
+        run: &mut [RingEntry; AIO_RING_SLOTS],
+    ) -> Result<(u32, &LnvcDesc, usize)> {
         self.heartbeat();
         let max = self.cfg.max_message_bytes();
         let (idx, d) = self.resolve(id)?;
         self.poison_check(d)?;
         if payloads.is_empty() {
-            return Ok(0);
+            return Ok((idx, d, 0));
         }
-        let sq = self.t.aio_sq(self.me);
-        // What of the batch has a ring slot and is within the size limit.
-        let room = sq.capacity() - sq.depth();
         let fit = payloads
             .iter()
             .take(room)
@@ -1493,35 +1493,53 @@ impl IpcMpf {
             });
         }
         let mut staged = [NIL; AIO_RING_SLOTS];
-        let submitted = self.stage_run(idx, d, &payloads[..fit], &mut staged)?;
-        // One clock read, at the first record that needs one, dates them all.
-        let mut now = 0u64;
-        for (i, (buf, &m_idx)) in payloads.iter().zip(&staged[..submitted]).enumerate() {
-            // The descriptor carries everything the drain needs: the
-            // message index, the length, and the handle generation (so a
-            // recreated conversation fails the run instead of receiving
-            // a stranger's backlog).  The causal id is decided here —
-            // staging is the send's causal point — and the hop count
-            // rides the status field, which carries no meaning until
-            // completion.
+        let n = self.stage_run(idx, d, &payloads[..fit], &mut staged)?;
+        for (i, (&m_idx, buf)) in staged[..n].iter().zip(payloads).enumerate() {
+            // The causal id is decided here — staging is the send's causal
+            // point — and the hop count rides the status field, which
+            // carries no meaning until completion.
             let (trace, hop) = self.trace_for_send();
-            let len = buf.len() as u32;
-            let pushed = sq.try_push(RingEntry {
+            run[i] = RingEntry {
                 user_data: ((i as u64) << 32) | u64::from(id.generation()),
                 trace,
                 lnvc: idx,
                 arg0: m_idx,
-                arg1: len,
+                arg1: buf.len() as u32,
                 status: hop as i32,
-            });
+            };
+        }
+        Ok((idx, d, n))
+    }
+
+    /// Stages up to `payloads.len()` send descriptors in this process's
+    /// in-region submission ring and rings the doorbell **once**.  Each
+    /// descriptor's completion token is its index within `payloads`.
+    ///
+    /// Returns the number staged: pool exhaustion or a full ring stops
+    /// the batch early (a partial submit).  An empty batch is `Ok(0)`
+    /// with no doorbell; no room for even the first descriptor is
+    /// [`MpfError::WouldBlock`] (drain, reap, then resubmit the rest).
+    pub fn submit_sends(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
+        let sq = self.t.aio_sq(self.me);
+        let mut run = [RingEntry::default(); AIO_RING_SLOTS];
+        let room = sq.capacity() - sq.depth();
+        let (idx, _, n) = self.stage_batch(id, payloads, room, &mut run)?;
+        if n == 0 {
+            return Ok(0);
+        }
+        // One clock read, at the first record that needs one, dates them all.
+        let mut now = 0u64;
+        for (i, e) in run[..n].iter().enumerate() {
+            let pushed = sq.try_push(*e);
             debug_assert!(pushed, "single-submitter ring had room");
-            if now == 0 && trace != 0 {
+            if now == 0 && e.trace != 0 {
                 now = now_nanos();
             }
-            self.trace_rec_at(Some(now), TR_ENQUEUE, hop, trace, idx, 0, len, i as u32);
+            let (hop, len) = (e.status as u32, e.arg1);
+            self.trace_rec_at(Some(now), TR_ENQUEUE, hop, e.trace, idx, 0, len, i as u32);
         }
         sq.ring_doorbell();
-        Ok(submitted)
+        Ok(n)
     }
 
     /// Drains this process's submission ring: links every staged message
@@ -1563,13 +1581,7 @@ impl IpcMpf {
         let published = self
             .resolve(id)
             .and_then(|(idx, d)| self.publish_run(idx, d, run));
-        if published.is_err() {
-            // Gone, poisoned or closed under us: nothing of the run went out.
-            for staged in run {
-                self.free_run(staged.arg0, staged.arg0, None);
-            }
-        }
-        let status = published.map_or_else(|e| e.status_code(), |()| 0);
+        let status = self.settle(run, published);
         for e in run {
             let pushed = cq.try_push(RingEntry {
                 user_data: e.user_data >> 32,
@@ -1581,6 +1593,17 @@ impl IpcMpf {
             });
             debug_assert!(pushed, "drain reserved CQ space");
         }
+    }
+
+    /// A staged `run`'s completion status: 0 if published, else the error's
+    /// code, its messages freed (gone, poisoned or closed: none went out).
+    fn settle(&self, run: &[RingEntry], published: Result<()>) -> i32 {
+        if published.is_err() {
+            for staged in run {
+                self.free_run(staged.arg0, staged.arg0, None);
+            }
+        }
+        published.map_or_else(|e| e.status_code(), |()| 0)
     }
 
     /// Reaps every pending completion from this process's CQ into `out`;
@@ -1601,86 +1624,60 @@ impl IpcMpf {
         n
     }
 
-    /// Submit + drain + reap in one call: sends the whole batch with one
-    /// doorbell, one lock hold, and one receiver wake, returning the
-    /// completions (tokens are indices into `payloads`).  May also return
-    /// completions left over from earlier partial cycles on this ring.
+    /// Sends a batch as one run: stages up to [`AIO_RING_SLOTS`] of
+    /// `payloads` and publishes them with one lock hold and one receiver
+    /// wake, as [`Self::message_send`] does a run of one, returning one
+    /// completion per staged payload (tokens are indices into `payloads`;
+    /// none for an empty batch).  Fewer completions than payloads is a
+    /// partial batch: the pools or the size limit ended the run, and the
+    /// caller sends the rest.  The submission and completion rings are not
+    /// touched.
     pub fn send_batch(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<Vec<AioCompletion>> {
-        if payloads.is_empty() {
+        let mut run = [RingEntry::default(); AIO_RING_SLOTS];
+        let (idx, d, n) = self.stage_batch(id, payloads, AIO_RING_SLOTS, &mut run)?;
+        // Also keeps `publish_run` specialised on a non-empty run, which
+        // every single send would otherwise pay a check for.
+        if n == 0 {
             return Ok(Vec::new());
         }
-        let submitted = self.submit_sends(id, payloads)?;
-        self.drain_sends();
-        let mut out = Vec::with_capacity(submitted);
-        self.reap_completions(&mut out);
-        Ok(out)
+        let run = &run[..n];
+        let status = self.settle(run, self.publish_run(idx, d, run));
+        let done = |e: &RingEntry| AioCompletion {
+            user_data: e.user_data >> 32,
+            trace: e.trace,
+            lnvc: idx,
+            len: e.arg1,
+            status,
+        };
+        Ok(run.iter().map(done).collect())
     }
 
-    /// Deadline-bounded [`Self::send_batch`]: keeps resubmitting the
-    /// unstaged tail (draining and reaping between rounds, so completed
-    /// descriptors release ring slots and pool memory) until every
-    /// payload is submitted or `deadline` passes.
+    /// Deadline-bounded [`Self::send_batch`]: sends run after run of the
+    /// unsent tail, sleeping on the pool signal whenever the pools are dry,
+    /// until every payload is sent or `deadline` passes.
     ///
-    /// On expiry: [`MpfError::TimedOut`] if *nothing* was submitted;
-    /// otherwise the completions gathered so far — a partial batch,
-    /// exactly the contract [`Self::submit_sends`] already documents.
-    /// Completion tokens index into the original `payloads`.
+    /// On expiry: [`MpfError::TimedOut`] if *nothing* was sent; otherwise
+    /// the completions gathered so far — a partial batch, exactly the
+    /// contract [`Self::send_batch`] already documents.  Completion tokens
+    /// index into the original `payloads`.
     pub fn send_batch_deadline(
         &self,
         id: LnvcId,
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<Vec<AioCompletion>> {
-        if payloads.is_empty() {
-            return Ok(Vec::new());
-        }
         let mut out = Vec::with_capacity(payloads.len());
-        let mut submitted = 0usize;
-        let mut waiting = None;
-        loop {
-            let ticket = self.doorbell().ticket();
-            // Tokens from `submit_sends` index the *slice* we hand it;
-            // re-base them to the original batch after each reap.
-            let base = submitted as u64;
-            let progressed = match self.submit_sends(id, &payloads[submitted..]) {
-                Ok(n) => {
-                    submitted += n;
-                    true
-                }
-                // Ring full or pools dry: drain/reap below frees both.
-                Err(
-                    MpfError::WouldBlock | MpfError::MessagesExhausted | MpfError::BlocksExhausted,
-                ) => false,
-                Err(e) => {
-                    if submitted == 0 {
-                        return Err(e);
-                    }
-                    break;
-                }
-            };
-            let drained = self.drain_sends();
-            let start = out.len();
-            self.reap_completions(&mut out);
-            for c in &mut out[start..] {
-                c.user_data += base;
-            }
-            if submitted >= payloads.len() {
-                break;
-            }
-            if progressed || drained > 0 {
-                // Ring slots just came back; go again before sleeping.
-                continue;
-            }
-            // Only a peer's reclaim can help now.  Register for the pool
-            // signal, then retry once before the first sleep, so a
-            // reclaim that preceded the registration is not waited for.
-            if waiting.is_none() {
-                waiting = Some(PoolWait::register(self));
-            } else if !self.doorbell_nap(ticket, deadline) {
-                if submitted == 0 {
-                    return Err(MpfError::TimedOut);
-                }
-                break;
+        while out.len() < payloads.len() {
+            // Tokens index the *slice* each run is handed; re-base them.
+            let base = out.len();
+            let rest = &payloads[base..];
+            match self.retry_when_pool_frees(deadline, || self.send_batch(id, rest)) {
+                Ok(done) => out.extend(done.into_iter().map(|c| AioCompletion {
+                    user_data: c.user_data + base as u64,
+                    ..c
+                })),
+                Err(e) if base == 0 => return Err(e),
+                Err(_) => break,
             }
         }
         Ok(out)

@@ -127,14 +127,14 @@ impl Mpf {
     }
 
     // ------------------------------------------------------------------
-    // Batched submission (aio): SQ/CQ rings, one doorbell per batch.
+    // Batches: one run, one lock hold and one wake; the SQ/CQ ring shims.
     // ------------------------------------------------------------------
 
-    /// Submit + drain + reap in one pass: one doorbell, one lock hold and
-    /// one receiver wake for what the ring and the pools take; a pool or
-    /// ring that takes nothing is the typed error
-    /// ([`IpcMpf::send_batch`]).  `send_batch_deadline(.., None)` is the
-    /// form that waits until the whole batch is sent.
+    /// Stages the batch as one run and publishes it: one lock hold and one
+    /// receiver wake for what the pools take (up to 64); a pool that takes
+    /// nothing is the typed error ([`IpcMpf::send_batch`]).
+    /// `send_batch_deadline(.., None)` is the form that waits until the
+    /// whole batch is sent.
     pub fn send_batch(
         &self,
         pid: ProcessId,
@@ -144,7 +144,7 @@ impl Mpf {
         self.view(pid)?.send_batch(id, payloads)
     }
 
-    /// [`Self::send_batch`] that resubmits until the whole batch is sent
+    /// [`Self::send_batch`] that sends run after run until the whole batch is sent
     /// or `deadline` passes ([`IpcMpf::send_batch_deadline`]).
     pub fn send_batch_deadline(
         &self,
@@ -943,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_delivers_in_order_with_one_doorbell() {
+    fn send_batch_delivers_in_order_without_the_rings() {
         let mpf = facility();
         let tx = mpf.open_send(p(0), "batch").unwrap();
         let rx = mpf.open_receive(p(1), "batch", Protocol::Fcfs).unwrap();
@@ -956,13 +956,10 @@ mod tests {
             assert_eq!(c.user_data, i as u64, "tokens come back in order");
             assert_eq!(c.len, 3);
         }
+        // A batch is a run: staged and published in one call, so neither
+        // ring of the sender sees it.
         let st = mpf.aio_stats(p(0)).unwrap();
-        assert_eq!(st.submitted, 8);
-        assert_eq!(st.drained, 8);
-        assert_eq!(st.completed, 8);
-        assert_eq!(st.reaped, 8);
-        assert_eq!(st.sq_doorbells, 1, "one doorbell for the whole batch");
-        assert_eq!((st.sq_depth, st.cq_depth), (0, 0));
+        assert_eq!(st, Default::default(), "the rings stay untouched");
         let got = mpf.recv_batch(p(1), rx, 64).unwrap();
         assert_eq!(got, payloads, "FIFO order survives batching");
         mpf.check_invariants().unwrap();

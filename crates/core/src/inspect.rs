@@ -426,7 +426,9 @@ mod tests {
         let tx = mpf.open_send("bulk").unwrap();
         let _rx = mpf.open_receive("bulk", Protocol::Fcfs).unwrap();
         let payloads: Vec<&[u8]> = vec![b"a", b"bb", b"ccc"];
-        assert_eq!(mpf.send_batch(tx, &payloads).unwrap().len(), 3);
+        assert_eq!(mpf.submit_sends(tx, &payloads), Ok(3));
+        assert_eq!(mpf.drain_sends(), 3);
+        assert_eq!(mpf.reap_completions(&mut Vec::new()), 3);
 
         let insp = RegionInspector::attach(&name).unwrap();
         let rings = insp.aio_rings();

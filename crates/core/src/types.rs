@@ -137,12 +137,14 @@ pub struct Reclaimable {
     pub blocks: u64,
 }
 
-/// One reaped completion-queue entry of the batch layer (DESIGN.md "aio";
-/// the rings themselves are [`mpf_shm::ring::AioRing`]).
+/// The completion of one batched send: returned by `send_batch`, or
+/// reaped from the completion ring after `submit_sends` + `drain_sends`
+/// (DESIGN.md "Batched rings"; the rings themselves are
+/// [`mpf_shm::ring::AioRing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AioCompletion {
-    /// The submitter's token: for `submit_sends`/`send_batch`, the index
-    /// of the payload within the submitted batch.
+    /// The sender's token: the index of the payload within the batch
+    /// handed to `send_batch` / `send_batch_deadline` / `submit_sends`.
     pub user_data: u64,
     /// Causal trace id the send carried (0 = untraced), so async callers
     /// can continue the chain without touching the descriptor again.

@@ -236,7 +236,9 @@ fn pool_cas(t: &Tables) -> (u32, u32) {
 }
 
 /// A run moves whole: 32 messages leave the pools with one CAS each and
-/// come back with one CAS each, exactly as one message does.
+/// come back with one CAS each, exactly as one message does — whether the
+/// ring shims stage them or `send_batch` publishes them as one run, which
+/// also wakes the conversation once and leaves the rings alone.
 #[test]
 fn a_run_of_32_is_one_cas_per_pool_each_way() {
     let cfg = MpfConfig::new(2, 2)
@@ -248,6 +250,8 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
     let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
     let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 64 + i as usize]).collect();
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    // The conversation's wake sequence: every notify moves it by one.
+    let waitq = &t.lnvc(tx.index()).waitq;
     let mut buf = [0u8; 128];
     for round in 0..3 {
         let before = pool_cas(&t);
@@ -276,6 +280,22 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
         assert_eq!(pool_cas(&t), (before.0 + 3, before.1 + 3));
         assert_eq!(m.message_receive(rx, &mut buf), Ok(payloads[round].len()));
         assert_eq!(pool_cas(&t), (before.0 + 4, before.1 + 4));
+
+        // `send_batch`: the run staged and published in one call.
+        let (rings, wakes) = (m.aio_stats(), waitq.ticket());
+        let done = m.send_batch(tx, &refs).unwrap();
+        let tokens: Vec<u64> = done.iter().map(|c| c.user_data).collect();
+        assert_eq!(tokens, (0..32).collect::<Vec<_>>());
+        assert!(done.iter().all(|c| c.ok()));
+        assert_eq!(
+            pool_cas(&t),
+            (before.0 + 5, before.1 + 5),
+            "round {round}: one pop per pool stages the batch"
+        );
+        assert_eq!(waitq.ticket(), wakes.wrapping_add(1), "one wake per batch");
+        assert_eq!(m.aio_stats(), rings, "no ring counter moves");
+        assert_eq!(m.recv_batch(rx, 32).unwrap(), payloads);
+        assert_eq!(pool_cas(&t), (before.0 + 6, before.1 + 6));
     }
     assert_eq!(m.free_blocks(), 128);
     m.check_invariants().unwrap();

@@ -191,6 +191,41 @@ fn send_batch_deadline_times_out_when_nothing_submits() {
     assert_eq!(err, MpfError::TimedOut);
 }
 
+/// A batch larger than the pool: 100 one-block payloads over 40 blocks
+/// go out as run after run, each waiting for the receiver on another
+/// thread to free room, and complete in order with tokens 0..99.
+#[test]
+fn send_batch_deadline_sends_a_batch_larger_than_the_pool() {
+    const N: usize = 100;
+    let cfg = MpfConfig::new(8, 4)
+        .with_block_payload(64)
+        .with_total_blocks(40)
+        .with_max_messages(40);
+    let a = IpcMpf::create("dl-sbatch-big", &cfg).expect("create region");
+    let b = a.attach_view().unwrap();
+    let tx = a.open_send("big").unwrap();
+    let rx = b.open_receive("big", Protocol::Fcfs).unwrap();
+    let payloads: Vec<[u8; 64]> = (0..N as u8).map(|i| [i; 64]).collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
+    let deadline = Some(Instant::now() + Duration::from_secs(30));
+    let got = std::thread::scope(|s| {
+        let receiver = s.spawn(|| {
+            let mut got = Vec::with_capacity(N);
+            while got.len() < N {
+                got.extend(b.recv_batch_deadline(rx, N - got.len(), deadline).unwrap());
+            }
+            got
+        });
+        let done = a.send_batch_deadline(tx, &refs, deadline).unwrap();
+        let tokens: Vec<u64> = done.iter().map(|c| c.user_data).collect();
+        assert_eq!(tokens, (0..N as u64).collect::<Vec<_>>());
+        assert!(done.iter().all(|c| c.ok() && c.len == 64));
+        receiver.join().unwrap()
+    });
+    assert_eq!(got, refs, "all 100, in order");
+    assert_eq!(a.free_blocks(), 40);
+}
+
 /// Spins until `pid`'s slot in the named region satisfies `parked` — the
 /// forced interleaving for the wake-latency tests: the peer acts only
 /// once the waiter is really asleep on its doorbell.
