@@ -24,8 +24,15 @@ use std::sync::Arc;
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_check::{explore_dfs, explore_random, Case, ExploreOpts};
 
+mod common;
+
 fn p(i: usize) -> ProcessId {
     ProcessId::from_index(i)
+}
+
+/// [`common::conforms`] on the region behind `mpf`.
+fn conforms(mpf: &Mpf) -> Result<mpf_trace::Report, String> {
+    common::conforms(mpf.view(p(0)).map_err(|e| e.to_string())?)
 }
 
 type Proc = Box<dyn FnOnce() + Send>;
@@ -107,7 +114,7 @@ fn leak_case() -> Case {
                     total
                 ));
             }
-            Ok(())
+            conforms(&mpf).map(drop)
         }),
     }
 }
@@ -176,7 +183,7 @@ fn concurrent_fcfs_receivers_race_one_message() {
                 if mpf.free_blocks() != total {
                     return Err("blocks leaked after exactly-once delivery".into());
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -234,7 +241,7 @@ fn broadcast_close_with_unread_vs_concurrent_reads() {
                         total
                     ));
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -294,7 +301,7 @@ fn send_races_delete() {
                         total
                     ));
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -348,7 +355,7 @@ fn flow_control_wakeups_under_pressure() {
                 if mpf.free_blocks() != total {
                     return Err("flow-controlled traffic leaked blocks".into());
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -411,7 +418,7 @@ fn open_close_churn_vs_traffic() {
                 if mpf.free_blocks() != total {
                     return Err("churn leaked blocks".into());
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -507,7 +514,7 @@ fn telemetry_conserved_under_schedules() {
                 if rec != Default::default() {
                     return Err(format!("corpses left after full drain: {rec:?}"));
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -608,7 +615,7 @@ fn aio_batch_conservation_under_schedules() {
                 if mpf.free_blocks() != total {
                     return Err("batched traffic leaked blocks".into());
                 }
-                Ok(())
+                conforms(&mpf).map(drop)
             }),
         }
     };
@@ -670,17 +677,14 @@ fn trace_conservation_under_schedules() {
             death: None,
             check: Box::new(move || {
                 mpf.check_invariants()?;
-                let log = mpf_trace::TraceLog::from_ipc(mpf.view(p(0)).map_err(|e| e.to_string())?);
-                let report = log.check();
-                if !report.is_clean() {
-                    return Err(format!("conformance violations: {:?}", report.violations));
-                }
+                let report = conforms(&mpf)?;
                 if report.messages != 4 || report.deliveries != 4 {
                     return Err(format!(
                         "traced message conservation broken: {} messages, {} deliveries, want 4/4",
                         report.messages, report.deliveries
                     ));
                 }
+                let log = mpf_trace::TraceLog::from_ipc(mpf.view(p(0)).map_err(|e| e.to_string())?);
                 let chains = log.chains();
                 if chains.len() != 2 {
                     return Err(format!("want 2 request/reply chains, got {}", chains.len()));

@@ -747,15 +747,28 @@ impl IpcMpf {
         }
     }
 
-    /// Records a marker event (connection open/close, blocking, lock
-    /// contention, sweep, poison).  Not sampled: the conformance checker
-    /// needs the receiver-population timeline, and a post-mortem reader
-    /// the last things a process did, even across untraced gaps.
+    /// Records a marker event (blocking, lock contention, sweep, a broken
+    /// lock's poison).  Not sampled: a post-mortem reader needs the last
+    /// things a process did, even across untraced gaps.
     fn trace_pop(&self, kind: u32, lnvc: u32, arg: u32) {
         if self.tracing() {
             self.t
                 .trace_ring(self.me)
                 .record_at(now_nanos(), 0, 0, kind, 0, lnvc, arg, 0);
+        }
+    }
+
+    /// Records a change to conversation `idx`'s population — an open, a
+    /// close, or the sweep's poison — with a stamp from the send sequence,
+    /// so the conformance checker replays it among the sends in the order
+    /// the lock imposed.  Caller holds `idx`'s lock and has reclaimed
+    /// nothing the change frees yet.  Not sampled, like `trace_pop`.
+    fn trace_population(&self, kind: u32, idx: u32, arg: u32) {
+        if self.tracing() {
+            let stamp = self.t.header().next_stamp.fetch_add(1, Ordering::AcqRel);
+            self.t
+                .trace_ring(self.me)
+                .record_at(now_nanos(), 0, stamp, kind, 0, idx, arg, 0);
         }
     }
 
@@ -850,15 +863,13 @@ impl IpcMpf {
                     .store(d.send_head.load(Ordering::Acquire), Ordering::Release);
                 d.send_head.store(conn, Ordering::Release);
                 d.n_senders.fetch_add(1, Ordering::AcqRel);
+                self.trace_population(TR_OPEN_SEND, idx, 0);
                 Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
             })();
             if result.is_err() && created {
                 self.deactivate(idx);
             }
             d.lock.unlock();
-            if result.is_ok() {
-                self.trace_pop(TR_OPEN_SEND, idx, 0);
-            }
             result
         })
     }
@@ -906,6 +917,7 @@ impl IpcMpf {
                     Protocol::Fcfs => d.n_fcfs.fetch_add(1, Ordering::AcqRel),
                     Protocol::Broadcast => d.n_bcast.fetch_add(1, Ordering::AcqRel),
                 };
+                self.trace_population(TR_OPEN_RECV, idx, protocol.code());
                 // Obligation re-evaluation (DESIGN.md): a backlog queued
                 // while nobody listened is owed to the first receiver —
                 // but a BROADCAST receiver's cursor starts at the current
@@ -922,9 +934,6 @@ impl IpcMpf {
                 self.deactivate(idx);
             }
             d.lock.unlock();
-            if result.is_ok() {
-                self.trace_pop(TR_OPEN_RECV, idx, protocol.code());
-            }
             result
         })
     }
@@ -940,6 +949,7 @@ impl IpcMpf {
                 let conn = self
                     .unlink_conn(ConnKind::Send, &d.send_head, self.me)
                     .ok_or(MpfError::NotConnected)?;
+                self.trace_population(TR_CLOSE_SEND, idx, 0);
                 self.t
                     .header()
                     .send_free
@@ -951,9 +961,6 @@ impl IpcMpf {
                 Ok(())
             })();
             d.lock.unlock();
-            if result.is_ok() {
-                self.trace_pop(TR_CLOSE_SEND, idx, 0);
-            }
             result
         })
     }
@@ -970,22 +977,20 @@ impl IpcMpf {
                 let conn = self
                     .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
                     .ok_or(MpfError::NotConnected)?;
+                self.trace_population(TR_CLOSE_RECV, idx, self.t.recv(conn).protocol_code());
                 // Waits of ours still watching through this connection
                 // lose their watch with it; woken below to notice.
-                let (protocol, watches) = self.retire_recv(idx, d, conn);
+                let watches = self.retire_recv(idx, d, conn);
                 if d.total_connections() == 0 {
                     self.delete_conversation(idx, d);
                 }
-                Ok((protocol, watches))
+                Ok(watches)
             })();
             d.lock.unlock();
-            if let Ok((protocol, watches)) = result {
-                self.trace_pop(TR_CLOSE_RECV, idx, protocol);
-                if watches != 0 {
-                    self.ring_doorbell();
-                }
+            if result? != 0 {
+                self.ring_doorbell();
             }
-            result.map(|_| ())
+            Ok(())
         })
     }
 
@@ -2404,9 +2409,9 @@ impl IpcMpf {
     /// watches go with it, its descriptor returns to the pool, its
     /// delivery claims are released, and what that left fully delivered
     /// is reclaimed from the whole queue (a close or a sweep is the slow
-    /// path), not just the head.  Returns the connection's protocol code
-    /// and the watches it took along.  Caller holds `d`'s lock.
-    fn retire_recv(&self, idx: u32, d: &LnvcDesc, conn: u32) -> (u32, u32) {
+    /// path), not just the head.  Returns the watches it took along.
+    /// Caller holds `d`'s lock.
+    fn retire_recv(&self, idx: u32, d: &LnvcDesc, conn: u32) -> u32 {
         let r = self.t.recv(conn);
         let (protocol, watches) = (r.protocol_code(), r.watches());
         let cursor = r.cursor.load(Ordering::Acquire);
@@ -2429,7 +2434,7 @@ impl IpcMpf {
             self.clear_fcfs_obligations(d);
         }
         self.reclaim(idx, d, true, None);
-        (protocol, watches)
+        watches
     }
 
     /// Finds `pid`'s connection in an index-linked list.
@@ -2547,18 +2552,23 @@ impl IpcMpf {
             // lock the corpse still holds is broken (and poisons) here
             // rather than blocking the sweep.
             self.lock_lnvc(d);
-            let mut touched = false;
-            if let Some(conn) = self.unlink_conn(ConnKind::Send, &d.send_head, dead) {
+            let sent = self.unlink_conn(ConnKind::Send, &d.send_head, dead);
+            let recv = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead);
+            let touched = sent.is_some() || recv.is_some();
+            if touched {
+                // The corpse's connections go, and its conversation is
+                // poisoned or deleted: one record either way.
+                self.trace_population(TR_POISON, idx, dead);
+            }
+            if let Some(conn) = sent {
                 self.t
                     .header()
                     .send_free
                     .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
                 d.n_senders.fetch_sub(1, Ordering::AcqRel);
-                touched = true;
             }
-            if let Some(conn) = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead) {
+            if let Some(conn) = recv {
                 self.retire_recv(idx, d, conn);
-                touched = true;
             }
             let orphaned = touched && d.total_connections() == 0;
             if orphaned {
@@ -2568,9 +2578,7 @@ impl IpcMpf {
                 self.delete_conversation(idx, d);
             } else if touched {
                 d.dead_pid.store(dead, Ordering::Release);
-                if d.poisoned.swap(1, Ordering::AcqRel) == 0 {
-                    self.trace_pop(TR_POISON, idx, dead);
-                }
+                d.poisoned.store(1, Ordering::Release);
                 // Nobody can drain a poisoned conversation (every
                 // receive now reports `PeerDied`), so its queued
                 // messages would leak pool slots for the region's

@@ -380,7 +380,7 @@ mod tests {
         let insp = RegionInspector::attach(&name).unwrap();
         assert!(insp.telemetry_enabled());
         assert_eq!(insp.config().max_lnvcs, 4);
-        assert_eq!(insp.next_stamp(), 1);
+        assert_eq!(insp.next_stamp(), 3, "two opens and a send");
 
         let procs = insp.processes();
         assert_eq!(procs.len(), 4);

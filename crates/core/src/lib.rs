@@ -87,6 +87,7 @@ pub mod inspect;
 pub mod layout;
 pub mod one2one;
 pub mod shmem;
+pub mod spec;
 pub mod sync_channel;
 pub mod types;
 

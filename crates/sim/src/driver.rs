@@ -26,8 +26,8 @@ pub enum OpResult {
 pub enum RecvKind {
     /// FCFS receive (shared head pointer).
     Fcfs,
-    /// Broadcast receive with this cursor index (from
-    /// [`crate::lnvc::SimLnvc::add_broadcast_receiver`]).
+    /// Broadcast receive as this receiver (from
+    /// [`crate::engine::Engine::add_broadcast_receiver`]).
     Broadcast(usize),
 }
 

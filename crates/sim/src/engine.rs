@@ -28,6 +28,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use mpf::spec::{Conv, MsgId, Pid, Spec};
+use mpf::Protocol;
+
 use crate::bus::Bus;
 use crate::costs::CostModel;
 use crate::driver::{Driver, DriverOp, OpResult, RecvKind};
@@ -154,6 +157,9 @@ impl EngineReport {
     }
 }
 
+/// The spec's pid of every sender, and of every FCFS receiver.
+const PEER: Pid = Pid::MAX;
+
 /// The event engine.
 pub struct Engine {
     machine: MachineConfig,
@@ -162,6 +168,10 @@ pub struct Engine {
     paging: PagingModel,
     locks: Vec<LockState>,
     lnvcs: Vec<SimLnvc>,
+    /// Who gets which message: the §3 contract, keyed by LNVC index.
+    spec: Spec,
+    /// Messages sent so far (the next message's id).
+    sent: MsgId,
     procs: Vec<Proc>,
     events: BinaryHeap<Reverse<Event>>,
     time: u64,
@@ -180,6 +190,8 @@ impl Engine {
             paging,
             locks: Vec::new(),
             lnvcs: Vec::new(),
+            spec: Spec::default(),
+            sent: 0,
             procs: Vec::new(),
             events: BinaryHeap::new(),
             time: 0,
@@ -188,16 +200,58 @@ impl Engine {
     }
 
     /// Creates a conversation (with its own lock); returns its index.
+    /// Every sender sends through one connection, which keeps it alive.
     pub fn add_lnvc(&mut self) -> usize {
         self.locks.push(LockState::default());
         let lock = self.locks.len() - 1;
-        self.lnvcs.push(SimLnvc::new(lock));
-        self.lnvcs.len() - 1
+        let conv = self.lnvcs.len();
+        let opened = self.spec.open_send(conv as Conv, PEER);
+        opened.expect("a new conversation");
+        self.lnvcs.push(SimLnvc {
+            lock,
+            ..SimLnvc::default()
+        });
+        conv
     }
 
-    /// Registers a broadcast receiver cursor on `lnvc`.
+    /// Connects a broadcast receiver to `lnvc`; returns its index there.
+    /// It hears only what is sent after it joins.
     pub fn add_broadcast_receiver(&mut self, lnvc: usize) -> usize {
-        self.lnvcs[lnvc].add_broadcast_receiver()
+        let (conv, rcv) = (lnvc as Conv, self.bcast_receivers(lnvc));
+        let joined = self.spec.open_receive(conv, rcv, Protocol::Broadcast);
+        joined.expect("a new receiver");
+        rcv as usize
+    }
+
+    fn bcast_receivers(&self, lnvc: usize) -> Pid {
+        self.spec
+            .obligations(lnvc as Conv)
+            .map_or(0, |owed| owed.n_bcast)
+    }
+
+    /// A receive of `kind` on `lnvc`: the length of the message it takes
+    /// now, if any — with `take`, delivered, and the fully delivered prefix
+    /// reclaimed.  FCFS receives share one receiver, connected on first use.
+    fn receive(&mut self, lnvc: usize, kind: RecvKind, take: bool) -> Option<usize> {
+        let conv = lnvc as Conv;
+        let pid = match kind {
+            RecvKind::Broadcast(rcv) => rcv as Pid,
+            RecvKind::Fcfs => {
+                // Refused as already connected after the first time.
+                let _ = self.spec.open_receive(conv, PEER, Protocol::Fcfs);
+                PEER
+            }
+        };
+        let (id, protocol) = self.spec.next_for(conv, pid).ok().flatten()?;
+        let l = &mut self.lnvcs[lnvc];
+        let len = l.lens[&id];
+        if take {
+            let breach = self.spec.deliver(conv, pid, id, protocol);
+            debug_assert_eq!(breach, None);
+            let freed = (0..self.spec.reclaim_delivered(conv)).filter_map(|_| l.lens.pop_first());
+            l.reclaimed += freed.map(|(_, len)| len as u64).sum::<u64>();
+        }
+        Some(len)
     }
 
     /// Adds a processor running `driver`; returns its index.
@@ -347,18 +401,14 @@ impl Engine {
         let crit = match self.procs[proc].stage {
             Stage::SendCrit { lnvc, .. } => {
                 self.costs.crit_send
-                    + self.lnvcs[lnvc].broadcast_receivers() as u64 * self.costs.per_head_update
+                    + u64::from(self.bcast_receivers(lnvc)) * self.costs.per_head_update
             }
             Stage::RecvCrit { lnvc, kind, .. } => {
                 // The state cannot change while we hold the lock, so peek:
                 // a successful claim pays the full scan/claim cost, a
                 // woken receiver finding nothing pays only the short
                 // re-check (the herd path).
-                let available = match kind {
-                    RecvKind::Fcfs => self.lnvcs[lnvc].has_fcfs_message(),
-                    RecvKind::Broadcast(rcv) => self.lnvcs[lnvc].has_broadcast_message(rcv),
-                };
-                if available {
+                if self.receive(lnvc, kind, false).is_some() {
                     self.costs.crit_recv
                 } else {
                     self.costs.crit_check
@@ -367,7 +417,7 @@ impl Engine {
             Stage::ReclaimCrit { lnvc, .. } => {
                 // A reclaim that frees nothing (a slower broadcast peer
                 // still pins the queue) is a short check-and-exit.
-                if self.lnvcs[lnvc].pending_reclaimed() > 0 {
+                if self.lnvcs[lnvc].reclaimed > 0 {
                     self.costs.crit_reclaim
                 } else {
                     self.costs.crit_check
@@ -381,7 +431,12 @@ impl Engine {
     fn on_crit_done(&mut self, proc: usize, now: u64) {
         match self.procs[proc].stage {
             Stage::SendCrit { lnvc, len } => {
-                self.lnvcs[lnvc].send(len);
+                let id = self.sent;
+                self.sent += 1;
+                self.spec
+                    .send(lnvc as Conv, PEER, id)
+                    .expect("the sender is connected");
+                self.lnvcs[lnvc].lens.insert(id, len);
                 self.procs[proc].stats.msgs_sent += 1;
                 self.procs[proc].stats.bytes_sent += len as u64;
                 let lock = self.lnvcs[lnvc].lock;
@@ -409,10 +464,7 @@ impl Engine {
                 kind,
                 try_only,
             } => {
-                let got = match kind {
-                    RecvKind::Fcfs => self.lnvcs[lnvc].recv_fcfs(),
-                    RecvKind::Broadcast(rcv) => self.lnvcs[lnvc].recv_broadcast(rcv),
-                };
+                let got = self.receive(lnvc, kind, true);
                 let lock = self.lnvcs[lnvc].lock;
                 match got {
                     Some(len) => {
@@ -437,7 +489,7 @@ impl Engine {
                 }
             }
             Stage::ReclaimCrit { lnvc, len } => {
-                let freed = self.lnvcs[lnvc].drain_reclaimed();
+                let freed = std::mem::take(&mut self.lnvcs[lnvc].reclaimed);
                 self.paging.free(freed as usize);
                 let lock = self.lnvcs[lnvc].lock;
                 self.release_lock(lock, now);

@@ -5,39 +5,40 @@
 //! appends fixed-size records to per-process crash-persistent trace rings
 //! (`mpf_shm::tracering`).  This crate consumes those records — live or
 //! post-mortem, via [`mpf::inspect::RegionInspector`] or directly from a
-//! facility handle — and rebuilds three views:
+//! facility handle — and rebuilds two views:
 //!
 //! - **causal chains**: all events sharing a trace id, ordered by hop, so a
 //!   request that bounced through three processes reads as one story;
-//! - **per-LNVC streams**: every traced send and delivery on a conversation,
-//!   in global stamp order;
-//! - **a conformance report**: the paper's §3 delivery contract checked
-//!   offline (FCFS order per receiver, exactly-once FCFS delivery, broadcast
-//!   completeness against the population fixed at send, no receive without a
-//!   matching send, no reclaim before the obligations were met).
+//! - **a conformance report**: the log replayed through the paper's §3
+//!   delivery contract as [`mpf::spec`] states it (FIFO per receiver,
+//!   exactly-once FCFS delivery, one broadcast copy per receiver connected
+//!   at send, no receive without a send, no reclaim before the obligations
+//!   were met, each send's recorded obligations equal to the population's).
 //!
 //! ## Truncation horizon
 //!
 //! Trace rings are bounded: once a writer wraps, the oldest records are gone.
-//! The checker is careful never to report a violation that a lost record
-//! could explain — if *any* contributing ring has overwritten records, rules
-//! that depend on seeing the whole history (missing send, missing delivery)
-//! are suppressed and the report notes the horizon instead.  Order rules
-//! (FCFS monotonicity, duplicate delivery, broadcast over-delivery) need only
-//! the surviving records and stay active.
+//! The checker never reports a violation that a lost record could explain:
+//! if *any* contributing ring has overwritten records, the rules that need
+//! the whole history ([`Rule::needs_full_history`]: a lost send, a lost
+//! open or close, a lost delivery) are suppressed and the report notes the
+//! horizon instead.  Order and double-delivery rules need only the
+//! surviving records and stay active.
 //!
 //! Everything here is read-only and lock-free: safe to point at the region of
 //! a SIGKILLed process.
 
 pub mod render;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
+use mpf::spec::Spec;
+use mpf::Protocol;
 use mpf_shm::faultplane::FaultSite;
 use mpf_shm::tracering::{
-    trace_event_name, TraceEvent, TR_CLOSE_RECV, TR_FAULT, TR_POISON, TR_RECLAIM, TR_RECV,
-    TR_RECV_B, TR_SEND,
+    trace_event_name, TraceEvent, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_FAULT, TR_OPEN_RECV,
+    TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_SEND,
 };
 
 const NIL: u32 = u32::MAX;
@@ -82,57 +83,8 @@ impl Chain {
     }
 }
 
-/// Per-LNVC send/receive history in global stamp order.
-#[derive(Debug, Clone)]
-pub struct LnvcStream {
-    pub lnvc: u32,
-    pub sends: Vec<Rec>,
-    pub recvs: Vec<Rec>,
-}
-
-/// Conformance rules checked by [`TraceLog::check`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// A receiver's FCFS deliveries from one LNVC went backwards in stamp
-    /// order (paper §3: FCFS messages are consumed first-come-first-served).
-    FcfsOrder,
-    /// The same FCFS message was delivered twice.
-    DoubleFcfsDelivery,
-    /// The same broadcast copy was delivered twice to one receiver.
-    DoubleBcastDelivery,
-    /// A delivery was recorded for a message no surviving ring ever sent.
-    RecvWithoutSend,
-    /// More distinct receivers saw a broadcast than were registered when it
-    /// was sent.
-    BcastOverDelivery,
-    /// A reclaimed broadcast reached fewer receivers than its population,
-    /// with no poison/close event to explain the shortfall.
-    BcastUnderDelivery,
-    /// A message owing an FCFS delivery was reclaimed undelivered, with no
-    /// poison/close event to explain it.
-    ReclaimBeforeDelivery,
-    /// An error-class fault injection (pool-exhaust, peer-died) recorded no
-    /// surfaced status: the fault plane claims the caller was told, but the
-    /// record carries `arg2 == 0`.  Delay-class faults (notify-drop,
-    /// lock-stall) legitimately surface nothing and are exempt.
-    SilentErrorFault,
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Rule::FcfsOrder => "fcfs-order",
-            Rule::DoubleFcfsDelivery => "double-fcfs-delivery",
-            Rule::DoubleBcastDelivery => "double-bcast-delivery",
-            Rule::RecvWithoutSend => "recv-without-send",
-            Rule::BcastOverDelivery => "bcast-over-delivery",
-            Rule::BcastUnderDelivery => "bcast-under-delivery",
-            Rule::ReclaimBeforeDelivery => "reclaim-before-delivery",
-            Rule::SilentErrorFault => "silent-error-fault",
-        };
-        f.write_str(s)
-    }
-}
+/// Conformance rules: the §3 spec's, under their CLI names.
+pub use mpf::spec::Rule;
 
 /// One conformance violation.
 #[derive(Debug, Clone)]
@@ -269,260 +221,115 @@ impl TraceLog {
         chains
     }
 
-    /// Per-LNVC send/receive streams in stamp order.
-    pub fn streams(&self) -> Vec<LnvcStream> {
-        let mut by_lnvc: BTreeMap<u32, LnvcStream> = BTreeMap::new();
-        for rec in self.recs() {
-            if rec.ev.lnvc == NIL {
-                continue;
-            }
-            let s = by_lnvc.entry(rec.ev.lnvc).or_insert_with(|| LnvcStream {
-                lnvc: rec.ev.lnvc,
-                sends: Vec::new(),
-                recvs: Vec::new(),
-            });
-            match rec.ev.kind {
-                TR_SEND => s.sends.push(rec),
-                TR_RECV | TR_RECV_B => s.recvs.push(rec),
-                _ => {}
-            }
-        }
-        let mut streams: Vec<LnvcStream> = by_lnvc.into_values().collect();
-        for s in &mut streams {
-            s.sends.sort_by_key(|r| r.ev.stamp);
-            s.recvs.sort_by_key(|r| r.ev.stamp);
-        }
-        streams
-    }
-
-    /// Runs the offline conformance checker (see module docs and DESIGN.md).
+    /// Runs the offline conformance checker: replays the log through the
+    /// §3 spec, [`mpf::spec`], in `replay_order` (see the module
+    /// docs and DESIGN.md "Causal tracing").
     pub fn check(&self) -> Report {
+        // A lost record could explain any breach of a rule that needs the
+        // whole history, and a broken lock's poison names no conversation.
         let truncated = self.truncated();
-
-        // Per-message views keyed by (trace, stamp): the stamp is globally
-        // unique per message, the trace id ties hops of one chain together.
-        #[derive(Default)]
-        struct Msg {
-            send: Option<Rec>,
-            fcfs: Vec<Rec>,
-            bcast: Vec<Rec>,
-            reclaimed: bool,
-        }
-        let mut msgs: BTreeMap<(u64, u64), Msg> = BTreeMap::new();
-        // LNVCs with lifecycle markers that legitimately void obligations.
-        let mut poisoned: BTreeSet<u32> = BTreeSet::new();
-        let mut closed: BTreeSet<u32> = BTreeSet::new();
-        let mut global_poison = false;
-        let mut fault_recs: Vec<Rec> = Vec::new();
-
-        for rec in self.recs() {
-            match rec.ev.kind {
-                TR_SEND => {
-                    msgs.entry((rec.ev.trace, rec.ev.stamp)).or_default().send = Some(rec);
+        let broken_lock = |r: Rec| r.ev.kind == TR_POISON && r.ev.lnvc == NIL;
+        let horizon = truncated || self.recs().any(broken_lock);
+        let mut spec = Spec::default();
+        let (mut violations, mut sent_on) = (Vec::new(), BTreeMap::new());
+        for Rec { pid, ev } in self.replay_order() {
+            // A reclaim record names no conversation; its send's does.
+            let conv = match ev.kind {
+                TR_RECLAIM => sent_on.get(&ev.stamp).copied().unwrap_or(ev.lnvc),
+                _ => ev.lnvc,
+            };
+            let protocol = |bcast| [Protocol::Fcfs, Protocol::Broadcast][usize::from(bcast)];
+            // A population record no engine writes (a close with no open,
+            // a second open) is refused, and breaks no rule by itself.
+            let _ = match ev.kind {
+                TR_OPEN_SEND => spec.open_send(conv, pid),
+                TR_OPEN_RECV => {
+                    let bcast = ev.arg == Protocol::Broadcast.code();
+                    spec.open_receive(conv, pid, protocol(bcast))
                 }
-                TR_RECV => msgs
-                    .entry((rec.ev.trace, rec.ev.stamp))
-                    .or_default()
-                    .fcfs
-                    .push(rec),
-                TR_RECV_B => msgs
-                    .entry((rec.ev.trace, rec.ev.stamp))
-                    .or_default()
-                    .bcast
-                    .push(rec),
-                TR_RECLAIM => {
-                    msgs.entry((rec.ev.trace, rec.ev.stamp))
-                        .or_default()
-                        .reclaimed = true;
-                }
+                TR_CLOSE_SEND => spec.close_send(conv, pid),
+                TR_CLOSE_RECV => spec.close_receive(conv, pid),
+                _ => Ok(()),
+            };
+            let breach = match ev.kind {
                 TR_POISON => {
-                    if rec.ev.lnvc == NIL {
-                        global_poison = true;
-                    } else {
-                        poisoned.insert(rec.ev.lnvc);
-                    }
-                }
-                TR_CLOSE_RECV => {
-                    closed.insert(rec.ev.lnvc);
+                    spec.poison(conv, Some(ev.arg));
+                    None
                 }
                 TR_FAULT => {
-                    // An injected peer-death on a conversation voids its
-                    // delivery obligations exactly like a real poison.
-                    if rec.ev.arg == FaultSite::PeerDied.code() && rec.ev.lnvc != NIL {
-                        poisoned.insert(rec.ev.lnvc);
+                    let site = FaultSite::from_code(ev.arg);
+                    // An injected peer death on a conversation voids its
+                    // obligations from there on, like a real poison.
+                    if site == Some(FaultSite::PeerDied) {
+                        spec.poison(conv, None);
                     }
-                    fault_recs.push(rec);
+                    let silent = site.is_some_and(|s| s.is_error_fault()) && ev.arg2 == 0;
+                    silent.then_some(Rule::SilentErrorFault)
                 }
-                _ => {}
-            }
-        }
-
-        let excused = |lnvc: u32| -> bool {
-            truncated || global_poison || poisoned.contains(&lnvc) || closed.contains(&lnvc)
-        };
-
-        let mut violations = Vec::new();
-        let mut deliveries = 0usize;
-        let mut messages = 0usize;
-
-        // Rule: error-class fault injections must carry the status they
-        // surfaced (`arg2` = magnitude of the typed error code).  A zero
-        // here means the plane injected pool-exhaust or peer-died but the
-        // caller was never told — a silently swallowed failure.
-        for rec in &fault_recs {
-            let site = FaultSite::from_code(rec.ev.arg);
-            if site.is_some_and(|s| s.is_error_fault()) && rec.ev.arg2 == 0 {
+                TR_SEND => {
+                    sent_on.insert(ev.stamp, conv);
+                    // Packed as the engine packs them: needs_fcfs << 16 | n_bcast.
+                    let owed = spec.send(conv, pid, ev.stamp);
+                    let owed = owed.map(|o| u32::from(o.needs_fcfs) << 16 | o.n_bcast);
+                    (owed != Ok(ev.arg2)).then_some(Rule::ObligationMismatch)
+                }
+                TR_RECV | TR_RECV_B => {
+                    spec.deliver(conv, pid, ev.stamp, protocol(ev.kind == TR_RECV_B))
+                }
+                TR_RECLAIM => spec.reclaim(ev.stamp),
+                _ => None,
+            };
+            if let Some(rule) = breach.filter(|r| !(horizon && r.needs_full_history())) {
+                let name = trace_event_name(ev.kind);
                 violations.push(Violation {
-                    rule: Rule::SilentErrorFault,
-                    trace: rec.ev.trace,
-                    stamp: rec.ev.stamp,
-                    lnvc: rec.ev.lnvc,
-                    detail: format!(
-                        "pid {} injected {} but recorded no surfaced status",
-                        rec.pid,
-                        site.map_or("?", |s| s.name())
-                    ),
+                    rule,
+                    trace: ev.trace,
+                    stamp: ev.stamp,
+                    lnvc: conv,
+                    detail: format!("{name} by pid {pid}, arg2 {:#x}", ev.arg2),
                 });
             }
         }
-
-        for (&(trace, stamp), msg) in &msgs {
-            deliveries += msg.fcfs.len() + msg.bcast.len();
-            if msg.send.is_some() {
-                messages += 1;
-            }
-
-            // Rule: exactly-once FCFS delivery.
-            if msg.fcfs.len() > 1 {
-                violations.push(Violation {
-                    rule: Rule::DoubleFcfsDelivery,
-                    trace,
-                    stamp,
-                    lnvc: msg.fcfs[0].ev.lnvc,
-                    detail: format!(
-                        "delivered {} times (pids {:?})",
-                        msg.fcfs.len(),
-                        msg.fcfs.iter().map(|r| r.pid).collect::<Vec<_>>()
-                    ),
-                });
-            }
-
-            // Rule: one broadcast copy per receiver.
-            let mut seen_pids = BTreeSet::new();
-            for r in &msg.bcast {
-                if !seen_pids.insert(r.pid) {
-                    violations.push(Violation {
-                        rule: Rule::DoubleBcastDelivery,
-                        trace,
-                        stamp,
-                        lnvc: r.ev.lnvc,
-                        detail: format!("pid {} received the same broadcast twice", r.pid),
-                    });
-                }
-            }
-
-            match msg.send {
-                None => {
-                    // Rule: every delivery needs a sender — unless the send
-                    // record fell past the truncation horizon.
-                    if (!msg.fcfs.is_empty() || !msg.bcast.is_empty()) && !truncated {
-                        let r = msg.fcfs.first().or(msg.bcast.first()).unwrap();
-                        violations.push(Violation {
-                            rule: Rule::RecvWithoutSend,
-                            trace,
-                            stamp,
-                            lnvc: r.ev.lnvc,
-                            detail: format!(
-                                "{} recorded by pid {} but no ring holds the send",
-                                trace_event_name(r.ev.kind),
-                                r.pid
-                            ),
-                        });
-                    }
-                }
-                Some(send) => {
-                    // Obligations fixed at send: arg2 = (needs_fcfs << 16) | n_bcast.
-                    let needs_fcfs = (send.ev.arg2 >> 16) & 1 == 1;
-                    let n_bcast = send.ev.arg2 & 0xffff;
-                    let lnvc = send.ev.lnvc;
-
-                    if seen_pids.len() as u32 > n_bcast {
-                        violations.push(Violation {
-                            rule: Rule::BcastOverDelivery,
-                            trace,
-                            stamp,
-                            lnvc,
-                            detail: format!(
-                                "{} receivers saw it, population at send was {}",
-                                seen_pids.len(),
-                                n_bcast
-                            ),
-                        });
-                    }
-                    if msg.reclaimed {
-                        // Once reclaimed the delivery set is final.
-                        if (seen_pids.len() as u32) < n_bcast && !excused(lnvc) {
-                            violations.push(Violation {
-                                rule: Rule::BcastUnderDelivery,
-                                trace,
-                                stamp,
-                                lnvc,
-                                detail: format!(
-                                    "reclaimed after {}/{} broadcast deliveries",
-                                    seen_pids.len(),
-                                    n_bcast
-                                ),
-                            });
-                        }
-                        if needs_fcfs && msg.fcfs.is_empty() && !excused(lnvc) {
-                            violations.push(Violation {
-                                rule: Rule::ReclaimBeforeDelivery,
-                                trace,
-                                stamp,
-                                lnvc,
-                                detail: "reclaimed before its FCFS delivery".to_string(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Rule: FCFS deliveries to one receiver from one LNVC arrive in
-        // stamp (enqueue) order.  Checked per ring in record order; sampling
-        // only thins the sequence, which preserves monotonicity.
-        for ring in &self.rings {
-            let mut last: BTreeMap<u32, u64> = BTreeMap::new();
-            for ev in &ring.events {
-                if ev.kind != TR_RECV {
-                    continue;
-                }
-                if let Some(&prev) = last.get(&ev.lnvc) {
-                    if ev.stamp <= prev {
-                        violations.push(Violation {
-                            rule: Rule::FcfsOrder,
-                            trace: ev.trace,
-                            stamp: ev.stamp,
-                            lnvc: ev.lnvc,
-                            detail: format!(
-                                "pid {} received stamp {} after stamp {}",
-                                ring.pid, ev.stamp, prev
-                            ),
-                        });
-                    }
-                }
-                last.insert(ev.lnvc, ev.stamp);
-            }
-        }
-
         violations.sort_by_key(|v| (v.stamp, v.trace));
+        let count = |kinds: &[u32]| self.recs().filter(|r| kinds.contains(&r.ev.kind)).count();
         Report {
             violations,
             truncated,
-            messages,
-            deliveries,
-            faults: fault_recs.len(),
+            messages: count(&[TR_SEND]),
+            deliveries: count(&[TR_RECV, TR_RECV_B]),
+            faults: count(&[TR_FAULT]),
         }
+    }
+
+    /// The log in the order [`Self::check`] replays it: sends and
+    /// population records by stamp (one sequence, taken under the
+    /// conversation's lock); a delivery as early as it can have happened,
+    /// after its send and what precedes it in its ring; anything else as
+    /// late, just before its ring's next stamped record.  So whatever met
+    /// an obligation before a reclaim is replayed before it.
+    fn replay_order(&self) -> Vec<Rec> {
+        let stamped = |e: &TraceEvent| match e.kind {
+            TR_SEND | TR_OPEN_SEND | TR_OPEN_RECV | TR_CLOSE_SEND | TR_CLOSE_RECV => true,
+            kind => kind == TR_POISON && e.lnvc != NIL,
+        };
+        let mut keyed = Vec::with_capacity(self.len());
+        for ring in &self.rings {
+            let mut floor = 0;
+            for (pos, &ev) in ring.events.iter().enumerate() {
+                let at = match ev.kind {
+                    _ if stamped(&ev) => (ev.stamp, 1),
+                    TR_RECV | TR_RECV_B => (floor.max(ev.stamp), 2),
+                    _ => {
+                        let next = ring.events[pos..].iter().find(|e| stamped(e));
+                        (next.map_or(u64::MAX, |e| e.stamp), 0)
+                    }
+                };
+                floor = if at.1 == 0 { floor } else { floor.max(at.0) };
+                keyed.push((at, ring.pid, pos, Rec { pid: ring.pid, ev }));
+            }
+        }
+        keyed.sort_by_key(|&(at, pid, pos, _)| (at, pid, pos));
+        keyed.into_iter().map(|(.., rec)| rec).collect()
     }
 
     /// Renders the log as Chrome `trace_event` JSON (Perfetto-loadable).
@@ -714,6 +521,10 @@ fn kind_rank(kind: u32) -> u32 {
 mod tests {
     use super::*;
     use mpf_shm::tracering::{TR_ENQUEUE, TR_WAKEUP};
+    use std::collections::BTreeSet;
+
+    const FCFS: u32 = 1;
+    const BCAST: u32 = 2;
 
     fn ev(
         kind: u32,
@@ -737,102 +548,96 @@ mod tests {
         }
     }
 
-    fn log(rings: Vec<(u32, Vec<TraceEvent>)>) -> TraceLog {
-        TraceLog::new(
-            rings
-                .into_iter()
-                .map(|(pid, events)| PidEvents {
-                    pid,
-                    truncated: false,
-                    sampled_out: 0,
-                    events,
-                })
-                .collect(),
-        )
+    /// A population record on conversation 3, stamped from the send
+    /// sequence as the engine stamps it.
+    fn pop(kind: u32, stamp: u64, arg: u32) -> TraceEvent {
+        ev(kind, 0, stamp, 0, 3, arg, 0)
+    }
+
+    /// A send, delivery or reclaim of message `stamp` on conversation 3.
+    fn msg(kind: u32, stamp: u64, arg2: u32) -> TraceEvent {
+        let lnvc = if kind == TR_RECLAIM { NIL } else { 3 };
+        ev(kind, 0x10 + stamp, stamp, 0, lnvc, 64, arg2)
+    }
+
+    /// A log of `(pid, record)` pairs, each ring in the order given.
+    fn log(recs: &[(u32, TraceEvent)]) -> TraceLog {
+        let pids: BTreeSet<u32> = recs.iter().map(|r| r.0).collect();
+        let ring = |pid| PidEvents {
+            pid,
+            truncated: false,
+            sampled_out: 0,
+            events: recs.iter().filter(|r| r.0 == pid).map(|r| r.1).collect(),
+        };
+        TraceLog::new(pids.into_iter().map(ring).collect())
+    }
+
+    fn rules(recs: &[(u32, TraceEvent)]) -> Vec<Rule> {
+        let report = log(recs).check();
+        report.violations.iter().map(|v| v.rule).collect()
+    }
+
+    /// Sender 0 and FCFS receiver 1 open, then two messages go out.
+    fn fcfs_pair(then: &[(u32, TraceEvent)]) -> Vec<(u32, TraceEvent)> {
+        let opened = [
+            (0, pop(TR_OPEN_SEND, 0, 0)),
+            (1, pop(TR_OPEN_RECV, 1, FCFS)),
+            (0, msg(TR_SEND, 2, 1 << 16)),
+            (0, msg(TR_SEND, 3, 1 << 16)),
+        ];
+        [&opened, then].concat()
+    }
+
+    /// Sender 0 and BROADCAST receivers 1 and 2 open, one message goes out,
+    /// receiver 1 reads it, and then `then` happens in receiver 1's ring.
+    fn bcast_pair(then: &[TraceEvent]) -> Vec<(u32, TraceEvent)> {
+        let read = [
+            (0, pop(TR_OPEN_SEND, 0, 0)),
+            (1, pop(TR_OPEN_RECV, 1, BCAST)),
+            (2, pop(TR_OPEN_RECV, 2, BCAST)),
+            (0, msg(TR_SEND, 3, 2)),
+            (1, msg(TR_RECV_B, 3, 0)),
+        ];
+        [&read[..], &then.iter().map(|&e| (1, e)).collect::<Vec<_>>()].concat()
     }
 
     #[test]
     fn clean_fcfs_round_trip_passes() {
-        let l = log(vec![
-            (
-                0,
-                vec![
-                    ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16),
-                    ev(TR_SEND, 0x20, 2, 0, 3, 64, 1 << 16),
-                ],
-            ),
-            (
-                1,
-                vec![
-                    ev(TR_RECV, 0x10, 1, 0, 3, 64, 0),
-                    ev(TR_RECV, 0x20, 2, 0, 3, 64, 0),
-                    ev(TR_RECLAIM, 0x10, 1, 0, NIL, 7, 0),
-                    ev(TR_RECLAIM, 0x20, 2, 0, NIL, 8, 0),
-                ],
-            ),
-        ]);
+        let l = log(&fcfs_pair(&[
+            (1, msg(TR_RECV, 2, 0)),
+            (1, msg(TR_RECV, 3, 0)),
+            (1, msg(TR_RECLAIM, 2, 0)),
+            (1, msg(TR_RECLAIM, 3, 0)),
+        ]));
         let report = l.check();
         assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.messages, 2);
-        assert_eq!(report.deliveries, 2);
+        assert_eq!((report.messages, report.deliveries), (2, 2));
         assert_eq!(l.chains().len(), 2);
     }
 
     #[test]
     fn fcfs_order_violation_detected() {
-        let l = log(vec![
-            (
-                0,
-                vec![
-                    ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16),
-                    ev(TR_SEND, 0x20, 2, 0, 3, 64, 1 << 16),
-                ],
-            ),
-            (
-                1,
-                vec![
-                    ev(TR_RECV, 0x20, 2, 0, 3, 64, 0),
-                    ev(TR_RECV, 0x10, 1, 0, 3, 64, 0),
-                ],
-            ),
-        ]);
-        let report = l.check();
-        assert!(report.violations.iter().any(|v| v.rule == Rule::FcfsOrder));
+        let backwards = fcfs_pair(&[(1, msg(TR_RECV, 3, 0)), (1, msg(TR_RECV, 2, 0))]);
+        assert_eq!(rules(&backwards), [Rule::FcfsOrder]);
     }
 
     #[test]
     fn double_fcfs_delivery_detected() {
-        let l = log(vec![
-            (0, vec![ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16)]),
-            (1, vec![ev(TR_RECV, 0x10, 1, 0, 3, 64, 0)]),
-            (2, vec![ev(TR_RECV, 0x10, 1, 0, 3, 64, 0)]),
+        let twice = fcfs_pair(&[
+            (2, pop(TR_OPEN_RECV, 4, FCFS)),
+            (1, msg(TR_RECV, 2, 0)),
+            (2, msg(TR_RECV, 2, 0)),
         ]);
-        let report = l.check();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::DoubleFcfsDelivery));
+        assert_eq!(rules(&twice), [Rule::DoubleFcfsDelivery]);
     }
 
     #[test]
     fn recv_without_send_needs_full_history() {
-        let orphan = vec![(1u32, vec![ev(TR_RECV, 0x10, 5, 0, 3, 64, 0)])];
-        let report = log(orphan.clone()).check();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::RecvWithoutSend));
+        let orphan = [(1, msg(TR_RECV, 5, 0))];
+        assert_eq!(rules(&orphan), [Rule::RecvWithoutSend]);
 
         // Same log, but the sender's ring wrapped: suppressed.
-        let mut rings: Vec<PidEvents> = orphan
-            .into_iter()
-            .map(|(pid, events)| PidEvents {
-                pid,
-                truncated: false,
-                sampled_out: 0,
-                events,
-            })
-            .collect();
+        let mut rings = log(&orphan).rings;
         rings.push(PidEvents {
             pid: 0,
             truncated: true,
@@ -846,153 +651,139 @@ mod tests {
 
     #[test]
     fn bcast_under_delivery_detected_and_poison_excuses() {
-        // Population 2 at send, one delivery, then reclaimed.
-        let base = vec![
-            (0u32, vec![ev(TR_SEND, 0x10, 1, 0, 3, 64, 2)]),
-            (
-                1u32,
-                vec![
-                    ev(TR_RECV_B, 0x10, 1, 0, 3, 64, 0),
-                    ev(TR_RECLAIM, 0x10, 1, 0, NIL, 7, 0),
-                ],
-            ),
-        ];
-        let report = log(base.clone()).check();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::BcastUnderDelivery));
+        let reclaim = msg(TR_RECLAIM, 3, 0);
+        assert_eq!(rules(&bcast_pair(&[reclaim])), [Rule::BcastUnderDelivery]);
+        // Receiver 2 died: the sweep poisons the conversation before it
+        // drops the queue, voiding the missing receiver's claim.
+        let swept = bcast_pair(&[pop(TR_POISON, 4, 2), reclaim]);
+        assert_eq!(rules(&swept), []);
+    }
 
-        // A poison marker on the LNVC voids the missing receiver's claim.
-        let mut with_poison = base;
-        with_poison
-            .get_mut(1)
-            .unwrap()
-            .1
-            .push(ev(TR_POISON, 0, 0, 0, 3, 99, 0));
-        let report = log(with_poison).check();
-        assert!(report.is_clean(), "{:?}", report.violations);
+    #[test]
+    fn injected_peer_death_excuses_obligations_like_poison() {
+        // A peer-died injection on the conversation (site 4, surfaced as
+        // status 18) before the reclaim voids the shortfall like a poison.
+        let injected = bcast_pair(&[ev(TR_FAULT, 0, 0, 0, 3, 4, 18), msg(TR_RECLAIM, 3, 0)]);
+        assert_eq!(rules(&injected), []);
     }
 
     #[test]
     fn bcast_over_delivery_detected() {
-        let l = log(vec![
-            (0, vec![ev(TR_SEND, 0x10, 1, 0, 3, 64, 1)]),
-            (1, vec![ev(TR_RECV_B, 0x10, 1, 0, 3, 64, 0)]),
-            (2, vec![ev(TR_RECV_B, 0x10, 1, 0, 3, 64, 0)]),
-        ]);
-        let report = l.check();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::BcastOverDelivery));
+        // Receiver 3 joined after the send, so it is owed nothing.
+        let late = bcast_pair(&[]);
+        let late = [
+            &late[..],
+            &[(3, pop(TR_OPEN_RECV, 4, BCAST)), (3, msg(TR_RECV_B, 3, 0))],
+        ];
+        assert_eq!(rules(&late.concat()), [Rule::BcastOverDelivery]);
+    }
+
+    /// FCFS receiver 1 and BROADCAST receiver 2 are owed message 3; only 2
+    /// reads it, and it is reclaimed.
+    fn fcfs_beside_bcast(then: &[(u32, TraceEvent)]) -> Vec<(u32, TraceEvent)> {
+        let read = [
+            (0, pop(TR_OPEN_SEND, 0, 0)),
+            (1, pop(TR_OPEN_RECV, 1, FCFS)),
+            (2, pop(TR_OPEN_RECV, 2, BCAST)),
+            (0, msg(TR_SEND, 3, (1 << 16) | 1)),
+            (2, msg(TR_RECV_B, 3, 0)),
+        ];
+        [&read, then].concat()
     }
 
     #[test]
     fn reclaim_before_fcfs_delivery_detected_and_close_excuses() {
-        let base = vec![(
-            0u32,
-            vec![
-                ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16),
-                ev(TR_RECLAIM, 0x10, 1, 0, NIL, 7, 0),
-            ],
-        )];
-        let report = log(base.clone()).check();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::ReclaimBeforeDelivery));
+        let reclaimed = fcfs_beside_bcast(&[(2, msg(TR_RECLAIM, 3, 0))]);
+        assert_eq!(rules(&reclaimed), [Rule::ReclaimBeforeDelivery]);
+        // The last FCFS receiver leaves while a BROADCAST receiver stays:
+        // the obligation goes with it, and its close reclaims the message.
+        let closed = [(1, pop(TR_CLOSE_RECV, 4, FCFS)), (1, msg(TR_RECLAIM, 3, 0))];
+        assert_eq!(rules(&fcfs_beside_bcast(&closed)), []);
+    }
 
-        let mut with_close = base;
-        with_close
-            .get_mut(0)
-            .unwrap()
-            .1
-            .push(ev(TR_CLOSE_RECV, 0, 0, 0, 3, 1, 0));
-        let report = log(with_close).check();
-        assert!(report.is_clean(), "{:?}", report.violations);
+    /// An FCFS message is reclaimed undelivered while FCFS receiver 1 stays
+    /// connected; the BROADCAST receiver read it and closed.
+    #[test]
+    fn fcfs_shortfall_beside_an_unrelated_close_detected() {
+        let closed = [
+            (2, pop(TR_CLOSE_RECV, 4, BCAST)),
+            (2, msg(TR_RECLAIM, 3, 0)),
+        ];
+        let report = log(&fcfs_beside_bcast(&closed)).check();
+        let v = &report.violations[..];
+        assert_eq!(
+            (v.len(), v[0].rule, v[0].lnvc),
+            (1, Rule::ReclaimBeforeDelivery, 3)
+        );
+    }
+
+    /// A BROADCAST copy is missing for receiver 2, which stayed connected;
+    /// receiver 3 read its copy and closed, and its close reclaimed the
+    /// message.
+    #[test]
+    fn bcast_shortfall_beside_an_unrelated_close_detected() {
+        let l = [
+            (0, pop(TR_OPEN_SEND, 0, 0)),
+            (1, pop(TR_OPEN_RECV, 1, BCAST)),
+            (2, pop(TR_OPEN_RECV, 2, BCAST)),
+            (3, pop(TR_OPEN_RECV, 3, BCAST)),
+            (0, msg(TR_SEND, 4, 3)),
+            (1, msg(TR_RECV_B, 4, 0)),
+            (3, msg(TR_RECV_B, 4, 0)),
+            (3, pop(TR_CLOSE_RECV, 5, BCAST)),
+            (3, msg(TR_RECLAIM, 4, 0)),
+        ];
+        assert_eq!(rules(&l), [Rule::BcastUnderDelivery]);
+    }
+
+    /// The engine and the spec check each other: a send recording two
+    /// BROADCAST receivers where the population holds one is reported.
+    #[test]
+    fn send_disagreeing_with_the_population_detected() {
+        let l = [
+            (0, pop(TR_OPEN_SEND, 0, 0)),
+            (1, pop(TR_OPEN_RECV, 1, BCAST)),
+            (0, msg(TR_SEND, 2, 2)),
+            (1, msg(TR_RECV_B, 2, 0)),
+        ];
+        assert_eq!(rules(&l), [Rule::ObligationMismatch]);
     }
 
     #[test]
     fn silent_error_fault_detected_and_delay_faults_exempt() {
         // A pool-exhaust injection (site 3) with no surfaced status.
-        let l = log(vec![(0, vec![ev(TR_FAULT, 0, 0, 0, NIL, 3, 0)])]);
-        let report = l.check();
+        let report = log(&[(0, ev(TR_FAULT, 0, 0, 0, NIL, 3, 0))]).check();
         assert_eq!(report.faults, 1);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::SilentErrorFault));
+        assert_eq!(report.violations[0].rule, Rule::SilentErrorFault);
 
         // The same injection carrying |PoolsExhausted| is conformant, and
         // delay-class faults (notify-drop, lock-stall) never need one.
-        let l = log(vec![(
-            0,
-            vec![
-                ev(TR_FAULT, 0, 0, 0, NIL, 3, 9),
-                ev(TR_FAULT, 0, 0, 0, 3, 1, 0),
-                ev(TR_FAULT, 0, 0, 0, 3, 2, 0),
-            ],
-        )]);
-        let report = l.check();
+        let report = log(&[
+            (0, ev(TR_FAULT, 0, 0, 0, NIL, 3, 9)),
+            (0, ev(TR_FAULT, 0, 0, 0, 3, 1, 0)),
+            (0, ev(TR_FAULT, 0, 0, 0, 3, 2, 0)),
+        ])
+        .check();
         assert_eq!(report.faults, 3);
         assert!(report.is_clean(), "{:?}", report.violations);
     }
 
     #[test]
-    fn injected_peer_death_excuses_obligations_like_poison() {
-        // Population 2 at send, one delivery, reclaimed — normally an
-        // under-delivery, but a peer-died injection on the LNVC voids it.
-        let l = log(vec![
-            (0, vec![ev(TR_SEND, 0x10, 1, 0, 3, 64, 2)]),
-            (
-                1,
-                vec![
-                    ev(TR_RECV_B, 0x10, 1, 0, 3, 64, 0),
-                    ev(TR_RECLAIM, 0x10, 1, 0, NIL, 7, 0),
-                    ev(TR_FAULT, 0, 0, 0, 3, 4, 18),
-                ],
-            ),
-        ]);
-        let report = l.check();
-        assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn chains_order_by_hop_and_streams_split_by_lnvc() {
-        let l = log(vec![
-            (
-                0,
-                vec![
-                    ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16),
-                    ev(TR_ENQUEUE, 0x30, 9, 0, 4, 32, 0),
-                ],
-            ),
-            (
-                1,
-                vec![
-                    ev(TR_RECV, 0x10, 1, 0, 3, 64, 0),
-                    ev(TR_SEND, 0x10, 2, 1, 4, 16, 1 << 16),
-                    ev(TR_WAKEUP, 0x10, 0, 0, 3, 64, 0),
-                ],
-            ),
-            (2, vec![ev(TR_RECV, 0x10, 2, 1, 4, 16, 0)]),
+    fn chains_order_by_hop() {
+        let l = log(&[
+            (0, ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16)),
+            (0, ev(TR_ENQUEUE, 0x30, 9, 0, 4, 32, 0)),
+            (1, ev(TR_RECV, 0x10, 1, 0, 3, 64, 0)),
+            (1, ev(TR_SEND, 0x10, 2, 1, 4, 16, 1 << 16)),
+            (1, ev(TR_WAKEUP, 0x10, 0, 0, 3, 64, 0)),
+            (2, ev(TR_RECV, 0x10, 2, 1, 4, 16, 0)),
         ]);
         let chains = l.chains();
         assert_eq!(chains.len(), 2);
         let chain = chains.iter().find(|c| c.id == 0x10).unwrap();
         assert_eq!(chain.hops(), 2);
         let hops: Vec<u32> = chain.events.iter().map(|r| r.ev.hop).collect();
-        let mut sorted = hops.clone();
-        sorted.sort_unstable();
-        assert_eq!(hops, sorted);
-
-        let streams = l.streams();
-        assert_eq!(streams.len(), 2);
-        assert_eq!(streams[0].lnvc, 3);
-        assert_eq!(streams[0].sends.len(), 1);
-        assert_eq!(streams[0].recvs.len(), 1);
-        assert_eq!(streams[1].lnvc, 4);
+        assert!(hops.is_sorted(), "{hops:?}");
     }
 
     #[test]
@@ -1015,11 +806,7 @@ mod tests {
 
     #[test]
     fn chrome_json_is_balanced_and_has_flows() {
-        let l = log(vec![
-            (0, vec![ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16)]),
-            (1, vec![ev(TR_RECV, 0x10, 1, 0, 3, 64, 0)]),
-        ]);
-        let json = l.chrome_json();
+        let json = log(&fcfs_pair(&[(1, msg(TR_RECV, 2, 0))])).chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(
             json.matches('{').count(),

@@ -1,23 +1,12 @@
 //! Model-based property test: random single-threaded operation sequences
-//! are executed against both the real facility and a straightforward
-//! reference model of the paper's semantics; every observable result must
-//! agree.
-//!
-//! The model encodes DESIGN.md's delivery rules directly:
-//! * a message is owed one FCFS delivery iff FCFS receivers were connected
-//!   at send time or nobody was connected at all;
-//! * it is owed a broadcast delivery to exactly the broadcast receivers
-//!   connected at send time;
-//! * broadcast receivers joining later see only later messages;
-//! * FCFS obligations are re-evaluated when the receiver population
-//!   changes: once no FCFS receiver is connected but broadcast receivers
-//!   are, untaken obligations are dropped (nobody left or joining later
-//!   will ever take them — DESIGN.md "Obligation re-evaluation");
-//! * closing the last connection discards the conversation and its queue.
+//! run against the real facility and against the paper's §3 contract as
+//! `mpf::spec` states it; every error, delivered payload, `check_receive`
+//! and the number of live conversations must agree.
 
 use std::collections::HashMap;
 
-use mpf::{Mpf, MpfConfig, MpfError, ProcessId, Protocol};
+use mpf::spec::{MsgId, Spec};
+use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 use mpf_shm::SmallRng;
 
 const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -79,67 +68,8 @@ fn random_op(rng: &mut SmallRng) -> Op {
     }
 }
 
-/// Reference model of one conversation.
-#[derive(Debug, Default)]
-struct ModelLnvc {
-    /// (payload, fcfs_owed, fcfs_taken, bcast_owed_to)
-    msgs: Vec<ModelMsg>,
-    senders: Vec<usize>,
-    /// pid → (is_broadcast, cursor into `msgs` by global index)
-    receivers: HashMap<usize, (bool, usize)>,
-    sent_total: usize,
-}
-
-#[derive(Debug, Clone)]
-struct ModelMsg {
-    seq: usize,
-    payload: Vec<u8>,
-    needs_fcfs: bool,
-    fcfs_taken: bool,
-    bcast_owed: Vec<usize>,
-}
-
-impl ModelLnvc {
-    fn connections(&self) -> usize {
-        self.senders.len() + self.receivers.len()
-    }
-
-    /// Obligation re-evaluation after any receiver-population change: when
-    /// no FCFS receiver remains but broadcast receivers keep the LNVC
-    /// alive, untaken FCFS obligations can never be satisfied (broadcast
-    /// joiners never see backlog) and are dropped; messages that become
-    /// fully consumed disappear.
-    fn reevaluate_obligations(&mut self) {
-        let has_fcfs = self.receivers.values().any(|&(b, _)| !b);
-        let has_bcast = self.receivers.values().any(|&(b, _)| b);
-        if !has_fcfs && has_bcast {
-            for m in &mut self.msgs {
-                if !m.fcfs_taken {
-                    m.needs_fcfs = false;
-                }
-            }
-        }
-        self.msgs
-            .retain(|m| !(m.bcast_owed.is_empty() && (!m.needs_fcfs || m.fcfs_taken)));
-    }
-
-    fn next_for(&self, pid: usize) -> Option<&ModelMsg> {
-        let (bcast, cursor) = *self.receivers.get(&pid)?;
-        if bcast {
-            self.msgs.iter().find(|m| m.seq >= cursor)
-        } else {
-            self.msgs.iter().find(|m| m.needs_fcfs && !m.fcfs_taken)
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Model {
-    lnvcs: HashMap<usize, ModelLnvc>,
-}
-
-fn payload_for(seq: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|i| (seq * 31 + i) as u8).collect()
+fn payload_for(seq: MsgId, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (seq as usize * 31 + i) as u8).collect()
 }
 
 fn run_sequence(ops: Vec<Op>) {
@@ -149,187 +79,82 @@ fn run_sequence(ops: Vec<Op>) {
             .with_max_messages(1024),
     )
     .expect("init");
-    let mut model = Model::default();
-    let mut ids: HashMap<usize, mpf::LnvcId> = HashMap::new();
+    let mut spec = Spec::default();
+    let mut ids: HashMap<u32, mpf::LnvcId> = HashMap::new();
+    let mut payloads: HashMap<MsgId, Vec<u8>> = HashMap::new();
 
-    for op in ops {
+    for (step, op) in ops.into_iter().enumerate() {
+        let at = |pid: u32| ProcessId::from_index(pid as usize);
+        let (conv, pid) = match op {
+            Op::OpenSend { pid, name }
+            | Op::OpenRecv { pid, name, .. }
+            | Op::CloseSend { pid, name }
+            | Op::CloseRecv { pid, name }
+            | Op::Send { pid, name, .. }
+            | Op::TryRecv { pid, name }
+            | Op::Check { pid, name } => (name as u32, pid as u32),
+        };
+        // Operations on a handle apply only to a conversation that lives.
+        let id = ids.get(&conv).copied();
+        if id.is_none() && !matches!(op, Op::OpenSend { .. } | Op::OpenRecv { .. }) {
+            continue;
+        }
         match op {
-            Op::OpenSend { pid, name } => {
-                let result = mpf.open_send(ProcessId::from_index(pid), NAMES[name]);
-                let entry = model.lnvcs.entry(name).or_default();
-                if entry.senders.contains(&pid) {
-                    assert_eq!(result.unwrap_err(), MpfError::AlreadyConnected);
-                    // A failed open on a fresh name must not leak a
-                    // conversation — but `contains` implies it existed.
-                } else {
-                    let id = result.expect("open_send");
-                    ids.insert(name, id);
-                    entry.senders.push(pid);
-                }
+            Op::OpenSend { name, .. } => {
+                let got = mpf.open_send(at(pid), NAMES[name]);
+                assert_eq!(got.as_ref().err(), spec.open_send(conv, pid).err().as_ref());
+                ids.extend(got.ok().map(|id| (conv, id)));
             }
-            Op::OpenRecv { pid, name, bcast } => {
-                let protocol = if bcast {
-                    Protocol::Broadcast
-                } else {
-                    Protocol::Fcfs
-                };
-                let result = mpf.open_receive(ProcessId::from_index(pid), NAMES[name], protocol);
-                let entry = model.lnvcs.entry(name).or_default();
-                if let Some(&(existing_bcast, _)) = entry.receivers.get(&pid) {
-                    let expected = if existing_bcast != bcast {
-                        MpfError::ProtocolConflict
-                    } else {
-                        MpfError::AlreadyConnected
-                    };
-                    assert_eq!(result.unwrap_err(), expected);
-                } else {
-                    let id = result.expect("open_receive");
-                    ids.insert(name, id);
-                    entry.receivers.insert(pid, (bcast, entry.sent_total));
-                    entry.reevaluate_obligations();
-                }
+            Op::OpenRecv { name, bcast, .. } => {
+                let protocol = [Protocol::Fcfs, Protocol::Broadcast][usize::from(bcast)];
+                let got = mpf.open_receive(at(pid), NAMES[name], protocol);
+                let want = spec.open_receive(conv, pid, protocol);
+                assert_eq!(got.as_ref().err(), want.err().as_ref());
+                ids.extend(got.ok().map(|id| (conv, id)));
             }
-            Op::CloseSend { pid, name } => {
-                let Some(&id) = ids.get(&name) else { continue };
-                let result = mpf.close_send(ProcessId::from_index(pid), id);
-                let Some(entry) = model.lnvcs.get_mut(&name) else {
-                    assert!(result.is_err());
-                    continue;
-                };
-                if let Some(pos) = entry.senders.iter().position(|&s| s == pid) {
-                    result.expect("close_send");
-                    entry.senders.remove(pos);
-                    if entry.connections() == 0 {
-                        model.lnvcs.remove(&name);
-                        ids.remove(&name);
-                    }
-                } else {
-                    assert!(result.is_err(), "model says {pid} has no send conn");
-                }
+            Op::CloseSend { .. } => {
+                let got = mpf.close_send(at(pid), id.unwrap());
+                assert_eq!(got, spec.close_send(conv, pid));
             }
-            Op::CloseRecv { pid, name } => {
-                let Some(&id) = ids.get(&name) else { continue };
-                let result = mpf.close_receive(ProcessId::from_index(pid), id);
-                let Some(entry) = model.lnvcs.get_mut(&name) else {
-                    assert!(result.is_err());
-                    continue;
-                };
-                if let Some((bcast, cursor)) = entry.receivers.remove(&pid) {
-                    result.expect("close_receive");
-                    if bcast {
-                        // Release this receiver's claims (the §3.2 sweep).
-                        for m in &mut entry.msgs {
-                            if m.seq >= cursor {
-                                m.bcast_owed.retain(|&r| r != pid);
-                            }
-                        }
-                    }
-                    entry.reevaluate_obligations();
-                    if entry.connections() == 0 {
-                        model.lnvcs.remove(&name);
-                        ids.remove(&name);
-                    }
-                } else {
-                    assert!(result.is_err());
-                }
+            Op::CloseRecv { .. } => {
+                let got = mpf.close_receive(at(pid), id.unwrap());
+                assert_eq!(got, spec.close_receive(conv, pid));
             }
-            Op::Send { pid, name, len } => {
-                let Some(&id) = ids.get(&name) else { continue };
-                let Some(entry) = model.lnvcs.get_mut(&name) else {
-                    continue;
-                };
-                let seq = entry.sent_total;
-                let payload = payload_for(seq, len);
-                let result = mpf.message_send(ProcessId::from_index(pid), id, &payload);
-                if entry.senders.contains(&pid) {
-                    result.expect("message_send");
-                    let bcast_owed: Vec<usize> = entry
-                        .receivers
-                        .iter()
-                        .filter(|(_, &(b, _))| b)
-                        .map(|(&r, _)| r)
-                        .collect();
-                    let any_receiver = !entry.receivers.is_empty();
-                    entry.msgs.push(ModelMsg {
-                        seq,
-                        payload,
-                        needs_fcfs: entry.receivers.values().any(|&(b, _)| !b) || !any_receiver,
-                        fcfs_taken: false,
-                        bcast_owed,
-                    });
-                    entry.sent_total += 1;
-                } else {
-                    assert_eq!(result.unwrap_err(), MpfError::NotConnected);
-                }
+            Op::Send { len, .. } => {
+                let msg = step as MsgId;
+                let payload = payload_for(msg, len);
+                let got = mpf.message_send(at(pid), id.unwrap(), &payload);
+                assert_eq!(got, spec.send(conv, pid, msg).map(|_| ()));
+                payloads.insert(msg, payload);
             }
-            Op::TryRecv { pid, name } => {
-                let Some(&id) = ids.get(&name) else { continue };
+            Op::TryRecv { .. } => {
                 let mut buf = [0u8; 128];
-                let view = mpf.view(ProcessId::from_index(pid)).expect("view");
-                let result = view.try_message_receive(id, &mut buf);
-                let Some(entry) = model.lnvcs.get_mut(&name) else {
-                    continue;
-                };
-                match entry.receivers.get(&pid).copied() {
-                    None => assert_eq!(result.unwrap_err(), MpfError::NotConnected),
-                    Some((bcast, _)) => {
-                        let expected = entry.next_for(pid).cloned();
-                        match (result.expect("try_recv"), expected) {
-                            (Some(n), Some(m)) => {
-                                assert_eq!(&buf[..n], &m.payload[..], "payload mismatch");
-                                // Update the model's delivery state.
-                                if bcast {
-                                    entry.receivers.get_mut(&pid).expect("conn").1 = m.seq + 1;
-                                    let msg = entry
-                                        .msgs
-                                        .iter_mut()
-                                        .find(|x| x.seq == m.seq)
-                                        .expect("msg");
-                                    msg.bcast_owed.retain(|&r| r != pid);
-                                } else {
-                                    entry
-                                        .msgs
-                                        .iter_mut()
-                                        .find(|x| x.seq == m.seq)
-                                        .expect("msg")
-                                        .fcfs_taken = true;
-                                }
-                                entry.msgs.retain(|m| {
-                                    !(m.bcast_owed.is_empty() && (!m.needs_fcfs || m.fcfs_taken))
-                                });
-                            }
-                            (None, None) => {}
-                            (got, want) => panic!(
-                                "delivery mismatch: real={got:?} model={}",
-                                want.map(|m| format!("msg seq {}", m.seq))
-                                    .unwrap_or_else(|| "none".into())
-                            ),
-                        }
+                let view = mpf.view(at(pid)).expect("view");
+                let got = view.try_message_receive(id.unwrap(), &mut buf);
+                let want = spec.next_for(conv, pid);
+                match (got, want) {
+                    (Ok(Some(n)), Ok(Some((msg, protocol)))) => {
+                        assert_eq!(&buf[..n], &payloads[&msg][..], "payload mismatch");
+                        assert_eq!(spec.deliver(conv, pid, msg, protocol), None);
                     }
+                    (Ok(None), Ok(None)) => {}
+                    (Err(e), Err(w)) => assert_eq!(e, w),
+                    (got, want) => panic!("delivery mismatch: real={got:?} spec={want:?}"),
                 }
             }
-            Op::Check { pid, name } => {
-                let Some(&id) = ids.get(&name) else { continue };
-                let result = mpf.check_receive(ProcessId::from_index(pid), id);
-                let Some(entry) = model.lnvcs.get(&name) else {
-                    continue;
-                };
-                match entry.receivers.get(&pid) {
-                    None => assert_eq!(result.unwrap_err(), MpfError::NotConnected),
-                    Some(_) => {
-                        assert_eq!(
-                            result.expect("check"),
-                            entry.next_for(pid).is_some(),
-                            "check_receive disagrees with the model"
-                        );
-                    }
-                }
+            Op::Check { .. } => {
+                let got = mpf.check_receive(at(pid), id.unwrap());
+                assert_eq!(got, spec.next_for(conv, pid).map(|m| m.is_some()));
             }
+        }
+        if spec.obligations(conv).is_none() {
+            ids.remove(&conv);
         }
     }
 
-    // Conservation: every conversation the model thinks is dead is dead.
-    assert_eq!(mpf.live_lnvcs(), model.lnvcs.len());
+    // Conservation: every conversation the spec holds dead is dead.
+    let live = (0..NAMES.len() as u32).filter(|&c| spec.obligations(c).is_some());
+    assert_eq!(mpf.live_lnvcs(), live.count());
 }
 
 /// 64 random operation sequences (1..120 ops each) from a fixed seed, so
