@@ -28,7 +28,6 @@ use mpf::inspect::RegionInspector;
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_check::{explore_dfs, explore_random, Case, DeathPlan, ExploreOpts};
 use mpf_ipc::IpcMpf;
-use mpf_shm::waitq::FutexSeq;
 
 mod common;
 use common::conforms;
@@ -398,45 +397,40 @@ fn ipc_doorbell_wakes_on_non_first_member_random() {
     explore_random(&opts, 0xBE11, doorbell_second_member_case).assert_ok();
 }
 
-/// A watcher's peer is killed mid-registration: the victim watches the
-/// same conversation as the survivor and may die at any decision point —
-/// holding the conversation's lock inside its arm, armed and asleep on its
-/// own doorbell, or not at all.  The sender's one message (or the poison
-/// its lock-break leaves) must still reach the survivor, whose wait has
-/// no timeout here; afterwards the sweep must have retired the corpse's
-/// watch with its connection.
+/// A blocked receiver's peer is killed mid-wait: the victim blocks in a
+/// receive on the same conversation as the survivor and may die at any
+/// decision point — holding the conversation's lock inside the attempt
+/// that arms its watch, armed and asleep on its own doorbell, or not at
+/// all.  The sender's one message (or the poison its lock-break leaves)
+/// must still reach the survivor, whose wait has no timeout here;
+/// afterwards the sweep must have retired the corpse's watch with its
+/// connection.
 fn doorbell_peer_killed_case() -> Case {
     let (name, s) = named_region("bell-kill");
     let v = s.attach_view().expect("victim view");
     let p = s.attach_view().expect("sender view");
     let total = s.free_blocks();
     let tx = p.open_send("x").expect("open x");
-    let _ty = p.open_send("y").expect("open y");
     // Different protocols, so one message is deliverable to both.
     let rs_x = s.open_receive("x", Protocol::Fcfs).expect("survivor x");
-    let rs_y = s.open_receive("y", Protocol::Fcfs).expect("survivor y");
     let rv_x = v.open_receive("x", Protocol::Broadcast).expect("victim x");
     let s = Arc::new(s);
     let v = Arc::new(v);
     let checker = Arc::clone(&s);
+    let receive = |ipc: &IpcMpf, rx| match ipc.message_receive(rx, &mut [0u8; 32]) {
+        Ok(n) => assert_eq!(n, 8),
+        Err(MpfError::PeerDied { .. }) => {}
+        Err(e) => panic!("pid {} receive: {e:?}", ipc.pid()),
+    };
     let victim = {
         let v = Arc::clone(&v);
-        Box::new(move || match v.wait_any_deadline(&[rv_x], None) {
-            Ok(_) | Err(MpfError::PeerDied { .. }) => {}
-            Err(e) => panic!("victim wait: {e:?}"),
-        }) as Proc
+        Box::new(move || receive(&v, rv_x)) as Proc
     };
     let survivor = {
         let s = Arc::clone(&s);
         Box::new(move || {
-            // The quiet member first: the wake must come from the second.
-            match s.wait_any_deadline(&[rs_y, rs_x], None) {
-                Ok(id) => assert_eq!(id, rs_x),
-                Err(MpfError::PeerDied { .. }) => {}
-                Err(e) => panic!("survivor wait: {e:?}"),
-            }
+            receive(&s, rs_x);
             s.close_receive(rs_x).expect("close x");
-            s.close_receive(rs_y).expect("close y");
         }) as Proc
     };
     let sender = Box::new(move || {
@@ -445,7 +439,6 @@ fn doorbell_peer_killed_case() -> Case {
             Err(e) => panic!("send: {e:?}"),
         }
         p.close_send(tx).expect("close send x");
-        p.close_send(_ty).expect("close send y");
     }) as Proc;
     let on_death = {
         let v = Arc::clone(&v);
@@ -490,40 +483,50 @@ fn ipc_doorbell_survives_dead_watcher_random() {
     explore_random(&opts, 0xDEADBE11, doorbell_peer_killed_case).assert_ok();
 }
 
-/// The sleeper-count gate of the in-region wait queue: `notify_all` only
-/// wakes (and, under hooks, only reports a notify) when somebody is
-/// counted asleep.  With the window between a waiter's count and its
-/// sequence re-check opened as a preemption — and kill — point, no
-/// interleaving may leave the immortal waiter parked; a victim killed
-/// inside the wait leaves the count high, which must stay harmless.
+/// The sleeper-count gate of the doorbell a blocked receive sleeps on:
+/// `notify_all` only wakes (and, under hooks, only reports a notify) when
+/// somebody is counted asleep.  Two processes block in a receive on one
+/// conversation and the sender's one message is owed to both.  With the
+/// window between a receiver's count and its sequence re-check opened as
+/// a preemption — and kill — point, no interleaving may leave the
+/// immortal receiver parked; a victim killed inside the wait leaves its
+/// count high, which must stay harmless.
 fn sleeper_gate_case() -> Case {
-    let q = Arc::new(FutexSeq::new());
-    let flag = Arc::new(AtomicBool::new(false));
-    let waiter = |q: Arc<FutexSeq>, flag: Arc<AtomicBool>| {
-        Box::new(move || loop {
-            let t = q.ticket();
-            if flag.load(Ordering::SeqCst) {
-                return;
-            }
-            q.wait(t, None);
+    let (name, root) = named_region("gate");
+    let views = [(); 3].map(|()| Arc::new(root.attach_view().expect("view")));
+    let [w0, w1, n] = views.clone();
+    let total = root.free_blocks();
+    let tx = n.open_send("gate").expect("open send");
+    let rx = [&w0, &w1].map(|w| {
+        w.open_receive("gate", Protocol::Broadcast)
+            .expect("open recv")
+    });
+    let waiter = |w: Arc<IpcMpf>, rx| {
+        Box::new(move || match w.message_receive(rx, &mut [0u8; 32]) {
+            Ok(n) => assert_eq!(n, 2),
+            Err(MpfError::PeerDied { .. }) => {}
+            Err(e) => panic!("receive: {e:?}"),
         }) as Proc
     };
     let notifier = {
-        let (q, flag) = (Arc::clone(&q), Arc::clone(&flag));
-        Box::new(move || {
-            flag.store(true, Ordering::SeqCst);
-            q.notify_all();
+        let n = Arc::clone(&n);
+        Box::new(move || match n.message_send(tx, b"go") {
+            Ok(()) | Err(MpfError::PeerDied { .. }) => {}
+            Err(e) => panic!("send: {e:?}"),
         }) as Proc
     };
     let died = Arc::new(AtomicBool::new(false));
     let on_death = {
-        let died = Arc::clone(&died);
-        Box::new(move |_tid: usize| died.store(true, Ordering::Relaxed))
+        let (died, corpse) = (Arc::clone(&died), Arc::clone(&w0));
+        Box::new(move |_tid: usize| {
+            died.store(true, Ordering::Relaxed);
+            corpse.debug_abandon_slot();
+        })
     };
     Case {
         procs: vec![
-            waiter(Arc::clone(&q), Arc::clone(&flag)),
-            waiter(Arc::clone(&q), Arc::clone(&flag)),
+            waiter(Arc::clone(&w0), rx[0]),
+            waiter(Arc::clone(&w1), rx[1]),
             notifier,
         ],
         death: Some(DeathPlan {
@@ -531,10 +534,32 @@ fn sleeper_gate_case() -> Case {
             on_death,
         }),
         check: Box::new(move || {
-            if !died.load(Ordering::Relaxed) && q.sleepers() != 0 {
-                return Err(format!("{} sleepers counted, none exist", q.sleepers()));
+            // Reap a victim that died after the survivor's last sweep; a
+            // victim that outlived the schedule closes like anyone else.
+            if root.sweep_dead_peers() == 0 && w0.peer_alive(w0.pid()) {
+                w0.close_receive(rx[0])
+                    .map_err(|e| format!("close w0: {e}"))?;
             }
-            Ok(())
+            w1.close_receive(rx[1])
+                .map_err(|e| format!("close w1: {e}"))?;
+            n.close_send(tx).map_err(|e| format!("close send: {e}"))?;
+            // A victim killed inside its reclaim takes the one-block
+            // message along (DESIGN.md "Free lists"), and nothing else.
+            let died = died.load(Ordering::Relaxed);
+            match root.check_invariants() {
+                Err(e) if !(died && e.contains("leaked")) => return Err(e),
+                _ => {}
+            }
+            let floor = total - u32::from(died);
+            if root.free_blocks() < floor || root.live_lnvcs() != 0 {
+                return Err(format!(
+                    "{} blocks free of {total}, {} conversations live",
+                    root.free_blocks(),
+                    root.live_lnvcs()
+                ));
+            }
+            conforms(&root)?;
+            doorbell_state_is_clean(&name)
         }),
     }
 }
@@ -546,6 +571,59 @@ fn ipc_sleeper_gate_loses_no_wake() {
         .preempt_events(true);
     explore_dfs(&opts, sleeper_gate_case).assert_ok();
     explore_random(&opts, 0x6A7E, sleeper_gate_case).assert_ok();
+}
+
+/// Two FCFS receivers blocked on one conversation and two sends: a
+/// publish rings no more FCFS watchers than there are queued messages, so
+/// the second send must ring the receiver the first did not — whether the
+/// first rung receiver has taken its message yet or not.  A receiver left
+/// asleep with a message queued deadlocks here (hooked waits have no
+/// sweep cadence to fall back on).
+fn fcfs_watchers_case() -> Case {
+    let (name, root) = named_region("fcfs-ring");
+    let views = [(); 3].map(|()| Arc::new(root.attach_view().expect("view")));
+    let [r1, r2, s] = views.clone();
+    let total = root.free_blocks();
+    let tx = s.open_send("jobs").expect("open send");
+    let rx = [&r1, &r2].map(|r| r.open_receive("jobs", Protocol::Fcfs).expect("open recv"));
+    let receiver = |r: Arc<IpcMpf>, rx| {
+        Box::new(move || assert_eq!(r.message_receive(rx, &mut [0u8; 32]), Ok(3))) as Proc
+    };
+    let sender = {
+        let s = Arc::clone(&s);
+        Box::new(move || {
+            s.message_send(tx, b"one").expect("send");
+            s.message_send(tx, b"two").expect("send");
+        }) as Proc
+    };
+    Case {
+        procs: vec![
+            receiver(Arc::clone(&r1), rx[0]),
+            receiver(Arc::clone(&r2), rx[1]),
+            sender,
+        ],
+        death: None,
+        check: Box::new(move || {
+            let _views = &views;
+            s.close_send(tx).map_err(|e| format!("close send: {e}"))?;
+            for (r, rx) in [(&r1, rx[0]), (&r2, rx[1])] {
+                r.close_receive(rx)
+                    .map_err(|e| format!("close recv: {e}"))?;
+            }
+            if root.free_blocks() != total || root.live_lnvcs() != 0 {
+                return Err("blocks or conversations left behind".into());
+            }
+            conforms(&root)?;
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+#[test]
+fn ipc_fcfs_watchers_each_get_a_ring() {
+    let opts = ExploreOpts::new("ipc-fcfs-watchers").max_schedules(300);
+    explore_dfs(&opts, fcfs_watchers_case).assert_ok();
+    explore_random(&opts, 0xFCF5, fcfs_watchers_case).assert_ok();
 }
 
 /// {pool-wait registration, reclaim, sleep}: a sender blocked on an
@@ -773,11 +851,7 @@ fn batch_death_case(victim: usize) -> Case {
             if root.free_blocks() != free {
                 return Err("the probe's blocks did not come back".into());
             }
-            // A sender killed between publishing and writing its `TR_SEND`
-            // records (after the unlock) takes them along: no replay then.
-            if !(died && victim == 1) {
-                conforms(&root)?;
-            }
+            conforms(&root)?;
             doorbell_state_is_clean(&name)
         }),
     }

@@ -20,7 +20,8 @@
 //! connections, and **poisons** the conversations they touched so
 //! survivors unblock with [`MpfError::PeerDied`] instead of deadlocking.
 
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::ops::ControlFlow::{self, Break, Continue};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::config::MpfConfig;
@@ -39,8 +40,7 @@ use mpf_shm::tracering::{
     TR_OPEN_RECV, TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND,
     TR_SEND_BLOCK, TR_SWEEP_DEAD, TR_WAKEUP,
 };
-use mpf_shm::waitq::FutexSeq;
-use mpf_shm::ShmRegion;
+use mpf_shm::{FutexSeq, ShmRegion};
 
 use crate::shmem::{
     msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
@@ -343,54 +343,6 @@ enum Wait {
     Until(Option<Instant>),
 }
 
-/// Watches armed by one doorbell wait; disarmed on drop.
-///
-/// Like the in-region locks, in-region registrations are not released by
-/// unwinding: no wait panics on its own, so an unwind through one is the
-/// schedule explorer's modeled kill, which must leave the region exactly
-/// as SIGKILL would — for the sweep to clean up.
-struct Watch<'a> {
-    ipc: &'a IpcMpf,
-    armed: Vec<LnvcId>,
-}
-
-impl Drop for Watch<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            for &id in &self.armed {
-                self.ipc.set_watch(id, false);
-            }
-        }
-    }
-}
-
-/// One registration for the pool signal: from here until the drop, every
-/// reclaim in the region bumps the pool signal and rings this process's
-/// doorbell.  Withdrawn on drop (but, as for [`Watch`], not by an unwind).
-struct PoolWait<'a>(&'a IpcMpf);
-
-impl<'a> PoolWait<'a> {
-    fn register(ipc: &'a IpcMpf) -> Self {
-        // Region count first, slot share second (and the reverse on the
-        // way out): a kill in between leaves the count high — the gate
-        // stuck open, every reclaim signalling — never a share the sweep
-        // would subtract without it having been added.
-        ipc.t.header().pool_waiters.fetch_add(1, Ordering::SeqCst);
-        ipc.t.slot(ipc.me).mem_wait.fetch_add(1, Ordering::SeqCst);
-        PoolWait(ipc)
-    }
-}
-
-impl Drop for PoolWait<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let ipc = self.0;
-            ipc.t.slot(ipc.me).mem_wait.fetch_sub(1, Ordering::SeqCst);
-            ipc.t.header().pool_waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
 impl IpcMpf {
     // -- construction --------------------------------------------------
 
@@ -612,19 +564,6 @@ impl IpcMpf {
         self.cfg.telemetry.then(|| self.t.fac_tel(self.me))
     }
 
-    /// Books the first wait of one blocking receive on conversation `idx`
-    /// (once per call, however many naps it takes).
-    fn note_recv_wait(&self, idx: u32) {
-        if let Some(t) = self.tel() {
-            t.recv_waits.inc();
-            self.t
-                .lnvc_tel(idx)
-                .recv_waits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace_pop(TR_RECV_BLOCK, idx, 0);
-    }
-
     /// Liveness oracle for [`mpf_shm::IpcLock`] holders.  Lock owner ids
     /// are `mpf_pid + 1` (0 means "free"), hence the shift.
     fn holder_alive(&self, owner: u32) -> bool {
@@ -638,9 +577,9 @@ impl IpcMpf {
         self.me + 1
     }
 
-    /// Acquires an LNVC (or registry) lock, poisoning `d` if the previous
-    /// holder died inside its critical section.
-    fn lock_lnvc(&self, d: &LnvcDesc) {
+    /// Acquires conversation `idx`'s lock, poisoning `d` (its descriptor)
+    /// if the previous holder died inside its critical section.
+    fn lock_lnvc(&self, idx: u32, d: &LnvcDesc) {
         let (acq, contended) = d
             .lock
             .lock_traced(self.lock_owner(), |o| self.holder_alive(o));
@@ -658,12 +597,13 @@ impl IpcMpf {
                 d.dead_pid.store(owner - 1, Ordering::Release);
             }
             // Poison is sticky, so every later acquire lands here too —
-            // log the marker only on the 0→1 transition.
+            // log the marker only on the 0→1 transition, stamped under the
+            // lock it now holds like the sweep's poison.
             if d.poisoned.swap(1, Ordering::AcqRel) == 0 {
-                self.trace_pop(TR_POISON, NIL, d.dead_pid.load(Ordering::Acquire));
+                self.trace_population(TR_POISON, idx, d.dead_pid.load(Ordering::Acquire));
             }
-            d.waitq.notify_all();
-            self.ring_watchers(d);
+            // Rung with the lock held: this acquire cannot drop it first.
+            self.ring_doorbells(self.watchers(d, None));
         }
     }
 
@@ -747,9 +687,9 @@ impl IpcMpf {
         }
     }
 
-    /// Records a marker event (blocking, lock contention, sweep, a broken
-    /// lock's poison).  Not sampled: a post-mortem reader needs the last
-    /// things a process did, even across untraced gaps.
+    /// Records a marker event (blocking, lock contention, sweep).  Not
+    /// sampled: a post-mortem reader needs the last things a process did,
+    /// even across untraced gaps.
     fn trace_pop(&self, kind: u32, lnvc: u32, arg: u32) {
         if self.tracing() {
             self.t
@@ -842,7 +782,7 @@ impl IpcMpf {
         self.with_registry(|| {
             let (idx, created) = self.find_or_create(lname.as_str())?;
             let d = self.t.lnvc(idx);
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let result = (|| {
                 self.poison_check(d)?;
                 if self
@@ -882,7 +822,7 @@ impl IpcMpf {
         self.with_registry(|| {
             let (idx, created) = self.find_or_create(lname.as_str())?;
             let d = self.t.lnvc(idx);
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let result = (|| {
                 self.poison_check(d)?;
                 if let Some(existing) =
@@ -944,7 +884,7 @@ impl IpcMpf {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, d) = self.resolve(id)?;
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let result = (|| {
                 let conn = self
                     .unlink_conn(ConnKind::Send, &d.send_head, self.me)
@@ -956,7 +896,7 @@ impl IpcMpf {
                     .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
                 d.n_senders.fetch_sub(1, Ordering::AcqRel);
                 if d.total_connections() == 0 {
-                    self.delete_conversation(idx, d);
+                    self.deactivate(idx);
                 }
                 Ok(())
             })();
@@ -972,7 +912,7 @@ impl IpcMpf {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, d) = self.resolve(id)?;
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let result = (|| {
                 let conn = self
                     .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
@@ -982,7 +922,7 @@ impl IpcMpf {
                 // lose their watch with it; woken below to notice.
                 let watches = self.retire_recv(idx, d, conn);
                 if d.total_connections() == 0 {
-                    self.delete_conversation(idx, d);
+                    self.deactivate(idx);
                 }
                 Ok(watches)
             })();
@@ -1039,14 +979,15 @@ impl IpcMpf {
     /// index in `arg0`, length in `arg1`, causal id in `trace`, hop count
     /// in `status` — at the tail of conversation `idx` under one lock hold,
     /// with one receiver population and so one set of obligations, books
-    /// them, and wakes receivers once.  On error nothing was published and
-    /// the staged messages are still the caller's to free.
+    /// and records them, and rings each watching process once.  On error
+    /// nothing was published and the staged messages are still the
+    /// caller's to free.
     fn publish_run(&self, idx: u32, d: &LnvcDesc, run: &[RingEntry]) -> Result<()> {
         // One clock read, at the run's first timed message, is the latency
         // origin of its timed messages and dates every record; a run with
         // none reads nothing and records undated (0).
         let mut now = 0u64;
-        self.lock_lnvc(d);
+        self.lock_lnvc(idx, d);
         let published = self.send_obligations(d).map(|(needs_fcfs, n_bcast)| {
             // Stamps are the region's total order over sends, increasing
             // along every queue; a run takes its block of them in one
@@ -1059,6 +1000,7 @@ impl IpcMpf {
                 .fetch_add(run.len() as u64, Ordering::AcqRel);
             let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
             let (mut bytes, mut depth) = (0u64, 0u32);
+            let first_seq = d.next_seq.load(Ordering::Relaxed);
             for (e, stamp) in run.iter().zip(first_stamp..) {
                 let m = self.t.msg(e.arg0);
                 // The causal id is in place before receivers can see the
@@ -1092,18 +1034,21 @@ impl IpcMpf {
                 lt.note_depth(u64::from(depth));
             }
             // Obligations are fixed at this instant; packed, they are what
-            // the conformance checker audits the deliveries against.
-            (first_stamp, (u32::from(needs_fcfs) << 16) | n_bcast)
+            // the conformance checker audits the deliveries against.  The
+            // records are written before the unlock, so no receiver can
+            // take a message whose sender died before recording it.
+            let obligations = (u32::from(needs_fcfs) << 16) | n_bcast;
+            let at = Some(now);
+            for (e, stamp) in run.iter().zip(first_stamp..) {
+                let hop = e.status as u32;
+                self.trace_rec_at(at, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
+            }
+            self.watchers(d, Some(first_seq))
         });
         d.lock.unlock();
-        let (first_stamp, obligations) = published?;
-        // One wake for the whole run — the amortisation the rings buy.
-        self.notify_lnvc(d);
-        let at = Some(now);
-        for (e, stamp) in run.iter().zip(first_stamp..) {
-            let hop = e.status as u32;
-            self.trace_rec_at(at, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
-        }
+        // One wake per watcher for the whole run — the amortisation the
+        // rings buy.
+        self.ring_doorbells(published?);
         Ok(())
     }
 
@@ -1111,8 +1056,8 @@ impl IpcMpf {
     /// deliverable to this process.
     pub fn check_receive(&self, id: LnvcId) -> Result<bool> {
         self.heartbeat();
-        let (_, d) = self.resolve(id)?;
-        self.lock_lnvc(d);
+        let (idx, d) = self.resolve(id)?;
+        self.lock_lnvc(idx, d);
         let result = (|| {
             self.poison_check(d)?;
             let conn = self
@@ -1179,10 +1124,10 @@ impl IpcMpf {
     /// Every receive: delivers up to `max` messages through `take` (see
     /// [`Self::deliver_locked`]) under one lock hold and returns how many
     /// messages and bytes that was.  With nothing deliverable,
-    /// [`Wait::No`] returns `(0, 0)` at once and [`Wait::Until`] sleeps on
-    /// the conversation's sequence — the only place a receiver does —
-    /// waking at least every [`RECV_SWEEP_INTERVAL`] to look for dead
-    /// peers, until a first delivery or [`MpfError::TimedOut`].
+    /// [`Wait::No`] returns `(0, 0)` at once and [`Wait::Until`] watches
+    /// the conversation and sleeps on the process doorbell, waking at
+    /// least every [`RECV_SWEEP_INTERVAL`] to look for dead peers, until a
+    /// first delivery or [`MpfError::TimedOut`].
     fn receive_with(
         &self,
         id: LnvcId,
@@ -1194,50 +1139,72 @@ impl IpcMpf {
         if max == 0 {
             return Ok((0, 0));
         }
+        let (waits, deadline) = match wait {
+            Wait::No => (false, None),
+            Wait::Until(deadline) => (true, deadline),
+        };
         // One blocked call is one wait, however many 50 ms naps it takes —
         // counting per nap would turn an idle receiver into a counter storm.
-        let mut waited = false;
-        loop {
+        let (mut armed, mut waited, mut at, mut slept_on) = (false, false, NIL, 0);
+        let delivered = self.doorbell_wait(deadline, || {
             let (idx, d) = self.resolve(id)?;
-            if matches!(wait, Wait::Until(_)) {
+            at = idx;
+            if waits {
                 // Injected peer death: identical shape to a sweep-detected
                 // poisoning, minus the region mutation.  The single-pass
                 // `try_` forms never wait and are left alone.
                 self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
             }
-            // Ticket before the predicate check (the sequence-count
-            // protocol): a send between our check and our wait bumps the
-            // sequence and the wait returns immediately.
-            let ticket = d.waitq.ticket();
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let result = self.deliver_locked(idx, d, max, &mut take);
-            d.lock.unlock();
-            let delivered = result?;
-            let deadline = match wait {
-                Wait::Until(deadline) if delivered.0 == 0 => deadline,
-                _ => {
-                    if waited && self.tracing() {
-                        // The delivery that ended the block; its chain is
-                        // the context deliver_locked just adopted.
-                        let trace = self.ctx_trace.load(Ordering::Relaxed);
-                        let hop = self.ctx_hop.load(Ordering::Relaxed);
-                        let bytes = delivered.1 as u32;
-                        self.trace_rec_at(None, TR_WAKEUP, hop, trace, idx, 0, bytes, 0);
-                    }
-                    return Ok(delivered);
-                }
-            };
-            let nap = Self::nap_until(deadline).ok_or(MpfError::TimedOut)?;
-            if !waited {
-                waited = true;
-                self.note_recv_wait(idx);
+            // The watch arms in the hold that found nothing and disarms in
+            // the one that delivers, so a woken receive takes no lock pair
+            // beyond its two attempts; a failure leaves it to the exit.
+            let sleep = waits && matches!(result, Ok((0, _)));
+            if sleep != armed && (sleep || result.is_ok()) {
+                self.watch_locked(d, sleep);
+                armed = sleep;
             }
-            d.waitq.wait(ticket, Some(nap));
-            // Between naps, look for dead peers so a vanished sender
-            // poisons the conversation instead of leaving us blocked
-            // forever.
-            self.sweep_if_due();
+            // Taken in the hold that armed the watch: a publish after it
+            // sees the watch and rings past this ticket.
+            let ticket = sleep.then(|| self.doorbell().ticket());
+            d.lock.unlock();
+            let Some(ticket) = ticket else {
+                return result.map(Break);
+            };
+            if !waited {
+                // The first wait of this call, booked once.
+                waited = true;
+                if let Some(t) = self.tel() {
+                    t.recv_waits.inc();
+                    self.t
+                        .lnvc_tel(idx)
+                        .recv_waits
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                self.trace_pop(TR_RECV_BLOCK, idx, 0);
+            }
+            slept_on = ticket;
+            Ok(Continue(ticket))
+        });
+        if let (true, Ok((idx, d))) = (armed, self.resolve(id)) {
+            // Timed out or failed: one more lock pair disarms, and passes a
+            // ring that came after the last attempt on to the other
+            // watchers — it may have been for a message left behind.
+            self.lock_lnvc(idx, d);
+            self.watch_locked(d, false);
+            let (rung, others) = (self.doorbell().ticket() != slept_on, self.watchers(d, None));
+            d.lock.unlock();
+            self.ring_doorbells(if rung { others } else { Vec::new() });
         }
+        if let (Ok((_, bytes)), true) = (&delivered, waited && self.tracing()) {
+            // The delivery that ended the block; its chain is the context
+            // deliver_locked just adopted.
+            let trace = self.ctx_trace.load(Ordering::Relaxed);
+            let hop = self.ctx_hop.load(Ordering::Relaxed);
+            self.trace_rec_at(None, TR_WAKEUP, hop, trace, at, 0, *bytes as u32, 0);
+        }
+        delivered
     }
 
     /// Deadline-bounded blocking send: where [`Self::message_send`]
@@ -1266,57 +1233,76 @@ impl IpcMpf {
         deadline: Option<Instant>,
         attempt: impl Fn() -> Result<T>,
     ) -> Result<T> {
-        let exhausted = |r: &Result<T>| {
-            matches!(
-                r,
-                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted)
-            )
-        };
-        let first = attempt();
-        if !exhausted(&first) {
-            return first;
+        match attempt() {
+            Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
+            first => return first,
         }
         // Register, then the ticket, then the retry — in that order, so a
         // reclaim either is seen by the retry or rings past the ticket; the
         // first failure, unregistered, proved nothing.
-        let _waiting = PoolWait::register(self);
-        loop {
+        self.pool_wait(true);
+        let sent = self.doorbell_wait(deadline, || {
             let ticket = self.doorbell().ticket();
-            let again = attempt();
-            if !exhausted(&again) {
-                return again;
+            match attempt() {
+                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {
+                    Ok(Continue(ticket))
+                }
+                again => again.map(Break),
             }
-            if !self.doorbell_nap(ticket, deadline) {
-                return Err(MpfError::TimedOut);
-            }
+        });
+        self.pool_wait(false);
+        sent
+    }
+
+    /// Registers for the pool signal (`on`): until the withdrawal every
+    /// reclaim bumps it and rings this process's doorbell.  Like a watch,
+    /// a registration is withdrawn after its wait, never by an unwind: one
+    /// is the schedule explorer's modeled kill, which must leave the region
+    /// as SIGKILL would, for the sweep to clean up.
+    fn pool_wait(&self, on: bool) {
+        let header = self.t.header();
+        let (all, mine) = (&header.pool_waiters, &self.t.slot(self.me).mem_wait);
+        // Region count first, slot share second, and the reverse on the way
+        // out: a kill in between leaves the count high (every reclaim then
+        // signals), never a share the sweep would subtract unadded.
+        if on {
+            all.fetch_add(1, Ordering::SeqCst);
+            mine.fetch_add(1, Ordering::SeqCst);
+        } else {
+            mine.fetch_sub(1, Ordering::SeqCst);
+            all.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     /// Blocks until one of `ids` has a deliverable message and returns
     /// that conversation's id, or [`MpfError::TimedOut`] once `deadline`
-    /// passes.  Watches every member, so an enqueue, poison
-    /// or close on any of them rings this process's doorbell, and sleeps
-    /// on that one word.  An empty set is [`MpfError::EmptyWaitSet`];
-    /// poisoning of any member surfaces as its error.
+    /// passes.  Watches every member, so an enqueue or poison on any of
+    /// them rings this process's doorbell, and sleeps on that one word.
+    /// An empty set is [`MpfError::EmptyWaitSet`]; poisoning of any
+    /// member surfaces as its error.
     pub fn wait_any_deadline(&self, ids: &[LnvcId], deadline: Option<Instant>) -> Result<LnvcId> {
         if ids.is_empty() {
             return Err(MpfError::EmptyWaitSet);
         }
         self.heartbeat();
-        let _watch = self.watch(ids.iter().copied());
-        loop {
+        let watch = |id| self.set_watch(id, true);
+        let armed: Vec<LnvcId> = ids.iter().copied().filter(|&id| watch(id)).collect();
+        let ready = self.doorbell_wait(deadline, || {
             // Ticket before the predicate checks: a send racing the poll
             // rings a sequence we already hold.
             let ticket = self.doorbell().ticket();
             for &id in ids {
                 if self.check_receive(id)? {
-                    return Ok(id);
+                    return Ok(Break(id));
                 }
             }
-            if !self.doorbell_nap(ticket, deadline) {
-                return Err(MpfError::TimedOut);
-            }
+            Ok(Continue(ticket))
+        });
+        // Disarmed after the wait, not by an unwind (see `pool_wait`).
+        for &id in &armed {
+            self.set_watch(id, false);
         }
+        ready
     }
 
     /// What a send checks and fixes under `d`'s lock before it publishes:
@@ -1630,13 +1616,13 @@ impl IpcMpf {
     }
 
     /// Sends a batch as one run: stages up to [`AIO_RING_SLOTS`] of
-    /// `payloads` and publishes them with one lock hold and one receiver
-    /// wake, as [`Self::message_send`] does a run of one, returning one
-    /// completion per staged payload (tokens are indices into `payloads`;
-    /// none for an empty batch).  Fewer completions than payloads is a
-    /// partial batch: the pools or the size limit ended the run, and the
-    /// caller sends the rest.  The submission and completion rings are not
-    /// touched.
+    /// `payloads` and publishes them with one lock hold and one ring per
+    /// watching process, as [`Self::message_send`] does a run of one,
+    /// returning one completion per staged payload (tokens are indices
+    /// into `payloads`; none for an empty batch).  Fewer completions than
+    /// payloads is a partial batch: the pools or the size limit ended the
+    /// run, and the caller sends the rest.  The submission and completion
+    /// rings are not touched.
     pub fn send_batch(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<Vec<AioCompletion>> {
         let mut run = [RingEntry::default(); AIO_RING_SLOTS];
         let (idx, d, n) = self.stage_batch(id, payloads, AIO_RING_SLOTS, &mut run)?;
@@ -1742,40 +1728,51 @@ impl IpcMpf {
     // -- waiting ---------------------------------------------------------
 
     /// Rings this process's own doorbell: wakes its threads asleep in a
-    /// doorbell wait to re-check whatever they wait for.
+    /// wait to re-check whatever they wait for.
     pub fn ring_doorbell(&self) {
         self.doorbell().notify_all();
     }
 
-    /// This process's doorbell: the one word its multi-source and memory
-    /// waits sleep on.
+    /// This process's doorbell: the one word its waits sleep on.
     fn doorbell(&self) -> &FutexSeq {
         &self.t.slot(self.me).doorbell
     }
 
-    /// One sleep on the doorbell, at most to `deadline` or the sweep
-    /// cadence, then the sweep if it is due.  `false`, without sleeping,
-    /// once `deadline` has passed.  Callers loop: ticket, check, nap.
-    fn doorbell_nap(&self, ticket: u32, deadline: Option<Instant>) -> bool {
-        let Some(nap) = Self::nap_until(deadline) else {
-            return false;
-        };
-        self.doorbell().wait(ticket, Some(nap));
-        self.sweep_if_due();
-        true
-    }
-
-    /// How long a wait may sleep before its next liveness sweep: the
-    /// sweep cadence, clamped so a near deadline is missed by
-    /// microseconds, not 50 ms.  `None` once `deadline` has passed.
-    fn nap_until(deadline: Option<Instant>) -> Option<Duration> {
-        match deadline {
-            None => Some(RECV_SWEEP_INTERVAL),
-            Some(dl) => {
-                let left = dl.saturating_duration_since(Instant::now());
-                (!left.is_zero()).then(|| left.min(RECV_SWEEP_INTERVAL))
+    /// The one wait loop: runs `attempt` until it ends the wait (`Break`
+    /// or an error), napping on the doorbell after each attempt that
+    /// continues with a ticket; [`MpfError::TimedOut`] once `deadline` has
+    /// passed.  An attempt registers its interest (a watch, the pool
+    /// signal) and takes the ticket before it checks — or checks under
+    /// the lock it registers and takes the ticket in — so whatever it did
+    /// not see rings past the ticket.
+    fn doorbell_wait<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut attempt: impl FnMut() -> Result<ControlFlow<T, u32>>,
+    ) -> Result<T> {
+        loop {
+            match attempt()? {
+                Break(done) => return Ok(done),
+                Continue(ticket) => self.doorbell_nap(ticket, deadline)?,
             }
         }
+    }
+
+    /// One sleep on the doorbell, at most to `deadline` or the sweep
+    /// cadence — clamped so a near deadline is missed by microseconds, not
+    /// 50 ms — then the sweep if it is due.  [`MpfError::TimedOut`],
+    /// without sleeping, once `deadline` has passed.
+    fn doorbell_nap(&self, ticket: u32, deadline: Option<Instant>) -> Result<()> {
+        let left = deadline.map_or(RECV_SWEEP_INTERVAL, |dl| {
+            dl.saturating_duration_since(Instant::now())
+        });
+        if left.is_zero() {
+            return Err(MpfError::TimedOut);
+        }
+        self.doorbell()
+            .wait(ticket, Some(left.min(RECV_SWEEP_INTERVAL)));
+        self.sweep_if_due();
+        Ok(())
     }
 
     /// Runs the dead-peer sweep if this handle has not done so within the
@@ -1794,92 +1791,83 @@ impl IpcMpf {
         }
     }
 
-    /// Adds (`on`) or removes one watch of this process on `id`: while a
-    /// conversation's watch count is non-zero, whoever changes it rings
-    /// the doorbell of each watching process.  Watch state lives with the
-    /// receive connection, under the LNVC lock, so it dies with the
-    /// connection — closed, or swept after its holder's death.  Returns
-    /// whether a watch was added; a conversation that does not resolve or
-    /// that we do not receive on is left to the caller's own check.
+    /// [`Self::watch_locked`] in a lock hold of its own (`false` if `id` no
+    /// longer resolves).
     fn set_watch(&self, id: LnvcId, on: bool) -> bool {
-        let Ok((_, d)) = self.resolve(id) else {
+        let Ok((idx, d)) = self.resolve(id) else {
             return false;
         };
-        self.lock_lnvc(d);
-        let conn = self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me);
-        let changed = match conn.map(|c| self.t.recv(c)) {
-            Some(r) if on => {
-                r.protocol.fetch_add(RecvDesc::WATCH_ONE, Ordering::AcqRel);
-                d.watchers.fetch_add(1, Ordering::SeqCst);
-                true
-            }
-            // The connection may have been closed and reopened under the
-            // wait; its watches went with it.
-            Some(r) if r.watches() != 0 => {
-                r.protocol.fetch_sub(RecvDesc::WATCH_ONE, Ordering::AcqRel);
-                d.watchers.fetch_sub(1, Ordering::SeqCst);
-                true
-            }
-            _ => false,
-        };
+        self.lock_lnvc(idx, d);
+        let changed = self.watch_locked(d, on);
         d.lock.unlock();
         changed
     }
 
-    /// Arms a watch on each of `ids` for the life of the returned guard.
-    /// Arm, *then* check: see [`Self::notify_lnvc`] for the pairing.
-    fn watch(&self, ids: impl Iterator<Item = LnvcId>) -> Watch<'_> {
-        let armed = ids.filter(|&id| self.set_watch(id, true)).collect();
-        // Orders the arming increments before the predicate loads that
-        // follow, whatever their own ordering (tickets are `Acquire`).
-        fence(Ordering::SeqCst);
-        Watch { ipc: self, armed }
-    }
-
-    /// Publishes a change to `d` (enqueue, poison): bumps its sequence,
-    /// wakes receivers asleep on it, and rings every process watching it.
-    /// Caller must not hold `d`'s lock.
-    ///
-    /// The watcher check comes after the bump and pairs with a watcher's
-    /// arm-then-check: `watchers += 1 ; load seq` against `seq += 1 ;
-    /// load watchers`, all ordered `SeqCst` — either we see the watch and
-    /// ring, or the watcher sees the moved sequence and does not sleep.
-    fn notify_lnvc(&self, d: &LnvcDesc) {
-        d.waitq.notify_all();
-        if d.watchers.load(Ordering::SeqCst) != 0 {
-            self.lock_lnvc(d);
-            let watching = self.watching_pids(d);
-            d.lock.unlock();
-            // Rung after the unlock: a woken watcher's first act is to
-            // take this lock (to disarm, to receive), and on a busy CPU
-            // it preempts us the instant the wake lands.
-            for pid in watching {
-                self.t.slot(pid).doorbell.notify_all();
-            }
+    /// Adds (`on`) or removes one watch of this process on `d`, whose
+    /// changes then ring our doorbell ([`Self::watchers`]).  Watch state
+    /// lives with the receive connection, read and written under `d`'s
+    /// lock only — no ordering beyond the lock's — and dies with it:
+    /// closed, or swept after its holder's death.  Returns whether a watch
+    /// changed; a conversation we do not receive on is left to the
+    /// caller's own check.  Caller holds `d`'s lock.
+    fn watch_locked(&self, d: &LnvcDesc, on: bool) -> bool {
+        let conn = self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me);
+        // A connection closed and reopened under the wait lost its watches.
+        let Some(r) = conn
+            .map(|c| self.t.recv(c))
+            .filter(|r| on || r.watches() != 0)
+        else {
+            return false;
+        };
+        if on {
+            locked_update(&r.protocol, |p| p + RecvDesc::WATCH_ONE);
+            locked_update(&d.watchers, |n| n + 1);
+        } else {
+            locked_update(&r.protocol, |p| p - RecvDesc::WATCH_ONE);
+            locked_update(&d.watchers, |n| n - 1);
         }
+        true
     }
 
-    /// Rings the doorbell of every process with a watch on `d`, for a
-    /// caller that holds `d`'s lock and cannot drop it first.
-    fn ring_watchers(&self, d: &LnvcDesc) {
-        for pid in self.watching_pids(d) {
-            self.t.slot(pid).doorbell.notify_all();
-        }
-    }
-
-    /// The processes with a watch on `d`.  Caller holds `d`'s lock (the
-    /// connection list is walked).
-    fn watching_pids(&self, d: &LnvcDesc) -> Vec<u32> {
+    /// The processes with a watch on `d` whose doorbells a change to it
+    /// must ring — once the lock is dropped where it can be: a woken
+    /// watcher's first act is to take this lock, and on a busy CPU it
+    /// preempts us the instant the wake lands.  After a poison (`run` is
+    /// `None`) that is every watcher.  After a publish whose run starts at
+    /// seq `run`, it is each BROADCAST watcher that was owed nothing older
+    /// (one that was had been rung for it), and as many FCFS watchers as
+    /// there are queued messages for them to take: a rung watcher takes
+    /// one or leaves passing the ring on.  Caller holds `d`'s lock, under
+    /// which every watch is armed, so a watcher either is counted here or
+    /// sees the change in its own hold.
+    fn watchers(&self, d: &LnvcDesc, run: Option<u32>) -> Vec<u32> {
         let mut pids = Vec::new();
+        if d.watchers.load(Ordering::Relaxed) == 0 {
+            return pids;
+        }
+        let mut fcfs = run.map_or(u32::MAX, |_| d.msg_count.load(Ordering::Relaxed));
         let mut cur = d.recv_head.load(Ordering::Acquire);
         while cur != NIL {
             let r = self.t.recv(cur);
-            if r.watches() != 0 {
+            let bcast = r.protocol_code() == Protocol::Broadcast.code();
+            let ring = match bcast {
+                true => run.is_none_or(|seq| r.cursor.load(Ordering::Acquire) == seq),
+                false => fcfs != 0,
+            };
+            if r.watches() != 0 && ring {
+                fcfs -= u32::from(!bcast);
                 pids.push(r.pid.load(Ordering::Acquire));
             }
             cur = r.next.load(Ordering::Acquire);
         }
         pids
+    }
+
+    /// Rings the doorbell of each of `pids` ([`Self::watchers`]).
+    fn ring_doorbells(&self, pids: Vec<u32>) {
+        for pid in pids {
+            self.t.slot(pid).doorbell.notify_all();
+        }
     }
 
     /// Fires the pool signal: bumps its sequence and rings every process
@@ -2094,7 +2082,7 @@ impl IpcMpf {
             t.send_waits.inc();
         }
         self.trace_pop(TR_SEND_BLOCK, idx, 0);
-        self.lock_lnvc(d);
+        self.lock_lnvc(idx, d);
         if d.poisoned.load(Ordering::Acquire) == 0 {
             self.reclaim(idx, d, true, None);
         }
@@ -2302,7 +2290,6 @@ impl IpcMpf {
                 d.poisoned.store(0, Ordering::Release);
                 d.dead_pid.store(0, Ordering::Release);
                 d.watchers.store(0, Ordering::Release);
-                d.waitq.reset_sleepers();
                 d.active.store(1, Ordering::Release);
                 let e = self.t.reg_entry(free_entry);
                 e.set_name(bytes);
@@ -2317,13 +2304,17 @@ impl IpcMpf {
         Err(MpfError::LnvcsExhausted)
     }
 
-    /// Releases conversation `idx`'s name and slot — a deletion, or the
-    /// roll-back of a creation whose first open failed — and retires its
-    /// counts into our telemetry shard, so the slot's next tenant starts
-    /// from zero and the facility totals lose nothing.  Caller holds the
-    /// registry lock and the LNVC lock.
+    /// Frees conversation `idx`'s queue and releases its name and slot —
+    /// a deletion, once its last connection closed, or the roll-back of a
+    /// creation whose first open failed — and retires its counts into our
+    /// telemetry shard, so the slot's next tenant starts from zero and the
+    /// facility totals lose nothing.  Nobody watches it: a watch lives on a
+    /// receive connection, and a closer rings its own doorbell for the
+    /// watches its connection took along.  Caller holds the registry lock
+    /// and the LNVC lock.
     fn deactivate(&self, idx: u32) {
         let d = self.t.lnvc(idx);
+        self.drop_queue(d);
         let e = self.t.reg_entry(d.registry_idx.load(Ordering::Acquire));
         e.used.store(0, Ordering::Release);
         d.active.store(0, Ordering::Release);
@@ -2345,16 +2336,6 @@ impl IpcMpf {
             // mid-publish may have left the tail word behind.
             self.free_run(first, NIL, None);
         }
-    }
-
-    /// Deletes a conversation whose last connection just closed: frees
-    /// queued messages, releases the name.  Caller holds both locks.
-    fn delete_conversation(&self, idx: u32, d: &LnvcDesc) {
-        self.drop_queue(d);
-        self.deactivate(idx);
-        // Wake anything parked on the dead conversation; their next
-        // resolve() fails with UnknownLnvc.
-        d.waitq.notify_all();
     }
 
     /// The handle of the conversation currently living in descriptor
@@ -2415,7 +2396,7 @@ impl IpcMpf {
         let r = self.t.recv(conn);
         let (protocol, watches) = (r.protocol_code(), r.watches());
         let cursor = r.cursor.load(Ordering::Acquire);
-        d.watchers.fetch_sub(watches, Ordering::SeqCst);
+        locked_update(&d.watchers, |n| n - watches);
         self.t
             .header()
             .recv_free
@@ -2551,7 +2532,7 @@ impl IpcMpf {
             // The oracle knows `dead`'s slot is no longer ATTACHED, so a
             // lock the corpse still holds is broken (and poisons) here
             // rather than blocking the sweep.
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let sent = self.unlink_conn(ConnKind::Send, &d.send_head, dead);
             let recv = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead);
             let touched = sent.is_some() || recv.is_some();
@@ -2571,11 +2552,12 @@ impl IpcMpf {
                 self.retire_recv(idx, d, conn);
             }
             let orphaned = touched && d.total_connections() == 0;
+            let mut watching = Vec::new();
             if orphaned {
                 // The corpse held the only connection: delete rather
                 // than poison (frees the queue, releases the name,
                 // wakes any parker — see the method doc).
-                self.delete_conversation(idx, d);
+                self.deactivate(idx);
             } else if touched {
                 d.dead_pid.store(dead, Ordering::Release);
                 d.poisoned.store(1, Ordering::Release);
@@ -2584,12 +2566,11 @@ impl IpcMpf {
                 // messages would leak pool slots for the region's
                 // lifetime: free the whole queue.
                 self.drop_queue(d);
+                watching = self.watchers(d, None);
             }
             d.lock.unlock();
-            if touched && !orphaned {
-                // Unblock survivors; they will observe the poison.
-                self.notify_lnvc(d);
-            }
+            // Unblock survivors; they will observe the poison.
+            self.ring_doorbells(watching);
         }
     }
 
@@ -2617,7 +2598,7 @@ impl IpcMpf {
     /// Snapshot of one conversation's telemetry.
     pub fn lnvc_telemetry(&self, id: LnvcId) -> Result<LnvcTelSnapshot> {
         let (idx, d) = self.resolve(id)?;
-        self.lock_lnvc(d);
+        self.lock_lnvc(idx, d);
         let snap = self.t.lnvc_tel(idx).snapshot();
         d.lock.unlock();
         Ok(snap)
@@ -2634,7 +2615,7 @@ impl IpcMpf {
             if d.active.load(Ordering::Acquire) != 1 {
                 continue;
             }
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             if d.active.load(Ordering::Acquire) == 1 {
                 let mut cur = d.q_head.load(Ordering::Acquire);
                 while cur != NIL {
@@ -2778,7 +2759,7 @@ impl IpcMpf {
             if !named {
                 return Err(format!("LNVC slot {idx} has no registry entry naming it"));
             }
-            self.lock_lnvc(d);
+            self.lock_lnvc(idx, d);
             let audit = self.audit_lnvc(d, &mut reached);
             d.lock.unlock();
             let audit = audit.map_err(|e| format!("LNVC slot {idx}: {e}"))?;
@@ -3004,8 +2985,8 @@ impl IpcMpf {
     /// killed, and survivors must break the lock).
     #[doc(hidden)]
     pub fn debug_seize_lnvc_lock(&self, id: LnvcId) -> Result<()> {
-        let (_, d) = self.resolve(id)?;
-        self.lock_lnvc(d);
+        let (idx, d) = self.resolve(id)?;
+        self.lock_lnvc(idx, d);
         Ok(())
     }
 
@@ -3034,18 +3015,20 @@ impl IpcMpf {
 
     /// Waits as a send blocked on exhaustion does, for a schedule explorer
     /// that wants a pool waiter without emptying the pools: registers for
-    /// the pool signal, then naps once on the doorbell unless the signal
-    /// has already fired or `woken` holds.  Whoever makes `woken` true
-    /// must then [`Self::ring_doorbell`].
+    /// the pool signal, then sleeps on the doorbell until the signal has
+    /// fired or `woken` holds.  Whoever makes `woken` true must then
+    /// [`Self::ring_doorbell`].
     #[doc(hidden)]
     pub fn debug_pool_wait(&self, woken: &dyn Fn() -> bool) {
-        let _waiting = PoolWait::register(self);
+        self.pool_wait(true);
         let pool_seq = &self.t.header().pool_seq;
         let signal = pool_seq.load(Ordering::SeqCst);
-        let ticket = self.doorbell().ticket();
-        if !woken() && pool_seq.load(Ordering::SeqCst) == signal {
-            self.doorbell_nap(ticket, None);
-        }
+        let _ = self.doorbell_wait(None, || {
+            let ticket = self.doorbell().ticket();
+            let done = woken() || pool_seq.load(Ordering::SeqCst) != signal;
+            Ok(if done { Break(()) } else { Continue(ticket) })
+        });
+        self.pool_wait(false);
     }
 }
 

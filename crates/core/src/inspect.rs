@@ -49,10 +49,11 @@ pub struct ProcessInfo {
     /// Sequence of the process's doorbell (rings it has received).
     pub doorbell: u32,
     /// Whether a thread of the process is asleep on the doorbell — in a
-    /// multi-conversation or pool-memory wait.  Stays set on a corpse
-    /// that died there.
+    /// blocked receive, a multi-conversation or a pool-memory wait.  Stays
+    /// set on a corpse that died there.
     pub asleep: bool,
-    /// Conversations the process is watching (armed by those waits).
+    /// Conversations the process is watching (armed by a blocked receive
+    /// or a multi-conversation wait).
     pub watching: u32,
     /// Whether the process is registered as waiting for pool memory.
     pub mem_wait: bool,

@@ -20,7 +20,7 @@ use crate::config::MpfConfig;
 /// Version of the region byte layout.  Bump on ANY change to the segment
 /// order, the constants below, or the in-region struct layouts; attach
 /// refuses regions with a different version ([`crate::MpfError::LayoutMismatch`]).
-pub const LAYOUT_VERSION: u32 = 8;
+pub const LAYOUT_VERSION: u32 = 9;
 
 /// Magic at byte 0 of every MPF region ("MPFREGN1" little-endian).
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"MPFREGN1");
@@ -45,8 +45,9 @@ pub struct RegionLayout {
     pub segments: Vec<Segment>,
 }
 
-/// Bytes per LNVC descriptor: lock, waitq (sequence + sleeper count),
-/// queue head/tail, connection lists, counts, stamp, watcher count.
+/// Bytes per LNVC descriptor: lock, queue head/tail, connection lists,
+/// counts, stamp, watcher count — no wait word: a blocked receiver sleeps
+/// on its process doorbell.
 /// `crate::shmem` const-asserts its `#[repr(C)]` struct against this.
 pub const LNVC_DESC_BYTES: usize = 192;
 /// Bytes per message header: len, chain, next, pending, flags, hop,

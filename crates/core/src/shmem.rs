@@ -16,8 +16,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 pub use mpf_shm::freelist::{FreeHead, NIL};
-use mpf_shm::waitq::FutexSeq;
-use mpf_shm::IpcLock;
+use mpf_shm::{FutexSeq, IpcLock};
 
 use crate::config::MpfConfig;
 use crate::layout::{
@@ -182,10 +181,11 @@ pub struct ProcessSlot {
     /// Bumped on every primitive the owner executes.
     pub heartbeat: AtomicU64,
     _pad_line0: [u8; 64 - 24],
-    /// The word every multi-source or memory wait of this process sleeps
-    /// on.  Rung by an enqueue, poison or close on a conversation the
-    /// process watches, by a reclaim while it waits for pool memory, and
-    /// by its own `close_receive` of a watched connection.
+    /// The one word every wait of this process sleeps on — a blocked
+    /// receive, a multi-conversation wait, a send waiting for pool memory.
+    /// Rung by an enqueue or poison on a conversation the process watches,
+    /// by a reclaim while it waits for pool memory, and by its own
+    /// `close_receive` of a watched connection.
     pub doorbell: FutexSeq,
     /// Registrations of this process in [`RegionHeader::pool_waiters`]
     /// (per slot, so the sweep can retire a dead waiter's share).
@@ -340,8 +340,6 @@ impl RecvDesc {
 pub struct LnvcDesc {
     /// Per-conversation mutex with dead-holder recovery.
     pub lock: IpcLock,
-    /// Blocked receivers wait here (cross-process futex sequence).
-    pub waitq: FutexSeq,
     /// 0 free, 1 active.
     pub active: AtomicU32,
     /// Bumped on every activation; the high half of public LNVC ids, so
@@ -374,10 +372,11 @@ pub struct LnvcDesc {
     /// Stamp of the most recent send (diagnostic).
     pub last_stamp: AtomicU64,
     /// Watches armed on this conversation (the sum of its receive
-    /// connections' [`RecvDesc::watches`]).  A sender that reads zero —
-    /// one load of a line it just wrote — rings no doorbell.
+    /// connections' [`RecvDesc::watches`]), read and written under
+    /// `lock` only.  A sender that reads zero — one load of a line it
+    /// already holds — rings no doorbell.
     pub watchers: AtomicU32,
-    _pad: [u8; LNVC_DESC_BYTES - 92],
+    _pad: [u8; LNVC_DESC_BYTES - 84],
 }
 
 impl LnvcDesc {

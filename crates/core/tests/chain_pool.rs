@@ -238,7 +238,7 @@ fn pool_cas(t: &Tables) -> (u32, u32) {
 /// A run moves whole: 32 messages leave the pools with one CAS each and
 /// come back with one CAS each, exactly as one message does — whether the
 /// ring shims stage them or `send_batch` publishes them as one run, which
-/// also wakes the conversation once and leaves the rings alone.
+/// also leaves the rings alone.
 #[test]
 fn a_run_of_32_is_one_cas_per_pool_each_way() {
     let cfg = MpfConfig::new(2, 2)
@@ -250,8 +250,6 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
     let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
     let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 64 + i as usize]).collect();
     let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-    // The conversation's wake sequence: every notify moves it by one.
-    let waitq = &t.lnvc(tx.index()).waitq;
     let mut buf = [0u8; 128];
     for round in 0..3 {
         let before = pool_cas(&t);
@@ -282,7 +280,7 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
         assert_eq!(pool_cas(&t), (before.0 + 4, before.1 + 4));
 
         // `send_batch`: the run staged and published in one call.
-        let (rings, wakes) = (m.aio_stats(), waitq.ticket());
+        let rings = m.aio_stats();
         let done = m.send_batch(tx, &refs).unwrap();
         let tokens: Vec<u64> = done.iter().map(|c| c.user_data).collect();
         assert_eq!(tokens, (0..32).collect::<Vec<_>>());
@@ -292,11 +290,46 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
             (before.0 + 5, before.1 + 5),
             "round {round}: one pop per pool stages the batch"
         );
-        assert_eq!(waitq.ticket(), wakes.wrapping_add(1), "one wake per batch");
         assert_eq!(m.aio_stats(), rings, "no ring counter moves");
         assert_eq!(m.recv_batch(rx, 32).unwrap(), payloads);
         assert_eq!(pool_cas(&t), (before.0 + 6, before.1 + 6));
     }
+    assert_eq!(m.free_blocks(), 128);
+    m.check_invariants().unwrap();
+}
+
+/// A batch rings a receiver blocked on its conversation once: 32 messages
+/// published in one run move the blocked process's doorbell by exactly
+/// one, and the receive they end takes the whole batch.
+#[test]
+fn a_batch_rings_a_blocked_receiver_once() {
+    let cfg = MpfConfig::new(2, 2)
+        .with_block_payload(64)
+        .with_total_blocks(128)
+        .with_max_messages(64);
+    let (m, t) = region_with_overlay("run-ring", &cfg);
+    let peer = m.attach_view().unwrap();
+    let tx = m.open_send("q").unwrap();
+    let rx = peer.open_receive("q", Protocol::Fcfs).unwrap();
+    let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 64]).collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    // The receiver's process doorbell: every ring moves it by one.
+    let bell = &t.slot(peer.pid()).doorbell;
+    let (asleep, rings) = std::thread::scope(|s| {
+        let got = s.spawn(|| peer.recv_batch(rx, 32).unwrap());
+        // Bounded, and the batch is sent either way: a receiver that never
+        // sleeps on its doorbell must still be let go.
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while bell.sleepers() == 0 && std::time::Instant::now() < give_up {
+            std::thread::yield_now();
+        }
+        let (asleep, before) = (bell.sleepers() != 0, bell.ticket());
+        assert_eq!(m.send_batch(tx, &refs).unwrap().len(), 32);
+        assert_eq!(got.join().unwrap(), payloads);
+        (asleep, bell.ticket().wrapping_sub(before))
+    });
+    assert!(asleep, "the receiver never slept on its doorbell");
+    assert_eq!(rings, 1, "one ring per batch");
     assert_eq!(m.free_blocks(), 128);
     m.check_invariants().unwrap();
 }

@@ -243,6 +243,35 @@ fn median(mut lags: Vec<Duration>) -> Duration {
     lags[lags.len() / 2]
 }
 
+/// A thread blocked in `message_receive` sleeps on its process doorbell
+/// like every other wait: the inspector reads it asleep, watching its one
+/// conversation, and the send that wakes it leaves neither behind.
+#[test]
+fn a_blocked_receive_is_asleep_on_its_doorbell() {
+    let name = "dl-recv-parked";
+    let a = region(name);
+    let b = a.attach_view().unwrap();
+    let tx = b.open_send("later").unwrap();
+    let rx = a.open_receive("later", Protocol::Fcfs).unwrap();
+    let insp = RegionInspector::attach(name).unwrap();
+    let me = || insp.processes()[a.pid() as usize].clone();
+    let blocked = std::thread::scope(|s| {
+        let got = s.spawn(|| a.message_receive(rx, &mut [0u8; 8]));
+        // Not `await_parked`: a receiver that never parks must still be
+        // sent to, or the scope would wait for it forever.
+        let patience = Instant::now() + Duration::from_secs(5);
+        while !me().asleep && Instant::now() < patience {
+            std::thread::yield_now();
+        }
+        let blocked = me();
+        b.message_send(tx, b"now").unwrap();
+        assert_eq!(got.join().unwrap(), Ok(3));
+        blocked
+    });
+    assert_eq!((blocked.asleep, blocked.watching), (true, 1), "{blocked:?}");
+    assert_eq!((me().asleep, me().watching), (false, 0));
+}
+
 /// A wait set is woken by a send to its **second** member as promptly as
 /// by one to its first: every member rings the waiter's doorbell.  (It
 /// used to nap 2 ms at a time on the first member's futex.)

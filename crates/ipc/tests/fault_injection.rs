@@ -305,7 +305,9 @@ fn frozen_faulted_region_passes_offline_conformance() {
     // without detaching): the CI faults job runs
     // `mpf-trace fault-frozen --check` against it afterwards, gating
     // that the injected fault shows up as an audited TR_FAULT record —
-    // typed error surfaced, no conformance violations.
+    // typed error surfaced, no conformance violations.  So a region an
+    // earlier run left behind is removed first.
+    let _ = std::fs::remove_file(mpf_shm::region::region_path("fault-frozen"));
     let m = region("fault-frozen");
     let tx = m.open_send("audited").unwrap();
     let rx = m.open_receive("audited", Protocol::Fcfs).unwrap();

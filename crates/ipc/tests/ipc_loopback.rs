@@ -266,27 +266,26 @@ fn attach_by_name_sees_existing_conversations() {
     assert_eq!(&buf[..14], b"hello attacher");
 }
 
-/// A region carved by the previous layout (version 7 had no size
-/// histogram in its per-LNVC telemetry slots, so every segment after them
-/// sits elsewhere, and no fold word in its header) is refused outright, by
-/// the participant attach and the read-only inspector alike.
+/// A region carved by the previous layout (version 8 had a wait word in
+/// every LNVC descriptor that receivers of this one never ring) is refused
+/// outright, by the participant attach and the read-only inspector alike.
 #[test]
 fn previous_layout_version_is_rejected() {
     use mpf::layout::LAYOUT_VERSION;
     use mpf_ipc::{shmem::RegionHeader, AttachError};
     use std::sync::atomic::Ordering;
 
-    assert_eq!(LAYOUT_VERSION, 8);
+    assert_eq!(LAYOUT_VERSION, 9);
     let _creator = region("loop-stale-layout");
     let raw = mpf_shm::ShmRegion::attach("loop-stale-layout").unwrap();
     // SAFETY: the header sits at offset 0 of every carved region and
     // `raw` maps all of it.
     let header: &RegionHeader = unsafe { raw.at(0) };
-    header.layout_version.store(7, Ordering::Release);
+    header.layout_version.store(8, Ordering::Release);
 
     let stale = MpfError::LayoutMismatch {
-        expected: 8,
-        found: 7,
+        expected: 9,
+        found: 8,
     };
     match IpcMpf::attach("loop-stale-layout") {
         Err(AttachError::Mpf(e)) => assert_eq!(e, stale),

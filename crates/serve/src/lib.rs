@@ -17,8 +17,8 @@
 //! view — a process's handle on a named region ([`IpcTransport`]) or a
 //! logical process of an in-process `Mpf` ([`ThreadTransport`]; the same
 //! type, two names).  Blocking is the engine's job: a participant sleeps
-//! on its conversation's sequence or its process doorbell itself, so the
-//! code `mpf-check` explores is the code that ships.
+//! on its process doorbell itself, so the code `mpf-check` explores is
+//! the code that ships.
 //!
 //! ## Delivery contract
 //!

@@ -2,11 +2,10 @@
 //! facility, and the one implementation of it.
 //!
 //! [`ViewTransport`] calls the engine's deadline-bounded waits on the
-//! calling thread: a participant blocked in `recv_deadline` sleeps on its
-//! conversation's sequence, one blocked in `recv_any_deadline` or in a
-//! `send_deadline` under pool exhaustion sleeps on its process doorbell —
-//! the paper's `message_receive` blocking the calling process, with a
-//! bound.  No second thread does the waiting, so `mpf-check` schedules
+//! calling thread: a participant blocked in `recv_deadline`, in
+//! `recv_any_deadline` or in a `send_deadline` under pool exhaustion
+//! sleeps on its process doorbell — the paper's `message_receive`
+//! blocking the calling process, with a bound.  No second thread does the waiting, so `mpf-check` schedules
 //! exactly the code that ships.  [`ViewTransport::new`] takes any view: a
 //! process's handle on a named region, or `Mpf::view(pid)` for a logical
 //! process of an in-process `Mpf`.  The crate exports the type under two

@@ -144,7 +144,7 @@ impl FutexSeq {
     }
 
     /// Forgets sleepers a dead predecessor left behind.  For the owner of
-    /// a word being recycled (LNVC activation, process-slot claim).
+    /// a word being recycled (a process slot's doorbell, at its claim).
     pub fn reset_sleepers(&self) {
         self.sleepers.store(0, Ordering::SeqCst);
     }

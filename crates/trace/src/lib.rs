@@ -226,10 +226,8 @@ impl TraceLog {
     /// docs and DESIGN.md "Causal tracing").
     pub fn check(&self) -> Report {
         // A lost record could explain any breach of a rule that needs the
-        // whole history, and a broken lock's poison names no conversation.
+        // whole history.
         let truncated = self.truncated();
-        let broken_lock = |r: Rec| r.ev.kind == TR_POISON && r.ev.lnvc == NIL;
-        let horizon = truncated || self.recs().any(broken_lock);
         let mut spec = Spec::default();
         let (mut violations, mut sent_on) = (Vec::new(), BTreeMap::new());
         for Rec { pid, ev } in self.replay_order() {
@@ -279,7 +277,7 @@ impl TraceLog {
                 TR_RECLAIM => spec.reclaim(ev.stamp),
                 _ => None,
             };
-            if let Some(rule) = breach.filter(|r| !(horizon && r.needs_full_history())) {
+            if let Some(rule) = breach.filter(|r| !(truncated && r.needs_full_history())) {
                 let name = trace_event_name(ev.kind);
                 violations.push(Violation {
                     rule,
@@ -308,10 +306,15 @@ impl TraceLog {
     /// late, just before its ring's next stamped record.  So whatever met
     /// an obligation before a reclaim is replayed before it.
     fn replay_order(&self) -> Vec<Rec> {
-        let stamped = |e: &TraceEvent| match e.kind {
-            TR_SEND | TR_OPEN_SEND | TR_OPEN_RECV | TR_CLOSE_SEND | TR_CLOSE_RECV => true,
-            kind => kind == TR_POISON && e.lnvc != NIL,
-        };
+        let kinds = [
+            TR_SEND,
+            TR_OPEN_SEND,
+            TR_OPEN_RECV,
+            TR_CLOSE_SEND,
+            TR_CLOSE_RECV,
+            TR_POISON,
+        ];
+        let stamped = |e: &TraceEvent| kinds.contains(&e.kind);
         let mut keyed = Vec::with_capacity(self.len());
         for ring in &self.rings {
             let mut floor = 0;
@@ -657,6 +660,18 @@ mod tests {
         // drops the queue, voiding the missing receiver's claim.
         let swept = bcast_pair(&[pop(TR_POISON, 4, 2), reclaim]);
         assert_eq!(rules(&swept), []);
+    }
+
+    /// A lock broken on conversation 5 says nothing about conversation 3,
+    /// where receiver 2's BROADCAST copy is missing at the reclaim.
+    #[test]
+    fn broken_lock_beside_an_unrelated_shortfall_detected() {
+        let mut l = bcast_pair(&[msg(TR_RECLAIM, 3, 0)]);
+        l.extend([
+            (3, ev(TR_OPEN_SEND, 0, 4, 0, 5, 0, 0)),
+            (3, ev(TR_POISON, 0, 5, 0, 5, 4, 0)),
+        ]);
+        assert_eq!(rules(&l), [Rule::BcastUnderDelivery]);
     }
 
     #[test]
