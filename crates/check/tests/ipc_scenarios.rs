@@ -626,6 +626,75 @@ fn ipc_fcfs_watchers_each_get_a_ring() {
     explore_random(&opts, 0xFCF5, fcfs_watchers_case).assert_ok();
 }
 
+/// A `wait_any` beside a blocked receive on one FCFS conversation: W2
+/// blocks in `message_receive(A)`; W1 opens A later (so it is first on
+/// the receive list) and waits on `[B, A]`; one send lands on each.  A
+/// `wait_any` takes nothing, so A's message must still ring W2 whichever
+/// member W1 returns — were W1's watch to use up A's one FCFS ring, W2
+/// would sleep on with the message queued, a deadlock here.
+fn wait_any_beside_receive_case() -> Case {
+    let (name, root) = named_region("any-fcfs");
+    let views = [(); 3].map(|()| Arc::new(root.attach_view().expect("view")));
+    let [w1, w2, s] = views.clone();
+    let total = root.free_blocks();
+    let (ta, tb) = (
+        s.open_send("a").expect("open a"),
+        s.open_send("b").expect("open b"),
+    );
+    let w2_a = w2.open_receive("a", Protocol::Fcfs).expect("w2 recv a");
+    let w1_a = w1.open_receive("a", Protocol::Fcfs).expect("w1 recv a");
+    let w1_b = w1.open_receive("b", Protocol::Fcfs).expect("w1 recv b");
+    let looker = {
+        let w1 = Arc::clone(&w1);
+        Box::new(move || {
+            let ready = w1.wait_any_deadline(&[w1_b, w1_a], None).expect("wait_any");
+            assert!(ready == w1_b || ready == w1_a);
+            // A's message is W2's to take; W1 takes only B's.
+            assert_eq!(w1.message_receive(w1_b, &mut [0u8; 32]), Ok(1));
+        }) as Proc
+    };
+    let taker = {
+        let w2 = Arc::clone(&w2);
+        Box::new(move || assert_eq!(w2.message_receive(w2_a, &mut [0u8; 32]), Ok(1))) as Proc
+    };
+    let sender = {
+        let s = Arc::clone(&s);
+        Box::new(move || {
+            s.message_send(tb, b"b").expect("send b");
+            s.message_send(ta, b"a").expect("send a");
+        }) as Proc
+    };
+    Case {
+        procs: vec![looker, taker, sender],
+        death: None,
+        check: Box::new(move || {
+            let _views = &views;
+            let closes = [
+                s.close_send(ta),
+                s.close_send(tb),
+                w1.close_receive(w1_a),
+                w1.close_receive(w1_b),
+                w2.close_receive(w2_a),
+            ];
+            if let Some(e) = closes.iter().find_map(|c| c.err()) {
+                return Err(format!("close: {e}"));
+            }
+            if root.free_blocks() != total || root.live_lnvcs() != 0 {
+                return Err("blocks or conversations left behind".into());
+            }
+            conforms(&root)?;
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+#[test]
+fn ipc_wait_any_leaves_the_fcfs_ring_to_a_receive() {
+    let opts = ExploreOpts::new("ipc-wait-any-beside-receive").max_schedules(300);
+    explore_dfs(&opts, wait_any_beside_receive_case).assert_ok();
+    explore_random(&opts, 0xA2F5, wait_any_beside_receive_case).assert_ok();
+}
+
 /// {pool-wait registration, reclaim, sleep}: a sender blocked on an
 /// exhausted message pool and the one receive that frees a header.  The
 /// reclaim either precedes the sender's registration (its retry finds the

@@ -785,10 +785,7 @@ impl IpcMpf {
             self.lock_lnvc(idx, d);
             let result = (|| {
                 self.poison_check(d)?;
-                if self
-                    .find_conn(ConnKind::Send, d.send_head.load(Ordering::Acquire), self.me)
-                    .is_some()
-                {
+                if self.my_conn(ConnKind::Send, d).is_some() {
                     return Err(MpfError::AlreadyConnected);
                 }
                 let conn = self
@@ -825,9 +822,7 @@ impl IpcMpf {
             self.lock_lnvc(idx, d);
             let result = (|| {
                 self.poison_check(d)?;
-                if let Some(existing) =
-                    self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
-                {
+                if let Some(existing) = self.my_conn(ConnKind::Recv, d) {
                     let have = self.t.recv(existing).protocol_code();
                     return Err(if have == protocol.code() {
                         MpfError::AlreadyConnected
@@ -847,9 +842,8 @@ impl IpcMpf {
                 r.pid.store(self.me, Ordering::Release);
                 r.protocol.store(protocol.code(), Ordering::Release);
                 // BROADCAST receivers see only messages sent after they
-                // join (paper §3.2).
-                r.cursor
-                    .store(d.next_seq.load(Ordering::Acquire), Ordering::Release);
+                // join (paper §3.2): nothing queued is theirs.
+                r.head.store(NIL, Ordering::Release);
                 r.next
                     .store(d.recv_head.load(Ordering::Acquire), Ordering::Release);
                 d.recv_head.store(conn, Ordering::Release);
@@ -859,11 +853,9 @@ impl IpcMpf {
                 };
                 self.trace_population(TR_OPEN_RECV, idx, protocol.code());
                 // Obligation re-evaluation (DESIGN.md): a backlog queued
-                // while nobody listened is owed to the first receiver —
-                // but a BROADCAST receiver's cursor starts at the current
-                // sequence, so if the first receiver ever to join is
-                // BROADCAST the backlog is invisible to everyone and can
-                // only pin blocks.  Drop it now.
+                // while nobody listened is owed to the first receiver — but
+                // a BROADCAST receiver starts past it, so if the first ever
+                // is BROADCAST the backlog can only pin blocks.  Drop it.
                 if first_receiver && protocol == Protocol::Broadcast {
                     self.clear_fcfs_obligations(d);
                     self.reclaim(idx, d, true, None);
@@ -1000,7 +992,6 @@ impl IpcMpf {
                 .fetch_add(run.len() as u64, Ordering::AcqRel);
             let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
             let (mut bytes, mut depth) = (0u64, 0u32);
-            let first_seq = d.next_seq.load(Ordering::Relaxed);
             for (e, stamp) in run.iter().zip(first_stamp..) {
                 let m = self.t.msg(e.arg0);
                 // The causal id is in place before receivers can see the
@@ -1026,6 +1017,9 @@ impl IpcMpf {
                 }
                 bytes += u64::from(e.arg1);
             }
+            if n_bcast > 0 {
+                self.catch_up(d, run[0].arg0);
+            }
             if let Some(lt) = lt {
                 // lt.* writes are serialised by the LNVC lock we hold, so
                 // the RMW-free `bump` is sound (see telemetry::bump).
@@ -1043,7 +1037,7 @@ impl IpcMpf {
                 let hop = e.status as u32;
                 self.trace_rec_at(at, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
             }
-            self.watchers(d, Some(first_seq))
+            self.watchers(d, Some(run[0].arg0))
         });
         d.lock.unlock();
         // One wake per watcher for the whole run — the amortisation the
@@ -1058,14 +1052,11 @@ impl IpcMpf {
         self.heartbeat();
         let (idx, d) = self.resolve(id)?;
         self.lock_lnvc(idx, d);
-        let result = (|| {
-            self.poison_check(d)?;
-            let conn = self
-                .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
-                .ok_or(MpfError::NotConnected)?;
-            let head = d.q_head.load(Ordering::Acquire);
-            Ok(self.next_deliverable(head, self.t.recv(conn)) != NIL)
-        })();
+        let result = self.live_recv(d).map(|r| {
+            let bcast = r.protocol_code() == Protocol::Broadcast.code();
+            let from = if bcast { &r.head } else { &d.q_head }.load(Ordering::Acquire);
+            self.next_deliverable(from, r) != NIL
+        });
         d.lock.unlock();
         result
     }
@@ -1078,10 +1069,10 @@ impl IpcMpf {
         Ok((msgs != 0).then_some(bytes))
     }
 
-    /// Blocking `message_receive`: the paper's default.  Waits on the
-    /// in-region futex sequence, waking at least every
-    /// [`RECV_SWEEP_INTERVAL`] for a liveness sweep, so a dead sender
-    /// converts a would-be deadlock into [`MpfError::PeerDied`].
+    /// Blocking `message_receive`: the paper's default.  Sleeps on the
+    /// process doorbell, waking at least every [`RECV_SWEEP_INTERVAL`] for
+    /// a liveness sweep, so a dead sender converts a would-be deadlock
+    /// into [`MpfError::PeerDied`].
     pub fn message_receive(&self, id: LnvcId, buf: &mut [u8]) -> Result<usize> {
         self.recv_deadline(id, buf, None)
     }
@@ -1156,19 +1147,21 @@ impl IpcMpf {
                 self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
             }
             self.lock_lnvc(idx, d);
-            let result = self.deliver_locked(idx, d, max, &mut take);
+            let mut pass = None;
+            let result = self.deliver_locked(idx, d, max, &mut take, &mut pass);
             // The watch arms in the hold that found nothing and disarms in
             // the one that delivers, so a woken receive takes no lock pair
             // beyond its two attempts; a failure leaves it to the exit.
             let sleep = waits && matches!(result, Ok((0, _)));
             if sleep != armed && (sleep || result.is_ok()) {
-                self.watch_locked(d, sleep);
+                self.watch_locked(d, RecvDesc::WATCH_ONE, sleep);
                 armed = sleep;
             }
             // Taken in the hold that armed the watch: a publish after it
             // sees the watch and rings past this ticket.
             let ticket = sleep.then(|| self.doorbell().ticket());
             d.lock.unlock();
+            self.ring_doorbells(pass);
             let Some(ticket) = ticket else {
                 return result.map(Break);
             };
@@ -1177,10 +1170,8 @@ impl IpcMpf {
                 waited = true;
                 if let Some(t) = self.tel() {
                     t.recv_waits.inc();
-                    self.t
-                        .lnvc_tel(idx)
-                        .recv_waits
-                        .fetch_add(1, Ordering::Relaxed);
+                    let lt = self.t.lnvc_tel(idx);
+                    lt.recv_waits.fetch_add(1, Ordering::Relaxed);
                 }
                 self.trace_pop(TR_RECV_BLOCK, idx, 0);
             }
@@ -1192,7 +1183,7 @@ impl IpcMpf {
             // ring that came after the last attempt on to the other
             // watchers — it may have been for a message left behind.
             self.lock_lnvc(idx, d);
-            self.watch_locked(d, false);
+            self.watch_locked(d, RecvDesc::WATCH_ONE, false);
             let (rung, others) = (self.doorbell().ticket() != slept_on, self.watchers(d, None));
             d.lock.unlock();
             self.ring_doorbells(if rung { others } else { Vec::new() });
@@ -1285,8 +1276,16 @@ impl IpcMpf {
             return Err(MpfError::EmptyWaitSet);
         }
         self.heartbeat();
-        let watch = |id| self.set_watch(id, true);
-        let armed: Vec<LnvcId> = ids.iter().copied().filter(|&id| watch(id)).collect();
+        // A lock hold per watch; a member that no longer resolves fails its check.
+        let watch = |id, on| {
+            self.resolve(id).is_ok_and(|(idx, d)| {
+                self.lock_lnvc(idx, d);
+                let changed = self.watch_locked(d, RecvDesc::WATCH_ANY, on);
+                d.lock.unlock();
+                changed
+            })
+        };
+        let armed: Vec<LnvcId> = ids.iter().copied().filter(|&id| watch(id, true)).collect();
         let ready = self.doorbell_wait(deadline, || {
             // Ticket before the predicate checks: a send racing the poll
             // rings a sequence we already hold.
@@ -1300,7 +1299,7 @@ impl IpcMpf {
         });
         // Disarmed after the wait, not by an unwind (see `pool_wait`).
         for &id in &armed {
-            self.set_watch(id, false);
+            watch(id, false);
         }
         ready
     }
@@ -1312,7 +1311,7 @@ impl IpcMpf {
     /// yet) and how many BROADCAST deliveries (one per such receiver).
     fn send_obligations(&self, d: &LnvcDesc) -> Result<(bool, u32)> {
         self.poison_check(d)?;
-        self.find_conn(ConnKind::Send, d.send_head.load(Ordering::Acquire), self.me)
+        self.my_conn(ConnKind::Send, d)
             .ok_or(MpfError::NotConnected)?;
         let n_fcfs = d.n_fcfs.load(Ordering::Acquire);
         let n_bcast = d.n_bcast.load(Ordering::Acquire);
@@ -1791,80 +1790,64 @@ impl IpcMpf {
         }
     }
 
-    /// [`Self::watch_locked`] in a lock hold of its own (`false` if `id` no
-    /// longer resolves).
-    fn set_watch(&self, id: LnvcId, on: bool) -> bool {
-        let Ok((idx, d)) = self.resolve(id) else {
-            return false;
-        };
-        self.lock_lnvc(idx, d);
-        let changed = self.watch_locked(d, on);
-        d.lock.unlock();
-        changed
-    }
-
-    /// Adds (`on`) or removes one watch of this process on `d`, whose
-    /// changes then ring our doorbell ([`Self::watchers`]).  Watch state
-    /// lives with the receive connection, read and written under `d`'s
-    /// lock only — no ordering beyond the lock's — and dies with it:
-    /// closed, or swept after its holder's death.  Returns whether a watch
-    /// changed; a conversation we do not receive on is left to the
+    /// Adds (`on`) or removes one watch of this process on `d` — a
+    /// receive's (`unit` [`RecvDesc::WATCH_ONE`]) or a `wait_any`'s
+    /// ([`RecvDesc::WATCH_ANY`]) — whose changes then ring our doorbell
+    /// ([`Self::watchers`]).  Watch state lives with the receive
+    /// connection, read and written under `d`'s lock only, and dies with
+    /// it: closed, or swept after its holder's death.  Returns whether a
+    /// watch changed; a conversation we do not receive on is left to the
     /// caller's own check.  Caller holds `d`'s lock.
-    fn watch_locked(&self, d: &LnvcDesc, on: bool) -> bool {
-        let conn = self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me);
+    fn watch_locked(&self, d: &LnvcDesc, unit: u32, on: bool) -> bool {
         // A connection closed and reopened under the wait lost its watches.
-        let Some(r) = conn
-            .map(|c| self.t.recv(c))
-            .filter(|r| on || r.watches() != 0)
-        else {
+        let conn = self.my_conn(ConnKind::Recv, d).map(|c| self.t.recv(c));
+        let Some(r) = conn.filter(|r| on || r.watches_of(unit) != 0) else {
             return false;
         };
-        if on {
-            locked_update(&r.protocol, |p| p + RecvDesc::WATCH_ONE);
-            locked_update(&d.watchers, |n| n + 1);
-        } else {
-            locked_update(&r.protocol, |p| p - RecvDesc::WATCH_ONE);
-            locked_update(&d.watchers, |n| n - 1);
-        }
+        let step = |n: u32, by: u32| if on { n + by } else { n - by };
+        locked_update(&r.protocol, |p| step(p, unit));
+        locked_update(&d.watchers, |n| step(n, 1));
         true
     }
 
-    /// The processes with a watch on `d` whose doorbells a change to it
-    /// must ring — once the lock is dropped where it can be: a woken
-    /// watcher's first act is to take this lock, and on a busy CPU it
-    /// preempts us the instant the wake lands.  After a poison (`run` is
-    /// `None`) that is every watcher.  After a publish whose run starts at
-    /// seq `run`, it is each BROADCAST watcher that was owed nothing older
-    /// (one that was had been rung for it), and as many FCFS watchers as
-    /// there are queued messages for them to take: a rung watcher takes
-    /// one or leaves passing the ring on.  Caller holds `d`'s lock, under
-    /// which every watch is armed, so a watcher either is counted here or
-    /// sees the change in its own hold.
+    /// The processes whose doorbells a change to `d` must ring, after the
+    /// unlock where it can be (a woken watcher's first act is to take this
+    /// lock).  A poison (`run` `None`) rings every watcher.  A publish whose
+    /// run starts at message `run` rings every `wait_any` it concerns (a
+    /// `wait_any` takes nothing), as many FCFS receives as there are queued
+    /// messages, and the first BROADCAST receive whose head `run` is: a
+    /// rung receive takes a message — a BROADCAST one then rings the next
+    /// receive asleep at that head ([`Self::deliver_locked`]) — or passes
+    /// the ring on.  Caller holds `d`'s lock, under which every watch is
+    /// armed, so a watcher either is counted here or sees the change in its
+    /// own hold.
     fn watchers(&self, d: &LnvcDesc, run: Option<u32>) -> Vec<u32> {
         let mut pids = Vec::new();
         if d.watchers.load(Ordering::Relaxed) == 0 {
             return pids;
         }
         let mut fcfs = run.map_or(u32::MAX, |_| d.msg_count.load(Ordering::Relaxed));
-        let mut cur = d.recv_head.load(Ordering::Acquire);
-        while cur != NIL {
-            let r = self.t.recv(cur);
+        let mut bcast_first = true;
+        for r in self.recv_conns(d).filter(|r| r.watches() != 0) {
             let bcast = r.protocol_code() == Protocol::Broadcast.code();
+            let looks = r.watches_of(RecvDesc::WATCH_ANY) != 0;
             let ring = match bcast {
-                true => run.is_none_or(|seq| r.cursor.load(Ordering::Acquire) == seq),
-                false => fcfs != 0,
+                true => run.is_none_or(|first| {
+                    r.head.load(Ordering::Acquire) == first
+                        && (looks || std::mem::take(&mut bcast_first))
+                }),
+                false => looks || fcfs != 0,
             };
-            if r.watches() != 0 && ring {
-                fcfs -= u32::from(!bcast);
+            if ring {
+                fcfs -= u32::from(!bcast && !looks);
                 pids.push(r.pid.load(Ordering::Acquire));
             }
-            cur = r.next.load(Ordering::Acquire);
         }
         pids
     }
 
     /// Rings the doorbell of each of `pids` ([`Self::watchers`]).
-    fn ring_doorbells(&self, pids: Vec<u32>) {
+    fn ring_doorbells(&self, pids: impl IntoIterator<Item = u32>) {
         for pid in pids {
             self.t.slot(pid).doorbell.notify_all();
         }
@@ -1901,20 +1884,20 @@ impl IpcMpf {
     /// and books the lot.  Returns the messages and bytes delivered,
     /// `(0, 0)` when nothing was deliverable.  An error from `take` leaves
     /// its message queued: it ends a batch, and is the result when it
-    /// struck the first message.  Caller holds the LNVC lock.
+    /// struck the first message.  A BROADCAST delivery leaves in `pass`
+    /// the process to ring next ([`Self::watchers`]).  Caller holds the
+    /// LNVC lock.
     fn deliver_locked(
         &self,
         idx: u32,
         d: &LnvcDesc,
         max: usize,
         take: &mut impl FnMut(&MsgDesc, usize) -> Result<()>,
+        pass: &mut Option<u32>,
     ) -> Result<(usize, usize)> {
-        self.poison_check(d)?;
-        let conn = self
-            .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
-            .ok_or(MpfError::NotConnected)?;
-        let r = self.t.recv(conn);
+        let r = self.live_recv(d)?;
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
+        let was_at = r.head.load(Ordering::Acquire);
         let kind = if bcast { TR_RECV_B } else { TR_RECV };
         let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
         // One clock read, at the first timed message, dates the records
@@ -1923,9 +1906,10 @@ impl IpcMpf {
         let mut now = 0u64;
         let (mut received, mut bytes) = (0usize, 0usize);
         let mut last_chain = (0u64, 0u32);
-        // One walk of the queue per batch: nothing moves under the lock, so
-        // the scan resumes behind each delivery (queued until the reclaim).
-        let mut cur = d.q_head.load(Ordering::Acquire);
+        // One walk of the queue per batch, a BROADCAST receiver's from its
+        // own head: nothing moves under the lock, so the scan resumes
+        // behind each delivery (queued until the reclaim).
+        let mut cur = if bcast { &r.head } else { &d.q_head }.load(Ordering::Acquire);
         while received < max {
             cur = self.next_deliverable(cur, r);
             if cur == NIL {
@@ -1943,7 +1927,8 @@ impl IpcMpf {
             let hop = m.hop.load(Ordering::Acquire);
             let seq = m.seq.load(Ordering::Acquire);
             if bcast {
-                r.cursor.store(seq + 1, Ordering::Release);
+                r.head
+                    .store(m.next.load(Ordering::Acquire), Ordering::Release);
             }
             Self::claim_delivery(m, bcast);
             let timed = self.timed(seq, trace);
@@ -1964,6 +1949,17 @@ impl IpcMpf {
             received += 1;
             bytes += len;
             cur = m.next.load(Ordering::Acquire);
+        }
+        if bcast && received != 0 && d.watchers.load(Ordering::Relaxed) != 0 {
+            // A publish rings only the first receive asleep at its head;
+            // each rings the next once it has read past it.
+            let asleep_at = |o: &RecvDesc| {
+                o.watches_of(RecvDesc::WATCH_ONE) != 0 && o.head.load(Ordering::Acquire) == was_at
+            };
+            *pass = self
+                .recv_conns(d)
+                .find(|o| asleep_at(o))
+                .map(|o| o.pid.load(Ordering::Acquire));
         }
         if received != 0 {
             // The last delivery becomes this process's causal context.
@@ -1989,25 +1985,51 @@ impl IpcMpf {
         }
     }
 
+    /// This process's receive connection on `d`, which must not be
+    /// poisoned.  Caller holds `d`'s lock.
+    fn live_recv(&self, d: &LnvcDesc) -> Result<&RecvDesc> {
+        self.poison_check(d)?;
+        let conn = self.my_conn(ConnKind::Recv, d);
+        Ok(self.t.recv(conn.ok_or(MpfError::NotConnected)?))
+    }
+
     /// The first message deliverable to connection `r` at or behind `from`
-    /// in its queue, [`NIL`] when there is none.
+    /// in its queue, [`NIL`] when there is none.  A BROADCAST receiver is
+    /// owed everything from its head on, so it never walks.
     fn next_deliverable(&self, from: u32, r: &RecvDesc) -> u32 {
-        let bcast = r.protocol_code() == Protocol::Broadcast.code();
-        let cursor = r.cursor.load(Ordering::Acquire);
         let mut cur = from;
-        while cur != NIL {
-            let m = self.t.msg(cur);
-            let owed = if bcast {
-                m.seq.load(Ordering::Acquire) >= cursor
-            } else {
-                m.fcfs_owed()
-            };
-            if owed {
-                break;
+        if r.protocol_code() == Protocol::Fcfs.code() {
+            while cur != NIL && !self.t.msg(cur).fcfs_owed() {
+                cur = self.t.msg(cur).next.load(Ordering::Acquire);
             }
-            cur = m.next.load(Ordering::Acquire);
         }
         cur
+    }
+
+    /// Points each BROADCAST receiver of `d` that had read everything at
+    /// `first`, the new run's first message.  Caller holds `d`'s lock.
+    fn catch_up(&self, d: &LnvcDesc, first: u32) {
+        for r in self.recv_conns(d) {
+            let bcast = r.protocol_code() == Protocol::Broadcast.code();
+            if bcast && r.head.load(Ordering::Acquire) == NIL {
+                r.head.store(first, Ordering::Release);
+            }
+        }
+    }
+
+    /// `d`'s receive connections in list order.  Caller holds `d`'s lock.
+    fn recv_conns<'a>(&'a self, d: &LnvcDesc) -> impl Iterator<Item = &'a RecvDesc> + 'a {
+        self.conns(ConnKind::Recv, d).map(|c| self.t.recv(c))
+    }
+
+    /// The queued messages from `first` on.  Caller holds their lock.
+    fn msgs_from(&self, first: u32) -> impl Iterator<Item = &MsgDesc> + '_ {
+        let mut cur = first;
+        std::iter::from_fn(move || {
+            let m = (cur != NIL).then(|| self.t.msg(cur))?;
+            cur = m.next.load(Ordering::Acquire);
+            Some(m)
+        })
     }
 
     /// Clears the FCFS obligation on every still-owed queued message.
@@ -2016,16 +2038,13 @@ impl IpcMpf {
     /// population changes such that the obligation can never be satisfied:
     /// the last FCFS receiver leaves while BROADCAST receivers keep the
     /// conversation alive, or the first receiver ever to join is
-    /// BROADCAST (its cursor skips the backlog).  See DESIGN.md,
+    /// BROADCAST (it skips the backlog).  See DESIGN.md,
     /// "Obligation re-evaluation".
     fn clear_fcfs_obligations(&self, d: &LnvcDesc) {
-        let mut cur = d.q_head.load(Ordering::Acquire);
-        while cur != NIL {
-            let m = self.t.msg(cur);
+        for m in self.msgs_from(d.q_head.load(Ordering::Acquire)) {
             if m.fcfs_owed() {
                 locked_update(&m.flags, |flags| flags & !msg_flags::NEEDS_FCFS);
             }
-            cur = m.next.load(Ordering::Acquire);
         }
     }
 
@@ -2087,21 +2106,6 @@ impl IpcMpf {
             self.reclaim(idx, d, true, None);
         }
         d.lock.unlock();
-    }
-
-    /// Releases a departing/dead BROADCAST receiver's claims from
-    /// `cursor` onward.
-    fn release_bcast_claims(&self, d: &LnvcDesc, cursor: u32) {
-        let mut cur = d.q_head.load(Ordering::Acquire);
-        while cur != NIL {
-            let m = self.t.msg(cur);
-            let owed = m.bcast_pending.load(Ordering::Acquire);
-            if m.seq.load(Ordering::Acquire) >= cursor && owed > 0 {
-                m.bcast_pending
-                    .store(owed.wrapping_sub(1), Ordering::Release);
-            }
-            cur = m.next.load(Ordering::Acquire);
-        }
     }
 
     // -- allocation helpers --------------------------------------------
@@ -2331,6 +2335,9 @@ impl IpcMpf {
         d.q_head.store(NIL, Ordering::Release);
         d.q_tail.store(NIL, Ordering::Release);
         d.msg_count.store(0, Ordering::Release);
+        for r in self.recv_conns(d) {
+            r.head.store(NIL, Ordering::Release);
+        }
         if first != NIL {
             // To the chain's end, not to `q_tail`: a holder that died
             // mid-publish may have left the tail word behind.
@@ -2395,7 +2402,7 @@ impl IpcMpf {
     fn retire_recv(&self, idx: u32, d: &LnvcDesc, conn: u32) -> u32 {
         let r = self.t.recv(conn);
         let (protocol, watches) = (r.protocol_code(), r.watches());
-        let cursor = r.cursor.load(Ordering::Acquire);
+        let head = r.head.load(Ordering::Acquire);
         locked_update(&d.watchers, |n| n - watches);
         self.t
             .header()
@@ -2403,7 +2410,9 @@ impl IpcMpf {
             .push(conn, |s, n| self.t.recv(s).next.store(n, Ordering::Release));
         if protocol == Protocol::Broadcast.code() {
             d.n_bcast.fetch_sub(1, Ordering::AcqRel);
-            self.release_bcast_claims(d, cursor);
+            // Its claims go: one on each message from its head on.
+            self.msgs_from(head)
+                .for_each(|m| Self::claim_delivery(m, true));
         } else if d.n_fcfs.fetch_sub(1, Ordering::AcqRel) == 1
             && d.n_bcast.load(Ordering::Acquire) > 0
         {
@@ -2418,16 +2427,23 @@ impl IpcMpf {
         watches
     }
 
-    /// Finds `pid`'s connection in an index-linked list.
-    fn find_conn(&self, kind: ConnKind, head: u32, pid: u32) -> Option<u32> {
-        let mut cur = head;
-        while cur != NIL {
-            if self.conn_pid(kind, cur) == pid {
-                return Some(cur);
-            }
-            cur = self.conn_next(kind, cur);
-        }
-        None
+    /// `d`'s connections of `kind`, in list order.  Caller holds `d`'s
+    /// lock.
+    fn conns<'a>(&'a self, kind: ConnKind, d: &LnvcDesc) -> impl Iterator<Item = u32> + 'a {
+        let head = match kind {
+            ConnKind::Send => &d.send_head,
+            ConnKind::Recv => &d.recv_head,
+        };
+        let first = Some(head.load(Ordering::Acquire)).filter(|&c| c != NIL);
+        std::iter::successors(first, move |&c| {
+            Some(self.conn_next(kind, c)).filter(|&n| n != NIL)
+        })
+    }
+
+    /// This process's connection of `kind` on `d`.
+    fn my_conn(&self, kind: ConnKind, d: &LnvcDesc) -> Option<u32> {
+        self.conns(kind, d)
+            .find(|&c| self.conn_pid(kind, c) == self.me)
     }
 
     /// Unlinks `pid`'s connection from an index-linked list, returning it.
@@ -2555,8 +2571,7 @@ impl IpcMpf {
             let mut watching = Vec::new();
             if orphaned {
                 // The corpse held the only connection: delete rather
-                // than poison (frees the queue, releases the name,
-                // wakes any parker — see the method doc).
+                // than poison (frees the queue, releases the name).
                 self.deactivate(idx);
             } else if touched {
                 d.dead_pid.store(dead, Ordering::Release);
@@ -2617,14 +2632,11 @@ impl IpcMpf {
             }
             self.lock_lnvc(idx, d);
             if d.active.load(Ordering::Acquire) == 1 {
-                let mut cur = d.q_head.load(Ordering::Acquire);
-                while cur != NIL {
-                    let m = self.t.msg(cur);
+                for m in self.msgs_from(d.q_head.load(Ordering::Acquire)) {
                     if m.fully_delivered() {
                         out.messages += 1;
                         out.blocks += m.n_blocks.load(Ordering::Acquire) as u64;
                     }
-                    cur = m.next.load(Ordering::Acquire);
                 }
             }
             d.lock.unlock();
@@ -2721,8 +2733,9 @@ impl IpcMpf {
     /// Per live conversation: the queue is acyclic and agrees with
     /// `msg_count`, `q_tail` and increasing stamps; the connection lists
     /// match `n_senders`/`n_fcfs`/`n_bcast`, and every connection's holder
-    /// is an attached, living process; every `bcast_pending` equals the
-    /// number of broadcast cursors that have not passed the message; no
+    /// is an attached, living process; every BROADCAST head is a queued
+    /// message and every `bcast_pending` the number of heads at or before
+    /// the message; no
     /// queued message waits on an FCFS delivery the current connection set
     /// can never produce (the obligation-leak class of bug); the queue
     /// head is not a fully-delivered message (prefix reclamation keeps
@@ -2851,19 +2864,17 @@ impl IpcMpf {
         let holder_gone =
             |pid: u32| pid >= self.cfg.max_processes || !self.t.slot(pid).owner_alive();
         let mut senders = 0u32;
-        let mut cur = count(&d.send_head);
-        while cur != NIL {
+        for c in self.conns(ConnKind::Send, d) {
             senders += 1;
             if senders > self.cfg.max_send_conns {
                 return Err("send list is cyclic".into());
             }
-            let pid = count(&self.t.send(cur).pid);
+            let pid = count(&self.t.send(c).pid);
             if holder_gone(pid) {
                 return Err(format!(
                     "send connection of process {pid} outlives its holder"
                 ));
             }
-            cur = count(&self.t.send(cur).next);
         }
         if senders != count(&d.n_senders) {
             return Err(format!(
@@ -2871,14 +2882,11 @@ impl IpcMpf {
                 count(&d.n_senders)
             ));
         }
-        let mut fcfs = 0u32;
-        let mut cursors = Vec::new();
-        let mut cur = count(&d.recv_head);
-        while cur != NIL {
-            if fcfs + cursors.len() as u32 >= self.cfg.max_recv_conns {
+        let (mut fcfs, mut heads) = (0u32, Vec::new());
+        for r in self.recv_conns(d) {
+            if fcfs + heads.len() as u32 >= self.cfg.max_recv_conns {
                 return Err("receive list is cyclic".into());
             }
-            let r = self.t.recv(cur);
             let pid = count(&r.pid);
             if holder_gone(pid) {
                 return Err(format!(
@@ -2886,21 +2894,22 @@ impl IpcMpf {
                 ));
             }
             if r.protocol_code() == Protocol::Broadcast.code() {
-                cursors.push(count(&r.cursor));
+                heads.push(count(&r.head));
             } else {
                 fcfs += 1;
             }
-            cur = count(&r.next);
         }
         let (n_fcfs, n_bcast) = (count(&d.n_fcfs), count(&d.n_bcast));
-        if fcfs != n_fcfs || cursors.len() as u32 != n_bcast {
+        if fcfs != n_fcfs || heads.len() as u32 != n_bcast {
             return Err(format!(
                 "counters say {n_fcfs} FCFS / {n_bcast} BROADCAST but list holds {fcfs} / {}",
-                cursors.len()
+                heads.len()
             ));
         }
 
         let (mut queued, mut blocks, mut last, mut prev) = (0u32, 0u64, None, NIL);
+        // BROADCAST receivers whose head is this message or one before it.
+        let mut claims = 0u32;
         let mut cur = count(&d.q_head);
         while cur != NIL {
             queued += 1;
@@ -2930,11 +2939,11 @@ impl IpcMpf {
                      its {n_blocks} blocks"
                 ));
             }
-            let claims = cursors.iter().filter(|&&c| c <= seq).count() as u32;
+            claims += heads.iter().filter(|&&h| h == cur).count() as u32;
             if count(&m.bcast_pending) != claims {
                 return Err(format!(
                     "message {cur} (stamp {stamp}) has bcast_pending {} but {claims} \
-                     broadcast cursors have not passed it",
+                     broadcast heads are at or before it",
                     count(&m.bcast_pending)
                 ));
             }
@@ -2965,11 +2974,14 @@ impl IpcMpf {
                 count(&d.q_tail)
             ));
         }
+        if heads.iter().filter(|&&h| h != NIL).count() as u32 != claims {
+            return Err("a BROADCAST head is not a queued message".into());
+        }
         Ok([
             u64::from(queued),
             blocks,
             u64::from(senders),
-            u64::from(fcfs) + cursors.len() as u64,
+            u64::from(fcfs) + heads.len() as u64,
         ])
     }
 

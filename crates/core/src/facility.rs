@@ -96,7 +96,7 @@ impl Mpf {
     /// `close_receive(process_id, lnvc_id)`: removes the process's receive
     /// connection.  For a BROADCAST receiver with unread messages this
     /// performs the paper's §3.2 sweep, releasing the receiver's claim on
-    /// every message from its cursor to the tail.
+    /// every message from its head to the tail.
     pub fn close_receive(&self, pid: ProcessId, id: LnvcId) -> Result<()> {
         self.view(pid)?.close_receive(id)
     }

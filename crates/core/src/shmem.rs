@@ -257,7 +257,7 @@ pub struct MsgDesc {
     pub n_blocks: AtomicU32,
     /// Payload length in bytes.
     pub len: AtomicU32,
-    /// Per-LNVC sequence number (broadcast cursors compare against it).
+    /// Per-LNVC sequence number (the latency sample picks by it).
     pub seq: AtomicU32,
     /// Broadcast deliveries still owed.
     pub bcast_pending: AtomicU32,
@@ -310,18 +310,23 @@ pub struct RecvDesc {
     pub next: AtomicU32,
     /// Low byte: `Protocol::code()` (1/2; 0 would be ambiguous with zeroed
     /// slots).  Upper 24 bits: how many waits of the holder are watching
-    /// the conversation right now — the stride has no spare word.  Both
-    /// halves change only under the LNVC lock.
+    /// the conversation right now, receives in bits 8–19 and
+    /// `wait_any`s in bits 20–31 — the stride has no spare word.  All
+    /// three change only under the LNVC lock.
     pub protocol: AtomicU32,
-    /// Broadcast cursor: the smallest [`MsgDesc::seq`] this receiver is
-    /// owed (set to the LNVC's `next_seq` at open, per the paper's
-    /// "new messages only" BROADCAST join rule).
-    pub cursor: AtomicU32,
+    /// A BROADCAST receiver's own queue head: the first queued message it
+    /// is still owed, every one behind it owed too, or [`NIL`] when it has
+    /// read everything queued — as at open, per the paper's "new messages
+    /// only" join rule.  A publish points each caught-up receiver at its
+    /// run's first message.
+    pub head: AtomicU32,
 }
 
 impl RecvDesc {
-    /// One watch, in `protocol`'s units.
+    /// One receive's watch, in `protocol`'s units.
     pub const WATCH_ONE: u32 = 1 << 8;
+    /// One `wait_any`'s watch, in `protocol`'s units.
+    pub const WATCH_ANY: u32 = 1 << 20;
 
     /// The connection's `Protocol::code()`.
     pub fn protocol_code(&self) -> u32 {
@@ -330,7 +335,12 @@ impl RecvDesc {
 
     /// Waits of the holder currently watching the conversation.
     pub fn watches(&self) -> u32 {
-        self.protocol.load(Ordering::Acquire) >> 8
+        self.watches_of(Self::WATCH_ONE) + self.watches_of(Self::WATCH_ANY)
+    }
+
+    /// Of [`Self::watches`], those of `unit`'s kind (receives or `wait_any`s).
+    pub fn watches_of(&self, unit: u32) -> u32 {
+        (self.protocol.load(Ordering::Acquire) / unit) & 0xfff
     }
 }
 

@@ -344,6 +344,33 @@ fn check_invariants_reports_a_corpse_and_passes_after_the_sweep() {
     a.check_invariants().unwrap();
 }
 
+/// A sweep that poisons a conversation frees its queue, so a surviving
+/// BROADCAST receiver with unread messages must not keep its head in the
+/// freed messages: the audit after the sweep is clean, and the survivor's
+/// close releases claims on nothing.
+#[test]
+fn a_poisoning_sweep_leaves_no_broadcast_head_in_the_freed_queue() {
+    let a = region("loop-bcast-poison");
+    let b = a.attach_view().expect("victim view");
+    let total = a.free_blocks();
+    let rx = a.open_receive("fanout", Protocol::Broadcast).unwrap();
+    let tx = b.open_send("fanout").unwrap();
+    b.message_send(tx, b"unread one").unwrap();
+    b.message_send(tx, b"unread two").unwrap();
+    a.check_invariants().expect("two messages owed to the head");
+
+    b.debug_abandon_slot();
+    std::mem::forget(b);
+    assert_eq!(a.sweep_dead_peers(), 1);
+    assert!(a.lnvc_poisoned(rx).unwrap());
+    a.check_invariants()
+        .expect("the poisoned queue is gone, and the head with it");
+    assert_eq!(a.free_blocks(), total);
+    a.close_receive(rx).unwrap();
+    assert_eq!(a.live_lnvcs(), 0);
+    a.check_invariants().unwrap();
+}
+
 /// A view dropped with connections open retires them the way its own
 /// closes would — no poison, a conversation only it held deleted — so the
 /// audit finds nothing under the slot it frees; on a named and on an
