@@ -8,9 +8,7 @@
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use mpf::one2one::one2one;
 use mpf::sync_channel::Rendezvous;
 use mpf::{MpfConfig, Protocol};
 use mpf_apps::grid::{self, Grid};
@@ -35,7 +33,7 @@ pub const ABLATIONS: &[Entry] = &[
     Entry("a2", None, Some(a2_locks)),
     Entry("a3", None, Some(a3_wait)),
     Entry("a4", None, Some(a4_sync)),
-    Entry("a5", None, Some(a5_one2one)),
+    Entry("a5", None, Some(a5_one_to_one)),
     Entry("a6", None, Some(a6_zero_copy)),
     Entry("a7", None, Some(a7_paradigm)),
 ];
@@ -214,32 +212,15 @@ fn a4_sync(budget: Budget) -> Output {
 }
 
 /// A5 — §5: "if only one-to-one communication is implemented, all locking
-/// associated with message handling is removed."
-fn a5_one2one(budget: Budget) -> Output {
+/// associated with message handling is removed."  A conversation of one
+/// sender and one FCFS receiver runs on its ring and takes no conversation
+/// lock; a second FCFS receiver puts it on the locked queue.
+fn a5_one_to_one(budget: Budget) -> Output {
     const LEN: usize = 128;
-    let lock_free: Workload = Box::new(|msgs| {
-        let (tx, rx) = one2one(64 * 1024);
-        // Each half moves into the thread that uses it.
-        let (tx, rx) = (Mutex::new(Some(tx)), Mutex::new(Some(rx)));
-        steady_section(2, |pid, go| {
-            let mut buf = [4u8; LEN];
-            if pid.index() == 0 {
-                let mut tx = tx.lock().expect("unshared").take().expect("taken once");
-                go();
-                for _ in 0..msgs {
-                    tx.send(&buf).expect("send");
-                }
-            } else {
-                let mut rx = rx.lock().expect("unshared").take().expect("taken once");
-                go();
-                for _ in 0..msgs {
-                    rx.recv(&mut buf).expect("recv");
-                }
-            }
-        })
-    });
-    let title = "A5 one-to-one: 128 B two-thread stream (ns per message)";
-    stream(title, LEN, "one-to-one", lock_free, budget)
+    let one_to = |k| fanout(Protocol::Fcfs, LEN, k, Rc::<Tally>::default());
+    let title = "A5 one-to-one: 128 B stream, one sender to k FCFS receivers (ns per message)";
+    let columns = ["LNVC 1:1 (ring)", "LNVC 1:2 (locked)"];
+    one_row(title, &columns, vec![one_to(1), one_to(2)], budget).into()
 }
 
 /// A6 — the scan receive removes the *second* copy (the first, into

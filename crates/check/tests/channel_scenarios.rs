@@ -1,14 +1,10 @@
-//! Schedule-exploration scenarios for the paper's §5 channel variants:
-//! the synchronous [`Rendezvous`] exchange and the one-to-one lock-free
-//! ring.  Both skip the general LNVC machinery, so they get their own
-//! conservation checks: every rendezvous pairs exactly one sender with
-//! one receiver, and the SPSC ring delivers every frame exactly once in
-//! FIFO order, under every explored interleaving.
+//! Schedule-exploration scenarios for the paper's §5 synchronous
+//! [`Rendezvous`] exchange.  It skips the general LNVC machinery, so it
+//! gets its own conservation check: every rendezvous pairs exactly one
+//! sender with one receiver under every explored interleaving.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mpf::one2one::one2one;
 use mpf::sync_channel::Rendezvous;
 use mpf_check::{explore_dfs, explore_random, Case, ExploreOpts};
 
@@ -64,120 +60,4 @@ fn rendezvous_pairs_each_offer_exactly_once_dfs() {
 fn rendezvous_pairs_each_offer_exactly_once_random() {
     let opts = ExploreOpts::new("rendezvous-exactly-once-pct").max_schedules(300);
     explore_random(&opts, 0x5EC5, rendezvous_case).assert_ok();
-}
-
-/// SPSC ring smaller than the traffic: the producer must block mid-burst
-/// (hooked wait on the consumer's cursor) and every frame must come out
-/// exactly once, in order, through the wrap-around.
-fn one2one_case() -> Case {
-    // Capacity 16 holds two 3-byte frames (4-byte header each): the
-    // third send can only proceed once the consumer frees a slot.
-    let (mut tx, mut rx) = one2one(16);
-    let received: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
-    let producer = Box::new(move || {
-        for i in 0..4u8 {
-            tx.send(&[i; 3]).expect("o2o send");
-        }
-    }) as Proc;
-    let consumer = {
-        let received = Arc::clone(&received);
-        Box::new(move || {
-            let mut buf = [0u8; 8];
-            for _ in 0..4 {
-                let n = rx.recv(&mut buf).expect("o2o recv");
-                received.lock().unwrap().push(buf[..n].to_vec());
-            }
-            if rx.peek_len().is_some() {
-                panic!("ring should be empty after the full drain");
-            }
-        }) as Proc
-    };
-    Case {
-        procs: vec![producer, consumer],
-        death: None,
-        check: Box::new(move || {
-            let seen = received.lock().unwrap().clone();
-            let want: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 3]).collect();
-            if seen != want {
-                return Err(format!("FIFO broken or frames lost: {seen:?}"));
-            }
-            Ok(())
-        }),
-    }
-}
-
-#[test]
-fn one2one_fifo_exactly_once_dfs() {
-    let opts = ExploreOpts::new("one2one-fifo").max_schedules(300);
-    explore_dfs(&opts, one2one_case).assert_ok();
-}
-
-#[test]
-fn one2one_fifo_exactly_once_random() {
-    let opts = ExploreOpts::new("one2one-fifo-pct").max_schedules(300);
-    explore_random(&opts, 0x0201, one2one_case).assert_ok();
-}
-
-/// Producer and consumer race try-ops with no blocking at all: whatever
-/// the schedule, the consumer's count plus the frames left in the ring
-/// must equal the frames the producer managed to push.
-fn one2one_try_case() -> Case {
-    let (mut tx, rx) = one2one(16);
-    let pushed = Arc::new(AtomicUsize::new(0));
-    let popped = Arc::new(AtomicUsize::new(0));
-    let producer = {
-        let pushed = Arc::clone(&pushed);
-        Box::new(move || {
-            for i in 0..4u8 {
-                if tx.try_send(&[i; 3]).expect("o2o try_send") {
-                    pushed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }) as Proc
-    };
-    let rx = Arc::new(Mutex::new(rx));
-    let consumer = {
-        let (rx, popped) = (Arc::clone(&rx), Arc::clone(&popped));
-        Box::new(move || {
-            let mut rx = rx.lock().unwrap();
-            let mut buf = [0u8; 8];
-            for _ in 0..4 {
-                if rx.try_recv(&mut buf).expect("o2o try_recv").is_some() {
-                    popped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }) as Proc
-    };
-    Case {
-        procs: vec![producer, consumer],
-        death: None,
-        check: Box::new(move || {
-            // Frames still queued when the consumer gave up are counted
-            // here, after both sides have quiesced — not lost.
-            let mut rx = rx.lock().unwrap();
-            let mut buf = [0u8; 8];
-            let mut left = 0;
-            while rx.try_recv(&mut buf).expect("final drain").is_some() {
-                left += 1;
-            }
-            let (p, c) = (
-                pushed.load(Ordering::Relaxed),
-                popped.load(Ordering::Relaxed),
-            );
-            if c + left != p {
-                return Err(format!(
-                    "frame conservation broken: {p} in, {} out",
-                    c + left
-                ));
-            }
-            Ok(())
-        }),
-    }
-}
-
-#[test]
-fn one2one_try_ops_conserve_frames() {
-    let opts = ExploreOpts::new("one2one-try-conservation").max_schedules(300);
-    explore_dfs(&opts, one2one_try_case).assert_ok();
-    explore_random(&opts, 0x7ae0, one2one_try_case).assert_ok();
 }

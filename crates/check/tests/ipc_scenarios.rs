@@ -22,7 +22,7 @@
 //! racy regions deterministically instead of hoping the OS happens to.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mpf::inspect::RegionInspector;
 use mpf::{MpfConfig, MpfError, Protocol};
@@ -93,6 +93,10 @@ fn ipc_death_mid_lock_case(when_poisoned: Arc<dyn Fn() + Send + Sync>) -> Case {
     let total = a.free_blocks();
     let tx = a.open_send("mort").expect("open send");
     let rx = a.open_receive("mort", Protocol::Fcfs).expect("open recv");
+    // A second, idle sender keeps "mort" off its one-to-one ring, so the
+    // survivor's round trip takes the lock the victim dies holding.
+    let idle = a.attach_view().expect("idle view");
+    let idle_tx = idle.open_send("mort").expect("open idle send");
     // A second conversation whose only purpose is to give the victim a
     // *parked* decision point while it holds the first conversation's
     // lock: hooked processes park only at decision points (pre-acquire,
@@ -146,6 +150,8 @@ fn ipc_death_mid_lock_case(when_poisoned: Arc<dyn Fn() + Send + Sync>) -> Case {
             a.close_receive(rx)
                 .expect("close recv on poisoned conversation");
             a.close_send(txb).expect("close aux send");
+            idle.close_send(idle_tx)
+                .expect("close idle send on poisoned conversation");
         }) as Proc
     };
     let on_death = {
@@ -942,4 +948,194 @@ fn ipc_batch_receiver_death_leaks_at_most_one_run() {
         .preempt_events(true);
     explore_dfs(&opts, || batch_death_case(2)).assert_ok();
     explore_random(&opts, 0xDEAD4EC7, || batch_death_case(2)).assert_ok();
+}
+
+/// How the one-to-one ring of a conversation is raced.
+#[derive(Clone, Copy, PartialEq)]
+enum RingRace {
+    /// A second sender opens while the first pushes: the conversation
+    /// leaves ring mode, the ring moving onto the queue.
+    SecondSender,
+    /// A BROADCAST receiver opens while the sender pushes.
+    Broadcast,
+    /// The receiver sleeps in `message_receive` while the sender pushes.
+    BlockedReceive,
+    /// The receiver takes runs from the ring while the sender pushes.
+    Take,
+}
+
+/// A sender pushes two messages through the ring of a one-to-one
+/// conversation — one is already there — against `race`, and `victim`
+/// (a process index) may be killed at any of its decision points.
+/// Whatever the schedule, the receiver gets what it gets in send order,
+/// the trace replays through `mpf::spec`, the region audits clean, and
+/// a death leaks at most what the victim held: the run a sender staged,
+/// or the messages a receiver took and had not freed.
+fn ring_case(race: RingRace, victim: usize) -> Case {
+    let (name, root) = named_region("ring");
+    let views = [(); 3].map(|()| Arc::new(root.attach_view().expect("view")));
+    let [s, r, x] = views.clone();
+    let total = root.free_blocks();
+    let tx = s.open_send("o2o").expect("open send");
+    let rx = r.open_receive("o2o", Protocol::Fcfs).expect("open recv");
+    s.message_send(tx, &[0; 32]).expect("seed send");
+    let got = Arc::new(Mutex::new(Vec::<u8>::new()));
+    let sender = {
+        let s = Arc::clone(&s);
+        Box::new(move || {
+            for i in 1..3u8 {
+                match s.message_send(tx, &[i; 32]) {
+                    Ok(()) | Err(MpfError::PeerDied { .. }) => {}
+                    Err(e) => panic!("send: {e:?}"),
+                }
+            }
+        }) as Proc
+    };
+    let receiver = {
+        let (r, got) = (Arc::clone(&r), Arc::clone(&got));
+        Box::new(move || {
+            let take = |msgs: Vec<Vec<u8>>| got.lock().unwrap().extend(msgs.iter().map(|m| m[0]));
+            if race == RingRace::BlockedReceive {
+                let mut buf = [0u8; 32];
+                // The seed first, then a sleep the sender's push must end.
+                for _ in 0..2 {
+                    match r.message_receive(rx, &mut buf) {
+                        Ok(_) => take(vec![buf.to_vec()]),
+                        Err(MpfError::PeerDied { .. }) => return,
+                        Err(e) => panic!("receive: {e:?}"),
+                    }
+                }
+                return;
+            }
+            // Never blocks: a hooked wait has no sweep cadence to fall
+            // back on, so the survivor sweeps for itself.
+            for _ in 0..2 {
+                r.sweep_dead_peers();
+                match r.try_recv_batch(rx, 2) {
+                    Ok(msgs) => take(msgs),
+                    Err(MpfError::PeerDied { .. }) => return,
+                    Err(e) => panic!("try_recv_batch: {e:?}"),
+                }
+            }
+        }) as Proc
+    };
+    // The flipper's connection, which the check closes.
+    let joined = Arc::new(Mutex::new(None));
+    let flipper = {
+        let (x, joined) = (Arc::clone(&x), Arc::clone(&joined));
+        Box::new(move || match race {
+            RingRace::SecondSender => {
+                if let Ok(tx2) = x.open_send("o2o") {
+                    *joined.lock().unwrap() = Some(tx2);
+                    let _ = x.message_send(tx2, &[9; 32]);
+                }
+            }
+            RingRace::Broadcast => {
+                if let Ok(bx) = x.open_receive("o2o", Protocol::Broadcast) {
+                    *joined.lock().unwrap() = Some(bx);
+                    let _ = x.try_message_receive_vec(bx);
+                }
+            }
+            RingRace::BlockedReceive | RingRace::Take => {}
+        }) as Proc
+    };
+    let died = Arc::new(AtomicBool::new(false));
+    let on_death = {
+        let (died, corpse) = (Arc::clone(&died), Arc::clone(&views[victim]));
+        Box::new(move |_tid: usize| {
+            died.store(true, Ordering::Relaxed);
+            corpse.debug_abandon_slot();
+        })
+    };
+    Case {
+        procs: vec![sender, receiver, flipper],
+        death: Some(DeathPlan {
+            victims: vec![victim],
+            on_death,
+        }),
+        check: Box::new(move || {
+            let _views = &views;
+            let died = died.load(Ordering::Relaxed);
+            root.sweep_dead_peers();
+            // FIFO: the sender's messages come in send order; the second
+            // sender's one, if taken, after whatever it was sent behind.
+            let seen: Vec<u8> = got
+                .lock()
+                .unwrap()
+                .iter()
+                .copied()
+                .filter(|&b| b != 9)
+                .collect();
+            if seen.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("out of send order: {seen:?}"));
+            }
+            match root.check_invariants() {
+                Err(e) if !(died && e.contains("leaked")) => return Err(e),
+                _ => {}
+            }
+            conforms(&root)?;
+            // What the survivors still hold, they close.
+            let _ = s.close_send(tx);
+            let _ = r.close_receive(rx);
+            if let Some(id) = *joined.lock().unwrap() {
+                let _ = x.close_send(id);
+                let _ = x.close_receive(id);
+            }
+            // A dead sender leaks the run it staged (one message), a dead
+            // receiver the messages it took and had not freed (two).
+            let floor = total - if died { 2 } else { 0 };
+            if root.free_blocks() < floor || root.live_lnvcs() != 0 {
+                return Err(format!(
+                    "{} blocks free of {total}, {} conversations live",
+                    root.free_blocks(),
+                    root.live_lnvcs()
+                ));
+            }
+            doorbell_state_is_clean(&name)
+        }),
+    }
+}
+
+/// Explores `race` with `victim` mortal, by DFS and by PCT, and reports
+/// how many schedules each ran.
+fn explore_ring(tag: &str, race: RingRace, victim: usize) {
+    let opts = ExploreOpts::new(tag)
+        .max_schedules(400)
+        .preempt_events(true);
+    let dfs = explore_dfs(&opts, || ring_case(race, victim));
+    dfs.assert_ok();
+    let pct = explore_random(&opts, 0x0200_0001, || ring_case(race, victim));
+    pct.assert_ok();
+    let exhausted = if dfs.exhausted {
+        "exhausted"
+    } else {
+        "bounded"
+    };
+    eprintln!(
+        "{tag}: {} DFS schedules ({exhausted}), {} PCT",
+        dfs.schedules, pct.schedules
+    );
+}
+
+#[test]
+fn ipc_ring_flip_by_a_second_sender_races_a_push() {
+    // The racing sender dies anywhere, and so does the one it races.
+    explore_ring("ring-flip-sender", RingRace::SecondSender, 0);
+    explore_ring("ring-flip-sender-x", RingRace::SecondSender, 2);
+}
+
+#[test]
+fn ipc_ring_flip_by_a_broadcast_open_races_a_push() {
+    explore_ring("ring-flip-bcast", RingRace::Broadcast, 0);
+    explore_ring("ring-flip-bcast-x", RingRace::Broadcast, 2);
+}
+
+#[test]
+fn ipc_ring_push_wakes_a_blocked_receive() {
+    explore_ring("ring-wake", RingRace::BlockedReceive, 1);
+}
+
+#[test]
+fn ipc_ring_receiver_killed_between_take_and_free() {
+    explore_ring("ring-take-death", RingRace::Take, 1);
 }

@@ -26,10 +26,11 @@ use std::time::{Duration, Instant};
 
 use crate::config::MpfConfig;
 use crate::error::{MpfError, Result};
-use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC};
+use crate::layout::{RegionLayout, LAYOUT_VERSION, REGION_MAGIC, RING_SLOTS};
 use crate::types::{AioCompletion, AioStats, LnvcId, LnvcName, Protocol, Reclaimable};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::freelist::stretch;
+use mpf_shm::lock::IPC_LOCK_PATIENCE;
 use mpf_shm::ring::{AioRing, RingEntry, AIO_RING_SLOTS};
 use mpf_shm::telemetry::{
     bump, facility_snapshot, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry,
@@ -43,8 +44,8 @@ use mpf_shm::tracering::{
 use mpf_shm::{FutexSeq, ShmRegion};
 
 use crate::shmem::{
-    msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
-    RegistryEntry, SendDesc, NIL,
+    lnvc_mode, msg_flags, region_state, slot_state, LnvcDesc, LnvcRing, MsgDesc, ProcessSlot,
+    RecvDesc, RegionHeader, RegistryEntry, SendDesc, NIL,
 };
 
 /// How long any blocked call sleeps between liveness sweeps: the bound
@@ -107,6 +108,7 @@ struct Offsets {
     header: usize,
     slots: usize,
     lnvcs: usize,
+    rings: usize,
     registry: usize,
     msgs: usize,
     sends: usize,
@@ -142,6 +144,7 @@ impl Tables {
             header: seg("region header"),
             slots: seg("process slots"),
             lnvcs: seg("lnvc descriptors"),
+            rings: seg("lnvc rings"),
             registry: seg("name registry"),
             msgs: seg("message headers"),
             sends: seg("send descriptors"),
@@ -188,6 +191,11 @@ impl Tables {
 
     pub fn lnvc(&self, i: u32) -> &LnvcDesc {
         self.table(self.off.lnvcs, i)
+    }
+
+    /// Conversation `i`'s one-to-one ring.
+    pub fn ring(&self, i: u32) -> &LnvcRing {
+        self.table(self.off.rings, i)
     }
 
     pub fn reg_entry(&self, i: u32) -> &RegistryEntry {
@@ -305,6 +313,13 @@ fn locked_update(word: &AtomicU32, f: impl FnOnce(u32) -> u32) -> u32 {
     let new = f(word.load(Ordering::Relaxed));
     word.store(new, Ordering::Release);
     new
+}
+
+/// This thread's token (never 0, distinct among live threads): see
+/// [`LnvcRing::p_thread`].
+fn thread_token() -> u64 {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|t| t as *const u8 as u64)
 }
 
 /// One participant's handle on the facility: one per process of a named
@@ -487,12 +502,6 @@ impl IpcMpf {
         h.recv_free.thread(cfg.max_recv_conns, |s, n| {
             self.t.recv(s).next.store(n, Ordering::Relaxed)
         });
-        for i in 0..cfg.max_lnvcs {
-            self.t.lnvc(i).q_head.store(NIL, Ordering::Relaxed);
-            self.t.lnvc(i).q_tail.store(NIL, Ordering::Relaxed);
-            self.t.lnvc(i).send_head.store(NIL, Ordering::Relaxed);
-            self.t.lnvc(i).recv_head.store(NIL, Ordering::Relaxed);
-        }
         for p in 0..cfg.max_processes {
             self.t.aio_sq(p).reset();
             self.t.aio_cq(p).reset();
@@ -801,6 +810,7 @@ impl IpcMpf {
                 d.send_head.store(conn, Ordering::Release);
                 d.n_senders.fetch_add(1, Ordering::AcqRel);
                 self.trace_population(TR_OPEN_SEND, idx, 0);
+                self.decide_mode(idx, d, false);
                 Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
             })();
             if result.is_err() && created {
@@ -852,6 +862,8 @@ impl IpcMpf {
                     Protocol::Broadcast => d.n_bcast.fetch_add(1, Ordering::AcqRel),
                 };
                 self.trace_population(TR_OPEN_RECV, idx, protocol.code());
+                // Before obligations are re-evaluated over the queue.
+                self.decide_mode(idx, d, false);
                 // Obligation re-evaluation (DESIGN.md): a backlog queued
                 // while nobody listened is owed to the first receiver — but
                 // a BROADCAST receiver starts past it, so if the first ever
@@ -887,6 +899,7 @@ impl IpcMpf {
                     .send_free
                     .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
                 d.n_senders.fetch_sub(1, Ordering::AcqRel);
+                self.decide_mode(idx, d, false);
                 if d.total_connections() == 0 {
                     self.deactivate(idx);
                 }
@@ -913,6 +926,7 @@ impl IpcMpf {
                 // Waits of ours still watching through this connection
                 // lose their watch with it; woken below to notice.
                 let watches = self.retire_recv(idx, d, conn);
+                self.decide_mode(idx, d, false);
                 if d.total_connections() == 0 {
                     self.deactivate(idx);
                 }
@@ -966,76 +980,36 @@ impl IpcMpf {
             .inspect_err(|_| self.free_run(m_idx, m_idx, None))
     }
 
-    /// The only routine that publishes: links the staged messages of
-    /// `run` — descriptors as [`Self::submit_sends`] stages them: message
-    /// index in `arg0`, length in `arg1`, causal id in `trace`, hop count
-    /// in `status` — at the tail of conversation `idx` under one lock hold,
-    /// with one receiver population and so one set of obligations, books
-    /// and records them, and rings each watching process once.  On error
-    /// nothing was published and the staged messages are still the
-    /// caller's to free.
+    /// The only routine that publishes: hands the staged messages of `run`
+    /// — descriptors as [`Self::submit_sends`] stages them: message index
+    /// in `arg0`, length in `arg1`, causal id in `trace`, hop count in
+    /// `status` — to conversation `idx` in one step (one population, one
+    /// set of obligations): through its ring in ring mode, else linked at
+    /// its queue's tail under one lock hold; it books and records them and
+    /// rings each watching process once.  On error nothing was published
+    /// and the staged messages are still the caller's to free.
     fn publish_run(&self, idx: u32, d: &LnvcDesc, run: &[RingEntry]) -> Result<()> {
-        // One clock read, at the run's first timed message, is the latency
-        // origin of its timed messages and dates every record; a run with
-        // none reads nothing and records undated (0).
-        let mut now = 0u64;
+        if d.mode.load(Ordering::Relaxed) == lnvc_mode::RING && self.ring_push(idx, d, run) {
+            return Ok(());
+        }
         self.lock_lnvc(idx, d);
         let published = self.send_obligations(d).map(|(needs_fcfs, n_bcast)| {
-            // Stamps are the region's total order over sends, increasing
-            // along every queue; a run takes its block of them in one
-            // step, so none has to be carried out of the lock one by one
-            // for the trace records below.
-            let first_stamp = self
-                .t
-                .header()
+            // Still ring mode: this thread claims the send end, and a ring
+            // without room leaves ring mode like a change of shape.
+            if d.mode.load(Ordering::Relaxed) == lnvc_mode::RING {
+                self.decide_mode(idx, d, false);
+                if self.ring_push(idx, d, run) {
+                    return Vec::new();
+                }
+                self.decide_mode(idx, d, true);
+            }
+            let header = self.t.header();
+            let stamps = header
                 .next_stamp
                 .fetch_add(run.len() as u64, Ordering::AcqRel);
-            let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
-            let (mut bytes, mut depth) = (0u64, 0u32);
-            for (e, stamp) in run.iter().zip(first_stamp..) {
-                let m = self.t.msg(e.arg0);
-                // The causal id is in place before receivers can see the
-                // message (staging left both words zero).
-                if e.trace != 0 {
-                    m.trace.store(e.trace, Ordering::Release);
-                    m.hop.store(e.status as u32, Ordering::Release);
-                }
-                // The seq `publish` is about to give it decides the timing.
-                if self.timed(d.next_seq.load(Ordering::Relaxed), e.trace) {
-                    if now == 0 {
-                        now = now_nanos();
-                    }
-                    // The latency origin, which the receiver of a timed
-                    // message reads.
-                    if lt.is_some() {
-                        m.sent_at.store(now, Ordering::Release);
-                    }
-                }
-                depth = self.publish(d, e.arg0, stamp, needs_fcfs, n_bcast);
-                if let Some(lt) = lt {
-                    lt.sizes.record_locked(u64::from(e.arg1));
-                }
-                bytes += u64::from(e.arg1);
-            }
+            self.stamp_run(idx, d, run, (needs_fcfs, n_bcast), None, stamps);
             if n_bcast > 0 {
                 self.catch_up(d, run[0].arg0);
-            }
-            if let Some(lt) = lt {
-                // lt.* writes are serialised by the LNVC lock we hold, so
-                // the RMW-free `bump` is sound (see telemetry::bump).
-                bump(&lt.sends, run.len() as u64);
-                bump(&lt.bytes_in, bytes);
-                lt.note_depth(u64::from(depth));
-            }
-            // Obligations are fixed at this instant; packed, they are what
-            // the conformance checker audits the deliveries against.  The
-            // records are written before the unlock, so no receiver can
-            // take a message whose sender died before recording it.
-            let obligations = (u32::from(needs_fcfs) << 16) | n_bcast;
-            let at = Some(now);
-            for (e, stamp) in run.iter().zip(first_stamp..) {
-                let hop = e.status as u32;
-                self.trace_rec_at(at, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
             }
             self.watchers(d, Some(run[0].arg0))
         });
@@ -1046,6 +1020,225 @@ impl IpcMpf {
         Ok(())
     }
 
+    /// All a send does before its messages are visible: stamps (from
+    /// `first_stamp`, the run's block), seqs, obligations `owed`, the link
+    /// unless it goes through `ring`, books and `TR_SEND`s.  Caller holds
+    /// `d`'s lock, or owns the send end.
+    #[inline(always)]
+    fn stamp_run(
+        &self,
+        idx: u32,
+        d: &LnvcDesc,
+        run: &[RingEntry],
+        owed: (bool, u32),
+        ring: Option<&LnvcRing>,
+        first_stamp: u64,
+    ) {
+        // One clock read, at the run's first timed message, is the latency
+        // origin of its timed messages and dates every record; a run with
+        // none reads nothing and records undated (0).
+        let mut now = 0u64;
+        let lt = self.cfg.telemetry.then(|| self.t.lnvc_tel(idx));
+        let (mut bytes, mut depth) = (0u64, 0u32);
+        for (e, stamp) in run.iter().zip(first_stamp..) {
+            let m = self.t.msg(e.arg0);
+            // The causal id is in place before receivers can see the
+            // message (staging left both words zero).
+            if e.trace != 0 {
+                m.trace.store(e.trace, Ordering::Release);
+                m.hop.store(e.status as u32, Ordering::Release);
+            }
+            // The seq `publish` is about to give it decides the timing.
+            if self.timed(d.next_seq.load(Ordering::Relaxed), e.trace) {
+                if now == 0 {
+                    now = now_nanos();
+                }
+                // The latency origin, which the receiver of a timed
+                // message reads.
+                if lt.is_some() {
+                    m.sent_at.store(now, Ordering::Release);
+                }
+            }
+            depth = self.publish(d, e.arg0, stamp, owed, ring.is_none());
+            if let Some(lt) = lt {
+                lt.sizes.record_locked(u64::from(e.arg1));
+            }
+            bytes += u64::from(e.arg1);
+        }
+        if let Some(lt) = lt {
+            // lt.* writes are serialised by what the caller holds, so the
+            // RMW-free `bump` is sound (see telemetry::bump).
+            bump(&lt.sends, run.len() as u64);
+            bump(&lt.bytes_in, bytes);
+            let queued = ring.map_or(depth, |r| r.queued_after(run.len() as u32));
+            lt.note_depth(u64::from(queued));
+        }
+        // Obligations are fixed at this instant; packed, they are what the
+        // conformance checker audits the deliveries against.  The records
+        // are written before the messages are visible, so no receiver can
+        // take a message whose sender died before recording it.
+        let obligations = (u32::from(owed.0) << 16) | owed.1;
+        let at = Some(now);
+        for (e, stamp) in run.iter().zip(first_stamp..) {
+            let hop = e.status as u32;
+            self.trace_rec_at(at, TR_SEND, hop, e.trace, idx, stamp, e.arg1, obligations);
+        }
+    }
+
+    /// Ring mode's publish, lock-free, by the send end's owner thread:
+    /// announce, take the stamps (the `fetch_add` orders the announcement
+    /// before the checks), then — still in ring mode, with room — stamp
+    /// the run, fill the slots, ring a watching receiver.  `false`: no push.
+    fn ring_push(&self, idx: u32, d: &LnvcDesc, run: &[RingEntry]) -> bool {
+        let (ring, n) = (self.t.ring(idx), run.len() as u32);
+        let owns = |mode| {
+            d.mode.load(mode) == lnvc_mode::RING
+                && ring.p_thread.load(Ordering::Relaxed) == thread_token()
+        };
+        // Checked first too: another thread's send wastes no stamps.
+        if !owns(Ordering::Relaxed) {
+            return false;
+        }
+        ring.p_busy.store(self.lock_owner(), Ordering::Relaxed);
+        let header = self.t.header();
+        let stamps = header.next_stamp.fetch_add(u64::from(n), Ordering::SeqCst);
+        // Slots fill and empty in order: the run's last free, all are.
+        let last = ring.slot(ring.tail.load(Ordering::Relaxed).wrapping_add(n - 1));
+        let pushed = owns(Ordering::SeqCst)
+            && ring.producer.load(Ordering::Relaxed) == self.me
+            && d.poisoned.load(Ordering::Relaxed) == 0
+            && n as usize <= RING_SLOTS
+            && last.load(Ordering::Acquire) == NIL;
+        let at = &ring.p_busy as *const AtomicU32 as usize;
+        if pushed {
+            mpf_shm::hooks::yield_point(mpf_shm::hooks::SyncEvent::StackPush(at));
+            self.stamp_run(idx, d, run, (true, 0), Some(ring), stamps);
+            // `tail` first: a pusher killed here leaves holes a drain skips.
+            let tail = ring.tail.load(Ordering::Relaxed);
+            ring.tail.store(tail.wrapping_add(n), Ordering::Relaxed);
+            for (i, e) in (0..).zip(run) {
+                ring.slot(tail.wrapping_add(i))
+                    .store(e.arg0, Ordering::Release);
+            }
+        }
+        ring.p_busy.store(0, Ordering::Release);
+        mpf_shm::hooks::lock_release(at);
+        // After the `fetch_add`: a receiver that armed its watch, then
+        // looked (`ring_sync`), sees this push, or this sees its watch.
+        if pushed && d.watchers.load(Ordering::SeqCst) != 0 {
+            let consumer = ring.consumer.load(Ordering::Acquire);
+            self.ring_doorbells((consumer != NIL).then_some(consumer));
+        }
+        pushed
+    }
+
+    /// Waits out a push on conversation `idx`'s ring: one that saw ring mode
+    /// before the caller's last `SeqCst` access completes, a later one sees
+    /// the caller's writes (this load syncs with its stamp `fetch_add`).
+    fn ring_sync(&self, idx: u32) -> &LnvcRing {
+        let ring = self.t.ring(idx);
+        self.t.header().next_stamp.load(Ordering::SeqCst);
+        self.ring_wait(&ring.p_busy, |pusher, dead| pusher == 0 || dead);
+        ring
+    }
+
+    /// Takes (`on`) or releases a ring's receive end `end`: one CAS,
+    /// uncontended.
+    fn ring_end(&self, end: &AtomicU32, on: bool) {
+        if !on {
+            end.store(0, Ordering::Release);
+            return mpf_shm::hooks::lock_release(end as *const AtomicU32 as usize);
+        }
+        let me = self.lock_owner();
+        let take = |from| end.compare_exchange(from, me, Ordering::SeqCst, Ordering::Relaxed);
+        self.ring_wait(end, |holder, dead| {
+            (holder == 0 || dead) && take(holder).is_ok()
+        });
+    }
+
+    /// Waits, yielding (or in a schedule explorer's hook), until `done`
+    /// holds of ring end `word` (0 or a pid + 1), told whether that pid is
+    /// dead past the lock patience — what a dead end leaves, a drain copes with.
+    fn ring_wait(&self, word: &AtomicU32, mut done: impl FnMut(u32, bool) -> bool) {
+        let mut look = |late| {
+            let w = word.load(Ordering::Acquire);
+            done(w, late && w != 0 && !self.holder_alive(w))
+        };
+        let at = word as *const AtomicU32 as usize;
+        if mpf_shm::hooks::lock_acquire(at, &mut || look(true)) || look(false) {
+            return;
+        }
+        let since = Instant::now();
+        while !look(since.elapsed() >= IPC_LOCK_PATIENCE) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Decides conversation `idx`'s mode after a change of population or
+    /// poison, or (`full`) a run finding its ring full: ring mode with ≤ 1
+    /// sender and ≤ 1 FCFS receiver (one at least), no BROADCAST receiver
+    /// or poison — entered with nothing queued — else locked, the ring
+    /// moved onto the queue.  Caller holds `d`'s lock.
+    fn decide_mode(&self, idx: u32, d: &LnvcDesc, full: bool) {
+        let count = |a: &AtomicU32| a.load(Ordering::Acquire);
+        let (senders, fcfs) = (count(&d.n_senders), count(&d.n_fcfs));
+        let fits = !full && count(&d.poisoned) + count(&d.n_bcast) == 0;
+        let fits = fits && senders <= 1 && fcfs <= 1 && senders + fcfs > 0;
+        // Not LOCKED: ring mode, or a change a killed process left half done.
+        let ring_mode = count(&d.mode) != lnvc_mode::LOCKED;
+        if !(ring_mode || fits && count(&d.msg_count) == 0) {
+            return;
+        }
+        let (ring, producer) = (self.t.ring(idx), count(&self.t.ring(idx).producer));
+        // Unless the send end is nobody's or this thread's, later pushes
+        // see the change and one under way is waited out.
+        let own = producer == self.me && ring.p_thread.load(Ordering::Relaxed) == thread_token();
+        if producer != NIL && !own {
+            d.mode.store(lnvc_mode::CHANGING, Ordering::SeqCst);
+            self.ring_sync(idx);
+        }
+        let pid = |kind| {
+            self.conns(kind, d)
+                .next()
+                .map_or(NIL, |c| self.conn(kind, c)[0].load(Ordering::Acquire))
+        };
+        // The receive end is held only when its receiver or the ring changes.
+        let taker = !fits || pid(ConnKind::Recv) != count(&ring.consumer);
+        if taker {
+            self.ring_end(&ring.c_lock, true);
+        }
+        let sender = pid(ConnKind::Send);
+        if sender == self.me || sender != producer {
+            // Another process's first push claims its send end.
+            let owner = (sender == self.me).then(thread_token);
+            ring.p_thread.store(owner.unwrap_or(0), Ordering::Relaxed);
+        }
+        ring.producer.store(sender, Ordering::Relaxed);
+        ring.consumer.store(pid(ConnKind::Recv), Ordering::Relaxed);
+        if !fits {
+            // The ring becomes the (empty) queue, each slot cleared before
+            // its message is linked: a kill leaks it, never leaves it twice.
+            let head = ring.head.load(Ordering::Relaxed);
+            for i in 0..ring.queued_after(0).min(RING_SLOTS as u32) {
+                let m_idx = ring.slot(head.wrapping_add(i)).swap(NIL, Ordering::Relaxed);
+                if m_idx != NIL {
+                    self.link(d, m_idx);
+                }
+            }
+            // Behind `head`, what a taker killed mid-take left.
+            ring.slots
+                .iter()
+                .for_each(|s| s.store(NIL, Ordering::Relaxed));
+            ring.head
+                .store(ring.tail.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        let mode = [lnvc_mode::LOCKED, lnvc_mode::RING][usize::from(fits)];
+        d.mode.store(mode, Ordering::Release);
+        if taker {
+            self.ring_end(&ring.c_lock, false);
+        }
+    }
+
     /// `check_receive`: non-destructively reports whether a message is
     /// deliverable to this process.
     pub fn check_receive(&self, id: LnvcId) -> Result<bool> {
@@ -1053,6 +1246,12 @@ impl IpcMpf {
         let (idx, d) = self.resolve(id)?;
         self.lock_lnvc(idx, d);
         let result = self.live_recv(d).map(|r| {
+            if d.mode.load(Ordering::Relaxed) == lnvc_mode::RING {
+                // The sender takes no lock: wait out its push, then look.
+                let ring = self.ring_sync(idx);
+                let head = ring.head.load(Ordering::Acquire);
+                return ring.slot(head).load(Ordering::Acquire) != NIL;
+            }
             let bcast = r.protocol_code() == Protocol::Broadcast.code();
             let from = if bcast { &r.head } else { &d.q_head }.load(Ordering::Acquire);
             self.next_deliverable(from, r) != NIL
@@ -1146,7 +1345,26 @@ impl IpcMpf {
                 // `try_` forms never wait and are left alone.
                 self.inject_fault(FaultSite::PeerDied, MpfError::PeerDied { pid: 0 })?;
             }
+            // Ring mode takes with no conversation lock (an armed watch is
+            // disarmed in a hold; an empty ring goes to the armed look).
+            if !armed && d.mode.load(Ordering::Relaxed) == lnvc_mode::RING {
+                let got = self.ring_take(idx, d, max, &mut take, true);
+                if let Some(got) = got.filter(|got| !matches!(got, Ok((0, _)))) {
+                    return got.map(Break);
+                }
+            }
             self.lock_lnvc(idx, d);
+            // A ring's sender takes no lock: a receive that may sleep arms
+            // and takes its ticket, then looks — having waited out a push
+            // when it arms; a later push sees the watch (`ring_push`).
+            let early = (waits && d.mode.load(Ordering::Relaxed) == lnvc_mode::RING).then(|| {
+                let arms = !armed && self.watch_locked(d, RecvDesc::WATCH_ONE, true);
+                let ticket = self.doorbell().ticket();
+                if arms {
+                    (armed, _) = (true, self.ring_sync(idx));
+                }
+                ticket
+            });
             let mut pass = None;
             let result = self.deliver_locked(idx, d, max, &mut take, &mut pass);
             // The watch arms in the hold that found nothing and disarms in
@@ -1159,7 +1377,7 @@ impl IpcMpf {
             }
             // Taken in the hold that armed the watch: a publish after it
             // sees the watch and rings past this ticket.
-            let ticket = sleep.then(|| self.doorbell().ticket());
+            let ticket = sleep.then(|| early.unwrap_or_else(|| self.doorbell().ticket()));
             d.lock.unlock();
             self.ring_doorbells(pass);
             let Some(ticket) = ticket else {
@@ -1319,18 +1537,29 @@ impl IpcMpf {
     }
 
     /// Gives staged message `m_idx` its sequence number, `stamp` and
-    /// obligations and links it at the queue's tail; returns the new queue
-    /// depth.  Caller holds `d`'s lock.
-    fn publish(&self, d: &LnvcDesc, m_idx: u32, stamp: u64, needs_fcfs: bool, n_bcast: u32) -> u32 {
+    /// obligations (`owed`, as [`Self::stamp_run`] takes them) and, with
+    /// `link`, links it at the queue's tail; returns the queue depth then.
+    /// Caller holds `d`'s lock — in ring mode, the send end of its ring.
+    fn publish(&self, d: &LnvcDesc, m_idx: u32, stamp: u64, owed: (bool, u32), link: bool) -> u32 {
         let m = self.t.msg(m_idx);
         let seq = locked_update(&d.next_seq, |s| s.wrapping_add(1)).wrapping_sub(1);
         m.seq.store(seq, Ordering::Release);
         m.stamp.store(stamp, Ordering::Release);
-        m.bcast_pending.store(n_bcast, Ordering::Release);
+        m.bcast_pending.store(owed.1, Ordering::Release);
         m.flags.store(
-            if needs_fcfs { msg_flags::NEEDS_FCFS } else { 0 },
+            if owed.0 { msg_flags::NEEDS_FCFS } else { 0 },
             Ordering::Release,
         );
+        if link {
+            self.link(d, m_idx)
+        } else {
+            0
+        }
+    }
+
+    /// Links published message `m_idx` at the tail of `d`'s queue and
+    /// returns the new depth.  Caller holds `d`'s lock.
+    fn link(&self, d: &LnvcDesc, m_idx: u32) -> u32 {
         let tail = d.q_tail.load(Ordering::Acquire);
         if tail == NIL {
             d.q_head.store(m_idx, Ordering::Release);
@@ -1338,7 +1567,6 @@ impl IpcMpf {
             self.t.msg(tail).next.store(m_idx, Ordering::Release);
         }
         d.q_tail.store(m_idx, Ordering::Release);
-        d.last_stamp.store(stamp, Ordering::Release);
         locked_update(&d.msg_count, |n| n + 1)
     }
 
@@ -1806,7 +2034,11 @@ impl IpcMpf {
         };
         let step = |n: u32, by: u32| if on { n + by } else { n - by };
         locked_update(&r.protocol, |p| step(p, unit));
-        locked_update(&d.watchers, |n| step(n, 1));
+        // Armed `SeqCst` in ring mode: its sender loads it with no lock.
+        let ring = on && d.mode.load(Ordering::Relaxed) == lnvc_mode::RING;
+        let order = [Ordering::Release, Ordering::SeqCst][usize::from(ring)];
+        d.watchers
+            .store(step(d.watchers.load(Ordering::Relaxed), 1), order);
         true
     }
 
@@ -1885,8 +2117,9 @@ impl IpcMpf {
     /// `(0, 0)` when nothing was deliverable.  An error from `take` leaves
     /// its message queued: it ends a batch, and is the result when it
     /// struck the first message.  A BROADCAST delivery leaves in `pass`
-    /// the process to ring next ([`Self::watchers`]).  Caller holds the
-    /// LNVC lock.
+    /// the process to ring next ([`Self::watchers`]).  In ring mode it is
+    /// [`Self::ring_take`]; a queue an FCFS delivery empties may return to
+    /// ring mode.  Caller holds the LNVC lock.
     fn deliver_locked(
         &self,
         idx: u32,
@@ -1895,6 +2128,11 @@ impl IpcMpf {
         take: &mut impl FnMut(&MsgDesc, usize) -> Result<()>,
         pass: &mut Option<u32>,
     ) -> Result<(usize, usize)> {
+        if d.mode.load(Ordering::Relaxed) == lnvc_mode::RING {
+            if let Some(got) = self.ring_take(idx, d, max, take, false) {
+                return got;
+            }
+        }
         let r = self.live_recv(d)?;
         let bcast = r.protocol_code() == Protocol::Broadcast.code();
         let was_at = r.head.load(Ordering::Acquire);
@@ -1923,29 +2161,15 @@ impl IpcMpf {
                 }
                 break;
             }
-            let trace = m.trace.load(Ordering::Acquire);
-            let hop = m.hop.load(Ordering::Acquire);
-            let seq = m.seq.load(Ordering::Acquire);
             if bcast {
                 r.head
                     .store(m.next.load(Ordering::Acquire), Ordering::Release);
             }
             Self::claim_delivery(m, bcast);
-            let timed = self.timed(seq, trace);
-            if now == 0 && timed {
-                now = now_nanos();
-            }
             // Delivery is claimed; record it before the reclamation pass
             // can append this message's TR_RECLAIM, so ring order matches
             // logic.
-            let stamp = m.stamp.load(Ordering::Acquire);
-            self.trace_rec_at(Some(now), kind, hop, trace, idx, stamp, len as u32, 0);
-            if let (Some(lt), true) = (lt, timed) {
-                // The sender stamped every timed message (same config).
-                let sent_at = m.sent_at.load(Ordering::Acquire);
-                lt.latency.record_locked(now.saturating_sub(sent_at));
-            }
-            last_chain = (trace, hop);
+            last_chain = self.record_delivery(idx, m, len, kind, lt, &mut now);
             received += 1;
             bytes += len;
             cur = m.next.load(Ordering::Acquire);
@@ -1969,8 +2193,111 @@ impl IpcMpf {
                 bump(&lt.receives, received as u64);
                 bump(&lt.bytes_out, bytes as u64);
             }
+            if !bcast && d.msg_count.load(Ordering::Relaxed) == 0 {
+                self.decide_mode(idx, d, false);
+            }
         }
         Ok((received, bytes))
+    }
+
+    /// Records delivery of `m` (`len` bytes) on `idx` — `kind` record dated
+    /// `now` (read at the first timed message), latency — returning its chain.
+    #[inline(always)]
+    fn record_delivery(
+        &self,
+        idx: u32,
+        m: &MsgDesc,
+        len: usize,
+        kind: u32,
+        lt: Option<&LnvcTelemetry>,
+        now: &mut u64,
+    ) -> (u64, u32) {
+        let trace = m.trace.load(Ordering::Acquire);
+        let hop = m.hop.load(Ordering::Acquire);
+        let timed = self.timed(m.seq.load(Ordering::Acquire), trace);
+        if *now == 0 && timed {
+            *now = now_nanos();
+        }
+        let stamp = m.stamp.load(Ordering::Acquire);
+        self.trace_rec_at(Some(*now), kind, hop, trace, idx, stamp, len as u32, 0);
+        if let (Some(lt), true) = (lt, timed) {
+            // The sender stamped every timed message (same config).
+            let sent_at = m.sent_at.load(Ordering::Acquire);
+            lt.latency.record_locked(now.saturating_sub(sent_at));
+        }
+        (trace, hop)
+    }
+
+    /// Ring mode's delivery under the receive end's lock: as
+    /// [`Self::deliver_locked`], freeing what it took at once (a one-to-one
+    /// FCFS delivery is full).  `None`: not in ring mode for us.
+    fn ring_take(
+        &self,
+        idx: u32,
+        d: &LnvcDesc,
+        max: usize,
+        take: &mut impl FnMut(&MsgDesc, usize) -> Result<()>,
+        peek: bool,
+    ) -> Option<Result<(usize, usize)>> {
+        let ring = self.t.ring(idx);
+        // A first look (`peek`) takes no lock: empty, it sends the call on.
+        if peek
+            && ring
+                .slot(ring.head.load(Ordering::Acquire))
+                .load(Ordering::Acquire)
+                == NIL
+        {
+            return Some(Ok((0, 0)));
+        }
+        self.ring_end(&ring.c_lock, true);
+        let ours = d.mode.load(Ordering::Relaxed) == lnvc_mode::RING
+            && ring.consumer.load(Ordering::Relaxed) == self.me;
+        if !ours || d.poisoned.load(Ordering::Relaxed) != 0 {
+            self.ring_end(&ring.c_lock, false);
+            return None;
+        }
+        let (head, lt) = (
+            ring.head.load(Ordering::Relaxed),
+            self.cfg.telemetry.then(|| self.t.lnvc_tel(idx)),
+        );
+        let slot = |i: u32| ring.slot(head.wrapping_add(i));
+        let (mut now, mut n, mut bytes, mut chain, mut taken) = (0, 0u32, 0, (0, 0), Ok(()));
+        while (n as usize) < max && slot(n).load(Ordering::Acquire) != NIL {
+            let m_idx = slot(n).load(Ordering::Acquire);
+            let m = self.t.msg(m_idx);
+            let len = m.len.load(Ordering::Acquire) as usize;
+            taken = take(m, len);
+            if taken.is_err() {
+                break;
+            }
+            chain = self.record_delivery(idx, m, len, TR_RECV, lt, &mut now);
+            if n != 0 {
+                // The taken messages become one run for `free_run`.
+                let prev = self.t.msg(slot(n - 1).load(Ordering::Relaxed));
+                prev.next.store(m_idx, Ordering::Release);
+            }
+            (n, bytes) = (n + 1, bytes + len);
+        }
+        let (first, last) = (
+            slot(0).load(Ordering::Relaxed),
+            slot(n.wrapping_sub(1)).load(Ordering::Relaxed),
+        );
+        // `head` first: a taker killed here leaks what it took, and never
+        // hands it out twice.
+        ring.head.store(head.wrapping_add(n), Ordering::Relaxed);
+        (0..n).for_each(|i| slot(i).store(NIL, Ordering::Release));
+        if let (Some(lt), true) = (lt, n != 0) {
+            bump(&lt.receives, u64::from(n));
+            bump(&lt.bytes_out, bytes as u64);
+            bump(&lt.reclaims, u64::from(n));
+        }
+        self.ring_end(&ring.c_lock, false);
+        if n == 0 {
+            return Some(taken.map(|()| (0, 0)));
+        }
+        self.adopt_trace(chain.0, chain.1);
+        self.free_run(first, last, Some(now));
+        Some(Ok((n as usize, bytes)))
     }
 
     /// Marks one delivery of `m` as made: a BROADCAST claim released, or
@@ -1982,6 +2309,15 @@ impl IpcMpf {
             locked_update(&m.bcast_pending, |owed| owed.wrapping_sub(1));
         } else {
             locked_update(&m.flags, |flags| flags | msg_flags::FCFS_TAKEN);
+        }
+    }
+
+    /// Releases a departing BROADCAST receiver's claims, one on each
+    /// queued message from its `head` on — no delivery, so not
+    /// [`Self::claim_delivery`]'s.  Caller holds their lock.
+    fn release_claims(&self, head: u32) {
+        for m in self.msgs_from(head) {
+            locked_update(&m.bcast_pending, |owed| owed.wrapping_sub(1));
         }
     }
 
@@ -2294,6 +2630,15 @@ impl IpcMpf {
                 d.poisoned.store(0, Ordering::Release);
                 d.dead_pid.store(0, Ordering::Release);
                 d.watchers.store(0, Ordering::Release);
+                d.mode.store(lnvc_mode::LOCKED, Ordering::Release);
+                // An empty ring here, not in the carve: only rings in use
+                // are touched.
+                let ring = self.t.ring(idx);
+                ring.slots
+                    .iter()
+                    .for_each(|s| s.store(NIL, Ordering::Relaxed));
+                ring.head
+                    .store(ring.tail.load(Ordering::Relaxed), Ordering::Relaxed);
                 d.active.store(1, Ordering::Release);
                 let e = self.t.reg_entry(free_entry);
                 e.set_name(bytes);
@@ -2318,7 +2663,7 @@ impl IpcMpf {
     /// and the LNVC lock.
     fn deactivate(&self, idx: u32) {
         let d = self.t.lnvc(idx);
-        self.drop_queue(d);
+        self.drop_queue(idx, d);
         let e = self.t.reg_entry(d.registry_idx.load(Ordering::Acquire));
         e.used.store(0, Ordering::Release);
         d.active.store(0, Ordering::Release);
@@ -2328,9 +2673,11 @@ impl IpcMpf {
         }
     }
 
-    /// Frees every queued message, delivered or not.  Caller holds `d`'s
-    /// lock.
-    fn drop_queue(&self, d: &LnvcDesc) {
+    /// Frees every queued message, delivered or not — the ring's too: a
+    /// deleted or poisoned conversation leaves ring mode first.  Caller
+    /// holds `d`'s lock.
+    fn drop_queue(&self, idx: u32, d: &LnvcDesc) {
+        self.decide_mode(idx, d, false);
         let first = d.q_head.load(Ordering::Acquire);
         d.q_head.store(NIL, Ordering::Release);
         d.q_tail.store(NIL, Ordering::Release);
@@ -2372,24 +2719,11 @@ impl IpcMpf {
         Ok((idx, d))
     }
 
-    fn conn_pid(&self, kind: ConnKind, i: u32) -> u32 {
+    /// Connection `i` of `kind`: its holder's pid and its list link.
+    fn conn(&self, kind: ConnKind, i: u32) -> [&AtomicU32; 2] {
         match kind {
-            ConnKind::Send => self.t.send(i).pid.load(Ordering::Acquire),
-            ConnKind::Recv => self.t.recv(i).pid.load(Ordering::Acquire),
-        }
-    }
-
-    fn conn_next(&self, kind: ConnKind, i: u32) -> u32 {
-        match kind {
-            ConnKind::Send => self.t.send(i).next.load(Ordering::Acquire),
-            ConnKind::Recv => self.t.recv(i).next.load(Ordering::Acquire),
-        }
-    }
-
-    fn set_conn_next(&self, kind: ConnKind, i: u32, v: u32) {
-        match kind {
-            ConnKind::Send => self.t.send(i).next.store(v, Ordering::Release),
-            ConnKind::Recv => self.t.recv(i).next.store(v, Ordering::Release),
+            ConnKind::Send => [&self.t.send(i).pid, &self.t.send(i).next],
+            ConnKind::Recv => [&self.t.recv(i).pid, &self.t.recv(i).next],
         }
     }
 
@@ -2410,9 +2744,7 @@ impl IpcMpf {
             .push(conn, |s, n| self.t.recv(s).next.store(n, Ordering::Release));
         if protocol == Protocol::Broadcast.code() {
             d.n_bcast.fetch_sub(1, Ordering::AcqRel);
-            // Its claims go: one on each message from its head on.
-            self.msgs_from(head)
-                .for_each(|m| Self::claim_delivery(m, true));
+            self.release_claims(head);
         } else if d.n_fcfs.fetch_sub(1, Ordering::AcqRel) == 1
             && d.n_bcast.load(Ordering::Acquire) > 0
         {
@@ -2436,14 +2768,14 @@ impl IpcMpf {
         };
         let first = Some(head.load(Ordering::Acquire)).filter(|&c| c != NIL);
         std::iter::successors(first, move |&c| {
-            Some(self.conn_next(kind, c)).filter(|&n| n != NIL)
+            Some(self.conn(kind, c)[1].load(Ordering::Acquire)).filter(|&n| n != NIL)
         })
     }
 
     /// This process's connection of `kind` on `d`.
     fn my_conn(&self, kind: ConnKind, d: &LnvcDesc) -> Option<u32> {
         self.conns(kind, d)
-            .find(|&c| self.conn_pid(kind, c) == self.me)
+            .find(|&c| self.conn(kind, c)[0].load(Ordering::Acquire) == self.me)
     }
 
     /// Unlinks `pid`'s connection from an index-linked list, returning it.
@@ -2451,13 +2783,15 @@ impl IpcMpf {
         let mut prev = NIL;
         let mut cur = head.load(Ordering::Acquire);
         while cur != NIL {
-            let next = self.conn_next(kind, cur);
-            if self.conn_pid(kind, cur) == pid {
-                if prev == NIL {
-                    head.store(next, Ordering::Release);
+            let [holder, link] = self.conn(kind, cur);
+            let next = link.load(Ordering::Acquire);
+            if holder.load(Ordering::Acquire) == pid {
+                let at = if prev == NIL {
+                    head
                 } else {
-                    self.set_conn_next(kind, prev, next);
-                }
+                    self.conn(kind, prev)[1]
+                };
+                at.store(next, Ordering::Release);
                 return Some(cur);
             }
             prev = cur;
@@ -2567,11 +2901,12 @@ impl IpcMpf {
             if let Some(conn) = recv {
                 self.retire_recv(idx, d, conn);
             }
-            let orphaned = touched && d.total_connections() == 0;
+            // None left: the corpse held the only one, or died closing it.
+            let orphaned = d.total_connections() == 0;
             let mut watching = Vec::new();
             if orphaned {
-                // The corpse held the only connection: delete rather
-                // than poison (frees the queue, releases the name).
+                // Delete rather than poison (frees the queue, releases the
+                // name).
                 self.deactivate(idx);
             } else if touched {
                 d.dead_pid.store(dead, Ordering::Release);
@@ -2580,8 +2915,11 @@ impl IpcMpf {
                 // receive now reports `PeerDied`), so its queued
                 // messages would leak pool slots for the region's
                 // lifetime: free the whole queue.
-                self.drop_queue(d);
+                self.drop_queue(idx, d);
                 watching = self.watchers(d, None);
+            } else if d.mode.load(Ordering::Relaxed) == lnvc_mode::CHANGING {
+                // Died changing the mode of a conversation it had left.
+                self.decide_mode(idx, d, false);
             }
             d.lock.unlock();
             // Unblock survivors; they will observe the poison.
@@ -2709,11 +3047,12 @@ impl IpcMpf {
     }
 
     /// Queued (undelivered or partially-delivered) message count of a
-    /// conversation.  Racy diagnostic: drain protocols use it to decide
-    /// whether a queue has quiesced after pausing intake.
+    /// conversation, its ring's included.  Racy diagnostic: drain
+    /// protocols use it to decide whether a queue has quiesced after
+    /// pausing intake.
     pub fn queue_depth(&self, id: LnvcId) -> Result<u32> {
-        let (_, d) = self.resolve(id)?;
-        Ok(d.msg_count.load(Ordering::Acquire))
+        let (idx, d) = self.resolve(id)?;
+        Ok(d.msg_count.load(Ordering::Acquire) + self.t.ring(idx).queued_after(0))
     }
 
     /// Whether a conversation has been poisoned by a dead peer (sticky
@@ -2773,7 +3112,7 @@ impl IpcMpf {
                 return Err(format!("LNVC slot {idx} has no registry entry naming it"));
             }
             self.lock_lnvc(idx, d);
-            let audit = self.audit_lnvc(d, &mut reached);
+            let audit = self.audit_lnvc(idx, d, &mut reached);
             d.lock.unlock();
             let audit = audit.map_err(|e| format!("LNVC slot {idx}: {e}"))?;
             for (total, n) in held.iter_mut().zip(audit) {
@@ -2852,11 +3191,13 @@ impl IpcMpf {
         Ok(())
     }
 
-    /// Audits one conversation (lock held); returns the messages, blocks,
-    /// send connections and receive connections it holds.  `reached` is
-    /// the region-wide block bitmap of [`Self::audit_reach`].
+    /// Audits one conversation `idx` (lock held); returns the messages,
+    /// blocks, send connections and receive connections it holds, its
+    /// ring's included.  `reached` is the region-wide block bitmap of
+    /// [`Self::audit_reach`].
     fn audit_lnvc(
         &self,
+        idx: u32,
         d: &LnvcDesc,
         reached: &mut [u64],
     ) -> std::result::Result<[u64; 4], String> {
@@ -2907,11 +3248,34 @@ impl IpcMpf {
             ));
         }
 
+        // In ring mode, in one-to-one shape, the ring is the queue.
+        let (ring, mode) = (self.t.ring(idx), count(&d.mode));
+        let in_ring: Vec<u32> = ring.queued().collect();
+        let filled = ring.slots.iter().filter(|s| count(s) != NIL).count();
+        let shaped = n_bcast == 0 && senders <= 1 && fcfs <= 1 && count(&d.q_head) == NIL;
+        let ring_mode = mode == lnvc_mode::RING;
+        if filled != in_ring.len()
+            || !if ring_mode {
+                shaped
+            } else {
+                mode == 0 && filled == 0
+            }
+        {
+            let n = in_ring.len();
+            return Err(format!(
+                "mode {mode}: {filled} ring slots filled, {n} before the tail"
+            ));
+        }
         let (mut queued, mut blocks, mut last, mut prev) = (0u32, 0u64, None, NIL);
         // BROADCAST receivers whose head is this message or one before it.
         let mut claims = 0u32;
-        let mut cur = count(&d.q_head);
-        while cur != NIL {
+        let first = Some(count(&d.q_head)).filter(|&c| c != NIL);
+        let next = |&c: &u32| Some(count(&self.t.msg(c).next)).filter(|&n| n != NIL);
+        for cur in in_ring
+            .iter()
+            .copied()
+            .chain(std::iter::successors(first, next))
+        {
             queued += 1;
             if queued > self.cfg.max_messages {
                 return Err("FIFO is cyclic".into());
@@ -2960,15 +3324,15 @@ impl IpcMpf {
                 ));
             }
             prev = cur;
-            cur = count(&m.next);
         }
-        if queued != count(&d.msg_count) {
+        if queued - in_ring.len() as u32 != count(&d.msg_count) {
             return Err(format!(
-                "msg_count {} but FIFO holds {queued}",
-                count(&d.msg_count)
+                "msg_count {} but FIFO holds {queued}, {} of them in the ring",
+                count(&d.msg_count),
+                in_ring.len()
             ));
         }
-        if count(&d.q_tail) != prev {
+        if count(&d.q_tail) != if ring_mode { NIL } else { prev } {
             return Err(format!(
                 "q_tail {} is not the last queued message",
                 count(&d.q_tail)
@@ -3083,6 +3447,10 @@ mod tests {
         let m = IpcMpf::anon(&cfg).unwrap();
         let tx = m.open_send("q").unwrap();
         let rx = m.open_receive("q", Protocol::Fcfs).unwrap();
+        // A second sender keeps the conversation off its one-to-one ring:
+        // these corpses live on the locked queue.
+        let other = m.attach_view().unwrap();
+        other.open_send("q").unwrap();
         for payload in [b"a", b"b", b"c"] {
             m.message_send(tx, payload).unwrap();
         }

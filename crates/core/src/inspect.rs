@@ -248,6 +248,8 @@ impl RegionInspector {
                 String::new()
             };
             let (queued, reclaimable) = self.queue_census(d);
+            // What waits in the conversation's ring is queued too.
+            let queued = queued + self.t.ring(idx).queued().count() as u32;
             out.push(LnvcInfo {
                 index: idx,
                 name,

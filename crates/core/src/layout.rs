@@ -20,7 +20,7 @@ use crate::config::MpfConfig;
 /// Version of the region byte layout.  Bump on ANY change to the segment
 /// order, the constants below, or the in-region struct layouts; attach
 /// refuses regions with a different version ([`crate::MpfError::LayoutMismatch`]).
-pub const LAYOUT_VERSION: u32 = 9;
+pub const LAYOUT_VERSION: u32 = 10;
 
 /// Magic at byte 0 of every MPF region ("MPFREGN1" little-endian).
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"MPFREGN1");
@@ -46,13 +46,17 @@ pub struct RegionLayout {
 }
 
 /// Bytes per LNVC descriptor: lock, queue head/tail, connection lists,
-/// counts, stamp, watcher count — no wait word: a blocked receiver sleeps
-/// on its process doorbell.
+/// counts, stamp, watcher count, mode — no wait word: a blocked receiver
+/// sleeps on its process doorbell.
 /// `crate::shmem` const-asserts its `#[repr(C)]` struct against this.
 pub const LNVC_DESC_BYTES: usize = 192;
 /// Bytes per message header: len, chain, next, pending, flags, hop,
 /// stamp, send timestamp (latency histogram), causal trace id.
 pub const MSG_HEADER_BYTES: usize = 56;
+/// Slots of a conversation's one-to-one ring: two full submission runs.
+pub const RING_SLOTS: usize = 128;
+/// Bytes per one-to-one ring: a cache line per end, then the slots.
+pub const LNVC_RING_BYTES: usize = 128 + 4 * RING_SLOTS;
 /// Bytes per send-connection descriptor: pid, next.
 pub const SEND_DESC_BYTES: usize = 8;
 /// Bytes per receive-connection descriptor: pid, next, protocol (with the
@@ -176,6 +180,13 @@ impl RegionLayout {
             cfg.max_processes as usize * AIO_RING_BYTES,
             cfg.max_processes as usize,
         );
+        // Last, so the segments before keep their offsets: one ring per
+        // conversation, touched only while it is in use.
+        push(
+            "lnvc rings",
+            cfg.max_lnvcs as usize * LNVC_RING_BYTES,
+            cfg.max_lnvcs as usize,
+        );
         Self { segments }
     }
 
@@ -269,6 +280,7 @@ mod tests {
             "trace rings",
             "aio sq rings",
             "aio cq rings",
+            "lnvc rings",
             "total:",
         ] {
             assert!(text.contains(name), "missing {name}");

@@ -53,9 +53,10 @@
 //!
 //! ## Beyond the paper's §4
 //!
-//! §5 sketches restricted, faster variants; we implement both:
-//! [`sync_channel::Rendezvous`] (synchronous, single-copy) and
-//! [`one2one::one2one`] (one-to-one, all locking removed).
+//! §5 sketches restricted, faster variants.  [`sync_channel::Rendezvous`]
+//! is the synchronous, single-copy one.  One-to-one is a state of a
+//! conversation: while it has one sender and one FCFS receiver, messages
+//! pass through a ring in the region and neither end takes its lock.
 //!
 //! ## Quick start
 //!
@@ -85,7 +86,6 @@ pub mod facility;
 pub mod handle;
 pub mod inspect;
 pub mod layout;
-pub mod one2one;
 pub mod shmem;
 pub mod spec;
 pub mod sync_channel;

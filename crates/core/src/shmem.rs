@@ -20,8 +20,8 @@ use mpf_shm::{FutexSeq, IpcLock};
 
 use crate::config::MpfConfig;
 use crate::layout::{
-    LNVC_DESC_BYTES, MSG_HEADER_BYTES, PROCESS_SLOT_BYTES, RECV_DESC_BYTES, REGION_HEADER_BYTES,
-    REGISTRY_ENTRY_BYTES, SEND_DESC_BYTES,
+    LNVC_DESC_BYTES, LNVC_RING_BYTES, MSG_HEADER_BYTES, PROCESS_SLOT_BYTES, RECV_DESC_BYTES,
+    REGION_HEADER_BYTES, REGISTRY_ENTRY_BYTES, RING_SLOTS, SEND_DESC_BYTES,
 };
 
 /// Configuration echo stored in the header so `attach` can verify it
@@ -379,14 +379,75 @@ pub struct LnvcDesc {
     pub poisoned: AtomicU32,
     /// MPF pid of the peer whose death poisoned the conversation.
     pub dead_pid: AtomicU32,
-    /// Stamp of the most recent send (diagnostic).
-    pub last_stamp: AtomicU64,
     /// Watches armed on this conversation (the sum of its receive
     /// connections' [`RecvDesc::watches`]), read and written under
     /// `lock` only.  A sender that reads zero — one load of a line it
     /// already holds — rings no doorbell.
     pub watchers: AtomicU32,
-    _pad: [u8; LNVC_DESC_BYTES - 84],
+    /// [`lnvc_mode`]: where sends go.  Written under `lock`, holding both
+    /// ends of the conversation's [`LnvcRing`].
+    pub mode: AtomicU32,
+    _pad: [u8; LNVC_DESC_BYTES - 80],
+}
+
+/// Conversation modes ([`LnvcDesc::mode`]).
+pub mod lnvc_mode {
+    /// Sends link onto the queue under the conversation lock.
+    pub const LOCKED: u32 = 0;
+    /// One-to-one: messages pass through the ring, neither end locking.
+    pub const RING: u32 = 1;
+    /// A change under way (or left by a process killed in one).
+    pub const CHANGING: u32 = 2;
+}
+
+/// A conversation's one-to-one ring (Torquati, TR-10-20's FastForward
+/// queue) of message-header indices: a slot is empty iff it holds
+/// [`NIL`], and each end has a cache line of its own.  DESIGN.md
+/// "One-to-one is a state of a conversation" has the protocol.
+#[repr(C)]
+#[derive(Debug)]
+pub struct LnvcRing {
+    /// The pusher's pid + 1 while a push is under way, else 0.
+    pub p_busy: AtomicU32,
+    /// Next slot the sender fills.
+    pub tail: AtomicU32,
+    /// The one sender's pid ([`NIL`]: none).
+    pub producer: AtomicU32,
+    _pad_p: u32,
+    /// The send end's owner: a thread token of the sender (0: none).
+    pub p_thread: AtomicU64,
+    _pad0: [u8; 64 - 24],
+    /// The receive end's lock: 0 free, else the holder's pid + 1.
+    pub c_lock: AtomicU32,
+    /// Next slot the receiver takes.
+    pub head: AtomicU32,
+    /// The one FCFS receiver's pid ([`NIL`]: none).
+    pub consumer: AtomicU32,
+    _pad1: [u8; 64 - 12],
+    /// Message-header indices, oldest at `head`.
+    pub slots: [AtomicU32; RING_SLOTS],
+}
+
+impl LnvcRing {
+    /// The slot free-running index `i` falls on.
+    pub fn slot(&self, i: u32) -> &AtomicU32 {
+        &self.slots[i as usize % RING_SLOTS]
+    }
+
+    /// How many messages the ring holds once `more` are pushed.
+    pub fn queued_after(&self, more: u32) -> u32 {
+        let tail = self.tail.load(Ordering::Acquire).wrapping_add(more);
+        tail.wrapping_sub(self.head.load(Ordering::Acquire))
+    }
+
+    /// The messages in the ring, oldest first (a pusher killed mid-push
+    /// leaves holes).
+    pub fn queued(&self) -> impl Iterator<Item = u32> + '_ {
+        let head = self.head.load(Ordering::Acquire);
+        (0..self.queued_after(0).min(RING_SLOTS as u32))
+            .map(move |i| self.slot(head.wrapping_add(i)).load(Ordering::Acquire))
+            .filter(|&m| m != NIL)
+    }
 }
 
 impl LnvcDesc {
@@ -410,11 +471,12 @@ const _: () = assert!(std::mem::align_of::<ProcessSlot>() == 8);
 const _: () = assert!(std::mem::size_of::<RegistryEntry>() == REGISTRY_ENTRY_BYTES);
 const _: () = assert!(std::mem::align_of::<RegistryEntry>() == 4);
 const _: () = assert!(std::mem::size_of::<LnvcDesc>() == LNVC_DESC_BYTES);
-const _: () = assert!(std::mem::align_of::<LnvcDesc>() == 8);
+const _: () = assert!(std::mem::align_of::<LnvcDesc>() == 4);
 const _: () = assert!(std::mem::size_of::<MsgDesc>() == MSG_HEADER_BYTES);
 const _: () = assert!(std::mem::align_of::<MsgDesc>() == 8);
 const _: () = assert!(std::mem::size_of::<SendDesc>() == SEND_DESC_BYTES);
 const _: () = assert!(std::mem::size_of::<RecvDesc>() == RECV_DESC_BYTES);
+const _: () = assert!(std::mem::size_of::<LnvcRing>() == LNVC_RING_BYTES);
 // Slot strides must preserve each struct's alignment within a segment.
 const _: () = assert!(LNVC_DESC_BYTES.is_multiple_of(std::mem::align_of::<LnvcDesc>()));
 const _: () = assert!(MSG_HEADER_BYTES.is_multiple_of(std::mem::align_of::<MsgDesc>()));

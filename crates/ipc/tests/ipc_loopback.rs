@@ -275,17 +275,17 @@ fn previous_layout_version_is_rejected() {
     use mpf_ipc::{shmem::RegionHeader, AttachError};
     use std::sync::atomic::Ordering;
 
-    assert_eq!(LAYOUT_VERSION, 9);
+    assert_eq!(LAYOUT_VERSION, 10);
     let _creator = region("loop-stale-layout");
     let raw = mpf_shm::ShmRegion::attach("loop-stale-layout").unwrap();
     // SAFETY: the header sits at offset 0 of every carved region and
     // `raw` maps all of it.
     let header: &RegionHeader = unsafe { raw.at(0) };
-    header.layout_version.store(8, Ordering::Release);
+    header.layout_version.store(9, Ordering::Release);
 
     let stale = MpfError::LayoutMismatch {
-        expected: 9,
-        found: 8,
+        expected: 10,
+        found: 9,
     };
     match IpcMpf::attach("loop-stale-layout") {
         Err(AttachError::Mpf(e)) => assert_eq!(e, stale),

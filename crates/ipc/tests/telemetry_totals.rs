@@ -286,6 +286,10 @@ fn pressure_sweep_books_its_reclaims_under_the_lock() {
     let rx_view = tx_view.attach_view().expect("view");
     let tx = tx_view.open_send("q").unwrap();
     let rx = rx_view.open_receive("q", Protocol::Fcfs).unwrap();
+    // A second, idle sender keeps the conversation off its one-to-one
+    // ring: interior corpses live on the locked queue.
+    let idle = tx_view.attach_view().expect("view");
+    idle.open_send("q").unwrap();
 
     let raw = mpf_shm::ShmRegion::attach(&name).unwrap();
     let tables = mpf::engine::Tables::new(raw, &cfg);

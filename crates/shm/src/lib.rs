@@ -51,7 +51,6 @@ pub mod freelist;
 pub mod futex;
 pub mod hooks;
 pub mod lock;
-pub mod pad;
 pub mod pool;
 pub mod process;
 pub mod region;
@@ -68,7 +67,6 @@ pub use faultplane::{FaultConfig, FaultGuard, FaultSite, FaultStats};
 pub use freelist::{FreeHead, NIL};
 pub use hooks::{HookGuard, HookedMutex, SyncEvent, SyncHook};
 pub use lock::{IpcAcquire, IpcLock, LockKind, ShmLock, ShmLockGuard};
-pub use pad::CachePadded;
 pub use pool::Pool;
 pub use process::{run_processes, run_processes_collect, ProcessId};
 pub use region::ShmRegion;

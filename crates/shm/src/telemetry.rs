@@ -56,10 +56,9 @@ pub fn now_nanos() -> u64 {
 
 /// A single `AtomicU64` padded to its own 64-byte line.
 ///
-/// Unlike `CachePadded` (128-byte aligned, for heap use) this has **align
-/// 8** and explicit tail padding, so it can be placed at any 64-byte region
-/// offset without over-alignment constraints the region carver cannot
-/// honour.
+/// It has **align 8** and explicit tail padding, so it can be placed at
+/// any 64-byte region offset without over-alignment constraints the
+/// region carver cannot honour.
 #[repr(C)]
 #[derive(Debug, Default)]
 pub struct PadCell {

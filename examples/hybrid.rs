@@ -9,8 +9,10 @@
 //!    atomic — no messages needed for one word),
 //! 2. items flow to the transformer over the *general LNVC* (FCFS, so the
 //!    producers never coordinate),
-//! 3. the transformer streams squares to the sink over the §5 *lock-free
-//!    one-to-one* channel (two fixed endpoints — no locking needed),
+//! 3. the transformer streams squares to the sink over a *one-to-one* LNVC
+//!    (one sender, one FCFS receiver: the conversation runs on its ring,
+//!    and neither end takes its lock — §5's "all locking associated with
+//!    message handling is removed"),
 //! 4. the sink *broadcasts* the final checksum on a control LNVC, and both
 //!    producers (who kept a broadcast ear on it) verify it.
 //!
@@ -20,7 +22,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpf::one2one::one2one;
 use mpf::{Mpf, MpfConfig, ProcessId, Protocol};
 
 const ITEMS: u64 = 64;
@@ -29,7 +30,6 @@ fn main() {
     let mpf_owned = Mpf::init(MpfConfig::new(8, 8)).expect("init");
     let mpf = &mpf_owned;
     let next_item = AtomicU64::new(0); // shared-memory paradigm
-    let (mut o2o_tx, mut o2o_rx) = one2one(4096); // §5 lock-free variant
     let expected: u64 = (0..ITEMS).map(|v| v * v).sum();
 
     // The transformer's ear joins "transform" before any producer thread
@@ -38,6 +38,10 @@ fn main() {
     let transform_rx = mpf
         .receiver(ProcessId::from_index(2), "transform", Protocol::Fcfs)
         .expect("transform rx");
+    // Likewise the sink's ear on the one-to-one stream.
+    let squares_rx = mpf
+        .receiver(ProcessId::from_index(3), "squares", Protocol::Fcfs)
+        .expect("squares rx");
 
     std::thread::scope(|s| {
         // Producers: shared counter in, FCFS LNVC out, broadcast ear on
@@ -72,10 +76,13 @@ fn main() {
             });
         }
 
-        // Transformer: general LNVC in, lock-free SPSC out.  Stops after
+        // Transformer: general LNVC in, one-to-one LNVC out.  Stops after
         // both producers' poisons.
         let rx = transform_rx;
         s.spawn(move || {
+            let squares_tx = mpf
+                .sender(ProcessId::from_index(2), "squares")
+                .expect("squares tx");
             let mut poisons = 0;
             while poisons < 2 {
                 let msg = rx.recv_vec().expect("recv");
@@ -84,12 +91,13 @@ fn main() {
                     continue;
                 }
                 let v = u64::from_le_bytes(msg.as_slice().try_into().expect("8 bytes"));
-                o2o_tx.send(&(v * v).to_le_bytes()).expect("forward");
+                squares_tx.send(&(v * v).to_le_bytes()).expect("forward");
             }
-            o2o_tx.send(&[]).expect("eof");
+            squares_tx.send(&[]).expect("eof");
         });
 
-        // Sink: consumes the lock-free stream, broadcasts the checksum.
+        // Sink: consumes the one-to-one stream, broadcasts the checksum.
+        let rx = squares_rx;
         s.spawn(move || {
             let me = ProcessId::from_index(3);
             let control = mpf.sender(me, "control").expect("control tx");
@@ -97,7 +105,7 @@ fn main() {
             let mut sum = 0u64;
             let mut count = 0u64;
             loop {
-                let n = o2o_rx.recv(&mut buf).expect("sink recv");
+                let n = rx.recv(&mut buf).expect("sink recv");
                 if n == 0 {
                     break;
                 }
@@ -111,5 +119,5 @@ fn main() {
                 .expect("broadcast checksum");
         });
     });
-    println!("hybrid pipeline finished: shared memory + LNVC + lock-free in one program");
+    println!("hybrid pipeline finished: shared memory + LNVC + one-to-one LNVC in one program");
 }

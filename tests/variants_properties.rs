@@ -1,56 +1,15 @@
-//! Property tests for the §5 restricted variants: the lock-free
-//! one-to-one channel and the synchronous rendezvous must deliver
-//! arbitrary message sequences byte-exactly and in order.  Cases are
+//! Property tests for the §5 synchronous rendezvous and the LNVC's block
+//! scatter/gather: both must deliver arbitrary message sequences
+//! byte-exactly and in order.  Cases are
 //! generated from fixed seeds (deterministic; the case index is in every
 //! assertion message for replay).
 
-use mpf::one2one::one2one;
 use mpf::sync_channel::Rendezvous;
 use mpf_shm::SmallRng;
 
 fn random_msg(rng: &mut SmallRng, max_len: usize) -> Vec<u8> {
     let len = rng.gen_range(0..max_len);
     (0..len).map(|_| rng.next_u64() as u8).collect()
-}
-
-/// One-to-one: any sequence of variable-length messages survives the
-/// framing and ring wraparound, in order, byte-exact (single thread:
-/// interleaved send/recv with bounded occupancy).
-#[test]
-fn one2one_interleaved_roundtrip() {
-    for case in 0..48u64 {
-        let mut rng = SmallRng::seed_from_u64(0x121_0000 + case);
-        let n_msgs = rng.gen_range(1..60usize);
-        let msgs: Vec<Vec<u8>> = (0..n_msgs).map(|_| random_msg(&mut rng, 100)).collect();
-        let drain_every = rng.gen_range(1..5usize);
-
-        let (mut tx, mut rx) = one2one(1024);
-        let mut pending: std::collections::VecDeque<Vec<u8>> = Default::default();
-        let mut buf = [0u8; 128];
-        for (i, msg) in msgs.iter().enumerate() {
-            // Send with backpressure: drain when the ring refuses.
-            while !tx.try_send(msg).expect("size ok") {
-                let expected = pending.pop_front().expect("ring full implies pending");
-                let n = rx
-                    .try_recv(&mut buf)
-                    .expect("recv")
-                    .expect("model says a message is queued");
-                assert_eq!(&buf[..n], &expected[..], "case {case} msg {i}");
-            }
-            pending.push_back(msg.clone());
-            if i % drain_every == 0 {
-                if let Some(expected) = pending.pop_front() {
-                    let n = rx.try_recv(&mut buf).expect("recv").expect("queued");
-                    assert_eq!(&buf[..n], &expected[..], "case {case} msg {i}");
-                }
-            }
-        }
-        while let Some(expected) = pending.pop_front() {
-            let n = rx.try_recv(&mut buf).expect("recv").expect("queued");
-            assert_eq!(&buf[..n], &expected[..], "case {case} drain");
-        }
-        assert_eq!(rx.try_recv(&mut buf).expect("recv"), None, "case {case}");
-    }
 }
 
 /// Rendezvous: a cross-thread stream of arbitrary messages arrives
