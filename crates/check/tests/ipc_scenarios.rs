@@ -1028,6 +1028,9 @@ fn ring_case(race: RingRace, victim: usize) -> Case {
                 if let Ok(tx2) = x.open_send("o2o") {
                     *joined.lock().unwrap() = Some(tx2);
                     let _ = x.message_send(tx2, &[9; 32]);
+                    // Leaving may be cut short too: the count of senders
+                    // must never stay above the send list.
+                    let _ = x.close_send(tx2);
                 }
             }
             RingRace::Broadcast => {

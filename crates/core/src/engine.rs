@@ -786,127 +786,109 @@ impl IpcMpf {
     /// `open_LNVC_send`: joins (or creates) the named conversation as a
     /// sender.
     pub fn open_send(&self, name: &str) -> Result<LnvcId> {
-        let lname = LnvcName::new(name)?;
-        self.heartbeat();
-        self.with_registry(|| {
-            let (idx, created) = self.find_or_create(lname.as_str())?;
-            let d = self.t.lnvc(idx);
-            self.lock_lnvc(idx, d);
-            let result = (|| {
-                self.poison_check(d)?;
-                if self.my_conn(ConnKind::Send, d).is_some() {
-                    return Err(MpfError::AlreadyConnected);
-                }
-                let conn = self
-                    .t
-                    .header()
-                    .send_free
-                    .pop(|i| self.t.send(i).next.load(Ordering::Acquire))
-                    .ok_or(MpfError::ConnectionsExhausted)?;
-                let s = self.t.send(conn);
-                s.pid.store(self.me, Ordering::Release);
-                s.next
-                    .store(d.send_head.load(Ordering::Acquire), Ordering::Release);
-                d.send_head.store(conn, Ordering::Release);
-                d.n_senders.fetch_add(1, Ordering::AcqRel);
-                self.trace_population(TR_OPEN_SEND, idx, 0);
-                self.decide_mode(idx, d, false);
-                Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
-            })();
-            if result.is_err() && created {
-                self.deactivate(idx);
+        self.open_with(name, |idx, d| {
+            if self.my_conn(ConnKind::Send, d).is_some() {
+                return Err(MpfError::AlreadyConnected);
             }
-            d.lock.unlock();
-            result
+            let conn = self
+                .t
+                .header()
+                .send_free
+                .pop(|i| self.t.send(i).next.load(Ordering::Acquire))
+                .ok_or(MpfError::ConnectionsExhausted)?;
+            let s = self.t.send(conn);
+            s.pid.store(self.me, Ordering::Release);
+            s.next
+                .store(d.send_head.load(Ordering::Acquire), Ordering::Release);
+            d.send_head.store(conn, Ordering::Release);
+            d.n_senders.fetch_add(1, Ordering::AcqRel);
+            self.trace_population(TR_OPEN_SEND, idx, 0);
+            self.decide_mode(idx, d, false);
+            Ok(())
         })
     }
 
     /// `open_LNVC_receive`: joins (or creates) the named conversation as
     /// an FCFS or BROADCAST receiver.
     pub fn open_receive(&self, name: &str, protocol: Protocol) -> Result<LnvcId> {
+        self.open_with(name, |idx, d| {
+            if let Some(existing) = self.my_conn(ConnKind::Recv, d) {
+                let have = self.t.recv(existing).protocol_code();
+                return Err(if have == protocol.code() {
+                    MpfError::AlreadyConnected
+                } else {
+                    MpfError::ProtocolConflict
+                });
+            }
+            let first_receiver =
+                d.n_fcfs.load(Ordering::Acquire) + d.n_bcast.load(Ordering::Acquire) == 0;
+            let conn = self
+                .t
+                .header()
+                .recv_free
+                .pop(|i| self.t.recv(i).next.load(Ordering::Acquire))
+                .ok_or(MpfError::ConnectionsExhausted)?;
+            let r = self.t.recv(conn);
+            r.pid.store(self.me, Ordering::Release);
+            r.protocol.store(protocol.code(), Ordering::Release);
+            // BROADCAST receivers see only messages sent after they
+            // join (paper §3.2): nothing queued is theirs.
+            r.head.store(NIL, Ordering::Release);
+            r.next
+                .store(d.recv_head.load(Ordering::Acquire), Ordering::Release);
+            d.recv_head.store(conn, Ordering::Release);
+            match protocol {
+                Protocol::Fcfs => d.n_fcfs.fetch_add(1, Ordering::AcqRel),
+                Protocol::Broadcast => d.n_bcast.fetch_add(1, Ordering::AcqRel),
+            };
+            self.trace_population(TR_OPEN_RECV, idx, protocol.code());
+            // Before obligations are re-evaluated over the queue.
+            self.decide_mode(idx, d, false);
+            // Obligation re-evaluation (DESIGN.md): a backlog queued
+            // while nobody listened is owed to the first receiver — but
+            // a BROADCAST receiver starts past it, so if the first ever
+            // is BROADCAST the backlog can only pin blocks.  Drop it.
+            if first_receiver && protocol == Protocol::Broadcast {
+                self.clear_fcfs_obligations(d);
+                self.reclaim(idx, d, true, None);
+            }
+            Ok(())
+        })
+    }
+
+    /// Every open: under the registry lock and the conversation's, finds
+    /// or creates `name` and `join`s it unless it is poisoned; a creation
+    /// whose join fails is rolled back.
+    fn open_with(
+        &self,
+        name: &str,
+        join: impl FnOnce(u32, &LnvcDesc) -> Result<()>,
+    ) -> Result<LnvcId> {
         let lname = LnvcName::new(name)?;
         self.heartbeat();
         self.with_registry(|| {
             let (idx, created) = self.find_or_create(lname.as_str())?;
             let d = self.t.lnvc(idx);
             self.lock_lnvc(idx, d);
-            let result = (|| {
-                self.poison_check(d)?;
-                if let Some(existing) = self.my_conn(ConnKind::Recv, d) {
-                    let have = self.t.recv(existing).protocol_code();
-                    return Err(if have == protocol.code() {
-                        MpfError::AlreadyConnected
-                    } else {
-                        MpfError::ProtocolConflict
-                    });
-                }
-                let first_receiver =
-                    d.n_fcfs.load(Ordering::Acquire) + d.n_bcast.load(Ordering::Acquire) == 0;
-                let conn = self
-                    .t
-                    .header()
-                    .recv_free
-                    .pop(|i| self.t.recv(i).next.load(Ordering::Acquire))
-                    .ok_or(MpfError::ConnectionsExhausted)?;
-                let r = self.t.recv(conn);
-                r.pid.store(self.me, Ordering::Release);
-                r.protocol.store(protocol.code(), Ordering::Release);
-                // BROADCAST receivers see only messages sent after they
-                // join (paper §3.2): nothing queued is theirs.
-                r.head.store(NIL, Ordering::Release);
-                r.next
-                    .store(d.recv_head.load(Ordering::Acquire), Ordering::Release);
-                d.recv_head.store(conn, Ordering::Release);
-                match protocol {
-                    Protocol::Fcfs => d.n_fcfs.fetch_add(1, Ordering::AcqRel),
-                    Protocol::Broadcast => d.n_bcast.fetch_add(1, Ordering::AcqRel),
-                };
-                self.trace_population(TR_OPEN_RECV, idx, protocol.code());
-                // Before obligations are re-evaluated over the queue.
-                self.decide_mode(idx, d, false);
-                // Obligation re-evaluation (DESIGN.md): a backlog queued
-                // while nobody listened is owed to the first receiver — but
-                // a BROADCAST receiver starts past it, so if the first ever
-                // is BROADCAST the backlog can only pin blocks.  Drop it.
-                if first_receiver && protocol == Protocol::Broadcast {
-                    self.clear_fcfs_obligations(d);
-                    self.reclaim(idx, d, true, None);
-                }
-                Ok(LnvcId::new(d.generation.load(Ordering::Acquire), idx))
-            })();
+            let result = self.poison_check(d).and_then(|()| join(idx, d));
             if result.is_err() && created {
                 self.deactivate(idx);
             }
             d.lock.unlock();
-            result
+            result.map(|()| LnvcId::new(d.generation.load(Ordering::Acquire), idx))
         })
     }
 
     /// `close_LNVC_send`: leaves the conversation as a sender; the last
     /// connection out deletes the conversation and frees its queue.
     pub fn close_send(&self, id: LnvcId) -> Result<()> {
-        self.heartbeat();
-        self.with_registry(|| {
-            let (idx, d) = self.resolve(id)?;
-            self.lock_lnvc(idx, d);
-            let result = (|| {
-                let conn = self
-                    .unlink_conn(ConnKind::Send, &d.send_head, self.me)
-                    .ok_or(MpfError::NotConnected)?;
-                self.trace_population(TR_CLOSE_SEND, idx, 0);
-                self.t
-                    .header()
-                    .send_free
-                    .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
-                d.n_senders.fetch_sub(1, Ordering::AcqRel);
-                self.decide_mode(idx, d, false);
-                if d.total_connections() == 0 {
-                    self.deactivate(idx);
-                }
-                Ok(())
-            })();
-            d.lock.unlock();
-            result
+        self.close_with(id, |idx, d| {
+            let conn = self
+                .unlink_conn(ConnKind::Send, &d.send_head, self.me)
+                .ok_or(MpfError::NotConnected)?;
+            self.trace_population(TR_CLOSE_SEND, idx, 0);
+            self.retire_send(d, conn);
+            Ok(())
         })
     }
 
@@ -914,29 +896,41 @@ impl IpcMpf {
     /// receiver releases its delivery claims so fully-delivered messages
     /// can be reclaimed.
     pub fn close_receive(&self, id: LnvcId) -> Result<()> {
+        let watches = self.close_with(id, |idx, d| {
+            let conn = self
+                .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
+                .ok_or(MpfError::NotConnected)?;
+            self.trace_population(TR_CLOSE_RECV, idx, self.t.recv(conn).protocol_code());
+            Ok(self.retire_recv(idx, d, conn))
+        })?;
+        // Waits of ours still watching through the connection lost their
+        // watch with it; woken to notice.
+        if watches != 0 {
+            self.ring_doorbell();
+        }
+        Ok(())
+    }
+
+    /// Every close: under the registry lock and the conversation's, `leave`
+    /// unlinks and retires this process's connection; the mode is decided
+    /// again, and the last connection out deletes the conversation.
+    fn close_with<T>(
+        &self,
+        id: LnvcId,
+        leave: impl FnOnce(u32, &LnvcDesc) -> Result<T>,
+    ) -> Result<T> {
         self.heartbeat();
         self.with_registry(|| {
             let (idx, d) = self.resolve(id)?;
             self.lock_lnvc(idx, d);
-            let result = (|| {
-                let conn = self
-                    .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
-                    .ok_or(MpfError::NotConnected)?;
-                self.trace_population(TR_CLOSE_RECV, idx, self.t.recv(conn).protocol_code());
-                // Waits of ours still watching through this connection
-                // lose their watch with it; woken below to notice.
-                let watches = self.retire_recv(idx, d, conn);
+            let result = leave(idx, d).inspect(|_| {
                 self.decide_mode(idx, d, false);
                 if d.total_connections() == 0 {
                     self.deactivate(idx);
                 }
-                Ok(watches)
-            })();
+            });
             d.lock.unlock();
-            if result? != 0 {
-                self.ring_doorbell();
-            }
-            Ok(())
+            result
         })
     }
 
@@ -1093,9 +1087,11 @@ impl IpcMpf {
         let (ring, n) = (self.t.ring(idx), run.len() as u32);
         let owns = |mode| {
             d.mode.load(mode) == lnvc_mode::RING
+                && ring.producer.load(Ordering::Relaxed) == self.me
                 && ring.p_thread.load(Ordering::Relaxed) == thread_token()
         };
-        // Checked first too: another thread's send wastes no stamps.
+        // Checked first too: another thread's (or process's) send wastes
+        // no stamps and never touches the owner's `p_busy`.
         if !owns(Ordering::Relaxed) {
             return false;
         }
@@ -1105,7 +1101,6 @@ impl IpcMpf {
         // Slots fill and empty in order: the run's last free, all are.
         let last = ring.slot(ring.tail.load(Ordering::Relaxed).wrapping_add(n - 1));
         let pushed = owns(Ordering::SeqCst)
-            && ring.producer.load(Ordering::Relaxed) == self.me
             && d.poisoned.load(Ordering::Relaxed) == 0
             && n as usize <= RING_SLOTS
             && last.load(Ordering::Acquire) == NIL;
@@ -1138,7 +1133,15 @@ impl IpcMpf {
     fn ring_sync(&self, idx: u32) -> &LnvcRing {
         let ring = self.t.ring(idx);
         self.t.header().next_stamp.load(Ordering::SeqCst);
-        self.ring_wait(&ring.p_busy, |pusher, dead| pusher == 0 || dead);
+        // A dead pusher's word is cleared, or its pid's next owner would
+        // be waited on.
+        let clear = |dead| {
+            ring.p_busy
+                .compare_exchange(dead, 0, Ordering::AcqRel, Ordering::Relaxed)
+        };
+        self.ring_wait(&ring.p_busy, |pusher, dead| {
+            pusher == 0 || dead && clear(pusher).is_ok()
+        });
         ring
     }
 
@@ -2633,12 +2636,7 @@ impl IpcMpf {
                 d.mode.store(lnvc_mode::LOCKED, Ordering::Release);
                 // An empty ring here, not in the carve: only rings in use
                 // are touched.
-                let ring = self.t.ring(idx);
-                ring.slots
-                    .iter()
-                    .for_each(|s| s.store(NIL, Ordering::Relaxed));
-                ring.head
-                    .store(ring.tail.load(Ordering::Relaxed), Ordering::Relaxed);
+                self.t.ring(idx).reset();
                 d.active.store(1, Ordering::Release);
                 let e = self.t.reg_entry(free_entry);
                 e.set_name(bytes);
@@ -2727,21 +2725,27 @@ impl IpcMpf {
         }
     }
 
+    /// Retires send connection `conn`, already unlinked from `d`: counted
+    /// out, then back to the pool — a death between leaks the descriptor
+    /// rather than leave the count above the list.  Caller holds `d`'s lock.
+    fn retire_send(&self, d: &LnvcDesc, conn: u32) {
+        d.n_senders.fetch_sub(1, Ordering::AcqRel);
+        let send_free = &self.t.header().send_free;
+        send_free.push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
+    }
+
     /// Retires receive connection `conn`, already unlinked from `d`: its
-    /// watches go with it, its descriptor returns to the pool, its
-    /// delivery claims are released, and what that left fully delivered
-    /// is reclaimed from the whole queue (a close or a sweep is the slow
-    /// path), not just the head.  Returns the watches it took along.
-    /// Caller holds `d`'s lock.
+    /// watches go with it, it is counted out, its delivery claims are
+    /// released, what that left fully delivered is reclaimed from the
+    /// whole queue (a close or a sweep is the slow path), not just the
+    /// head, and its descriptor returns to the pool last, as in
+    /// [`Self::retire_send`].  Returns the watches it took along.  Caller
+    /// holds `d`'s lock.
     fn retire_recv(&self, idx: u32, d: &LnvcDesc, conn: u32) -> u32 {
         let r = self.t.recv(conn);
         let (protocol, watches) = (r.protocol_code(), r.watches());
         let head = r.head.load(Ordering::Acquire);
         locked_update(&d.watchers, |n| n - watches);
-        self.t
-            .header()
-            .recv_free
-            .push(conn, |s, n| self.t.recv(s).next.store(n, Ordering::Release));
         if protocol == Protocol::Broadcast.code() {
             d.n_bcast.fetch_sub(1, Ordering::AcqRel);
             self.release_claims(head);
@@ -2756,6 +2760,8 @@ impl IpcMpf {
             self.clear_fcfs_obligations(d);
         }
         self.reclaim(idx, d, true, None);
+        let recv_free = &self.t.header().recv_free;
+        recv_free.push(conn, |s, n| self.t.recv(s).next.store(n, Ordering::Release));
         watches
     }
 
@@ -2883,6 +2889,12 @@ impl IpcMpf {
             // lock the corpse still holds is broken (and poisons) here
             // rather than blocking the sweep.
             self.lock_lnvc(idx, d);
+            // A ring end the corpse held is freed: its pid's next owner
+            // must not be waited on as if it held it.
+            let ring = self.t.ring(idx);
+            for end in [&ring.p_busy, &ring.c_lock] {
+                let _ = end.compare_exchange(dead + 1, 0, Ordering::AcqRel, Ordering::Relaxed);
+            }
             let sent = self.unlink_conn(ConnKind::Send, &d.send_head, dead);
             let recv = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead);
             let touched = sent.is_some() || recv.is_some();
@@ -2892,11 +2904,7 @@ impl IpcMpf {
                 self.trace_population(TR_POISON, idx, dead);
             }
             if let Some(conn) = sent {
-                self.t
-                    .header()
-                    .send_free
-                    .push(conn, |s, n| self.t.send(s).next.store(n, Ordering::Release));
-                d.n_senders.fetch_sub(1, Ordering::AcqRel);
+                self.retire_send(d, conn);
             }
             if let Some(conn) = recv {
                 self.retire_recv(idx, d, conn);

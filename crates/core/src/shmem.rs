@@ -429,6 +429,21 @@ pub struct LnvcRing {
 }
 
 impl LnvcRing {
+    /// Empty, neither end held or owned: what a conversation's activation
+    /// leaves, whatever a dead tenant left.
+    pub fn reset(&self) {
+        self.slots
+            .iter()
+            .for_each(|s| s.store(NIL, Ordering::Relaxed));
+        for word in [&self.head, &self.tail, &self.p_busy, &self.c_lock] {
+            word.store(0, Ordering::Relaxed);
+        }
+        for pid in [&self.producer, &self.consumer] {
+            pid.store(NIL, Ordering::Relaxed);
+        }
+        self.p_thread.store(0, Ordering::Relaxed);
+    }
+
     /// The slot free-running index `i` falls on.
     pub fn slot(&self, i: u32) -> &AtomicU32 {
         &self.slots[i as usize % RING_SLOTS]

@@ -73,19 +73,6 @@ impl LnvcName {
     }
 }
 
-impl std::fmt::Display for LnvcName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for LnvcName {
-    type Err = MpfError;
-    fn from_str(s: &str) -> Result<Self> {
-        Self::new(s)
-    }
-}
-
 /// MPF's internal LNVC identifier, returned by `open_send`/`open_receive`
 /// and required by the transfer and close primitives (paper §2): the
 /// descriptor index and the generation it was minted under
@@ -233,11 +220,5 @@ mod tests {
         let c = LnvcName::new("pivotx").unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn name_display_and_fromstr() {
-        let n: LnvcName = "edge:3->4".parse().unwrap();
-        assert_eq!(n.to_string(), "edge:3->4");
     }
 }

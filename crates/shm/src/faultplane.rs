@@ -149,13 +149,7 @@ impl FaultConfig {
             let (k, v) = tok.split_once('=')?;
             match k.trim() {
                 "seed" => cfg.seed = v.trim().parse().ok()?,
-                "rate" => {
-                    let r: f64 = v.trim().parse().ok()?;
-                    cfg.notify_drop = r;
-                    cfg.lock_stall = r;
-                    cfg.pool_exhaust = r;
-                    cfg.peer_died = r;
-                }
+                "rate" => cfg = FaultConfig::uniform(cfg.seed, v.trim().parse().ok()?),
                 "notify" => cfg.notify_drop = v.trim().parse().ok()?,
                 "lock" => cfg.lock_stall = v.trim().parse().ok()?,
                 "pool" => cfg.pool_exhaust = v.trim().parse().ok()?,

@@ -15,15 +15,14 @@
 //! backoff; the closest analogue of the 1987 primitive) and
 //! [`TicketLock`] (FIFO-fair; trades throughput for fairness, which
 //! matters for the FCFS receiver pools in Figure 4 style workloads).
-//! Both count contended acquisitions so benchmarks can report how much of
-//! a throughput dip is lock contention (the paper attributes the
-//! 16/128-byte declines in Figure 4 to "increased LNVC contention").
+//! Contention on the engine's lock is counted by the facility's telemetry
+//! (`lock_contended`), not here.
 //!
 //! All lock types are `#[repr(C)]` over atomics, so any of them may be
 //! placed inside a shared-memory region and used from several address
 //! spaces.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Duration;
 
 use crate::backoff::Backoff;
@@ -45,7 +44,6 @@ pub enum LockKind {
 #[repr(C)]
 pub struct SpinLock {
     locked: AtomicBool,
-    contended: AtomicU64,
 }
 
 impl SpinLock {
@@ -53,7 +51,6 @@ impl SpinLock {
     pub const fn new() -> Self {
         Self {
             locked: AtomicBool::new(false),
-            contended: AtomicU64::new(0),
         }
     }
 
@@ -74,7 +71,6 @@ impl SpinLock {
         if self.try_lock() {
             return;
         }
-        self.contended.fetch_add(1, Ordering::Relaxed);
         let mut backoff = Backoff::new();
         loop {
             while self.locked.load(Ordering::Relaxed) {
@@ -92,11 +88,6 @@ impl SpinLock {
         self.locked.store(false, Ordering::Release);
         crate::hooks::lock_release(self as *const Self as usize);
     }
-
-    /// Number of acquisitions that did not succeed on the first attempt.
-    fn contended_count(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
-    }
 }
 
 /// FIFO ticket lock: acquirers take a ticket and wait for it to be served.
@@ -105,7 +96,6 @@ impl SpinLock {
 pub struct TicketLock {
     next: AtomicU32,
     serving: AtomicU32,
-    contended: AtomicU64,
 }
 
 impl TicketLock {
@@ -114,7 +104,6 @@ impl TicketLock {
         Self {
             next: AtomicU32::new(0),
             serving: AtomicU32::new(0),
-            contended: AtomicU64::new(0),
         }
     }
 
@@ -142,10 +131,6 @@ impl TicketLock {
             return;
         }
         let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        if self.serving.load(Ordering::Acquire) == ticket {
-            return;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
         let mut backoff = Backoff::new();
         while self.serving.load(Ordering::Acquire) != ticket {
             backoff.snooze();
@@ -158,11 +143,6 @@ impl TicketLock {
         self.serving
             .store(serving.wrapping_add(1), Ordering::Release);
         crate::hooks::lock_release(self as *const Self as usize);
-    }
-
-    /// Number of acquisitions that had to wait.
-    fn contended_count(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
     }
 }
 
@@ -246,7 +226,7 @@ impl IpcLock {
         // victim's slot dead, so the oracle is consulted on every failed
         // try (no wall-clock patience — the scheduler already controls
         // when this retry runs).
-        if crate::hooks::lock_acquire(self as *const Self as usize, &mut || {
+        let hooked = crate::hooks::lock_acquire(self as *const Self as usize, &mut || {
             if self.try_lock(me) {
                 return true;
             }
@@ -256,24 +236,15 @@ impl IpcLock {
                 return self.try_lock(me);
             }
             false
-        }) {
-            return (
-                if self.is_poisoned() {
-                    IpcAcquire::Poisoned
-                } else {
-                    IpcAcquire::Clean
-                },
-                false,
-            );
-        }
-        if crate::faultplane::inject(crate::faultplane::FaultSite::LockStall) {
+        });
+        if !hooked && crate::faultplane::inject(crate::faultplane::FaultSite::LockStall) {
             // Injected acquire stall: long enough that peers observe a
             // slow holder, far shorter than IPC_LOCK_PATIENCE so a live
             // staller is never mistaken for a corpse.
             std::thread::sleep(IPC_LOCK_PATIENCE / 10);
         }
         let mut contended = false;
-        if !self.try_lock(me) {
+        if !hooked && !self.try_lock(me) {
             contended = true;
             loop {
                 if self.state.swap(2, Ordering::Acquire) == 0 {
@@ -370,24 +341,12 @@ impl IpcLock {
 ///
 /// LNVC descriptors embed one of these; the kind is fixed at
 /// [`ShmLock::new`] time from the facility configuration.
+#[derive(Debug)]
 pub enum ShmLock {
     /// TTAS spin lock.
     Spin(SpinLock),
     /// FIFO ticket lock.
     Ticket(TicketLock),
-}
-
-impl std::fmt::Debug for ShmLock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self {
-            ShmLock::Spin(_) => "Spin",
-            ShmLock::Ticket(_) => "Ticket",
-        };
-        f.debug_struct("ShmLock")
-            .field("kind", &kind)
-            .field("contended", &self.contended_count())
-            .finish()
-    }
 }
 
 impl Default for ShmLock {
@@ -414,25 +373,6 @@ impl ShmLock {
         ShmLockGuard { lock: self }
     }
 
-    /// Attempts to acquire without waiting.
-    pub fn try_lock(&self) -> Option<ShmLockGuard<'_>> {
-        let ok = match self {
-            ShmLock::Spin(l) => l.try_lock(),
-            ShmLock::Ticket(l) => l.try_lock(),
-        };
-        // `then` (not `then_some`): the guard must only exist — and thus
-        // only ever unlock on drop — if the acquisition succeeded.
-        ok.then(|| ShmLockGuard { lock: self })
-    }
-
-    /// Number of acquisitions that had to wait.
-    fn contended_count(&self) -> u64 {
-        match self {
-            ShmLock::Spin(l) => l.contended_count(),
-            ShmLock::Ticket(l) => l.contended_count(),
-        }
-    }
-
     fn unlock(&self) {
         match self {
             ShmLock::Spin(l) => l.unlock(),
@@ -453,15 +393,11 @@ impl Drop for ShmLockGuard<'_> {
     }
 }
 
-// Compile-time layout contracts.  These types are placed inside shared
-// regions at offsets computed from these exact sizes and alignments; a
+// Compile-time layout contract.  The lock is placed inside shared
+// regions at offsets computed from this exact size and alignment; a
 // refactor that changed them would silently corrupt every cross-process
 // layout (and could reintroduce false sharing the carve was sized
 // against), so the build fails instead.
-const _: () = assert!(std::mem::size_of::<SpinLock>() == 16);
-const _: () = assert!(std::mem::align_of::<SpinLock>() == 8);
-const _: () = assert!(std::mem::size_of::<TicketLock>() == 16);
-const _: () = assert!(std::mem::align_of::<TicketLock>() == 8);
 const _: () = assert!(std::mem::size_of::<IpcLock>() == 16);
 const _: () = assert!(std::mem::align_of::<IpcLock>() == 4);
 
@@ -512,43 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held() {
-        for kind in [LockKind::Spin, LockKind::Ticket] {
-            let lock = ShmLock::new(kind);
-            let g = lock.lock();
-            assert!(lock.try_lock().is_none(), "{kind:?}");
-            drop(g);
-            assert!(lock.try_lock().is_some(), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn guard_releases_on_drop() {
         let lock = ShmLock::new(LockKind::Spin);
         drop(lock.lock());
         drop(lock.lock());
-    }
-
-    #[test]
-    fn contention_counter_counts_forced_contention() {
-        for kind in [LockKind::Spin, LockKind::Ticket] {
-            let lock = ShmLock::new(kind);
-            let entered = AtomicUsize::new(0);
-            thread::scope(|s| {
-                let g = lock.lock();
-                let handle = s.spawn(|| {
-                    entered.fetch_add(1, Ordering::SeqCst);
-                    let _g = lock.lock(); // must contend: main holds it
-                });
-                while entered.load(Ordering::SeqCst) == 0 {
-                    std::hint::spin_loop();
-                }
-                thread::sleep(std::time::Duration::from_millis(10));
-                drop(g);
-                handle.join().unwrap();
-            });
-            assert!(lock.contended_count() > 0, "{kind:?}");
-        }
     }
 
     #[test]
@@ -644,6 +547,6 @@ mod tests {
             l.lock();
             l.unlock();
         }
-        assert_eq!(l.contended_count(), 0);
+        assert!(l.try_lock(), "serving kept up with the tickets");
     }
 }

@@ -19,8 +19,8 @@
 //! Single-producer / single-consumer: one side owns `tail` (push), the
 //! other owns `head` (pop); the only synchronization is one
 //! release/acquire pair per side, exactly like
-//! [`crate::waitq::FutexSeq`]'s sequence protocol and the one-to-one
-//! channel.  A ring belongs to one process slot: that
+//! [`crate::waitq::FutexSeq`]'s sequence protocol.  A ring belongs to
+//! one process slot: that
 //! process pushes submissions and pops completions; whoever drains
 //! (usually the same process, inline) pops submissions and pushes
 //! completions.  Each counter has the same one writer as the cursor it

@@ -121,12 +121,17 @@ STEP
 # `Pool` and `WaitQueue` are shims over the engine's `FreeHead` and
 # `FutexSeq`.  The second free list, the second futex mutex and the
 # thread-parking registry stay deleted.
-step 'One of each primitive (one free list, one futex mutex, one wait word)' <<'STEP'
+# The ring's receive end is the one lock beside `IpcLock` (DESIGN.md
+# "Why the receive end is not an IpcLock"): `ring_end` takes and
+# releases it, `ring_wait` is its one wait loop.
+step 'One of each primitive (one free list, one futex mutex, one wait word, one ring-end lock)' <<'STEP'
 
 absent() { if grep "$@"; then exit 1; fi; }
 absent -rnE 'IndexStack|idxstack|FutexLock|LockKind::Os|park_timeout' crates/ examples/ src/ tests/
 test "$(grep -rc 'fn pop_chain(' crates/*/src | awk -F: '{s+=$2} END {print s}')" -eq 1
 test "$(grep -rc 'fn push_chain(' crates/*/src | awk -F: '{s+=$2} END {print s}')" -eq 1
+test "$(grep -rcE 'fn ring_(end|wait)\(' crates/*/src | awk -F: '{s+=$2} END {print s}')" -eq 2
+absent -rnE 'c_lock\s*\.\s*(compare_exchange|swap|store|fetch_)' crates/*/src
 STEP
 
 # A conversation of one sender and one FCFS receiver runs on its ring;
