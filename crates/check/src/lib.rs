@@ -26,21 +26,26 @@
 //! ```
 //! use std::sync::Arc;
 //! use std::sync::atomic::{AtomicU32, Ordering};
-//! use mpf_shm::HookedMutex;
+//! use mpf_shm::IpcLock;
 //! use mpf_check::{explore_dfs, Case, ExploreOpts};
 //!
 //! // A racy check-then-act: each process reads the counter in one
-//! // critical section and writes back in another.  DFS finds the lost
-//! // update within a handful of schedules.
+//! // critical section of the engine's lock and writes back in another.
+//! // DFS finds the lost update within a handful of schedules.
 //! let report = explore_dfs(&ExploreOpts::new("lost-update"), || {
-//!     let counter = Arc::new(HookedMutex::new(0u32));
+//!     let counter = Arc::new((IpcLock::new(), AtomicU32::new(0)));
 //!     let final_value = Arc::new(AtomicU32::new(0));
 //!     let procs: Vec<Box<dyn FnOnce() + Send>> = (0..2)
 //!         .map(|_| {
 //!             let c = Arc::clone(&counter);
 //!             Box::new(move || {
-//!                 let v = *c.lock();
-//!                 *c.lock() = v + 1;
+//!                 let (lock, n) = &*c;
+//!                 lock.lock(1, |_| true);
+//!                 let v = n.load(Ordering::Relaxed);
+//!                 lock.unlock();
+//!                 lock.lock(1, |_| true);
+//!                 n.store(v + 1, Ordering::Relaxed);
+//!                 lock.unlock();
 //!             }) as Box<dyn FnOnce() + Send>
 //!         })
 //!         .collect();
@@ -49,7 +54,7 @@
 //!         procs,
 //!         death: None,
 //!         check: Box::new(move || {
-//!             f.store(*c.lock(), Ordering::Relaxed);
+//!             f.store(c.1.load(Ordering::Relaxed), Ordering::Relaxed);
 //!             Ok(())
 //!         }),
 //!     }
@@ -78,7 +83,25 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
-    use mpf_shm::HookedMutex;
+    use mpf_shm::IpcLock;
+
+    /// A counter behind the engine's lock: each call is one critical
+    /// section, a scheduling decision for the harness.
+    #[derive(Default)]
+    struct Locked(IpcLock, AtomicU32);
+
+    impl Locked {
+        fn with<R>(&self, f: impl FnOnce(&AtomicU32) -> R) -> R {
+            self.0.lock(1, |_| true);
+            let r = f(&self.1);
+            self.0.unlock();
+            r
+        }
+
+        fn get(&self) -> u32 {
+            self.with(|n| n.load(Ordering::Relaxed))
+        }
+    }
 
     fn two_procs(f: impl Fn() -> Box<dyn FnOnce() + Send>) -> Vec<Box<dyn FnOnce() + Send>> {
         vec![f(), f()]
@@ -90,11 +113,11 @@ mod tests {
     fn dfs_passes_atomic_increment() {
         let opts = ExploreOpts::new("atomic-increment").max_schedules(512);
         let report = explore_dfs(&opts, || {
-            let counter = Arc::new(HookedMutex::new(0u32));
+            let counter = Arc::new(Locked::default());
             let procs = two_procs(|| {
                 let c = Arc::clone(&counter);
                 Box::new(move || {
-                    *c.lock() += 1;
+                    c.with(|n| n.fetch_add(1, Ordering::Relaxed));
                 })
             });
             let c = Arc::clone(&counter);
@@ -102,7 +125,7 @@ mod tests {
                 procs,
                 death: None,
                 check: Box::new(move || {
-                    let v = *c.lock();
+                    let v = c.get();
                     if v == 2 {
                         Ok(())
                     } else {
@@ -121,13 +144,13 @@ mod tests {
     #[test]
     fn dfs_finds_lost_update_and_replays_it() {
         let make = || {
-            let counter = Arc::new(HookedMutex::new(0u32));
+            let counter = Arc::new(Locked::default());
             let procs: Vec<Box<dyn FnOnce() + Send>> = (0..2)
                 .map(|_| {
                     let c = Arc::clone(&counter);
                     Box::new(move || {
-                        let v = *c.lock();
-                        *c.lock() = v + 1;
+                        let v = c.get();
+                        c.with(|n| n.store(v + 1, Ordering::Relaxed));
                     }) as Box<dyn FnOnce() + Send>
                 })
                 .collect();
@@ -136,7 +159,7 @@ mod tests {
                 procs,
                 death: None,
                 check: Box::new(move || {
-                    let v = *c.lock();
+                    let v = c.get();
                     if v == 2 {
                         Ok(())
                     } else {
@@ -168,21 +191,15 @@ mod tests {
     fn dfs_detects_abba_deadlock() {
         let opts = ExploreOpts::new("abba").max_schedules(512);
         let report = explore_dfs(&opts, || {
-            let a = Arc::new(HookedMutex::new(()));
-            let b = Arc::new(HookedMutex::new(()));
+            let a = Arc::new(Locked::default());
+            let b = Arc::new(Locked::default());
             let p0 = {
                 let (a, b) = (Arc::clone(&a), Arc::clone(&b));
-                Box::new(move || {
-                    let _ga = a.lock();
-                    let _gb = b.lock();
-                }) as Box<dyn FnOnce() + Send>
+                Box::new(move || a.with(|_| b.with(|_| ()))) as Box<dyn FnOnce() + Send>
             };
             let p1 = {
                 let (a, b) = (Arc::clone(&a), Arc::clone(&b));
-                Box::new(move || {
-                    let _gb = b.lock();
-                    let _ga = a.lock();
-                }) as Box<dyn FnOnce() + Send>
+                Box::new(move || b.with(|_| a.with(|_| ()))) as Box<dyn FnOnce() + Send>
             };
             Case {
                 procs: vec![p0, p1],
@@ -203,11 +220,11 @@ mod tests {
     fn step_limit_catches_livelock() {
         let opts = ExploreOpts::new("livelock").max_schedules(1).max_steps(200);
         let report = explore_dfs(&opts, || {
-            let m = Arc::new(HookedMutex::new(()));
+            let m = Arc::new(Locked::default());
             let p = {
                 let m = Arc::clone(&m);
                 Box::new(move || loop {
-                    drop(m.lock());
+                    m.with(|_| ());
                 }) as Box<dyn FnOnce() + Send>
             };
             Case {
@@ -229,20 +246,20 @@ mod tests {
     fn random_reports_panics_with_replayable_seed() {
         let make = || {
             let flag = Arc::new(AtomicU32::new(0));
-            let m = Arc::new(HookedMutex::new(()));
+            let m = Arc::new(Locked::default());
             // Process 1 panics iff it runs its lock section before
             // process 0 sets the flag — schedule-dependent.
             let p0 = {
                 let (flag, m) = (Arc::clone(&flag), Arc::clone(&m));
                 Box::new(move || {
-                    drop(m.lock());
+                    m.with(|_| ());
                     flag.store(1, Ordering::Relaxed);
                 }) as Box<dyn FnOnce() + Send>
             };
             let p1 = {
                 let (flag, m) = (Arc::clone(&flag), Arc::clone(&m));
                 Box::new(move || {
-                    drop(m.lock());
+                    m.with(|_| ());
                     assert_eq!(flag.load(Ordering::Relaxed), 1, "ran before p0");
                 }) as Box<dyn FnOnce() + Send>
             };
@@ -280,12 +297,12 @@ mod tests {
         let opts = ExploreOpts::new("mortal-increment").max_schedules(512);
         let (dr, sr) = (Arc::clone(&died_runs), Arc::clone(&survived_runs));
         let report = explore_dfs(&opts, move || {
-            let counter = Arc::new(HookedMutex::new(0u32));
+            let counter = Arc::new(Locked::default());
             let died = Arc::new(AtomicBool::new(false));
             let proc0 = {
                 let c = Arc::clone(&counter);
                 Box::new(move || {
-                    *c.lock() += 1;
+                    c.with(|n| n.fetch_add(1, Ordering::Relaxed));
                 }) as Box<dyn FnOnce() + Send>
             };
             let on_death = {
@@ -301,7 +318,7 @@ mod tests {
                     on_death,
                 }),
                 check: Box::new(move || {
-                    let v = *c.lock();
+                    let v = c.get();
                     if died.load(Ordering::Relaxed) {
                         // Killed before or after the increment — both are
                         // legal final states of a sudden death.
@@ -332,12 +349,12 @@ mod tests {
     fn dfs_death_failures_replay() {
         use std::sync::atomic::AtomicBool;
         let make = || {
-            let counter = Arc::new(HookedMutex::new(0u32));
+            let counter = Arc::new(Locked::default());
             let died = Arc::new(AtomicBool::new(false));
             let proc0 = {
                 let c = Arc::clone(&counter);
                 Box::new(move || {
-                    *c.lock() += 1;
+                    c.with(|n| n.fetch_add(1, Ordering::Relaxed));
                 }) as Box<dyn FnOnce() + Send>
             };
             let on_death = {
@@ -352,7 +369,7 @@ mod tests {
                     on_death,
                 }),
                 check: Box::new(move || {
-                    if died.load(Ordering::Relaxed) && *c.lock() == 0 {
+                    if died.load(Ordering::Relaxed) && c.get() == 0 {
                         Err("killed before the increment".into())
                     } else {
                         Ok(())
@@ -386,13 +403,13 @@ mod tests {
         let dr = Arc::clone(&died_runs);
         let opts = ExploreOpts::new("random-kills").max_schedules(64);
         let report = explore_random(&opts, 0x5EED, move || {
-            let counter = Arc::new(HookedMutex::new(0u32));
+            let counter = Arc::new(Locked::default());
             let died = Arc::new(AtomicBool::new(false));
             let procs: Vec<Box<dyn FnOnce() + Send>> = (0..2)
                 .map(|_| {
                     let c = Arc::clone(&counter);
                     Box::new(move || {
-                        *c.lock() += 1;
+                        c.with(|n| n.fetch_add(1, Ordering::Relaxed));
                     }) as Box<dyn FnOnce() + Send>
                 })
                 .collect();

@@ -8,7 +8,7 @@
 //! `scenarios.rs`.
 //!
 //! A modeled kill lands at a hook — a lock acquire or release, a futex
-//! wait or notify, the sleeper-gate yield, an aio ring push or pop — and
+//! wait or notify, the sleeper-gate yield, a ring push or a pool pop — and
 //! the engine's plain-store words
 //! (`next_seq`, `msg_count`, a message's `flags` and `bcast_pending`, the
 //! heartbeat, the per-LNVC telemetry) are each a load and a store with no

@@ -31,15 +31,15 @@ use crate::types::{AioCompletion, AioStats, LnvcId, LnvcName, Protocol, Reclaima
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::freelist::stretch;
 use mpf_shm::lock::IPC_LOCK_PATIENCE;
-use mpf_shm::ring::{AioRing, RingEntry, AIO_RING_SLOTS};
+use mpf_shm::ring::{RingEntry, AIO_RING_SLOTS};
 use mpf_shm::telemetry::{
     bump, facility_snapshot, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry,
     TelSnapshot,
 };
 use mpf_shm::tracering::{
-    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_LOCK_CONTEND,
-    TR_OPEN_RECV, TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND,
-    TR_SEND_BLOCK, TR_SWEEP_DEAD, TR_WAKEUP,
+    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_FAULT, TR_LOCK_CONTEND, TR_OPEN_RECV,
+    TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_RECV_BLOCK, TR_SEND, TR_SEND_BLOCK,
+    TR_SWEEP_DEAD, TR_WAKEUP,
 };
 use mpf_shm::{FutexSeq, ShmRegion};
 
@@ -119,8 +119,6 @@ struct Offsets {
     fac_tel: usize,
     lnvc_tel: usize,
     trace_rings: usize,
-    aio_sq: usize,
-    aio_cq: usize,
 }
 
 /// A carved region as typed tables: the mapping plus the segment offsets
@@ -155,8 +153,6 @@ impl Tables {
             fac_tel: seg("facility telemetry"),
             lnvc_tel: seg("lnvc telemetry"),
             trace_rings: seg("trace rings"),
-            aio_sq: seg("aio sq rings"),
-            aio_cq: seg("aio cq rings"),
         };
         Self { region, off }
     }
@@ -237,16 +233,6 @@ impl Tables {
     /// Process `p`'s trace ring.
     pub fn trace_ring(&self, p: u32) -> &TraceRing {
         self.table(self.off.trace_rings, p)
-    }
-
-    /// Process `p`'s aio submission ring.
-    pub fn aio_sq(&self, p: u32) -> &AioRing {
-        self.table(self.off.aio_sq, p)
-    }
-
-    /// Process `p`'s aio completion ring.
-    pub fn aio_cq(&self, p: u32) -> &AioRing {
-        self.table(self.off.aio_cq, p)
     }
 
     /// `n` bytes of the block store, from byte `at` of it.
@@ -347,6 +333,19 @@ pub struct IpcMpf {
     last_sweep: AtomicU64,
     /// Sweeps this handle has run, found anything or not (test hook).
     sweeps_run: AtomicU64,
+    /// Sends [`Self::submit_sends`] deferred to [`Self::drain_sends`].
+    deferred: std::sync::Mutex<Deferred>,
+}
+
+/// A view's deferred sends: copies of the payloads, never region memory.
+#[derive(Debug, Default)]
+struct Deferred {
+    /// Submitted, undrained sends: conversation, token, payload.
+    sends: std::collections::VecDeque<(LnvcId, u64, Vec<u8>)>,
+    /// Completions awaiting [`IpcMpf::reap_completions`].
+    done: Vec<AioCompletion>,
+    /// The counters; the two depths are read off the queues.
+    stats: AioStats,
 }
 
 /// How long a receive may wait for its first delivery.
@@ -401,6 +400,7 @@ impl IpcMpf {
             ctx_hop: AtomicU32::new(0),
             last_sweep: AtomicU64::new(0),
             sweeps_run: AtomicU64::new(0),
+            deferred: Default::default(),
         }
     }
 
@@ -502,10 +502,6 @@ impl IpcMpf {
         h.recv_free.thread(cfg.max_recv_conns, |s, n| {
             self.t.recv(s).next.store(n, Ordering::Relaxed)
         });
-        for p in 0..cfg.max_processes {
-            self.t.aio_sq(p).reset();
-            self.t.aio_cq(p).reset();
-        }
         h.magic.store(REGION_MAGIC, Ordering::Release);
         h.state.store(region_state::READY, Ordering::Release);
     }
@@ -525,10 +521,6 @@ impl IpcMpf {
                     )
                     .is_ok()
                 {
-                    // A predecessor that died (or detached) with staged
-                    // submissions would leak its pool allocations into the
-                    // new owner's ring; reclaim before reuse.
-                    self.reclaim_aio_of(i);
                     // Nobody of the predecessor can still be asleep here.
                     s.doorbell.reset_sleepers();
                     s.os_pid.store(std::process::id(), Ordering::Release);
@@ -543,24 +535,6 @@ impl IpcMpf {
             }
         }
         Err(MpfError::InvalidProcess)
-    }
-
-    /// Frees every message still staged in process `p`'s submission ring
-    /// and discards its unreaped completions.  Called when a slot changes
-    /// hands (dead-peer sweep, slot reuse, clean detach): staged messages
-    /// were allocated from the shared pools but never enqueued, so nobody
-    /// else will ever free them.  (What a submitter killed inside
-    /// [`Self::stage_run`] had not yet pushed here is on no list: that one
-    /// run leaks, DESIGN.md "Free lists".)
-    fn reclaim_aio_of(&self, p: u32) {
-        let sq = self.t.aio_sq(p);
-        while let Some(e) = sq.try_pop() {
-            if e.arg0 < self.cfg.max_messages {
-                self.free_run(e.arg0, e.arg0, None);
-            }
-        }
-        let cq = self.t.aio_cq(p);
-        while cq.try_pop().is_some() {}
     }
 
     // -- telemetry plumbing --------------------------------------------
@@ -960,7 +934,7 @@ impl IpcMpf {
         // section, and a death mid-allocation cannot corrupt the queue.
         let mut m_idx = NIL;
         self.stage_run(idx, d, &[payload], std::slice::from_mut(&mut m_idx))?;
-        // A run of one, in the form the submission ring stages them.
+        // A run of one, in the form `stage_batch` stages them.
         let (trace, hop) = self.trace_for_send();
         let staged = RingEntry {
             user_data: 0,
@@ -975,7 +949,7 @@ impl IpcMpf {
     }
 
     /// The only routine that publishes: hands the staged messages of `run`
-    /// — descriptors as [`Self::submit_sends`] stages them: message index
+    /// — descriptors as [`Self::stage_batch`] stages them: message index
     /// in `arg0`, length in `arg1`, causal id in `trace`, hop count in
     /// `status` — to conversation `idx` in one step (one population, one
     /// set of obligations): through its ring in ring mode, else linked at
@@ -1617,8 +1591,7 @@ impl IpcMpf {
     /// pool, cuts the block chain per message and scatters each payload
     /// into its piece.  All or nothing: a shortage leaves both pools as
     /// they were.  The run is on no list from the first pop until its
-    /// caller publishes it or stages it in the submission ring — the
-    /// window in which a death leaks it.
+    /// caller publishes it — the window in which a death leaks it.
     #[inline(always)]
     fn alloc_run(&self, payloads: &[&[u8]], staged: &mut [u32]) -> Result<()> {
         let h = self.t.header();
@@ -1679,18 +1652,20 @@ impl IpcMpf {
         Ok(())
     }
 
-    // -- batched submission (aio) --------------------------------------
+    // -- batched sends --------------------------------------------------
 
-    /// The one stager of descriptors: stages what of `payloads` fits `room`
-    /// and the size limit as one run and writes to `run` the descriptors
-    /// [`Self::publish_run`] takes, `user_data` = token (index within
-    /// `payloads`) << 32 | handle generation.  Returns the conversation and
-    /// how many were staged (0 for an empty batch); no room is `WouldBlock`.
+    /// The one stager of descriptors: stages what of `payloads` fits the
+    /// run and the size limit as one run and writes to `run` the
+    /// descriptors [`Self::publish_run`] takes, `user_data` = token (index
+    /// within `payloads`) << 32 | handle generation.  Returns the
+    /// conversation and how many were staged (0 for an empty batch).  Kept
+    /// out of line, as it was while two callers shared it, so `send_batch`
+    /// keeps its code.
+    #[inline(never)]
     fn stage_batch(
         &self,
         id: LnvcId,
         payloads: &[&[u8]],
-        room: usize,
         run: &mut [RingEntry; AIO_RING_SLOTS],
     ) -> Result<(u32, &LnvcDesc, usize)> {
         self.heartbeat();
@@ -1702,16 +1677,12 @@ impl IpcMpf {
         }
         let fit = payloads
             .iter()
-            .take(room)
+            .take(AIO_RING_SLOTS)
             .take_while(|buf| buf.len() <= max)
             .count();
         if fit == 0 {
             let len = payloads[0].len();
-            return Err(if room == 0 {
-                MpfError::WouldBlock
-            } else {
-                MpfError::MessageTooLarge { len, max }
-            });
+            return Err(MpfError::MessageTooLarge { len, max });
         }
         let mut staged = [NIL; AIO_RING_SLOTS];
         let n = self.stage_run(idx, d, &payloads[..fit], &mut staged)?;
@@ -1732,88 +1703,111 @@ impl IpcMpf {
         Ok((idx, d, n))
     }
 
-    /// Stages up to `payloads.len()` send descriptors in this process's
-    /// in-region submission ring and rings the doorbell **once**.  Each
-    /// descriptor's completion token is its index within `payloads`.
+    /// This view's deferred sends.  Its lock is held only between engine
+    /// calls, never across one.
+    fn deferred(&self) -> std::sync::MutexGuard<'_, Deferred> {
+        self.deferred
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Defers up to `payloads.len()` sends on `id` to the next
+    /// [`Self::drain_sends`]: copies the payloads into this view, each
+    /// with its completion token, its index within `payloads`.  Nothing
+    /// of the region is allocated, so a process that dies before its
+    /// drain leaves nothing behind.
     ///
-    /// Returns the number staged: pool exhaustion or a full ring stops
-    /// the batch early (a partial submit).  An empty batch is `Ok(0)`
-    /// with no doorbell; no room for even the first descriptor is
+    /// Returns the number deferred: [`AIO_RING_SLOTS`] waiting sends or
+    /// the size limit stop the batch early (a partial submit).  An empty
+    /// batch is `Ok(0)`; no room for even the first payload is
     /// [`MpfError::WouldBlock`] (drain, reap, then resubmit the rest).
     pub fn submit_sends(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
-        let sq = self.t.aio_sq(self.me);
-        let mut run = [RingEntry::default(); AIO_RING_SLOTS];
-        let room = sq.capacity() - sq.depth();
-        let (idx, _, n) = self.stage_batch(id, payloads, room, &mut run)?;
+        self.heartbeat();
+        let (_, d) = self.resolve(id)?;
+        self.poison_check(d)?;
+        let max = self.cfg.max_message_bytes();
+        let mut q = self.deferred();
+        let room = AIO_RING_SLOTS - q.sends.len();
+        let n = payloads
+            .iter()
+            .take(room)
+            .take_while(|buf| buf.len() <= max)
+            .count();
         if n == 0 {
-            return Ok(0);
+            return match payloads.first() {
+                None => Ok(0),
+                Some(_) if room == 0 => Err(MpfError::WouldBlock),
+                Some(buf) => Err(MpfError::MessageTooLarge {
+                    len: buf.len(),
+                    max,
+                }),
+            };
         }
-        // One clock read, at the first record that needs one, dates them all.
-        let mut now = 0u64;
-        for (i, e) in run[..n].iter().enumerate() {
-            let pushed = sq.try_push(*e);
-            debug_assert!(pushed, "single-submitter ring had room");
-            if now == 0 && e.trace != 0 {
-                now = now_nanos();
-            }
-            let (hop, len) = (e.status as u32, e.arg1);
-            self.trace_rec_at(Some(now), TR_ENQUEUE, hop, e.trace, idx, 0, len, i as u32);
-        }
-        sq.ring_doorbell();
+        let sends = payloads[..n].iter().zip(0..);
+        q.sends
+            .extend(sends.map(|(buf, token)| (id, token, buf.to_vec())));
+        q.stats.submitted += n as u64;
+        q.stats.sq_doorbells += 1;
         Ok(n)
     }
 
-    /// Drains this process's submission ring: links every staged message
-    /// under one LNVC-lock hold per run of same-conversation descriptors,
-    /// wakes receivers **once** per run, and pushes one completion per
-    /// descriptor into the completion ring (doorbell rung once).  Stops
-    /// early if the completion ring lacks space, so no completion is ever
-    /// dropped.  Returns the number completed.
+    /// Sends what [`Self::submit_sends`] deferred: hands each run of
+    /// same-conversation payloads to [`Self::send_batch`] and keeps one
+    /// completion per payload for [`Self::reap_completions`].  Stops while
+    /// [`AIO_RING_SLOTS`] completions wait unreaped, and at a payload the
+    /// pools cannot take now, which stays deferred for the next drain;
+    /// every other failure is its payload's completion status.  Returns
+    /// the number completed.
     pub fn drain_sends(&self) -> usize {
-        self.heartbeat();
-        let sq = self.t.aio_sq(self.me);
-        let cq = self.t.aio_cq(self.me);
-        // Reap-side space only grows (we are the only CQ producer), so
-        // this bound is conservative and conservation holds.
-        let budget = cq.capacity() - cq.depth();
-        let mut entries = [RingEntry::default(); AIO_RING_SLOTS];
         let mut n = 0;
-        while n < budget {
-            let Some(e) = sq.try_pop() else { break };
-            entries[n] = e;
-            n += 1;
-        }
-        if n == 0 {
-            return 0;
-        }
-        let entries = &entries[..n];
-        let run_key = |e: &RingEntry| (e.lnvc, e.user_data & u64::from(u32::MAX));
-        for run in entries.chunk_by(|a, b| run_key(a) == run_key(b)) {
-            self.drain_run(run, cq);
-        }
-        cq.ring_doorbell();
-        n
-    }
-
-    /// Completes one run of same-conversation submission descriptors:
-    /// one [`Self::publish_run`], then one CQ push each.
-    fn drain_run(&self, run: &[RingEntry], cq: &AioRing) {
-        let id = LnvcId::new((run[0].user_data & u64::from(u32::MAX)) as u32, run[0].lnvc);
-        let published = self
-            .resolve(id)
-            .and_then(|(idx, d)| self.publish_run(idx, d, run));
-        let status = self.settle(run, published);
-        for e in run {
-            let pushed = cq.try_push(RingEntry {
-                user_data: e.user_data >> 32,
-                trace: e.trace,
-                lnvc: e.lnvc,
-                arg0: 0,
-                arg1: e.arg1,
-                status,
+        loop {
+            let run: Vec<_> = {
+                let mut q = self.deferred();
+                let budget = AIO_RING_SLOTS - q.done.len();
+                let id = q.sends.front().map(|s| s.0);
+                let same = q.sends.iter().take(budget).take_while(|s| Some(s.0) == id);
+                let len = same.count();
+                q.sends.drain(..len).collect()
+            };
+            let Some(&(id, ..)) = run.first() else {
+                break;
+            };
+            let refs: Vec<&[u8]> = run.iter().map(|s| s.2.as_slice()).collect();
+            let done = match self.send_batch(id, &refs) {
+                Ok(done) => done,
+                Err(MpfError::BlocksExhausted | MpfError::MessagesExhausted) => Vec::new(),
+                Err(e) => (0..)
+                    .zip(&refs)
+                    .map(|(i, buf)| AioCompletion {
+                        user_data: i,
+                        trace: 0,
+                        lnvc: id.index(),
+                        len: buf.len() as u32,
+                        status: e.status_code(),
+                    })
+                    .collect(),
+            };
+            let sent = done.len();
+            let mut q = self.deferred();
+            let done = done.into_iter().map(|c| AioCompletion {
+                user_data: run[c.user_data as usize].1,
+                ..c
             });
-            debug_assert!(pushed, "drain reserved CQ space");
+            q.done.extend(done);
+            q.stats.drained += sent as u64;
+            q.stats.completed += sent as u64;
+            n += sent;
+            if sent < run.len() {
+                for unsent in run.into_iter().skip(sent).rev() {
+                    q.sends.push_front(unsent);
+                }
+                break;
+            }
         }
+        if n > 0 {
+            self.deferred().stats.cq_doorbells += 1;
+        }
+        n
     }
 
     /// A staged `run`'s completion status: 0 if published, else the error's
@@ -1827,21 +1821,13 @@ impl IpcMpf {
         published.map_or_else(|e| e.status_code(), |()| 0)
     }
 
-    /// Reaps every pending completion from this process's CQ into `out`;
+    /// Moves every completion [`Self::drain_sends`] kept into `out`;
     /// returns how many were appended.
     pub fn reap_completions(&self, out: &mut Vec<AioCompletion>) -> usize {
-        let cq = self.t.aio_cq(self.me);
-        let mut n = 0usize;
-        while let Some(e) = cq.try_pop() {
-            out.push(AioCompletion {
-                user_data: e.user_data,
-                trace: e.trace,
-                lnvc: e.lnvc,
-                len: e.arg1,
-                status: e.status,
-            });
-            n += 1;
-        }
+        let mut q = self.deferred();
+        let n = q.done.len();
+        out.append(&mut q.done);
+        q.stats.reaped += n as u64;
         n
     }
 
@@ -1851,11 +1837,10 @@ impl IpcMpf {
     /// returning one completion per staged payload (tokens are indices
     /// into `payloads`; none for an empty batch).  Fewer completions than
     /// payloads is a partial batch: the pools or the size limit ended the
-    /// run, and the caller sends the rest.  The submission and completion
-    /// rings are not touched.
+    /// run, and the caller sends the rest.
     pub fn send_batch(&self, id: LnvcId, payloads: &[&[u8]]) -> Result<Vec<AioCompletion>> {
         let mut run = [RingEntry::default(); AIO_RING_SLOTS];
-        let (idx, d, n) = self.stage_batch(id, payloads, AIO_RING_SLOTS, &mut run)?;
+        let (idx, d, n) = self.stage_batch(id, payloads, &mut run)?;
         // Also keeps `publish_run` specialised on a non-empty run, which
         // every single send would otherwise pay a check for.
         if n == 0 {
@@ -1944,9 +1929,14 @@ impl IpcMpf {
         Ok(out)
     }
 
-    /// Counters of this process's submission/completion ring pair.
+    /// Counters of this view's deferred sends and their completions.
     pub fn aio_stats(&self) -> AioStats {
-        AioStats::from_rings(self.t.aio_sq(self.me), self.t.aio_cq(self.me))
+        let q = self.deferred();
+        AioStats {
+            sq_depth: q.sends.len(),
+            cq_depth: q.done.len(),
+            ..q.stats
+        }
     }
 
     /// Non-blocking receive into a fresh `Vec`; `Ok(None)` when nothing
@@ -2850,11 +2840,6 @@ impl IpcMpf {
                     .header()
                     .pool_waiters
                     .fetch_sub(waits, Ordering::SeqCst);
-                // The corpse may have died between submit and drain:
-                // its staged messages are pool allocations linked to no
-                // queue, visible only through its submission ring.  The
-                // CAS above made us the ring's sole consumer.
-                self.reclaim_aio_of(p);
                 // The sweep may delete a conversation outright (when the
                 // corpse held its only connection), which mutates the
                 // name registry — so it runs under the registry lock,
@@ -3420,9 +3405,9 @@ impl Drop for IpcMpf {
     fn drop(&mut self) {
         // Clean detach — a departure, not a death: close the connections
         // we still hold (the sweep visits only ATTACHED slots, so nothing
-        // would ever retire them under a FREE one), return staged
-        // submissions, then release the slot.  An unwind skips the closes:
-        // it may be passing through a hold of the locks they take.
+        // would ever retire them under a FREE one), then release the slot.
+        // An unwind skips the closes: it may be passing through a hold of
+        // the locks they take.
         if !std::thread::panicking() {
             for id in (0..self.cfg.max_lnvcs).filter_map(|i| self.id_at(i)) {
                 // `NotConnected` is the common case, not a failure.
@@ -3430,7 +3415,6 @@ impl Drop for IpcMpf {
                 let _ = self.close_receive(id);
             }
         }
-        self.reclaim_aio_of(self.me);
         let s = self.t.slot(self.me);
         s.os_pid.store(0, Ordering::Release);
         s.state.store(slot_state::FREE, Ordering::Release);

@@ -127,7 +127,7 @@ impl Mpf {
     }
 
     // ------------------------------------------------------------------
-    // Batches: one run, one lock hold and one wake; the SQ/CQ ring shims.
+    // Batches: one run, one lock hold and one wake; the deferred sends.
     // ------------------------------------------------------------------
 
     /// Stages the batch as one run and publishes it: one lock hold and one
@@ -163,29 +163,28 @@ impl Mpf {
         self.view(pid)?.recv_batch(id, max)
     }
 
-    /// Stages up to `payloads.len()` send descriptors in `pid`'s
-    /// submission ring and rings its doorbell once
-    /// ([`IpcMpf::submit_sends`]): a partial submit when the ring or a
-    /// pool runs short, [`MpfError::WouldBlock`] when the ring has no
-    /// room at all, the pool's error when it has none.
+    /// Defers up to `payloads.len()` sends to `pid`'s next drain
+    /// ([`IpcMpf::submit_sends`]): a partial submit when 64 are waiting
+    /// or a payload is too large, [`MpfError::WouldBlock`] when 64 were
+    /// waiting already.
     pub fn submit_sends(&self, pid: ProcessId, id: LnvcId, payloads: &[&[u8]]) -> Result<usize> {
         self.view(pid)?.submit_sends(id, payloads)
     }
 
-    /// Drains `pid`'s submission ring into the conversations and its
-    /// completion ring ([`IpcMpf::drain_sends`]); returns the number
+    /// Sends what `pid` deferred, one `send_batch` per run of the same
+    /// conversation ([`IpcMpf::drain_sends`]); returns the number
     /// completed.
     pub fn drain_sends(&self, pid: ProcessId) -> Result<usize> {
         Ok(self.view(pid)?.drain_sends())
     }
 
-    /// Reaps every pending completion from `pid`'s CQ into `out`; returns
-    /// how many were appended.
+    /// Moves every completion of `pid`'s drains into `out`; returns how
+    /// many were appended.
     pub fn reap_completions(&self, pid: ProcessId, out: &mut Vec<AioCompletion>) -> Result<usize> {
         Ok(self.view(pid)?.reap_completions(out))
     }
 
-    /// Counters of `pid`'s submission/completion ring pair.
+    /// Counters of `pid`'s deferred sends.
     pub fn aio_stats(&self, pid: ProcessId) -> Result<AioStats> {
         Ok(self.view(pid)?.aio_stats())
     }

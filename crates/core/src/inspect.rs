@@ -28,7 +28,7 @@ use mpf_shm::ShmRegion;
 
 use crate::engine::{verify_carve, AttachError, Tables};
 use crate::shmem::{slot_state, LnvcDesc, NIL};
-use crate::{AioStats, MpfConfig};
+use crate::MpfConfig;
 
 /// One process slot, decoded.
 #[derive(Debug, Clone)]
@@ -86,16 +86,6 @@ pub struct LnvcInfo {
     pub dead_pid: u32,
     /// Per-conversation telemetry counters.
     pub tel: LnvcTelSnapshot,
-}
-
-/// One process's aio submission/completion ring pair, decoded.
-#[derive(Debug, Clone)]
-pub struct AioRingInfo {
-    /// Slot index = MPF pid that owns the ring pair.
-    pub pid: u32,
-    /// Depths, doorbell counts, and lifetime submit/drain/complete/reap
-    /// counters.
-    pub stats: AioStats,
 }
 
 /// Occupancy of one process's causal trace ring.
@@ -299,18 +289,6 @@ impl RegionInspector {
         self.t.header().tel_fold_seq.load(Ordering::Acquire)
     }
 
-    /// Every process slot's aio submission/completion ring counters.
-    /// Depths read on a live region are instantaneous (head and tail are
-    /// separately atomic); lifetime counters only grow.
-    pub fn aio_rings(&self) -> Vec<AioRingInfo> {
-        (0..self.cfg.max_processes)
-            .map(|p| AioRingInfo {
-                pid: p,
-                stats: AioStats::from_rings(self.t.aio_sq(p), self.t.aio_cq(p)),
-            })
-            .collect()
-    }
-
     /// Whether participants are recording causal traces (the creator's
     /// sampling knob, echoed in the header; 0 = off).
     pub fn trace_enabled(&self) -> bool {
@@ -417,33 +395,6 @@ mod tests {
             std::process::id()
         );
         drop(mpf);
-    }
-
-    #[test]
-    fn inspector_reports_aio_ring_counters() {
-        if !mpf_shm::sys::HAVE_SYSCALLS {
-            return;
-        }
-        let name = unique_name("aio");
-        let mpf = IpcMpf::create(&name, &small_cfg()).unwrap();
-        let tx = mpf.open_send("bulk").unwrap();
-        let _rx = mpf.open_receive("bulk", Protocol::Fcfs).unwrap();
-        let payloads: Vec<&[u8]> = vec![b"a", b"bb", b"ccc"];
-        assert_eq!(mpf.submit_sends(tx, &payloads), Ok(3));
-        assert_eq!(mpf.drain_sends(), 3);
-        assert_eq!(mpf.reap_completions(&mut Vec::new()), 3);
-
-        let insp = RegionInspector::attach(&name).unwrap();
-        let rings = insp.aio_rings();
-        assert_eq!(rings.len(), 4, "one ring pair per process slot");
-        let mine = &rings[mpf.pid() as usize].stats;
-        assert_eq!(mine.submitted, 3);
-        assert_eq!(mine.drained, 3);
-        assert_eq!(mine.completed, 3);
-        assert_eq!(mine.reaped, 3);
-        assert_eq!(mine.sq_doorbells, 1);
-        assert_eq!(mine.sq_depth, 0);
-        assert_eq!(mine.cq_depth, 0);
     }
 
     #[test]

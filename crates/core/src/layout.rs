@@ -20,7 +20,7 @@ use crate::config::MpfConfig;
 /// Version of the region byte layout.  Bump on ANY change to the segment
 /// order, the constants below, or the in-region struct layouts; attach
 /// refuses regions with a different version ([`crate::MpfError::LayoutMismatch`]).
-pub const LAYOUT_VERSION: u32 = 10;
+pub const LAYOUT_VERSION: u32 = 11;
 
 /// Magic at byte 0 of every MPF region ("MPFREGN1" little-endian).
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"MPFREGN1");
@@ -78,9 +78,6 @@ pub const PROCESS_SLOT_BYTES: usize = 128;
 pub const FACILITY_TELEMETRY_BYTES: usize = mpf_shm::telemetry::FACILITY_TELEMETRY_BYTES;
 /// Bytes per LNVC telemetry slot (counters + latency and size histograms).
 pub const LNVC_TELEMETRY_BYTES: usize = mpf_shm::telemetry::LNVC_TELEMETRY_BYTES;
-/// Bytes per aio submission/completion ring (header + descriptor slots);
-/// see `mpf_shm::ring::AioRing`.  Each process slot owns one SQ and one CQ.
-pub const AIO_RING_BYTES: usize = mpf_shm::ring::AIO_RING_BYTES;
 /// Bytes per process causal trace ring (single-writer, seqlock-published,
 /// KB-sized); see `mpf_shm::tracering::TraceRing`.
 pub const TRACE_RING_BYTES: usize = mpf_shm::tracering::TRACE_RING_BYTES;
@@ -166,18 +163,6 @@ impl RegionLayout {
         push(
             "trace rings",
             cfg.max_processes as usize * TRACE_RING_BYTES,
-            cfg.max_processes as usize,
-        );
-        // Batched-submission rings: one SQ + one CQ per process slot,
-        // each a fixed-size `mpf_shm::ring::AioRing`.
-        push(
-            "aio sq rings",
-            cfg.max_processes as usize * AIO_RING_BYTES,
-            cfg.max_processes as usize,
-        );
-        push(
-            "aio cq rings",
-            cfg.max_processes as usize * AIO_RING_BYTES,
             cfg.max_processes as usize,
         );
         // Last, so the segments before keep their offsets: one ring per
@@ -278,8 +263,6 @@ mod tests {
             "facility telemetry",
             "lnvc telemetry",
             "trace rings",
-            "aio sq rings",
-            "aio cq rings",
             "lnvc rings",
             "total:",
         ] {

@@ -1,8 +1,6 @@
 //! Core vocabulary types: protocols, LNVC names, LNVC identifiers, and the
 //! plain-value types the batch layer and flow control hand to callers.
 
-use mpf_shm::ring::AioRing;
-
 use crate::error::{MpfError, Result};
 
 /// Maximum LNVC name length in bytes (fixed-size storage in the shared
@@ -125,9 +123,8 @@ pub struct Reclaimable {
 }
 
 /// The completion of one batched send: returned by `send_batch`, or
-/// reaped from the completion ring after `submit_sends` + `drain_sends`
-/// (DESIGN.md "Batched rings"; the rings themselves are
-/// [`mpf_shm::ring::AioRing`]).
+/// reaped after `submit_sends` + `drain_sends` (DESIGN.md "Deferred
+/// sends").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AioCompletion {
     /// The sender's token: the index of the payload within the batch
@@ -151,42 +148,26 @@ impl AioCompletion {
     }
 }
 
-/// Point-in-time counters of one process's submission/completion ring
-/// pair (also surfaced by the region inspector and `mpf-trace stat`).
+/// Point-in-time counters of one view's deferred sends
+/// (`submit_sends` / `drain_sends` / `reap_completions`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AioStats {
-    /// Descriptors currently staged in the submission ring.
+    /// Sends currently submitted and not yet drained.
     pub sq_depth: usize,
     /// Completions currently waiting to be reaped.
     pub cq_depth: usize,
-    /// Submission-ring doorbell rings (batches, not descriptors).
+    /// Non-empty submits (batches, not sends).
     pub sq_doorbells: u64,
-    /// Completion-ring doorbell rings.
+    /// Drains that completed anything.
     pub cq_doorbells: u64,
-    /// Descriptors ever submitted.
+    /// Sends ever submitted.
     pub submitted: u64,
-    /// Descriptors ever drained out of the submission ring.
+    /// Sends ever drained.
     pub drained: u64,
     /// Completions ever pushed.
     pub completed: u64,
     /// Completions ever reaped by the submitter.
     pub reaped: u64,
-}
-
-impl AioStats {
-    /// Builds the snapshot from a ring pair.
-    pub fn from_rings(sq: &AioRing, cq: &AioRing) -> Self {
-        Self {
-            sq_depth: sq.depth(),
-            cq_depth: cq.depth(),
-            sq_doorbells: sq.doorbell_count(),
-            cq_doorbells: cq.doorbell_count(),
-            submitted: sq.total_enqueued(),
-            drained: sq.total_dequeued(),
-            completed: cq.total_enqueued(),
-            reaped: cq.total_dequeued(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -236,9 +236,9 @@ fn pool_cas(t: &Tables) -> (u32, u32) {
 }
 
 /// A run moves whole: 32 messages leave the pools with one CAS each and
-/// come back with one CAS each, exactly as one message does — whether the
-/// ring shims stage them or `send_batch` publishes them as one run, which
-/// also leaves the rings alone.
+/// come back with one CAS each, exactly as one message does — whether a
+/// drain sends what `submit_sends` deferred or `send_batch` publishes
+/// them as one run, which leaves the deferral alone.
 #[test]
 fn a_run_of_32_is_one_cas_per_pool_each_way() {
     let cfg = MpfConfig::new(2, 2)
@@ -254,16 +254,12 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
     for round in 0..3 {
         let before = pool_cas(&t);
         assert_eq!(m.submit_sends(tx, &refs), Ok(32));
-        assert_eq!(
-            pool_cas(&t),
-            (before.0 + 1, before.1 + 1),
-            "round {round}: one pop per pool stages the run"
-        );
+        assert_eq!(pool_cas(&t), before, "a submit allocates nothing");
         assert_eq!(m.drain_sends(), 32);
         assert_eq!(
             pool_cas(&t),
             (before.0 + 1, before.1 + 1),
-            "a drain allocates nothing"
+            "round {round}: one pop per pool stages the run"
         );
         assert_eq!(m.recv_batch(rx, 32).unwrap(), payloads);
         assert_eq!(
@@ -280,7 +276,7 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
         assert_eq!(pool_cas(&t), (before.0 + 4, before.1 + 4));
 
         // `send_batch`: the run staged and published in one call.
-        let rings = m.aio_stats();
+        let deferred = m.aio_stats();
         let done = m.send_batch(tx, &refs).unwrap();
         let tokens: Vec<u64> = done.iter().map(|c| c.user_data).collect();
         assert_eq!(tokens, (0..32).collect::<Vec<_>>());
@@ -290,7 +286,7 @@ fn a_run_of_32_is_one_cas_per_pool_each_way() {
             (before.0 + 5, before.1 + 5),
             "round {round}: one pop per pool stages the batch"
         );
-        assert_eq!(m.aio_stats(), rings, "no ring counter moves");
+        assert_eq!(m.aio_stats(), deferred, "no deferral counter moves");
         assert_eq!(m.recv_batch(rx, 32).unwrap(), payloads);
         assert_eq!(pool_cas(&t), (before.0 + 6, before.1 + 6));
     }
@@ -366,10 +362,9 @@ fn a_mixed_run_leaves_every_queued_chain_whole() {
 
     // The whole-pool message cannot ride with the others: the run falls
     // back to message by message and stages the eight that fit.
-    assert_eq!(m.submit_sends(tx, &refs), Ok(8));
+    assert_eq!(m.send_batch(tx, &refs).map(|done| done.len()), Ok(8));
     assert_eq!(m.free_blocks(), TOTAL - blocks(&payloads[..8]));
-    assert_eq!(m.drain_sends(), 8);
-    m.check_invariants().expect("after the drain");
+    m.check_invariants().expect("after the batch");
     assert_eq!(m.recv_batch(rx, 5).unwrap(), payloads[..5]);
     m.check_invariants().expect("after a partial batch");
     assert_eq!(m.free_blocks(), TOTAL - blocks(&payloads[5..8]));
@@ -378,13 +373,11 @@ fn a_mixed_run_leaves_every_queued_chain_whole() {
     assert_eq!(m.free_blocks(), TOTAL);
 
     // Now it fits, alone, and the eight before it as one run.
-    assert_eq!(m.submit_sends(tx, &refs[8..]), Ok(1));
+    assert_eq!(m.send_batch(tx, &refs[8..]).map(|done| done.len()), Ok(1));
     assert_eq!(m.free_blocks(), 0);
-    assert_eq!(m.drain_sends(), 1);
     m.check_invariants().expect("a whole-pool chain");
     assert_eq!(m.recv_batch(rx, 1).unwrap(), payloads[8..]);
-    assert_eq!(m.submit_sends(tx, &refs[..8]), Ok(8));
-    assert_eq!(m.drain_sends(), 8);
+    assert_eq!(m.send_batch(tx, &refs[..8]).map(|done| done.len()), Ok(8));
     m.check_invariants().expect("a run staged whole");
     assert_eq!(m.recv_batch(rx, 8).unwrap(), payloads[..8]);
     assert_eq!(m.free_blocks(), TOTAL);
@@ -427,10 +420,9 @@ fn a_pool_short_by_one_block_stages_the_same_prefix() {
     let by_run = IpcMpf::anon(&cfg).unwrap();
     let tx = by_run.open_send("q").unwrap();
     let rx = by_run.open_receive("q", Protocol::Fcfs).unwrap();
-    assert_eq!(by_run.submit_sends(tx, &refs), Ok(fit));
+    assert_eq!(by_run.send_batch(tx, &refs).map(|done| done.len()), Ok(fit));
     assert_eq!(by_run.free_blocks(), total - need(fit));
     assert_eq!(by_run.free_blocks(), by_message.free_blocks());
-    assert_eq!(by_run.drain_sends(), fit);
     by_run.check_invariants().unwrap();
     assert_eq!(by_run.recv_batch(rx, 16).unwrap(), payloads[..fit]);
     assert_eq!(by_run.free_blocks(), total);
@@ -457,8 +449,7 @@ fn a_free_header_holds_no_chain() {
     // Nine blocks asked of eight: the run's block pop fails and both
     // headers go back bare; message by message, the second one's fails.
     let (five, four) = ([2u8; 5 * BP], [3u8; 4 * BP]);
-    assert_eq!(m.submit_sends(tx, &[&five, &four]), Ok(1));
-    assert_eq!(m.drain_sends(), 1);
+    assert_eq!(m.send_batch(tx, &[&five, &four]).map(|d| d.len()), Ok(1));
     m.check_invariants().expect("after two failed block pops");
     assert_eq!(m.message_receive(rx, &mut buf), Ok(5 * BP));
     m.check_invariants().unwrap();

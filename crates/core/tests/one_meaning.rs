@@ -68,8 +68,7 @@ fn headers_exhausted() -> World {
     w
 }
 
-/// One message queued, then the submission ring filled with staged,
-/// undrained sends.
+/// One message queued, then 64 sends submitted and not drained.
 fn sq_full() -> World {
     let w = conversation(tiny().with_total_blocks(256).with_max_messages(128));
     w.mpf.message_send(p(0), w.id, &[1; 10]).unwrap();
@@ -211,14 +210,24 @@ fn every_name_means_what_the_view_means() {
         assert_eq!(got, want, "{state}: {name}");
         assert_eq!(books, &before[state], "{state}: {name} left a trace");
     };
-    for name in ["message_send", "send_batch", "submit_sends"] {
+    for name in ["message_send", "send_batch"] {
         typed("blocks exhausted", name, "Err(BlocksExhausted)");
         typed("headers exhausted", name, "Err(MessagesExhausted)");
     }
+    // A submit allocates nothing: the pools' shortage is the drain's, and
+    // the payload waits for it.
+    for state in ["blocks exhausted", "headers exhausted"] {
+        let (got, books) = &seen[&(state, "submit_sends")];
+        assert_eq!(got, "Ok(1)", "{state}");
+        assert!(
+            books.ends_with("sq 1 cq 0, submitted 1 drained 0"),
+            "{books}"
+        );
+    }
     typed("blocks exhausted", "send_batch_deadline", "Err(TimedOut)");
     typed("full SQ", "submit_sends", "Err(WouldBlock)");
-    // A batch is a run, not a ring: it needs no ring room, so it is sent
-    // (one more queued, one block fewer) and the full ring stays as it was.
+    // A batch is a run: it waits behind no submitted send, so it is sent
+    // (one more queued, one block fewer) and the 64 stay submitted.
     let (got, books) = &seen[&("full SQ", "send_batch")];
     assert!(
         got.starts_with("Ok([AioCompletion { user_data: 0, "),
@@ -228,8 +237,8 @@ fn every_name_means_what_the_view_means() {
     assert_eq!(
         (books.as_str(), before["full SQ"].as_str()),
         (
-            "depth Ok(2), free blocks 190, sq 64 cq 0, submitted 64 drained 0",
-            "depth Ok(1), free blocks 191, sq 64 cq 0, submitted 64 drained 0"
+            "depth Ok(2), free blocks 254, sq 64 cq 0, submitted 64 drained 0",
+            "depth Ok(1), free blocks 255, sq 64 cq 0, submitted 64 drained 0"
         )
     );
     for state in ["closed id", "stale id"] {

@@ -46,13 +46,9 @@ fn batched_send_recv_roundtrip_across_views() {
         assert_eq!(c.len, 16);
     }
 
-    // A batch is a run: staged and published in one call, so neither ring
-    // of the sender sees it.
-    assert_eq!(
-        a.aio_stats(),
-        Default::default(),
-        "the rings stay untouched"
-    );
+    // A batch is a run: staged and published in one call, so the sender's
+    // deferred sends never see it.
+    assert_eq!(a.aio_stats(), Default::default(), "nothing was deferred");
 
     let got = b.recv_batch(rx, 64).unwrap();
     assert_eq!(got.len(), 8, "batched receive drains the backlog");
@@ -66,8 +62,11 @@ fn batched_send_recv_roundtrip_across_views() {
     assert_eq!(a.aio_stats(), Default::default());
 }
 
+/// A submit copies its payloads into the view and takes nothing from the
+/// region, so a sender that dies before its drain leaves the pools whole;
+/// the sweep still poisons the conversation it was connected to.
 #[test]
-fn dead_sender_mid_batch_reclaims_staged_messages_and_poisons() {
+fn dead_sender_with_submitted_sends_leaves_the_pools_whole_and_poisons() {
     if !mpf_shm::sys::HAVE_SYSCALLS {
         return;
     }
@@ -78,21 +77,19 @@ fn dead_sender_mid_batch_reclaims_staged_messages_and_poisons() {
     let tx = sender.open_send("doomed").unwrap();
 
     let free_before = main.free_blocks();
-    // Stage a batch but "die" before draining it: the messages exist only
-    // in the corpse's submission ring.
     let payloads: Vec<&[u8]> = vec![b"one", b"two", b"three", b"four"];
     assert_eq!(sender.submit_sends(tx, &payloads).unwrap(), 4);
     assert_eq!(sender.aio_stats().sq_depth, 4);
-    assert!(main.free_blocks() < free_before, "staged blocks are held");
-
-    sender.debug_abandon_slot();
-    assert_eq!(main.sweep_dead_peers(), 1, "sweep finds the corpse");
-
     assert_eq!(
         main.free_blocks(),
         free_before,
-        "the corpse's staged ring entries are reclaimed"
+        "a submit allocates nothing"
     );
+
+    sender.debug_abandon_slot();
+    assert_eq!(main.sweep_dead_peers(), 1, "sweep finds the corpse");
+    assert_eq!(main.free_blocks(), free_before);
+    main.check_invariants().unwrap();
     let mut buf = [0u8; 64];
     match main.recv_deadline(rx, &mut buf, Some(Instant::now() + Duration::from_secs(2))) {
         Err(MpfError::PeerDied { pid }) => assert_eq!(pid, sender.pid()),
@@ -101,29 +98,30 @@ fn dead_sender_mid_batch_reclaims_staged_messages_and_poisons() {
     drop(sender);
 }
 
+/// A payload the pools cannot take stays submitted: a drain completes
+/// what fits, and a later one, once a receive freed room, the rest.
 #[test]
-fn clean_detach_returns_staged_batch_to_the_pools() {
+fn a_drain_short_of_pool_memory_keeps_the_rest_submitted() {
     if !mpf_shm::sys::HAVE_SYSCALLS {
         return;
     }
-    let main = IpcMpf::create(&unique_name("detach"), &small_cfg()).unwrap();
-    let free_before = main.free_blocks();
-    {
-        let sender = main.attach_view().unwrap();
-        let tx = sender.open_send("short-lived").unwrap();
-        assert_eq!(
-            sender.submit_sends(tx, &[b"a".as_slice(), b"b"]).unwrap(),
-            2
-        );
-        assert!(main.free_blocks() < free_before);
-        sender.close_send(tx).unwrap();
-        // Dropped with two staged, undrained submissions.
-    }
-    assert_eq!(
-        main.free_blocks(),
-        free_before,
-        "clean detach frees staged submissions"
-    );
+    let m = IpcMpf::create(&unique_name("short"), &small_cfg()).unwrap();
+    let tx = m.open_send("short").unwrap();
+    let rx = m.open_receive("short", Protocol::Fcfs).unwrap();
+    // 40 of the 64 blocks each: the pools hold one at a time.
+    let big = [7u8; 40 * 64];
+    assert_eq!(m.submit_sends(tx, &[&big, &big]), Ok(2));
+    assert_eq!(m.drain_sends(), 1, "the pools take one");
+    assert_eq!(m.drain_sends(), 0, "and not yet the other");
+    assert_eq!(m.aio_stats().sq_depth, 1);
+    let mut buf = vec![0u8; big.len()];
+    assert_eq!(m.message_receive(rx, &mut buf), Ok(big.len()));
+    assert_eq!(m.drain_sends(), 1);
+    let mut done = Vec::new();
+    assert_eq!(m.reap_completions(&mut done), 2);
+    let tokens: Vec<(u64, bool)> = done.iter().map(|c| (c.user_data, c.ok())).collect();
+    assert_eq!(tokens, [(0, true), (1, true)]);
+    m.check_invariants().unwrap();
 }
 
 #[test]

@@ -5,11 +5,14 @@
 //! process slots, separate base addresses — without fork.  Genuine
 //! multi-process coverage lives in `cross_process.rs`.
 
+use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use mpf::inspect::RegionInspector;
 use mpf::{MpfConfig, MpfError, Protocol};
 use mpf_ipc::IpcMpf;
+use mpf_shm::hooks::{self, SyncEvent, SyncHook};
 
 fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(8, 4)
@@ -266,26 +269,27 @@ fn attach_by_name_sees_existing_conversations() {
     assert_eq!(&buf[..14], b"hello attacher");
 }
 
-/// A region carved by the previous layout (version 8 had a wait word in
-/// every LNVC descriptor that receivers of this one never ring) is refused
-/// outright, by the participant attach and the read-only inspector alike.
+/// A region carved by the previous layout (version 10 carved a submission
+/// and a completion ring per process slot, which this one does not) is
+/// refused outright, by the participant attach and the read-only inspector
+/// alike.
 #[test]
 fn previous_layout_version_is_rejected() {
     use mpf::layout::LAYOUT_VERSION;
     use mpf_ipc::{shmem::RegionHeader, AttachError};
     use std::sync::atomic::Ordering;
 
-    assert_eq!(LAYOUT_VERSION, 10);
+    assert_eq!(LAYOUT_VERSION, 11);
     let _creator = region("loop-stale-layout");
     let raw = mpf_shm::ShmRegion::attach("loop-stale-layout").unwrap();
     // SAFETY: the header sits at offset 0 of every carved region and
     // `raw` maps all of it.
     let header: &RegionHeader = unsafe { raw.at(0) };
-    header.layout_version.store(9, Ordering::Release);
+    header.layout_version.store(10, Ordering::Release);
 
     let stale = MpfError::LayoutMismatch {
-        expected: 10,
-        found: 9,
+        expected: 11,
+        found: 10,
     };
     match IpcMpf::attach("loop-stale-layout") {
         Err(AttachError::Mpf(e)) => assert_eq!(e, stale),
@@ -297,11 +301,32 @@ fn previous_layout_version_is_rejected() {
     }
 }
 
-/// `check_invariants` sees what a corpse leaves behind — staged messages
-/// linked to no queue, connections nobody will close — and is satisfied
-/// again once a survivor's sweep has cleaned up.
+/// Dies (panics) at the decision point inside a ring push: after the
+/// sender staged its message, before it published it.
+struct DieMidPush;
+
+impl SyncHook for DieMidPush {
+    fn yield_point(&self, event: SyncEvent) {
+        if matches!(event, SyncEvent::StackPush(_)) {
+            panic!("killed between staging and publishing");
+        }
+    }
+    fn lock_acquire(&self, _: usize, try_lock: &mut dyn FnMut() -> bool) {
+        while !try_lock() {}
+    }
+    fn lock_release(&self, _: usize) {}
+    fn wait(&self, _: usize, ready: &mut dyn FnMut() -> bool) {
+        while !ready() {}
+    }
+    fn notify(&self, _: usize) {}
+}
+
+/// `check_invariants` sees what a corpse leaves behind — a message it
+/// staged but never published, connections nobody will close — and after
+/// a survivor's sweep only the staged message, which no queue names, so
+/// no sweep can free it (DESIGN.md "Free lists").
 #[test]
-fn check_invariants_reports_a_corpse_and_passes_after_the_sweep() {
+fn check_invariants_reports_a_corpse_before_and_after_the_sweep() {
     let a = region("loop-audit");
     let b = a.attach_view().expect("victim view");
     let total = a.free_blocks();
@@ -311,15 +336,15 @@ fn check_invariants_reports_a_corpse_and_passes_after_the_sweep() {
     a.check_invariants()
         .expect("a live, quiescent region is clean");
 
-    // Staged but never drained: pool memory no queue accounts for.
-    assert_eq!(
-        b.submit_sends(tx, &[&[1u8; 100][..], &[2u8; 10][..]])
-            .unwrap(),
-        2
-    );
+    // Staged, then killed before the publish: pool memory no queue holds.
+    let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let _hook = hooks::install(Rc::new(DieMidPush));
+        b.message_send(tx, &[1u8; 100])
+    }));
+    assert!(killed.is_err());
     let leak = a
         .check_invariants()
-        .expect_err("staged messages are in nobody's queue");
+        .expect_err("the staged message is in nobody's queue");
     assert!(leak.contains("message headers leaked"), "{leak}");
 
     // The victim dies as SIGKILL would have it: no detach, no Drop.
@@ -331,17 +356,14 @@ fn check_invariants_reports_a_corpse_and_passes_after_the_sweep() {
     assert!(orphan.contains("outlives its holder"), "{orphan}");
 
     assert_eq!(a.sweep_dead_peers(), 1);
-    a.check_invariants()
-        .expect("the sweep reclaimed everything the corpse held");
+    let leak = a
+        .check_invariants()
+        .expect_err("the sweep frees queues and connections, not a staged run");
+    assert!(leak.contains("message headers leaked"), "{leak}");
     assert!(a.lnvc_poisoned(rx).unwrap());
-    assert_eq!(
-        a.free_blocks(),
-        total,
-        "queued and staged blocks are all back"
-    );
+    assert_eq!(a.free_blocks(), total - 2, "only the staged blocks are out");
     a.close_receive(rx).unwrap();
     assert_eq!(a.live_lnvcs(), 0);
-    a.check_invariants().unwrap();
 }
 
 /// A sweep that poisons a conversation frees its queue, so a surviving

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::Mutex;
 
 /// A non-blocking instrumentation point: something racy happened (or is
 /// about to).  Carries the address of the structure involved.
@@ -273,93 +273,9 @@ pub fn notify(resource: usize) {
     }
 }
 
-/// A `std::sync::Mutex` that participates in hook scheduling.
-///
-/// The facility's name registry is an in-process `Mutex`; under the
-/// harness an uninstrumented mutex would let a descheduled logical
-/// process hold it while the scheduled one blocks on it in the OS —
-/// wedging the whole exploration.  This wrapper routes acquisition
-/// through [`lock_acquire`] (via `try_lock`) so the harness can model
-/// the blocking, and reports the release from its guard.
-#[derive(Debug, Default)]
-pub struct HookedMutex<T> {
-    inner: Mutex<T>,
-}
-
-impl<T> HookedMutex<T> {
-    /// Creates a new hooked mutex holding `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            inner: Mutex::new(value),
-        }
-    }
-
-    /// Acquires the mutex.  Poisoning is shrugged off (callers keep their
-    /// data consistent per-operation, as with [`crate::lock::ShmLock`]).
-    pub fn lock(&self) -> HookedMutexGuard<'_, T> {
-        let resource = self as *const Self as usize;
-        if enabled() {
-            if let Some(h) = current() {
-                let mut slot = None;
-                h.lock_acquire(resource, &mut || match self.inner.try_lock() {
-                    Ok(g) => {
-                        slot = Some(g);
-                        true
-                    }
-                    Err(TryLockError::Poisoned(p)) => {
-                        slot = Some(p.into_inner());
-                        true
-                    }
-                    Err(TryLockError::WouldBlock) => false,
-                });
-                let guard = slot.expect("hook returned without acquiring");
-                return HookedMutexGuard {
-                    inner: Some(guard),
-                    resource,
-                };
-            }
-        }
-        HookedMutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
-            resource,
-        }
-    }
-}
-
-/// RAII guard for [`HookedMutex`]; reports the release to the hook layer
-/// after the underlying mutex is unlocked.
-#[derive(Debug)]
-pub struct HookedMutexGuard<'a, T> {
-    inner: Option<MutexGuard<'a, T>>,
-    resource: usize,
-}
-
-impl<T> std::ops::Deref for HookedMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard already released")
-    }
-}
-
-impl<T> std::ops::DerefMut for HookedMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard already released")
-    }
-}
-
-impl<T> Drop for HookedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Release the real mutex before telling the hook, so the logical
-        // process scheduled next can actually take it.
-        drop(self.inner.take());
-        lock_release(self.resource);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     /// A recording hook that never deschedules (single-thread smoke).
     struct Recorder {
@@ -487,29 +403,5 @@ mod tests {
         assert_ne!(seen[0], a.as_ptr() as usize + 40, "rewritten, not raw");
         assert_ne!(seen[0] & (1 << 63), 0, "canonical ids carry the tag bit");
         assert_eq!(seen[2], 0x1000, "non-region addresses pass through");
-    }
-
-    #[test]
-    fn hooked_mutex_roundtrip_without_hook() {
-        let m = HookedMutex::new(AtomicU32::new(0));
-        m.lock().store(7, Ordering::Relaxed);
-        assert_eq!(m.lock().load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
-    fn hooked_mutex_routes_through_hook() {
-        let hook = Rc::new(Recorder {
-            events: RefCell::new(Vec::new()),
-        });
-        let _g = install(hook.clone());
-        let m = HookedMutex::new(3u32);
-        {
-            let mut g = m.lock();
-            *g += 1;
-        }
-        assert_eq!(*m.lock(), 4);
-        let evs = hook.events.borrow().clone();
-        assert!(evs.iter().filter(|e| *e == "acquire").count() >= 2);
-        assert!(evs.iter().filter(|e| *e == "release").count() >= 1);
     }
 }

@@ -37,7 +37,7 @@
 //! * [`sys`] — a four-syscall layer (`mmap`/`munmap`/`futex`/`kill`) with
 //!   portable fallbacks; the workspace builds with no external crates.
 //! * [`ring::AioRing`] — io_uring-style SPSC descriptor ring with a batch
-//!   counter, the substrate of the engine's batched sends and receives.
+//!   counter; the engine keeps only its descriptor, [`ring::RingEntry`].
 //!
 //! Nothing in this crate knows about messages or LNVCs; it only provides
 //! "shared memory allocation and synchronization", the two facilities the
@@ -65,7 +65,7 @@ pub use backoff::Backoff;
 pub use barrier::SpinBarrier;
 pub use faultplane::{FaultConfig, FaultGuard, FaultSite, FaultStats};
 pub use freelist::{FreeHead, NIL};
-pub use hooks::{HookGuard, HookedMutex, SyncEvent, SyncHook};
+pub use hooks::{HookGuard, SyncEvent, SyncHook};
 pub use lock::{IpcAcquire, IpcLock, LockKind, ShmLock, ShmLockGuard};
 pub use pool::Pool;
 pub use process::{run_processes, run_processes_collect, ProcessId};

@@ -10,23 +10,21 @@
 //! batch into a companion completion ring under a single lock hold.
 //!
 //! The ring is `#[repr(C)]`, offset-addressed and valid for any zeroed
-//! bit pattern, so the facility carves one submission ring and one
-//! completion ring per process slot directly into the shared region
-//! (`RegionLayout` segments "aio sq rings" / "aio cq rings").
+//! bit pattern, so it could live in a shared region, but none is carved
+//! into one any more: a batch is one staged run published in one call
+//! (`send_batch`), and the batch shims defer sends in the caller's view.
+//! What the engine still takes from this module is [`RingEntry`], the
+//! descriptor of a staged message.
 //!
 //! # Discipline
 //!
 //! Single-producer / single-consumer: one side owns `tail` (push), the
 //! other owns `head` (pop); the only synchronization is one
 //! release/acquire pair per side, exactly like
-//! [`crate::waitq::FutexSeq`]'s sequence protocol.  A ring belongs to
-//! one process slot: that
-//! process pushes submissions and pops completions; whoever drains
-//! (usually the same process, inline) pops submissions and pushes
-//! completions.  Each counter has the same one writer as the cursor it
-//! mirrors (the doorbell count: the producer), so it is a load and a
-//! store, not an RMW.  Observers ([`AioRing::depth`], the region
-//! inspector) may read counters from anywhere.
+//! [`crate::waitq::FutexSeq`]'s sequence protocol.  Each counter has the
+//! same one writer as the cursor it mirrors (the doorbell count: the
+//! producer), so it is a load and a store, not an RMW.  Observers
+//! ([`AioRing::depth`]) may read counters from anywhere.
 //!
 //! Push/pop report [`crate::hooks::SyncEvent::StackPush`]/`StackPop`
 //! yield points, so the `mpf-check` harness can permute ring operations
@@ -218,9 +216,8 @@ impl AioRing {
     }
 }
 
-// Compile-time layout contract: the byte constants above are what
-// `RegionLayout` carves; a drifted struct must fail the build, not corrupt
-// a region.
+// Compile-time layout contract: the byte constants above are the ring's
+// size in any mapping; a drifted struct must fail the build.
 const _: () = assert!(std::mem::size_of::<Slot>() == AIO_RING_ENTRY_BYTES);
 const _: () = assert!(std::mem::size_of::<AioRing>() == AIO_RING_BYTES);
 const _: () = assert!(std::mem::align_of::<AioRing>() <= 8);

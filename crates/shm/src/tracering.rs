@@ -40,9 +40,6 @@ pub const TRACE_RING_BYTES: usize = 64 + TRACE_RING_SLOTS * TRACE_RECORD_BYTES;
 /// `arg2` = `needs_fcfs << 16 | n_bcast` — the delivery obligations fixed
 /// at send time, which the conformance checker audits against).
 pub const TR_SEND: u32 = 1;
-/// Message staged in a submission ring (`arg` = payload length); its
-/// `TR_SEND` follows when the drain publishes it.
-pub const TR_ENQUEUE: u32 = 2;
 /// A blocked receiver woke with a delivery (`trace` = the chain that woke
 /// it).
 pub const TR_WAKEUP: u32 = 3;
@@ -83,7 +80,6 @@ pub const TR_SWEEP_DEAD: u32 = 16;
 pub fn trace_event_name(kind: u32) -> &'static str {
     match kind {
         TR_SEND => "send",
-        TR_ENQUEUE => "enqueue",
         TR_WAKEUP => "wakeup",
         TR_RECV => "recv",
         TR_RECV_B => "recv_bcast",
@@ -338,11 +334,13 @@ mod tests {
 
     #[test]
     fn every_kind_has_its_own_name() {
-        let names: std::collections::HashSet<_> =
-            (TR_SEND..=TR_SWEEP_DEAD).map(trace_event_name).collect();
-        assert_eq!(names.len(), (TR_SEND..=TR_SWEEP_DEAD).count());
+        // Kind 2 marked a send staged in a submission ring; it is retired.
+        let kinds = || (TR_SEND..=TR_SWEEP_DEAD).filter(|&k| k != 2);
+        let names: std::collections::HashSet<_> = kinds().map(trace_event_name).collect();
+        assert_eq!(names.len(), kinds().count());
         assert!(!names.contains("unknown"));
         assert_eq!(trace_event_name(0), "unknown");
+        assert_eq!(trace_event_name(2), "unknown");
     }
 
     #[test]

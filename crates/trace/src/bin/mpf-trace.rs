@@ -21,7 +21,7 @@
 //!   records lost to ring wrap-around are reported as a gap.
 //! - `stat` prints who is stuck on what: the process table (liveness,
 //!   asleep, watching, mem-wait), the conversations, counters, latency
-//!   and size percentiles, aio rings, trace-ring occupancy and each
+//!   and size percentiles, trace-ring occupancy and each
 //!   ring's last events.  `--watch` redraws it every interval, with
 //!   counter deltas and sparkline rate history.
 //! - `--follow` and `--watch` poll every `--interval-ms` (default 250)

@@ -523,7 +523,7 @@ fn kind_rank(kind: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpf_shm::tracering::{TR_ENQUEUE, TR_WAKEUP};
+    use mpf_shm::tracering::TR_WAKEUP;
     use std::collections::BTreeSet;
 
     const FCFS: u32 = 1;
@@ -787,7 +787,7 @@ mod tests {
     fn chains_order_by_hop() {
         let l = log(&[
             (0, ev(TR_SEND, 0x10, 1, 0, 3, 64, 1 << 16)),
-            (0, ev(TR_ENQUEUE, 0x30, 9, 0, 4, 32, 0)),
+            (0, ev(TR_RECLAIM, 0x30, 9, 0, NIL, 64, 0)),
             (1, ev(TR_RECV, 0x10, 1, 0, 3, 64, 0)),
             (1, ev(TR_SEND, 0x10, 2, 1, 4, 16, 1 << 16)),
             (1, ev(TR_WAKEUP, 0x10, 0, 0, 3, 64, 0)),

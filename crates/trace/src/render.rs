@@ -14,7 +14,6 @@
 use std::fmt::Write as _;
 
 use mpf::inspect::{RegionInspector, TraceRingInfo};
-use mpf::AioStats;
 use mpf_shm::telemetry::{HistSnapshot, TelSnapshot};
 use mpf_shm::tracering::{trace_event_name, TraceEvent};
 
@@ -306,20 +305,6 @@ fn counters(t: &TelSnapshot) -> [(&'static str, u64); 12] {
     ]
 }
 
-/// One aio ring pair's counters by name, for both `stat` views.
-fn aio_cols(a: &AioStats) -> [(&'static str, u64); 8] {
-    [
-        ("sq_depth", a.sq_depth as u64),
-        ("cq_depth", a.cq_depth as u64),
-        ("sq_doorbells", a.sq_doorbells),
-        ("cq_doorbells", a.cq_doorbells),
-        ("submitted", a.submitted),
-        ("drained", a.drained),
-        ("completed", a.completed),
-        ("reaped", a.reaped),
-    ]
-}
-
 /// `name value` pairs for text, `-` for `_`.
 fn text_fields(cols: &[(&str, u64)]) -> String {
     let cells = cols
@@ -446,15 +431,6 @@ pub fn stat_text(insp: &RegionInspector, tail: usize, history: &[TelSnapshot]) -
         hist_spark(&t.latency_hist)
     );
 
-    let aio = insp.aio_rings();
-    let busy = aio
-        .iter()
-        .filter(|r| r.stats.submitted > 0 || r.stats.sq_depth > 0 || r.stats.cq_depth > 0);
-    for (i, r) in busy.enumerate() {
-        s.push_str(if i == 0 { "\naio rings:\n" } else { "" });
-        let _ = writeln!(s, "  pid {:<3} {}", r.pid, text_fields(&aio_cols(&r.stats)));
-    }
-
     let _ = write!(s, "\n{}", ring_table(insp));
     for r in active_rings(insp) {
         let events = ring_tail(insp, r.pid, tail);
@@ -522,16 +498,11 @@ pub fn stat_json(insp: &RegionInspector, tail: usize) -> String {
             hist_json(&l.tel.sizes),
         )
     }));
-    let aio = join(
-        insp.aio_rings()
-            .iter()
-            .map(|r| format!("{{\"pid\":{},{}}}", r.pid, json_fields(&aio_cols(&r.stats)))),
-    );
     format!(
         "{{\"region\":{},\"region_bytes\":{},\"telemetry\":{},\"trace_enabled\":{},\"sample_every\":{},\
          \"next_stamp\":{},\"sweep_epoch\":{},\"pool_waiters\":{},\"tel_fold_seq\":{},\
          \"config\":{{\"max_lnvcs\":{},\"max_processes\":{},\"max_messages\":{},\"total_blocks\":{},\"block_payload\":{}}},\
-         \"counters\":{{{}}},\"size_hist\":{},\"latency_hist\":{},\"aio_rings\":[{aio}],\
+         \"counters\":{{{}}},\"size_hist\":{},\"latency_hist\":{},\
          \"processes\":[{procs}],\"lnvcs\":[{lnvcs}],\"trace_rings\":[{}]}}",
         json_str(insp.name()),
         insp.region_bytes(),

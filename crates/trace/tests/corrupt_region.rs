@@ -26,7 +26,6 @@ fn probe(insp: &RegionInspector) {
     let _ = insp.processes();
     let _ = insp.lnvcs();
     let _ = insp.telemetry_snapshot();
-    let _ = insp.aio_rings();
     for pid in 0..insp.config().max_processes {
         let _ = insp.trace_events(pid);
     }

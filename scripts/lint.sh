@@ -71,10 +71,10 @@ STEP
 # Staging pops each pool once per run (`alloc_run`), freeing pushes
 # each once per run (`push_free`, under `free_run`); the
 # per-message forms stay deleted; `deliver_locked` reads `q_head`
-# once and resumes its scan behind each delivery; a submitted
-# run's TR_ENQUEUE records share one clock read; the SPSC ring
-# counters are load + store.  `tr -cd '('` counts the matches of a
-# pattern that ends in one.
+# once and resumes its scan behind each delivery; no record kind
+# marks a send staged apart from its publish (`TR_ENQUEUE` stays
+# deleted); the SPSC ring counters are load + store.  `tr -cd '('`
+# counts the matches of a pattern that ends in one.
 step 'A run moves whole (one free-list CAS per pool per run each way, one queue scan per batch)' <<'STEP'
 
 E=crates/core/src/engine.rs
@@ -87,19 +87,24 @@ done
 absent -Pzoq 'msg_free\s*\.(pop|push)\(' $E
 absent -nE 'fn (stage_message|alloc_blocks|free_message|free_message_at|free_block_chain|gather|reclaim_prefix|reclaim_consumed)\(' $E
 test "$(sed -n '/fn deliver_locked/,/fn claim_delivery/p' $E | grep -c 'q_head')" -eq 1
-absent -Pzoq 'trace_rec_at\(\s*None,\s*TR_ENQUEUE' $E
+absent -rn 'TR_ENQUEUE' crates/
 STEP
 
 # `send_batch` stages on the stack and publishes, as `message_send`
-# does a run of one: from it to `recv_batch` nothing calls a ring
-# shim or touches a ring, and `send_batch_deadline` waits for pool
-# memory through `retry_when_pool_frees` — the only registrant for
-# the pool signal besides the explorer's `debug_pool_wait`.
-step 'A batch is a run (send_batch publishes what it staged; the rings serve only the shims)' <<'STEP'
+# does a run of one: from it to `recv_batch` nothing calls a deferral
+# shim, and `send_batch_deadline` waits for pool memory through
+# `retry_when_pool_frees` — the only registrant for the pool signal
+# besides the explorer's `debug_pool_wait`.  The shims defer sends in
+# the view and drain them through `send_batch`: the region carves no
+# submission or completion ring, and the engine pushes to and pops
+# from no `AioRing`.
+step 'A batch is a run (send_batch publishes what it staged; deferred sends hold no region memory)' <<'STEP'
 
 E=crates/core/src/engine.rs
 absent() { if grep "$@"; then exit 1; fi; }
-sed -n '/pub fn send_batch(/,/pub fn recv_batch(/p' $E | absent -nE 'submit_sends|drain_sends|reap_completions|aio_sq|aio_cq'
+sed -n '/pub fn send_batch(/,/pub fn recv_batch(/p' $E | absent -nE 'submit_sends|drain_sends|reap_completions'
+absent -rnE 'aio_sq|aio_cq|reclaim_aio_of|AioRingInfo|aio_rings|from_rings|HookedMutex|aio [sc]q rings' crates/
+absent -rnE 'AioRing|\.try_(push|pop)\(' crates/core/src
 test "$(grep -c 'self\.pool_wait(true)' $E)" -eq 2
 for f in retry_when_pool_frees debug_pool_wait; do
   test "$(sed -n "/fn $f[<(]/,/^    }$/p" $E | grep -c 'self\.pool_wait(true)')" -eq 1
